@@ -3,7 +3,8 @@
 Every command validates its flags, echoes the merged configuration into the
 output directory, writes machine-readable results to files only, and keeps
 human-readable progress on the error stream. Exit codes: 0 success, 1 usage
-error, 2 data error, 3 operational non-detection (no pepper / no peduncle).
+error, 2 data error, 3 operational non-detection (no pepper, a region of
+interest off the image or without scored depth, no peduncle).
 """
 
 from __future__ import annotations
@@ -24,10 +25,12 @@ from . import pipeline as pl
 from . import scenegen as sg
 from . import workflows as wf
 from .errors import (
+    EmptyProjection,
     FormatError,
     NoPeduncleFound,
     NoPepperFound,
     PeduncleError,
+    RoiOutOfImage,
 )
 
 
@@ -112,17 +115,24 @@ def save_scores(path, scored: pl.ScoredCloud, eval_labels: np.ndarray) -> None:
 
 
 def load_scores(path) -> tuple[np.ndarray, np.ndarray]:
+    """Read a score dump written by save_scores; FormatError on any bad line."""
     with open(path) as fh:
         header = fh.readline().split()
-        if len(header) != 3 or header[0] != "scores" or header[1] != "v1":
+        if len(header) != 3 or header[:2] != ["scores", "v1"] or not header[2].isdigit():
             raise FormatError(f"{path}: not a scores v1 file")
         count = int(header[2])
         scores = np.empty(count)
         labels = np.empty(count, dtype=np.int64)
         for i in range(count):
             fields = fh.readline().split()
-            scores[i] = float(fields[3])
-            labels[i] = int(fields[4])
+            if len(fields) != 5:
+                raise FormatError(f"{path}: score line {i + 1} needs 5 fields")
+            try:
+                values = [float(v) for v in fields[:4]]
+                labels[i] = int(fields[4])
+            except ValueError as exc:
+                raise FormatError(f"{path}: non-numeric field on score line {i + 1}") from exc
+            scores[i] = values[3]
     return scores, labels
 
 
@@ -276,7 +286,7 @@ def cmd_filter(args) -> int:
                 _box_params(cfg),
                 pl.parse_up_axis(cfgmod.cfg_str(cfg, "up_axis")),
             )
-        except (NoPepperFound, NoPeduncleFound) as exc:
+        except (NoPepperFound, RoiOutOfImage, EmptyProjection, NoPeduncleFound) as exc:
             missed += 1
             with open(os.path.join(args.out, f"{entry['id']}_diag.csv"), "w", newline="\n") as fh:
                 if getattr(exc, "survivors", None):

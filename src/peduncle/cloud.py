@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .errors import EmptyInput, FormatError, InsufficientPoints, InvalidInput
@@ -268,49 +270,74 @@ def euclidean_cluster(
     """
     if not tol > 0:
         raise InvalidInput("cluster tolerance must be positive")
-    if min_size < 1:
-        raise InvalidInput("min_size must be >= 1")
     if max_size is None:
         max_size = len(cloud)
-    if min_size > max_size:
-        raise InvalidInput("min_size must not exceed max_size")
-    subset = np.asarray(subset, dtype=np.intp)
+    _check_sizes(min_size, max_size)
+    # sorted members make node order equal original index order, so the
+    # tie rules can work on node numbers
+    subset = np.sort(np.asarray(subset, dtype=np.intp))
     if subset.shape[0] == 0:
         return []
-    pts = cloud.points[subset]
-    tree = cKDTree(pts)
-    neighbor_lists = tree.query_ball_point(pts, tol * (1.0 + _SLACK))
-    tol2 = tol * tol
+    labels, sizes, ranked = _ranked_components(
+        subset.shape[0], radius_pairs(cloud.points[subset], tol), min_size, max_size
+    )
+    nodes = np.argsort(labels, kind="stable")          # grouped by label, ascending within
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    return [Cluster(subset[nodes[starts[c] : starts[c + 1]]]) for c in ranked]
 
-    parent = np.arange(subset.shape[0])
 
-    def find(a: int) -> int:
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
+def radius_pairs(points: np.ndarray, tol: float) -> np.ndarray:
+    """(E, 2) row pairs i < j whose squared distance is at most tol**2.
 
-    for i, nbrs in enumerate(neighbor_lists):
-        nbrs = np.asarray(nbrs, dtype=np.intp)
-        d = pts[nbrs] - pts[i]
-        close = nbrs[np.einsum("ij,ij->i", d, d) <= tol2]
-        ri = find(i)
-        for j in close:
-            rj = find(int(j))
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-                ri = min(ri, rj)
+    The edge list of the <=tol adjacency graph: the kd-tree proposes pairs
+    within a slightly inflated radius and the exact squared-distance test
+    decides, so the result equals a brute-force scan.
+    """
+    if not tol > 0:
+        raise InvalidInput("cluster tolerance must be positive")
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    pairs = cKDTree(points).query_pairs(tol * (1.0 + _SLACK), output_type="ndarray")
+    d = points[pairs[:, 0]] - points[pairs[:, 1]]
+    return pairs[np.einsum("ij,ij->i", d, d) <= tol * tol].astype(np.intp, copy=False)
 
-    roots = np.fromiter((find(i) for i in range(subset.shape[0])), dtype=np.intp)
-    clusters = []
-    for root in np.unique(roots):
-        members = subset[roots == root]
-        if min_size <= members.shape[0] <= max_size:
-            clusters.append(Cluster(np.sort(members)))
-    clusters.sort(key=lambda c: (-len(c), int(c.indices[0])))
-    return clusters
+
+def largest_cluster(n: int, pairs: np.ndarray, min_size: int, max_size: int) -> np.ndarray | None:
+    """Ascending nodes of the cluster euclidean_cluster would rank first on
+    the graph of nodes 0..n-1 and edges `pairs`; None when no size fits."""
+    _check_sizes(min_size, max_size)
+    labels, _, ranked = _ranked_components(n, pairs, min_size, max_size)
+    if ranked.size == 0:
+        return None
+    return np.flatnonzero(labels == ranked[0])
+
+
+def _check_sizes(min_size: int, max_size: int) -> None:
+    if min_size < 1:
+        raise InvalidInput("min_size must be >= 1")
+    if min_size > max_size:
+        raise InvalidInput("min_size must not exceed max_size")
+
+
+def _ranked_components(n: int, pairs: np.ndarray, min_size: int, max_size: int):
+    """(label per node, size per label, labels with a size in [min_size,
+    max_size] ordered largest first, ties by smallest member node)."""
+    graph = coo_matrix(
+        (np.ones(pairs.shape[0]), (pairs[:, 0], pairs[:, 1])), shape=(n, n)
+    )
+    _, labels = connected_components(graph, directed=False)
+    _, first = np.unique(labels, return_index=True)    # smallest member node per label
+    sizes = np.bincount(labels)
+    order = np.lexsort((first, -sizes))
+    fits = (sizes[order] >= min_size) & (sizes[order] <= max_size)
+    return labels, sizes, order[fits]
+
+
+def induced_pairs(pairs: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Edges of the subgraph on the nodes where `keep` is true, renumbered to
+    those nodes' ranks (the order of np.flatnonzero(keep))."""
+    rank = np.cumsum(keep) - 1
+    both = keep[pairs[:, 0]] & keep[pairs[:, 1]]
+    return rank[pairs[both]]
 
 
 def save_cloud(path, cloud: PointCloud) -> None:

@@ -16,13 +16,16 @@ import numpy as np
 
 from . import classifiers as cls
 from . import cloud as pc
-from . import features as ft
 from . import pipeline as pl
-from .errors import EmptyEvaluation, NoPeduncleFound
+from .errors import EmptyEvaluation
 
 POSITIVE = 1
 NEGATIVE = 0
 IGNORED = -1
+
+# Score of a point no detector scored (its scene was missed before scoring):
+# detector scores and thresholds lie in [0, 1], so it clears no threshold.
+MISS_SCORE = -1.0
 
 
 def labels_to_eval(labels: np.ndarray) -> np.ndarray:
@@ -120,55 +123,53 @@ def eval_filtered(
 ) -> tuple[PrCurve, list[str]]:
     """Sweep the score threshold through the full filtering stage.
 
-    Predictions at each threshold are membership of the returned cluster;
-    scenes where no peduncle (or no pepper) is found contribute zero
-    predictions, so their positives all count as misses. Per-scene failures
-    are recorded, never raised.
+    Predictions at each threshold are membership of the cluster that
+    pipeline.filter_detections returns; scenes where no peduncle (or no
+    pepper) is found contribute zero predictions, so their positives all
+    count as misses. Per-scene failures are recorded, never raised.
+
+    Steps 3 and 4 of the filter and the <=tol graph over their survivors do
+    not depend on the threshold, so each scene builds them once; a threshold
+    then keeps the nodes scoring at least t and the edges between two kept
+    nodes. The kept sets are nested, so an unchanged count means an
+    unchanged set and the previous cluster is reused.
     """
     if thresholds is None:
         thresholds = default_thresholds()
+    thresholds = np.asarray(thresholds, dtype=np.float64)
+    counts = np.zeros((len(thresholds), 4), dtype=np.int64)   # tp, fp, fn, tn
     notes: list[str] = []
-    posteriors = []
     for i, scene in enumerate(scenes):
+        pos = scene.eval_labels == POSITIVE
+        neg = scene.eval_labels == NEGATIVE
+        n_pos, n_neg = int(pos.sum()), int(neg.sum())
         if scene.pepper_points is None:
-            posteriors.append(None)
             notes.append(f"scene {i}: no pepper detected")
-        else:
-            posteriors.append(
-                cls.nb_posterior(nb, ft.rgb_to_hsv_array(scene.scored.cloud.colors))
-            )
-    points = []
-    for t in np.asarray(thresholds, dtype=np.float64):
-        tp = fp_count = fn = tn = 0
-        for scene, post in zip(scenes, posteriors):
-            lab = scene.eval_labels
-            labeled = lab != IGNORED
-            n_pos = int(np.sum(lab == POSITIVE))
-            n_neg = int(np.sum(lab == NEGATIVE))
-            if scene.pepper_points is None or len(scene.scored) == 0:
-                fn += n_pos
-                tn += n_neg
-                continue
-            params = pl.FilterParams(
-                score_threshold=float(t),
-                pepper_posterior_threshold=fp.pepper_posterior_threshold,
-                cluster_tol=fp.cluster_tol,
-                min_cluster=fp.min_cluster,
-                max_cluster=fp.max_cluster,
-            )
-            try:
-                result = pl.filter_detections(
-                    scene.scored, scene.pepper_points, nb, params, box_params, up, post
+        if scene.pepper_points is None or len(scene.scored) == 0:
+            counts += (0, 0, n_pos, n_neg)
+            continue
+        not_pepper, in_box, _ = pl.color_box_masks(
+            scene.scored, scene.pepper_points, nb, fp, box_params, up
+        )
+        nodes = np.flatnonzero(not_pepper & in_box)
+        pairs = pc.radius_pairs(scene.scored.cloud.points[nodes], fp.cluster_tol)
+        node_scores = scene.scored.scores[nodes]
+        n_kept, row = -1, None
+        for k, t in enumerate(thresholds):
+            kept = node_scores >= t
+            count = int(kept.sum())
+            if count != n_kept:
+                n_kept = count
+                best = pc.largest_cluster(
+                    n_kept, pc.induced_pairs(pairs, kept), fp.min_cluster, fp.max_cluster
                 )
-                pred = np.zeros(len(scene.scored), dtype=bool)
-                pred[result.cluster] = True
-            except NoPeduncleFound:
-                pred = np.zeros(len(scene.scored), dtype=bool)
-            tp += int(np.sum(pred & labeled & (lab == POSITIVE)))
-            fp_count += int(np.sum(pred & labeled & (lab == NEGATIVE)))
-            fn += int(np.sum(~pred & labeled & (lab == POSITIVE)))
-            tn += int(np.sum(~pred & labeled & (lab == NEGATIVE)))
-        points.append(PrPoint(float(t), tp, fp_count, fn, tn))
+                tp = fp_count = 0
+                if best is not None:
+                    cluster = nodes[kept][best]
+                    tp, fp_count = int(pos[cluster].sum()), int(neg[cluster].sum())
+                row = (tp, fp_count, n_pos - tp, n_neg - fp_count)
+            counts[k] += row
+    points = [PrPoint(float(t), *(int(v) for v in c)) for t, c in zip(thresholds, counts)]
     return PrCurve(points, "filtered"), notes
 
 

@@ -304,6 +304,31 @@ def detect_pepper(
     return best, pc.compute_bbox(cloud, best)
 
 
+def color_box_masks(
+    scored: ScoredCloud,
+    pepper_points: np.ndarray,
+    nb: cls.NaiveBayesHsv,
+    fp: FilterParams = FilterParams(),
+    box_params: PeduncleBoxParams = PeduncleBoxParams(),
+    up: tuple[int, int] = UP_DEFAULT,
+    posterior: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, pc.BoundingBox3]:
+    """The two filtering steps that do not depend on the score threshold.
+
+    Returns (not pepper-colored, inside the 3D peduncle box, that box), the
+    masks of steps 3 and 4 over every scored point.
+    """
+    if len(scored) == 0:
+        raise EmptyInput("empty scored cloud")
+    pepper_points = np.asarray(pepper_points, dtype=np.float64)
+    if len(pepper_points) == 0:
+        raise EmptyInput("empty pepper point set")
+    if posterior is None:
+        posterior = cls.nb_posterior(nb, ft.rgb_to_hsv_array(scored.cloud.colors))
+    box = peduncle_bbox3(pc.compute_bbox(pc.PointCloud(pepper_points)), box_params, up)
+    return posterior < fp.pepper_posterior_threshold, box.contains(scored.cloud.points), box
+
+
 def filter_detections(
     scored: ScoredCloud,
     pepper_points: np.ndarray,
@@ -321,36 +346,31 @@ def filter_detections(
     clustering, keeping the largest cluster. Raises NoPeduncleFound when no
     cluster survives the size limits.
     """
-    if len(scored) == 0:
-        raise EmptyInput("empty scored cloud")
-    pepper_points = np.asarray(pepper_points, dtype=np.float64)
-    if len(pepper_points) == 0:
-        raise EmptyInput("empty pepper point set")
-
+    not_pepper, in_box, box = color_box_masks(
+        scored, pepper_points, nb, fp, box_params, up, posterior
+    )
     keep = scored.scores >= fp.score_threshold
     survivors = [(1, "score_threshold", int(keep.sum()))]
     survivors.append((2, "project_to_3d", int(keep.sum())))
-
-    if posterior is None:
-        posterior = cls.nb_posterior(nb, ft.rgb_to_hsv_array(scored.cloud.colors))
-    keep &= posterior < fp.pepper_posterior_threshold
+    keep &= not_pepper
     survivors.append((3, "hsv_pepper_removal", int(keep.sum())))
-
-    box = peduncle_bbox3(pc.compute_bbox(pc.PointCloud(pepper_points)), box_params, up)
-    keep &= box.contains(scored.cloud.points)
+    keep &= in_box
     survivors.append((4, "bbox3", int(keep.sum())))
 
     candidates = np.flatnonzero(keep)
-    clusters = pc.euclidean_cluster(
-        scored.cloud, candidates, fp.cluster_tol, fp.min_cluster, fp.max_cluster
+    best = pc.largest_cluster(
+        len(candidates),
+        pc.radius_pairs(scored.cloud.points[candidates], fp.cluster_tol),
+        fp.min_cluster,
+        fp.max_cluster,
     )
-    if not clusters:
+    if best is None:
         survivors.append((5, "largest_cluster", 0))
         exc = NoPeduncleFound("no cluster survived the size limits")
         exc.survivors = survivors
         exc.box = box
         raise exc
-    cluster = clusters[0].indices
+    cluster = candidates[best]
     survivors.append((5, "largest_cluster", int(cluster.size)))
     return FilterResult(cluster, survivors, box)
 

@@ -191,26 +191,48 @@ def score_scene(
 ) -> ev.SceneEval:
     """Detect the pepper, score the region of interest, attach truth labels.
 
-    Scenes where no pepper is found (or the ROI leaves the image) yield an
-    all-miss record: their ground-truth peduncle points count as false
-    negatives at every threshold.
+    Scenes where no pepper is found (or the ROI leaves the image, or nothing
+    in it is scored) yield an all-miss record: their ground-truth peduncle
+    points carry ev.MISS_SCORE, so they count as false negatives at every
+    threshold.
     """
+    return score_scene_all(scene, [detector], nb, pepper_params)[0]
+
+
+def score_scene_all(
+    scene,
+    detectors,
+    nb: cls.NaiveBayesHsv,
+    pepper_params: pl.PepperDetectParams = pl.PepperDetectParams(),
+) -> list[ev.SceneEval]:
+    """score_scene for each detector in turn, locating the pepper once."""
     frame = scene.frame
     try:
         pepper_idx, _ = pl.detect_pepper(frame.cloud, nb, pepper_params)
         roi = pl.compute_roi(pl.pixel_bbox(frame.pixels[pepper_idx]), *frame.depth_raw.shape[::-1])
-        scored = detector.score_frame(frame, roi)
-        if len(scored) == 0:
-            raise EmptyProjection("region of interest produced no scored points")
-    except (NoPepperFound, RoiOutOfImage, EmptyProjection):
-        n_pos = int(np.sum(frame.cloud.labels == pc.LABEL_PEDUNCLE))
-        empty = pl.ScoredCloud(
-            pc.PointCloud(np.zeros((n_pos, 3)) + [0.0, 0.0, 1.0]),
-            np.zeros(n_pos),
-        )
-        return ev.SceneEval(empty, None, np.full(n_pos, ev.POSITIVE, dtype=np.int64))
-    labels = ev.labels_to_eval(scored.cloud.labels)
-    return ev.SceneEval(scored, frame.cloud.points[pepper_idx], labels)
+    except (NoPepperFound, RoiOutOfImage):
+        return [_all_miss(frame) for _ in detectors]
+    records = []
+    for detector in detectors:
+        try:
+            scored = detector.score_frame(frame, roi)
+            if len(scored) == 0:
+                raise EmptyProjection("region of interest produced no scored points")
+        except EmptyProjection:
+            records.append(_all_miss(frame))
+            continue
+        labels = ev.labels_to_eval(scored.cloud.labels)
+        records.append(ev.SceneEval(scored, frame.cloud.points[pepper_idx], labels))
+    return records
+
+
+def _all_miss(frame) -> ev.SceneEval:
+    n_pos = int(np.sum(frame.cloud.labels == pc.LABEL_PEDUNCLE))
+    empty = pl.ScoredCloud(
+        pc.PointCloud(np.zeros((n_pos, 3)) + [0.0, 0.0, 1.0]),
+        np.full(n_pos, ev.MISS_SCORE),
+    )
+    return ev.SceneEval(empty, None, np.full(n_pos, ev.POSITIVE, dtype=np.int64))
 
 
 def pooled_raw_curve(scene_evals, thresholds=None) -> ev.PrCurve:
@@ -265,8 +287,9 @@ def run_benchmark(
     """Train and evaluate both detectors on the fixed-seed synthetic set.
 
     The CNN is trained twice: on the full training split and on its first
-    half, to measure the effect of doubling the training scenes. Evaluation
-    scenes are regenerated on the fly to bound memory.
+    half, to measure the effect of doubling the training scenes. Each
+    evaluation scene is generated once and scored by all three detectors;
+    only the scored regions of interest are kept.
 
     Returns curves keyed by detector ('pfh-svm', 'cnn', 'cnn-half'), each a
     {'raw': PrCurve, 'filtered': PrCurve} pair, plus the trained models.
@@ -315,11 +338,17 @@ def run_benchmark(
         "cnn-half": pl.CnnDetector(cnn_half),
     }
     results = {"models": {"nb": nb, "svm": svm, "cnn": cnn_full, "cnn-half": cnn_half}}
-    for name, detector in detectors.items():
-        say(f"evaluating {name} on {len(eval_params)} scenes")
-        raw, filtered, notes = evaluate_detector(
-            (sg.generate(p) for p in eval_params), detector, nb, thresholds, log=log
-        )
+    say(f"scoring {len(eval_params)} scenes with {', '.join(detectors)}")
+    evals = {name: [] for name in detectors}
+    for i, p in enumerate(eval_params):
+        records = score_scene_all(sg.generate(p), list(detectors.values()), nb)
+        for name, rec in zip(detectors, records):
+            evals[name].append(rec)
+        if (i + 1) % 25 == 0:
+            say(f"scored {i + 1} scenes")
+    for name in detectors:
+        raw = pooled_raw_curve(evals[name], thresholds)
+        filtered, notes = ev.eval_filtered(evals.pop(name), nb, thresholds)
         results[name] = {"raw": raw, "filtered": filtered, "notes": notes}
         say(
             f"{name}: raw best F1 {raw.best.f1:.3f} @ {raw.best.threshold:.2f}, "

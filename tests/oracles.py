@@ -1,14 +1,19 @@
 """Independent reference implementations used to check the library.
 
 Everything here is deliberately naive (loops, direct formulas, generic
-solvers) and shares no code with the paths it validates.
+solvers) and shares no code with the paths it validates, except
+eval_filtered_per_threshold, which reruns the library's own filter at every
+threshold to check the one-pass sweep built on top of it.
 """
 
 import numpy as np
 
+from peduncle import classifiers as cls
 from peduncle import cloud as pc
+from peduncle import evaluate as ev
 from peduncle import features as ft
-from peduncle.errors import DegeneratePair, EmptyHistogram
+from peduncle import pipeline as pl
+from peduncle.errors import DegeneratePair, EmptyHistogram, NoPeduncleFound
 
 
 def brute_knn(points, q, k):
@@ -64,6 +69,50 @@ def csgraph_clusters(points, subset, tol, min_size, max_size):
             clusters.append(sorted(members.tolist()))
     clusters.sort(key=lambda g: (-len(g), g[0]))
     return clusters
+
+
+def eval_filtered_per_threshold(
+    scenes, nb, thresholds, fp=pl.FilterParams(), box_params=pl.PeduncleBoxParams(),
+    up=pl.UP_DEFAULT,
+):
+    """Filtered PR curve that reruns the whole five-step filter for every
+    threshold and scene. It shares the clustering with the one-pass sweep
+    (the clustering has its own oracles), so it checks the sweep's
+    bookkeeping: threshold-free masks, the induced subgraph per threshold
+    and the reuse of unchanged kept sets."""
+    points = []
+    for t in np.asarray(thresholds, dtype=np.float64):
+        tp = fp_count = fn = tn = 0
+        for scene in scenes:
+            lab = scene.eval_labels
+            n_pos = int(np.sum(lab == ev.POSITIVE))
+            n_neg = int(np.sum(lab == ev.NEGATIVE))
+            if scene.pepper_points is None or len(scene.scored) == 0:
+                fn += n_pos
+                tn += n_neg
+                continue
+            post = cls.nb_posterior(nb, ft.rgb_to_hsv_array(scene.scored.cloud.colors))
+            params = pl.FilterParams(
+                score_threshold=float(t),
+                pepper_posterior_threshold=fp.pepper_posterior_threshold,
+                cluster_tol=fp.cluster_tol,
+                min_cluster=fp.min_cluster,
+                max_cluster=fp.max_cluster,
+            )
+            pred = np.zeros(len(scene.scored), dtype=bool)
+            try:
+                result = pl.filter_detections(
+                    scene.scored, scene.pepper_points, nb, params, box_params, up, post
+                )
+                pred[result.cluster] = True
+            except NoPeduncleFound:
+                pass
+            tp += int(np.sum(pred & (lab == ev.POSITIVE)))
+            fp_count += int(np.sum(pred & (lab == ev.NEGATIVE)))
+            fn += int(np.sum(~pred & (lab == ev.POSITIVE)))
+            tn += int(np.sum(~pred & (lab == ev.NEGATIVE)))
+        points.append(ev.PrPoint(float(t), tp, fp_count, fn, tn))
+    return ev.PrCurve(points, "filtered")
 
 
 def naive_spfh(points, normals, i, neighbors):

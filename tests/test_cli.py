@@ -1,5 +1,6 @@
 """Command-line workflow tests: exit codes, determinism, CLI/API agreement."""
 
+import dataclasses
 import hashlib
 import os
 
@@ -13,7 +14,8 @@ from peduncle import evaluate as ev
 from peduncle import pipeline as pl
 from peduncle import scenegen as sg
 from peduncle import workflows as wf
-from peduncle.cli import main
+from peduncle.cli import load_scores, main
+from peduncle.errors import FormatError
 
 SMALL_CFG = """
 image_width = 160
@@ -146,7 +148,46 @@ class TestExitCodes:
         assert "NoPepperFound" in diag
 
 
+def _write_scenes(scene_dir, cfg_path, scenes):
+    """Save scenes as s0000, s0001, ... with a manifest and the scene config."""
+    scene_dir.mkdir()
+    lines = []
+    for i, scene in enumerate(scenes):
+        files = sg.save_scene(scene_dir, f"s{i:04d}", scene)
+        lines.append(f"s{i:04d} {i} {' '.join(files)}\n")
+    (scene_dir / "manifest.txt").write_text("".join(lines))
+    cfgmod.write_config(scene_dir / "config.cfg", cfgmod.merged_config(cfg_path))
+    return scene_dir
+
+
 class TestFilterCommand:
+    def test_scene_without_projection_is_a_miss_in_the_batch(self, workdir, tmp_path):
+        entry = [e for e in sg.load_manifest(workdir["manifest"]) if e["split"] == "eval"][0]
+        normal = sg.load_benchmark_scene(workdir["manifest"], entry)
+        # a small pepper-red blob in the top rows of an otherwise green
+        # scene: its region of interest lies above the first row of patch
+        # centres, so the patch scorer scores nothing there
+        pepper = normal.labels_img == pc.LABEL_PEPPER
+        rgb = np.zeros_like(normal.rgb)
+        rgb[:] = (40, 140, 40)
+        rgb[0:10, 60:70] = normal.rgb[pepper][:100].reshape(10, 10, 3)
+        depth = normal.depth_raw.copy()
+        depth[0:10, 60:70] = 330
+        labels = normal.labels_img.copy()
+        labels[0:10, 60:70] = pc.LABEL_PEPPER
+        top = dataclasses.replace(normal, rgb=rgb, depth_raw=depth, labels_img=labels,
+                                  frame=pl.Frame.from_rasters(rgb, depth, normal.frame.intr, labels))
+        scene_dir = _write_scenes(tmp_path / "scenes", workdir["cfg"], [top, normal])
+        out = tmp_path / "filt"
+        rc = main(["filter", "--config", workdir["cfg"], "--scenes",
+                   str(scene_dir / "manifest.txt"), "--models", workdir["models"],
+                   "--detector", "cnn", "--out", str(out)])
+        assert rc == 3
+        assert "error,EmptyProjection," in (out / "s0000_diag.csv").read_text()
+        # the batch went on to the second scene
+        second = (out / "s0001_diag.csv").read_text()
+        assert second.startswith("1,score_threshold,") or "NoPeduncleFound" in second
+
     def test_writes_cluster_pose_diag(self, workdir, tmp_path):
         out = tmp_path / "filt"
         rc = main(["filter", "--config", workdir["cfg"], "--scenes", workdir["manifest"],
@@ -191,6 +232,49 @@ class TestScoreAndCurves:
         lines = (curve_dir / "pr.csv").read_text().strip().splitlines()
         assert lines[0] == "mode,threshold,tp,fp,fn,precision,recall,f1"
         assert len(lines) == 12  # 11 thresholds
+
+    def test_missed_scene_dump_equals_library_curve(self, workdir, tmp_path):
+        entry = [e for e in sg.load_manifest(workdir["manifest"]) if e["split"] == "eval"][0]
+        normal = sg.load_benchmark_scene(workdir["manifest"], entry)
+        rgb = np.zeros_like(normal.rgb)
+        rgb[:] = (40, 140, 40)
+        green = dataclasses.replace(normal, rgb=rgb, frame=pl.Frame.from_rasters(
+            rgb, normal.depth_raw, normal.frame.intr, normal.labels_img))
+        scene_dir = _write_scenes(tmp_path / "scenes", workdir["cfg"], [normal, green])
+        out = tmp_path / "scores"
+        assert main(["score", "--config", workdir["cfg"], "--scenes",
+                     str(scene_dir / "manifest.txt"), "--models", workdir["models"],
+                     "--detector", "pfh-svm", "--out", str(out)]) == 0
+        curve_dir = tmp_path / "curve"
+        assert main(["pr-curve", "--config", workdir["cfg"], "--scores",
+                     str(out / "s0000.scores"), str(out / "s0001.scores"),
+                     "--out", str(curve_dir)]) == 0
+
+        cfg = cfgmod.merged_config(workdir["cfg"])
+        nb = cls.load_nb(os.path.join(workdir["models"], "nb.model"))
+        svm = cls.load_svm(os.path.join(workdir["models"], "svm.model"))
+        det = pl.PfhSvmDetector(svm, int(cfg["normal_k"]), int(cfg["fpfh_k"]))
+        evals = [wf.score_scene(s, det, nb) for s in (normal, green)]
+        thresholds = ev.default_thresholds(int(cfg["thresholds"]))
+        curve = wf.pooled_raw_curve(evals, thresholds)
+        expected_path = tmp_path / "expected.csv"
+        ev.write_pr_csv(expected_path, [curve])
+        assert (curve_dir / "pr.csv").read_text() == expected_path.read_text()
+        # the green scene's positives are misses at every threshold, 0.0 included
+        n_missed = int((green.cloud.labels == pc.LABEL_PEDUNCLE).sum())
+        alone = wf.pooled_raw_curve(evals[:1], thresholds)
+        assert n_missed > 0
+        assert all(p.fn - a.fn == n_missed for a, p in zip(alone.points, curve.points))
+
+    @pytest.mark.parametrize("line", ["0.1 0.2", "0.1 0.2 0.3 zero 1", "0.1 0.2 0.3 0.4 1 7"])
+    def test_malformed_score_line_is_data_error(self, workdir, tmp_path, line):
+        path = tmp_path / "bad.scores"
+        path.write_text(f"scores v1 2\n0.0 0.0 1.0 0.5 1\n{line}\n")
+        rc = main(["pr-curve", "--config", workdir["cfg"], "--scores", str(path),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        with pytest.raises(FormatError):
+            load_scores(path)
 
 
 class TestEvalCommand:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import brute_knn, brute_radius, union_find_clusters
 
 from peduncle import cloud as pc
@@ -216,6 +218,64 @@ class TestClustering:
         back = [sorted(perm[c.indices].tolist()) for c in got]
         back.sort(key=lambda g: (-len(g), g[0]))
         assert back == [c.indices.tolist() for c in ref]
+
+
+@st.composite
+def lattice_clouds(draw):
+    """Small clouds on an integer lattice scaled by the tolerance, so many
+    pairs sit exactly tol apart and repeated lattice cells give duplicate
+    points; optional jitter moves some points just off the lattice. The
+    subset is an unsorted selection of rows."""
+    tol = draw(st.sampled_from([0.003, 1.0 / 256, 0.01]))
+    n = draw(st.integers(1, 40))
+    cells = np.array(draw(st.lists(st.tuples(*[st.integers(0, 4)] * 3), min_size=n, max_size=n)))
+    pts = cells * tol
+    jitter = draw(st.lists(st.floats(-0.6, 0.6), min_size=n, max_size=n))
+    jittered = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    pts[:, 0] += np.where(jittered, jitter, 0.0) * tol
+    subset = draw(st.lists(st.integers(0, n - 1), min_size=0, max_size=n, unique=True))
+    min_size = draw(st.integers(1, 4))
+    max_size = min_size + draw(st.integers(0, n))
+    return pts, np.asarray(subset, dtype=np.intp), tol, min_size, max_size
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_clouds())
+def test_clusters_equal_union_find_oracle(case):
+    pts, subset, tol, min_size, max_size = case
+    got = pc.euclidean_cluster(pc.PointCloud(pts), subset, tol, min_size, max_size)
+    want = union_find_clusters(pts, subset, tol, min_size, max_size)
+    assert [c.indices.tolist() for c in got] == want
+
+
+class TestGraphHelpers:
+    def test_largest_cluster_matches_first_cluster(self):
+        rng = np.random.default_rng(21)
+        pts = rng.uniform(0, 0.03, (150, 3))
+        pairs = pc.radius_pairs(pts, 0.004)
+        for lo, hi in ((1, 150), (5, 20), (3, 3), (200, 300)):
+            clusters = pc.euclidean_cluster(pc.PointCloud(pts), np.arange(150), 0.004, lo, hi)
+            best = pc.largest_cluster(150, pairs, lo, hi)
+            if clusters:
+                assert best.tolist() == clusters[0].indices.tolist()
+            else:
+                assert best is None
+
+    def test_induced_pairs_equal_pairs_of_the_kept_points(self):
+        rng = np.random.default_rng(22)
+        pts = rng.uniform(0, 0.02, (120, 3))
+        keep = rng.uniform(size=120) < 0.6
+        got = pc.induced_pairs(pc.radius_pairs(pts, 0.004), keep)
+        want = pc.radius_pairs(pts[keep], 0.004)
+        assert sorted(map(tuple, got.tolist())) == sorted(map(tuple, want.tolist()))
+
+    def test_size_window_validated(self):
+        with pytest.raises(InvalidInput):
+            pc.largest_cluster(3, np.zeros((0, 2), dtype=np.intp), 0, 3)
+        with pytest.raises(InvalidInput):
+            pc.largest_cluster(3, np.zeros((0, 2), dtype=np.intp), 4, 3)
+        with pytest.raises(InvalidInput):
+            pc.radius_pairs(np.zeros((2, 3)), 0.0)
 
 
 class TestCloudFile:

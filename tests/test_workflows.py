@@ -1,7 +1,10 @@
 """Training-data extraction and per-scene scoring workflow tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from oracles import eval_filtered_per_threshold
 
 from peduncle import classifiers as cls
 from peduncle import cloud as pc
@@ -22,6 +25,28 @@ def scenes():
 @pytest.fixture(scope="module")
 def nb(scenes):
     return wf.train_nb_from_scenes(scenes[:3])
+
+
+@pytest.fixture(scope="module")
+def svm(scenes):
+    feats, y = wf.collect_svm_training(scenes[:3], per_scene=120, max_total=400, seed=8)
+    return cls.svm_train(feats, y, cls.SvmParams())
+
+
+TINY_SPEC = (
+    "input 16 16 3\nconv 3 3 3 4 1 1\nrelu\npool 2 2\nconv 3 3 4 4 1 1\nrelu\n"
+    "conv 3 3 4 4 1 1\nrelu\npool 2 2\ninception 2 2 2 2\nrelu\nconv 3 3 6 4 1 1\n"
+    "relu\ninception 2 2 2 2\nrelu\nconv 3 3 6 4 1 1\nrelu\nconv 1 1 4 4 1 0\nrelu\n"
+    "fc 64 2\n"
+)
+
+
+def recolored_green(scene):
+    """The same scene with every pixel one foliage green: no pepper is found."""
+    rgb = np.zeros_like(scene.rgb)
+    rgb[:] = (40, 140, 40)
+    frame = pl.Frame.from_rasters(rgb, scene.depth_raw, scene.frame.intr, scene.labels_img)
+    return dataclasses.replace(scene, rgb=rgb, frame=frame)
 
 
 class TestNbTraining:
@@ -140,9 +165,7 @@ class TestSceneScoring:
 
 
 class TestEvaluateDetector:
-    def test_curves_and_micro_identity(self, scenes, nb):
-        feats, y = wf.collect_svm_training(scenes[:3], per_scene=120, max_total=400, seed=8)
-        svm = cls.svm_train(feats, y, cls.SvmParams())
+    def test_curves_and_micro_identity(self, scenes, nb, svm):
         det = pl.PfhSvmDetector(svm)
         thresholds = ev.default_thresholds(11)
         raw, filtered, notes = wf.evaluate_detector(scenes[3:], det, nb, thresholds)
@@ -151,3 +174,48 @@ class TestEvaluateDetector:
         # recall of the raw curve is nonincreasing
         recalls = [p.recall for p in raw.points]
         assert all(a >= b - 1e-12 for a, b in zip(recalls, recalls[1:]))
+
+
+class TestMissedScenes:
+    def test_missed_positives_are_false_negatives_at_every_threshold(self, scenes, nb, svm):
+        det = pl.PfhSvmDetector(svm)
+        normal = wf.score_scene(scenes[4], det, nb)
+        green = wf.score_scene(recolored_green(scenes[4]), det, nb)
+        assert green.pepper_points is None
+        n_missed = int((scenes[4].cloud.labels == pc.LABEL_PEDUNCLE).sum())
+        assert n_missed > 0
+        thresholds = np.array([0.0, 0.5])
+        alone = wf.pooled_raw_curve([normal], thresholds)
+        pooled = wf.pooled_raw_curve([normal, green], thresholds)
+        for a, p in zip(alone.points, pooled.points):
+            assert (p.tp, p.fp, p.fn, p.tn) == (a.tp, a.fp, a.fn + n_missed, a.tn)
+
+    def test_scoring_all_detectors_equals_one_at_a_time(self, scenes, nb, svm):
+        dets = [pl.PfhSvmDetector(svm), pl.CnnDetector(mc.Network.from_netspec(
+            mc.parse_netspec(TINY_SPEC), seed=9))]
+        for scene in (scenes[3], recolored_green(scenes[3])):
+            together = wf.score_scene_all(scene, dets, nb)
+            for det, rec in zip(dets, together):
+                one = wf.score_scene(scene, det, nb)
+                assert np.array_equal(rec.scored.scores, one.scored.scores)
+                assert np.array_equal(rec.scored.cloud.points, one.scored.cloud.points)
+                assert np.array_equal(rec.eval_labels, one.eval_labels)
+
+
+class TestFilteredSweep:
+    @pytest.mark.parametrize("detector", ["pfh-svm", "cnn"])
+    def test_one_pass_sweep_equals_per_threshold_filter(self, scenes, nb, svm, detector):
+        if detector == "pfh-svm":
+            det = pl.PfhSvmDetector(svm)
+        else:
+            det = pl.CnnDetector(mc.Network.from_netspec(mc.parse_netspec(TINY_SPEC), seed=9))
+        evals = [wf.score_scene(s, det, nb) for s in (scenes[3], scenes[4], scenes[5])]
+        evals.append(wf.score_scene(recolored_green(scenes[5]), det, nb))
+        thresholds = ev.default_thresholds(101)
+        for fp in (pl.FilterParams(), pl.FilterParams(min_cluster=40, max_cluster=400)):
+            got, notes = ev.eval_filtered(evals, nb, thresholds, fp)
+            want = eval_filtered_per_threshold(evals, nb, thresholds, fp)
+            assert got.points == want.points
+            assert notes == ["scene 3: no pepper detected"]
+        # the sweep reaches clusters at some thresholds and none at others
+        assert len({p.tp for p in got.points}) > 1
