@@ -10,6 +10,7 @@ interest off the image or without scored depth, no peduncle).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -115,7 +116,8 @@ def save_scores(path, scored: pl.ScoredCloud, eval_labels: np.ndarray) -> None:
 
 
 def load_scores(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a score dump written by save_scores; FormatError on any bad line."""
+    """Read a score dump written by save_scores; FormatError on any bad line,
+    a non-finite value included."""
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 3 or header[:2] != ["scores", "v1"] or not header[2].isdigit():
@@ -132,6 +134,8 @@ def load_scores(path) -> tuple[np.ndarray, np.ndarray]:
                 labels[i] = int(fields[4])
             except ValueError as exc:
                 raise FormatError(f"{path}: non-numeric field on score line {i + 1}") from exc
+            if not all(map(math.isfinite, values)):
+                raise FormatError(f"{path}: non-finite value on score line {i + 1}")
             scores[i] = values[3]
     return scores, labels
 

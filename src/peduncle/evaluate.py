@@ -94,9 +94,11 @@ def confusion(scores, labels, threshold: float) -> tuple[int, int, int, int]:
 
 
 def pr_curve(scores, labels, thresholds=None, mode: str = "raw") -> PrCurve:
-    """PrPoint per threshold over one pooled score/label set."""
+    """PrPoint per threshold over one pooled score/label set; InvalidInput
+    on a non-finite score."""
     if thresholds is None:
         thresholds = default_thresholds()
+    pl.require_finite_scores(np.asarray(scores, dtype=np.float64))
     labels = np.asarray(labels)
     if not np.any(labels == POSITIVE) or not np.any(labels == NEGATIVE):
         raise EmptyEvaluation("need at least one positive and one negative label")
@@ -126,7 +128,8 @@ def eval_filtered(
     Predictions at each threshold are membership of the cluster that
     pipeline.filter_detections returns; scenes where no peduncle (or no
     pepper) is found contribute zero predictions, so their positives all
-    count as misses. Per-scene failures are recorded, never raised.
+    count as misses. Per-scene failures are recorded, never raised; a
+    non-finite score in a scene that reaches the filter raises InvalidInput.
 
     Steps 3 and 4 of the filter and the <=tol graph over their survivors do
     not depend on the threshold, so each scene builds them once; a threshold
@@ -148,6 +151,7 @@ def eval_filtered(
         if scene.pepper_points is None or len(scene.scored) == 0:
             counts += (0, 0, n_pos, n_neg)
             continue
+        pl.require_finite_scores(scene.scored.scores)
         not_pepper, in_box, _ = pl.color_box_masks(
             scene.scored, scene.pepper_points, nb, fp, box_params, up
         )

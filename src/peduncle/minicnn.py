@@ -1,9 +1,25 @@
 """Small from-scratch tensor engine for the inception-style patch scorer.
 
 Tensors are plain numpy arrays of shape (batch, channels, height, width),
-float64 everywhere so analytic gradients can be validated against central
-finite differences. Convolution is im2col + matmul; every layer implements
-forward/backward and owns its parameter and gradient buffers.
+float64 for training so analytic gradients can be validated against central
+finite differences (float32 is allowed for inference). Every layer
+implements forward/backward and owns its parameter and gradient buffers.
+
+Convolution is im2col + matmul. The input is padded once into a
+channels-last (b, h, w, c) buffer; one sliding-window view over (h, w)
+describes every window as (b, oh, ow, c, kh, kw). The column matrix (rows:
+output pixels, columns: (c, kh, kw)) is that view copied out in a single
+pass, by an np.take whose index is the same window view of one sample's
+element positions. The backward pass sums into a channels-last float64
+buffer, one kernel offset (i, j) at a time in row-major order. Layer
+outputs are channels-first views of channels-last memory, so the next layer
+reads them channels-last without a copy.
+
+Max pooling uses the same windows (padded with -inf). A tie goes to the
+first maximal element in row-major window order, -0.0 before +0.0 included:
+inference folds the window view with np.maximum(element, running max),
+which returns its second operand on a tie; training takes argmax over the
+copied-out windows and routes the gradient to that element.
 
 The full detector network is described by a NetworkSpec: a text file of
 layer lines validated to hold exactly 8 convolutional layers (an inception
@@ -17,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EmptyInput, FormatError, InputTooSmall, InvalidInput, ShapeError
 
@@ -222,35 +239,72 @@ def save_netspec(path, spec: NetworkSpec) -> None:
 
 
 # ---------------------------------------------------------------------------
-# im2col machinery
+# window views
 # ---------------------------------------------------------------------------
 
 
-def _im2col(x, kh, kw, stride, pad, pad_value=0.0):
-    b, c, h, w = x.shape
+def _out_hw(h, w, kh, kw, stride, pad):
     oh = (h + 2 * pad - kh) // stride + 1
     ow = (w + 2 * pad - kw) // stride + 1
     if oh <= 0 or ow <= 0:
         raise ShapeError(f"kernel {kh}x{kw} does not fit input {h}x{w} (pad {pad})")
-    if pad:
-        xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), constant_values=pad_value)
-    else:
-        xp = x
-    cols = np.empty((b, c, kh, kw, oh, ow), dtype=x.dtype)
+    return oh, ow
+
+
+def _nhwc_padded(x, pad, pad_value=0.0):
+    """(b, c, h, w) tensor as a (b, h + 2 pad, w + 2 pad, c) array; a view when pad is 0."""
+    xn = x.transpose(0, 2, 3, 1)
+    if not pad:
+        return xn
+    b, h, w, c = xn.shape
+    xp = np.full((b, h + 2 * pad, w + 2 * pad, c), pad_value, dtype=x.dtype)
+    xp[:, pad : pad + h, pad : pad + w] = xn
+    return xp
+
+
+def _windows(xp, kh, kw, stride, oh, ow):
+    """(b, oh, ow, c, kh, kw) view of the stride-spaced windows of an NHWC array."""
+    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    return win[:, : stride * oh : stride, : stride * ow : stride]
+
+
+def _gather_windows(xp, kh, kw, stride, oh, ow):
+    """_windows(xp, ...) copied out as (b, oh * ow, c * kh * kw).
+
+    The window view of one sample's element positions is the gather index,
+    so np.take copies every sample in one pass.
+    """
+    xp = np.ascontiguousarray(xp)
+    per_sample = xp.shape[1] * xp.shape[2] * xp.shape[3]
+    pos = np.arange(per_sample).reshape(1, *xp.shape[1:])
+    index = _windows(pos, kh, kw, stride, oh, ow).reshape(oh * ow, -1)
+    return np.take(xp.reshape(len(xp), per_sample), index, axis=1)
+
+
+def _im2col(x, kh, kw, stride, pad):
+    """Rows are output pixels (b, oh, ow); columns run over (c, kh, kw)."""
+    b, c, h, w = x.shape
+    oh, ow = _out_hw(h, w, kh, kw, stride, pad)
+    cols = _gather_windows(_nhwc_padded(x, pad), kh, kw, stride, oh, ow)
+    return cols.reshape(b * oh * ow, c * kh * kw), oh, ow
+
+
+def _sum_windows(window_grad, x_shape, kh, kw, stride, pad, oh, ow):
+    """Adjoint of the window view: adds window_grad(i, j), the (b, oh, ow, c)
+    gradient of every window's element (i, j), into a float64 channels-last
+    buffer, kernel offsets in (i, j) order; returns it as (b, c, h, w)."""
+    b, c, h, w = x_shape
+    dxp = np.zeros((b, h + 2 * pad, w + 2 * pad, c))
     for i in range(kh):
         for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
-    return cols.transpose(0, 4, 5, 1, 2, 3).reshape(b * oh * ow, c * kh * kw), oh, ow
+            dxp[:, i : i + stride * oh : stride, j : j + stride * ow : stride] += window_grad(i, j)
+    return dxp[:, pad : pad + h, pad : pad + w].transpose(0, 3, 1, 2)
 
 
 def _col2im(dcols, x_shape, kh, kw, stride, pad, oh, ow):
-    b, c, h, w = x_shape
-    dxp = np.zeros((b, c, h + 2 * pad, w + 2 * pad))
-    dcols = dcols.reshape(b, oh, ow, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-    for i in range(kh):
-        for j in range(kw):
-            dxp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += dcols[:, :, i, j]
-    return dxp[:, :, pad : pad + h, pad : pad + w] if pad else dxp
+    """Adjoint of _im2col."""
+    dwin = dcols.reshape(x_shape[0], oh, ow, x_shape[1], kh, kw)
+    return _sum_windows(lambda i, j: dwin[..., i, j], x_shape, kh, kw, stride, pad, oh, ow)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +335,8 @@ class Conv2d:
             raise ShapeError(f"conv expected (B,{s.c_in},H,W), got {x.shape}")
         cols, oh, ow = _im2col(x, s.kh, s.kw, s.stride, s.pad)
         w2 = self.params["w"].reshape(s.c_out, -1)
-        out = cols @ w2.T + self.params["b"]
+        out = cols @ w2.T
+        out += self.params["b"]
         out = out.reshape(x.shape[0], oh, ow, s.c_out).transpose(0, 3, 1, 2)
         if train:
             self._cache = (cols, x.shape, oh, ow)
@@ -298,6 +353,12 @@ class Conv2d:
 
 
 class MaxPool:
+    """Max over k x k windows, padded with -inf.
+
+    A tie goes to the first maximal element in row-major window order, in
+    the forward value and in the backward routing alike.
+    """
+
     def __init__(self, spec: PoolSpec, pad: int = 0):
         self.spec = spec
         self.pad = pad
@@ -308,23 +369,33 @@ class MaxPool:
     def forward(self, x, train=False):
         k, stride = self.spec.k, self.spec.stride
         b, c, h, w = x.shape
-        cols, oh, ow = _im2col(
-            x.reshape(b * c, 1, h, w), k, k, stride, self.pad, pad_value=-np.inf
-        )
-        arg = np.argmax(cols, axis=1)
-        out = cols[np.arange(len(cols)), arg].reshape(b, c, oh, ow)
+        oh, ow = _out_hw(h, w, k, k, stride, self.pad)
+        xp = _nhwc_padded(x, self.pad, -np.inf)
         if train:
-            self._cache = (arg, (b * c, 1, h, w), oh, ow, cols.shape)
-        return _check(out)
+            flat = _gather_windows(xp, k, k, stride, oh, ow).reshape(b, oh, ow, c, k * k)
+            arg = np.argmax(flat, axis=-1)
+            out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
+            self._cache = (arg, x.shape, oh, ow)
+        else:
+            # np.maximum returns its second operand on a tie, so the
+            # running maximum keeps the earlier element (also for -0.0 / +0.0)
+            win = _windows(xp, k, k, stride, oh, ow)
+            out = win[..., 0, 0].copy()
+            for i in range(k):
+                for j in range(k):
+                    if i or j:
+                        np.maximum(win[..., i, j], out, out=out)
+        return _check(out.transpose(0, 3, 1, 2))
 
     def backward(self, dy):
-        arg, x_shape, oh, ow, cols_shape = self._cache
+        arg, x_shape, oh, ow = self._cache
         k, stride = self.spec.k, self.spec.stride
-        dcols = np.zeros(cols_shape)
-        dcols[np.arange(len(dcols)), arg] = dy.reshape(-1)
-        dx = _col2im(dcols, x_shape, k, k, stride, self.pad, oh, ow)
-        b_c, _, h, w = x_shape
-        return dx.reshape(dy.shape[0], dy.shape[1], h, w)
+        dyn = dy.transpose(0, 2, 3, 1)
+
+        def routed(i, j):       # each window's gradient goes to its argmax
+            return np.where(arg == i * k + j, dyn, 0.0)
+
+        return _sum_windows(routed, x_shape, k, k, stride, self.pad, oh, ow)
 
 
 class Relu:
@@ -575,30 +646,24 @@ def score_map(image: np.ndarray, net: Network, stride: int = 4, roi=None, batch:
     if h < ph or w < pw:
         raise InputTooSmall(f"image {h}x{w} smaller than patch {ph}x{pw}")
     ys, xs = patch_centers(h, w, ph, pw, stride)
-    grid = [(cy, cx) for cy in ys for cx in xs]
     if roi is not None:
-        grid = [
-            (cy, cx)
-            for cy, cx in grid
-            if roi.x_min <= cx < roi.x_max and roi.y_min <= cy < roi.y_max
-        ]
+        ys = ys[(roi.y_min <= ys) & (ys < roi.y_max)]
+        xs = xs[(roi.x_min <= xs) & (xs < roi.x_max)]
     out = ScoreMap(np.zeros((h, w)), np.zeros((h, w), dtype=bool))
-    if not grid:
+    if len(ys) == 0 or len(xs) == 0:
         return out
+    cy, cx = np.repeat(ys, len(xs)), np.tile(xs, len(ys))     # row-major grid
     dtype = next((p.dtype for _, _, p, _ in net.parameters()), np.float64)
-    imgf = img.astype(dtype) / dtype.type(255.0)
-    for start in range(0, len(grid), batch):
-        chunk = grid[start : start + batch]
-        patches = np.stack(
-            [
-                imgf[cy - ph // 2 : cy - ph // 2 + ph, cx - pw // 2 : cx - pw // 2 + pw]
-                for cy, cx in chunk
-            ]
-        ).transpose(0, 3, 1, 2)
-        probs = softmax(net.forward(patches))[:, 1]
-        for (cy, cx), p in zip(chunk, probs):
-            out.scores[cy, cx] = p
-            out.mask[cy, cx] = True
+    # only the pixels some patch covers; patch (cy, cx) starts at crop
+    # pixel (cy - ys[0], cx - xs[0])
+    crop = img[ys[0] - ph // 2 : ys[-1] - ph // 2 + ph, xs[0] - pw // 2 : xs[-1] - pw // 2 + pw]
+    imgf = crop.astype(dtype) / dtype.type(255.0)
+    patches_at = sliding_window_view(imgf, (ph, pw), axis=(0, 1)).transpose(0, 1, 3, 4, 2)
+    for start in range(0, len(cy), batch):
+        ry, rx = cy[start : start + batch], cx[start : start + batch]
+        patches = patches_at[ry - ys[0], rx - xs[0]].transpose(0, 3, 1, 2)
+        out.scores[ry, rx] = softmax(net.forward(patches))[:, 1]
+    out.mask[cy, cx] = True
     return out
 
 

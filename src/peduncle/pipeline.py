@@ -304,6 +304,13 @@ def detect_pepper(
     return best, pc.compute_bbox(cloud, best)
 
 
+def require_finite_scores(scores: np.ndarray) -> None:
+    """Raise InvalidInput unless every score is finite (NaN fails every
+    threshold comparison, so it would pass as a silent miss)."""
+    if not np.all(np.isfinite(scores)):
+        raise InvalidInput("non-finite detector score")
+
+
 def color_box_masks(
     scored: ScoredCloud,
     pepper_points: np.ndarray,
@@ -344,8 +351,9 @@ def filter_detections(
     (projection precedes this call), 3. drop pepper-colored points by
     posterior, 4. drop points outside the 3D peduncle box, 5. Euclidean
     clustering, keeping the largest cluster. Raises NoPeduncleFound when no
-    cluster survives the size limits.
+    cluster survives the size limits, InvalidInput on a non-finite score.
     """
+    require_finite_scores(scored.scores)
     not_pepper, in_box, box = color_box_masks(
         scored, pepper_points, nb, fp, box_params, up, posterior
     )

@@ -8,6 +8,8 @@ with 0 / 255 values.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .errors import FormatError
@@ -34,8 +36,22 @@ def _read_header(fh, magic: bytes):
             if not ch or ch.isspace():
                 break
             tok += ch
+        if not tok.isdigit():
+            raise FormatError(f"raster header field {tok!r} is not a non-negative integer")
         fields.append(int(tok))
     return fields  # w, h, maxval
+
+
+def _read_pixels(fh, path, nbytes: int) -> bytes:
+    """Exactly nbytes of pixel data, which must end the file. The size
+    comes from the header, so it is checked against the file before a read
+    allocates it."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if left < nbytes:
+        raise FormatError(f"{path}: truncated pixel data")
+    if left > nbytes:
+        raise FormatError(f"{path}: trailing bytes after the pixel data")
+    return fh.read(nbytes)
 
 
 def write_ppm(path, rgb: np.ndarray) -> None:
@@ -51,9 +67,7 @@ def read_ppm(path) -> np.ndarray:
         w, h, maxval = _read_header(fh, b"P6")
         if maxval != 255:
             raise FormatError(f"{path}: only 8-bit PPM supported")
-        data = fh.read(w * h * 3)
-        if len(data) != w * h * 3:
-            raise FormatError(f"{path}: truncated pixel data")
+        data = _read_pixels(fh, path, w * h * 3)
     return np.frombuffer(data, dtype=np.uint8).reshape(h, w, 3).copy()
 
 
@@ -70,9 +84,7 @@ def read_pgm16(path) -> np.ndarray:
         w, h, maxval = _read_header(fh, b"P5")
         if maxval != 65535:
             raise FormatError(f"{path}: expected 16-bit PGM")
-        data = fh.read(w * h * 2)
-        if len(data) != w * h * 2:
-            raise FormatError(f"{path}: truncated pixel data")
+        data = _read_pixels(fh, path, w * h * 2)
     return np.frombuffer(data, dtype=">u2").reshape(h, w).astype(np.uint16)
 
 
@@ -89,7 +101,5 @@ def read_mask(path) -> np.ndarray:
         w, h, maxval = _read_header(fh, b"P5")
         if maxval != 255:
             raise FormatError(f"{path}: expected 8-bit mask")
-        data = fh.read(w * h)
-        if len(data) != w * h:
-            raise FormatError(f"{path}: truncated pixel data")
+        data = _read_pixels(fh, path, w * h)
     return (np.frombuffer(data, dtype=np.uint8).reshape(h, w) > 127).copy()

@@ -3,8 +3,11 @@
 Everything here is deliberately naive (loops, direct formulas, generic
 solvers) and shares no code with the paths it validates, except
 eval_filtered_per_threshold, which reruns the library's own filter at every
-threshold to check the one-pass sweep built on top of it.
+threshold to check the one-pass sweep built on top of it, and the previous
+CNN kernels, which plug into the library's layers.
 """
+
+import contextlib
 
 import numpy as np
 
@@ -12,8 +15,9 @@ from peduncle import classifiers as cls
 from peduncle import cloud as pc
 from peduncle import evaluate as ev
 from peduncle import features as ft
+from peduncle import minicnn as mc
 from peduncle import pipeline as pl
-from peduncle.errors import DegeneratePair, EmptyHistogram, NoPeduncleFound
+from peduncle.errors import DegeneratePair, EmptyHistogram, NoPeduncleFound, ShapeError
 
 
 def brute_knn(points, q, k):
@@ -195,6 +199,79 @@ def conv_reference(x, w, b, stride, pad):
                     patch = xp[n, :, i * stride : i * stride + kh, j * stride : j * stride + kw]
                     out[n, co, i, j] = (patch * w[co]).sum() + b[co]
     return out
+
+
+# The tensor kernels minicnn used before its window-view rewrite, kept as
+# they were: the new kernels must match them bit for bit.
+
+
+def im2col_reference(x, kh, kw, stride, pad, pad_value=0.0):
+    b, c, h, w = x.shape
+    oh = (h + 2 * pad - kh) // stride + 1
+    ow = (w + 2 * pad - kw) // stride + 1
+    if oh <= 0 or ow <= 0:
+        raise ShapeError(f"kernel {kh}x{kw} does not fit input {h}x{w} (pad {pad})")
+    if pad:
+        xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), constant_values=pad_value)
+    else:
+        xp = x
+    cols = np.empty((b, c, kh, kw, oh, ow), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
+    return cols.transpose(0, 4, 5, 1, 2, 3).reshape(b * oh * ow, c * kh * kw), oh, ow
+
+
+def col2im_reference(dcols, x_shape, kh, kw, stride, pad, oh, ow):
+    b, c, h, w = x_shape
+    dxp = np.zeros((b, c, h + 2 * pad, w + 2 * pad))
+    dcols = dcols.reshape(b, oh, ow, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += dcols[:, :, i, j]
+    return dxp[:, :, pad : pad + h, pad : pad + w] if pad else dxp
+
+
+class MaxPoolReference:
+    def __init__(self, spec, pad: int = 0):
+        self.spec = spec
+        self.pad = pad
+        self.params = {}
+        self.grads = {}
+        self._cache = None
+
+    def forward(self, x, train=False):
+        k, stride = self.spec.k, self.spec.stride
+        b, c, h, w = x.shape
+        cols, oh, ow = im2col_reference(
+            x.reshape(b * c, 1, h, w), k, k, stride, self.pad, pad_value=-np.inf
+        )
+        arg = np.argmax(cols, axis=1)
+        out = cols[np.arange(len(cols)), arg].reshape(b, c, oh, ow)
+        if train:
+            self._cache = (arg, (b * c, 1, h, w), oh, ow, cols.shape)
+        return out
+
+    def backward(self, dy):
+        arg, x_shape, oh, ow, cols_shape = self._cache
+        k, stride = self.spec.k, self.spec.stride
+        dcols = np.zeros(cols_shape)
+        dcols[np.arange(len(dcols)), arg] = dy.reshape(-1)
+        dx = col2im_reference(dcols, x_shape, k, k, stride, self.pad, oh, ow)
+        b_c, _, h, w = x_shape
+        return dx.reshape(dy.shape[0], dy.shape[1], h, w)
+
+
+@contextlib.contextmanager
+def reference_kernels():
+    """Inside this block minicnn runs on the reference kernels: convolutions
+    called and pooling layers built here use them in place of its own."""
+    saved = mc._im2col, mc._col2im, mc.MaxPool
+    mc._im2col, mc._col2im, mc.MaxPool = im2col_reference, col2im_reference, MaxPoolReference
+    try:
+        yield
+    finally:
+        mc._im2col, mc._col2im, mc.MaxPool = saved
 
 
 def numerical_grad(loss_fn, array, eps=1e-6):

@@ -147,6 +147,17 @@ class TestExitCodes:
         diag = (tmp_path / "f" / "g0000_diag.csv").read_text()
         assert "NoPepperFound" in diag
 
+    def test_raster_with_trailing_bytes_is_2(self, workdir, tmp_path):
+        entry = [e for e in sg.load_manifest(workdir["manifest"]) if e["split"] == "eval"][0]
+        scene = sg.load_benchmark_scene(workdir["manifest"], entry)
+        scene_dir = _write_scenes(tmp_path / "scenes", workdir["cfg"], [scene])
+        with open(scene_dir / "s0000_rgb.ppm", "ab") as fh:
+            fh.write(b"\n")
+        rc = main(["score", "--config", workdir["cfg"], "--scenes",
+                   str(scene_dir / "manifest.txt"), "--models", workdir["models"],
+                   "--detector", "pfh-svm", "--out", str(tmp_path / "s")])
+        assert rc == 2
+
 
 def _write_scenes(scene_dir, cfg_path, scenes):
     """Save scenes as s0000, s0001, ... with a manifest and the scene config."""
@@ -266,7 +277,13 @@ class TestScoreAndCurves:
         assert n_missed > 0
         assert all(p.fn - a.fn == n_missed for a, p in zip(alone.points, curve.points))
 
-    @pytest.mark.parametrize("line", ["0.1 0.2", "0.1 0.2 0.3 zero 1", "0.1 0.2 0.3 0.4 1 7"])
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "0.1 0.2", "0.1 0.2 0.3 zero 1", "0.1 0.2 0.3 0.4 1 7",
+            "0.1 0.2 0.3 nan 1", "0.1 0.2 0.3 -inf 1", "inf 0.2 0.3 0.4 0",
+        ],
+    )
     def test_malformed_score_line_is_data_error(self, workdir, tmp_path, line):
         path = tmp_path / "bad.scores"
         path.write_text(f"scores v1 2\n0.0 0.0 1.0 0.5 1\n{line}\n")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from peduncle import evaluate as ev
-from peduncle.errors import EmptyEvaluation
+from peduncle.errors import EmptyEvaluation, InvalidInput
 
 
 def naive_confusion(scores, labels, t):
@@ -100,6 +100,12 @@ class TestPrCurve:
         t = ev.default_thresholds(101)
         assert len(t) == 101 and np.all(np.diff(t) > 0)
         assert t[0] == 0.0 and t[-1] == 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_score_rejected(self, bad):
+        scores = np.array([0.9, bad, 0.1, 0.2])
+        with pytest.raises(InvalidInput):
+            ev.pr_curve(scores, np.array([1, 1, 0, 0]))
 
     def test_needs_both_classes(self):
         with pytest.raises(EmptyEvaluation):

@@ -1,11 +1,24 @@
 """Tensor engine tests: forward oracles, finite-difference gradients,
 parameter counting, patch scoring and weight serialization."""
 
+from importlib import resources
+
 import numpy as np
 import pytest
-from oracles import conv_reference, max_rel_error, numerical_grad
+from oracles import (
+    MaxPoolReference,
+    col2im_reference,
+    conv_reference,
+    im2col_reference,
+    max_rel_error,
+    numerical_grad,
+    reference_kernels,
+)
 
+from peduncle import cloud as pc
 from peduncle import minicnn as mc
+from peduncle import pipeline as pl
+from peduncle import scenegen as sg
 from peduncle.errors import FormatError, InputTooSmall, ShapeError
 
 
@@ -393,3 +406,158 @@ class TestDebugMode:
         b = net32.forward(x.astype(np.float32))
         assert b.dtype == np.float32
         assert np.abs(a - b).max() < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# window-view kernels against the previous kernels, bit for bit
+# ---------------------------------------------------------------------------
+
+DTYPES = [np.float32, np.float64]
+
+
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def signed_zeros(x, rng):
+    """x with each exact zero given a random sign."""
+    zero = x == 0
+    x[zero] = np.where(rng.random(int(zero.sum())) < 0.5, -0.0, 0.0)
+    return x
+
+
+def tie_heavy(shape, rng, dtype):
+    """Few distinct values: constant planes, rows of exact zeros and -0.0
+    next to +0.0, so most pooling windows hold a tie."""
+    x = rng.choice([-1.0, 0.0, 0.0, 1.0], size=shape)
+    x[:, 0] = 0.5                    # a constant plane per sample
+    x[:, :, 1::3] = 0.0              # rows of zeros
+    x = signed_zeros(x, rng)
+    x[0, -1] = -0.0                  # a plane of negative zeros
+    return x.astype(dtype)
+
+
+def pool_inputs(shape, dtype):
+    rng = np.random.default_rng(31)
+    yield rng.normal(size=shape).astype(dtype)
+    yield tie_heavy(shape, rng, dtype)
+
+
+# (k, stride, pad, input shape): the shipped 2x2/2 pools (even and odd
+# sizes), the inception 3x3/1 pool with -inf padding, and 3x3/2
+POOL_CASES = [
+    (2, 2, 0, (2, 3, 8, 8)),
+    (2, 2, 0, (2, 3, 7, 9)),
+    (3, 1, 1, (2, 3, 6, 7)),
+    (3, 2, 0, (2, 2, 9, 7)),
+]
+
+
+class TestKernelsMatchReference:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("k,stride,pad,shape", POOL_CASES)
+    def test_pool_forward_backward(self, dtype, k, stride, pad, shape):
+        rng = np.random.default_rng(32)
+        for x in pool_inputs(shape, dtype):
+            new = mc.MaxPool(mc.PoolSpec(k, stride), pad=pad)
+            ref = MaxPoolReference(mc.PoolSpec(k, stride), pad=pad)
+            want = ref.forward(x, train=True)
+            assert_same_bytes(new.forward(x), want)
+            assert_same_bytes(new.forward(x, train=True), want)
+            for dy in (rng.normal(size=want.shape), tie_heavy(want.shape, rng, np.float64)):
+                dy = dy.astype(dtype)
+                assert_same_bytes(new.backward(dy), ref.backward(dy))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize(
+        "kh,kw,stride,pad", [(3, 3, 1, 1), (3, 3, 2, 0), (1, 1, 1, 0), (3, 4, 2, 1), (5, 3, 1, 2)]
+    )
+    def test_im2col_col2im(self, dtype, kh, kw, stride, pad):
+        rng = np.random.default_rng(33)
+        for x in (rng.normal(size=(2, 3, 9, 10)).astype(dtype), tie_heavy((2, 3, 9, 10), rng, dtype)):
+            cols, oh, ow = mc._im2col(x, kh, kw, stride, pad)
+            want, oh_ref, ow_ref = im2col_reference(x, kh, kw, stride, pad)
+            assert (oh, ow) == (oh_ref, ow_ref)
+            assert_same_bytes(cols, want)
+            dcols = signed_zeros(np.round(rng.normal(size=want.shape), 1), rng).astype(dtype)
+            assert_same_bytes(
+                mc._col2im(dcols, x.shape, kh, kw, stride, pad, oh, ow),
+                col2im_reference(dcols, x.shape, kh, kw, stride, pad, oh, ow),
+            )
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("stride,pad", [(2, 0), (1, 0), (2, 1)])
+    def test_conv_layer_forward_backward(self, dtype, stride, pad):
+        rng = np.random.default_rng(34)
+        x = rng.normal(size=(3, 4, 9, 8)).astype(dtype)
+
+        def run():
+            cv = mc.Conv2d(mc.ConvSpec(3, 3, 4, 5, stride, pad))
+            cv.init_weights(np.random.default_rng(35))
+            for key in cv.params:
+                cv.params[key] = cv.params[key].astype(dtype)
+            y = cv.forward(x, train=True)
+            dx = cv.backward(np.linspace(-1, 1, y.size).reshape(y.shape).astype(dtype))
+            return y, dx, cv.grads["w"], cv.grads["b"]
+
+        new = run()
+        with reference_kernels():
+            ref = run()
+        for got, want in zip(new, ref):
+            assert_same_bytes(got, want)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_shipped_network_on_c6_frame(self, dtype):
+        """The shipped spec scoring a C6 evaluation frame's region of
+        interest: score_map equals the reference kernels run on the same
+        patches stacked one by one, in the same batches."""
+        spec = mc.parse_netspec(resources.files("peduncle").joinpath("data/default_net.spec").read_text())
+        scene = sg.generate(sg.benchmark_params(41, 20240, sg.benchmark_base())[40])
+        h, w = scene.rgb.shape[:2]
+        # the region of interest the pipeline derives from the pepper's pixels
+        pepper_px = np.argwhere(scene.labels_img == pc.LABEL_PEPPER)
+        roi = pl.compute_roi(pl.pixel_bbox(pepper_px), w, h)
+        net = mc.Network.from_netspec(spec, seed=17).cast(dtype)
+        got = mc.score_map(scene.rgb, net, stride=4, roi=roi)
+
+        ys, xs = mc.patch_centers(h, w, 64, 64, 4)
+        centers = [(cy, cx) for cy in ys for cx in xs if roi.contains(cx, cy)]
+        assert len(centers) > 128        # more than one batch
+        with reference_kernels():
+            ref_net = mc.Network.from_netspec(spec, seed=17).cast(dtype)
+            want = np.zeros((h, w))
+            imgf = scene.rgb.astype(dtype) / dtype(255.0)
+            for start in range(0, len(centers), 128):
+                chunk = centers[start : start + 128]
+                patches = np.stack(
+                    [imgf[cy - 32 : cy + 32, cx - 32 : cx + 32] for cy, cx in chunk]
+                ).transpose(0, 3, 1, 2)
+                logits = ref_net.forward(patches)
+                assert_same_bytes(net.forward(patches), logits)
+                for (cy, cx), p in zip(chunk, mc.softmax(logits)[:, 1]):
+                    want[cy, cx] = p
+        assert got.mask.sum() == len(centers)
+        assert_same_bytes(got.scores, want)
+
+    def test_training_matches_reference(self):
+        """Two epochs of the shipped spec on tie-heavy patches: the same
+        loss history and the same weight bytes."""
+        spec = mc.parse_netspec(resources.files("peduncle").joinpath("data/default_net.spec").read_text())
+        rng = np.random.default_rng(36)
+        patches = np.round(rng.uniform(size=(8, 3, 64, 64)) * 4) / 4
+        patches[:, :, 20:40] = 0.5
+        labels = np.array([0, 1] * 4)
+
+        def train():
+            net = mc.Network.from_netspec(spec, seed=37)
+            history = mc.train_network(net, patches, labels, epochs=2, batch=4, lr=0.05, seed=3)
+            return net, history
+
+        net, history = train()
+        with reference_kernels():
+            ref_net, ref_history = train()
+        assert history == ref_history
+        for (_, _, p, g), (_, _, rp, rg) in zip(net.parameters(), ref_net.parameters()):
+            assert_same_bytes(p, rp)
+            assert_same_bytes(g, rg)

@@ -6,11 +6,13 @@ import pytest
 
 from peduncle import classifiers as cls
 from peduncle import cloud as pc
+from peduncle import evaluate as ev
 from peduncle import minicnn as mc
 from peduncle import pipeline as pl
 from peduncle.errors import (
     EmptyInput,
     EmptyProjection,
+    InvalidInput,
     NoPeduncleFound,
     NoPepperFound,
     RoiOutOfImage,
@@ -264,6 +266,22 @@ class TestFilterDetections:
         # step 5 drops the 3-point crumb, keeps the 30-point peduncle
         assert counts[4] == 30
         assert np.array_equal(result.cluster, np.arange(30))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_score_rejected(self, bad):
+        scored, pepper_pts = self.build_scene()
+        scored.scores[3] = bad
+        with pytest.raises(InvalidInput):
+            pl.filter_detections(scored, pepper_pts, red_green_nb(), pl.FilterParams())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_score_rejected_by_filtered_sweep(self, bad):
+        scored, pepper_pts = self.build_scene()
+        scored.scores[3] = bad
+        labels = np.zeros(len(scored), dtype=np.int64)
+        labels[:30] = ev.POSITIVE
+        with pytest.raises(InvalidInput):
+            ev.eval_filtered([ev.SceneEval(scored, pepper_pts, labels)], red_green_nb())
 
     def test_threshold_above_everything(self):
         scored, pepper_pts = self.build_scene()

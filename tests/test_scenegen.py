@@ -5,12 +5,14 @@ import hashlib
 import os
 
 import numpy as np
+import pytest
 
 from peduncle import cloud as pc
 from peduncle import features as ft
 from peduncle import pipeline as pl
 from peduncle import rasters
 from peduncle import scenegen as sg
+from peduncle.errors import FormatError
 
 
 def small_params(seed=0, **kw):
@@ -149,6 +151,39 @@ class TestSceneFiles:
         np.testing.assert_array_equal(rasters.read_ppm(tmp_path / "a.ppm"), rgb)
         np.testing.assert_array_equal(rasters.read_pgm16(tmp_path / "a.pgm"), depth)
         np.testing.assert_array_equal(rasters.read_mask(tmp_path / "m.pgm"), mask)
+
+    @pytest.mark.parametrize(
+        "header",
+        [b"P6 x 2 255\n", b"P6 3 -2 255\n", b"P6 3 2 2.5e2\n", b"P6 10000000000 10000000000 255\n"],
+    )
+    def test_bad_header_field_is_format_error(self, tmp_path, header):
+        path = tmp_path / "a.ppm"
+        path.write_bytes(header + bytes(18))
+        with pytest.raises(FormatError):
+            rasters.read_ppm(path)
+
+    def test_negative_pgm_width_is_format_error(self, tmp_path):
+        path = tmp_path / "a.pgm"
+        path.write_bytes(b"P5 -3 2 65535\n" + bytes(12))
+        with pytest.raises(FormatError):
+            rasters.read_pgm16(path)
+
+    @pytest.mark.parametrize(
+        "write,read,image",
+        [
+            (rasters.write_ppm, rasters.read_ppm, np.zeros((2, 3, 3), dtype=np.uint8)),
+            (rasters.write_pgm16, rasters.read_pgm16, np.zeros((2, 3), dtype=np.uint16)),
+            (rasters.write_mask, rasters.read_mask, np.zeros((2, 3), dtype=bool)),
+        ],
+    )
+    def test_trailing_bytes_are_format_error(self, tmp_path, write, read, image):
+        path = tmp_path / "r.pnm"
+        write(path, image)
+        read(path)
+        with open(path, "ab") as fh:
+            fh.write(b"\x00")
+        with pytest.raises(FormatError):
+            read(path)
 
 
 class TestBenchmark:
