@@ -44,16 +44,6 @@ def _echo_config(out_dir: str, cfg: dict) -> None:
     cfgmod.write_config(os.path.join(out_dir, "config.cfg"), cfg)
 
 
-def _intrinsics(cfg: dict) -> pl.CameraIntrinsics:
-    return pl.CameraIntrinsics(
-        cfgmod.cfg_float(cfg, "fx"),
-        cfgmod.cfg_float(cfg, "fy"),
-        cfgmod.cfg_float(cfg, "cx"),
-        cfgmod.cfg_float(cfg, "cy"),
-        cfgmod.cfg_float(cfg, "depth_scale"),
-    )
-
-
 def _filter_params(cfg: dict, threshold: float | None = None) -> pl.FilterParams:
     return pl.FilterParams(
         score_threshold=(
@@ -165,30 +155,21 @@ def cmd_gen_scene(args) -> int:
 
 
 def cmd_extract_features(args) -> int:
+    """Dump the SVM training sample that workflows.collect_svm_training
+    draws; negatives are written with the background label."""
     cfg = cfgmod.merged_config(args.config)
     scenes, _ = _load_scenes(args.scenes, args.split)
     _echo_config(args.out, cfg)
-    rng = np.random.default_rng(args.seed)
-    rows, labs = [], []
-    per_scene = cfgmod.cfg_int(cfg, "svm_max_train") // max(len(scenes), 1)
-    for i, scene in enumerate(scenes):
-        feats, labels, valid = wf.extract_scene_features(
-            scene, cfgmod.cfg_int(cfg, "normal_k"), cfgmod.cfg_int(cfg, "fpfh_k")
-        )
-        pos = np.flatnonzero((labels == pc.LABEL_PEDUNCLE) & valid)
-        neg = np.flatnonzero((labels != pc.LABEL_PEDUNCLE) & (labels != pc.LABEL_UNLABELED) & valid)
-        half = max(per_scene // 2, 1)
-        if pos.size > half:
-            pos = np.sort(rng.choice(pos, half, replace=False))
-        if neg.size > half:
-            neg = np.sort(rng.choice(neg, half, replace=False))
-        keep = np.concatenate([pos, neg])
-        rows.append(feats[keep])
-        labs.append(labels[keep])
-        _log(f"scene {i + 1}/{len(scenes)}: kept {keep.size} feature rows")
+    feats, y = wf.collect_svm_training(
+        scenes,
+        cfgmod.cfg_int(cfg, "normal_k"),
+        cfgmod.cfg_int(cfg, "fpfh_k"),
+        max_total=cfgmod.cfg_int(cfg, "svm_max_train"),
+        seed=args.seed,
+    )
     out_path = os.path.join(args.out, "features.txt")
-    ft.save_features(out_path, np.vstack(rows), np.concatenate(labs))
-    _log(f"wrote {out_path}")
+    ft.save_features(out_path, feats, np.where(y > 0, pc.LABEL_PEDUNCLE, pc.LABEL_BACKGROUND))
+    _log(f"wrote {out_path} ({len(y)} rows, {int((y > 0).sum())} positive)")
     return 0
 
 

@@ -8,6 +8,7 @@ ascending point index.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -356,21 +357,37 @@ def save_cloud(path, cloud: PointCloud) -> None:
 
 
 def load_cloud(path) -> PointCloud:
-    """Read the ASCII cloud format written by save_cloud."""
+    """Read the ASCII cloud format written by save_cloud.
+
+    Raises FormatError on a bad header or point line, a non-numeric field, a
+    point count the file cannot hold, a colour or label outside 0-255, a
+    non-finite coordinate, or data after the last point.
+    """
     with open(path) as fh:
         header = fh.readline().split()
-        if len(header) != 4 or header[0] != "pcloud" or header[1] != "v1":
+        if len(header) != 4 or header[:2] != ["pcloud", "v1"] or header[3] not in ("0", "1"):
             raise FormatError(f"{path}: not a pcloud v1 file")
-        count, has_labels = int(header[2]), int(header[3])
-        pts = np.empty((count, 3), dtype=np.float64)
-        cols = np.empty((count, 3), dtype=np.uint8)
-        labels = np.empty(count, dtype=np.uint8) if has_labels else None
-        for i in range(count):
-            fields = fh.readline().split()
-            if len(fields) != (7 if has_labels else 6):
-                raise FormatError(f"{path}: malformed point line {i + 1}")
-            pts[i] = [float(v) for v in fields[:3]]
-            cols[i] = [int(v) for v in fields[3:6]]
-            if has_labels:
-                labels[i] = int(fields[6])
-    return PointCloud(pts, cols, labels)
+        has_labels = header[3] == "1"
+        try:
+            count = int(header[2])
+            # the shortest point line, "0 0 0 0 0 0\n", takes 12 bytes
+            if count * 12 > os.fstat(fh.fileno()).st_size:
+                raise FormatError(f"{path}: point count larger than the file")
+            pts = np.empty((count, 3), dtype=np.float64)
+            ints = np.empty((count, 4 if has_labels else 3), dtype=np.int64)
+            for i in range(count):
+                fields = fh.readline().split()
+                if len(fields) != (7 if has_labels else 6):
+                    raise FormatError(f"{path}: malformed point line {i + 1}")
+                pts[i] = [float(v) for v in fields[:3]]
+                ints[i] = [int(v) for v in fields[3:]]
+        except (ValueError, OverflowError) as exc:
+            raise FormatError(f"{path}: bad count or non-numeric field") from exc
+        if fh.read().strip():
+            raise FormatError(f"{path}: data after the last point")
+    if not np.isfinite(pts).all():
+        raise FormatError(f"{path}: non-finite coordinate")
+    if ((ints < 0) | (ints > 255)).any():
+        raise FormatError(f"{path}: colour or label outside 0-255")
+    ints = ints.astype(np.uint8)
+    return PointCloud(pts, ints[:, :3], ints[:, 3] if has_labels else None)

@@ -275,6 +275,17 @@ def assemble_features(hsv_arr: np.ndarray, fpfh_arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def point_features(cloud: pc.PointCloud, normal_k: int = 30, fpfh_k: int = 30):
+    """(features (N, 36), valid (N,)) for every point of a cloud.
+
+    Normals face the camera origin; valid flags points with a usable normal
+    and histogram.
+    """
+    normals, n_valid = pc.estimate_normals(cloud, normal_k, (0.0, 0.0, 0.0))
+    hists, h_valid = fpfh(cloud, normals, fpfh_k, n_valid)
+    return assemble_features(rgb_to_hsv_array(cloud.colors), hists), n_valid & h_valid
+
+
 def save_features(path, features: np.ndarray, labels: np.ndarray) -> None:
     """ASCII dump: `features v1 <count> 36`, then 36 decimals + label per line."""
     features = np.asarray(features, dtype=np.float64)

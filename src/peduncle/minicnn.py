@@ -179,8 +179,16 @@ def param_count(spec) -> int:
 # ---------------------------------------------------------------------------
 
 
+# tokens on each kind of spec line, the keyword included
+_SPEC_TOKENS = {"input": 4, "conv": 7, "pool": 3, "relu": 1, "inception": 5, "fc": 3}
+
+
 def parse_netspec(text: str) -> NetworkSpec:
-    """Parse the line-per-layer spec format (first line: `input H W C`)."""
+    """Parse the line-per-layer spec format (first line: `input H W C`).
+
+    Raises FormatError on an unknown keyword, a non-integer field, or a line
+    without exactly its layer's number of tokens.
+    """
     layers = []
     input_hwc = None
     for raw in text.splitlines():
@@ -188,22 +196,24 @@ def parse_netspec(text: str) -> NetworkSpec:
         if not line:
             continue
         tok = line.split()
+        if tok[0] in _SPEC_TOKENS and len(tok) != _SPEC_TOKENS[tok[0]]:
+            raise FormatError(f"bad spec line {line!r}")
         try:
             if tok[0] == "input":
                 input_hwc = (int(tok[1]), int(tok[2]), int(tok[3]))
             elif tok[0] == "conv":
-                layers.append(ConvSpec(*(int(v) for v in tok[1:7])))
+                layers.append(ConvSpec(*(int(v) for v in tok[1:])))
             elif tok[0] == "pool":
                 layers.append(PoolSpec(int(tok[1]), int(tok[2])))
             elif tok[0] == "relu":
                 layers.append(ReluSpec())
             elif tok[0] == "inception":
-                layers.append(InceptionSpec(*(int(v) for v in tok[1:5])))
+                layers.append(InceptionSpec(*(int(v) for v in tok[1:])))
             elif tok[0] == "fc":
                 layers.append(FcSpec(int(tok[1]), int(tok[2])))
             else:
                 raise FormatError(f"unknown layer {tok[0]!r}")
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             raise FormatError(f"bad spec line {line!r}") from exc
     if input_hwc is None:
         raise FormatError("spec is missing the `input H W C` line")
@@ -667,16 +677,13 @@ def score_map(image: np.ndarray, net: Network, stride: int = 4, roi=None, batch:
     return out
 
 
-def densify_score_map(
-    sm: ScoreMap, patch_h: int, patch_w: int, stride: int, roi=None
-) -> ScoreMap:
+def densify_score_map(sm: ScoreMap, patch_h: int, patch_w: int, stride: int) -> ScoreMap:
     """Nearest-center fill of a strided score map to per-pixel resolution.
 
     Strided evaluation is an efficiency trick; downstream 3D filtering
     expects per-pixel scores, so every pixel inherits the score of its
     nearest scored patch center. Pixels whose nearest center was never
-    scored (or that fall outside an optional region of interest) stay
-    unscored.
+    scored stay unscored.
     """
     h, w = sm.scores.shape
     ys, xs = patch_centers(h, w, patch_h, patch_w, stride)
@@ -684,10 +691,6 @@ def densify_score_map(
     col_near = xs[np.clip(np.round((np.arange(w) - patch_w // 2) / stride).astype(np.intp), 0, len(xs) - 1)]
     dense_scores = sm.scores[np.ix_(row_near, col_near)]
     dense_mask = sm.mask[np.ix_(row_near, col_near)]
-    if roi is not None:
-        window = np.zeros((h, w), dtype=bool)
-        window[roi.y_min : roi.y_max, roi.x_min : roi.x_max] = True
-        dense_mask = dense_mask & window
     dense_scores = np.where(dense_mask, dense_scores, 0.0)
     return ScoreMap(dense_scores, dense_mask)
 

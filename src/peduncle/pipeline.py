@@ -135,12 +135,11 @@ class Frame:
     intr: CameraIntrinsics
     cloud: pc.PointCloud            # valid-depth pixels, row-major order
     pixels: np.ndarray              # (N, 2) int (v, u) per cloud row
-    pixel_rows: np.ndarray          # (H, W) int32 cloud row or -1
 
     @classmethod
     def from_rasters(cls, rgb, depth_raw, intr, labels=None) -> "Frame":
-        cloud, pixels, pixel_rows = unproject_depth(depth_raw, intr, rgb, labels)
-        return cls(rgb, depth_raw, intr, cloud, pixels, pixel_rows)
+        cloud, pixels = unproject_depth(depth_raw, intr, rgb, labels)
+        return cls(rgb, depth_raw, intr, cloud, pixels)
 
 
 def parse_up_axis(text: str) -> tuple[int, int]:
@@ -164,10 +163,9 @@ UP_DEFAULT = (1, -1)        # camera -y: image-up for an upright eye-in-hand cam
 def unproject_depth(depth_raw, intr: CameraIntrinsics, rgb=None, labels=None):
     """Full-frame pinhole unprojection of valid (> 0) depth pixels.
 
-    Returns (cloud, pixels (N, 2) as (v, u), pixel_rows (H, W) int32).
+    Returns (cloud, pixels (N, 2) as (v, u)), both in row-major pixel order.
     """
     depth_raw = np.asarray(depth_raw)
-    h, w = depth_raw.shape
     v, u = np.nonzero(depth_raw > 0)
     z = depth_raw[v, u].astype(np.float64) * intr.depth_scale
     x = (u.astype(np.float64) - intr.cx) * z / intr.fx
@@ -175,34 +173,7 @@ def unproject_depth(depth_raw, intr: CameraIntrinsics, rgb=None, labels=None):
     colors = None if rgb is None else np.asarray(rgb)[v, u]
     labs = None if labels is None else np.asarray(labels)[v, u]
     cloud = pc.PointCloud(np.column_stack([x, y, z]), colors, labs)
-    pixel_rows = np.full((h, w), -1, dtype=np.int32)
-    pixel_rows[v, u] = np.arange(len(v), dtype=np.int32)
-    return cloud, np.column_stack([v, u]).astype(np.intp), pixel_rows
-
-
-def project_to_3d(
-    score_map: mc.ScoreMap,
-    depth_raw,
-    intr: CameraIntrinsics,
-    rgb=None,
-    labels=None,
-) -> ScoredCloud:
-    """Lift scored pixels with valid depth into a scored point cloud.
-
-    Zero-depth pixels are dropped; raises EmptyProjection when nothing
-    survives.
-    """
-    depth_raw = np.asarray(depth_raw)
-    v, u = np.nonzero(score_map.mask & (depth_raw > 0))
-    if len(v) == 0:
-        raise EmptyProjection("no scored pixel carries valid depth")
-    z = depth_raw[v, u].astype(np.float64) * intr.depth_scale
-    x = (u.astype(np.float64) - intr.cx) * z / intr.fx
-    y = (v.astype(np.float64) - intr.cy) * z / intr.fy
-    colors = None if rgb is None else np.asarray(rgb)[v, u]
-    labs = None if labels is None else np.asarray(labels)[v, u]
-    cloud = pc.PointCloud(np.column_stack([x, y, z]), colors, labs)
-    return ScoredCloud(cloud, score_map.scores[v, u], np.column_stack([v, u]).astype(np.intp))
+    return cloud, np.column_stack([v, u]).astype(np.intp)
 
 
 def reproject_to_pixels(points: np.ndarray, intr: CameraIntrinsics) -> np.ndarray:
@@ -429,6 +400,24 @@ def margin_to_score(margin: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.asarray(margin, dtype=np.float64)))
 
 
+def roi_rows(frame: Frame, roi: Roi2) -> np.ndarray:
+    """Ascending rows of frame.cloud whose pixel lies inside the region of
+    interest: the points a detector scores."""
+    v, u = frame.pixels[:, 0], frame.pixels[:, 1]
+    return np.flatnonzero(
+        (u >= roi.x_min) & (u < roi.x_max) & (v >= roi.y_min) & (v < roi.y_max)
+    )
+
+
+def scored_cloud(frame: Frame, rows: np.ndarray, scores: np.ndarray) -> ScoredCloud:
+    """What every detector hands the filter: the scored rows of frame.cloud
+    with their scores and pixels. Raises EmptyProjection when no row is
+    scored."""
+    if len(rows) == 0:
+        raise EmptyProjection("no point inside the region of interest was scored")
+    return ScoredCloud(frame.cloud.subset(rows), scores, frame.pixels[rows])
+
+
 class PfhSvmDetector:
     """Per-point scorer: HSV + 33-bin geometry histogram into a kernel SVM."""
 
@@ -439,39 +428,26 @@ class PfhSvmDetector:
         self.normal_k = normal_k
         self.fpfh_k = fpfh_k
 
-    def extract_features(self, cloud: pc.PointCloud, viewpoint=(0.0, 0.0, 0.0)):
-        """(features (N, 36), valid (N,)) for every point of a cloud."""
-        normals, n_valid = pc.estimate_normals(cloud, min(self.normal_k, len(cloud)), viewpoint)
-        hists, h_valid = ft.fpfh(cloud, normals, min(self.fpfh_k, len(cloud) - 1), n_valid)
-        hsv = ft.rgb_to_hsv_array(cloud.colors)
-        return ft.assemble_features(hsv, hists), n_valid & h_valid
-
     def score_frame(self, frame: Frame, roi: Roi2) -> ScoredCloud:
         """Score every ROI point; invalid-feature points score 0."""
-        in_roi = (
-            (frame.pixels[:, 1] >= roi.x_min)
-            & (frame.pixels[:, 1] < roi.x_max)
-            & (frame.pixels[:, 0] >= roi.y_min)
-            & (frame.pixels[:, 0] < roi.y_max)
-        )
-        rows = np.flatnonzero(in_roi)
-        sub = frame.cloud.subset(rows)
+        rows = roi_rows(frame, roi)
         scores = np.zeros(len(rows))
         if len(rows) > self.normal_k:
-            feats, valid = self.extract_features(sub)
+            feats, valid = ft.point_features(frame.cloud.subset(rows), self.normal_k, self.fpfh_k)
             if valid.any():
                 scores[valid] = margin_to_score(
                     cls.svm_score_batch(self.model, feats[valid])
                 )
-        return ScoredCloud(sub, scores, frame.pixels[rows])
+        return scored_cloud(frame, rows, scores)
 
 
 class CnnDetector:
     """Strided patch scorer over the ROI-masked image.
 
     The strided score grid is filled back to per-pixel resolution (nearest
-    scored center) before depth projection so the 3D filtering stage sees
-    the same dense clouds it would get from exhaustive per-pixel scoring.
+    scored center), and every ROI point whose pixel is then scored takes
+    that pixel's score, so the 3D filtering stage sees the same dense clouds
+    it would get from exhaustive per-pixel scoring.
     """
 
     name = "cnn"
@@ -484,14 +460,11 @@ class CnnDetector:
     def score_frame(self, frame: Frame, roi: Roi2) -> ScoredCloud:
         ph, pw = self._infer_net.input_hw
         sm = mc.score_map(frame.rgb, self._infer_net, self.stride, roi)
-        sm = mc.densify_score_map(sm, ph, pw, self.stride, roi)
-        labels = None
-        if frame.cloud.labels is not None:
-            h, w = frame.depth_raw.shape
-            lab_img = np.zeros((h, w), dtype=np.uint8)
-            lab_img[frame.pixels[:, 0], frame.pixels[:, 1]] = frame.cloud.labels
-            labels = lab_img
-        return project_to_3d(sm, frame.depth_raw, frame.intr, frame.rgb, labels)
+        sm = mc.densify_score_map(sm, ph, pw, self.stride)
+        rows = roi_rows(frame, roi)
+        v, u = frame.pixels[rows, 0], frame.pixels[rows, 1]
+        scored = sm.mask[v, u]
+        return scored_cloud(frame, rows[scored], sm.scores[v[scored], u[scored]])
 
 
 @dataclass
@@ -518,8 +491,6 @@ def run_detection(
     h, w = frame.depth_raw.shape
     roi = compute_roi(pixel_bbox(frame.pixels[pepper_idx]), w, h)
     scored = detector.score_frame(frame, roi)
-    if len(scored) == 0:
-        raise NoPeduncleFound("nothing scored inside the region of interest")
     result = filter_detections(
         scored, frame.cloud.points[pepper_idx], nb, fp, box_params, up
     )

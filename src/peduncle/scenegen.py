@@ -353,13 +353,13 @@ def load_scene(scene_dir, scene_id: str, intr: pl.CameraIntrinsics) -> LabeledSc
     depth_raw = rasters.read_pgm16(os.path.join(scene_dir, files[2]))
     pos_mask = rasters.read_mask(os.path.join(scene_dir, files[3]))
     neg_mask = rasters.read_mask(os.path.join(scene_dir, files[4]))
-    base, pixels, pixel_rows = pl.unproject_depth(depth_raw, intr, rgb)
+    base, pixels = pl.unproject_depth(depth_raw, intr, rgb)
     if len(base) != len(cloud):
         raise FormatError(f"{scene_id}: cloud file does not match depth raster")
     labels_img = np.full(depth_raw.shape, pc.LABEL_UNLABELED, dtype=np.uint8)
     if cloud.labels is not None:
         labels_img[pixels[:, 0], pixels[:, 1]] = cloud.labels
-    frame = pl.Frame(rgb, depth_raw, intr, cloud, pixels, pixel_rows)
+    frame = pl.Frame(rgb, depth_raw, intr, cloud, pixels)
     return LabeledScene(None, rgb, depth_raw, labels_img, pos_mask, neg_mask, frame)
 
 

@@ -53,21 +53,6 @@ def train_nb_from_scenes(scenes, cap_per_scene: int = 4000, seed: int = 0) -> cl
     return cls.nb_fit(np.vstack(pepper), np.vstack(other))
 
 
-def extract_scene_features(
-    scene, normal_k: int = 30, fpfh_k: int = 30
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-point 36-D descriptors for a whole scene cloud.
-
-    Returns (features, labels, valid) where labels are the cloud labels and
-    valid flags points with usable normals and histograms.
-    """
-    cloud = scene.cloud
-    normals, n_valid = pc.estimate_normals(cloud, normal_k, (0.0, 0.0, 0.0))
-    hists, h_valid = ft.fpfh(cloud, normals, fpfh_k, n_valid)
-    feats = ft.assemble_features(ft.rgb_to_hsv_array(cloud.colors), hists)
-    return feats, cloud.labels, n_valid & h_valid
-
-
 def collect_svm_training(
     scenes,
     normal_k: int = 30,
@@ -80,7 +65,8 @@ def collect_svm_training(
     rng = np.random.default_rng(seed)
     feats_all, y_all = [], []
     for scene in scenes:
-        feats, labels, valid = extract_scene_features(scene, normal_k, fpfh_k)
+        feats, valid = ft.point_features(scene.cloud, normal_k, fpfh_k)
+        labels = scene.cloud.labels
         pos = np.flatnonzero((labels == pc.LABEL_PEDUNCLE) & valid)
         neg = np.flatnonzero((labels != pc.LABEL_PEDUNCLE) & (labels != pc.LABEL_UNLABELED) & valid)
         half = per_scene // 2
@@ -216,8 +202,6 @@ def score_scene_all(
     for detector in detectors:
         try:
             scored = detector.score_frame(frame, roi)
-            if len(scored) == 0:
-                raise EmptyProjection("region of interest produced no scored points")
         except EmptyProjection:
             records.append(_all_miss(frame))
             continue

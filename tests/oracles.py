@@ -3,8 +3,9 @@
 Everything here is deliberately naive (loops, direct formulas, generic
 solvers) and shares no code with the paths it validates, except
 eval_filtered_per_threshold, which reruns the library's own filter at every
-threshold to check the one-pass sweep built on top of it, and the previous
-CNN kernels, which plug into the library's layers.
+threshold to check the one-pass sweep built on top of it, the previous
+CNN kernels, which plug into the library's layers, and the previous CNN
+scoring path, which reuses the library's score map.
 """
 
 import contextlib
@@ -17,7 +18,13 @@ from peduncle import evaluate as ev
 from peduncle import features as ft
 from peduncle import minicnn as mc
 from peduncle import pipeline as pl
-from peduncle.errors import DegeneratePair, EmptyHistogram, NoPeduncleFound, ShapeError
+from peduncle.errors import (
+    DegeneratePair,
+    EmptyHistogram,
+    EmptyProjection,
+    NoPeduncleFound,
+    ShapeError,
+)
 
 
 def brute_knn(points, q, k):
@@ -117,6 +124,51 @@ def eval_filtered_per_threshold(
             tn += int(np.sum(~pred & (lab == ev.NEGATIVE)))
         points.append(ev.PrPoint(float(t), tp, fp_count, fn, tn))
     return ev.PrCurve(points, "filtered")
+
+
+def project_to_3d(
+    score_map: mc.ScoreMap,
+    depth_raw,
+    intr: pl.CameraIntrinsics,
+    rgb=None,
+    labels=None,
+) -> pl.ScoredCloud:
+    """Lift scored pixels with valid depth into a scored point cloud.
+
+    Zero-depth pixels are dropped; raises EmptyProjection when nothing
+    survives.
+    """
+    depth_raw = np.asarray(depth_raw)
+    v, u = np.nonzero(score_map.mask & (depth_raw > 0))
+    if len(v) == 0:
+        raise EmptyProjection("no scored pixel carries valid depth")
+    z = depth_raw[v, u].astype(np.float64) * intr.depth_scale
+    x = (u.astype(np.float64) - intr.cx) * z / intr.fx
+    y = (v.astype(np.float64) - intr.cy) * z / intr.fy
+    colors = None if rgb is None else np.asarray(rgb)[v, u]
+    labs = None if labels is None else np.asarray(labels)[v, u]
+    cloud = pc.PointCloud(np.column_stack([x, y, z]), colors, labs)
+    return pl.ScoredCloud(cloud, score_map.scores[v, u], np.column_stack([v, u]).astype(np.intp))
+
+
+def cnn_score_frame_reference(detector: pl.CnnDetector, frame: pl.Frame, roi: pl.Roi2) -> pl.ScoredCloud:
+    """The CNN detector's previous scoring path: the densified score map cut
+    to the region of interest, a label image rebuilt from the cloud, and
+    every scored pixel lifted again through the depth image."""
+    ph, pw = detector._infer_net.input_hw
+    sm = mc.score_map(frame.rgb, detector._infer_net, detector.stride, roi)
+    sm = mc.densify_score_map(sm, ph, pw, detector.stride)
+    window = np.zeros(sm.mask.shape, dtype=bool)
+    window[roi.y_min : roi.y_max, roi.x_min : roi.x_max] = True
+    mask = sm.mask & window
+    sm = mc.ScoreMap(np.where(mask, sm.scores, 0.0), mask)
+    labels = None
+    if frame.cloud.labels is not None:
+        h, w = frame.depth_raw.shape
+        lab_img = np.zeros((h, w), dtype=np.uint8)
+        lab_img[frame.pixels[:, 0], frame.pixels[:, 1]] = frame.cloud.labels
+        labels = lab_img
+    return project_to_3d(sm, frame.depth_raw, frame.intr, frame.rgb, labels)
 
 
 def naive_spfh(points, normals, i, neighbors):

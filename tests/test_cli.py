@@ -158,6 +158,21 @@ class TestExitCodes:
                    "--detector", "pfh-svm", "--out", str(tmp_path / "s")])
         assert rc == 2
 
+    def test_cloud_with_colour_out_of_range_is_2(self, workdir, tmp_path):
+        entry = [e for e in sg.load_manifest(workdir["manifest"]) if e["split"] == "eval"][0]
+        scene = sg.load_benchmark_scene(workdir["manifest"], entry)
+        scene_dir = _write_scenes(tmp_path / "scenes", workdir["cfg"], [scene])
+        path = scene_dir / "s0000.cloud"
+        lines = path.read_text().splitlines()
+        fields = lines[1].split()
+        fields[3] = "300"
+        lines[1] = " ".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        rc = main(["score", "--config", workdir["cfg"], "--scenes",
+                   str(scene_dir / "manifest.txt"), "--models", workdir["models"],
+                   "--detector", "pfh-svm", "--out", str(tmp_path / "s")])
+        assert rc == 2
+
 
 def _write_scenes(scene_dir, cfg_path, scenes):
     """Save scenes as s0000, s0001, ... with a manifest and the scene config."""
@@ -169,6 +184,27 @@ def _write_scenes(scene_dir, cfg_path, scenes):
     (scene_dir / "manifest.txt").write_text("".join(lines))
     cfgmod.write_config(scene_dir / "config.cfg", cfgmod.merged_config(cfg_path))
     return scene_dir
+
+
+class TestExtractFeatures:
+    def test_cli_svm_equals_library_svm(self, workdir, tmp_path):
+        """extract-features -> train-svm trains on the sample
+        workflows.collect_svm_training draws, so the model files match."""
+        entries = [e for e in sg.load_manifest(workdir["manifest"]) if e["split"] == "train"]
+        scenes = [sg.load_benchmark_scene(workdir["manifest"], e) for e in entries]
+        cfg = cfgmod.merged_config(workdir["cfg"])
+        feats, y = wf.collect_svm_training(
+            scenes, int(cfg["normal_k"]), int(cfg["fpfh_k"]),
+            max_total=int(cfg["svm_max_train"]), seed=0,
+        )
+        params = cls.SvmParams(
+            kernel=cfg["svm_kernel"], c=float(cfg["svm_c"]), gamma=float(cfg["svm_gamma"]),
+            tol=float(cfg["svm_tol"]), max_passes=int(cfg["svm_max_passes"]), seed=0,
+        )
+        path = tmp_path / "svm.model"
+        cls.save_svm(path, cls.svm_train(feats, y, params))
+        assert len(y) == int(cfg["svm_max_train"])
+        assert path.read_bytes() == open(os.path.join(workdir["models"], "svm.model"), "rb").read()
 
 
 class TestFilterCommand:

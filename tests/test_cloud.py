@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from oracles import brute_knn, brute_radius, union_find_clusters
 
 from peduncle import cloud as pc
-from peduncle.errors import EmptyInput, InsufficientPoints, InvalidInput
+from peduncle.errors import EmptyInput, FormatError, InsufficientPoints, InvalidInput
 
 
 class TestIndexQueries:
@@ -301,10 +301,36 @@ class TestCloudFile:
         assert loaded.labels is None
         np.testing.assert_array_equal(loaded.points, cloud.points)
 
-    def test_header_validation(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "nope v1 1 0\n0 0 0 0 0 0\n",
+            "pcloud v1 1 2\n0 0 0 0 0 0\n",
+            "pcloud v1 x 0\n0 0 0 0 0 0\n",
+            "pcloud v1 -1 0\n",
+            "pcloud v1 100000000000 0\n0 0 0 0 0 0\n",
+            "pcloud v1 2 0\n0 0 0 0 0 0\n",
+            "pcloud v1 1 0\n0 zero 0 0 0 0\n",
+            "pcloud v1 1 0\n0 0 0 0 0.5 0\n",
+            "pcloud v1 1 1\n0 0 0 0 0 0 one\n",
+            "pcloud v1 1 0\n0 0 0 0 0 99999999999999999999\n",
+            "pcloud v1 1 0\n0 0 0 300 0 0\n",
+            "pcloud v1 1 0\n0 0 0 0 -1 0\n",
+            "pcloud v1 1 1\n0 0 0 0 0 0 256\n",
+            "pcloud v1 1 0\nnan 0 0 0 0 0\n",
+            "pcloud v1 1 0\n0 -inf 0 0 0 0\n",
+            "pcloud v1 1 0\n0 0 1e999 0 0 0\n",
+            "pcloud v1 1 0\n0 0 0 0 0 0\n0 0 0 0 0 0\n",
+            "pcloud v1 1 1\n0 0 0 0 0 0 1\ntrailing\n",
+        ],
+        ids=[
+            "magic", "label-flag", "count-word", "count-negative", "count-huge", "truncated", "coord-word",
+            "colour-decimal", "label-word", "colour-overflow", "colour-300", "colour-negative",
+            "label-256", "coord-nan", "coord-inf", "coord-1e999", "extra-point", "trailing-text",
+        ],
+    )
+    def test_header_validation(self, tmp_path, text):
         path = tmp_path / "bad.cloud"
-        path.write_text("nope v1 1 0\n0 0 0 0 0 0\n")
-        from peduncle.errors import FormatError
-
+        path.write_text(text)
         with pytest.raises(FormatError):
             pc.load_cloud(path)

@@ -175,8 +175,20 @@ class TestNetworkSpecFile:
             mc.parse_netspec(bad)
 
     def test_bad_line_rejected(self):
-        with pytest.raises(FormatError):
-            mc.parse_netspec("input 8 8 3\nconv nope\n")
+        bad = [
+            "input 8 8 3\nconv nope\n",
+            DEFAULT_SPEC_TEXT.replace("conv 3 3 3 4 1 1", "conv 3 3 3 4 1 1 99", 1),
+            DEFAULT_SPEC_TEXT.replace("relu", "relu extra", 1),
+            DEFAULT_SPEC_TEXT.replace("pool 2 2", "pool 2 2 7", 1),
+            DEFAULT_SPEC_TEXT.replace("pool 2 2", "pool 2", 1),
+            DEFAULT_SPEC_TEXT.replace("input 16 16 3", "input 16 16 3 1", 1),
+            DEFAULT_SPEC_TEXT.replace("inception 2 2 2 2", "inception 2 2 2 2 2", 1),
+            DEFAULT_SPEC_TEXT.replace("fc 64 2", "fc 64 2 junk", 1),
+        ]
+        for text in bad:
+            assert text != DEFAULT_SPEC_TEXT
+            with pytest.raises(FormatError):
+                mc.parse_netspec(text)
 
 
 class TestGradients:

@@ -1,14 +1,18 @@
 """Detection-flow tests: ROI rule, 3D box derivation, projection, the five
 filtering steps and cutting-pose estimation."""
 
+from importlib import resources
+
 import numpy as np
 import pytest
+from oracles import cnn_score_frame_reference
 
 from peduncle import classifiers as cls
 from peduncle import cloud as pc
 from peduncle import evaluate as ev
 from peduncle import minicnn as mc
 from peduncle import pipeline as pl
+from peduncle import scenegen as sg
 from peduncle.errors import (
     EmptyInput,
     EmptyProjection,
@@ -119,24 +123,57 @@ class TestPeduncleBbox3:
         assert out.max[2] == pytest.approx(0.35)
 
 
+TINY_NET = (
+    "input 16 16 3\nconv 3 3 3 4 1 1\nrelu\npool 2 2\nconv 3 3 4 4 1 1\nrelu\n"
+    "conv 3 3 4 4 1 1\nrelu\npool 2 2\ninception 2 2 2 2\nrelu\nconv 3 3 6 4 1 1\n"
+    "relu\ninception 2 2 2 2\nrelu\nconv 3 3 6 4 1 1\nrelu\nconv 1 1 4 4 1 0\nrelu\n"
+    "fc 64 2\n"
+)
+
+
+def tiny_cnn_detector():
+    return pl.CnnDetector(mc.Network.from_netspec(mc.parse_netspec(TINY_NET), seed=3))
+
+
+def linear_svm(rng):
+    """A hand-built two-vector linear SVM over 36-D features."""
+    return cls.SvmModel(
+        kernel="linear", gamma=1.0, c=1.0, bias=0.1,
+        dual_coefs=np.array([1.0, -1.0]), support_vectors=rng.normal(size=(2, 36)),
+        feature_means=np.zeros(36), feature_scales=np.ones(36),
+    )
+
+
+def blank_frame(depth, intr):
+    rgb = np.zeros(depth.shape + (3,), dtype=np.uint8)
+    return pl.Frame.from_rasters(rgb, depth, intr)
+
+
+def cloud_rows(frame, scored):
+    """The frame.cloud rows a scored cloud came from, found by pixel."""
+    w = frame.depth_raw.shape[1]
+    flat = frame.pixels[:, 0] * w + frame.pixels[:, 1]
+    rows = np.searchsorted(flat, scored.pixels[:, 0] * w + scored.pixels[:, 1])
+    assert np.array_equal(frame.pixels[rows], scored.pixels)
+    return rows
+
+
 class TestProjection:
     INTR = pl.CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, depth_scale=0.001)
 
     def test_principal_point(self):
         depth = np.zeros((480, 640), dtype=np.uint16)
         depth[240, 320] = 1000
-        sm = mc.ScoreMap(np.zeros((480, 640)), depth > 0)
-        scored = pl.project_to_3d(sm, depth, self.INTR)
-        np.testing.assert_allclose(scored.cloud.points[0], [0.0, 0.0, 1.0])
+        cloud, _ = pl.unproject_depth(depth, self.INTR)
+        np.testing.assert_allclose(cloud.points[0], [0.0, 0.0, 1.0])
 
     def test_unit_tangent(self):
         depth = np.zeros((480, 640), dtype=np.uint16)
         depth[240, 820 % 640] = 0  # keep a single pixel: (cx + fx) is off-image for 640
         intr = pl.CameraIntrinsics(fx=100.0, fy=100.0, cx=320.0, cy=240.0, depth_scale=0.001)
         depth[240, 420] = 1000
-        sm = mc.ScoreMap(np.zeros((480, 640)), depth > 0)
-        scored = pl.project_to_3d(sm, depth, intr)
-        np.testing.assert_allclose(scored.cloud.points[0], [1.0, 0.0, 1.0])
+        cloud, _ = pl.unproject_depth(depth, intr)
+        np.testing.assert_allclose(cloud.points[0], [1.0, 0.0, 1.0])
 
     def test_forward_backward_consistency(self):
         rng = np.random.default_rng(1)
@@ -145,33 +182,100 @@ class TestProjection:
         vs = rng.integers(0, 480, n)
         us = rng.integers(0, 640, n)
         depth[vs, us] = rng.integers(200, 3000, n).astype(np.uint16)
-        sm = mc.ScoreMap(rng.uniform(size=(480, 640)), depth > 0)
-        scored = pl.project_to_3d(sm, depth, self.INTR)
-        uv = pl.reproject_to_pixels(scored.cloud.points, self.INTR)
-        np.testing.assert_allclose(uv[:, 0], scored.pixels[:, 1], atol=1e-6)
-        np.testing.assert_allclose(uv[:, 1], scored.pixels[:, 0], atol=1e-6)
+        cloud, pixels = pl.unproject_depth(depth, self.INTR)
+        uv = pl.reproject_to_pixels(cloud.points, self.INTR)
+        np.testing.assert_allclose(uv[:, 0], pixels[:, 1], atol=1e-6)
+        np.testing.assert_allclose(uv[:, 1], pixels[:, 0], atol=1e-6)
 
     def test_invalid_depth_dropped(self):
         depth = np.zeros((10, 10), dtype=np.uint16)
         depth[5, 5] = 700
-        mask = np.ones((10, 10), dtype=bool)
-        sm = mc.ScoreMap(np.full((10, 10), 0.7), mask)
-        scored = pl.project_to_3d(sm, depth, self.INTR)
+        frame = blank_frame(depth, self.INTR)
+        rows = pl.roi_rows(frame, pl.Roi2(0, 0, 10, 10))
+        scored = pl.scored_cloud(frame, rows, np.full(len(rows), 0.7))
         assert len(scored) == 1
+        assert scored.pixels.tolist() == [[5, 5]]
 
     def test_all_invalid_raises(self):
-        depth = np.zeros((6, 6), dtype=np.uint16)
-        sm = mc.ScoreMap(np.ones((6, 6)), np.ones((6, 6), dtype=bool))
-        with pytest.raises(EmptyProjection):
-            pl.project_to_3d(sm, depth, self.INTR)
+        depth = np.zeros((24, 24), dtype=np.uint16)
+        depth[20:, 20:] = 600          # valid depth, but outside the region of interest
+        frame = blank_frame(depth, self.INTR)
+        for det in (pl.PfhSvmDetector(linear_svm(np.random.default_rng(0))), tiny_cnn_detector()):
+            with pytest.raises(EmptyProjection):
+                det.score_frame(frame, pl.Roi2(0, 0, 12, 12))
 
     def test_scores_carried(self):
-        depth = np.zeros((4, 4), dtype=np.uint16)
-        depth[1, 2] = 500
-        sm = mc.ScoreMap(np.zeros((4, 4)), depth > 0)
-        sm.scores[1, 2] = 0.83
-        scored = pl.project_to_3d(sm, depth, self.INTR)
-        assert scored.scores[0] == 0.83
+        rng = np.random.default_rng(6)
+        depth = np.zeros((24, 24), dtype=np.uint16)
+        depth[9, 11] = 500
+        depth[14, 6] = 650
+        rgb = rng.integers(0, 256, (24, 24, 3)).astype(np.uint8)
+        frame = pl.Frame.from_rasters(rgb, depth, self.INTR)
+        det = tiny_cnn_detector()
+        roi = pl.Roi2(0, 0, 24, 24)
+        scored = det.score_frame(frame, roi)
+        dense = mc.densify_score_map(mc.score_map(rgb, det._infer_net, det.stride, roi), 16, 16, det.stride)
+        assert scored.pixels.tolist() == [[9, 11], [14, 6]]
+        assert scored.scores.tolist() == [dense.scores[9, 11], dense.scores[14, 6]]
+        assert len(set(scored.scores.tolist())) == 2
+
+
+class TestOneScoringPath:
+    """Both detectors hand the filter rows of frame.cloud; the CNN's scored
+    cloud equals its previous depth re-projection byte for byte."""
+
+    @pytest.fixture(scope="class")
+    def frames(self, tmp_path_factory):
+        params = sg.benchmark_params(43, 20240, sg.benchmark_base())[40:43]
+        scenes = [sg.generate(p) for p in params]
+        scene_dir = tmp_path_factory.mktemp("saved")
+        sg.save_scene(scene_dir, "s0040", scenes[0])
+        loaded = sg.load_scene(scene_dir, "s0040", params[0].intrinsics())
+        return [s.frame for s in scenes] + [loaded.frame]
+
+    @pytest.fixture(scope="class")
+    def detectors(self):
+        spec = mc.parse_netspec(resources.files("peduncle").joinpath("data/default_net.spec").read_text())
+        return [
+            pl.PfhSvmDetector(linear_svm(np.random.default_rng(2))),
+            pl.CnnDetector(mc.Network.from_netspec(spec, seed=4)),
+        ]
+
+    @staticmethod
+    def truth_roi(frame):
+        pepper = frame.cloud.labels == pc.LABEL_PEPPER
+        return pl.compute_roi(pl.pixel_bbox(frame.pixels[pepper]), *frame.depth_raw.shape[::-1])
+
+    def test_scored_cloud_is_a_subset_of_frame_cloud(self, frames, detectors):
+        for frame in frames:
+            roi = self.truth_roi(frame)
+            v, u = frame.pixels[:, 0], frame.pixels[:, 1]
+            in_roi = (u >= roi.x_min) & (u < roi.x_max) & (v >= roi.y_min) & (v < roi.y_max)
+            for det in detectors:
+                scored = det.score_frame(frame, roi)
+                rows = cloud_rows(frame, scored)
+                assert len(rows) > 100 and np.all(np.diff(rows) > 0)
+                assert in_roi[rows].all()
+                if det.name == "pfh-svm":
+                    assert np.array_equal(rows, np.flatnonzero(in_roi))
+                want = frame.cloud.subset(rows)
+                for got, ref in ((scored.cloud.points, want.points), (scored.cloud.colors, want.colors),
+                                 (scored.cloud.labels, want.labels)):
+                    assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+                assert scored.scores.shape == (len(rows),)
+
+    def test_cnn_matches_previous_projection(self, frames, detectors):
+        det = detectors[1]
+        for frame in frames:
+            roi = self.truth_roi(frame)
+            got = det.score_frame(frame, roi)
+            ref = cnn_score_frame_reference(det, frame, roi)
+            pairs = (
+                (got.cloud.points, ref.cloud.points), (got.cloud.colors, ref.cloud.colors),
+                (got.cloud.labels, ref.cloud.labels), (got.scores, ref.scores), (got.pixels, ref.pixels),
+            )
+            for a, b in pairs:
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestDetectPepper:
