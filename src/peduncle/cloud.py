@@ -175,8 +175,10 @@ def knn(index: SpatialIndex, q, k: int) -> np.ndarray:
 def knn_batch(index: SpatialIndex, queries: np.ndarray, k: int) -> np.ndarray:
     """(M, k) nearest-neighbor indices for M query points at once.
 
-    Same ordering semantics as knn(); rows are re-sorted by exact squared
-    distance with index tie-break.
+    Each row holds k points nearest to its query in nondecreasing exact
+    squared distance, ties broken by index. Unlike knn(), when several
+    points tie at the k-th distance, which of them make the row is left to
+    the kd-tree and is arbitrary.
     """
     queries = np.ascontiguousarray(queries, dtype=np.float64)
     if k < 1:

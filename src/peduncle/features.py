@@ -8,6 +8,7 @@ invariant under rigid motion of the cloud.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -297,19 +298,32 @@ def save_features(path, features: np.ndarray, labels: np.ndarray) -> None:
 
 
 def load_features(path) -> tuple[np.ndarray, np.ndarray]:
+    """Read the dump written by save_features.
+
+    Raises FormatError on a bad header or feature line, a non-numeric field,
+    a row count the file cannot hold, or data after the last row.
+    """
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 4 or header[0] != "features" or header[1] != "v1":
             raise FormatError(f"{path}: not a features v1 file")
-        count, dim = int(header[2]), int(header[3])
-        if dim != FEATURE_DIM:
-            raise FormatError(f"{path}: expected {FEATURE_DIM} dims, found {dim}")
-        feats = np.empty((count, dim))
-        labels = np.empty(count, dtype=np.int64)
-        for i in range(count):
-            fields = fh.readline().split()
-            if len(fields) != dim + 1:
-                raise FormatError(f"{path}: malformed feature line {i + 1}")
-            feats[i] = [float(v) for v in fields[:dim]]
-            labels[i] = int(fields[dim])
+        try:
+            count, dim = int(header[2]), int(header[3])
+            if dim != FEATURE_DIM:
+                raise FormatError(f"{path}: expected {FEATURE_DIM} dims, found {dim}")
+            # the shortest row, 36 one-digit values and a label, takes 74 bytes
+            if count * 2 * (dim + 1) > os.fstat(fh.fileno()).st_size:
+                raise FormatError(f"{path}: row count larger than the file")
+            feats = np.empty((count, dim))
+            labels = np.empty(count, dtype=np.int64)
+            for i in range(count):
+                fields = fh.readline().split()
+                if len(fields) != dim + 1:
+                    raise FormatError(f"{path}: malformed feature line {i + 1}")
+                feats[i] = [float(v) for v in fields[:dim]]
+                labels[i] = int(fields[dim])
+        except (ValueError, OverflowError) as exc:
+            raise FormatError(f"{path}: bad count or non-numeric field") from exc
+        if fh.read().strip():
+            raise FormatError(f"{path}: data after the last row")
     return feats, labels

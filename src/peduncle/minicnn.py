@@ -10,16 +10,33 @@ channels-last (b, h, w, c) buffer; one sliding-window view over (h, w)
 describes every window as (b, oh, ow, c, kh, kw). The column matrix (rows:
 output pixels, columns: (c, kh, kw)) is that view copied out in a single
 pass, by an np.take whose index is the same window view of one sample's
-element positions. The backward pass sums into a channels-last float64
-buffer, one kernel offset (i, j) at a time in row-major order. Layer
-outputs are channels-first views of channels-last memory, so the next layer
-reads them channels-last without a copy.
+element positions; a 1x1 convolution at stride 1 without padding takes the
+channels-last rows as its columns, with no gather. The backward pass sums
+into a channels-last float64 buffer, one kernel offset (i, j) at a time in
+row-major order. Layer outputs are channels-first views of channels-last
+memory, so the next layer reads them channels-last without a copy.
 
 Max pooling uses the same windows (padded with -inf). A tie goes to the
 first maximal element in row-major window order, -0.0 before +0.0 included:
 inference folds the window view with np.maximum(element, running max),
 which returns its second operand on a tie; training takes argmax over the
 copied-out windows and routes the gradient to that element.
+
+score_map evaluates the network on a stride grid of patches without
+running the leading layers once per patch. Patch offsets are multiples of
+the stride, so wherever a layer's cumulative downsampling divides the
+stride, a patch's map is a window of the same layer's map over the whole
+crop the patches cover (OverFeat's dense evaluation; fast scanning with
+max-pooling nets), except where the patch's own zero padding reaches. The
+shared trunk is the leading conv / relu / pool run up to and including the
+last pool whose downsampling divides the stride (without one: the layers
+before the first pool); at the shipped stride 4 that is conv1 ... pool2.
+It runs once over the crop. Per patch, only the ring is recomputed: the
+cells whose input window, one axis at a time, leaves the patch or covers a
+ring cell one layer down (for the shipped spec 1 cell wide at conv1, 1 at
+pool1, 2 at conv2 and 1 at pool2), from the same im2col columns through
+the same matmul and max fold, so each score is bit-identical to a per-patch
+forward pass.
 
 The full detector network is described by a NetworkSpec: a text file of
 layer lines validated to hold exactly 8 convolutional layers (an inception
@@ -295,6 +312,9 @@ def _im2col(x, kh, kw, stride, pad):
     """Rows are output pixels (b, oh, ow); columns run over (c, kh, kw)."""
     b, c, h, w = x.shape
     oh, ow = _out_hw(h, w, kh, kw, stride, pad)
+    if kh == kw == stride == 1 and not pad:
+        # every window is one pixel: the channels-last rows are the columns
+        return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).reshape(b * h * w, c), h, w
     cols = _gather_windows(_nhwc_padded(x, pad), kh, kw, stride, oh, ow)
     return cols.reshape(b * oh * ow, c * kh * kw), oh, ow
 
@@ -344,13 +364,16 @@ class Conv2d:
         if x.ndim != 4 or x.shape[1] != s.c_in:
             raise ShapeError(f"conv expected (B,{s.c_in},H,W), got {x.shape}")
         cols, oh, ow = _im2col(x, s.kh, s.kw, s.stride, s.pad)
-        w2 = self.params["w"].reshape(s.c_out, -1)
-        out = cols @ w2.T
-        out += self.params["b"]
-        out = out.reshape(x.shape[0], oh, ow, s.c_out).transpose(0, 3, 1, 2)
+        out = self.affine(cols).reshape(x.shape[0], oh, ow, s.c_out).transpose(0, 3, 1, 2)
         if train:
             self._cache = (cols, x.shape, oh, ow)
         return _check(out)
+
+    def affine(self, cols):
+        """(rows, c_in * kh * kw) im2col columns -> (rows, c_out) outputs."""
+        out = cols @ self.params["w"].reshape(self.spec.c_out, -1).T
+        out += self.params["b"]
+        return out
 
     def backward(self, dy):
         cols, x_shape, oh, ow = self._cache
@@ -360,6 +383,21 @@ class Conv2d:
         self.grads["b"][:] = dyr.sum(axis=0)
         dcols = dyr @ self.params["w"].reshape(s.c_out, -1)
         return _col2im(dcols, x_shape, s.kh, s.kw, s.stride, s.pad, oh, ow)
+
+
+def _max_fold(win):
+    """Max over the two trailing (window) axes of win, in row-major window order.
+
+    np.maximum returns its second operand on a tie, so the running maximum
+    keeps the earlier element (also for -0.0 / +0.0).
+    """
+    kh, kw = win.shape[-2:]
+    out = win[..., 0, 0].copy()
+    for i in range(kh):
+        for j in range(kw):
+            if i or j:
+                np.maximum(win[..., i, j], out, out=out)
+    return out
 
 
 class MaxPool:
@@ -387,14 +425,7 @@ class MaxPool:
             out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
             self._cache = (arg, x.shape, oh, ow)
         else:
-            # np.maximum returns its second operand on a tie, so the
-            # running maximum keeps the earlier element (also for -0.0 / +0.0)
-            win = _windows(xp, k, k, stride, oh, ow)
-            out = win[..., 0, 0].copy()
-            for i in range(k):
-                for j in range(k):
-                    if i or j:
-                        np.maximum(win[..., i, j], out, out=out)
+            out = _max_fold(_windows(xp, k, k, stride, oh, ow))
         return _check(out.transpose(0, 3, 1, 2))
 
     def backward(self, dy):
@@ -639,12 +670,172 @@ def patch_centers(image_h: int, image_w: int, patch_h: int, patch_w: int, stride
     return ys, xs
 
 
+def shared_depth(specs, stride: int) -> int:
+    """How many leading layers score_map runs once over the crop at this stride.
+
+    The candidates are the leading run of conv / relu / pool layers, which
+    ends at the first inception or fc layer. Sharing goes through the last
+    pool whose cumulative downsampling (the product of the strides up to
+    it) divides the patch stride; with no such pool, it takes the layers
+    before the first pool. Either way it stops before the first layer whose
+    cumulative downsampling does not divide the stride, so each patch's map
+    at the shared depth starts on a whole cell of the crop's map.
+    """
+    down, aligned, through_pool = 1, 0, 0
+    for i, spec in enumerate(specs):
+        if not isinstance(spec, (ConvSpec, ReluSpec, PoolSpec)):
+            break
+        down *= getattr(spec, "stride", 1)
+        if stride % down:
+            break
+        aligned = i + 1
+        if isinstance(spec, PoolSpec):
+            through_pool = aligned
+    return through_pool or aligned
+
+
+def _window(spec):
+    """(kh, kw, stride, pad) of a shared layer; a relu reads one cell."""
+    if isinstance(spec, ConvSpec):
+        return spec.kh, spec.kw, spec.stride, spec.pad
+    if isinstance(spec, PoolSpec):
+        return spec.k, spec.k, spec.stride, 0
+    return 1, 1, 1, 0
+
+
+def _clean_span(lo, hi, k, stride, pad):
+    """Output cells of one axis whose k-wide input window (starting at
+    cell * stride - pad) lies inside the clean input cells [lo, hi)."""
+    first = -(-(lo + pad) // stride)
+    return first, max(first, (hi + pad - k) // stride + 1)
+
+
+class _TrunkLevel:
+    """One shared layer's output, for one patch and for the whole crop.
+
+    size and clean are a patch's map size and its clean box, ((y0, y1),
+    (x0, x1)): the cells that equal the crop's map at the patch's offset.
+    The other cells form the ring, listed row-major in ring. down is the
+    input pixels per cell, crop the crop's map as (cells, c) rows.
+    """
+
+    def __init__(self, layer, size, clean, down, crop_map):
+        self.layer, self.size, self.clean, self.down = layer, size, clean, down
+        self.ring_taps = None   # where the ring cells' windows read the level below
+        _, c, _, self.crop_w = crop_map.shape
+        self.crop = crop_map[0].transpose(1, 2, 0).reshape(-1, c)
+        (y0, y1), (x0, x1) = clean
+        ys, xs = np.arange(size[0]), np.arange(size[1])
+        is_clean = ((y0 <= ys) & (ys < y1))[:, None] & ((x0 <= xs) & (xs < x1))[None, :]
+        self.ring = np.nonzero(~is_clean)
+        self.slot = np.full(size, -1)
+        self.slot[self.ring] = np.arange(len(self.ring[0]))
+
+    def taps(self, ty, tx):
+        """Where the values of this level's cells (ty, tx) are found by
+        gather: (clean, ring, row), with row the row of the gather table for
+        a patch at offset 0 and in the first ring block. A cell outside the
+        map is the zero padding, the row after the crop's."""
+        h, w = self.size
+        (y0, y1), (x0, x1) = self.clean
+        inside = (0 <= ty) & (ty < h) & (0 <= tx) & (tx < w)
+        slot = np.where(inside, self.slot[ty.clip(0, h - 1), tx.clip(0, w - 1)], -1)
+        clean = (y0 <= ty) & (ty < y1) & (x0 <= tx) & (tx < x1)
+        ring = ~clean & (slot >= 0)
+        n = len(self.crop)
+        row = np.where(clean, ty * self.crop_w + tx, np.where(ring, n + 1 + slot, n))
+        return clean, ring, row
+
+    def gather(self, taps, ring_values, oy, ox):
+        """(b, *taps shape, c) values of the tapped cells for the patches
+        whose top-left pixels sit at (oy, ox) in the crop; ring_values holds
+        their ring cells as (b * ring cells, c) rows."""
+        clean, ring, row = taps
+        c = self.crop.shape[1]
+        table = np.concatenate([self.crop, np.zeros((1, c), self.crop.dtype), ring_values])
+        extra = (-1,) + (1,) * clean.ndim
+        shift = ((oy // self.down) * self.crop_w + ox // self.down).reshape(extra)
+        ring_block = (len(self.ring[0]) * np.arange(len(oy))).reshape(extra)
+        return np.take(table, row + np.where(clean, shift, ring * ring_block), axis=0)
+
+
+class _SharedTrunk:
+    """The first shared_depth(net.specs, stride) layers of a network, run
+    once over an image crop, with each patch's own maps rebuilt from it.
+
+    A patch's map at every shared layer equals the crop's map at the
+    patch's offset except on a ring where the patch's own zero padding
+    reaches. patch_maps recomputes only those ring cells, layer by layer,
+    from the patch's own cells one level down, with the layers' own
+    arithmetic: the same im2col columns through Conv2d.affine, and the
+    same max fold. Each ring product covers the ring cells of the whole
+    batch at once, never a single row (numpy sends that to gemv). Only the
+    last level is assembled into full maps.
+
+    The copied cells equal the per-patch ones as long as BLAS computes each
+    row of a product independently of the others. OpenBLAS does so within
+    one kernel, but (measured with 0.3.31 on AVX-512 x86-64) takes a
+    small-matrix kernel that rounds differently, for inner sizes of 32 and
+    up, when rows x outputs is at most about 1200; the per-patch path then
+    itself depends on the batch size. The shipped network's shared
+    products stay far above that size at any batch.
+    """
+
+    def __init__(self, net: Network, stride: int, crop: np.ndarray):
+        ph, pw = net.input_hw
+        self.depth = shared_depth(net.specs, stride)
+        x = crop.transpose(2, 0, 1)[None]
+        self.levels = [_TrunkLevel(None, (ph, pw), ((0, ph), (0, pw)), 1, x)]
+        for layer, spec in zip(net.layers[: self.depth], net.specs[: self.depth]):
+            src = self.levels[-1]
+            kh, kw, step, pad = _window(spec)
+            x = layer.forward(x)
+            size = ((src.size[0] + 2 * pad - kh) // step + 1, (src.size[1] + 2 * pad - kw) // step + 1)
+            clean = (_clean_span(*src.clean[0], kh, step, pad), _clean_span(*src.clean[1], kw, step, pad))
+            level = _TrunkLevel(layer, size, clean, src.down * step, x)
+            ry, rx = (r[:, None, None] * step - pad for r in level.ring)
+            level.ring_taps = src.taps(ry + np.arange(kh)[:, None], rx + np.arange(kw))
+            self.levels.append(level)
+        last = self.levels[-1]
+        self.out_taps = last.taps(*np.indices(last.size))
+
+    def patch_maps(self, oy: np.ndarray, ox: np.ndarray) -> np.ndarray:
+        """(b, c, h, w) output of the shared layers on each patch whose
+        top-left pixel sits at crop pixel (oy, ox); oy and ox are multiples
+        of the stride the trunk was built for."""
+        b = len(oy)
+        ring = self.levels[0].crop[:0]      # the input image has no ring
+        for src, level in zip(self.levels, self.levels[1:]):
+            if isinstance(level.layer, Relu):
+                ring = level.layer.forward(ring)
+                continue
+            win = src.gather(level.ring_taps, ring, oy, ox).transpose(0, 1, 4, 2, 3)   # (b, n, c, kh, kw)
+            if isinstance(level.layer, Conv2d):
+                cols = win.reshape(b * win.shape[1], -1)
+                if len(cols) == 1:      # numpy hands a one-row product to gemv
+                    cols = np.repeat(cols, 2, axis=0)
+                ring = level.layer.affine(cols)[: b * win.shape[1]]
+            else:
+                ring = _max_fold(win).reshape(b * win.shape[1], -1)
+        last = self.levels[-1]
+        return last.gather(self.out_taps, ring, oy, ox).transpose(0, 3, 1, 2)
+
+
 def score_map(image: np.ndarray, net: Network, stride: int = 4, roi=None, batch: int = 128) -> ScoreMap:
     """Positive-class softmax probability at every stride-spaced patch center.
 
     Pixels never scored (outside the grid, outside the valid patch region,
     or outside an optional region of interest) hold score 0 and are not in
     the mask. Raises InputTooSmall when the image cannot fit one patch.
+
+    The leading layers (shared_depth) run once over the crop the patches
+    cover. Each patch's map after them is the crop's map at the patch's
+    offset, except on a ring of cells whose receptive field reaches the
+    patch's own zero padding; the ring is derived from the layer specs and
+    recomputed per patch (see _SharedTrunk). The remaining layers run per
+    patch in batches of `batch`. Every score is bit-identical to running
+    the whole network on the patch alone, as far as BLAS computes each row
+    of a product on its own (see _SharedTrunk for where OpenBLAS does not).
     """
     if stride < 1:
         raise InvalidInput("stride must be >= 1")
@@ -667,12 +858,13 @@ def score_map(image: np.ndarray, net: Network, stride: int = 4, roi=None, batch:
     # only the pixels some patch covers; patch (cy, cx) starts at crop
     # pixel (cy - ys[0], cx - xs[0])
     crop = img[ys[0] - ph // 2 : ys[-1] - ph // 2 + ph, xs[0] - pw // 2 : xs[-1] - pw // 2 + pw]
-    imgf = crop.astype(dtype) / dtype.type(255.0)
-    patches_at = sliding_window_view(imgf, (ph, pw), axis=(0, 1)).transpose(0, 1, 3, 4, 2)
+    trunk = _SharedTrunk(net, stride, crop.astype(dtype) / dtype.type(255.0))
     for start in range(0, len(cy), batch):
         ry, rx = cy[start : start + batch], cx[start : start + batch]
-        patches = patches_at[ry - ys[0], rx - xs[0]].transpose(0, 3, 1, 2)
-        out.scores[ry, rx] = softmax(net.forward(patches))[:, 1]
+        x = trunk.patch_maps(ry - ys[0], rx - xs[0])
+        for layer in net.layers[trunk.depth :]:
+            x = layer.forward(x)
+        out.scores[ry, rx] = softmax(x)[:, 1]
     out.mask[cy, cx] = True
     return out
 

@@ -346,7 +346,12 @@ def save_scene(out_dir, scene_id: str, scene: LabeledScene) -> list[str]:
 
 
 def load_scene(scene_dir, scene_id: str, intr: pl.CameraIntrinsics) -> LabeledScene:
-    """Rebuild a LabeledScene from its five files (params are not recovered)."""
+    """Rebuild a LabeledScene from its five files (params are not recovered).
+
+    Raises FormatError unless the cloud file's points and colours are
+    exactly the unprojection of the depth and colour rasters: the detectors
+    score the raster pixels and write their scores onto these rows.
+    """
     files = scene_files(scene_id)
     cloud = pc.load_cloud(os.path.join(scene_dir, files[0]))
     rgb = rasters.read_ppm(os.path.join(scene_dir, files[1]))
@@ -354,8 +359,8 @@ def load_scene(scene_dir, scene_id: str, intr: pl.CameraIntrinsics) -> LabeledSc
     pos_mask = rasters.read_mask(os.path.join(scene_dir, files[3]))
     neg_mask = rasters.read_mask(os.path.join(scene_dir, files[4]))
     base, pixels = pl.unproject_depth(depth_raw, intr, rgb)
-    if len(base) != len(cloud):
-        raise FormatError(f"{scene_id}: cloud file does not match depth raster")
+    if not (np.array_equal(base.points, cloud.points) and np.array_equal(base.colors, cloud.colors)):
+        raise FormatError(f"{scene_id}: cloud file does not match the depth and colour rasters")
     labels_img = np.full(depth_raw.shape, pc.LABEL_UNLABELED, dtype=np.uint8)
     if cloud.labels is not None:
         labels_img[pixels[:, 0], pixels[:, 1]] = cloud.labels

@@ -4,13 +4,15 @@ Everything here is deliberately naive (loops, direct formulas, generic
 solvers) and shares no code with the paths it validates, except
 eval_filtered_per_threshold, which reruns the library's own filter at every
 threshold to check the one-pass sweep built on top of it, the previous
-CNN kernels, which plug into the library's layers, and the previous CNN
-scoring path, which reuses the library's score map.
+CNN kernels, which plug into the library's layers, the previous CNN
+scoring path, which reuses the library's score map, and the per-patch
+score map, which runs the library's network on every patch.
 """
 
 import contextlib
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from peduncle import classifiers as cls
 from peduncle import cloud as pc
@@ -22,6 +24,8 @@ from peduncle.errors import (
     DegeneratePair,
     EmptyHistogram,
     EmptyProjection,
+    InputTooSmall,
+    InvalidInput,
     NoPeduncleFound,
     ShapeError,
 )
@@ -250,6 +254,48 @@ def conv_reference(x, w, b, stride, pad):
                 for j in range(ow):
                     patch = xp[n, :, i * stride : i * stride + kh, j * stride : j * stride + kw]
                     out[n, co, i, j] = (patch * w[co]).sum() + b[co]
+    return out
+
+
+# minicnn.score_map before its shared trunk: the whole network on every
+# patch. The shared-trunk score map must match it bit for bit.
+
+
+def score_map_per_patch(image: np.ndarray, net: mc.Network, stride: int = 4, roi=None, batch: int = 128) -> mc.ScoreMap:
+    """Positive-class softmax probability at every stride-spaced patch center.
+
+    Pixels never scored (outside the grid, outside the valid patch region,
+    or outside an optional region of interest) hold score 0 and are not in
+    the mask. Raises InputTooSmall when the image cannot fit one patch.
+    """
+    if stride < 1:
+        raise InvalidInput("stride must be >= 1")
+    if net.input_hw is None:
+        raise InvalidInput("network has no declared input patch size")
+    ph, pw = net.input_hw
+    img = np.asarray(image)
+    h, w = img.shape[:2]
+    if h < ph or w < pw:
+        raise InputTooSmall(f"image {h}x{w} smaller than patch {ph}x{pw}")
+    ys, xs = mc.patch_centers(h, w, ph, pw, stride)
+    if roi is not None:
+        ys = ys[(roi.y_min <= ys) & (ys < roi.y_max)]
+        xs = xs[(roi.x_min <= xs) & (xs < roi.x_max)]
+    out = mc.ScoreMap(np.zeros((h, w)), np.zeros((h, w), dtype=bool))
+    if len(ys) == 0 or len(xs) == 0:
+        return out
+    cy, cx = np.repeat(ys, len(xs)), np.tile(xs, len(ys))     # row-major grid
+    dtype = next((p.dtype for _, _, p, _ in net.parameters()), np.float64)
+    # only the pixels some patch covers; patch (cy, cx) starts at crop
+    # pixel (cy - ys[0], cx - xs[0])
+    crop = img[ys[0] - ph // 2 : ys[-1] - ph // 2 + ph, xs[0] - pw // 2 : xs[-1] - pw // 2 + pw]
+    imgf = crop.astype(dtype) / dtype.type(255.0)
+    patches_at = sliding_window_view(imgf, (ph, pw), axis=(0, 1)).transpose(0, 1, 3, 4, 2)
+    for start in range(0, len(cy), batch):
+        ry, rx = cy[start : start + batch], cx[start : start + batch]
+        patches = patches_at[ry - ys[0], rx - xs[0]].transpose(0, 3, 1, 2)
+        out.scores[ry, rx] = mc.softmax(net.forward(patches))[:, 1]
+    out.mask[cy, cx] = True
     return out
 
 

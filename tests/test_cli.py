@@ -6,6 +6,7 @@ import os
 
 import numpy as np
 import pytest
+from test_scenegen import alter_first_point
 
 from peduncle import classifiers as cls
 from peduncle import cloud as pc
@@ -128,6 +129,11 @@ class TestExitCodes:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    def test_non_numeric_features_is_2(self, tmp_path):
+        feats = tmp_path / "features.txt"
+        feats.write_text("features v1 1 36\n" + "x " * 36 + "1\n")
+        assert main(["train-svm", "--features", str(feats), "--out", str(tmp_path / "o")]) == 2
+
     def test_no_pepper_is_3(self, workdir, tmp_path):
         # a scene whose pepper is green: the red-prior model finds nothing
         params = sg.SceneParams(
@@ -171,6 +177,16 @@ class TestExitCodes:
         rc = main(["score", "--config", workdir["cfg"], "--scenes",
                    str(scene_dir / "manifest.txt"), "--models", workdir["models"],
                    "--detector", "pfh-svm", "--out", str(tmp_path / "s")])
+        assert rc == 2
+
+    def test_cloud_not_matching_rasters_is_2(self, workdir, tmp_path):
+        entry = [e for e in sg.load_manifest(workdir["manifest"]) if e["split"] == "eval"][0]
+        scene = sg.load_benchmark_scene(workdir["manifest"], entry)
+        scene_dir = _write_scenes(tmp_path / "scenes", workdir["cfg"], [scene])
+        alter_first_point(scene_dir / "s0000.cloud")
+        rc = main(["score", "--config", workdir["cfg"], "--scenes",
+                   str(scene_dir / "manifest.txt"), "--models", workdir["models"],
+                   "--detector", "cnn", "--out", str(tmp_path / "s")])
         assert rc == 2
 
 

@@ -11,7 +11,7 @@ from oracles import naive_fpfh, naive_spfh
 
 from peduncle import cloud as pc
 from peduncle import features as ft
-from peduncle.errors import DegeneratePair, EmptyHistogram, InvalidDescriptor
+from peduncle.errors import DegeneratePair, EmptyHistogram, FormatError, InvalidDescriptor
 
 
 class TestHsv:
@@ -244,3 +244,26 @@ class TestFeatureFile:
         got_f, got_l = ft.load_features(path)
         np.testing.assert_array_equal(got_f, feats)
         np.testing.assert_array_equal(got_l, labels)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "nope v1 1 36\n" + "0 " * 36 + "1\n",
+            "features v1 1 35\n" + "0 " * 35 + "1\n",
+            "features v1 x 36\n" + "0 " * 36 + "1\n",
+            "features v1 1 y\n" + "0 " * 36 + "1\n",
+            "features v1 -1 36\n",
+            "features v1 100000000000 36\n" + "0 " * 36 + "1\n",
+            "features v1 2 36\n" + "0 " * 36 + "1\n",
+            "features v1 1 36\n" + "x " * 36 + "1\n",
+            "features v1 1 36\n" + "0 " * 36 + "one\n",
+            "features v1 1 36\n" + "0 " * 36 + "99999999999999999999\n",
+            "features v1 1 36\n" + "0 " * 35 + "1\n",
+            "features v1 1 36\n" + "0 " * 36 + "1\n" + "0 " * 36 + "1\n",
+        ],
+    )
+    def test_malformed_file_is_format_error(self, tmp_path, text):
+        path = tmp_path / "f.txt"
+        path.write_text(text)
+        with pytest.raises(FormatError):
+            ft.load_features(path)

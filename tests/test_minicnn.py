@@ -1,6 +1,9 @@
 """Tensor engine tests: forward oracles, finite-difference gradients,
 parameter counting, patch scoring and weight serialization."""
 
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import numpy as np
@@ -13,6 +16,7 @@ from oracles import (
     max_rel_error,
     numerical_grad,
     reference_kernels,
+    score_map_per_patch,
 )
 
 from peduncle import cloud as pc
@@ -466,6 +470,26 @@ POOL_CASES = [
 ]
 
 
+def assert_conv_matches_reference(spec, x):
+    """Conv2d forward output, input gradient and parameter gradients equal
+    those of the reference kernels byte for byte."""
+
+    def run():
+        cv = mc.Conv2d(spec)
+        cv.init_weights(np.random.default_rng(35))
+        for key in cv.params:
+            cv.params[key] = cv.params[key].astype(x.dtype)
+        y = cv.forward(x, train=True)
+        dx = cv.backward(np.linspace(-1, 1, y.size).reshape(y.shape).astype(x.dtype))
+        return y, dx, cv.grads["w"], cv.grads["b"]
+
+    new = run()
+    with reference_kernels():
+        ref = run()
+    for got, want in zip(new, ref):
+        assert_same_bytes(got, want)
+
+
 class TestKernelsMatchReference:
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("k,stride,pad,shape", POOL_CASES)
@@ -501,23 +525,18 @@ class TestKernelsMatchReference:
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("stride,pad", [(2, 0), (1, 0), (2, 1)])
     def test_conv_layer_forward_backward(self, dtype, stride, pad):
-        rng = np.random.default_rng(34)
-        x = rng.normal(size=(3, 4, 9, 8)).astype(dtype)
+        x = np.random.default_rng(34).normal(size=(3, 4, 9, 8)).astype(dtype)
+        assert_conv_matches_reference(mc.ConvSpec(3, 3, 4, 5, stride, pad), x)
 
-        def run():
-            cv = mc.Conv2d(mc.ConvSpec(3, 3, 4, 5, stride, pad))
-            cv.init_weights(np.random.default_rng(35))
-            for key in cv.params:
-                cv.params[key] = cv.params[key].astype(dtype)
-            y = cv.forward(x, train=True)
-            dx = cv.backward(np.linspace(-1, 1, y.size).reshape(y.shape).astype(dtype))
-            return y, dx, cv.grads["w"], cv.grads["b"]
-
-        new = run()
-        with reference_kernels():
-            ref = run()
-        for got, want in zip(new, ref):
-            assert_same_bytes(got, want)
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_pointwise_conv_forward_backward(self, dtype):
+        """1x1 convolutions take their columns by a reshape, on channels-first
+        memory and on the channels-last views the layers hand on."""
+        x = np.random.default_rng(38).normal(size=(3, 4, 9, 8)).astype(dtype)
+        spec = mc.ConvSpec(1, 1, 4, 5, 1, 0)
+        assert_conv_matches_reference(spec, x)
+        channels_last = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        assert_conv_matches_reference(spec, channels_last)
 
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_shipped_network_on_c6_frame(self, dtype):
@@ -573,3 +592,124 @@ class TestKernelsMatchReference:
         for (_, _, p, g), (_, _, rp, rg) in zip(net.parameters(), ref_net.parameters()):
             assert_same_bytes(p, rp)
             assert_same_bytes(g, rg)
+
+
+# ---------------------------------------------------------------------------
+# shared-trunk score map against the per-patch path, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def shipped_spec():
+    return mc.parse_netspec(resources.files("peduncle").joinpath("data/default_net.spec").read_text())
+
+
+def assert_same_score_map(img, net, stride, roi, batch):
+    got = mc.score_map(img, net, stride, roi, batch)
+    want = score_map_per_patch(img, net, stride, roi, batch)
+    np.testing.assert_array_equal(got.mask, want.mask)
+    assert_same_bytes(got.scores, want.scores)
+    return int(got.mask.sum())
+
+
+def c6_frame_matches_per_patch():
+    """dtypes at which score_map of the shipped spec on C6 eval draw 40's
+    region of interest equals the per-patch path byte for byte."""
+    scene = sg.generate(sg.benchmark_params(41, 20240, sg.benchmark_base())[40])
+    h, w = scene.rgb.shape[:2]
+    roi = pl.compute_roi(pl.pixel_bbox(np.argwhere(scene.labels_img == pc.LABEL_PEPPER)), w, h)
+    same = []
+    for dtype in DTYPES:
+        net = mc.Network.from_netspec(shipped_spec(), seed=17).cast(dtype)
+        got = mc.score_map(scene.rgb, net, 4, roi)
+        want = score_map_per_patch(scene.rgb, net, 4, roi)
+        if got.scores.tobytes() == want.scores.tobytes() and (got.mask == want.mask).all():
+            same.append(np.dtype(dtype).name)
+    return same
+
+
+class TestSharedTrunk:
+    def test_shared_depth_rule(self):
+        shipped = shipped_spec().layers
+        # conv1 relu pool1 conv2 relu pool2 conv3 relu pool3 inception ...
+        assert [mc.shared_depth(shipped, s) for s in range(1, 9)] == [2, 3, 2, 6, 2, 3, 2, 9]
+        assert [mc.shared_depth(shipped, s) for s in (12, 16)] == [6, 9]
+        # two convs between the pools, then an inception module
+        test_spec = mc.parse_netspec(DEFAULT_SPEC_TEXT).layers
+        assert [mc.shared_depth(test_spec, s) for s in (1, 2, 3, 4, 8)] == [2, 3, 2, 8, 8]
+        # a strided conv ahead of the first pool: nothing is shared at an odd stride
+        strided = (mc.ConvSpec(3, 3, 3, 4, 2, 1), mc.ReluSpec(), mc.PoolSpec(2, 2), mc.FcSpec(4, 2))
+        assert [mc.shared_depth(strided, s) for s in (1, 2, 4)] == [0, 2, 3]
+
+    def test_ring_widths_of_the_shipped_spec(self):
+        net = mc.Network.from_netspec(shipped_spec(), seed=1).cast(np.float32)
+        crop = np.zeros((76, 80, 3), dtype=np.float32)
+        trunk = mc._SharedTrunk(net, 4, crop)
+        assert trunk.depth == 6
+        rings = [
+            (type(lv.layer).__name__, lv.size, [(lo, n - hi) for (lo, hi), n in zip(lv.clean, lv.size)])
+            for lv in trunk.levels[1:]
+            if not isinstance(lv.layer, mc.Relu)
+        ]
+        assert rings == [
+            ("Conv2d", (64, 64), [(1, 1), (1, 1)]),
+            ("MaxPool", (32, 32), [(1, 1), (1, 1)]),
+            ("Conv2d", (32, 32), [(2, 2), (2, 2)]),
+            ("MaxPool", (16, 16), [(1, 1), (1, 1)]),
+        ]
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("stride", range(1, 9))
+    @pytest.mark.parametrize("spec_name", ["shipped", "test"])
+    def test_matches_per_patch(self, spec_name, stride, dtype):
+        """A 13 x 14 patch grid (more than one 128-patch batch) over the
+        whole image, then 4 x 4 patches on the image's left and bottom edges
+        at batch 128 and at batch 1.
+
+        The 16 x 16 test network's convolutions are small enough for
+        OpenBLAS's small-matrix kernel, which rounds differently from its
+        large one (see _SharedTrunk): with 16 patches or one, the per-patch
+        path's own scores move with the batch size, so there the scores
+        are held to a few units of rounding instead of to the byte."""
+        spec = shipped_spec() if spec_name == "shipped" else mc.parse_netspec(DEFAULT_SPEC_TEXT)
+        net = mc.Network.from_netspec(spec, seed=40 + stride).cast(dtype)
+        h = spec.input_h + 12 * stride
+        w = spec.input_w + 13 * stride
+        img = np.random.default_rng(stride).integers(0, 256, (h, w, 3)).astype(np.uint8)
+        assert assert_same_score_map(img, net, stride, None, 128) == 13 * 14
+        ys, xs = mc.patch_centers(h, w, spec.input_h, spec.input_w, stride)
+        edge = pl.Roi2(0, int(ys[-4]), int(xs[3]) + 1, h)     # 4 x 4 patches
+        for batch in (128, 1):
+            if spec_name == "shipped":
+                assert assert_same_score_map(img, net, stride, edge, batch) == 16
+            else:
+                got = mc.score_map(img, net, stride, edge, batch)
+                want = score_map_per_patch(img, net, stride, edge, batch)
+                np.testing.assert_array_equal(got.mask, want.mask)
+                eps = np.finfo(dtype).eps
+                np.testing.assert_allclose(got.scores, want.scores, rtol=0, atol=16 * eps)
+
+    def test_tie_heavy_image(self):
+        """Flat regions and saturated pixels give exact ties and zeros in
+        every layer; the ring cells must still match."""
+        spec = shipped_spec()
+        net = mc.Network.from_netspec(spec, seed=3).cast(np.float32)
+        img = np.zeros((100, 104, 3), dtype=np.uint8)
+        img[:, 40:] = 255
+        img[30:60, :, 1] = 128
+        assert_same_score_map(img, net, 4, None, 128)
+
+    def test_c6_frame_at_one_and_two_blas_threads(self):
+        """The equalities rest on each matmul row being computed alone; run
+        the C6-frame check in fresh processes at one and at two BLAS
+        threads, whatever this process runs with."""
+        tests_dir = os.path.dirname(os.path.abspath(__file__))
+        src_dir = os.path.dirname(os.path.dirname(os.path.abspath(mc.__file__)))
+        code = "import test_minicnn as t; print(' '.join(t.c6_frame_matches_per_patch()))"
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join([src_dir, tests_dir, env.get("PYTHONPATH", "")])
+            run = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=600
+            )
+            assert run.returncode == 0, run.stderr
+            assert run.stdout.split() == ["float32", "float64"], (threads, run.stdout)

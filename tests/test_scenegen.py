@@ -127,6 +127,18 @@ class TestMasks:
         assert overlap > 0.3  # color alone cannot separate them
 
 
+def alter_first_point(path, move=True, recolour=True):
+    """Move a cloud file's point 0 by 0.5 m along each axis and/or make it red."""
+    lines = path.read_text().splitlines()
+    fields = lines[1].split()
+    if move:
+        fields[:3] = [repr(float(v) + 0.5) for v in fields[:3]]
+    if recolour:
+        fields[3:6] = ["255", "0", "0"] if fields[3:6] != ["255", "0", "0"] else ["0", "255", "0"]
+    lines[1] = " ".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+
 class TestSceneFiles:
     def test_save_load_roundtrip(self, tmp_path):
         scene = sg.generate(small_params(21))
@@ -139,6 +151,14 @@ class TestSceneFiles:
         np.testing.assert_array_equal(loaded.cloud.labels, scene.cloud.labels)
         np.testing.assert_array_equal(loaded.pos_mask, scene.pos_mask)
         np.testing.assert_array_equal(loaded.labels_img, scene.labels_img)
+
+    @pytest.mark.parametrize("move,recolour", [(True, False), (False, True), (True, True)])
+    def test_cloud_not_matching_rasters_is_format_error(self, tmp_path, move, recolour):
+        scene = sg.generate(small_params(22))
+        sg.save_scene(tmp_path, "s0", scene)
+        alter_first_point(tmp_path / "s0.cloud", move, recolour)
+        with pytest.raises(FormatError):
+            sg.load_scene(tmp_path, "s0", scene.frame.intr)
 
     def test_raster_roundtrips(self, tmp_path):
         rng = np.random.default_rng(23)
