@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._textio import open_text, read_rows, write_rows
 from .errors import DegenerateTraining, FormatError, InvalidInput
 
 VARIANCE_FLOOR = 1e-6
@@ -217,36 +218,44 @@ def kkt_violations(model: SvmModel, features: np.ndarray, labels: np.ndarray) ->
 
 
 def save_svm(path, model: SvmModel) -> None:
-    """ASCII model file: header, means, scales, then one SV per line."""
-    lines = [
-        f"svm v1 {model.kernel} {repr(float(model.gamma))} {repr(float(model.c))} "
-        f"{repr(float(model.bias))} {len(model.dual_coefs)}",
-        " ".join(repr(float(v)) for v in model.feature_means),
-        " ".join(repr(float(v)) for v in model.feature_scales),
-    ]
-    for coef, sv in zip(model.dual_coefs, model.support_vectors):
-        lines.append(repr(float(coef)) + " " + " ".join(repr(float(v)) for v in sv))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """ASCII model file: header, means, scales, then `coef sv...` per support vector."""
+    head = "\n".join(
+        [
+            f"svm v1 {model.kernel} {repr(float(model.gamma))} {repr(float(model.c))} "
+            f"{repr(float(model.bias))} {len(model.dual_coefs)}",
+            " ".join(repr(float(v)) for v in model.feature_means),
+            " ".join(repr(float(v)) for v in model.feature_scales),
+        ]
+    )
+    rows = np.column_stack([model.dual_coefs, model.support_vectors])
+    write_rows(path, head, rows, np.empty((len(rows), 0), dtype=np.int64))
 
 
 def load_svm(path) -> SvmModel:
-    with open(path) as fh:
+    """Read the model file written by save_svm.
+
+    Raises FormatError on a bad header or unknown kernel, a non-numeric or
+    non-finite value, means and scales of different or zero length, a
+    support-vector count that is negative or larger than the file can hold,
+    a malformed support-vector line, or data after the last one.
+    """
+    with open_text(path) as fh:
         header = fh.readline().split()
-        if len(header) != 7 or header[0] != "svm" or header[1] != "v1":
+        if len(header) != 7 or header[:2] != ["svm", "v1"] or header[2] not in ("linear", "rbf"):
             raise FormatError(f"{path}: not an svm v1 file")
-        kernel, gamma, c, bias, n_sv = header[2], float(header[3]), float(header[4]), float(header[5]), int(header[6])
-        means = np.array([float(v) for v in fh.readline().split()])
-        scales = np.array([float(v) for v in fh.readline().split()])
-        coefs = np.empty(n_sv)
-        svs = np.empty((n_sv, len(means)))
-        for i in range(n_sv):
-            fields = fh.readline().split()
-            if len(fields) != len(means) + 1:
-                raise FormatError(f"{path}: malformed support vector line {i + 1}")
-            coefs[i] = float(fields[0])
-            svs[i] = [float(v) for v in fields[1:]]
-    return SvmModel(kernel, gamma, c, bias, coefs, svs, means, scales)
+        try:
+            gamma, c, bias = (float(v) for v in header[3:6])
+            n_sv = int(header[6])
+            means = np.array([float(v) for v in fh.readline().split()])
+            scales = np.array([float(v) for v in fh.readline().split()])
+        except ValueError as exc:
+            raise FormatError(f"{path}: non-numeric header, means or scales field") from exc
+        if len(means) == 0 or len(scales) != len(means):
+            raise FormatError(f"{path}: means and scales need the same, non-zero length")
+        rows, _ = read_rows(fh, path, n_sv, len(means) + 1, 0, "support vector")
+    if not np.isfinite(np.concatenate([[gamma, c, bias], means, scales, rows.ravel()])).all():
+        raise FormatError(f"{path}: non-finite value")
+    return SvmModel(header[2], gamma, c, bias, rows[:, 0].copy(), rows[:, 1:].copy(), means, scales)
 
 
 # ---------------------------------------------------------------------------
@@ -309,12 +318,26 @@ def save_nb(path, model: NaiveBayesHsv) -> None:
 
 
 def load_nb(path) -> NaiveBayesHsv:
-    with open(path) as fh:
+    """Read the model file written by save_nb.
+
+    Raises FormatError on a bad magic line, a truncated file, a non-numeric
+    or non-finite value, a prior line that is not one number or a means or
+    variances line that is not 4, or data after the second class block.
+    """
+    with open_text(path) as fh:
         if fh.readline().strip() != "nbhsv v1":
             raise FormatError(f"{path}: not an nbhsv v1 file")
-        priors, means, variances = [], [], []
-        for _ in range(2):
-            priors.append(float(fh.readline()))
-            means.append([float(v) for v in fh.readline().split()])
-            variances.append([float(v) for v in fh.readline().split()])
-    return NaiveBayesHsv(np.array(means), np.array(variances), np.array(priors))
+        lines = fh.readlines()
+    if len(lines) < 6:
+        raise FormatError(f"{path}: truncated nbhsv file")
+    if "".join(lines[6:]).strip():
+        raise FormatError(f"{path}: data after the last class block")
+    try:
+        rows = [[float(v) for v in line.split()] for line in lines[:6]]
+    except ValueError as exc:
+        raise FormatError(f"{path}: non-numeric field") from exc
+    if [len(r) for r in rows] != [1, 4, 4] * 2:
+        raise FormatError(f"{path}: a class block is a prior, 4 means and 4 variances")
+    if not np.isfinite(np.concatenate(rows)).all():
+        raise FormatError(f"{path}: non-finite value")
+    return NaiveBayesHsv(np.array(rows[1::3]), np.array(rows[2::3]), np.array([r[0] for r in rows[::3]]))

@@ -10,7 +10,6 @@ interest off the image or without scored depth, no peduncle).
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -25,6 +24,7 @@ from . import minicnn as mc
 from . import pipeline as pl
 from . import scenegen as sg
 from . import workflows as wf
+from ._textio import open_text, read_rows, write_rows
 from .errors import (
     EmptyProjection,
     FormatError,
@@ -96,38 +96,26 @@ def _load_detector(name: str, models_dir: str, cfg: dict):
 
 def save_scores(path, scored: pl.ScoredCloud, eval_labels: np.ndarray) -> None:
     """Score dump: `scores v1 <count>` then `x y z score label` per point."""
-    lines = [f"scores v1 {len(scored)}"]
-    for p, s, lab in zip(scored.cloud.points, scored.scores, eval_labels):
-        lines.append(
-            f"{float(p[0])!r} {float(p[1])!r} {float(p[2])!r} {float(s)!r} {int(lab)}"
-        )
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    floats = np.column_stack([scored.cloud.points, scored.scores])
+    write_rows(path, f"scores v1 {len(scored)}", floats, np.asarray(eval_labels)[:, None])
 
 
 def load_scores(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a score dump written by save_scores; FormatError on any bad line,
-    a non-finite value included."""
-    with open(path) as fh:
+    """Read a score dump written by save_scores.
+
+    Raises FormatError on a bad header or score line, a non-numeric or
+    non-finite value, a count the file cannot hold, or data after the last
+    line.
+    """
+    with open_text(path) as fh:
         header = fh.readline().split()
-        if len(header) != 3 or header[:2] != ["scores", "v1"] or not header[2].isdigit():
+        if len(header) != 3 or header[:2] != ["scores", "v1"] or not header[2].isdecimal():
             raise FormatError(f"{path}: not a scores v1 file")
-        count = int(header[2])
-        scores = np.empty(count)
-        labels = np.empty(count, dtype=np.int64)
-        for i in range(count):
-            fields = fh.readline().split()
-            if len(fields) != 5:
-                raise FormatError(f"{path}: score line {i + 1} needs 5 fields")
-            try:
-                values = [float(v) for v in fields[:4]]
-                labels[i] = int(fields[4])
-            except ValueError as exc:
-                raise FormatError(f"{path}: non-numeric field on score line {i + 1}") from exc
-            if not all(map(math.isfinite, values)):
-                raise FormatError(f"{path}: non-finite value on score line {i + 1}")
-            scores[i] = values[3]
-    return scores, labels
+        values, labels = read_rows(fh, path, int(header[2]), 4, 1, "score")
+    bad = ~np.isfinite(values).all(axis=1)
+    if bad.any():
+        raise FormatError(f"{path}: non-finite value on score line {np.argmax(bad) + 1}")
+    return values[:, 3].copy(), labels[:, 0]
 
 
 # ---------------------------------------------------------------------------

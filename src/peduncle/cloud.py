@@ -8,7 +8,6 @@ ascending point index.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +15,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
+from ._textio import open_text, read_rows, write_rows
 from .errors import EmptyInput, FormatError, InsufficientPoints, InvalidInput
 
 LABEL_UNLABELED = 0
@@ -346,16 +346,8 @@ def induced_pairs(pairs: np.ndarray, keep: np.ndarray) -> np.ndarray:
 def save_cloud(path, cloud: PointCloud) -> None:
     """Write the ASCII cloud format: header then `x y z r g b [label]` lines."""
     has_labels = 1 if cloud.labels is not None else 0
-    lines = [f"pcloud v1 {len(cloud)} {has_labels}"]
-    for i in range(len(cloud)):
-        x, y, z = (repr(float(v)) for v in cloud.points[i])
-        r, g, b = (int(v) for v in cloud.colors[i])
-        if has_labels:
-            lines.append(f"{x} {y} {z} {r} {g} {b} {int(cloud.labels[i])}")
-        else:
-            lines.append(f"{x} {y} {z} {r} {g} {b}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    ints = cloud.colors if cloud.labels is None else np.column_stack([cloud.colors, cloud.labels])
+    write_rows(path, f"pcloud v1 {len(cloud)} {has_labels}", cloud.points, ints)
 
 
 def load_cloud(path) -> PointCloud:
@@ -365,28 +357,16 @@ def load_cloud(path) -> PointCloud:
     point count the file cannot hold, a colour or label outside 0-255, a
     non-finite coordinate, or data after the last point.
     """
-    with open(path) as fh:
+    with open_text(path) as fh:
         header = fh.readline().split()
         if len(header) != 4 or header[:2] != ["pcloud", "v1"] or header[3] not in ("0", "1"):
             raise FormatError(f"{path}: not a pcloud v1 file")
         has_labels = header[3] == "1"
         try:
             count = int(header[2])
-            # the shortest point line, "0 0 0 0 0 0\n", takes 12 bytes
-            if count * 12 > os.fstat(fh.fileno()).st_size:
-                raise FormatError(f"{path}: point count larger than the file")
-            pts = np.empty((count, 3), dtype=np.float64)
-            ints = np.empty((count, 4 if has_labels else 3), dtype=np.int64)
-            for i in range(count):
-                fields = fh.readline().split()
-                if len(fields) != (7 if has_labels else 6):
-                    raise FormatError(f"{path}: malformed point line {i + 1}")
-                pts[i] = [float(v) for v in fields[:3]]
-                ints[i] = [int(v) for v in fields[3:]]
-        except (ValueError, OverflowError) as exc:
-            raise FormatError(f"{path}: bad count or non-numeric field") from exc
-        if fh.read().strip():
-            raise FormatError(f"{path}: data after the last point")
+        except ValueError as exc:
+            raise FormatError(f"{path}: bad point count") from exc
+        pts, ints = read_rows(fh, path, count, 3, 4 if has_labels else 3, "point")
     if not np.isfinite(pts).all():
         raise FormatError(f"{path}: non-finite coordinate")
     if ((ints < 0) | (ints > 255)).any():

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from importlib import resources
 
+from ._textio import open_text
 from .errors import FormatError
 
 
@@ -26,7 +27,7 @@ def parse_config(text: str) -> dict[str, str]:
 
 
 def load_config(path) -> dict[str, str]:
-    with open(path) as fh:
+    with open_text(path) as fh:
         return parse_config(fh.read())
 
 

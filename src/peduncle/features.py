@@ -8,12 +8,12 @@ invariant under rigid motion of the cloud.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import cloud as pc
+from ._textio import open_text, read_rows, write_rows
 from .errors import (
     DegeneratePair,
     EmptyHistogram,
@@ -290,11 +290,7 @@ def point_features(cloud: pc.PointCloud, normal_k: int = 30, fpfh_k: int = 30):
 def save_features(path, features: np.ndarray, labels: np.ndarray) -> None:
     """ASCII dump: `features v1 <count> 36`, then 36 decimals + label per line."""
     features = np.asarray(features, dtype=np.float64)
-    lines = [f"features v1 {len(features)} {FEATURE_DIM}"]
-    for row, lab in zip(features, labels):
-        lines.append(" ".join(repr(float(v)) for v in row) + f" {int(lab)}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_rows(path, f"features v1 {len(features)} {FEATURE_DIM}", features, np.asarray(labels)[:, None])
 
 
 def load_features(path) -> tuple[np.ndarray, np.ndarray]:
@@ -303,27 +299,15 @@ def load_features(path) -> tuple[np.ndarray, np.ndarray]:
     Raises FormatError on a bad header or feature line, a non-numeric field,
     a row count the file cannot hold, or data after the last row.
     """
-    with open(path) as fh:
+    with open_text(path) as fh:
         header = fh.readline().split()
         if len(header) != 4 or header[0] != "features" or header[1] != "v1":
             raise FormatError(f"{path}: not a features v1 file")
         try:
             count, dim = int(header[2]), int(header[3])
-            if dim != FEATURE_DIM:
-                raise FormatError(f"{path}: expected {FEATURE_DIM} dims, found {dim}")
-            # the shortest row, 36 one-digit values and a label, takes 74 bytes
-            if count * 2 * (dim + 1) > os.fstat(fh.fileno()).st_size:
-                raise FormatError(f"{path}: row count larger than the file")
-            feats = np.empty((count, dim))
-            labels = np.empty(count, dtype=np.int64)
-            for i in range(count):
-                fields = fh.readline().split()
-                if len(fields) != dim + 1:
-                    raise FormatError(f"{path}: malformed feature line {i + 1}")
-                feats[i] = [float(v) for v in fields[:dim]]
-                labels[i] = int(fields[dim])
-        except (ValueError, OverflowError) as exc:
-            raise FormatError(f"{path}: bad count or non-numeric field") from exc
-        if fh.read().strip():
-            raise FormatError(f"{path}: data after the last row")
-    return feats, labels
+        except ValueError as exc:
+            raise FormatError(f"{path}: bad row count or dimension") from exc
+        if dim != FEATURE_DIM:
+            raise FormatError(f"{path}: expected {FEATURE_DIM} dims, found {dim}")
+        feats, labels = read_rows(fh, path, count, dim, 1, "feature")
+    return feats, labels[:, 0]

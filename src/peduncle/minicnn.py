@@ -52,6 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from ._textio import open_text
 from .errors import EmptyInput, FormatError, InputTooSmall, InvalidInput, ShapeError
 
 # Weight files start with this 16-byte magic block.
@@ -256,7 +257,7 @@ def serialize_netspec(spec: NetworkSpec) -> str:
 
 
 def load_netspec(path) -> NetworkSpec:
-    with open(path) as fh:
+    with open_text(path) as fh:
         return parse_netspec(fh.read())
 
 

@@ -23,6 +23,7 @@ from . import config as cfgmod
 from . import features as ft
 from . import pipeline as pl
 from . import rasters
+from ._textio import open_text
 from .errors import FormatError, InvalidInput
 
 _NEAR_PLANE = 0.05          # splats closer than this are discarded
@@ -465,9 +466,13 @@ def make_benchmark(
 
 
 def load_manifest(path) -> list[dict]:
-    """Manifest rows as {id, seed, files, split} dicts."""
+    """Manifest rows as {id, seed, files, split} dicts.
+
+    Raises FormatError on a line with fewer than three fields or a seed
+    that is not an integer.
+    """
     entries = []
-    with open(path) as fh:
+    with open_text(path) as fh:
         for raw in fh:
             line = raw.strip()
             if not line:
@@ -475,10 +480,14 @@ def load_manifest(path) -> list[dict]:
             tok = line.split()
             if len(tok) < 3:
                 raise FormatError(f"malformed manifest line {raw!r}")
+            try:
+                seed = int(tok[1])
+            except ValueError as exc:
+                raise FormatError(f"manifest line {raw!r}: seed is not an integer") from exc
             entries.append(
                 {
                     "id": tok[0],
-                    "seed": int(tok[1]),
+                    "seed": seed,
                     "files": tok[2:],
                     "split": "train" if tok[0].startswith("train") else "eval",
                 }

@@ -5,11 +5,14 @@ solvers) and shares no code with the paths it validates, except
 eval_filtered_per_threshold, which reruns the library's own filter at every
 threshold to check the one-pass sweep built on top of it, the previous
 CNN kernels, which plug into the library's layers, the previous CNN
-scoring path, which reuses the library's score map, and the per-patch
-score map, which runs the library's network on every patch.
+scoring path, which reuses the library's score map, the per-patch
+score map, which runs the library's network on every patch, and the
+per-row file readers and writers, which build the library's own objects.
 """
 
 import contextlib
+import math
+import os
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -24,6 +27,7 @@ from peduncle.errors import (
     DegeneratePair,
     EmptyHistogram,
     EmptyProjection,
+    FormatError,
     InputTooSmall,
     InvalidInput,
     NoPeduncleFound,
@@ -390,3 +394,167 @@ def numerical_grad(loss_fn, array, eps=1e-6):
 def max_rel_error(a, b):
     denom = np.maximum(np.abs(a) + np.abs(b), 1e-8)
     return float((np.abs(a - b) / denom).max())
+
+
+# ---------------------------------------------------------------------------
+# per-row ASCII readers and writers: the library's file formats as they were
+# read and written line by line, kept to pin the column-wise versions
+# ---------------------------------------------------------------------------
+
+
+def save_cloud_per_row(path, cloud: pc.PointCloud) -> None:
+    has_labels = 1 if cloud.labels is not None else 0
+    lines = [f"pcloud v1 {len(cloud)} {has_labels}"]
+    for i in range(len(cloud)):
+        x, y, z = (repr(float(v)) for v in cloud.points[i])
+        r, g, b = (int(v) for v in cloud.colors[i])
+        if has_labels:
+            lines.append(f"{x} {y} {z} {r} {g} {b} {int(cloud.labels[i])}")
+        else:
+            lines.append(f"{x} {y} {z} {r} {g} {b}")
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def load_cloud_per_row(path) -> pc.PointCloud:
+    with open(path) as fh:
+        header = fh.readline().split()
+        if len(header) != 4 or header[:2] != ["pcloud", "v1"] or header[3] not in ("0", "1"):
+            raise FormatError(f"{path}: not a pcloud v1 file")
+        has_labels = header[3] == "1"
+        try:
+            count = int(header[2])
+            # the shortest point line, "0 0 0 0 0 0\n", takes 12 bytes
+            if count * 12 > os.fstat(fh.fileno()).st_size:
+                raise FormatError(f"{path}: point count larger than the file")
+            pts = np.empty((count, 3), dtype=np.float64)
+            ints = np.empty((count, 4 if has_labels else 3), dtype=np.int64)
+            for i in range(count):
+                fields = fh.readline().split()
+                if len(fields) != (7 if has_labels else 6):
+                    raise FormatError(f"{path}: malformed point line {i + 1}")
+                pts[i] = [float(v) for v in fields[:3]]
+                ints[i] = [int(v) for v in fields[3:]]
+        except (ValueError, OverflowError) as exc:
+            raise FormatError(f"{path}: bad count or non-numeric field") from exc
+        if fh.read().strip():
+            raise FormatError(f"{path}: data after the last point")
+    if not np.isfinite(pts).all():
+        raise FormatError(f"{path}: non-finite coordinate")
+    if ((ints < 0) | (ints > 255)).any():
+        raise FormatError(f"{path}: colour or label outside 0-255")
+    ints = ints.astype(np.uint8)
+    return pc.PointCloud(pts, ints[:, :3], ints[:, 3] if has_labels else None)
+
+
+def save_scores_per_row(path, scored: pl.ScoredCloud, eval_labels: np.ndarray) -> None:
+    lines = [f"scores v1 {len(scored)}"]
+    for p, s, lab in zip(scored.cloud.points, scored.scores, eval_labels):
+        lines.append(
+            f"{float(p[0])!r} {float(p[1])!r} {float(p[2])!r} {float(s)!r} {int(lab)}"
+        )
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def load_scores_per_row(path) -> tuple[np.ndarray, np.ndarray]:
+    with open(path) as fh:
+        header = fh.readline().split()
+        if len(header) != 3 or header[:2] != ["scores", "v1"] or not header[2].isdigit():
+            raise FormatError(f"{path}: not a scores v1 file")
+        count = int(header[2])
+        scores = np.empty(count)
+        labels = np.empty(count, dtype=np.int64)
+        for i in range(count):
+            fields = fh.readline().split()
+            if len(fields) != 5:
+                raise FormatError(f"{path}: score line {i + 1} needs 5 fields")
+            try:
+                values = [float(v) for v in fields[:4]]
+                labels[i] = int(fields[4])
+            except ValueError as exc:
+                raise FormatError(f"{path}: non-numeric field on score line {i + 1}") from exc
+            if not all(map(math.isfinite, values)):
+                raise FormatError(f"{path}: non-finite value on score line {i + 1}")
+            scores[i] = values[3]
+    return scores, labels
+
+
+def save_features_per_row(path, features: np.ndarray, labels: np.ndarray) -> None:
+    features = np.asarray(features, dtype=np.float64)
+    lines = [f"features v1 {len(features)} {ft.FEATURE_DIM}"]
+    for row, lab in zip(features, labels):
+        lines.append(" ".join(repr(float(v)) for v in row) + f" {int(lab)}")
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def load_features_per_row(path) -> tuple[np.ndarray, np.ndarray]:
+    with open(path) as fh:
+        header = fh.readline().split()
+        if len(header) != 4 or header[0] != "features" or header[1] != "v1":
+            raise FormatError(f"{path}: not a features v1 file")
+        try:
+            count, dim = int(header[2]), int(header[3])
+            if dim != ft.FEATURE_DIM:
+                raise FormatError(f"{path}: expected {ft.FEATURE_DIM} dims, found {dim}")
+            # the shortest row, 36 one-digit values and a label, takes 74 bytes
+            if count * 2 * (dim + 1) > os.fstat(fh.fileno()).st_size:
+                raise FormatError(f"{path}: row count larger than the file")
+            feats = np.empty((count, dim))
+            labels = np.empty(count, dtype=np.int64)
+            for i in range(count):
+                fields = fh.readline().split()
+                if len(fields) != dim + 1:
+                    raise FormatError(f"{path}: malformed feature line {i + 1}")
+                feats[i] = [float(v) for v in fields[:dim]]
+                labels[i] = int(fields[dim])
+        except (ValueError, OverflowError) as exc:
+            raise FormatError(f"{path}: bad count or non-numeric field") from exc
+        if fh.read().strip():
+            raise FormatError(f"{path}: data after the last row")
+    return feats, labels
+
+
+def save_svm_per_row(path, model: cls.SvmModel) -> None:
+    lines = [
+        f"svm v1 {model.kernel} {repr(float(model.gamma))} {repr(float(model.c))} "
+        f"{repr(float(model.bias))} {len(model.dual_coefs)}",
+        " ".join(repr(float(v)) for v in model.feature_means),
+        " ".join(repr(float(v)) for v in model.feature_scales),
+    ]
+    for coef, sv in zip(model.dual_coefs, model.support_vectors):
+        lines.append(repr(float(coef)) + " " + " ".join(repr(float(v)) for v in sv))
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def load_svm_per_row(path) -> cls.SvmModel:
+    with open(path) as fh:
+        header = fh.readline().split()
+        if len(header) != 7 or header[0] != "svm" or header[1] != "v1":
+            raise FormatError(f"{path}: not an svm v1 file")
+        kernel, gamma, c, bias, n_sv = header[2], float(header[3]), float(header[4]), float(header[5]), int(header[6])
+        means = np.array([float(v) for v in fh.readline().split()])
+        scales = np.array([float(v) for v in fh.readline().split()])
+        coefs = np.empty(n_sv)
+        svs = np.empty((n_sv, len(means)))
+        for i in range(n_sv):
+            fields = fh.readline().split()
+            if len(fields) != len(means) + 1:
+                raise FormatError(f"{path}: malformed support vector line {i + 1}")
+            coefs[i] = float(fields[0])
+            svs[i] = [float(v) for v in fields[1:]]
+    return cls.SvmModel(kernel, gamma, c, bias, coefs, svs, means, scales)
+
+
+def load_nb_per_line(path) -> cls.NaiveBayesHsv:
+    with open(path) as fh:
+        if fh.readline().strip() != "nbhsv v1":
+            raise FormatError(f"{path}: not an nbhsv v1 file")
+        priors, means, variances = [], [], []
+        for _ in range(2):
+            priors.append(float(fh.readline()))
+            means.append([float(v) for v in fh.readline().split()])
+            variances.append([float(v) for v in fh.readline().split()])
+    return cls.NaiveBayesHsv(np.array(means), np.array(variances), np.array(priors))

@@ -10,7 +10,7 @@ import pytest
 from scipy.optimize import minimize
 
 from peduncle import classifiers as cls
-from peduncle.errors import DegenerateTraining, InvalidInput
+from peduncle.errors import DegenerateTraining, FormatError, InvalidInput
 
 
 def make_blobs(rng, n_per, centers, spread):
@@ -204,6 +204,29 @@ class TestSvmFile:
         )
 
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "svm v1 rbf x 1.0 0.25 1\n0.0 0.0\n1.0 1.0\n0.5 1.0 2.0\n",
+            "svm v1 rbf 0.5 1.0 0.25 -1\n0.0 0.0\n1.0 1.0\n",
+            "svm v1 rbf 0.5 1.0 0.25 1000000000000\n0.0 0.0\n1.0 1.0\n0.5 1.0 2.0\n",
+            "svm v1 rbf 0.5 1.0 0.25 1\n0.0 0.0\n1.0\n0.5 1.0 2.0\n",
+            "svm v1 rbf nan 1.0 0.25 1\n0.0 0.0\n1.0 1.0\n0.5 1.0 2.0\n",
+            "svm v1 rbf 0.5 1.0 0.25 1\n0.0 inf\n1.0 1.0\n0.5 1.0 2.0\n",
+            "svm v1 rbf 0.5 1.0 0.25 1\n0.0 0.0\n1.0 1.0\nnan 1.0 2.0\n",
+            "svm v1 rbf 0.5 1.0 0.25 1\n0.0 0.0\n1.0 1.0\n0.5 1.0 2.0\n-0.5 3.0 4.0\n",
+            "svm v1 rbf 0.5 1.0 0.25 1\n0.0 0.0\n1.0 1.0\n0.5 1.0 2.0\ntrailing\n",
+        ],
+        ids=["gamma-word", "count-negative", "count-huge", "scales-short", "gamma-nan", "mean-inf",
+             "coef-nan", "extra-vector", "trailing-text"],
+    )
+    def test_malformed_file_is_format_error(self, tmp_path, text):
+        path = tmp_path / "svm.model"
+        path.write_text(text)
+        with pytest.raises(FormatError):
+            cls.load_svm(path)
+
+
 class TestNaiveBayes:
     def test_zero_overlap_classes(self):
         rng = np.random.default_rng(10)
@@ -275,3 +298,24 @@ class TestNaiveBayes:
         loaded = cls.load_nb(path)
         hsv = np.column_stack([rng.uniform(0, 360, 20), rng.uniform(0, 1, 20), rng.uniform(0, 1, 20)])
         np.testing.assert_array_equal(cls.nb_posterior(model, hsv), cls.nb_posterior(loaded, hsv))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "nbhsv v1\n0.5\n1 0 0.5 0.5\n0.1 0.1 0.1 0.1\n0.5\n",
+            "nbhsv v1\n0.5\n1 0 0.5 0.5\n0.1 0.1 0.1 0.1\n0.5\n-1 0 0.5 0.5\n",
+            "nbhsv v1\n0.5\n1 0 0.5\n0.1 0.1 0.1 0.1\n0.5\n-1 0 0.5 0.5\n0.1 0.1 0.1 0.1\n",
+            "nbhsv v1\n0.5\n1 0 0.5\n0.1 0.1 0.1\n0.5\n-1 0 0.5\n0.1 0.1 0.1\n",
+            "nbhsv v1\nnan\n1 0 0.5 0.5\n0.1 0.1 0.1 0.1\n0.5\n-1 0 0.5 0.5\n0.1 0.1 0.1 0.1\n",
+            "nbhsv v1\n0.5\n1 0 0.5 0.5\n0.1 0.1 0.1 inf\n0.5\n-1 0 0.5 0.5\n0.1 0.1 0.1 0.1\n",
+            "nbhsv v1\n0.5\n1 0 0.5 0.5\n0.1 0.1 0.1 0.1\n0.5\n-1 0 0.5 0.5\n0.1 0.1 0.1 0.1\n0.5\n",
+            "nbhsv v1\n0.5\n1 0 0.5 x\n0.1 0.1 0.1 0.1\n0.5\n-1 0 0.5 0.5\n0.1 0.1 0.1 0.1\n",
+        ],
+        ids=["truncated-prior", "truncated-variances", "ragged-means", "three-wide", "prior-nan",
+             "variance-inf", "trailing-data", "mean-word"],
+    )
+    def test_malformed_file_is_format_error(self, tmp_path, text):
+        path = tmp_path / "nb.model"
+        path.write_text(text)
+        with pytest.raises(FormatError):
+            cls.load_nb(path)

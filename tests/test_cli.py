@@ -334,6 +334,8 @@ class TestScoreAndCurves:
         [
             "0.1 0.2", "0.1 0.2 0.3 zero 1", "0.1 0.2 0.3 0.4 1 7",
             "0.1 0.2 0.3 nan 1", "0.1 0.2 0.3 -inf 1", "inf 0.2 0.3 0.4 0",
+            "0.1 0.2 0.3 0.4 1\n0.1 0.2 0.3 0.4 1", "0.1 0.2 0.3 0.4 1\ntrailing",
+            "\n0.1 0.2 0.3 0.4 1",
         ],
     )
     def test_malformed_score_line_is_data_error(self, workdir, tmp_path, line):
@@ -344,6 +346,13 @@ class TestScoreAndCurves:
         assert rc == 2
         with pytest.raises(FormatError):
             load_scores(path)
+
+    def test_scores_count_larger_than_the_file_is_data_error(self, tmp_path):
+        path = tmp_path / "bad.scores"
+        path.write_text("scores v1 1000000000000\n0.0 0.0 1.0 0.5 1\n")
+        with pytest.raises(FormatError):
+            load_scores(path)
+        assert main(["pr-curve", "--scores", str(path), "--out", str(tmp_path / "o")]) == 2
 
 
 class TestEvalCommand:

@@ -213,6 +213,13 @@ class TestBenchmark:
         assert len(entries) == 1
         assert entries[0]["split"] == "train"
 
+    @pytest.mark.parametrize("seed", ["x", "1.5", "1e3"])
+    def test_manifest_seed_not_an_integer_is_format_error(self, tmp_path, seed):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(f"train0000 {seed} train0000.cloud\n")
+        with pytest.raises(FormatError):
+            sg.load_manifest(manifest)
+
     def test_split_ids(self, tmp_path):
         manifest = sg.make_benchmark(tmp_path, 5, master_seed=6, n_train=2, base=small_params())
         entries = sg.load_manifest(manifest)
