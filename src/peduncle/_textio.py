@@ -16,7 +16,7 @@ import os
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, InvalidInput
 
 
 @contextlib.contextmanager
@@ -40,13 +40,16 @@ def write_rows(path, head: str, floats: np.ndarray, ints: np.ndarray) -> None:
     """Write `head`, then one `repr(float) ... int ...` line per row.
 
     floats is (N, F) and ints (N, I); the text equals joining
-    `repr(float(v))` and `int(v)` field by field.
+    `repr(float(v))` and `int(v)` field by field. Raises InvalidInput when
+    the two arrays have different row counts, before the file is opened.
     """
     floats, ints = np.asarray(floats), np.asarray(ints)
+    if len(floats) != len(ints):
+        raise InvalidInput(f"{len(floats)} float rows but {len(ints)} int rows")
     row = " ".join(["%r"] * floats.shape[1] + ["%d"] * ints.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(head + "\n")
-        for start in range(0, min(len(floats), len(ints)), _BLOCK):
+        for start in range(0, len(floats), _BLOCK):
             cols = floats[start : start + _BLOCK].T.tolist() + ints[start : start + _BLOCK].T.tolist()
             values = tuple(itertools.chain.from_iterable(zip(*cols)))
             fh.write(row * (len(values) // len(cols)) % values)

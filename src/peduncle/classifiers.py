@@ -18,6 +18,11 @@ from .errors import DegenerateTraining, FormatError, InvalidInput
 
 VARIANCE_FLOOR = 1e-6
 
+# Elements of the (rows, m, d) difference block _kernel works on at once:
+# 512 KiB of float64, small enough to stay in cache between the subtract
+# and the reduction that reads it back.
+_KERNEL_BLOCK = 1 << 16
+
 
 @dataclass
 class SvmParams:
@@ -46,21 +51,27 @@ def _kernel(kind: str, gamma: float, a: np.ndarray, b: np.ndarray) -> np.ndarray
     """Gram matrix between row sets a (n, d) and b (m, d).
 
     Each entry is computed with per-pair reductions (no batched matmul), so
-    a row's values are bit-identical whether scored alone or in a batch.
-    Rows of `a` are processed in chunks to bound the broadcast workspace.
+    a row's values are bit-identical whether scored alone or in a batch,
+    and whatever the block size. The rbf kernel processes rows of `a` in
+    blocks of max(1, _KERNEL_BLOCK // (m * d)), so its (rows, m, d)
+    difference block fits in cache; one buffer serves every block.
     """
     if kind not in ("linear", "rbf"):
         raise InvalidInput(f"unknown kernel {kind!r}")
+    if kind == "linear":
+        return np.einsum("ik,jk->ij", a, b)
     n, m = a.shape[0], b.shape[0]
     out = np.empty((n, m))
-    chunk = max(1, 4_000_000 // max(m * a.shape[1], 1))
-    for start in range(0, n, chunk):
-        ac = a[start : start + chunk]
-        if kind == "linear":
-            out[start : start + chunk] = np.einsum("ik,jk->ij", ac, b)
-        else:
-            d = ac[:, None, :] - b[None, :, :]
-            out[start : start + chunk] = np.exp(-gamma * np.einsum("ijk,ijk->ij", d, d))
+    rows = max(1, _KERNEL_BLOCK // max(m * a.shape[1], 1))
+    buf = np.empty((min(rows, n), m, a.shape[1]))
+    for start in range(0, n, rows):
+        ac = a[start : start + rows]
+        d = buf[: len(ac)]
+        np.subtract(ac[:, None, :], b[None, :, :], out=d)
+        block = out[start : start + rows]
+        np.einsum("ijk,ijk->ij", d, d, out=block)
+        np.multiply(-gamma, block, out=block)
+        np.exp(block, out=block)
     return out
 
 

@@ -1,9 +1,11 @@
 """Point-cloud container, spatial queries, normal estimation and clustering.
 
 Clouds are immutable numpy snapshots: build an index once, then query it
-from any number of workers. Query results are exact (identical to a
-brute-force scan) and deterministically ordered, with ties broken by
-ascending point index.
+from any number of workers. knn, radius_search and the clustering are
+exact: identical to a brute-force scan, ties broken by ascending point
+index. knn_batch orders its rows the same way, but when several points
+tie at the k-th distance, which of them make a row is left to the
+kd-tree (deterministic for a given cloud, not by index).
 """
 
 from __future__ import annotations
@@ -196,6 +198,36 @@ def knn_batch(index: SpatialIndex, queries: np.ndarray, k: int) -> np.ndarray:
     return np.take_along_axis(idx, o2, axis=1)
 
 
+def knn_batch_prefix(
+    index: SpatialIndex, queries: np.ndarray, table: np.ndarray, k: int
+) -> np.ndarray:
+    """knn_batch(index, queries, k), read off a wider table.
+
+    `table` is knn_batch(index, queries, K) for some K >= k. Where the
+    k-th and (k+1)-th squared distances of a row are more than `_SLACK`
+    apart, the k nearest are unique and the row's first k entries are
+    exactly what knn_batch(k) returns. Only the rows where they tie or
+    come that close are queried again with knn_batch at k, so every row,
+    including which tied point the kd-tree keeps, equals the direct call.
+    """
+    queries = np.ascontiguousarray(queries, dtype=np.float64)
+    if k < 1:
+        raise InvalidInput("k must be >= 1")
+    if k > table.shape[1]:
+        raise InvalidInput(f"k={k} exceeds the table's {table.shape[1]} columns")
+    if k == table.shape[1]:
+        return table
+    inner = index._points[table[:, k - 1]] - queries
+    outer = index._points[table[:, k]] - queries
+    d2_in = np.einsum("ij,ij->i", inner, inner)
+    d2_out = np.einsum("ij,ij->i", outer, outer)
+    near = np.flatnonzero(d2_out <= d2_in * (1.0 + _SLACK) ** 2)
+    out = table[:, :k].copy()
+    if near.size:
+        out[near] = knn_batch(index, queries[near], k)
+    return out
+
+
 def radius_search(index: SpatialIndex, q, r: float) -> np.ndarray:
     """Ascending indices of all points within distance r (inclusive)."""
     if not r > 0:
@@ -209,12 +241,16 @@ def radius_search(index: SpatialIndex, q, r: float) -> np.ndarray:
     return np.sort(keep)
 
 
-def estimate_normals(cloud: PointCloud, k: int, viewpoint) -> tuple[np.ndarray, np.ndarray]:
+def estimate_normals(
+    cloud: PointCloud, k: int, viewpoint, neighbors: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Per-point unit surface normals from k-neighborhood covariance.
 
     The normal is the eigenvector with the smallest eigenvalue, sign-flipped
     to face the viewpoint. Neighborhoods with rank < 2 covariance are
     flagged invalid (normal row zeroed) instead of fabricating a direction.
+    `neighbors` is the (N, k) table knn_batch(build_index(cloud),
+    cloud.points, k); it is queried here when not given.
 
     Returns (normals (N, 3), valid (N,) bool).
     """
@@ -223,9 +259,11 @@ def estimate_normals(cloud: PointCloud, k: int, viewpoint) -> tuple[np.ndarray, 
     if len(cloud) < k:
         raise InsufficientPoints(f"cloud of {len(cloud)} points cannot supply k={k}")
     viewpoint = np.asarray(viewpoint, dtype=np.float64).reshape(3)
-    index = build_index(cloud)
-    nbrs = knn_batch(index, cloud.points, k)        # includes the point itself
-    neigh = cloud.points[nbrs]                      # (N, k, 3)
+    if neighbors is None:
+        neighbors = knn_batch(build_index(cloud), cloud.points, k)
+    elif neighbors.shape != (len(cloud), k):
+        raise InvalidInput(f"neighbor table must be ({len(cloud)}, {k}), got {neighbors.shape}")
+    neigh = cloud.points[neighbors]                 # (N, k, 3), the point itself too
     mean = neigh.mean(axis=1, keepdims=True)
     d = neigh - mean
     cov = np.einsum("nki,nkj->nij", d, d) / k

@@ -18,6 +18,7 @@ from .errors import (
     DegeneratePair,
     EmptyHistogram,
     FormatError,
+    InsufficientPoints,
     InvalidDescriptor,
     InvalidInput,
 )
@@ -163,13 +164,16 @@ def _bin_index(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
 
 def _histogram_pairs(src_idx, alpha, phi, theta, valid, n_points) -> tuple[np.ndarray, np.ndarray]:
     """Accumulate angle triples into per-point 33-bin histograms, sum 100 per block."""
-    hist = np.zeros((n_points, FPFH_DIM))
-    counts = np.zeros(n_points)
     s = src_idx[valid]
-    np.add.at(hist, (s, _bin_index(alpha[valid], -1.0, 1.0)), 1.0)
-    np.add.at(hist, (s, 11 + _bin_index(phi[valid], -1.0, 1.0)), 1.0)
-    np.add.at(hist, (s, 22 + _bin_index(theta[valid], -np.pi, np.pi)), 1.0)
-    np.add.at(counts, s, 1.0)
+    row = s * FPFH_DIM
+    bins = np.concatenate([
+        row + _bin_index(alpha[valid], -1.0, 1.0),
+        row + 11 + _bin_index(phi[valid], -1.0, 1.0),
+        row + 22 + _bin_index(theta[valid], -np.pi, np.pi),
+    ])
+    # integer counts, so the result does not depend on the order of the adds
+    hist = np.bincount(bins, minlength=n_points * FPFH_DIM).reshape(n_points, FPFH_DIM).astype(np.float64)
+    counts = np.bincount(s, minlength=n_points).astype(np.float64)
     has = counts > 0
     for block in range(3):
         sl = slice(11 * block, 11 * (block + 1))
@@ -202,7 +206,7 @@ def fpfh(
     normals: np.ndarray,
     k: int,
     valid_normals: np.ndarray | None = None,
-    index: pc.SpatialIndex | None = None,
+    neighbors: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fast point-feature histograms for every point of a cloud.
 
@@ -213,7 +217,10 @@ def fpfh(
 
     Neighbors at zero distance (duplicates) or with invalid normals are
     skipped from both the histograms and the average. Points whose own
-    histogram has no valid pair are flagged invalid.
+    histogram has no valid pair are flagged invalid. `neighbors` is the
+    (N, min(k + 1, N)) table knn_batch(build_index(points), points,
+    min(k + 1, N)), each row holding the point itself; it is queried here
+    when not given.
 
     Returns (descriptors (N, 33), valid (N,) bool).
     """
@@ -223,16 +230,16 @@ def fpfh(
         raise InvalidInput("fpfh needs k >= 2")
     if valid_normals is None:
         valid_normals = np.ones(n, dtype=bool)
-    if index is None:
-        index = pc.build_index(points)
+    if neighbors is None:
+        neighbors = pc.knn_batch(pc.build_index(points), points, min(k + 1, n))
+    elif neighbors.shape != (n, min(k + 1, n)):
+        raise InvalidInput(f"neighbor table must be ({n}, {min(k + 1, n)}), got {neighbors.shape}")
 
-    # k nearest excluding the point itself
-    raw = pc.knn_batch(index, points, min(k + 1, n))
-    nbrs = np.empty((n, min(k, n - 1)), dtype=np.intp)
-    for row in range(n):
-        r = raw[row][raw[row] != row]
-        nbrs[row] = r[: nbrs.shape[1]]
-    kk = nbrs.shape[1]
+    # k nearest excluding the point itself: a stable sort moves self (at
+    # most once per row, and absent when duplicates crowd it out) to the end
+    is_self = neighbors == np.arange(n)[:, None]
+    kk = min(k, n - 1)
+    nbrs = np.take_along_axis(neighbors, np.argsort(is_self, axis=1, kind="stable")[:, :kk], axis=1)
 
     src = np.repeat(np.arange(n, dtype=np.intp), kk)
     tgt = nbrs.ravel()
@@ -246,7 +253,11 @@ def fpfh(
     contrib = own_ok[nbrs] & (omega > 0.0) & valid_normals[:, None] & own_ok[:, None]
     weights = np.where(contrib, 1.0 / np.where(omega > 0, omega, 1.0), 0.0)
     counts = contrib.sum(axis=1)
-    weighted = np.einsum("nk,nkd->nd", weights, own[nbrs])
+    # one neighbor column at a time: the same sum, in the same order, as a
+    # reduction over an (N, kk, 33) gather, without that gather
+    weighted = np.zeros((n, FPFH_DIM))
+    for j in range(kk):
+        weighted += weights[:, j, None] * own[nbrs[:, j]]
     scale = np.where(counts > 0, counts, 1.0)
     out = own + weighted / scale[:, None]
     out_valid = own_ok & valid_normals
@@ -276,14 +287,39 @@ def assemble_features(hsv_arr: np.ndarray, fpfh_arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def neighbor_tables(cloud: pc.PointCloud, normal_k: int, fpfh_k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(normal table, fpfh table) for point_features from one kd-tree and
+    one full query.
+
+    They equal knn_batch(index, points, normal_k) and knn_batch(index,
+    points, min(fpfh_k + 1, N)) byte for byte: the query runs at the larger
+    width and cloud.knn_batch_prefix reads the smaller table off it.
+    """
+    index = pc.build_index(cloud)
+    fpfh_width = min(fpfh_k + 1, len(cloud))
+    table = pc.knn_batch(index, cloud.points, max(normal_k, fpfh_width))
+    return (
+        pc.knn_batch_prefix(index, cloud.points, table, normal_k),
+        pc.knn_batch_prefix(index, cloud.points, table, fpfh_width),
+    )
+
+
 def point_features(cloud: pc.PointCloud, normal_k: int = 30, fpfh_k: int = 30):
     """(features (N, 36), valid (N,)) for every point of a cloud.
 
     Normals face the camera origin; valid flags points with a usable normal
-    and histogram.
+    and histogram. Normals and histograms share one neighbor query
+    (neighbor_tables).
     """
-    normals, n_valid = pc.estimate_normals(cloud, normal_k, (0.0, 0.0, 0.0))
-    hists, h_valid = fpfh(cloud, normals, fpfh_k, n_valid)
+    if normal_k < 3:
+        raise InvalidInput("normal estimation needs k >= 3")
+    if len(cloud) < normal_k:
+        raise InsufficientPoints(f"cloud of {len(cloud)} points cannot supply k={normal_k}")
+    if fpfh_k < 2:
+        raise InvalidInput("fpfh needs k >= 2")
+    normal_nbrs, fpfh_nbrs = neighbor_tables(cloud, normal_k, fpfh_k)
+    normals, n_valid = pc.estimate_normals(cloud, normal_k, (0.0, 0.0, 0.0), normal_nbrs)
+    hists, h_valid = fpfh(cloud, normals, fpfh_k, n_valid, fpfh_nbrs)
     return assemble_features(rgb_to_hsv_array(cloud.colors), hists), n_valid & h_valid
 
 

@@ -646,7 +646,10 @@ class Network:
                 buf = fh.read(p.size * 8)
                 if len(buf) != p.size * 8:
                     raise FormatError(f"{path}: truncated weight file")
-                p[:] = np.frombuffer(buf, dtype="<f8").reshape(p.shape)
+                values = np.frombuffer(buf, dtype="<f8")
+                if not np.isfinite(values).all():
+                    raise FormatError(f"{path}: non-finite weight")
+                p[:] = values.reshape(p.shape)
             if fh.read(1):
                 raise FormatError(f"{path}: trailing bytes in weight file")
 

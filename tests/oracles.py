@@ -6,8 +6,10 @@ eval_filtered_per_threshold, which reruns the library's own filter at every
 threshold to check the one-pass sweep built on top of it, the previous
 CNN kernels, which plug into the library's layers, the previous CNN
 scoring path, which reuses the library's score map, the per-patch
-score map, which runs the library's network on every patch, and the
-per-row file readers and writers, which build the library's own objects.
+score map, which runs the library's network on every patch, the previous
+pfh-svm scoring path, which reuses the library's pair angles, binning,
+normals and knn_batch, and the per-row file readers and writers, which
+build the library's own objects.
 """
 
 import contextlib
@@ -242,6 +244,113 @@ def naive_fpfh(points, normals, k):
         if cnt:
             out[i] = own[i] + acc / cnt
     return out, ok
+
+
+# The pfh-svm scoring path before its shared neighbor query, streamed
+# histograms and cache-sized kernel blocks, kept as it was: the library's
+# descriptors, neighbor tables and Gram matrices must match it bit for bit.
+
+
+def kernel_reference(kind, gamma, a, b):
+    """Gram matrix in blocks of up to 4,000,000 broadcast elements."""
+    if kind not in ("linear", "rbf"):
+        raise InvalidInput(f"unknown kernel {kind!r}")
+    n, m = a.shape[0], b.shape[0]
+    out = np.empty((n, m))
+    chunk = max(1, 4_000_000 // max(m * a.shape[1], 1))
+    for start in range(0, n, chunk):
+        ac = a[start : start + chunk]
+        if kind == "linear":
+            out[start : start + chunk] = np.einsum("ik,jk->ij", ac, b)
+        else:
+            d = ac[:, None, :] - b[None, :, :]
+            out[start : start + chunk] = np.exp(-gamma * np.einsum("ijk,ijk->ij", d, d))
+    return out
+
+
+def _histogram_pairs_reference(src_idx, alpha, phi, theta, valid, n_points):
+    hist = np.zeros((n_points, ft.FPFH_DIM))
+    counts = np.zeros(n_points)
+    s = src_idx[valid]
+    np.add.at(hist, (s, ft._bin_index(alpha[valid], -1.0, 1.0)), 1.0)
+    np.add.at(hist, (s, 11 + ft._bin_index(phi[valid], -1.0, 1.0)), 1.0)
+    np.add.at(hist, (s, 22 + ft._bin_index(theta[valid], -np.pi, np.pi)), 1.0)
+    np.add.at(counts, s, 1.0)
+    has = counts > 0
+    for block in range(3):
+        sl = slice(11 * block, 11 * (block + 1))
+        hist[has, sl] *= (100.0 / counts[has])[:, None]
+    return hist, has
+
+
+def fpfh_reference(points, normals, k, valid_normals=None):
+    """Descriptors from the cloud's own (k + 1)-neighbor query, self
+    stripped row by row, histograms by np.add.at and the neighbor average
+    as one reduction over an (N, k, 33) gather."""
+    points = np.asarray(points, dtype=np.float64)
+    n = points.shape[0]
+    if k < 2:
+        raise InvalidInput("fpfh needs k >= 2")
+    if valid_normals is None:
+        valid_normals = np.ones(n, dtype=bool)
+    raw = pc.knn_batch(pc.build_index(points), points, min(k + 1, n))
+    nbrs = np.empty((n, min(k, n - 1)), dtype=np.intp)
+    for row in range(n):
+        r = raw[row][raw[row] != row]
+        nbrs[row] = r[: nbrs.shape[1]]
+    kk = nbrs.shape[1]
+    src = np.repeat(np.arange(n, dtype=np.intp), kk)
+    tgt = nbrs.ravel()
+    pair_ok = valid_normals[src] & valid_normals[tgt]
+    alpha, phi, theta, valid = ft._pair_angles(points[src], normals[src], points[tgt], normals[tgt])
+    valid &= pair_ok
+    own, own_ok = _histogram_pairs_reference(src, alpha, phi, theta, valid, n)
+    diff = points[nbrs] - points[:, None, :]
+    omega = np.linalg.norm(diff, axis=2)
+    contrib = own_ok[nbrs] & (omega > 0.0) & valid_normals[:, None] & own_ok[:, None]
+    weights = np.where(contrib, 1.0 / np.where(omega > 0, omega, 1.0), 0.0)
+    counts = contrib.sum(axis=1)
+    weighted = np.einsum("nk,nkd->nd", weights, own[nbrs])
+    scale = np.where(counts > 0, counts, 1.0)
+    out = own + weighted / scale[:, None]
+    out_valid = own_ok & valid_normals
+    out[~out_valid] = 0.0
+    return out, out_valid
+
+
+def neighbor_tables_reference(points, normal_k, fpfh_k):
+    """The two separate queries: (knn_batch at normal_k, knn_batch at
+    min(fpfh_k + 1, N)), each on a kd-tree of its own."""
+    points = np.asarray(points, dtype=np.float64)
+    n = len(points)
+    return (
+        pc.knn_batch(pc.build_index(points), points, normal_k),
+        pc.knn_batch(pc.build_index(points), points, min(fpfh_k + 1, n)),
+    )
+
+
+def point_features_reference(cloud, normal_k=30, fpfh_k=30):
+    """Normals from their own query, then fpfh_reference."""
+    normals, n_valid = pc.estimate_normals(cloud, normal_k, (0.0, 0.0, 0.0))
+    hists, h_valid = fpfh_reference(cloud.points, normals, fpfh_k, n_valid)
+    return ft.assemble_features(ft.rgb_to_hsv_array(cloud.colors), hists), n_valid & h_valid
+
+
+def svm_score_batch_reference(model, feats):
+    xs = (np.asarray(feats, dtype=np.float64) - model.feature_means) / model.feature_scales
+    k = kernel_reference(model.kernel, model.gamma, xs, model.support_vectors)
+    return np.einsum("ij,j->i", k, model.dual_coefs) + model.bias
+
+
+def pfh_svm_score_frame_reference(detector, frame, roi):
+    """PfhSvmDetector.score_frame composed from the reference pieces."""
+    rows = pl.roi_rows(frame, roi)
+    scores = np.zeros(len(rows))
+    if len(rows) > detector.normal_k:
+        feats, valid = point_features_reference(frame.cloud.subset(rows), detector.normal_k, detector.fpfh_k)
+        if valid.any():
+            scores[valid] = pl.margin_to_score(svm_score_batch_reference(detector.model, feats[valid]))
+    return pl.scored_cloud(frame, rows, scores)
 
 
 def conv_reference(x, w, b, stride, pad):

@@ -7,6 +7,7 @@ constrained optimizer on small problems.
 
 import numpy as np
 import pytest
+from oracles import kernel_reference, svm_score_batch_reference
 from scipy.optimize import minimize
 
 from peduncle import classifiers as cls
@@ -319,3 +320,39 @@ class TestNaiveBayes:
         path.write_text(text)
         with pytest.raises(FormatError):
             cls.load_nb(path)
+
+
+class TestKernelBlocksPinned:
+    """_kernel in cache-sized blocks gives the reference's Gram matrix bit
+    for bit: one row, many blocks, and support-vector counts from 1 to more
+    than one block's worth (a row block then holds a single row)."""
+
+    @pytest.mark.parametrize("kind", ["rbf", "linear"])
+    @pytest.mark.parametrize("n_rows", [1, 2, 600])
+    @pytest.mark.parametrize("n_sv", [1, 5, 37, 1820, 1821, 2100])
+    def test_matches_reference(self, kind, n_rows, n_sv):
+        rng = np.random.default_rng(n_rows * 7919 + n_sv)
+        a = rng.normal(size=(n_rows, 36))
+        b = rng.normal(size=(n_sv, 36))
+        got = cls._kernel(kind, 1.0 / 36.0, a, b)
+        want = kernel_reference(kind, 1.0 / 36.0, a, b)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_block_edges_match_reference(self):
+        # row counts on either side of a multiple of the block height
+        rng = np.random.default_rng(11)
+        b = rng.normal(size=(300, 36))
+        rows = max(1, cls._KERNEL_BLOCK // (300 * 36))
+        for n_rows in (rows - 1, rows, rows + 1, 3 * rows, 3 * rows + 1):
+            a = rng.normal(size=(n_rows, 36))
+            got = cls._kernel("rbf", 0.5, a, b)
+            assert got.tobytes() == kernel_reference("rbf", 0.5, a, b).tobytes()
+
+    def test_svm_scores_match_reference(self):
+        rng = np.random.default_rng(12)
+        x, y = make_blobs(rng, 150, [np.zeros(36), np.full(36, 0.6)], 1.0)
+        model = cls.svm_train(x, y, cls.SvmParams(max_passes=20))
+        probe = rng.normal(0.3, 1.0, (900, 36))
+        got = cls.svm_score_batch(model, probe)
+        assert got.tobytes() == svm_score_batch_reference(model, probe).tobytes()

@@ -12,6 +12,7 @@ from peduncle import classifiers as cls
 from peduncle import cloud as pc
 from peduncle import config as cfgmod
 from peduncle import evaluate as ev
+from peduncle import minicnn as mc
 from peduncle import pipeline as pl
 from peduncle import scenegen as sg
 from peduncle import workflows as wf
@@ -188,6 +189,21 @@ class TestExitCodes:
                    str(scene_dir / "manifest.txt"), "--models", workdir["models"],
                    "--detector", "cnn", "--out", str(tmp_path / "s")])
         assert rc == 2
+
+    def test_non_finite_cnn_weight_is_2(self, workdir, tmp_path):
+        models = tmp_path / "models"
+        models.mkdir()
+        for name in ("nb.model", "net.spec"):
+            (models / name).write_bytes(open(os.path.join(workdir["models"], name), "rb").read())
+        net = mc.Network.from_netspec(mc.load_netspec(models / "net.spec"))
+        net.load_weights(os.path.join(workdir["models"], "net.weights"))
+        _, _, p, _ = next(iter(net.parameters()))
+        p.flat[0] = np.nan
+        net.save_weights(models / "net.weights")
+        rc = main(["score", "--config", workdir["cfg"], "--scenes", workdir["manifest"],
+                   "--models", str(models), "--detector", "cnn", "--out", str(tmp_path / "s")])
+        assert rc == 2
+        assert not list((tmp_path / "s").glob("*.scores"))
 
 
 def _write_scenes(scene_dir, cfg_path, scenes):

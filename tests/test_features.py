@@ -7,11 +7,21 @@ and normalization loops.
 
 import numpy as np
 import pytest
-from oracles import naive_fpfh, naive_spfh
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import (
+    fpfh_reference,
+    naive_fpfh,
+    naive_spfh,
+    neighbor_tables_reference,
+    point_features_reference,
+)
 
 from peduncle import cloud as pc
 from peduncle import features as ft
-from peduncle.errors import DegeneratePair, EmptyHistogram, FormatError, InvalidDescriptor
+from peduncle import pipeline as pl
+from peduncle import scenegen as sg
+from peduncle.errors import DegeneratePair, EmptyHistogram, FormatError, InvalidDescriptor, InvalidInput
 
 
 class TestHsv:
@@ -200,6 +210,132 @@ class TestFpfh:
         normals = np.tile([0.0, 0.0, 1.0], (4, 1))
         out, ok = ft.fpfh(pts, normals, 3)
         assert np.isfinite(out).all()
+
+
+def same_bytes(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.fixture(scope="module")
+def c6_frame():
+    """C6 evaluation draw 40 and its ground-truth region of interest."""
+    frame = sg.generate(sg.benchmark_params(41, 20240, sg.benchmark_base())[40]).frame
+    pepper = frame.cloud.labels == pc.LABEL_PEPPER
+    roi = pl.compute_roi(pl.pixel_bbox(frame.pixels[pepper]), *frame.depth_raw.shape[::-1])
+    return frame, pl.roi_rows(frame, roi)
+
+
+def lattice(n_side, scale=1.0):
+    """Integer grid points: every distance is tied many times over."""
+    g = np.stack(np.meshgrid(*[np.arange(n_side)] * 3, indexing="ij"), -1).reshape(-1, 3)
+    return g.astype(np.float64) * scale
+
+
+@st.composite
+def lattice_clouds(draw):
+    """Points drawn from a small lattice, with duplicates, in any order."""
+    side = draw(st.integers(1, 4))
+    grid = lattice(side, draw(st.sampled_from([1.0, 0.25, 0.01, 0.003])))
+    picks = draw(st.lists(st.integers(0, len(grid) - 1), min_size=3, max_size=70))
+    return pc.PointCloud(grid[picks])
+
+
+class TestSharedNeighborTables:
+    """One query serves normals and histograms; both tables equal their
+    own knn_batch calls byte for byte, ties and duplicates included."""
+
+    @pytest.mark.parametrize("relation", ["below", "equal", "above"])
+    @settings(max_examples=60, deadline=None)
+    @given(cloud=lattice_clouds(), fpfh_k=st.integers(2, 40), delta=st.integers(1, 12))
+    def test_lattice_tables_match_two_queries(self, relation, cloud, fpfh_k, delta):
+        n = len(cloud)
+        width = min(fpfh_k + 1, n)
+        normal_k = {"below": width - delta, "equal": width, "above": width + delta}[relation]
+        normal_k = min(max(normal_k, 1), n)
+        got = ft.neighbor_tables(cloud, normal_k, fpfh_k)
+        want = neighbor_tables_reference(cloud.points, normal_k, fpfh_k)
+        assert same_bytes(got[0], want[0]) and same_bytes(got[1], want[1])
+
+    @pytest.mark.parametrize("copies", [2, 5, 9])
+    def test_duplicate_stacks_match_two_queries(self, copies):
+        # every point repeated: zero-distance ties at every table boundary
+        cloud = pc.PointCloud(np.repeat(lattice(3, 0.01), copies, axis=0))
+        for normal_k, fpfh_k in ((3, 2), (copies, copies), (copies + 1, 3), (10, 12)):
+            got = ft.neighbor_tables(cloud, normal_k, fpfh_k)
+            want = neighbor_tables_reference(cloud.points, normal_k, fpfh_k)
+            assert same_bytes(got[0], want[0]) and same_bytes(got[1], want[1])
+
+    @pytest.mark.parametrize("normal_k,fpfh_k", [(30, 30), (31, 30), (45, 30), (8, 30), (30, 8)])
+    def test_c6_roi_tables_match_two_queries(self, c6_frame, normal_k, fpfh_k):
+        frame, rows = c6_frame
+        cloud = frame.cloud.subset(rows)
+        got = ft.neighbor_tables(cloud, normal_k, fpfh_k)
+        want = neighbor_tables_reference(cloud.points, normal_k, fpfh_k)
+        assert same_bytes(got[0], want[0]) and same_bytes(got[1], want[1])
+
+    def test_prefix_rejects_a_wider_k(self):
+        pts = lattice(3)
+        index = pc.build_index(pts)
+        table = pc.knn_batch(index, pts, 5)
+        assert same_bytes(pc.knn_batch_prefix(index, pts, table, 5), table)
+        with pytest.raises(InvalidInput):
+            pc.knn_batch_prefix(index, pts, table, 6)
+
+
+class TestPinnedToReference:
+    """The streamed histograms equal the previous descriptor path bit for
+    bit: shared query, vectorised self strip, bincount histograms and the
+    per-column neighbor average."""
+
+    @staticmethod
+    def check(points, normals, k, valid=None):
+        got = ft.fpfh(points, normals, k, valid)
+        want = fpfh_reference(points, normals, k, valid)
+        assert same_bytes(got[0], want[0]) and same_bytes(got[1], want[1])
+
+    def test_c6_roi(self, c6_frame):
+        frame, rows = c6_frame
+        cloud = frame.cloud.subset(rows)
+        normals, valid = pc.estimate_normals(cloud, 30, (0.0, 0.0, 0.0))
+        self.check(cloud.points, normals, 30, valid)
+
+    def test_c6_full_cloud(self, c6_frame):
+        frame, _ = c6_frame
+        normals, valid = pc.estimate_normals(frame.cloud, 30, (0.0, 0.0, 0.0))
+        self.check(frame.cloud.points, normals, 30, valid)
+
+    @pytest.mark.parametrize("k", [2, 6, 26, 40])
+    def test_tie_heavy_lattice(self, k):
+        pts = lattice(4, 0.01)
+        normals, valid = pc.estimate_normals(pc.PointCloud(pts), 7, (0.0, 0.0, -1.0))
+        self.check(pts, normals, k, valid)
+
+    def test_invalid_normals_and_duplicates(self):
+        rng = np.random.default_rng(17)
+        pts = rng.uniform(0, 0.05, (150, 3))
+        pts[40:60] = pts[0]                    # a stack of zero-distance duplicates
+        pts[100:103] = pts[99]
+        normals = rng.normal(size=(150, 3))
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        valid = rng.uniform(size=150) > 0.2
+        normals[~valid] = 0.0
+        for k in (3, 12, 30):
+            self.check(pts, normals, k, valid)
+            self.check(pts, normals, k)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_clouds_smaller_than_k(self, n):
+        pts = lattice(2)[:n]
+        normals = np.tile([0.0, 0.6, 0.8], (n, 1))
+        self.check(pts, normals, 8)
+
+    def test_point_features_on_c6_roi(self, c6_frame):
+        frame, rows = c6_frame
+        cloud = frame.cloud.subset(rows)
+        for normal_k, fpfh_k in ((30, 30), (12, 20), (40, 10)):
+            got = ft.point_features(cloud, normal_k, fpfh_k)
+            want = point_features_reference(cloud, normal_k, fpfh_k)
+            assert same_bytes(got[0], want[0]) and same_bytes(got[1], want[1])
 
 
 class TestAssemble:

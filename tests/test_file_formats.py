@@ -33,7 +33,7 @@ from peduncle import minicnn as mc
 from peduncle import pipeline as pl
 from peduncle import scenegen as sg
 from peduncle.cli import load_scores, main, save_scores
-from peduncle.errors import FormatError
+from peduncle.errors import FormatError, InvalidInput
 
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308, 1.7976931348623157e308, 0.1]
 FLOATS = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=False, allow_infinity=False))
@@ -278,3 +278,26 @@ def test_non_utf8_config_is_cli_exit_2(tmp_path):
     scores.write_text("scores v1 1\n0.0 0.0 1.0 0.5 1\n")
     assert main(["pr-curve", "--config", str(cfg), "--scores", str(scores), "--out", str(tmp_path / "o")]) == 2
     assert not os.path.exists(tmp_path / "o" / "pr.csv")
+
+
+# ---------------------------------------------------------------------------
+# value and label arrays of different lengths
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n_labels", [2, 4])
+def test_features_with_mismatched_labels_rejected(tmp_path, n_labels):
+    path = tmp_path / "f.txt"
+    with pytest.raises(InvalidInput):
+        ft.save_features(path, np.zeros((3, 36)), np.arange(n_labels))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("n_labels", [1, 3])
+def test_scores_with_mismatched_labels_rejected(tmp_path, n_labels):
+    cloud = pc.PointCloud(np.arange(6, dtype=np.float64).reshape(2, 3))
+    scored = pl.ScoredCloud(cloud, np.array([0.25, 0.75]), np.zeros((2, 2), dtype=np.intp))
+    path = tmp_path / "s.scores"
+    with pytest.raises(InvalidInput):
+        save_scores(path, scored, np.ones(n_labels, dtype=np.int64))
+    assert not path.exists()

@@ -379,6 +379,17 @@ class TestWeightsFile:
         with pytest.raises(FormatError):
             mc.Network.from_netspec(spec).load_weights(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, tmp_path, bad):
+        spec = mc.parse_netspec(DEFAULT_SPEC_TEXT)
+        net = mc.Network.from_netspec(spec, seed=16)
+        _, _, p, _ = list(net.parameters())[-1]
+        p.flat[-1] = bad
+        path = tmp_path / "w.bin"
+        net.save_weights(path)
+        with pytest.raises(FormatError):
+            mc.Network.from_netspec(spec).load_weights(path)
+
 
 class TestTraining:
     def test_loss_decreases_on_separable_patches(self):

@@ -5,7 +5,11 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from oracles import cnn_score_frame_reference
+from oracles import (
+    cnn_score_frame_reference,
+    pfh_svm_score_frame_reference,
+    point_features_reference,
+)
 
 from peduncle import classifiers as cls
 from peduncle import cloud as pc
@@ -263,6 +267,33 @@ class TestOneScoringPath:
                                  (scored.cloud.labels, want.labels)):
                     assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
                 assert scored.scores.shape == (len(rows),)
+
+    def test_pfh_svm_matches_previous_path(self, frames):
+        # an rbf model over real ROI features, with enough support vectors
+        # for many kernel blocks
+        rng = np.random.default_rng(5)
+        rows = pl.roi_rows(frames[0], self.truth_roi(frames[0]))
+        feats, valid = point_features_reference(frames[0].cloud.subset(rows))
+        feats = feats[valid]
+        means, scales = feats.mean(axis=0), np.where(feats.std(axis=0) > 0, feats.std(axis=0), 1.0)
+        svs = (feats[rng.choice(len(feats), 400, replace=False)] - means) / scales
+        model = cls.SvmModel(
+            kernel="rbf", gamma=1.0 / 36.0, c=10.0, bias=-0.2,
+            dual_coefs=rng.normal(size=400), support_vectors=svs + rng.normal(0, 0.1, svs.shape),
+            feature_means=means, feature_scales=scales,
+        )
+        det = pl.PfhSvmDetector(model)
+        for frame in frames:
+            roi = self.truth_roi(frame)
+            got = det.score_frame(frame, roi)
+            ref = pfh_svm_score_frame_reference(det, frame, roi)
+            assert np.unique(got.scores).size > 100
+            pairs = (
+                (got.cloud.points, ref.cloud.points), (got.cloud.colors, ref.cloud.colors),
+                (got.cloud.labels, ref.cloud.labels), (got.scores, ref.scores), (got.pixels, ref.pixels),
+            )
+            for a, b in pairs:
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_cnn_matches_previous_projection(self, frames, detectors):
         det = detectors[1]
