@@ -183,11 +183,6 @@ def svm_train(features: np.ndarray, labels: np.ndarray, params: SvmParams | None
     )
 
 
-def svm_score(model: SvmModel, f: np.ndarray) -> float:
-    """Signed margin for one feature vector (positive class when > 0)."""
-    return float(svm_score_batch(model, np.asarray(f, dtype=np.float64)[None, :])[0])
-
-
 def svm_score_batch(model: SvmModel, feats: np.ndarray) -> np.ndarray:
     """Signed margins for (N, dim) feature rows."""
     feats = np.asarray(feats, dtype=np.float64)
@@ -197,35 +192,6 @@ def svm_score_batch(model: SvmModel, feats: np.ndarray) -> np.ndarray:
     k = _kernel(model.kernel, model.gamma, xs, model.support_vectors)
     # per-row reduction keeps single and batched scoring bit-identical
     return np.einsum("ij,j->i", k, model.dual_coefs) + model.bias
-
-
-def kkt_violations(model: SvmModel, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Per-sample KKT violation magnitudes of a trained model on its data.
-
-    Zero within tol everywhere certifies dual optimality:
-      alpha == 0  ->  y*f >= 1,   alpha == C  ->  y*f <= 1,
-      0 < alpha < C  ->  y*f == 1.
-    """
-    y = np.asarray(labels, dtype=np.float64).reshape(-1)
-    margins = y * svm_score_batch(model, features)
-    # recover per-sample alpha by matching rows against stored SVs
-    xs = (np.asarray(features, dtype=np.float64) - model.feature_means) / model.feature_scales
-    alphas = np.zeros(len(xs))
-    sv_map = {}
-    for r, coef in zip(model.support_vectors, model.dual_coefs):
-        sv_map.setdefault(r.tobytes(), []).append(abs(coef))
-    for i, row in enumerate(xs):
-        stack = sv_map.get(row.tobytes())
-        if stack:
-            alphas[i] = stack.pop()
-    viol = np.zeros(len(xs))
-    at_zero = alphas <= 1e-10
-    at_c = alphas >= model.c - 1e-10 * max(model.c, 1.0)
-    interior = ~at_zero & ~at_c
-    viol[at_zero] = np.maximum(0.0, 1.0 - margins[at_zero])
-    viol[at_c] = np.maximum(0.0, margins[at_c] - 1.0)
-    viol[interior] = np.abs(margins[interior] - 1.0)
-    return viol
 
 
 def save_svm(path, model: SvmModel) -> None:

@@ -25,14 +25,7 @@ from . import pipeline as pl
 from . import scenegen as sg
 from . import workflows as wf
 from ._textio import open_text, read_rows, write_rows
-from .errors import (
-    EmptyProjection,
-    FormatError,
-    NoPeduncleFound,
-    NoPepperFound,
-    PeduncleError,
-    RoiOutOfImage,
-)
+from .errors import FormatError, NoPeduncleFound, PeduncleError
 
 
 def _log(msg: str) -> None:
@@ -44,31 +37,31 @@ def _echo_config(out_dir: str, cfg: dict) -> None:
     cfgmod.write_config(os.path.join(out_dir, "config.cfg"), cfg)
 
 
-def _filter_params(cfg: dict, threshold: float | None = None) -> pl.FilterParams:
-    return pl.FilterParams(
-        score_threshold=(
-            threshold if threshold is not None else cfgmod.cfg_float(cfg, "score_threshold")
+def _detection_params(cfg: dict, threshold: float | None = None) -> dict:
+    """The configuration's detection parameters, as the fp, pepper_params,
+    box_params and up keyword arguments of pipeline.run_detection and
+    workflows.evaluate_detector. `threshold` overrides score_threshold."""
+    return {
+        "fp": pl.FilterParams(
+            score_threshold=(
+                threshold if threshold is not None else cfgmod.cfg_float(cfg, "score_threshold")
+            ),
+            pepper_posterior_threshold=cfgmod.cfg_float(cfg, "pepper_posterior_threshold"),
+            cluster_tol=cfgmod.cfg_float(cfg, "cluster_tol"),
+            min_cluster=cfgmod.cfg_int(cfg, "min_cluster"),
+            max_cluster=cfgmod.cfg_int(cfg, "max_cluster"),
         ),
-        pepper_posterior_threshold=cfgmod.cfg_float(cfg, "pepper_posterior_threshold"),
-        cluster_tol=cfgmod.cfg_float(cfg, "cluster_tol"),
-        min_cluster=cfgmod.cfg_int(cfg, "min_cluster"),
-        max_cluster=cfgmod.cfg_int(cfg, "max_cluster"),
-    )
-
-
-def _pepper_params(cfg: dict) -> pl.PepperDetectParams:
-    return pl.PepperDetectParams(
-        posterior_threshold=cfgmod.cfg_float(cfg, "pepper_posterior_threshold"),
-        cluster_tol=cfgmod.cfg_float(cfg, "pepper_cluster_tol"),
-        min_points=cfgmod.cfg_int(cfg, "pepper_min_points"),
-    )
-
-
-def _box_params(cfg: dict) -> pl.PeduncleBoxParams:
-    return pl.PeduncleBoxParams(
-        h_offset=cfgmod.cfg_float(cfg, "h_offset"),
-        symmetric=cfgmod.cfg_str(cfg, "box_vertical") == "symmetric",
-    )
+        "pepper_params": pl.PepperDetectParams(
+            posterior_threshold=cfgmod.cfg_float(cfg, "pepper_posterior_threshold"),
+            cluster_tol=cfgmod.cfg_float(cfg, "pepper_cluster_tol"),
+            min_points=cfgmod.cfg_int(cfg, "pepper_min_points"),
+        ),
+        "box_params": pl.PeduncleBoxParams(
+            h_offset=cfgmod.cfg_float(cfg, "h_offset"),
+            symmetric=cfgmod.cfg_str(cfg, "box_vertical") == "symmetric",
+        ),
+        "up": pl.parse_up_axis(cfgmod.cfg_str(cfg, "up_axis")),
+    }
 
 
 def _load_scenes(manifest: str, split: str | None):
@@ -163,8 +156,8 @@ def cmd_extract_features(args) -> int:
 
 def cmd_train_svm(args) -> int:
     cfg = cfgmod.merged_config(args.config)
-    _echo_config(args.out, cfg)
     feats, labels = ft.load_features(args.features)
+    _echo_config(args.out, cfg)
     keep = labels != pc.LABEL_UNLABELED
     y = np.where(labels[keep] == pc.LABEL_PEDUNCLE, 1.0, -1.0)
     params = cls.SvmParams(
@@ -197,7 +190,6 @@ def cmd_train_nb(args) -> int:
 def cmd_train_cnn(args) -> int:
     cfg = cfgmod.merged_config(args.config)
     scenes, _ = _load_scenes(args.scenes, args.split)
-    _echo_config(args.out, cfg)
     if args.netspec:
         spec = mc.load_netspec(args.netspec)
     else:
@@ -206,6 +198,7 @@ def cmd_train_cnn(args) -> int:
         spec = mc.parse_netspec(
             resources.files("peduncle").joinpath("data/default_net.spec").read_text()
         )
+    _echo_config(args.out, cfg)
     net = wf.train_cnn_from_scenes(
         scenes,
         spec,
@@ -225,11 +218,12 @@ def cmd_train_cnn(args) -> int:
 def cmd_score(args) -> int:
     cfg = cfgmod.merged_config(args.config)
     scenes, entries = _load_scenes(args.scenes, args.split)
-    _echo_config(args.out, cfg)
     nb = cls.load_nb(os.path.join(args.models, "nb.model"))
     detector = _load_detector(args.detector, args.models, cfg)
+    pepper_params = _detection_params(cfg)["pepper_params"]
+    _echo_config(args.out, cfg)
     for scene, entry in zip(scenes, entries):
-        rec = wf.score_scene(scene, detector, nb, _pepper_params(cfg))
+        rec = wf.score_scene(scene, detector, nb, pepper_params)
         save_scores(os.path.join(args.out, f"{entry['id']}.scores"), rec.scored, rec.eval_labels)
         _log(f"{entry['id']}: {len(rec.scored)} scored points")
     return 0
@@ -244,28 +238,21 @@ def cmd_filter(args) -> int:
             raise FormatError(f"scene {args.scene!r} not in manifest")
     else:
         pairs = list(zip(scenes, entries))
-    _echo_config(args.out, cfg)
     nb = cls.load_nb(os.path.join(args.models, "nb.model"))
     detector = _load_detector(args.detector, args.models, cfg)
+    params = _detection_params(cfg, args.threshold)
+    _echo_config(args.out, cfg)
     missed = 0
     for scene, entry in pairs:
         try:
-            result = pl.run_detection(
-                scene.frame,
-                nb,
-                detector,
-                _filter_params(cfg, args.threshold),
-                _pepper_params(cfg),
-                _box_params(cfg),
-                pl.parse_up_axis(cfgmod.cfg_str(cfg, "up_axis")),
-            )
-        except (NoPepperFound, RoiOutOfImage, EmptyProjection, NoPeduncleFound) as exc:
+            result = pl.run_detection(scene.frame, nb, detector, **params)
+        except NoPeduncleFound as exc:
             missed += 1
             with open(os.path.join(args.out, f"{entry['id']}_diag.csv"), "w", newline="\n") as fh:
-                if getattr(exc, "survivors", None):
+                if exc.survivors:
                     fh.write(pl.format_diagnostics(exc.survivors))
-                fh.write(f"error,{type(exc).__name__},{exc}\n")
-            _log(f"{entry['id']}: {type(exc).__name__}: {exc}")
+                fh.write(f"error,{exc.reason},{exc}\n")
+            _log(f"{entry['id']}: {exc.reason}: {exc}")
             continue
         fr = result.filter_result
         with open(os.path.join(args.out, f"{entry['id']}_diag.csv"), "w", newline="\n") as fh:
@@ -285,20 +272,13 @@ def cmd_filter(args) -> int:
 def cmd_eval(args) -> int:
     cfg = cfgmod.merged_config(args.config)
     scenes, _ = _load_scenes(args.scenes, args.split)
-    _echo_config(args.out, cfg)
     nb = cls.load_nb(os.path.join(args.models, "nb.model"))
     detector = _load_detector(args.detector, args.models, cfg)
     thresholds = ev.default_thresholds(cfgmod.cfg_int(cfg, "thresholds"))
+    params = _detection_params(cfg)
+    _echo_config(args.out, cfg)
     raw, filtered, notes = wf.evaluate_detector(
-        scenes,
-        detector,
-        nb,
-        thresholds,
-        _filter_params(cfg),
-        _box_params(cfg),
-        pl.parse_up_axis(cfgmod.cfg_str(cfg, "up_axis")),
-        _pepper_params(cfg),
-        log=_log,
+        scenes, detector, nb, thresholds, log=_log, **params
     )
     for note in notes:
         _log(note)
@@ -313,13 +293,13 @@ def cmd_eval(args) -> int:
 
 def cmd_pr_curve(args) -> int:
     cfg = cfgmod.merged_config(args.config)
-    _echo_config(args.out, cfg)
     scores = []
     labels = []
     for path in args.scores:
         s, l = load_scores(path)
         scores.append(s)
         labels.append(l)
+    _echo_config(args.out, cfg)
     curve = ev.pr_curve(
         np.concatenate(scores),
         np.concatenate(labels),
@@ -334,10 +314,10 @@ def cmd_pr_curve(args) -> int:
 def cmd_throughput(args) -> int:
     cfg = cfgmod.merged_config(args.config)
     scenes, _ = _load_scenes(args.scenes, args.split)
-    _echo_config(args.out, cfg)
     nb = cls.load_nb(os.path.join(args.models, "nb.model"))
     detector = _load_detector(args.detector, args.models, cfg)
-    pepper_params = _pepper_params(cfg)
+    pepper_params = _detection_params(cfg)["pepper_params"]
+    _echo_config(args.out, cfg)
     units = 0
     for scene in scenes:
         units += len(wf.score_scene(scene, detector, nb, pepper_params).scored)
@@ -448,8 +428,8 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.fn(args)
-    except (NoPepperFound, NoPeduncleFound) as exc:
-        _log(f"{type(exc).__name__}: {exc}")
+    except NoPeduncleFound as exc:
+        _log(f"{exc.reason}: {exc}")
         return 3
     except (PeduncleError, OSError) as exc:
         _log(f"error: {exc}")

@@ -1,11 +1,11 @@
 """Point-cloud container, spatial queries, normal estimation and clustering.
 
 Clouds are immutable numpy snapshots: build an index once, then query it
-from any number of workers. knn, radius_search and the clustering are
-exact: identical to a brute-force scan, ties broken by ascending point
-index. knn_batch orders its rows the same way, but when several points
-tie at the k-th distance, which of them make a row is left to the
-kd-tree (deterministic for a given cloud, not by index).
+from any number of workers. radius_pairs and largest_cluster are exact:
+identical to a brute-force scan, ties broken by ascending point index.
+knn_batch orders its rows by exact squared distance, ties by index, but
+when several points tie at the k-th distance, which of them make a row is
+left to the kd-tree (deterministic for a given cloud, not by index).
 """
 
 from __future__ import annotations
@@ -103,16 +103,6 @@ class BoundingBox3:
         return np.all((p >= self.min) & (p <= self.max), axis=1)
 
 
-@dataclass(frozen=True)
-class Cluster:
-    """Ascending point indices of one connected component."""
-
-    indices: np.ndarray
-
-    def __len__(self) -> int:
-        return self.indices.shape[0]
-
-
 class SpatialIndex:
     """kd-tree over a fixed cloud snapshot.
 
@@ -129,17 +119,9 @@ class SpatialIndex:
     def size(self) -> int:
         return self._points.shape[0]
 
-    @property
-    def points(self) -> np.ndarray:
-        return self._points
-
-    def _dist2(self, q: np.ndarray, idx) -> np.ndarray:
-        d = self._points[idx] - q
-        return np.einsum("ij,ij->i", d, d)
-
 
 def build_index(cloud: PointCloud | np.ndarray) -> SpatialIndex:
-    """Index a cloud snapshot for knn / radius queries.
+    """Index a cloud snapshot for knn_batch queries.
 
     Raises EmptyInput for an empty cloud.
     """
@@ -149,38 +131,13 @@ def build_index(cloud: PointCloud | np.ndarray) -> SpatialIndex:
     return SpatialIndex(pts)
 
 
-def knn(index: SpatialIndex, q, k: int) -> np.ndarray:
-    """Indices of the k nearest points, nondecreasing distance, ties by index.
-
-    Raises InsufficientPoints when k exceeds the cloud size.
-    """
-    q = np.asarray(q, dtype=np.float64).reshape(3)
-    if k < 1:
-        raise InvalidInput("k must be >= 1")
-    if k > index.size:
-        raise InsufficientPoints(f"k={k} exceeds cloud size {index.size}")
-    if k == index.size:
-        cand = np.arange(index.size)
-    else:
-        dk, _ = index._tree.query(q, k=k)
-        dk = float(np.max(np.atleast_1d(dk)))
-        cand = np.asarray(
-            index._tree.query_ball_point(q, dk * (1.0 + _SLACK) + 1e-300), dtype=np.intp
-        )
-        if cand.shape[0] < k:   # paranoia fallback, never expected
-            cand = np.arange(index.size)
-    d2 = index._dist2(q, cand)
-    order = np.lexsort((cand, d2))
-    return cand[order[:k]]
-
-
 def knn_batch(index: SpatialIndex, queries: np.ndarray, k: int) -> np.ndarray:
     """(M, k) nearest-neighbor indices for M query points at once.
 
     Each row holds k points nearest to its query in nondecreasing exact
-    squared distance, ties broken by index. Unlike knn(), when several
-    points tie at the k-th distance, which of them make the row is left to
-    the kd-tree and is arbitrary.
+    squared distance, ties broken by index. When several points tie at the
+    k-th distance, which of them make the row is left to the kd-tree and is
+    arbitrary.
     """
     queries = np.ascontiguousarray(queries, dtype=np.float64)
     if k < 1:
@@ -226,19 +183,6 @@ def knn_batch_prefix(
     if near.size:
         out[near] = knn_batch(index, queries[near], k)
     return out
-
-
-def radius_search(index: SpatialIndex, q, r: float) -> np.ndarray:
-    """Ascending indices of all points within distance r (inclusive)."""
-    if not r > 0:
-        raise InvalidInput("radius must be positive")
-    q = np.asarray(q, dtype=np.float64).reshape(3)
-    cand = np.asarray(index._tree.query_ball_point(q, r * (1.0 + _SLACK)), dtype=np.intp)
-    if cand.shape[0] == 0:
-        return cand
-    d2 = index._dist2(q, cand)
-    keep = cand[d2 <= r * r]
-    return np.sort(keep)
 
 
 def estimate_normals(
@@ -288,45 +232,6 @@ def compute_bbox(cloud: PointCloud, subset=None) -> BoundingBox3:
     return BoundingBox3(pts.min(axis=0), pts.max(axis=0))
 
 
-def centroid(cloud: PointCloud, subset=None) -> np.ndarray:
-    """Arithmetic mean of the subset coordinates."""
-    pts = cloud.points if subset is None else cloud.points[np.asarray(subset, dtype=np.intp)]
-    if pts.shape[0] == 0:
-        raise EmptyInput("centroid of an empty subset")
-    return pts.mean(axis=0)
-
-
-def euclidean_cluster(
-    cloud: PointCloud,
-    subset,
-    tol: float,
-    min_size: int = 1,
-    max_size: int | None = None,
-) -> list[Cluster]:
-    """Connected components of the <=tol adjacency graph over a subset.
-
-    Components outside [min_size, max_size] are discarded. Output is sorted
-    by size descending, then by smallest member index; indices inside each
-    cluster ascend and refer to the original cloud.
-    """
-    if not tol > 0:
-        raise InvalidInput("cluster tolerance must be positive")
-    if max_size is None:
-        max_size = len(cloud)
-    _check_sizes(min_size, max_size)
-    # sorted members make node order equal original index order, so the
-    # tie rules can work on node numbers
-    subset = np.sort(np.asarray(subset, dtype=np.intp))
-    if subset.shape[0] == 0:
-        return []
-    labels, sizes, ranked = _ranked_components(
-        subset.shape[0], radius_pairs(cloud.points[subset], tol), min_size, max_size
-    )
-    nodes = np.argsort(labels, kind="stable")          # grouped by label, ascending within
-    starts = np.concatenate([[0], np.cumsum(sizes)])
-    return [Cluster(subset[nodes[starts[c] : starts[c + 1]]]) for c in ranked]
-
-
 def radius_pairs(points: np.ndarray, tol: float) -> np.ndarray:
     """(E, 2) row pairs i < j whose squared distance is at most tol**2.
 
@@ -343,25 +248,19 @@ def radius_pairs(points: np.ndarray, tol: float) -> np.ndarray:
 
 
 def largest_cluster(n: int, pairs: np.ndarray, min_size: int, max_size: int) -> np.ndarray | None:
-    """Ascending nodes of the cluster euclidean_cluster would rank first on
-    the graph of nodes 0..n-1 and edges `pairs`; None when no size fits."""
-    _check_sizes(min_size, max_size)
-    labels, _, ranked = _ranked_components(n, pairs, min_size, max_size)
-    if ranked.size == 0:
-        return None
-    return np.flatnonzero(labels == ranked[0])
+    """Ascending nodes of the largest connected component with a size in
+    [min_size, max_size] of the graph of nodes 0..n-1 and edges `pairs`,
+    ties to the component with the smallest member node; None when no size
+    fits.
 
-
-def _check_sizes(min_size: int, max_size: int) -> None:
+    Over points[rows] with pairs = radius_pairs(points[rows], tol) and
+    ascending rows, rows[result] is the largest Euclidean cluster of those
+    points, ties to the one holding the smallest point index.
+    """
     if min_size < 1:
         raise InvalidInput("min_size must be >= 1")
     if min_size > max_size:
         raise InvalidInput("min_size must not exceed max_size")
-
-
-def _ranked_components(n: int, pairs: np.ndarray, min_size: int, max_size: int):
-    """(label per node, size per label, labels with a size in [min_size,
-    max_size] ordered largest first, ties by smallest member node)."""
     graph = coo_matrix(
         (np.ones(pairs.shape[0]), (pairs[:, 0], pairs[:, 1])), shape=(n, n)
     )
@@ -369,8 +268,10 @@ def _ranked_components(n: int, pairs: np.ndarray, min_size: int, max_size: int):
     _, first = np.unique(labels, return_index=True)    # smallest member node per label
     sizes = np.bincount(labels)
     order = np.lexsort((first, -sizes))
-    fits = (sizes[order] >= min_size) & (sizes[order] <= max_size)
-    return labels, sizes, order[fits]
+    fits = order[(sizes[order] >= min_size) & (sizes[order] <= max_size)]
+    if fits.size == 0:
+        return None
+    return np.flatnonzero(labels == fits[0])
 
 
 def induced_pairs(pairs: np.ndarray, keep: np.ndarray) -> np.ndarray:

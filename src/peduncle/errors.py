@@ -1,8 +1,14 @@
 """Exception types shared across the library.
 
-Operational non-detections (NoPepperFound / NoPeduncleFound) are distinct
-from data or usage errors so callers such as a robot executive can react
-differently to "nothing there" versus "something is broken".
+A frame with nothing to cut is one type, NoPeduncleFound, distinct from
+data or usage errors so callers such as a robot executive can react
+differently to "nothing there" versus "something is broken". Its `reason`
+names the stage that came up empty:
+
+- NoPepperFound: no pepper cluster in the frame;
+- RoiOutOfImage: the region of interest above the pepper lies off the image;
+- EmptyProjection: no point inside the region of interest was scored;
+- NoPeduncleFound: no cluster survived the filtering stage.
 """
 
 
@@ -22,18 +28,6 @@ class InvalidInput(PeduncleError):
     """Non-finite or otherwise malformed numeric input."""
 
 
-class DegeneratePair(PeduncleError):
-    """Point pair whose separation is parallel to the source normal."""
-
-
-class EmptyHistogram(PeduncleError):
-    """Every angle pair of a histogram neighborhood degenerated."""
-
-
-class InvalidDescriptor(PeduncleError):
-    """A flagged-invalid geometric descriptor was used where a valid one is required."""
-
-
 class DegenerateTraining(PeduncleError):
     """Training data does not contain enough samples of every class."""
 
@@ -46,20 +40,21 @@ class InputTooSmall(PeduncleError):
     """Image smaller than the network input patch."""
 
 
-class EmptyProjection(PeduncleError):
-    """No scored pixel carried a valid depth value."""
-
-
-class RoiOutOfImage(PeduncleError):
-    """Region of interest clipped away entirely by the image bounds."""
-
-
-class NoPepperFound(PeduncleError):
-    """No point cleared the pepper posterior threshold (operational, not fatal)."""
-
-
 class NoPeduncleFound(PeduncleError):
-    """No cluster survived the filtering stage (operational, not fatal)."""
+    """Nothing to cut in this frame (operational, not fatal).
+
+    `reason` is one of REASONS; `survivors` holds the filter's
+    (step, name, count) tuples when the miss came from the filtering stage.
+    """
+
+    REASONS = ("NoPepperFound", "RoiOutOfImage", "EmptyProjection", "NoPeduncleFound")
+
+    def __init__(self, reason: str, message: str, survivors=()):
+        if reason not in self.REASONS:
+            raise ValueError(f"unknown miss reason {reason!r}")
+        super().__init__(message)
+        self.reason = reason
+        self.survivors = list(survivors)
 
 
 class EmptyEvaluation(PeduncleError):

@@ -8,20 +8,11 @@ invariant under rigid motion of the cloud.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import cloud as pc
 from ._textio import open_text, read_rows, write_rows
-from .errors import (
-    DegeneratePair,
-    EmptyHistogram,
-    FormatError,
-    InsufficientPoints,
-    InvalidDescriptor,
-    InvalidInput,
-)
+from .errors import FormatError, InsufficientPoints, InvalidInput
 
 FPFH_BINS_PER_FEATURE = 11
 FPFH_DIM = 3 * FPFH_BINS_PER_FEATURE      # 33
@@ -30,44 +21,6 @@ FEATURE_DIM = 3 + FPFH_DIM                # 36
 # Pairs whose separation is (near) parallel to the source normal have no
 # well-defined Darboux frame; they are skipped, never clamped.
 _CROSS_EPS = 1e-9
-
-
-@dataclass(frozen=True)
-class HsvColor:
-    """Hue in degrees [0, 360); saturation and value in [0, 1]."""
-
-    h: float
-    s: float
-    v: float
-
-
-@dataclass(frozen=True)
-class DarbouxAngles:
-    alpha: float     # in [-1, 1]
-    phi: float       # in [-1, 1]
-    theta: float     # in (-pi, pi]
-
-
-def rgb_to_hsv(r: float, g: float, b: float) -> HsvColor:
-    """Standard hexcone RGB (0-255 per channel) to HSV; s == 0 forces h == 0."""
-    for c in (r, g, b):
-        if not 0 <= c <= 255:
-            raise InvalidInput(f"channel {c} outside [0, 255]")
-    rn, gn, bn = r / 255.0, g / 255.0, b / 255.0
-    v = max(rn, gn, bn)
-    delta = v - min(rn, gn, bn)
-    s = 0.0 if v == 0 else delta / v
-    if delta == 0:
-        h = 0.0
-    elif v == rn:
-        h = 60.0 * (((gn - bn) / delta) % 6.0)
-    elif v == gn:
-        h = 60.0 * ((bn - rn) / delta + 2.0)
-    else:
-        h = 60.0 * ((rn - gn) / delta + 4.0)
-    if h >= 360.0:
-        h -= 360.0
-    return HsvColor(h, s, v)
 
 
 def rgb_to_hsv_array(rgb: np.ndarray) -> np.ndarray:
@@ -88,45 +41,6 @@ def rgb_to_hsv_array(rgb: np.ndarray) -> np.ndarray:
     h[is_b] = 60.0 * ((rn - gn)[is_b] / safe[is_b] + 4.0)
     h[h >= 360.0] -= 360.0
     return np.column_stack([h, s, v])
-
-
-def hsv_to_rgb(h: float, s: float, v: float) -> tuple[int, int, int]:
-    """Inverse hexcone conversion, rounding to integer channels."""
-    h = h % 360.0
-    c = v * s
-    x = c * (1.0 - abs((h / 60.0) % 2.0 - 1.0))
-    m = v - c
-    sector = int(h // 60.0) % 6
-    rgb1 = [(c, x, 0), (x, c, 0), (0, c, x), (0, x, c), (x, 0, c), (c, 0, x)][sector]
-    return tuple(int(round((u + m) * 255.0)) for u in rgb1)
-
-
-def darboux_angles(p_s, n_s, p_t, n_t) -> DarbouxAngles:
-    """Darboux-frame angles for an ordered (source, target) point/normal pair.
-
-    The caller is responsible for picking the source as the point whose
-    normal makes the smaller angle with the separation vector. Raises
-    DegeneratePair when the separation is parallel to the source normal.
-    """
-    p_s = np.asarray(p_s, dtype=np.float64)
-    n_s = np.asarray(n_s, dtype=np.float64)
-    p_t = np.asarray(p_t, dtype=np.float64)
-    n_t = np.asarray(n_t, dtype=np.float64)
-    d = p_t - p_s
-    dist = np.linalg.norm(d)
-    if dist == 0.0:
-        raise DegeneratePair("coincident points")
-    u = n_s
-    cx = np.cross(d, u)
-    cx_norm = np.linalg.norm(cx)
-    if cx_norm < _CROSS_EPS:
-        raise DegeneratePair("separation parallel to source normal")
-    v = cx / cx_norm
-    w = np.cross(u, v)
-    alpha = float(np.dot(v, n_t))
-    phi = float(np.dot(u, d) / dist)
-    theta = float(np.arctan2(np.dot(w, n_t), np.dot(u, n_t)))
-    return DarbouxAngles(alpha, phi, theta)
 
 
 def _pair_angles(ps, ns, pt, nt):
@@ -181,26 +95,6 @@ def _histogram_pairs(src_idx, alpha, phi, theta, valid, n_points) -> tuple[np.nd
     return hist, has
 
 
-def spfh(cloud_or_points, normals: np.ndarray, i: int, neighbors) -> np.ndarray:
-    """Simplified histogram of point i against its neighbor set (33 bins).
-
-    Degenerate pairs are excluded from the count; raises EmptyHistogram if
-    every pair degenerates.
-    """
-    neighbors = np.asarray(neighbors, dtype=np.intp)
-    if neighbors.shape[0] == 0:
-        raise EmptyHistogram("empty neighbor set")
-    points = cloud_or_points.points if isinstance(cloud_or_points, pc.PointCloud) else np.asarray(cloud_or_points, dtype=np.float64)
-    normals = np.asarray(normals, dtype=np.float64)
-    ps = np.broadcast_to(points[i], (len(neighbors), 3))
-    ns = np.broadcast_to(normals[i], (len(neighbors), 3))
-    alpha, phi, theta, valid = _pair_angles(ps, ns, points[neighbors], normals[neighbors])
-    if not np.any(valid):
-        raise EmptyHistogram(f"all pairs of point {i} degenerate")
-    hist, _ = _histogram_pairs(np.zeros(len(neighbors), dtype=np.intp), alpha, phi, theta, valid, 1)
-    return hist[0]
-
-
 def fpfh(
     cloud_or_points,
     normals: np.ndarray,
@@ -213,7 +107,7 @@ def fpfh(
     Each point's own simplified histogram is combined with the
     distance-weighted average of its k neighbors' histograms:
 
-        out(p) = spfh(p) + mean_i [ spfh(p_i) / ||p - p_i|| ]
+        out(p) = SPFH(p) + mean_i [ SPFH(p_i) / ||p - p_i|| ]
 
     Neighbors at zero distance (duplicates) or with invalid normals are
     skipped from both the histograms and the average. Points whose own
@@ -263,18 +157,6 @@ def fpfh(
     out_valid = own_ok & valid_normals
     out[~out_valid] = 0.0
     return out, out_valid
-
-
-def assemble_feature(hsv: HsvColor, fpfh_bins: np.ndarray, fpfh_valid: bool = True) -> np.ndarray:
-    """Concatenate [h/360, s, v] with the 33 histogram bins (length 36)."""
-    if not fpfh_valid:
-        raise InvalidDescriptor("cannot assemble a feature from an invalid histogram")
-    fpfh_bins = np.asarray(fpfh_bins, dtype=np.float64)
-    if fpfh_bins.shape != (FPFH_DIM,):
-        raise InvalidDescriptor(f"histogram must have {FPFH_DIM} bins, got {fpfh_bins.shape}")
-    if not np.all(np.isfinite(fpfh_bins)):
-        raise InvalidDescriptor("histogram bins must be finite")
-    return np.concatenate([[hsv.h / 360.0, hsv.s, hsv.v], fpfh_bins])
 
 
 def assemble_features(hsv_arr: np.ndarray, fpfh_arr: np.ndarray) -> np.ndarray:
@@ -332,8 +214,9 @@ def save_features(path, features: np.ndarray, labels: np.ndarray) -> None:
 def load_features(path) -> tuple[np.ndarray, np.ndarray]:
     """Read the dump written by save_features.
 
-    Raises FormatError on a bad header or feature line, a non-numeric field,
-    a row count the file cannot hold, or data after the last row.
+    Raises FormatError on a bad header or feature line, a non-numeric or
+    non-finite value, a row count the file cannot hold, or data after the
+    last row.
     """
     with open_text(path) as fh:
         header = fh.readline().split()
@@ -346,4 +229,7 @@ def load_features(path) -> tuple[np.ndarray, np.ndarray]:
         if dim != FEATURE_DIM:
             raise FormatError(f"{path}: expected {FEATURE_DIM} dims, found {dim}")
         feats, labels = read_rows(fh, path, count, dim, 1, "feature")
+    bad = ~np.isfinite(feats).all(axis=1)
+    if bad.any():
+        raise FormatError(f"{path}: non-finite value on feature line {np.argmax(bad) + 1}")
     return feats, labels[:, 0]

@@ -16,14 +16,7 @@ from . import classifiers as cls
 from . import cloud as pc
 from . import features as ft
 from . import minicnn as mc
-from .errors import (
-    EmptyInput,
-    EmptyProjection,
-    InvalidInput,
-    NoPeduncleFound,
-    NoPepperFound,
-    RoiOutOfImage,
-)
+from .errors import EmptyInput, InvalidInput, NoPeduncleFound
 
 
 @dataclass(frozen=True)
@@ -55,19 +48,8 @@ class Roi2:
             raise InvalidInput("roi min must be strictly below max")
 
     @property
-    def width(self) -> int:
-        return self.x_max - self.x_min
-
-    @property
     def height(self) -> int:
         return self.y_max - self.y_min
-
-    @property
-    def area(self) -> int:
-        return self.width * self.height
-
-    def contains(self, x, y) -> bool:
-        return self.x_min <= x < self.x_max and self.y_min <= y < self.y_max
 
 
 @dataclass(frozen=True)
@@ -176,14 +158,6 @@ def unproject_depth(depth_raw, intr: CameraIntrinsics, rgb=None, labels=None):
     return cloud, np.column_stack([v, u]).astype(np.intp)
 
 
-def reproject_to_pixels(points: np.ndarray, intr: CameraIntrinsics) -> np.ndarray:
-    """(N, 3) camera-frame points -> (N, 2) float (u, v) pixel coordinates."""
-    p = np.asarray(points, dtype=np.float64)
-    u = p[:, 0] * intr.fx / p[:, 2] + intr.cx
-    v = p[:, 1] * intr.fy / p[:, 2] + intr.cy
-    return np.column_stack([u, v])
-
-
 def pixel_bbox(pixels: np.ndarray) -> Roi2:
     """Tight half-open 2D box around (v, u) pixel coordinates."""
     px = np.asarray(pixels)
@@ -199,14 +173,15 @@ def pixel_bbox(pixels: np.ndarray) -> Roi2:
 
 def compute_roi(pepper_box: Roi2, image_w: int, image_h: int) -> Roi2:
     """Same-size window shifted up (decreasing y) by half the pepper height,
-    clipped to the image. Raises RoiOutOfImage when clipping empties it."""
+    clipped to the image. Raises NoPeduncleFound (reason RoiOutOfImage) when
+    clipping empties it."""
     shift = pepper_box.height // 2
     x_min = max(pepper_box.x_min, 0)
     x_max = min(pepper_box.x_max, image_w)
     y_min = max(pepper_box.y_min - shift, 0)
     y_max = min(pepper_box.y_max - shift, image_h)
     if x_min >= x_max or y_min >= y_max:
-        raise RoiOutOfImage("region of interest clipped away entirely")
+        raise NoPeduncleFound("RoiOutOfImage", "region of interest clipped away entirely")
     return Roi2(x_min, y_min, x_max, y_max)
 
 
@@ -256,8 +231,8 @@ def detect_pepper(
 ) -> tuple[np.ndarray, pc.BoundingBox3]:
     """Pepper points: posterior threshold, then the largest Euclidean cluster.
 
-    Raises NoPepperFound when no point clears the threshold or no cluster
-    survives.
+    Raises NoPeduncleFound (reason NoPepperFound) when no point clears the
+    threshold or no cluster survives.
     """
     if len(cloud) == 0:
         raise EmptyInput("empty cloud")
@@ -265,14 +240,17 @@ def detect_pepper(
     post = cls.nb_posterior(nb, hsv)
     candidates = np.flatnonzero(post >= params.posterior_threshold)
     if candidates.size == 0:
-        raise NoPepperFound("no point above the pepper posterior threshold")
-    clusters = pc.euclidean_cluster(
-        cloud, candidates, params.cluster_tol, params.min_points, len(cloud)
+        raise NoPeduncleFound("NoPepperFound", "no point above the pepper posterior threshold")
+    best = pc.largest_cluster(
+        len(candidates),
+        pc.radius_pairs(cloud.points[candidates], params.cluster_tol),
+        params.min_points,
+        len(cloud),
     )
-    if not clusters:
-        raise NoPepperFound("no pepper cluster above the minimum size")
-    best = clusters[0].indices
-    return best, pc.compute_bbox(cloud, best)
+    if best is None:
+        raise NoPeduncleFound("NoPepperFound", "no pepper cluster above the minimum size")
+    pepper = candidates[best]
+    return pepper, pc.compute_bbox(cloud, pepper)
 
 
 def require_finite_scores(scores: np.ndarray) -> None:
@@ -345,10 +323,7 @@ def filter_detections(
     )
     if best is None:
         survivors.append((5, "largest_cluster", 0))
-        exc = NoPeduncleFound("no cluster survived the size limits")
-        exc.survivors = survivors
-        exc.box = box
-        raise exc
+        raise NoPeduncleFound("NoPeduncleFound", "no cluster survived the size limits", survivors)
     cluster = candidates[best]
     survivors.append((5, "largest_cluster", int(cluster.size)))
     return FilterResult(cluster, survivors, box)
@@ -411,10 +386,10 @@ def roi_rows(frame: Frame, roi: Roi2) -> np.ndarray:
 
 def scored_cloud(frame: Frame, rows: np.ndarray, scores: np.ndarray) -> ScoredCloud:
     """What every detector hands the filter: the scored rows of frame.cloud
-    with their scores and pixels. Raises EmptyProjection when no row is
-    scored."""
+    with their scores and pixels. Raises NoPeduncleFound (reason
+    EmptyProjection) when no row is scored."""
     if len(rows) == 0:
-        raise EmptyProjection("no point inside the region of interest was scored")
+        raise NoPeduncleFound("EmptyProjection", "no point inside the region of interest was scored")
     return ScoredCloud(frame.cloud.subset(rows), scores, frame.pixels[rows])
 
 

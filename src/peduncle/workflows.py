@@ -16,7 +16,7 @@ from . import features as ft
 from . import minicnn as mc
 from . import pipeline as pl
 from . import scenegen as sg
-from .errors import DegenerateTraining, EmptyProjection, NoPepperFound, RoiOutOfImage
+from .errors import DegenerateTraining, NoPeduncleFound
 
 
 # ---------------------------------------------------------------------------
@@ -196,13 +196,13 @@ def score_scene_all(
     try:
         pepper_idx, _ = pl.detect_pepper(frame.cloud, nb, pepper_params)
         roi = pl.compute_roi(pl.pixel_bbox(frame.pixels[pepper_idx]), *frame.depth_raw.shape[::-1])
-    except (NoPepperFound, RoiOutOfImage):
+    except NoPeduncleFound:
         return [_all_miss(frame) for _ in detectors]
     records = []
     for detector in detectors:
         try:
             scored = detector.score_frame(frame, roi)
-        except EmptyProjection:
+        except NoPeduncleFound:
             records.append(_all_miss(frame))
             continue
         labels = ev.labels_to_eval(scored.cloud.labels)

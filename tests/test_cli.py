@@ -15,9 +15,10 @@ from peduncle import evaluate as ev
 from peduncle import minicnn as mc
 from peduncle import pipeline as pl
 from peduncle import scenegen as sg
+from peduncle import cli
 from peduncle import workflows as wf
 from peduncle.cli import load_scores, main
-from peduncle.errors import FormatError
+from peduncle.errors import FormatError, NoPeduncleFound
 
 SMALL_CFG = """
 image_width = 160
@@ -134,6 +135,7 @@ class TestExitCodes:
         feats = tmp_path / "features.txt"
         feats.write_text("features v1 1 36\n" + "x " * 36 + "1\n")
         assert main(["train-svm", "--features", str(feats), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
 
     def test_no_pepper_is_3(self, workdir, tmp_path):
         # a scene whose pepper is green: the red-prior model finds nothing
@@ -153,6 +155,15 @@ class TestExitCodes:
         assert rc == 3
         diag = (tmp_path / "f" / "g0000_diag.csv").read_text()
         assert "NoPepperFound" in diag
+
+    @pytest.mark.parametrize("reason", NoPeduncleFound.REASONS)
+    def test_every_miss_reason_is_3(self, monkeypatch, capsys, tmp_path, reason):
+        def miss(args):
+            raise NoPeduncleFound(reason, "nothing here")
+
+        monkeypatch.setattr(cli, "cmd_pr_curve", miss)
+        assert main(["pr-curve", "--scores", "x.scores", "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == f"{reason}: nothing here\n"
 
     def test_raster_with_trailing_bytes_is_2(self, workdir, tmp_path):
         entry = [e for e in sg.load_manifest(workdir["manifest"]) if e["split"] == "eval"][0]
@@ -200,10 +211,14 @@ class TestExitCodes:
         _, _, p, _ = next(iter(net.parameters()))
         p.flat[0] = np.nan
         net.save_weights(models / "net.weights")
-        rc = main(["score", "--config", workdir["cfg"], "--scenes", workdir["manifest"],
-                   "--models", str(models), "--detector", "cnn", "--out", str(tmp_path / "s")])
-        assert rc == 2
-        assert not list((tmp_path / "s").glob("*.scores"))
+        # every input is read before anything is written, so a bad model
+        # leaves no output directory behind
+        for command in ("score", "filter", "eval", "throughput"):
+            out = tmp_path / command
+            rc = main([command, "--config", workdir["cfg"], "--scenes", workdir["manifest"],
+                       "--models", str(models), "--detector", "cnn", "--out", str(out)])
+            assert rc == 2
+            assert not out.exists()
 
 
 def _write_scenes(scene_dir, cfg_path, scenes):
@@ -360,6 +375,7 @@ class TestScoreAndCurves:
         rc = main(["pr-curve", "--config", workdir["cfg"], "--scores", str(path),
                    "--out", str(tmp_path / "o")])
         assert rc == 2
+        assert not (tmp_path / "o").exists()
         with pytest.raises(FormatError):
             load_scores(path)
 

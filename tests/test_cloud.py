@@ -4,9 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import brute_knn, brute_radius, union_find_clusters
+from oracles import (
+    brute_knn,
+    brute_radius_pairs,
+    csgraph_clusters,
+    knn,
+    ranked_clusters,
+    union_find_clusters,
+)
 
 from peduncle import cloud as pc
+from peduncle import pipeline as pl
 from peduncle.errors import EmptyInput, FormatError, InsufficientPoints, InvalidInput
 
 
@@ -14,25 +22,28 @@ class TestIndexQueries:
     def test_single_point_identity(self):
         cloud = pc.PointCloud(np.array([[0.1, 0.2, 0.3]]))
         idx = pc.build_index(cloud)
-        assert pc.knn(idx, [0.1, 0.2, 0.3], 1).tolist() == [0]
+        assert pc.knn_batch(idx, [[0.1, 0.2, 0.3]], 1).tolist() == [[0]]
 
     def test_collinear_ordering(self):
         cloud = pc.PointCloud(np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]]))
         idx = pc.build_index(cloud)
-        assert pc.knn(idx, [0, 0, 0], 2).tolist() == [0, 1]
+        assert pc.knn_batch(idx, [[0, 0, 0]], 2).tolist() == [[0, 1]]
 
     def test_unit_square_corner(self):
         corners = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float)
         idx = pc.build_index(pc.PointCloud(corners))
-        assert pc.knn(idx, [0, 0, 0], 1).tolist() == [0]
+        assert pc.knn_batch(idx, [[0, 0, 0]], 1).tolist() == [[0]]
 
     def test_tie_break_lowest_index(self):
+        # both points tie, so both make the row, ordered by index
         cloud = pc.PointCloud(np.array([[1.0, 0, 0], [-1.0, 0, 0]]))
         idx = pc.build_index(cloud)
-        assert pc.knn(idx, [0, 0, 0], 1).tolist() == [0]
+        assert pc.knn_batch(idx, [[0, 0, 0]], 2).tolist() == [[0, 1]]
         # same cloud, swapped storage order
         cloud2 = pc.PointCloud(np.array([[-1.0, 0, 0], [1.0, 0, 0]]))
-        assert pc.knn(pc.build_index(cloud2), [0, 0, 0], 1).tolist() == [0]
+        assert pc.knn_batch(pc.build_index(cloud2), [[0, 0, 0]], 2).tolist() == [[0, 1]]
+        # the oracle picks the lowest index among points tied at the k-th distance
+        assert knn(idx, [0, 0, 0], 1).tolist() == [0]
 
     def test_knn_matches_brute_force(self):
         rng = np.random.default_rng(12)
@@ -43,25 +54,24 @@ class TestIndexQueries:
             for _ in range(10):
                 q = rng.uniform(-0.25, 0.25, 3)
                 k = int(rng.integers(1, min(n, 40) + 1))
-                assert np.array_equal(pc.knn(idx, q, k), brute_knn(pts, q, k))
+                assert np.array_equal(pc.knn_batch(idx, q[None, :], k)[0], brute_knn(pts, q, k))
 
     def test_radius_matches_brute_force(self):
         rng = np.random.default_rng(13)
         for _ in range(20):
             n = int(rng.integers(5, 1200))
             pts = rng.uniform(-0.1, 0.1, (n, 3))
-            idx = pc.build_index(pc.PointCloud(pts))
-            for _ in range(10):
-                q = rng.uniform(-0.12, 0.12, 3)
+            for _ in range(3):
                 r = float(rng.uniform(0.005, 0.1))
-                assert np.array_equal(pc.radius_search(idx, q, r), brute_radius(pts, q, r))
+                got = pc.radius_pairs(pts, r)
+                got = got[np.lexsort((got[:, 1], got[:, 0]))]
+                assert np.array_equal(got, brute_radius_pairs(pts, r))
 
     def test_radius_inclusive_boundary(self):
-        pts = np.array([[0.5, 0, 0], [2.0, 0, 0]])
-        idx = pc.build_index(pc.PointCloud(pts))
-        assert pc.radius_search(idx, [0, 0, 0], 1.0).tolist() == [0]
-        assert pc.radius_search(idx, [0, 0, 0], 0.5).tolist() == [0]
-        assert pc.radius_search(idx, [0, 0, 0], 0.1).tolist() == []
+        pts = np.array([[0.0, 0, 0], [0.5, 0, 0], [2.0, 0, 0]])
+        assert pc.radius_pairs(pts, 1.0).tolist() == [[0, 1]]
+        assert pc.radius_pairs(pts, 0.5).tolist() == [[0, 1]]
+        assert pc.radius_pairs(pts, 0.1).tolist() == []
 
     def test_knn_batch_matches_single(self):
         rng = np.random.default_rng(14)
@@ -70,14 +80,14 @@ class TestIndexQueries:
         queries = rng.uniform(0, 0.3, (25, 3))
         batch = pc.knn_batch(idx, queries, 9)
         for row, q in zip(batch, queries):
-            assert np.array_equal(row, pc.knn(idx, q, 9))
+            assert np.array_equal(row, knn(idx, q, 9))
 
     def test_errors(self):
         idx = pc.build_index(pc.PointCloud(np.zeros((3, 3))))
         with pytest.raises(InsufficientPoints):
-            pc.knn(idx, [0, 0, 0], 4)
+            pc.knn_batch(idx, [[0, 0, 0]], 4)
         with pytest.raises(InvalidInput):
-            pc.radius_search(idx, [0, 0, 0], -1.0)
+            pc.radius_pairs(np.zeros((3, 3)), -1.0)
         with pytest.raises(EmptyInput):
             pc.build_index(pc.PointCloud(np.zeros((0, 3))))
 
@@ -143,17 +153,18 @@ class TestBoxCentroid:
         np.testing.assert_array_equal(box.min, pts[subset].min(axis=0))
         np.testing.assert_array_equal(box.max, pts[subset].max(axis=0))
 
+    # the cluster centroid the library reports is the cutting pose position
+
     def test_centroid_examples(self):
-        cloud = pc.PointCloud(np.array([[0.0, 0, 0], [2.0, 0, 0]]))
-        np.testing.assert_array_equal(pc.centroid(cloud), [1, 0, 0])
-        single = pc.PointCloud(np.array([[0.3, -0.1, 2.0]]))
-        np.testing.assert_array_equal(pc.centroid(single), [0.3, -0.1, 2.0])
+        pair = pl.cutting_pose(np.array([[0.0, 0, 0], [2.0, 0, 0]]))
+        np.testing.assert_array_equal(pair.position, [1, 0, 0])
+        single = pl.cutting_pose(np.array([[0.3, -0.1, 2.0]]))
+        np.testing.assert_array_equal(single.position, [0.3, -0.1, 2.0])
 
     def test_centroid_extended_precision_oracle(self):
         rng = np.random.default_rng(9)
         pts = rng.uniform(-5, 5, (500, 3))
-        cloud = pc.PointCloud(pts)
-        got = pc.centroid(cloud)
+        got = pl.cutting_pose(pts).position
         import math
 
         expected = [math.fsum(pts[:, a]) / len(pts) for a in range(3)]
@@ -164,7 +175,7 @@ class TestBoxCentroid:
         with pytest.raises(EmptyInput):
             pc.compute_bbox(cloud, [])
         with pytest.raises(EmptyInput):
-            pc.centroid(cloud, [])
+            pl.cutting_pose(cloud.points[[]])
 
 
 class TestClustering:
@@ -172,15 +183,15 @@ class TestClustering:
         rng = np.random.default_rng(1)
         a = rng.normal(0, 0.0005, (10, 3))
         b = rng.normal(0, 0.0005, (10, 3)) + 0.1
-        cloud = pc.PointCloud(np.vstack([a, b]))
-        clusters = pc.euclidean_cluster(cloud, np.arange(20), 0.01, 1, 100)
-        assert [len(c) for c in clusters] == [10, 10]
+        pts = np.vstack([a, b])
+        assert [len(c) for c in ranked_clusters(pts, np.arange(20), 0.01, 1, 100)] == [10, 10]
+        # equal sizes: the group holding the smallest index wins
+        assert pc.largest_cluster(20, pc.radius_pairs(pts, 0.01), 1, 100).tolist() == list(range(10))
 
     def test_chain_links_transitively(self):
         pts = np.column_stack([np.arange(6) * 0.9 * 0.003, np.zeros(6), np.zeros(6)])
-        cloud = pc.PointCloud(pts)
-        clusters = pc.euclidean_cluster(cloud, np.arange(6), 0.003, 1, 100)
-        assert len(clusters) == 1 and len(clusters[0]) == 6
+        best = pc.largest_cluster(6, pc.radius_pairs(pts, 0.003), 1, 100)
+        assert best.tolist() == list(range(6))
 
     def test_matches_union_find_oracle(self):
         rng = np.random.default_rng(2)
@@ -190,34 +201,30 @@ class TestClustering:
                 for _ in range(6)
             ]
             pts = np.vstack(blobs + [rng.uniform(0, 0.05, (40, 3))])
-            cloud = pc.PointCloud(pts)
             subset = np.sort(rng.choice(len(pts), int(0.8 * len(pts)), replace=False))
-            got = pc.euclidean_cluster(cloud, subset, 0.003, 5, 25000)
+            got = ranked_clusters(pts, subset, 0.003, 5, 25000)
             want = union_find_clusters(pts, subset, 0.003, 5, 25000)
-            assert [c.indices.tolist() for c in got] == want
+            assert got == want
 
     def test_partition_property(self):
         rng = np.random.default_rng(4)
         pts = rng.uniform(0, 0.02, (120, 3))
-        cloud = pc.PointCloud(pts)
         subset = np.arange(120)
-        clusters = pc.euclidean_cluster(cloud, subset, 0.004, 1, 10_000)
-        all_idx = np.concatenate([c.indices for c in clusters])
+        clusters = ranked_clusters(pts, subset, 0.004, 1, 10_000)
+        all_idx = np.concatenate(clusters)
         assert len(np.unique(all_idx)) == len(all_idx)
         assert np.array_equal(np.sort(all_idx), subset)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(8)
         pts = rng.uniform(0, 0.03, (60, 3))
-        cloud = pc.PointCloud(pts)
-        ref = pc.euclidean_cluster(cloud, np.arange(60), 0.005, 1, 100)
+        ref = ranked_clusters(pts, np.arange(60), 0.005, 1, 100)
         perm = rng.permutation(60)
-        permuted = pc.PointCloud(pts[perm])
-        got = pc.euclidean_cluster(permuted, np.arange(60), 0.005, 1, 100)
+        got = ranked_clusters(pts[perm], np.arange(60), 0.005, 1, 100)
         # map permuted indices back and canonicalize
-        back = [sorted(perm[c.indices].tolist()) for c in got]
+        back = [sorted(perm[c].tolist()) for c in got]
         back.sort(key=lambda g: (-len(g), g[0]))
-        assert back == [c.indices.tolist() for c in ref]
+        assert back == ref
 
 
 @st.composite
@@ -243,9 +250,12 @@ def lattice_clouds(draw):
 @given(lattice_clouds())
 def test_clusters_equal_union_find_oracle(case):
     pts, subset, tol, min_size, max_size = case
-    got = pc.euclidean_cluster(pc.PointCloud(pts), subset, tol, min_size, max_size)
     want = union_find_clusters(pts, subset, tol, min_size, max_size)
-    assert [c.indices.tolist() for c in got] == want
+    assert ranked_clusters(pts, subset, tol, min_size, max_size) == want
+    # the one call the detector makes: ascending rows, the first cluster
+    rows = np.sort(subset)
+    best = pc.largest_cluster(len(rows), pc.radius_pairs(pts[rows], tol), min_size, max_size)
+    assert (None if best is None else rows[best].tolist()) == (want[0] if want else None)
 
 
 class TestGraphHelpers:
@@ -254,10 +264,10 @@ class TestGraphHelpers:
         pts = rng.uniform(0, 0.03, (150, 3))
         pairs = pc.radius_pairs(pts, 0.004)
         for lo, hi in ((1, 150), (5, 20), (3, 3), (200, 300)):
-            clusters = pc.euclidean_cluster(pc.PointCloud(pts), np.arange(150), 0.004, lo, hi)
+            clusters = csgraph_clusters(pts, np.arange(150), 0.004, lo, hi)
             best = pc.largest_cluster(150, pairs, lo, hi)
             if clusters:
-                assert best.tolist() == clusters[0].indices.tolist()
+                assert best.tolist() == clusters[0]
             else:
                 assert best is None
 

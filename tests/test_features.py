@@ -5,70 +5,76 @@ that reuses only the scalar angle function plus its own binning, weighting
 and normalization loops.
 """
 
+import colorsys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    DegeneratePair,
+    EmptyHistogram,
+    darboux_angles,
     fpfh_reference,
     naive_fpfh,
     naive_spfh,
     neighbor_tables_reference,
     point_features_reference,
+    spfh,
 )
 
 from peduncle import cloud as pc
 from peduncle import features as ft
 from peduncle import pipeline as pl
 from peduncle import scenegen as sg
-from peduncle.errors import DegeneratePair, EmptyHistogram, FormatError, InvalidDescriptor, InvalidInput
+from peduncle.errors import FormatError, InvalidInput
+
+
+def hsv(r, g, b):
+    return ft.rgb_to_hsv_array(np.array([[r, g, b]], dtype=np.uint8))[0].tolist()
 
 
 class TestHsv:
     def test_pure_red(self):
-        h = ft.rgb_to_hsv(255, 0, 0)
-        assert (h.h, h.s, h.v) == (0.0, 1.0, 1.0)
+        assert hsv(255, 0, 0) == [0.0, 1.0, 1.0]
 
     def test_pure_green(self):
-        h = ft.rgb_to_hsv(0, 255, 0)
-        assert (h.h, h.s, h.v) == (120.0, 1.0, 1.0)
+        assert hsv(0, 255, 0) == [120.0, 1.0, 1.0]
 
     def test_achromatic_forces_zero_hue(self):
-        h = ft.rgb_to_hsv(128, 128, 128)
-        assert h.h == 0.0 and h.s == 0.0 and h.v == 128 / 255
+        assert hsv(128, 128, 128) == [0.0, 0.0, 128 / 255]
 
     def test_roundtrip_within_one_unit(self):
-        rng = np.random.default_rng(0)
-        for _ in range(300):
-            r, g, b = (int(v) for v in rng.integers(0, 256, 3))
-            h = ft.rgb_to_hsv(r, g, b)
-            rr, gg, bb = ft.hsv_to_rgb(h.h, h.s, h.v)
-            assert abs(rr - r) <= 1 and abs(gg - g) <= 1 and abs(bb - b) <= 1
+        # back through the scene generator's vectorized inverse
+        rgb = np.random.default_rng(0).integers(0, 256, (300, 3)).astype(np.uint8)
+        h = ft.rgb_to_hsv_array(rgb)
+        back = sg._hsv_to_rgb_array(h[:, 0], h[:, 1], h[:, 2])
+        assert np.abs(back.astype(int) - rgb.astype(int)).max() <= 1
 
     def test_array_matches_scalar(self):
         rng = np.random.default_rng(1)
         rgb = rng.integers(0, 256, (100, 3)).astype(np.uint8)
         arr = ft.rgb_to_hsv_array(rgb)
-        for row, (r, g, b) in zip(arr, rgb):
-            h = ft.rgb_to_hsv(int(r), int(g), int(b))
-            np.testing.assert_allclose(row, [h.h, h.s, h.v], atol=1e-12)
+        for row, c in zip(arr, rgb):
+            h, s, v = colorsys.rgb_to_hsv(*(c / 255.0))
+            np.testing.assert_allclose(row, [h * 360.0, s, v], atol=1e-12)
 
 
 class TestDarboux:
     def test_coplanar_equal_normals(self):
-        a = ft.darboux_angles([0, 0, 0], [0, 0, 1], [1, 0, 0], [0, 0, 1])
+        a = darboux_angles([0, 0, 0], [0, 0, 1], [1, 0, 0], [0, 0, 1])
         assert abs(a.alpha) < 1e-12 and abs(a.phi) < 1e-12 and abs(a.theta) < 1e-12
 
     def test_quarter_turn_theta(self):
-        a = ft.darboux_angles([0, 0, 0], [0, 0, 1], [1, 0, 0], [1, 0, 0])
+        a = darboux_angles([0, 0, 0], [0, 0, 1], [1, 0, 0], [1, 0, 0])
         assert abs(a.alpha) < 1e-12 and abs(a.phi) < 1e-12
         assert abs(a.theta - np.pi / 2) < 1e-12
 
     def test_degenerate_pair_raises(self):
         with pytest.raises(DegeneratePair):
-            ft.darboux_angles([0, 0, 0], [0, 0, 1], [0, 0, 0.01], [0, 1, 0])
+            darboux_angles([0, 0, 0], [0, 0, 1], [0, 0, 0.01], [0, 1, 0])
         with pytest.raises(DegeneratePair):
-            ft.darboux_angles([0, 0, 0], [0, 0, 1], [0, 0, 0], [0, 0, 1])
+            darboux_angles([0, 0, 0], [0, 0, 1], [0, 0, 0], [0, 0, 1])
 
     def test_ranges_and_rigid_invariance(self):
         rng = np.random.default_rng(7)
@@ -82,14 +88,14 @@ class TestDarboux:
             n_t = rng.normal(size=3)
             n_t /= np.linalg.norm(n_t)
             try:
-                base = ft.darboux_angles(p_s, n_s, p_t, n_t)
+                base = darboux_angles(p_s, n_s, p_t, n_t)
             except DegeneratePair:
                 continue
             assert -1 <= base.alpha <= 1 and -1 <= base.phi <= 1
             assert -np.pi < base.theta <= np.pi
             rot = Rotation.random(random_state=int(rng.integers(2**31))).as_matrix()
             shift = rng.normal(size=3)
-            moved = ft.darboux_angles(rot @ p_s + shift, rot @ n_s, rot @ p_t + shift, rot @ n_t)
+            moved = darboux_angles(rot @ p_s + shift, rot @ n_s, rot @ p_t + shift, rot @ n_t)
             np.testing.assert_allclose(
                 [moved.alpha, moved.phi, moved.theta],
                 [base.alpha, base.phi, base.theta],
@@ -104,7 +110,7 @@ class TestSpfh:
         normals = np.tile([0.0, 0.0, 1.0], (len(g), 1))
         center = 12
         nbrs = [j for j in range(len(g)) if j != center]
-        hist = ft.spfh(points, normals, center, nbrs)
+        hist = spfh(points, normals, center, nbrs)
         # all angles zero: one bin per block carries the full 100
         for off in (0, 11, 22):
             block = hist[off : off + 11]
@@ -120,7 +126,7 @@ class TestSpfh:
         # neighbor 1 lands at theta = pi/2, neighbor 2 at theta = 0
         points = np.array([[0.0, 0, 0], [0.01, 0, 0], [-0.01, 0, 0]])
         normals = np.array([[0.0, 0, 1], [1.0, 0, 0], [0.0, -1, 0]])
-        hist = ft.spfh(points, normals, 0, [1, 2])
+        hist = spfh(points, normals, 0, [1, 2])
         theta = hist[22:]
         nz = np.flatnonzero(theta)
         assert len(nz) == 2
@@ -131,7 +137,7 @@ class TestSpfh:
         points = rng.normal(size=(30, 3))
         normals = rng.normal(size=(30, 3))
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-        hist = ft.spfh(points, normals, 0, list(range(1, 30)))
+        hist = spfh(points, normals, 0, list(range(1, 30)))
         for off in (0, 11, 22):
             assert hist[off : off + 11].sum() == pytest.approx(100.0, abs=1e-9)
 
@@ -143,14 +149,14 @@ class TestSpfh:
         for i in (0, 7, 39):
             nbrs = [j for j in range(40) if j != i]
             np.testing.assert_allclose(
-                ft.spfh(points, normals, i, nbrs), naive_spfh(points, normals, i, nbrs), atol=1e-9
+                spfh(points, normals, i, nbrs), naive_spfh(points, normals, i, nbrs), atol=1e-9
             )
 
     def test_empty_histogram(self):
         points = np.array([[0.0, 0, 0], [0.0, 0, 0.01]])
         normals = np.array([[0.0, 0, 1], [0.0, 0, 1]])
         with pytest.raises(EmptyHistogram):
-            ft.spfh(points, normals, 0, [1])
+            spfh(points, normals, 0, [1])
 
 
 class TestFpfh:
@@ -340,34 +346,23 @@ class TestPinnedToReference:
 
 class TestAssemble:
     def test_layout(self):
-        hsv = ft.HsvColor(0.0, 1.0, 1.0)
-        out = ft.assemble_feature(hsv, np.zeros(33))
-        assert out.shape == (36,)
-        np.testing.assert_array_equal(out[:3], [0.0, 1.0, 1.0])
-        np.testing.assert_array_equal(out[3:], np.zeros(33))
+        out = ft.assemble_features(np.array([[0.0, 1.0, 1.0]]), np.zeros((1, 33)))
+        assert out.shape == (1, 36)
+        np.testing.assert_array_equal(out[0, :3], [0.0, 1.0, 1.0])
+        np.testing.assert_array_equal(out[0, 3:], np.zeros(33))
 
     def test_length_always_36(self):
         rng = np.random.default_rng(8)
-        for _ in range(10):
-            hsv = ft.HsvColor(float(rng.uniform(0, 360)), float(rng.uniform()), float(rng.uniform()))
-            out = ft.assemble_feature(hsv, rng.uniform(0, 100, 33))
-            assert out.shape == (36,)
+        for n in range(1, 11):
+            hsv = np.column_stack([rng.uniform(0, 360, n), rng.uniform(size=n), rng.uniform(size=n)])
+            out = ft.assemble_features(hsv, rng.uniform(0, 100, (n, 33)))
+            assert out.shape == (n, 36)
 
     def test_roundtrip_slices(self):
-        hsv = ft.HsvColor(90.0, 0.25, 0.75)
-        bins = np.random.default_rng(9).uniform(0, 100, 33)
-        out = ft.assemble_feature(hsv, bins)
+        bins = np.random.default_rng(9).uniform(0, 100, (1, 33))
+        out = ft.assemble_features(np.array([[90.0, 0.25, 0.75]]), bins)[0]
         assert out[0] == 90.0 / 360.0 and out[1] == 0.25 and out[2] == 0.75
-        np.testing.assert_array_equal(out[3:], bins)
-
-    def test_invalid_descriptor(self):
-        hsv = ft.HsvColor(0.0, 0.0, 0.0)
-        with pytest.raises(InvalidDescriptor):
-            ft.assemble_feature(hsv, np.zeros(33), fpfh_valid=False)
-        with pytest.raises(InvalidDescriptor):
-            ft.assemble_feature(hsv, np.zeros(32))
-        with pytest.raises(InvalidDescriptor):
-            ft.assemble_feature(hsv, np.full(33, np.nan))
+        np.testing.assert_array_equal(out[3:], bins[0])
 
 
 class TestFeatureFile:
@@ -396,6 +391,10 @@ class TestFeatureFile:
             "features v1 1 36\n" + "0 " * 36 + "99999999999999999999\n",
             "features v1 1 36\n" + "0 " * 35 + "1\n",
             "features v1 1 36\n" + "0 " * 36 + "1\n" + "0 " * 36 + "1\n",
+            "features v1 1 36\n" + "0 " * 35 + "nan 1\n",
+            "features v1 1 36\n" + "inf " + "0 " * 35 + "1\n",
+            "features v1 2 36\n" + "0 " * 36 + "1\n" + "0 " * 20 + "-inf " + "0 " * 15 + "1\n",
+            "features v1 1 36\n" + "1e999 " + "0 " * 35 + "1\n",
         ],
     )
     def test_malformed_file_is_format_error(self, tmp_path, text):

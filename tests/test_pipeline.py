@@ -7,24 +7,21 @@ import numpy as np
 import pytest
 from oracles import (
     cnn_score_frame_reference,
+    csgraph_clusters,
     pfh_svm_score_frame_reference,
     point_features_reference,
+    reproject_to_pixels,
 )
 
 from peduncle import classifiers as cls
 from peduncle import cloud as pc
 from peduncle import evaluate as ev
+from peduncle import features as ft
 from peduncle import minicnn as mc
 from peduncle import pipeline as pl
 from peduncle import scenegen as sg
-from peduncle.errors import (
-    EmptyInput,
-    EmptyProjection,
-    InvalidInput,
-    NoPeduncleFound,
-    NoPepperFound,
-    RoiOutOfImage,
-)
+from peduncle import workflows as wf
+from peduncle.errors import EmptyInput, InvalidInput, NoPeduncleFound
 
 
 def red_green_nb():
@@ -71,8 +68,8 @@ class TestComputeRoi:
     def test_area_preserved_when_unclipped(self):
         box = pl.Roi2(50, 200, 130, 300)
         roi = pl.compute_roi(box, 640, 480)
-        assert roi.width == box.width and roi.height == box.height
-        assert roi.area == box.area
+        assert roi.x_max - roi.x_min == box.x_max - box.x_min
+        assert roi.y_max - roi.y_min == box.y_max - box.y_min
 
     def test_clipped_at_top(self):
         box = pl.Roi2(10, 5, 60, 65)
@@ -83,8 +80,20 @@ class TestComputeRoi:
     def test_fully_clipped_raises(self):
         # box outside the image horizontally (violating its own pre-condition)
         box = pl.Roi2(700, 100, 760, 160)
-        with pytest.raises(RoiOutOfImage):
+        with pytest.raises(NoPeduncleFound) as miss:
             pl.compute_roi(box, 640, 480)
+        assert miss.value.reason == "RoiOutOfImage" and miss.value.survivors == []
+
+
+class TestMissType:
+    def test_reason_is_one_of_four(self):
+        assert NoPeduncleFound.REASONS == (
+            "NoPepperFound", "RoiOutOfImage", "EmptyProjection", "NoPeduncleFound"
+        )
+        miss = NoPeduncleFound("RoiOutOfImage", "off the image")
+        assert (miss.reason, str(miss), miss.survivors) == ("RoiOutOfImage", "off the image", [])
+        with pytest.raises(ValueError):
+            NoPeduncleFound("NoCamera", "not a miss reason")
 
 
 class TestPeduncleBbox3:
@@ -187,7 +196,7 @@ class TestProjection:
         us = rng.integers(0, 640, n)
         depth[vs, us] = rng.integers(200, 3000, n).astype(np.uint16)
         cloud, pixels = pl.unproject_depth(depth, self.INTR)
-        uv = pl.reproject_to_pixels(cloud.points, self.INTR)
+        uv = reproject_to_pixels(cloud.points, self.INTR)
         np.testing.assert_allclose(uv[:, 0], pixels[:, 1], atol=1e-6)
         np.testing.assert_allclose(uv[:, 1], pixels[:, 0], atol=1e-6)
 
@@ -205,8 +214,9 @@ class TestProjection:
         depth[20:, 20:] = 600          # valid depth, but outside the region of interest
         frame = blank_frame(depth, self.INTR)
         for det in (pl.PfhSvmDetector(linear_svm(np.random.default_rng(0))), tiny_cnn_detector()):
-            with pytest.raises(EmptyProjection):
+            with pytest.raises(NoPeduncleFound) as miss:
                 det.score_frame(frame, pl.Roi2(0, 0, 12, 12))
+            assert miss.value.reason == "EmptyProjection" and miss.value.survivors == []
 
     def test_scores_carried(self):
         rng = np.random.default_rng(6)
@@ -332,8 +342,21 @@ class TestDetectPepper:
         cloud = pc.PointCloud(
             rng.uniform(0, 0.1, (50, 3)), green_colors(rng, 50)
         )
-        with pytest.raises(NoPepperFound):
+        with pytest.raises(NoPeduncleFound) as miss:
             pl.detect_pepper(cloud, red_green_nb(), pl.PepperDetectParams(posterior_threshold=1.0))
+        assert miss.value.reason == "NoPepperFound" and miss.value.survivors == []
+        assert str(miss.value) == "no point above the pepper posterior threshold"
+
+    def test_speckle_below_min_points(self):
+        rng = np.random.default_rng(3)
+        pts = np.vstack([rng.normal(0, 0.002, (24, 3)) + [0.0, 0.0, 0.4], rng.uniform(0, 0.1, (20, 3))])
+        cloud = pc.PointCloud(pts, np.vstack([red_colors(rng, 24), green_colors(rng, 20)]))
+        with pytest.raises(NoPeduncleFound) as miss:
+            pl.detect_pepper(cloud, red_green_nb(), pl.PepperDetectParams(min_points=25))
+        assert miss.value.reason == "NoPepperFound" and miss.value.survivors == []
+        assert str(miss.value) == "no pepper cluster above the minimum size"
+        idx, _ = pl.detect_pepper(cloud, red_green_nb(), pl.PepperDetectParams(min_points=24))
+        assert idx.tolist() == list(range(24))
 
     def test_largest_blob_wins(self):
         rng = np.random.default_rng(4)
@@ -344,6 +367,25 @@ class TestDetectPepper:
         idx, box = pl.detect_pepper(cloud, red_green_nb(), pl.PepperDetectParams())
         assert idx.min() >= 25  # all indices from the large blob
         assert box.contains(large).mean() > 0.9
+
+
+class TestDetectPepperOnC6:
+    def test_pinned_to_dense_cluster_oracle(self):
+        """On C6 evaluation draws 40-45, with the pepper model fitted on the
+        40 training draws, the pepper points are byte for byte the first
+        cluster of the dense-distance oracle over the same candidates."""
+        params = sg.benchmark_params(46, 20240, sg.benchmark_base())
+        nb = wf.train_nb_from_scenes(sg.generate(p) for p in params[:40])
+        pp = pl.PepperDetectParams()
+        for p in params[40:]:
+            cloud = sg.generate(p).frame.cloud
+            got, box = pl.detect_pepper(cloud, nb, pp)
+            post = cls.nb_posterior(nb, ft.rgb_to_hsv_array(cloud.colors))
+            candidates = np.flatnonzero(post >= pp.posterior_threshold)
+            want = csgraph_clusters(cloud.points, candidates, pp.cluster_tol, pp.min_points, len(cloud))[0]
+            assert len(want) > 500
+            assert got.dtype == np.intp and got.tobytes() == np.asarray(want, dtype=np.intp).tobytes()
+            assert np.array_equal(box.min, cloud.points[got].min(axis=0))
 
 
 class TestFilterDetections:
@@ -421,8 +463,11 @@ class TestFilterDetections:
     def test_threshold_above_everything(self):
         scored, pepper_pts = self.build_scene()
         fp = pl.FilterParams(score_threshold=0.99)
-        with pytest.raises(NoPeduncleFound):
+        with pytest.raises(NoPeduncleFound) as miss:
             pl.filter_detections(scored, pepper_pts, red_green_nb(), fp)
+        assert miss.value.reason == "NoPeduncleFound"
+        assert [name for _, name, _ in miss.value.survivors][-1] == "largest_cluster"
+        assert miss.value.survivors[0][2] == 0 and miss.value.survivors[4][2] == 0
 
     def test_survivors_nonincreasing(self):
         scored, pepper_pts = self.build_scene()

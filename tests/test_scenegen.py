@@ -6,6 +6,7 @@ import os
 
 import numpy as np
 import pytest
+from oracles import reproject_to_pixels
 
 from peduncle import cloud as pc
 from peduncle import features as ft
@@ -61,7 +62,7 @@ class TestGenerate:
 
     def test_zero_noise_reprojects_exactly(self):
         scene = sg.generate(small_params(7, noise_sigma=0.0))
-        uv = pl.reproject_to_pixels(scene.cloud.points, scene.frame.intr)
+        uv = reproject_to_pixels(scene.cloud.points, scene.frame.intr)
         np.testing.assert_allclose(uv[:, 0], scene.frame.pixels[:, 1], atol=1e-6)
         np.testing.assert_allclose(uv[:, 1], scene.frame.pixels[:, 0], atol=1e-6)
 
