@@ -152,9 +152,7 @@ def eval_filtered(
             counts += (0, 0, n_pos, n_neg)
             continue
         pl.require_finite_scores(scene.scored.scores)
-        not_pepper, in_box, _ = pl.color_box_masks(
-            scene.scored, scene.pepper_points, nb, fp, box_params, up
-        )
+        not_pepper, in_box = pl.color_box_masks(scene.scored, scene.pepper_points, nb, fp, box_params, up)
         nodes = np.flatnonzero(not_pepper & in_box)
         pairs = pc.radius_pairs(scene.scored.cloud.points[nodes], fp.cluster_tol)
         node_scores = scene.scored.scores[nodes]

@@ -8,6 +8,8 @@ invariant under rigid motion of the cloud.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from . import cloud as pc
@@ -95,14 +97,27 @@ def _histogram_pairs(src_idx, alpha, phi, theta, valid, n_points) -> tuple[np.nd
     return hist, has
 
 
+def _without_self(neighbors: np.ndarray, rows: np.ndarray, kk: int) -> np.ndarray:
+    """The first kk neighbors of each of `rows` other than the row itself.
+
+    Self is in a row at most once (and absent when duplicates crowd it
+    out); the entries after it move up one column.
+    """
+    table = neighbors[rows]
+    past_self = np.cumsum(table == rows[:, None], axis=1)[:, :kk]
+    return np.take_along_axis(table, np.arange(kk) + past_self, axis=1)
+
+
 def fpfh(
     cloud_or_points,
     normals: np.ndarray,
     k: int,
     valid_normals: np.ndarray | None = None,
     neighbors: np.ndarray | None = None,
+    rows: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Fast point-feature histograms for every point of a cloud.
+    """Fast point-feature histograms for the points `rows` of a cloud
+    (every point when None).
 
     Each point's own simplified histogram is combined with the
     distance-weighted average of its k neighbors' histograms:
@@ -114,9 +129,11 @@ def fpfh(
     histogram has no valid pair are flagged invalid. `neighbors` is the
     (N, min(k + 1, N)) table knn_batch(build_index(points), points,
     min(k + 1, N)), each row holding the point itself; it is queried here
-    when not given.
+    when not given. Simplified histograms are formed only for the rows and
+    their neighbors, and each output row is the same bytes as that row of
+    the every-point call.
 
-    Returns (descriptors (N, 33), valid (N,) bool).
+    Returns (descriptors (R, 33), valid (R,) bool), R = len(rows) or N.
     """
     points = cloud_or_points.points if isinstance(cloud_or_points, pc.PointCloud) else np.asarray(cloud_or_points, dtype=np.float64)
     n = points.shape[0]
@@ -128,35 +145,65 @@ def fpfh(
         neighbors = pc.knn_batch(pc.build_index(points), points, min(k + 1, n))
     elif neighbors.shape != (n, min(k + 1, n)):
         raise InvalidInput(f"neighbor table must be ({n}, {min(k + 1, n)}), got {neighbors.shape}")
-
-    # k nearest excluding the point itself: a stable sort moves self (at
-    # most once per row, and absent when duplicates crowd it out) to the end
-    is_self = neighbors == np.arange(n)[:, None]
+    rows = np.arange(n) if rows is None else np.arange(n)[rows]
     kk = min(k, n - 1)
-    nbrs = np.take_along_axis(neighbors, np.argsort(is_self, axis=1, kind="stable")[:, :kk], axis=1)
 
-    src = np.repeat(np.arange(n, dtype=np.intp), kk)
-    tgt = nbrs.ravel()
+    # simplified histograms of the rows and every point in their tables (a
+    # row is missing from its own table when duplicates crowd it out)
+    need = np.zeros(n, dtype=bool)
+    need[neighbors[rows]] = True
+    need[rows] = True
+    spfh_rows = np.flatnonzero(need)
+    spfh_nbrs = _without_self(neighbors, spfh_rows, kk)
+    src = np.repeat(spfh_rows, kk)
+    tgt = spfh_nbrs.ravel()
     pair_ok = valid_normals[src] & valid_normals[tgt]
     alpha, phi, theta, valid = _pair_angles(points[src], normals[src], points[tgt], normals[tgt])
     valid &= pair_ok
     own, own_ok = _histogram_pairs(src, alpha, phi, theta, valid, n)
 
-    diff = points[nbrs] - points[:, None, :]
-    omega = np.linalg.norm(diff, axis=2)                      # (N, kk)
-    contrib = own_ok[nbrs] & (omega > 0.0) & valid_normals[:, None] & own_ok[:, None]
+    nbrs = spfh_nbrs[np.searchsorted(spfh_rows, rows)]       # (R, kk)
+    diff = points[nbrs] - points[rows][:, None, :]
+    omega = np.linalg.norm(diff, axis=2)
+    row_ok = own_ok[rows] & valid_normals[rows]
+    contrib = own_ok[nbrs] & (omega > 0.0) & row_ok[:, None]
     weights = np.where(contrib, 1.0 / np.where(omega > 0, omega, 1.0), 0.0)
     counts = contrib.sum(axis=1)
     # one neighbor column at a time: the same sum, in the same order, as a
-    # reduction over an (N, kk, 33) gather, without that gather
-    weighted = np.zeros((n, FPFH_DIM))
+    # reduction over an (R, kk, 33) gather, without that gather
+    weighted = np.zeros((len(rows), FPFH_DIM))
     for j in range(kk):
         weighted += weights[:, j, None] * own[nbrs[:, j]]
     scale = np.where(counts > 0, counts, 1.0)
-    out = own + weighted / scale[:, None]
-    out_valid = own_ok & valid_normals
-    out[~out_valid] = 0.0
-    return out, out_valid
+    out = own[rows] + weighted / scale[:, None]
+    out[~row_ok] = 0.0
+    return out, row_ok
+
+
+def _fpfh_valid(
+    points: np.ndarray, normals: np.ndarray, k: int, valid_normals: np.ndarray, neighbors: np.ndarray
+) -> np.ndarray:
+    """fpfh's valid flags for every point, without the histograms;
+    `neighbors` is fpfh's table.
+
+    A point is valid when its normal is and at least one of its pairs is.
+    The pairs are tried one neighbor column at a time over the points not
+    yet settled; for nearly every point the first neighbor settles it.
+    """
+    n = points.shape[0]
+    valid = np.zeros(n, dtype=bool)
+    past_self = np.zeros(n, dtype=bool)
+    todo = np.flatnonzero(valid_normals)
+    for j in range(min(k, n - 1)):
+        if todo.size == 0:
+            break
+        # column j of _without_self, for the points still open
+        past_self[todo] |= neighbors[todo, j] == todo
+        t = neighbors[todo, j + past_self[todo]]
+        ok = _pair_angles(points[todo], normals[todo], points[t], normals[t])[3] & valid_normals[t]
+        valid[todo[ok]] = True
+        todo = todo[~ok]
+    return valid
 
 
 def assemble_features(hsv_arr: np.ndarray, fpfh_arr: np.ndarray) -> np.ndarray:
@@ -186,23 +233,55 @@ def neighbor_tables(cloud: pc.PointCloud, normal_k: int, fpfh_k: int) -> tuple[n
     )
 
 
+@dataclass(frozen=True)
+class PointGeometry:
+    """A cloud's normals and histogram neighbor table: everything
+    point_features computes over every point before it forms a histogram.
+
+    Normals face the camera origin. valid() and features(rows) split
+    point_features in two, so a caller that keeps a few rows forms
+    histograms only for those rows and their neighbors.
+    """
+
+    cloud: pc.PointCloud
+    fpfh_k: int
+    normals: np.ndarray
+    normals_ok: np.ndarray
+    neighbors: np.ndarray     # (N, min(fpfh_k + 1, N)) fpfh table
+
+    @classmethod
+    def of(cls, cloud: pc.PointCloud, normal_k: int, fpfh_k: int) -> "PointGeometry":
+        """Normals and histogram neighbors from one neighbor query
+        (neighbor_tables)."""
+        if normal_k < 3:
+            raise InvalidInput("normal estimation needs k >= 3")
+        if len(cloud) < normal_k:
+            raise InsufficientPoints(f"cloud of {len(cloud)} points cannot supply k={normal_k}")
+        if fpfh_k < 2:
+            raise InvalidInput("fpfh needs k >= 2")
+        normal_nbrs, fpfh_nbrs = neighbor_tables(cloud, normal_k, fpfh_k)
+        normals, normals_ok = pc.estimate_normals(cloud, normal_k, (0.0, 0.0, 0.0), normal_nbrs)
+        return cls(cloud, fpfh_k, normals, normals_ok, fpfh_nbrs)
+
+    def valid(self) -> np.ndarray:
+        """point_features' valid flags for every point, without histograms."""
+        return _fpfh_valid(self.cloud.points, self.normals, self.fpfh_k, self.normals_ok, self.neighbors)
+
+    def features(self, rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(features (R, 36), valid (R,)) of the points `rows` (every point
+        when None): those rows of point_features, byte for byte."""
+        hists, valid = fpfh(self.cloud, self.normals, self.fpfh_k, self.normals_ok, self.neighbors, rows)
+        colors = self.cloud.colors if rows is None else self.cloud.colors[rows]
+        return assemble_features(rgb_to_hsv_array(colors), hists), valid
+
+
 def point_features(cloud: pc.PointCloud, normal_k: int = 30, fpfh_k: int = 30):
     """(features (N, 36), valid (N,)) for every point of a cloud.
 
-    Normals face the camera origin; valid flags points with a usable normal
-    and histogram. Normals and histograms share one neighbor query
-    (neighbor_tables).
+    valid flags points with a usable normal and histogram. Normals and
+    histograms share one neighbor query (PointGeometry).
     """
-    if normal_k < 3:
-        raise InvalidInput("normal estimation needs k >= 3")
-    if len(cloud) < normal_k:
-        raise InsufficientPoints(f"cloud of {len(cloud)} points cannot supply k={normal_k}")
-    if fpfh_k < 2:
-        raise InvalidInput("fpfh needs k >= 2")
-    normal_nbrs, fpfh_nbrs = neighbor_tables(cloud, normal_k, fpfh_k)
-    normals, n_valid = pc.estimate_normals(cloud, normal_k, (0.0, 0.0, 0.0), normal_nbrs)
-    hists, h_valid = fpfh(cloud, normals, fpfh_k, n_valid, fpfh_nbrs)
-    return assemble_features(rgb_to_hsv_array(cloud.colors), hists), n_valid & h_valid
+    return PointGeometry.of(cloud, normal_k, fpfh_k).features()
 
 
 def save_features(path, features: np.ndarray, labels: np.ndarray) -> None:

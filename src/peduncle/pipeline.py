@@ -105,7 +105,6 @@ class ScoredCloud:
 class FilterResult:
     cluster: np.ndarray                      # indices into the scored cloud
     survivors: list                          # (step, name, count) tuples
-    box: pc.BoundingBox3
 
 
 @dataclass
@@ -268,11 +267,11 @@ def color_box_masks(
     box_params: PeduncleBoxParams = PeduncleBoxParams(),
     up: tuple[int, int] = UP_DEFAULT,
     posterior: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, pc.BoundingBox3]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The two filtering steps that do not depend on the score threshold.
 
-    Returns (not pepper-colored, inside the 3D peduncle box, that box), the
-    masks of steps 3 and 4 over every scored point.
+    Returns (not pepper-colored, inside the 3D peduncle box), the masks of
+    steps 3 and 4 over every scored point.
     """
     if len(scored) == 0:
         raise EmptyInput("empty scored cloud")
@@ -282,7 +281,7 @@ def color_box_masks(
     if posterior is None:
         posterior = cls.nb_posterior(nb, ft.rgb_to_hsv_array(scored.cloud.colors))
     box = peduncle_bbox3(pc.compute_bbox(pc.PointCloud(pepper_points)), box_params, up)
-    return posterior < fp.pepper_posterior_threshold, box.contains(scored.cloud.points), box
+    return posterior < fp.pepper_posterior_threshold, box.contains(scored.cloud.points)
 
 
 def filter_detections(
@@ -303,9 +302,7 @@ def filter_detections(
     cluster survives the size limits, InvalidInput on a non-finite score.
     """
     require_finite_scores(scored.scores)
-    not_pepper, in_box, box = color_box_masks(
-        scored, pepper_points, nb, fp, box_params, up, posterior
-    )
+    not_pepper, in_box = color_box_masks(scored, pepper_points, nb, fp, box_params, up, posterior)
     keep = scored.scores >= fp.score_threshold
     survivors = [(1, "score_threshold", int(keep.sum()))]
     survivors.append((2, "project_to_3d", int(keep.sum())))
@@ -326,7 +323,7 @@ def filter_detections(
         raise NoPeduncleFound("NoPeduncleFound", "no cluster survived the size limits", survivors)
     cluster = candidates[best]
     survivors.append((5, "largest_cluster", int(cluster.size)))
-    return FilterResult(cluster, survivors, box)
+    return FilterResult(cluster, survivors)
 
 
 def cutting_pose(

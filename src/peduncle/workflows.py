@@ -61,11 +61,20 @@ def collect_svm_training(
     max_total: int = 2000,
     seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Class-balanced (features, +-1 labels) sample across training scenes."""
+    """Class-balanced (features, +-1 labels) sample across training scenes.
+
+    Each scene gives up to per_scene // 2 peduncle and as many other
+    labelled points, drawn among the points whose features are valid; the
+    pooled sample is then cut to max_total rows. Normals and valid flags
+    cover every point, but histograms only the drawn rows and their
+    neighbors (features.PointGeometry), with the same output as drawing
+    rows of point_features.
+    """
     rng = np.random.default_rng(seed)
     feats_all, y_all = [], []
     for scene in scenes:
-        feats, valid = ft.point_features(scene.cloud, normal_k, fpfh_k)
+        geometry = ft.PointGeometry.of(scene.cloud, normal_k, fpfh_k)
+        valid = geometry.valid()
         labels = scene.cloud.labels
         pos = np.flatnonzero((labels == pc.LABEL_PEDUNCLE) & valid)
         neg = np.flatnonzero((labels != pc.LABEL_PEDUNCLE) & (labels != pc.LABEL_UNLABELED) & valid)
@@ -74,10 +83,8 @@ def collect_svm_training(
             pos = np.sort(rng.choice(pos, half, replace=False))
         if neg.size > half:
             neg = np.sort(rng.choice(neg, half, replace=False))
-        feats_all.append(feats[pos])
-        y_all.append(np.ones(pos.size))
-        feats_all.append(feats[neg])
-        y_all.append(-np.ones(neg.size))
+        feats_all.append(geometry.features(np.concatenate([pos, neg]))[0])
+        y_all += [np.ones(pos.size), -np.ones(neg.size)]
     feats = np.vstack(feats_all)
     y = np.concatenate(y_all)
     if len(y) > max_total:

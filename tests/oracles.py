@@ -8,7 +8,8 @@ CNN kernels, which plug into the library's layers, the previous CNN
 scoring path, which reuses the library's score map, the per-patch
 score map, which runs the library's network on every patch, the previous
 pfh-svm scoring path, which reuses the library's pair angles, binning,
-normals and knn_batch, the per-row file readers and writers, which
+normals and knn_batch, the previous SVM training sample, which draws rows
+of the library's point_features, the per-row file readers and writers, which
 build the library's own objects, knn, which takes its candidates from the
 library's kd-tree, spfh, which bins with the library's pair angles, and
 kkt_violations, which scores with the library's svm_score_batch.
@@ -31,6 +32,7 @@ from peduncle import features as ft
 from peduncle import minicnn as mc
 from peduncle import pipeline as pl
 from peduncle.errors import (
+    DegenerateTraining,
     FormatError,
     InputTooSmall,
     InsufficientPoints,
@@ -471,6 +473,46 @@ def point_features_reference(cloud, normal_k=30, fpfh_k=30):
     normals, n_valid = pc.estimate_normals(cloud, normal_k, (0.0, 0.0, 0.0))
     hists, h_valid = fpfh_reference(cloud.points, normals, fpfh_k, n_valid)
     return ft.assemble_features(ft.rgb_to_hsv_array(cloud.colors), hists), n_valid & h_valid
+
+
+# The SVM training sample before it formed histograms only for the drawn
+# rows: point_features over the whole cloud, then rows of it. The library's
+# sample must match it bit for bit.
+
+
+def collect_svm_training_reference(
+    scenes,
+    normal_k: int = 30,
+    fpfh_k: int = 30,
+    per_scene: int = 300,
+    max_total: int = 2000,
+    seed: int = 0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Class-balanced (features, +-1 labels) sample across training scenes."""
+    rng = np.random.default_rng(seed)
+    feats_all, y_all = [], []
+    for scene in scenes:
+        feats, valid = ft.point_features(scene.cloud, normal_k, fpfh_k)
+        labels = scene.cloud.labels
+        pos = np.flatnonzero((labels == pc.LABEL_PEDUNCLE) & valid)
+        neg = np.flatnonzero((labels != pc.LABEL_PEDUNCLE) & (labels != pc.LABEL_UNLABELED) & valid)
+        half = per_scene // 2
+        if pos.size > half:
+            pos = np.sort(rng.choice(pos, half, replace=False))
+        if neg.size > half:
+            neg = np.sort(rng.choice(neg, half, replace=False))
+        feats_all.append(feats[pos])
+        y_all.append(np.ones(pos.size))
+        feats_all.append(feats[neg])
+        y_all.append(-np.ones(neg.size))
+    feats = np.vstack(feats_all)
+    y = np.concatenate(y_all)
+    if len(y) > max_total:
+        keep = np.sort(rng.choice(len(y), max_total, replace=False))
+        feats, y = feats[keep], y[keep]
+    if not (y > 0).any() or not (y < 0).any():
+        raise DegenerateTraining("training sample lost one of the classes")
+    return feats, y
 
 
 def kkt_violations(model: cls.SvmModel, features: np.ndarray, labels: np.ndarray) -> np.ndarray:

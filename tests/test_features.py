@@ -344,6 +344,55 @@ class TestPinnedToReference:
             assert same_bytes(got[0], want[0]) and same_bytes(got[1], want[1])
 
 
+class TestRowRestricted:
+    """fpfh over any row subset equals those rows of the every-point call
+    byte for byte, and the early-exit validity pass equals its valid flags
+    on every point."""
+
+    @staticmethod
+    def check(points, normals, k, valid, row_sets):
+        table = pc.knn_batch(pc.build_index(points), points, min(k + 1, len(points)))
+        full, full_ok = ft.fpfh(points, normals, k, valid, table)
+        assert same_bytes(ft._fpfh_valid(points, normals, k, valid, table), full_ok)
+        for rows in row_sets:
+            rows = np.asarray(rows, dtype=np.intp)   # negative rows count from the end
+            got, got_ok = ft.fpfh(points, normals, k, valid, table, rows)
+            assert same_bytes(got, full[rows]) and same_bytes(got_ok, full_ok[rows])
+
+    @settings(max_examples=80, deadline=None)
+    @given(cloud=lattice_clouds(), k=st.integers(2, 40), normal_k=st.integers(3, 10), data=st.data())
+    def test_lattice_clouds(self, cloud, k, normal_k, data):
+        # duplicates give zero-distance neighbors and invalid normals
+        n = len(cloud)
+        normals, valid = pc.estimate_normals(cloud, min(normal_k, n), (0.0, 0.0, -1.0))
+        valid &= ~np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        some = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+        one = [data.draw(st.integers(0, n - 1))]
+        self.check(cloud.points, normals, k, valid, [[], one, np.arange(n), some])
+
+    def test_c6_roi(self, c6_frame):
+        frame, rows = c6_frame
+        cloud = frame.cloud.subset(rows)
+        normals, valid = pc.estimate_normals(cloud, 30, (0.0, 0.0, 0.0))
+        n = len(cloud)
+        rng = np.random.default_rng(3)
+        subsets = [[], [n // 2], np.arange(n), np.sort(rng.choice(n, 300, replace=False)), rng.integers(-n, n, 500)]
+        for k in (2, 30):
+            self.check(cloud.points, normals, k, valid, subsets)
+
+    def test_point_geometry_on_c6_roi(self, c6_frame):
+        frame, rows = c6_frame
+        cloud = frame.cloud.subset(rows)
+        feats, valid = ft.point_features(cloud, 30, 30)
+        geometry = ft.PointGeometry.of(cloud, 30, 30)
+        assert same_bytes(geometry.valid(), valid)
+        rng = np.random.default_rng(4)
+        for rows in ([], [0], np.sort(rng.choice(len(cloud), 300, replace=False))):
+            rows = np.asarray(rows, dtype=np.intp)
+            got, got_ok = geometry.features(rows)
+            assert same_bytes(got, feats[rows]) and same_bytes(got_ok, valid[rows])
+
+
 class TestAssemble:
     def test_layout(self):
         out = ft.assemble_features(np.array([[0.0, 1.0, 1.0]]), np.zeros((1, 33)))

@@ -499,7 +499,8 @@ class TestFilterDetections:
         from peduncle import features as ft
 
         pts = scored.cloud.points[result.cluster]
-        assert result.box.contains(pts).all()
+        box = pl.peduncle_bbox3(pc.compute_bbox(pc.PointCloud(pepper_pts)))
+        assert box.contains(pts).all()
         post = cls.nb_posterior(nb, ft.rgb_to_hsv_array(scored.cloud.colors[result.cluster]))
         assert (post < 0.5).all()
 

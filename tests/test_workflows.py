@@ -4,10 +4,11 @@ import dataclasses
 
 import numpy as np
 import pytest
-from oracles import eval_filtered_per_threshold
+from oracles import collect_svm_training_reference, eval_filtered_per_threshold
 
 from peduncle import classifiers as cls
 from peduncle import cloud as pc
+from peduncle import config as cfgmod
 from peduncle import evaluate as ev
 from peduncle import features as ft
 from peduncle import minicnn as mc
@@ -106,6 +107,45 @@ class TestSvmCollection:
     def test_features_finite(self, scenes):
         feats, _ = wf.collect_svm_training(scenes[:1], per_scene=60, max_total=60, seed=2)
         assert np.isfinite(feats).all()
+
+
+class TestSvmSampleMatchesReference:
+    """The sample equals the reference's, which draws rows of point_features
+    over whole clouds, byte for byte."""
+
+    @staticmethod
+    def check(scenes, **kwargs):
+        got = wf.collect_svm_training(scenes, **kwargs)
+        want = collect_svm_training_reference(scenes, **kwargs)
+        assert got[0].shape == want[0].shape and got[0].tobytes() == want[0].tobytes()
+        assert got[1].shape == want[1].shape and got[1].tobytes() == want[1].tobytes()
+        return got
+
+    def test_c6_training_draws(self):
+        cfg = cfgmod.default_config()
+        params = sg.benchmark_params(40, 20240, sg.benchmark_base())
+        self.check(
+            [sg.generate(params[i]) for i in (0, 7, 23)],
+            normal_k=cfgmod.cfg_int(cfg, "normal_k"),
+            fpfh_k=cfgmod.cfg_int(cfg, "fpfh_k"),
+            max_total=cfgmod.cfg_int(cfg, "svm_max_train"),
+        )
+
+    @pytest.mark.parametrize(
+        "n_scenes,per_scene,max_total,seed", [(3, 120, 400, 8), (1, 60, 60, 2), (2, 300, 2000, 0)]
+    )
+    def test_workflow_scenes(self, scenes, n_scenes, per_scene, max_total, seed):
+        self.check(scenes[:n_scenes], per_scene=per_scene, max_total=max_total, seed=seed)
+
+    def test_max_total_subsamples(self, scenes):
+        _, y = self.check(scenes[:2], per_scene=80, max_total=120, seed=1)
+        assert len(y) == 120
+
+    def test_class_short_of_half(self, scenes):
+        # more peduncle rows asked for than the scene has labelled
+        per_scene = 2 * int(np.sum(scenes[3].cloud.labels == pc.LABEL_PEDUNCLE)) + 2
+        _, y = self.check(scenes[3:4], fpfh_k=12, per_scene=per_scene, max_total=10**6, seed=5)
+        assert 0 < np.sum(y > 0) < per_scene // 2 == np.sum(y < 0)
 
 
 class TestSceneScoring:
