@@ -41,6 +41,9 @@ def _detection_params(cfg: dict, threshold: float | None = None) -> dict:
     """The configuration's detection parameters, as the fp, pepper_params,
     box_params and up keyword arguments of pipeline.run_detection and
     workflows.evaluate_detector. `threshold` overrides score_threshold."""
+    box_vertical = cfgmod.cfg_str(cfg, "box_vertical")
+    if box_vertical not in ("symmetric", "above"):
+        raise FormatError(f"config key 'box_vertical' must be symmetric or above, not {box_vertical!r}")
     return {
         "fp": pl.FilterParams(
             score_threshold=(
@@ -58,10 +61,18 @@ def _detection_params(cfg: dict, threshold: float | None = None) -> dict:
         ),
         "box_params": pl.PeduncleBoxParams(
             h_offset=cfgmod.cfg_float(cfg, "h_offset"),
-            symmetric=cfgmod.cfg_str(cfg, "box_vertical") == "symmetric",
+            symmetric=box_vertical == "symmetric",
         ),
         "up": pl.parse_up_axis(cfgmod.cfg_str(cfg, "up_axis")),
     }
+
+
+def _thresholds(cfg: dict) -> np.ndarray:
+    """The configuration's threshold grid; FormatError unless it has at least one point."""
+    n = cfgmod.cfg_int(cfg, "thresholds")
+    if n < 1:
+        raise FormatError(f"config key 'thresholds' must be at least 1, got {n}")
+    return ev.default_thresholds(n)
 
 
 def _load_scenes(manifest: str, split: str | None):
@@ -118,7 +129,13 @@ def load_scores(path) -> tuple[np.ndarray, np.ndarray]:
 
 def cmd_gen_scene(args) -> int:
     cfg = cfgmod.merged_config(args.config)
-    center = tuple(float(v) for v in cfgmod.cfg_str(cfg, "pepper_center").split())
+    text = cfgmod.cfg_str(cfg, "pepper_center")
+    try:
+        center = tuple(float(v) for v in text.split())
+    except ValueError:
+        center = ()
+    if len(center) != 3 or not np.isfinite(center).all():
+        raise FormatError(f"config key 'pepper_center' must be three finite numbers, got {text!r}")
     base = sg.SceneParams(
         image_w=cfgmod.cfg_int(cfg, "image_width"),
         image_h=cfgmod.cfg_int(cfg, "image_height"),
@@ -274,7 +291,7 @@ def cmd_eval(args) -> int:
     scenes, _ = _load_scenes(args.scenes, args.split)
     nb = cls.load_nb(os.path.join(args.models, "nb.model"))
     detector = _load_detector(args.detector, args.models, cfg)
-    thresholds = ev.default_thresholds(cfgmod.cfg_int(cfg, "thresholds"))
+    thresholds = _thresholds(cfg)
     params = _detection_params(cfg)
     _echo_config(args.out, cfg)
     raw, filtered, notes = wf.evaluate_detector(
@@ -299,12 +316,9 @@ def cmd_pr_curve(args) -> int:
         s, l = load_scores(path)
         scores.append(s)
         labels.append(l)
+    thresholds = _thresholds(cfg)
     _echo_config(args.out, cfg)
-    curve = ev.pr_curve(
-        np.concatenate(scores),
-        np.concatenate(labels),
-        ev.default_thresholds(cfgmod.cfg_int(cfg, "thresholds")),
-    )
+    curve = ev.pr_curve(np.concatenate(scores), np.concatenate(labels), thresholds)
     ev.write_pr_csv(os.path.join(args.out, "pr.csv"), [curve])
     with open(os.path.join(args.out, "summary.txt"), "w", newline="\n") as fh:
         fh.write(f"raw {ev.summary_line(curve)}\n")

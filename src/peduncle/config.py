@@ -36,13 +36,11 @@ def default_config() -> dict[str, str]:
     return parse_config(text)
 
 
-def merged_config(path=None, overrides: dict[str, str] | None = None) -> dict[str, str]:
-    """Defaults, optionally overlaid with a user file and explicit overrides."""
+def merged_config(path) -> dict[str, str]:
+    """Defaults, overlaid with the user file at path when path is not None."""
     cfg = default_config()
     if path is not None:
         cfg.update(load_config(path))
-    if overrides:
-        cfg.update({k: str(v) for k, v in overrides.items()})
     return cfg
 
 

@@ -93,7 +93,7 @@ def confusion(scores, labels, threshold: float) -> tuple[int, int, int, int]:
     return tp, fp, fn, tn
 
 
-def pr_curve(scores, labels, thresholds=None, mode: str = "raw") -> PrCurve:
+def pr_curve(scores, labels, thresholds=None) -> PrCurve:
     """PrPoint per threshold over one pooled score/label set; InvalidInput
     on a non-finite score."""
     if thresholds is None:
@@ -103,7 +103,7 @@ def pr_curve(scores, labels, thresholds=None, mode: str = "raw") -> PrCurve:
     if not np.any(labels == POSITIVE) or not np.any(labels == NEGATIVE):
         raise EmptyEvaluation("need at least one positive and one negative label")
     points = [PrPoint(float(t), *confusion(scores, labels, float(t))) for t in thresholds]
-    return PrCurve(points, mode)
+    return PrCurve(points)
 
 
 @dataclass

@@ -58,16 +58,6 @@ from .errors import EmptyInput, FormatError, InputTooSmall, InvalidInput, ShapeE
 # Weight files start with this 16-byte magic block.
 WEIGHT_MAGIC = b"MINC0001" + b"\x00" * 8
 
-# When enabled, every layer output is asserted finite (slow; for debugging).
-DEBUG_CHECK_FINITE = False
-
-
-def _check(x: np.ndarray) -> np.ndarray:
-    if DEBUG_CHECK_FINITE and not np.all(np.isfinite(x)):
-        raise InvalidInput("non-finite activation")
-    return x
-
-
 # ---------------------------------------------------------------------------
 # layer specifications
 # ---------------------------------------------------------------------------
@@ -368,7 +358,7 @@ class Conv2d:
         out = self.affine(cols).reshape(x.shape[0], oh, ow, s.c_out).transpose(0, 3, 1, 2)
         if train:
             self._cache = (cols, x.shape, oh, ow)
-        return _check(out)
+        return out
 
     def affine(self, cols):
         """(rows, c_in * kh * kw) im2col columns -> (rows, c_out) outputs."""
@@ -417,17 +407,19 @@ class MaxPool:
 
     def forward(self, x, train=False):
         k, stride = self.spec.k, self.spec.stride
-        b, c, h, w = x.shape
-        oh, ow = _out_hw(h, w, k, k, stride, self.pad)
-        xp = _nhwc_padded(x, self.pad, -np.inf)
+        oh, ow = _out_hw(*x.shape[2:], k, k, stride, self.pad)
+        win = _windows(_nhwc_padded(x, self.pad, -np.inf), k, k, stride, oh, ow)
+        out = _max_fold(win)
         if train:
-            flat = _gather_windows(xp, k, k, stride, oh, ow).reshape(b, oh, ow, c, k * k)
-            arg = np.argmax(flat, axis=-1)
-            out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
+            # argmax: the first window offset holding the maximum, counted as
+            # the offsets passed before it
+            found = np.zeros(out.shape, dtype=bool)
+            arg = np.zeros(out.shape, dtype=np.intp)
+            for off in range(k * k - 1):
+                found |= win[..., off // k, off % k] == out
+                arg += ~found
             self._cache = (arg, x.shape, oh, ow)
-        else:
-            out = _max_fold(_windows(xp, k, k, stride, oh, ow))
-        return _check(out.transpose(0, 3, 1, 2))
+        return out.transpose(0, 3, 1, 2)
 
     def backward(self, dy):
         arg, x_shape, oh, ow = self._cache
@@ -527,7 +519,7 @@ class Fc:
             raise ShapeError(f"fc expected {self.spec.n_in} inputs, got {flat.shape[1]}")
         if train:
             self._cache = (flat, x.shape)
-        return _check(flat @ self.params["w"].T + self.params["b"])
+        return flat @ self.params["w"].T + self.params["b"]
 
     def backward(self, dy):
         flat, x_shape = self._cache

@@ -326,30 +326,22 @@ def filter_detections(
     return FilterResult(cluster, survivors)
 
 
-def cutting_pose(
-    points: np.ndarray,
-    up: tuple[int, int] = UP_DEFAULT,
-    camera_origin=(0.0, 0.0, 0.0),
-    camera_forward=(0.0, 0.0, 1.0),
-) -> CuttingPose:
+def cutting_pose(points: np.ndarray, up: tuple[int, int] = UP_DEFAULT) -> CuttingPose:
     """Centroid of the peduncle cluster plus a horizontal approach axis.
 
-    The axis is the horizontal projection of the camera-to-centroid
-    direction; when that projection vanishes (target straight above or
-    below the camera) the camera forward axis is used instead.
+    The axis is the horizontal projection of the direction from the camera
+    (the cloud's origin) to the centroid; when that projection vanishes
+    (target straight above or below the camera) the camera forward axis,
+    +z, is used instead.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or len(points) == 0:
         raise EmptyInput("empty cluster")
     position = points.mean(axis=0)
-    direction = position - np.asarray(camera_origin, dtype=np.float64)
+    direction = position.copy()
     direction[up[0]] = 0.0
     norm = np.linalg.norm(direction)
-    if norm < 1e-9:
-        axis = np.asarray(camera_forward, dtype=np.float64)
-        axis = axis / np.linalg.norm(axis)
-    else:
-        axis = direction / norm
+    axis = np.array([0.0, 0.0, 1.0]) if norm < 1e-9 else direction / norm
     return CuttingPose(position, axis)
 
 
@@ -424,10 +416,10 @@ class CnnDetector:
 
     name = "cnn"
 
-    def __init__(self, net: mc.Network, stride: int = 4, infer_dtype=np.float32):
+    def __init__(self, net: mc.Network, stride: int = 4):
         self.net = net
         self.stride = stride
-        self._infer_net = net.cast(infer_dtype) if infer_dtype is not None else net
+        self._infer_net = net.cast(np.float32)
 
     def score_frame(self, frame: Frame, roi: Roi2) -> ScoredCloud:
         ph, pw = self._infer_net.input_hw

@@ -115,15 +115,14 @@ def _hsv_to_rgb_array(h, s, v) -> np.ndarray:
     return np.round((rgb1 + m[:, None]) * 255.0).astype(np.uint8)
 
 
-def _colors(rng, n, h_mean, h_std, s_range, v_range, p: "SceneParams | None" = None, plant=False) -> np.ndarray:
+def _colors(rng, n, h_mean, h_std, s_range, v_range, p: SceneParams, plant=False) -> np.ndarray:
     """Jittered material colors; plant hues shift and all values scale per scene."""
-    if p is not None and plant:
+    if plant:
         h_mean = h_mean + p.green_hue_shift
     h = (rng.normal(h_mean, h_std, n)) % 360.0
     s = rng.uniform(*s_range, n)
     v = rng.uniform(*v_range, n)
-    if p is not None:
-        v = np.clip(v * p.light_scale, 0.02, 1.0)
+    v = np.clip(v * p.light_scale, 0.02, 1.0)
     return _hsv_to_rgb_array(h, s, v)
 
 

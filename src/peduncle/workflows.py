@@ -24,10 +24,11 @@ from .errors import DegenerateTraining, NoPeduncleFound
 # ---------------------------------------------------------------------------
 
 
-def train_nb_from_scenes(scenes, cap_per_scene: int = 4000, seed: int = 0) -> cls.NaiveBayesHsv:
+def train_nb_from_scenes(scenes, seed: int = 0) -> cls.NaiveBayesHsv:
     """Fit the pepper HSV model from labeled scene clouds.
 
-    The non-pepper class is sampled half from saturated material (foliage,
+    Each scene gives up to 4000 pepper points and 4000 others. The
+    non-pepper class is sampled half from saturated material (foliage,
     peduncles) and half from the dull background, otherwise the abundant
     background pixels would dominate the class and leave green plant matter
     closer to the pepper model than to its own.
@@ -43,11 +44,11 @@ def train_nb_from_scenes(scenes, cap_per_scene: int = 4000, seed: int = 0) -> cl
     for scene in scenes:
         labs = scene.cloud.labels
         hsv = ft.rgb_to_hsv_array(scene.cloud.colors)
-        pepper.append(hsv[_sample(rng, np.flatnonzero(labs == pc.LABEL_PEPPER), cap_per_scene)])
+        pepper.append(hsv[_sample(rng, np.flatnonzero(labs == pc.LABEL_PEPPER), 4000)])
         non = labs != pc.LABEL_PEPPER
         saturated = non & (hsv[:, 1] >= 0.35)
-        other.append(hsv[_sample(rng, np.flatnonzero(saturated), cap_per_scene // 2)])
-        other.append(hsv[_sample(rng, np.flatnonzero(non & ~saturated), cap_per_scene // 2)])
+        other.append(hsv[_sample(rng, np.flatnonzero(saturated), 2000)])
+        other.append(hsv[_sample(rng, np.flatnonzero(non & ~saturated), 2000)])
     if not pepper or not other:
         raise DegenerateTraining("scenes supply no pepper/non-pepper samples")
     return cls.nb_fit(np.vstack(pepper), np.vstack(other))
@@ -230,7 +231,7 @@ def pooled_raw_curve(scene_evals, thresholds=None) -> ev.PrCurve:
     """Raw (pre-filter) curve over the pooled scored points of all scenes."""
     scores = np.concatenate([s.scored.scores for s in scene_evals])
     labels = np.concatenate([s.eval_labels for s in scene_evals])
-    return ev.pr_curve(scores, labels, thresholds, mode="raw")
+    return ev.pr_curve(scores, labels, thresholds)
 
 
 def evaluate_detector(

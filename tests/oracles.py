@@ -7,12 +7,14 @@ threshold to check the one-pass sweep built on top of it, the previous
 CNN kernels, which plug into the library's layers, the previous CNN
 scoring path, which reuses the library's score map, the per-patch
 score map, which runs the library's network on every patch, the previous
-pfh-svm scoring path, which reuses the library's pair angles, binning,
-normals and knn_batch, the previous SVM training sample, which draws rows
-of the library's point_features, the per-row file readers and writers, which
-build the library's own objects, knn, which takes its candidates from the
-library's kd-tree, spfh, which bins with the library's pair angles, and
-kkt_violations, which scores with the library's svm_score_batch.
+max-pool training forward, which gathers windows with the library's window
+helpers, the previous pfh-svm scoring path, which reuses the library's pair
+angles, binning, normals and knn_batch, the previous SVM training sample,
+which draws rows of the library's point_features, the per-row file readers
+and writers, which build the library's own objects, knn, which takes its
+candidates from the library's kd-tree, spfh, which bins with the library's
+pair angles, and kkt_violations, which scores with the library's
+svm_score_batch.
 ranked_clusters is not an oracle: it lists every cluster the library's
 largest_cluster would pick in turn, for comparison with the oracles.
 """
@@ -679,6 +681,23 @@ class MaxPoolReference:
         dx = col2im_reference(dcols, x_shape, k, k, stride, self.pad, oh, ow)
         b_c, _, h, w = x_shape
         return dx.reshape(dy.shape[0], dy.shape[1], h, w)
+
+
+# minicnn.MaxPool's training forward before it shared the inference fold:
+# gather every window, take its argmax and the element there. The forward
+# value and the cached argmax must match it bit for bit.
+
+
+def max_pool_gather_reference(x, k, stride, pad):
+    """(output (b, c, oh, ow), argmax (b, oh, ow, c)) of a k x k max pool over
+    -inf padding; the argmax is the row-major window offset i * k + j."""
+    b, c, h, w = x.shape
+    oh, ow = mc._out_hw(h, w, k, k, stride, pad)
+    xp = mc._nhwc_padded(x, pad, -np.inf)
+    flat = mc._gather_windows(xp, k, k, stride, oh, ow).reshape(b, oh, ow, c, k * k)
+    arg = np.argmax(flat, axis=-1)
+    out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
+    return out.transpose(0, 3, 1, 2), arg
 
 
 @contextlib.contextmanager

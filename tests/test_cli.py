@@ -220,6 +220,36 @@ class TestExitCodes:
             assert rc == 2
             assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command,key,value",
+        [
+            ("gen-scene", "pepper_center", "0.0 abc 0.33"),
+            ("gen-scene", "pepper_center", "0.0 0.01"),
+            ("gen-scene", "pepper_center", "0.0 0.01 0.33 0.5"),
+            ("gen-scene", "pepper_center", "0.0 nan 0.33"),
+            ("pr-curve", "thresholds", "0"),
+            ("pr-curve", "thresholds", "-1"),
+            ("eval", "thresholds", "0"),
+            ("filter", "box_vertical", "symetric"),
+            ("eval", "box_vertical", "below"),
+        ],
+    )
+    def test_bad_config_value_is_2(self, workdir, tmp_path, command, key, value):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{SMALL_CFG}{key} = {value}\n")
+        scores = tmp_path / "a.scores"
+        scores.write_text("scores v1 2\n0.0 0.0 1.0 0.5 1\n0.0 0.0 1.0 0.25 0\n")
+        inputs = {
+            "gen-scene": ["--count", "1"],
+            "pr-curve": ["--scores", str(scores)],
+            "eval": ["--scenes", workdir["manifest"], "--split", "eval",
+                     "--models", workdir["models"], "--detector", "pfh-svm"],
+        }
+        inputs["filter"] = inputs["eval"]
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out), *inputs[command]]) == 2
+        assert not out.exists()
+
 
 def _write_scenes(scene_dir, cfg_path, scenes):
     """Save scenes as s0000, s0001, ... with a manifest and the scene config."""

@@ -1,9 +1,10 @@
-"""Guard against code in src/ that only tests call.
+"""Guard against code in src/ that only tests call, and options no one sets.
 
 Every public module-level function and class of the library must be used
 by name in the library's own code, outside its definition, or by the
 benchmark harness in perfbench/. Test-only helpers belong in
-tests/oracles.py.
+tests/oracles.py. Every defaulted parameter of a library function must be
+passed by some call in src/, perfbench/ or tests/.
 """
 
 import ast
@@ -53,3 +54,74 @@ def test_every_public_definition_is_used_outside_tests():
             if node.name not in used_names(tree, skip=node):
                 unused.append(f"{module}.{node.name}")
     assert unused == []
+
+
+def call_sites(paths) -> dict[str, list[tuple[float, set[str], bool]]]:
+    """Per called name (a plain name or an attribute), each call's number of
+    positional arguments (infinite with a *args), keyword names and whether
+    it passes **kwargs."""
+    sites: dict[str, list] = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name is None:
+                continue
+            positional = len(node.args)
+            if any(isinstance(a, ast.Starred) for a in node.args):
+                positional = float("inf")
+            keywords = {k.arg for k in node.keywords if k.arg is not None}
+            spread = any(k.arg is None for k in node.keywords)
+            sites.setdefault(name, []).append((positional, keywords, spread))
+    return sites
+
+
+def defaulted_parameters(module: str, tree: ast.AST):
+    """(qualified function name, called name, parameter, positional index or
+    None when keyword-only) for every defaulted parameter in tree. A
+    method's index counts the arguments after self; __init__ is called by
+    its class name."""
+
+    def visit(node, cls_name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from visit(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                static = any(getattr(d, "id", None) == "staticmethod" for d in child.decorator_list)
+                bound = cls_name is not None and not static
+                called = cls_name if bound and child.name == "__init__" else child.name
+                qualified = f"{module}.{cls_name + '.' if cls_name else ''}{child.name}"
+                a = child.args
+                positional = a.posonlyargs + a.args
+                first = len(positional) - len(a.defaults)
+                for i in range(first, len(positional)):
+                    yield qualified, called, positional[i].arg, i - bound
+                for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                    if default is not None:
+                        yield qualified, called, arg.arg, None
+                yield from visit(child, None)
+            else:
+                yield from visit(child, cls_name)
+
+    yield from visit(tree, None)
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    """A default no call overrides is a constant: make it one. Calls match
+    by the called name alone, so a call of another function with the same
+    name counts too."""
+    paths = [*SRC.glob("*.py"), *(ROOT / "perfbench").glob("*.py"), *(ROOT / "tests").glob("*.py")]
+    sites = call_sites(sorted(paths))
+    never = []
+    for path in sorted(SRC.glob("*.py")):
+        for qualified, called, param, index in defaulted_parameters(path.stem, ast.parse(path.read_text())):
+            if qualified in ENTRY_POINTS:
+                continue
+            if not any(
+                param in keywords or spread or (index is not None and positional > index)
+                for positional, keywords, spread in sites.get(called, [])
+            ):
+                never.append(f"{qualified}({param}=)")
+    assert never == []

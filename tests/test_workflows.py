@@ -199,9 +199,14 @@ class TestSceneScoring:
             "fc 64 2\n"
         )
         net = mc.Network.from_netspec(spec, seed=10)
-        r64 = wf.score_scene(scenes[3], pl.CnnDetector(net, infer_dtype=None), nb)
-        r32 = wf.score_scene(scenes[3], pl.CnnDetector(net), nb)
-        assert np.abs(r64.scored.scores - r32.scored.scores).max() < 1e-5
+        frame = scenes[3].frame
+        pepper_idx, _ = pl.detect_pepper(frame.cloud, nb)
+        roi = pl.compute_roi(pl.pixel_bbox(frame.pixels[pepper_idx]), *frame.depth_raw.shape[::-1])
+        scored = pl.CnnDetector(net).score_frame(frame, roi)
+        sm64 = mc.densify_score_map(mc.score_map(frame.rgb, net, 4, roi), 16, 16, 4)
+        v, u = scored.pixels[:, 0], scored.pixels[:, 1]
+        assert sm64.mask[v, u].all()
+        assert np.abs(scored.scores - sm64.scores[v, u]).max() < 1e-5
 
 
 class TestEvaluateDetector:
