@@ -2,10 +2,11 @@
 
 `open_text` opens a text file for reading and turns bytes that are not
 UTF-8 into FormatError. `write_rows` / `read_rows` are the one column-wise
-writer and reader behind the row-per-line formats (cloud, scores, features
-and the support vectors of an svm model): a header, then one line per row
-holding the float columns as `repr` and the int columns as decimals, one
-space apart. Each format keeps its own header line and header checks.
+writer and reader behind the row-per-line formats (scores, features, the
+support vectors of an svm model, and the write-only cloud): a header, then
+one line per row holding the float columns as `repr` and the int columns
+as decimals, one space apart. Each format keeps its own header line and
+header checks.
 """
 
 from __future__ import annotations

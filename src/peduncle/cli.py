@@ -122,13 +122,8 @@ def load_scores(path) -> tuple[np.ndarray, np.ndarray]:
     return values[:, 3].copy(), labels[:, 0]
 
 
-# ---------------------------------------------------------------------------
-# commands
-# ---------------------------------------------------------------------------
-
-
-def cmd_gen_scene(args) -> int:
-    cfg = cfgmod.merged_config(args.config)
+def _scene_params(cfg: dict) -> sg.SceneParams:
+    """The configuration's camera and pepper centre as SceneParams."""
     text = cfgmod.cfg_str(cfg, "pepper_center")
     try:
         center = tuple(float(v) for v in text.split())
@@ -136,7 +131,7 @@ def cmd_gen_scene(args) -> int:
         center = ()
     if len(center) != 3 or not np.isfinite(center).all():
         raise FormatError(f"config key 'pepper_center' must be three finite numbers, got {text!r}")
-    base = sg.SceneParams(
+    return sg.SceneParams(
         image_w=cfgmod.cfg_int(cfg, "image_width"),
         image_h=cfgmod.cfg_int(cfg, "image_height"),
         fx=cfgmod.cfg_float(cfg, "fx"),
@@ -146,7 +141,15 @@ def cmd_gen_scene(args) -> int:
         depth_scale=cfgmod.cfg_float(cfg, "depth_scale"),
         pepper_center=center,
     )
-    os.makedirs(args.out, exist_ok=True)
+
+
+# ---------------------------------------------------------------------------
+# commands
+# ---------------------------------------------------------------------------
+
+
+def cmd_gen_scene(args) -> int:
+    base = _scene_params(cfgmod.merged_config(args.config))
     manifest = sg.make_benchmark(args.out, args.count, args.seed, args.train, base)
     _log(f"wrote {args.count} scene(s), manifest {manifest}")
     return 0

@@ -17,8 +17,8 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from ._textio import open_text, read_rows, write_rows
-from .errors import EmptyInput, FormatError, InsufficientPoints, InvalidInput
+from ._textio import write_rows
+from .errors import EmptyInput, InsufficientPoints, InvalidInput
 
 LABEL_UNLABELED = 0
 LABEL_PEDUNCLE = 1
@@ -287,28 +287,3 @@ def save_cloud(path, cloud: PointCloud) -> None:
     has_labels = 1 if cloud.labels is not None else 0
     ints = cloud.colors if cloud.labels is None else np.column_stack([cloud.colors, cloud.labels])
     write_rows(path, f"pcloud v1 {len(cloud)} {has_labels}", cloud.points, ints)
-
-
-def load_cloud(path) -> PointCloud:
-    """Read the ASCII cloud format written by save_cloud.
-
-    Raises FormatError on a bad header or point line, a non-numeric field, a
-    point count the file cannot hold, a colour or label outside 0-255, a
-    non-finite coordinate, or data after the last point.
-    """
-    with open_text(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 4 or header[:2] != ["pcloud", "v1"] or header[3] not in ("0", "1"):
-            raise FormatError(f"{path}: not a pcloud v1 file")
-        has_labels = header[3] == "1"
-        try:
-            count = int(header[2])
-        except ValueError as exc:
-            raise FormatError(f"{path}: bad point count") from exc
-        pts, ints = read_rows(fh, path, count, 3, 4 if has_labels else 3, "point")
-    if not np.isfinite(pts).all():
-        raise FormatError(f"{path}: non-finite coordinate")
-    if ((ints < 0) | (ints > 255)).any():
-        raise FormatError(f"{path}: colour or label outside 0-255")
-    ints = ints.astype(np.uint8)
-    return PointCloud(pts, ints[:, :3], ints[:, 3] if has_labels else None)

@@ -129,10 +129,6 @@ class NetworkSpec:
         if not isinstance(self.layers[-1], FcSpec):
             raise ShapeError("final layer must be the fully connected head")
 
-    @property
-    def n_classes(self) -> int:
-        return next(s.n_out for s in reversed(self.layers) if isinstance(s, FcSpec))
-
 
 def trace_shapes(specs, c: int, h: int, w: int) -> list[tuple[int, int, int]]:
     """(c, h, w) after each layer; raises ShapeError on inconsistent chaining."""
@@ -157,29 +153,6 @@ def trace_shapes(specs, c: int, h: int, w: int) -> list[tuple[int, int, int]]:
             raise ShapeError("spatial size collapsed to zero")
         shapes.append((c, h, w))
     return shapes
-
-
-def param_count(spec) -> int:
-    """Total learnable parameters of a NetworkSpec or a raw spec sequence."""
-    if isinstance(spec, NetworkSpec):
-        specs, c = spec.layers, spec.input_c
-    else:
-        specs = list(spec)
-        c = next((s.c_in for s in specs if isinstance(s, ConvSpec)), 0)
-    total = 0
-    for s in specs:
-        if isinstance(s, ConvSpec):
-            total += s.kh * s.kw * s.c_in * s.c_out + s.c_out
-            c = s.c_out
-        elif isinstance(s, InceptionSpec):
-            total += c * s.b1 + s.b1
-            total += c * s.b3r + s.b3r
-            total += 3 * 3 * s.b3r * s.b3 + s.b3
-            total += c * s.bp + s.bp
-            c = s.c_out
-        elif isinstance(s, FcSpec):
-            total += s.n_in * s.n_out + s.n_out
-    return total
 
 
 # ---------------------------------------------------------------------------

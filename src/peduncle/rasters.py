@@ -3,7 +3,9 @@
 RGB images are 8-bit P6 PPM; depth maps are 16-bit P5 PGM (maxval 65535,
 most significant byte first per the Netpbm convention) with the meters-per-
 unit scale kept in the run configuration. Annotation masks are 8-bit P5
-with 0 / 255 values.
+with 0 / 255 values. Label images are 8-bit P5 holding each pixel's
+cloud.LABEL_* value, with the largest label as maxval, so a viewer
+stretches them to visible greys.
 """
 
 from __future__ import annotations
@@ -12,7 +14,10 @@ import os
 
 import numpy as np
 
+from .cloud import LABEL_NAMES
 from .errors import FormatError
+
+_LABEL_MAX = max(LABEL_NAMES)
 
 
 def _read_header(fh, magic: bytes):
@@ -88,18 +93,38 @@ def read_pgm16(path) -> np.ndarray:
     return np.frombuffer(data, dtype=">u2").reshape(h, w).astype(np.uint16)
 
 
-def write_mask(path, mask: np.ndarray) -> None:
-    m = np.where(np.asarray(mask, dtype=bool), 255, 0).astype(np.uint8)
-    h, w = m.shape
+def _write_pgm8(path, img: np.ndarray, maxval: int) -> None:
+    h, w = img.shape
     with open(path, "wb") as fh:
-        fh.write(f"P5 {w} {h} 255\n".encode())
-        fh.write(m.tobytes())
+        fh.write(f"P5 {w} {h} {maxval}\n".encode())
+        fh.write(np.ascontiguousarray(img, dtype=np.uint8).tobytes())
+
+
+def _read_pgm8(path, maxval: int) -> np.ndarray:
+    with open(path, "rb") as fh:
+        w, h, got = _read_header(fh, b"P5")
+        if got != maxval:
+            raise FormatError(f"{path}: expected 8-bit PGM with maxval {maxval}")
+        data = _read_pixels(fh, path, w * h)
+    return np.frombuffer(data, dtype=np.uint8).reshape(h, w)
+
+
+def write_mask(path, mask: np.ndarray) -> None:
+    _write_pgm8(path, np.where(np.asarray(mask, dtype=bool), 255, 0), 255)
 
 
 def read_mask(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        w, h, maxval = _read_header(fh, b"P5")
-        if maxval != 255:
-            raise FormatError(f"{path}: expected 8-bit mask")
-        data = _read_pixels(fh, path, w * h)
-    return (np.frombuffer(data, dtype=np.uint8).reshape(h, w) > 127).copy()
+    return _read_pgm8(path, 255) > 127
+
+
+def write_labels(path, labels: np.ndarray) -> None:
+    _write_pgm8(path, labels, _LABEL_MAX)
+
+
+def read_labels(path) -> np.ndarray:
+    """Per-pixel cloud.LABEL_* values; FormatError on a pixel above the
+    largest label."""
+    labels = _read_pgm8(path, _LABEL_MAX)
+    if (labels > _LABEL_MAX).any():
+        raise FormatError(f"{path}: label above {_LABEL_MAX}")
+    return labels.copy()

@@ -20,7 +20,6 @@ from scipy import ndimage
 
 from . import cloud as pc
 from . import config as cfgmod
-from . import features as ft
 from . import pipeline as pl
 from . import rasters
 from ._textio import open_text
@@ -58,6 +57,16 @@ class SceneParams:
         return pl.CameraIntrinsics(self.fx, self.fy, self.cx, self.cy, self.depth_scale)
 
     def validate(self) -> None:
+        if self.image_w <= 0 or self.image_h <= 0:
+            raise InvalidInput("image width and height must be positive")
+        self.intrinsics()  # fx, fy and depth_scale must be positive
+        x, y, z = self.pepper_center
+        if not (
+            z > _NEAR_PLANE
+            and 0 <= np.round(x * self.fx / z + self.cx) < self.image_w
+            and 0 <= np.round(y * self.fy / z + self.cy) < self.image_h
+        ):
+            raise InvalidInput(f"pepper centre {self.pepper_center} does not project inside the image")
         positive = (
             list(self.pepper_axes)
             + [self.peduncle_length, self.peduncle_radius, self.peduncle_arc_radius]
@@ -328,16 +337,16 @@ def generate(params: SceneParams) -> LabeledScene:
 # on-disk scenes and the benchmark set
 # ---------------------------------------------------------------------------
 
-_SUFFIXES = ("cloud", "rgb.ppm", "depth.pgm", "pos.pgm", "neg.pgm")
+_SUFFIXES = ("labels.pgm", "rgb.ppm", "depth.pgm", "pos.pgm", "neg.pgm")
 
 
 def scene_files(scene_id: str) -> list[str]:
-    return [f"{scene_id}_{s}" if not s == "cloud" else f"{scene_id}.cloud" for s in _SUFFIXES]
+    return [f"{scene_id}_{s}" for s in _SUFFIXES]
 
 
 def save_scene(out_dir, scene_id: str, scene: LabeledScene) -> list[str]:
     files = scene_files(scene_id)
-    pc.save_cloud(os.path.join(out_dir, files[0]), scene.cloud)
+    rasters.write_labels(os.path.join(out_dir, files[0]), scene.labels_img)
     rasters.write_ppm(os.path.join(out_dir, files[1]), scene.rgb)
     rasters.write_pgm16(os.path.join(out_dir, files[2]), scene.depth_raw)
     rasters.write_mask(os.path.join(out_dir, files[3]), scene.pos_mask)
@@ -346,25 +355,20 @@ def save_scene(out_dir, scene_id: str, scene: LabeledScene) -> list[str]:
 
 
 def load_scene(scene_dir, scene_id: str, intr: pl.CameraIntrinsics) -> LabeledScene:
-    """Rebuild a LabeledScene from its five files (params are not recovered).
+    """Rebuild a LabeledScene from its five rasters (params are not recovered).
 
-    Raises FormatError unless the cloud file's points and colours are
-    exactly the unprojection of the depth and colour rasters: the detectors
-    score the raster pixels and write their scores onto these rows.
+    Raises FormatError unless all five have the same height and width.
     """
-    files = scene_files(scene_id)
-    cloud = pc.load_cloud(os.path.join(scene_dir, files[0]))
-    rgb = rasters.read_ppm(os.path.join(scene_dir, files[1]))
-    depth_raw = rasters.read_pgm16(os.path.join(scene_dir, files[2]))
-    pos_mask = rasters.read_mask(os.path.join(scene_dir, files[3]))
-    neg_mask = rasters.read_mask(os.path.join(scene_dir, files[4]))
-    base, pixels = pl.unproject_depth(depth_raw, intr, rgb)
-    if not (np.array_equal(base.points, cloud.points) and np.array_equal(base.colors, cloud.colors)):
-        raise FormatError(f"{scene_id}: cloud file does not match the depth and colour rasters")
-    labels_img = np.full(depth_raw.shape, pc.LABEL_UNLABELED, dtype=np.uint8)
-    if cloud.labels is not None:
-        labels_img[pixels[:, 0], pixels[:, 1]] = cloud.labels
-    frame = pl.Frame(rgb, depth_raw, intr, cloud, pixels)
+    files = [os.path.join(scene_dir, f) for f in scene_files(scene_id)]
+    labels_img = rasters.read_labels(files[0])
+    rgb = rasters.read_ppm(files[1])
+    depth_raw = rasters.read_pgm16(files[2])
+    pos_mask = rasters.read_mask(files[3])
+    neg_mask = rasters.read_mask(files[4])
+    shapes = {labels_img.shape, rgb.shape[:2], depth_raw.shape, pos_mask.shape, neg_mask.shape}
+    if len(shapes) > 1:
+        raise FormatError(f"{scene_id}: scene rasters differ in size: {sorted(shapes)}")
+    frame = pl.Frame.from_rasters(rgb, depth_raw, intr, labels_img)
     return LabeledScene(None, rgb, depth_raw, labels_img, pos_mask, neg_mask, frame)
 
 
@@ -434,14 +438,18 @@ def make_benchmark(
 
     Scene ids carry the split (`train####` / `eval####`); the camera
     configuration is echoed to config.cfg next to the manifest so scenes
-    can be reloaded without the generating code.
+    can be reloaded without the generating code. Raises InvalidInput,
+    before it creates out_dir, when any draw's parameters are invalid.
     """
     base = base if base is not None else SceneParams()
     if n_train is None:
         n_train = max(1, n_scenes // 5)
+    draws = benchmark_params(n_scenes, master_seed, base)
+    for params in draws:
+        params.validate()  # before anything is written
     os.makedirs(out_dir, exist_ok=True)
     lines = []
-    for i, params in enumerate(benchmark_params(n_scenes, master_seed, base)):
+    for i, params in enumerate(draws):
         scene_id = f"train{i:04d}" if i < n_train else f"eval{i - n_train:04d}"
         files = save_scene(out_dir, scene_id, generate(params))
         lines.append(f"{scene_id} {params.seed} " + " ".join(files))

@@ -732,6 +732,30 @@ def max_rel_error(a, b):
     return float((np.abs(a - b) / denom).max())
 
 
+def param_count(spec) -> int:
+    """Total learnable parameters of a NetworkSpec or a raw spec sequence,
+    summed from the layer shapes: the reference for Network.param_count."""
+    if isinstance(spec, mc.NetworkSpec):
+        specs, c = spec.layers, spec.input_c
+    else:
+        specs = list(spec)
+        c = next((s.c_in for s in specs if isinstance(s, mc.ConvSpec)), 0)
+    total = 0
+    for s in specs:
+        if isinstance(s, mc.ConvSpec):
+            total += s.kh * s.kw * s.c_in * s.c_out + s.c_out
+            c = s.c_out
+        elif isinstance(s, mc.InceptionSpec):
+            total += c * s.b1 + s.b1
+            total += c * s.b3r + s.b3r
+            total += 3 * 3 * s.b3r * s.b3 + s.b3
+            total += c * s.bp + s.bp
+            c = s.c_out
+        elif isinstance(s, mc.FcSpec):
+            total += s.n_in * s.n_out + s.n_out
+    return total
+
+
 # ---------------------------------------------------------------------------
 # per-row ASCII readers and writers: the library's file formats as they were
 # read and written line by line, kept to pin the column-wise versions

@@ -246,14 +246,17 @@ def test_c4_network_gradients_counts_roundtrip(tmp_path):
         assert worst < 1e-3
 
         # parameter counting: the stated case plus hand sums for 3 small specs
-        assert mc.param_count([mc.ConvSpec(3, 3, 2, 4)]) == 3 * 3 * 2 * 4 + 4 == 76
-        assert mc.param_count([mc.FcSpec(10, 2)]) == 22
+        def count(specs, input_c):
+            return mc.Network(specs, input_c=input_c).param_count()
+
+        assert count([mc.ConvSpec(3, 3, 2, 4)], 2) == 3 * 3 * 2 * 4 + 4 == 76
+        assert count([mc.FcSpec(10, 2)], 10) == 22
         assert (
-            mc.param_count([mc.ConvSpec(1, 1, 4, 8), mc.ReluSpec(), mc.FcSpec(8, 2)])
+            count([mc.ConvSpec(1, 1, 4, 8), mc.ReluSpec(), mc.FcSpec(8, 2)], 4)
             == (4 * 8 + 8) + (8 * 2 + 2)
         )
-        assert mc.param_count(
-            [mc.ConvSpec(3, 3, 2, 3, 1, 1), mc.InceptionSpec(2, 2, 3, 2)]
+        assert count(
+            [mc.ConvSpec(3, 3, 2, 3, 1, 1), mc.InceptionSpec(2, 2, 3, 2)], 2
         ) == (3 * 3 * 2 * 3 + 3) + ((3 * 2 + 2) + (3 * 2 + 2) + (3 * 3 * 2 * 3 + 3) + (3 * 2 + 2))
 
         # weight save -> load -> score round trip is bit-identical

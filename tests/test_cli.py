@@ -2,11 +2,13 @@
 
 import dataclasses
 import hashlib
+import inspect
 import os
+from importlib import resources
 
 import numpy as np
 import pytest
-from test_scenegen import alter_first_point
+from oracles import load_cloud_per_row
 
 from peduncle import classifiers as cls
 from peduncle import cloud as pc
@@ -14,6 +16,7 @@ from peduncle import config as cfgmod
 from peduncle import evaluate as ev
 from peduncle import minicnn as mc
 from peduncle import pipeline as pl
+from peduncle import rasters
 from peduncle import scenegen as sg
 from peduncle import cli
 from peduncle import workflows as wf
@@ -176,30 +179,28 @@ class TestExitCodes:
                    "--detector", "pfh-svm", "--out", str(tmp_path / "s")])
         assert rc == 2
 
-    def test_cloud_with_colour_out_of_range_is_2(self, workdir, tmp_path):
-        entry = [e for e in sg.load_manifest(workdir["manifest"]) if e["split"] == "eval"][0]
+    @pytest.mark.parametrize(
+        "suffix,read,write",
+        [
+            ("labels.pgm", rasters.read_labels, rasters.write_labels),
+            ("rgb.ppm", rasters.read_ppm, rasters.write_ppm),
+            ("depth.pgm", rasters.read_pgm16, rasters.write_pgm16),
+            ("pos.pgm", rasters.read_mask, rasters.write_mask),
+            ("neg.pgm", rasters.read_mask, rasters.write_mask),
+        ],
+        ids=["labels", "rgb", "depth", "pos", "neg"],
+    )
+    def test_scene_rasters_of_different_sizes_are_2(self, workdir, tmp_path, suffix, read, write):
+        entry = [e for e in sg.load_manifest(workdir["manifest"]) if e["split"] == "train"][0]
         scene = sg.load_benchmark_scene(workdir["manifest"], entry)
         scene_dir = _write_scenes(tmp_path / "scenes", workdir["cfg"], [scene])
-        path = scene_dir / "s0000.cloud"
-        lines = path.read_text().splitlines()
-        fields = lines[1].split()
-        fields[3] = "300"
-        lines[1] = " ".join(fields)
-        path.write_text("\n".join(lines) + "\n")
-        rc = main(["score", "--config", workdir["cfg"], "--scenes",
-                   str(scene_dir / "manifest.txt"), "--models", workdir["models"],
-                   "--detector", "pfh-svm", "--out", str(tmp_path / "s")])
+        path = scene_dir / f"s0000_{suffix}"
+        write(path, read(path)[:50])
+        out = tmp_path / "o"
+        rc = main(["train-cnn", "--config", workdir["cfg"], "--scenes",
+                   str(scene_dir / "manifest.txt"), "--out", str(out)])
         assert rc == 2
-
-    def test_cloud_not_matching_rasters_is_2(self, workdir, tmp_path):
-        entry = [e for e in sg.load_manifest(workdir["manifest"]) if e["split"] == "eval"][0]
-        scene = sg.load_benchmark_scene(workdir["manifest"], entry)
-        scene_dir = _write_scenes(tmp_path / "scenes", workdir["cfg"], [scene])
-        alter_first_point(scene_dir / "s0000.cloud")
-        rc = main(["score", "--config", workdir["cfg"], "--scenes",
-                   str(scene_dir / "manifest.txt"), "--models", workdir["models"],
-                   "--detector", "cnn", "--out", str(tmp_path / "s")])
-        assert rc == 2
+        assert not out.exists()
 
     def test_non_finite_cnn_weight_is_2(self, workdir, tmp_path):
         models = tmp_path / "models"
@@ -227,6 +228,11 @@ class TestExitCodes:
             ("gen-scene", "pepper_center", "0.0 0.01"),
             ("gen-scene", "pepper_center", "0.0 0.01 0.33 0.5"),
             ("gen-scene", "pepper_center", "0.0 nan 0.33"),
+            ("gen-scene", "pepper_center", "0.5 0.01 0.33"),
+            ("gen-scene", "image_width", "8"),
+            ("gen-scene", "image_width", "0"),
+            ("gen-scene", "fx", "0"),
+            ("gen-scene", "depth_scale", "0"),
             ("pr-curve", "thresholds", "0"),
             ("pr-curve", "thresholds", "-1"),
             ("eval", "thresholds", "0"),
@@ -261,6 +267,57 @@ def _write_scenes(scene_dir, cfg_path, scenes):
     (scene_dir / "manifest.txt").write_text("".join(lines))
     cfgmod.write_config(scene_dir / "config.cfg", cfgmod.merged_config(cfg_path))
     return scene_dir
+
+
+def signature_defaults(fn) -> dict:
+    return {k: p.default for k, p in inspect.signature(fn).parameters.items()}
+
+
+class TestShippedConfig:
+    """The shipped config files hold the library's defaults, so a command
+    run with them computes what the library's defaulted calls compute."""
+
+    def test_detection_keys_are_the_library_defaults(self):
+        assert cli._detection_params(cfgmod.default_config()) == {
+            "fp": pl.FilterParams(),
+            "pepper_params": pl.PepperDetectParams(),
+            "box_params": pl.PeduncleBoxParams(),
+            "up": pl.UP_DEFAULT,
+        }
+
+    def test_feature_training_and_sweep_keys_are_the_signature_defaults(self):
+        cfg = cfgmod.default_config()
+        svm = cls.SvmParams()
+        collect = signature_defaults(wf.collect_svm_training)
+        pfh = signature_defaults(pl.PfhSvmDetector)
+        cnn = signature_defaults(wf.train_cnn_from_scenes)
+        expected = {
+            "normal_k": [collect["normal_k"], pfh["normal_k"]],
+            "fpfh_k": [collect["fpfh_k"], pfh["fpfh_k"]],
+            "svm_kernel": [svm.kernel],
+            "svm_c": [svm.c],
+            "svm_gamma": [svm.gamma],
+            "svm_tol": [svm.tol],
+            "svm_max_passes": [svm.max_passes],
+            "svm_max_train": [collect["max_total"]],
+            "cnn_stride": [signature_defaults(pl.CnnDetector)["stride"]],
+            "cnn_epochs": [cnn["epochs"]],
+            "cnn_batch": [cnn["batch"]],
+            "cnn_lr": [cnn["lr"]],
+            "cnn_patches_per_scene": [cnn["per_scene"]],
+            "thresholds": [signature_defaults(ev.default_thresholds)["n"]],
+        }
+        got = {key: [type(v)(cfg[key]) for v in values] for key, values in expected.items()}
+        assert got == expected
+
+    def test_camera_keys_are_the_scene_defaults(self):
+        assert cli._scene_params(cfgmod.default_config()) == sg.SceneParams()
+
+    def test_benchmark_config_is_the_benchmark_camera_and_sweep(self):
+        cfg = cfgmod.default_config()
+        cfg.update(cfgmod.parse_config(resources.files("peduncle").joinpath("data/benchmark.cfg").read_text()))
+        assert cli._scene_params(cfg) == sg.benchmark_base()
+        assert int(cfg["thresholds"]) == signature_defaults(wf.run_benchmark)["n_thresholds"]
 
 
 class TestExtractFeatures:
@@ -323,7 +380,7 @@ class TestFilterCommand:
         diags = [n for n in names if n.endswith("_diag.csv")]
         ok = [n for n in names if n.endswith("_peduncle.cloud")]
         if ok:
-            cloud = pc.load_cloud(out / ok[0])
+            cloud = load_cloud_per_row(out / ok[0])
             assert len(cloud) >= 1
             pose_file = ok[0].replace("_peduncle.cloud", "_pose.txt")
             text = (out / pose_file).read_text()

@@ -9,6 +9,7 @@ from oracles import (
     brute_radius_pairs,
     csgraph_clusters,
     knn,
+    load_cloud_per_row,
     ranked_clusters,
     union_find_clusters,
 )
@@ -289,6 +290,10 @@ class TestGraphHelpers:
 
 
 class TestCloudFile:
+    """The cluster cloud `filter` writes. The library only writes the
+    format; tests read it back with the per-row oracle reader, so that
+    reader must take every valid file and reject every malformed one."""
+
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(11)
         cloud = pc.PointCloud(
@@ -298,7 +303,7 @@ class TestCloudFile:
         )
         path = tmp_path / "c.cloud"
         pc.save_cloud(path, cloud)
-        loaded = pc.load_cloud(path)
+        loaded = load_cloud_per_row(path)
         np.testing.assert_array_equal(loaded.points, cloud.points)
         np.testing.assert_array_equal(loaded.colors, cloud.colors)
         np.testing.assert_array_equal(loaded.labels, cloud.labels)
@@ -307,7 +312,7 @@ class TestCloudFile:
         cloud = pc.PointCloud(np.array([[0.125, -3.5, 2.0]]), np.array([[1, 2, 3]], dtype=np.uint8))
         path = tmp_path / "c.cloud"
         pc.save_cloud(path, cloud)
-        loaded = pc.load_cloud(path)
+        loaded = load_cloud_per_row(path)
         assert loaded.labels is None
         np.testing.assert_array_equal(loaded.points, cloud.points)
 
@@ -343,4 +348,4 @@ class TestCloudFile:
         path = tmp_path / "bad.cloud"
         path.write_text(text)
         with pytest.raises(FormatError):
-            pc.load_cloud(path)
+            load_cloud_per_row(path)

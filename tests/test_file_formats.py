@@ -136,7 +136,7 @@ def test_cloud_file_pinned_to_per_row_oracle(scratch, cloud):
     pc.save_cloud(scratch / "new.cloud", cloud)
     save_cloud_per_row(scratch / "old.cloud", cloud)
     assert file_bytes(scratch / "new.cloud") == file_bytes(scratch / "old.cloud")
-    assert same(pc.load_cloud(scratch / "new.cloud"), load_cloud_per_row(scratch / "new.cloud"))
+    assert same(load_cloud_per_row(scratch / "new.cloud"), cloud)
 
 
 @SETTINGS
@@ -198,7 +198,6 @@ def mutations(draw, data: bytes) -> bytes:
 
 
 FORMATS = {
-    "cloud": (clouds(), save_cloud_per_row, pc.load_cloud, load_cloud_per_row),
     "scores": (score_dumps(), lambda p, d: save_scores_per_row(p, *d), load_scores, load_scores_per_row),
     "features": (feature_dumps(), lambda p, d: save_features_per_row(p, *d), ft.load_features, load_features_per_row),
     "svm": (svm_models(), save_svm_per_row, cls.load_svm, load_svm_per_row),
@@ -247,16 +246,15 @@ def test_pr_curve_on_a_rejected_scores_file_exits_2(scratch, data):
 @pytest.mark.parametrize(
     "read,data",
     [
-        (pc.load_cloud, b"pcloud v1 1 0\n\xff\xfe 0 0 0 0 0\n"),
         (load_scores, b"scores v1 1\n0 0 0 0.5 \xff\n"),
         (ft.load_features, b"features v1 1 36\n" + b"0 " * 36 + b"\xff\n"),
         (cls.load_svm, b"svm v1 rbf 0.5 1.0 0.0 0\n0\xff\n1\n"),
         (cls.load_nb, b"nbhsv v1\n0.5\n0 0 0 \xff\n"),
-        (sg.load_manifest, b"train0000 1 \xff.cloud\n"),
+        (sg.load_manifest, b"train0000 1 \xff_labels.pgm\n"),
         (cfgmod.load_config, b"fx = \xff\n"),
         (mc.load_netspec, b"input 16 16 3\n# \xe9\n"),
     ],
-    ids=["cloud", "scores", "features", "svm", "nb", "manifest", "config", "netspec"],
+    ids=["scores", "features", "svm", "nb", "manifest", "config", "netspec"],
 )
 def test_non_utf8_bytes_are_format_error(tmp_path, read, data):
     path = tmp_path / "f"
@@ -267,7 +265,7 @@ def test_non_utf8_bytes_are_format_error(tmp_path, read, data):
 
 def test_manifest_with_a_word_seed_is_cli_exit_2(tmp_path):
     manifest = tmp_path / "manifest.txt"
-    manifest.write_text("train0000 seven train0000.cloud\n")
+    manifest.write_text("train0000 seven train0000_labels.pgm\n")
     assert main(["train-nb", "--scenes", str(manifest), "--out", str(tmp_path / "o")]) == 2
 
 

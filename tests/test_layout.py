@@ -1,10 +1,11 @@
 """Guard against code in src/ that only tests call, and options no one sets.
 
 Every public module-level function and class of the library must be used
-by name in the library's own code, outside its definition, or by the
-benchmark harness in perfbench/. Test-only helpers belong in
-tests/oracles.py. Every defaulted parameter of a library function must be
-passed by some call in src/, perfbench/ or tests/.
+in the library's own code, outside its definition, or by the benchmark
+harness in perfbench/, through a reference that resolves to its module.
+Test-only helpers belong in tests/oracles.py. Every defaulted parameter
+of a library function must be passed by some call in src/, perfbench/ or
+tests/.
 """
 
 import ast
@@ -18,9 +19,34 @@ SRC = ROOT / "src" / "peduncle"
 ENTRY_POINTS = {"cli.main", "workflows.run_benchmark"}
 
 
-def used_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
-    """Identifiers a tree uses as names, attributes or imports, leaving out
-    the subtree `skip`."""
+def module_references(tree: ast.AST) -> set[tuple[str, str]]:
+    """(module, name) pairs a file refers to through the package's modules:
+    `<alias>.<name>` on an alias bound by `from peduncle import <module>`
+    (or `from . import <module>`), and `from peduncle.<module> import
+    <name>` (or `from .<module> import <name>`)."""
+    aliases, refs = {}, set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level:
+            module = node.module
+        elif node.module == "peduncle" or (node.module or "").startswith("peduncle."):
+            module = node.module.partition(".")[2] or None
+        else:
+            continue
+        for a in node.names:
+            if module is None:
+                aliases[a.asname or a.name] = a.name
+            else:
+                refs.add((module, a.name))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
+            refs.add((aliases[node.value.id], node.attr))
+    return refs
+
+
+def bare_names(tree: ast.AST, skip: ast.AST) -> set[str]:
+    """Identifiers a tree uses as plain names, leaving out the subtree `skip`."""
     names = set()
     stack = [tree]
     while stack:
@@ -29,31 +55,35 @@ def used_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
             continue
         if isinstance(node, ast.Name):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.alias):
-            names.add(node.name)
         stack.extend(ast.iter_child_nodes(node))
     return names
 
 
-def test_every_public_definition_is_used_outside_tests():
-    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
-    bench = set()
-    for path in sorted((ROOT / "perfbench").glob("*.py")):
-        bench |= used_names(ast.parse(path.read_text(), str(path)))
-    names = {module: used_names(tree) for module, tree in trees.items()}
+def unused_definitions(src: Path, bench: Path) -> list[str]:
+    """Public top-level functions and classes of the modules in src that
+    nothing refers to: not another module or a file in bench through the
+    module, and not their own module by bare name outside the definition.
+    An attribute of the same name on some other object does not count."""
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(src.glob("*.py"))}
+    refs = set()
+    for path in sorted(bench.glob("*.py")):
+        refs |= module_references(ast.parse(path.read_text(), str(path)))
+    for tree in trees.values():
+        refs |= module_references(tree)
     unused = []
     for module, tree in trees.items():
-        other_modules = set().union(*(n for m, n in names.items() if m != module))
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
                 continue
-            if f"{module}.{node.name}" in ENTRY_POINTS or node.name in bench | other_modules:
+            if f"{module}.{node.name}" in ENTRY_POINTS or (module, node.name) in refs:
                 continue
-            if node.name not in used_names(tree, skip=node):
+            if node.name not in bare_names(tree, skip=node):
                 unused.append(f"{module}.{node.name}")
-    assert unused == []
+    return unused
+
+
+def test_every_public_definition_is_used_outside_tests():
+    assert unused_definitions(SRC, ROOT / "perfbench") == []
 
 
 def call_sites(paths) -> dict[str, list[tuple[float, set[str], bool]]]:

@@ -19,6 +19,7 @@ from oracles import (
     max_pool_gather_reference,
     max_rel_error,
     numerical_grad,
+    param_count,
     reference_kernels,
     score_map_per_patch,
 )
@@ -128,14 +129,20 @@ class TestInception:
 
 
 class TestParamCount:
+    """Network.param_count against hand sums and the shape-based oracle."""
+
+    @staticmethod
+    def counts(specs, input_c):
+        return mc.Network(specs, input_c=input_c).param_count(), param_count(specs)
+
     def test_single_conv(self):
-        assert mc.param_count([mc.ConvSpec(3, 3, 2, 4)]) == 76
+        assert self.counts([mc.ConvSpec(3, 3, 2, 4)], 2) == (76, 76)
 
     def test_fc(self):
-        assert mc.param_count([mc.FcSpec(10, 2)]) == 22
+        assert self.counts([mc.FcSpec(10, 2)], 10) == (22, 22)
 
     def test_pool_relu_free(self):
-        assert mc.param_count([mc.PoolSpec(2, 2), mc.ReluSpec()]) == 0
+        assert self.counts([mc.PoolSpec(2, 2), mc.ReluSpec()], 3) == (0, 0)
 
     def test_default_spec_hand_sum(self):
         from importlib import resources
@@ -155,19 +162,19 @@ class TestParamCount:
             + (1 * 1 * 64 * 32 + 32)
             + (512 * 2 + 2)
         )
-        assert mc.param_count(spec) == expected == 77390
+        assert param_count(spec) == expected == 77390
         net = mc.Network.from_netspec(spec)
         assert net.param_count() == expected
 
     def test_network_matches_spec_count(self):
         net = tiny_net()
-        assert net.param_count() == mc.param_count(net.specs)
+        assert net.param_count() == param_count(net.specs)
 
 
 class TestNetworkSpecFile:
     def test_parse_validate_roundtrip(self):
         spec = mc.parse_netspec(DEFAULT_SPEC_TEXT)
-        assert spec.input_h == 16 and spec.n_classes == 2
+        assert spec.input_h == 16 and spec.layers[-1].n_out == 2
         text = mc.serialize_netspec(spec)
         again = mc.parse_netspec(text)
         assert again == spec

@@ -6,6 +6,9 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from oracles import reproject_to_pixels
 
 from peduncle import cloud as pc
@@ -13,7 +16,7 @@ from peduncle import features as ft
 from peduncle import pipeline as pl
 from peduncle import rasters
 from peduncle import scenegen as sg
-from peduncle.errors import FormatError
+from peduncle.errors import FormatError, InvalidInput
 
 
 def small_params(seed=0, **kw):
@@ -128,38 +131,26 @@ class TestMasks:
         assert overlap > 0.3  # color alone cannot separate them
 
 
-def alter_first_point(path, move=True, recolour=True):
-    """Move a cloud file's point 0 by 0.5 m along each axis and/or make it red."""
-    lines = path.read_text().splitlines()
-    fields = lines[1].split()
-    if move:
-        fields[:3] = [repr(float(v) + 0.5) for v in fields[:3]]
-    if recolour:
-        fields[3:6] = ["255", "0", "0"] if fields[3:6] != ["255", "0", "0"] else ["0", "255", "0"]
-    lines[1] = " ".join(fields)
-    path.write_text("\n".join(lines) + "\n")
-
-
 class TestSceneFiles:
     def test_save_load_roundtrip(self, tmp_path):
+        """The loaded scene equals the generated one bit for bit."""
         scene = sg.generate(small_params(21))
-        files = sg.save_scene(tmp_path, "s0", scene)
-        assert len(files) == 5
-        loaded = sg.load_scene(tmp_path, "s0", scene.frame.intr)
-        np.testing.assert_array_equal(loaded.rgb, scene.rgb)
-        np.testing.assert_array_equal(loaded.depth_raw, scene.depth_raw)
-        np.testing.assert_array_equal(loaded.cloud.points, scene.cloud.points)
-        np.testing.assert_array_equal(loaded.cloud.labels, scene.cloud.labels)
-        np.testing.assert_array_equal(loaded.pos_mask, scene.pos_mask)
-        np.testing.assert_array_equal(loaded.labels_img, scene.labels_img)
-
-    @pytest.mark.parametrize("move,recolour", [(True, False), (False, True), (True, True)])
-    def test_cloud_not_matching_rasters_is_format_error(self, tmp_path, move, recolour):
-        scene = sg.generate(small_params(22))
         sg.save_scene(tmp_path, "s0", scene)
-        alter_first_point(tmp_path / "s0.cloud", move, recolour)
-        with pytest.raises(FormatError):
-            sg.load_scene(tmp_path, "s0", scene.frame.intr)
+        loaded = sg.load_scene(tmp_path, "s0", scene.frame.intr)
+        for field in ("rgb", "depth_raw", "labels_img", "pos_mask", "neg_mask"):
+            a, b = getattr(loaded, field), getattr(scene, field)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), field
+        for field in ("points", "colors", "labels"):
+            a, b = getattr(loaded.cloud, field), getattr(scene.cloud, field)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+        assert loaded.frame.pixels.tobytes() == scene.frame.pixels.tobytes()
+
+    def test_files_are_the_five_rasters(self, tmp_path):
+        files = sg.save_scene(tmp_path, "s0", sg.generate(small_params(24)))
+        assert files == ["s0_labels.pgm", "s0_rgb.ppm", "s0_depth.pgm", "s0_pos.pgm", "s0_neg.pgm"]
+        assert sorted(os.listdir(tmp_path)) == sorted(files)
+        with open(tmp_path / "s0_labels.pgm", "rb") as fh:
+            assert fh.read(13) == b"P5 160 120 3\n"
 
     def test_raster_roundtrips(self, tmp_path):
         rng = np.random.default_rng(23)
@@ -207,6 +198,42 @@ class TestSceneFiles:
             read(path)
 
 
+class TestLabelImage:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(labels=hnp.arrays(np.uint8, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=9),
+                             elements=st.integers(0, 3)))
+    def test_roundtrip(self, tmp_path, labels):
+        path = tmp_path / "l.pgm"
+        rasters.write_labels(path, labels)
+        got = rasters.read_labels(path)
+        assert got.dtype == np.uint8 and got.shape == labels.shape
+        assert np.array_equal(got, labels)
+        assert got.flags.writeable
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"P6 3 2 3\n" + bytes(6),
+            b"P2 3 2 3\n" + bytes(6),
+            b"P5 3 2 255\n" + bytes(6),
+            b"P5 3 2 65535\n" + bytes(12),
+            b"P5 3 2 3\n" + bytes([0, 1, 2, 3, 4, 0]),
+            b"P5 3 2 3\n" + bytes([0, 1, 2, 3, 255, 0]),
+            b"P5 3 2 3\n" + bytes(5),
+            b"P5 3 2 3\n" + bytes(7),
+            b"P5 3 2",
+            b"",
+        ],
+        ids=["magic-P6", "magic-P2", "maxval-255", "maxval-65535", "label-4", "label-255",
+             "truncated", "trailing", "header-truncated", "empty"],
+    )
+    def test_malformed_file_is_format_error(self, tmp_path, data):
+        path = tmp_path / "l.pgm"
+        path.write_bytes(data)
+        with pytest.raises(FormatError):
+            rasters.read_labels(path)
+
+
 class TestBenchmark:
     def test_manifest_of_one(self, tmp_path):
         manifest = sg.make_benchmark(tmp_path, 1, master_seed=5, base=small_params())
@@ -217,9 +244,18 @@ class TestBenchmark:
     @pytest.mark.parametrize("seed", ["x", "1.5", "1e3"])
     def test_manifest_seed_not_an_integer_is_format_error(self, tmp_path, seed):
         manifest = tmp_path / "manifest.txt"
-        manifest.write_text(f"train0000 {seed} train0000.cloud\n")
+        manifest.write_text(f"train0000 {seed} train0000_labels.pgm\n")
         with pytest.raises(FormatError):
             sg.load_manifest(manifest)
+
+    def test_draw_off_the_image_is_rejected_before_writing(self, tmp_path):
+        # the base pepper projects one pixel inside the right edge; a later
+        # draw's jitter moves it off the image
+        base = small_params(pepper_center=(0.187, 0.01, 0.33))
+        base.validate()
+        with pytest.raises(InvalidInput, match="pepper centre"):
+            sg.make_benchmark(tmp_path / "out", 4, master_seed=3, base=base)
+        assert not (tmp_path / "out").exists()
 
     def test_split_ids(self, tmp_path):
         manifest = sg.make_benchmark(tmp_path, 5, master_seed=6, n_train=2, base=small_params())
