@@ -28,15 +28,18 @@ the stride, so wherever a layer's cumulative downsampling divides the
 stride, a patch's map is a window of the same layer's map over the whole
 crop the patches cover (OverFeat's dense evaluation; fast scanning with
 max-pooling nets), except where the patch's own zero padding reaches. The
-shared trunk is the leading conv / relu / pool run up to and including the
-last pool whose downsampling divides the stride (without one: the layers
-before the first pool); at the shipped stride 4 that is conv1 ... pool2.
-It runs once over the crop. Per patch, only the ring is recomputed: the
-cells whose input window, one axis at a time, leaves the patch or covers a
-ring cell one layer down (for the shipped spec 1 cell wide at conv1, 1 at
-pool1, 2 at conv2 and 1 at pool2), from the same im2col columns through
-the same matmul and max fold, so each score is bit-identical to a per-patch
-forward pass.
+shared trunk is the leading conv / relu / pool run up to the first layer
+whose downsampling does not divide the stride; at the shipped stride 4 that
+is conv1 ... conv3 and its relu. It runs once over the crop. What is left
+is the ring: the cells whose input window, one axis at a time, leaves the
+patch or covers a ring cell one layer down (for the shipped spec 1 cell
+wide at conv1, 1 at pool1, 2 at conv2, 1 at pool2 and 2 at conv3). A ring
+row's cells in clean columns (a band) depend only on the patch row, so
+they are computed once per patch row across the crop; likewise the ring
+columns' bands once per patch column; only the corners, in a ring row and
+a ring column, are computed per patch. All of them go through the same
+im2col columns, matmul and max fold as the per-patch path, so each score
+equals that path's on the same patches in the same batches.
 
 The full detector network is described by a NetworkSpec: a text file of
 layer lines validated to hold exactly 8 convolutional layers (an inception
@@ -642,25 +645,20 @@ def patch_centers(image_h: int, image_w: int, patch_h: int, patch_w: int, stride
 def shared_depth(specs, stride: int) -> int:
     """How many leading layers score_map runs once over the crop at this stride.
 
-    The candidates are the leading run of conv / relu / pool layers, which
-    ends at the first inception or fc layer. Sharing goes through the last
-    pool whose cumulative downsampling (the product of the strides up to
-    it) divides the patch stride; with no such pool, it takes the layers
-    before the first pool. Either way it stops before the first layer whose
-    cumulative downsampling does not divide the stride, so each patch's map
-    at the shared depth starts on a whole cell of the crop's map.
+    That is the leading run of conv / relu / pool layers, which ends at the
+    first inception or fc layer, cut before the first layer whose cumulative
+    downsampling (the product of the strides up to it) does not divide the
+    patch stride, so each patch's map at the shared depth starts on a whole
+    cell of the crop's map.
     """
-    down, aligned, through_pool = 1, 0, 0
+    down = 1
     for i, spec in enumerate(specs):
         if not isinstance(spec, (ConvSpec, ReluSpec, PoolSpec)):
-            break
+            return i
         down *= getattr(spec, "stride", 1)
         if stride % down:
-            break
-        aligned = i + 1
-        if isinstance(spec, PoolSpec):
-            through_pool = aligned
-    return through_pool or aligned
+            return i
+    return len(specs)
 
 
 def _window(spec):
@@ -680,114 +678,159 @@ def _clean_span(lo, hi, k, stride, pad):
 
 
 class _TrunkLevel:
-    """One shared layer's output, for one patch and for the whole crop.
+    """One shared layer's output over a grid of patches, as one table of rows.
 
     size and clean are a patch's map size and its clean box, ((y0, y1),
-    (x0, x1)): the cells that equal the crop's map at the patch's offset.
-    The other cells form the ring, listed row-major in ring. down is the
-    input pixels per cell, crop the crop's map as (cells, c) rows.
+    (x0, x1)): the cells that equal the crop's map at the patch's offset, q
+    cells per patch step. The other cells form the ring, in three families.
+    A ring row's clean cells (its row band) depend only on the patch row and
+    their absolute column, a ring column's clean cells (column band) only on
+    the patch column and their absolute row, and the corners (ring row and
+    ring column) on the patch. The table holds the crop's map as (cells, c)
+    rows, one zero row (the padding), then per patch row its row band across
+    the crop, per patch column its column band, and per patch its corners.
     """
 
-    def __init__(self, layer, size, clean, down, crop_map):
-        self.layer, self.size, self.clean, self.down = layer, size, clean, down
+    def __init__(self, layer, size, clean, q, crop_map, grid):
+        self.layer, self.size, self.clean, self.q, self.grid = layer, size, clean, q, grid
         self.ring_taps = None   # where the ring cells' windows read the level below
         _, c, _, self.crop_w = crop_map.shape
         self.crop = crop_map[0].transpose(1, 2, 0).reshape(-1, c)
         (y0, y1), (x0, x1) = clean
-        ys, xs = np.arange(size[0]), np.arange(size[1])
-        is_clean = ((y0 <= ys) & (ys < y1))[:, None] & ((x0 <= xs) & (xs < x1))[None, :]
-        self.ring = np.nonzero(~is_clean)
-        self.slot = np.full(size, -1)
-        self.slot[self.ring] = np.arange(len(self.ring[0]))
+        self.ring_rows = np.flatnonzero(self.slots(np.arange(size[0]), 0) >= 0)
+        self.ring_cols = np.flatnonzero(self.slots(np.arange(size[1]), 1) >= 0)
+        ny, nx = grid
+        # a band runs over every absolute position some patch has clean
+        self.band_w = (nx - 1) * q + x1 - x0 if x1 > x0 else 0
+        self.band_h = (ny - 1) * q + y1 - y0 if y1 > y0 else 0
+        self.row_band0 = len(self.crop) + 1
+        self.col_band0 = self.row_band0 + ny * len(self.ring_rows) * self.band_w
+        self.corner0 = self.col_band0 + nx * len(self.ring_cols) * self.band_h
 
-    def taps(self, ty, tx):
-        """Where the values of this level's cells (ty, tx) are found by
-        gather: (clean, ring, row), with row the row of the gather table for
-        a patch at offset 0 and in the first ring block. A cell outside the
-        map is the zero padding, the row after the crop's."""
-        h, w = self.size
-        (y0, y1), (x0, x1) = self.clean
-        inside = (0 <= ty) & (ty < h) & (0 <= tx) & (tx < w)
-        slot = np.where(inside, self.slot[ty.clip(0, h - 1), tx.clip(0, w - 1)], -1)
-        clean = (y0 <= ty) & (ty < y1) & (x0 <= tx) & (tx < x1)
-        ring = ~clean & (slot >= 0)
-        n = len(self.crop)
-        row = np.where(clean, ty * self.crop_w + tx, np.where(ring, n + 1 + slot, n))
-        return clean, ring, row
+    def slots(self, pos, axis):
+        """Per position along one axis of a patch's map: -2 outside the map,
+        -1 clean, else its rank among the ring cells of that axis."""
+        lo, hi = self.clean[axis]
+        outside = (pos < 0) | (pos >= self.size[axis])
+        return np.where(outside, -2, np.where(pos < lo, pos, np.where(pos < hi, -1, pos - (hi - lo))))
 
-    def gather(self, taps, ring_values, oy, ox):
-        """(b, *taps shape, c) values of the tapped cells for the patches
-        whose top-left pixels sit at (oy, ox) in the crop; ring_values holds
-        their ring cells as (b * ring cells, c) rows."""
-        clean, ring, row = taps
-        c = self.crop.shape[1]
-        table = np.concatenate([self.crop, np.zeros((1, c), self.crop.dtype), ring_values])
-        extra = (-1,) + (1,) * clean.ndim
-        shift = ((oy // self.down) * self.crop_w + ox // self.down).reshape(extra)
-        ring_block = (len(self.ring[0]) * np.arange(len(oy))).reshape(extra)
-        return np.take(table, row + np.where(clean, shift, ring * ring_block), axis=0)
+    def rows(self, r, c, slot_r, slot_c):
+        """Table rows of cell (r, c) of the map of the patch in grid row 0 and
+        column 0, given the cell's slots(r, 0) and slots(c, 1), and their
+        steps di and dj: the patch in grid row i and column j reads row
+        rows + i * di + j * dj. A band cell moves with the patch row or
+        column only, so a row band's absolute column can be given as c and
+        a column band's absolute row as r."""
+        n_rr, n_rc = len(self.ring_rows), len(self.ring_cols)
+        (y0, _), (x0, _) = self.clean
+        q, nx, cw = self.q, self.grid[1], self.crop_w
+        # crop, row band, column band, corner, padding
+        kind = np.where((slot_r == -2) | (slot_c == -2), 4, (slot_r >= 0) + 2 * (slot_c >= 0))
+        base = np.choose(kind, [
+            r * cw + c,
+            self.row_band0 + slot_r * self.band_w + c - x0,
+            self.col_band0 + slot_c * self.band_h + r - y0,
+            self.corner0 + slot_r * n_rc + slot_c,
+            len(self.crop),
+        ])
+        di = np.array([q * cw, n_rr * self.band_w, q, nx * n_rr * n_rc, 0])[kind]
+        dj = np.array([q, q, n_rc * self.band_h, n_rr * n_rc, 0])[kind]
+        return base, di, dj
+
+    def table(self, ring_values):
+        """The level's table, given its ring cells' values in table order."""
+        zero = np.zeros((1, self.crop.shape[1]), self.crop.dtype)
+        return np.concatenate([self.crop, zero, ring_values])
+
+    def taps(self, src, kh, kw, step, pad):
+        """(ring cells, kh, kw) rows of src's table read by the windows of
+        this level's ring cells, in table order."""
+        ny, nx = self.grid
+        (y0, _), (x0, _) = self.clean
+        r = self.ring_rows[:, None, None, None] * step - pad + np.arange(kh)[:, None]    # (rr, 1, kh, 1)
+        c = self.ring_cols[:, None, None] * step - pad + np.arange(kw)                    # (rc, 1, kw)
+        ys = (y0 + np.arange(self.band_h))[:, None, None] * step - pad + np.arange(kh)[:, None]  # (h, kh, 1)
+        xs = (x0 + np.arange(self.band_w))[:, None, None] * step - pad + np.arange(kw)   # (w, 1, kw)
+        i, j = np.arange(ny).reshape(-1, 1, 1, 1, 1), np.arange(nx).reshape(-1, 1, 1, 1, 1)
+        # a band's windows stay in the clean span of the other axis
+        base, di, _ = src.rows(r, xs, src.slots(r, 0), -1)
+        row_bands = base + i * di                                           # (ny, rr, w, kh, kw)
+        base, _, dj = src.rows(ys, c[:, None], -1, src.slots(c, 1)[:, None])
+        col_bands = base + j * dj                                           # (nx, rc, h, kh, kw)
+        base, di, dj = src.rows(r, c[None], src.slots(r, 0), src.slots(c[None], 1))
+        corners = base + i[:, None] * di + j[None] * dj                     # (ny, nx, rr, rc, kh, kw)
+        return np.concatenate([t.reshape(-1, kh, kw) for t in (row_bands, col_bands, corners)])
 
 
 class _SharedTrunk:
     """The first shared_depth(net.specs, stride) layers of a network, run
-    once over an image crop, with each patch's own maps rebuilt from it.
+    once over the crop that a grid of patches covers, with each patch's own
+    maps rebuilt from it.
 
     A patch's map at every shared layer equals the crop's map at the
     patch's offset except on a ring where the patch's own zero padding
-    reaches. patch_maps recomputes only those ring cells, layer by layer,
-    from the patch's own cells one level down, with the layers' own
-    arithmetic: the same im2col columns through Conv2d.affine, and the
-    same max fold. Each ring product covers the ring cells of the whole
-    batch at once, never a single row (numpy sends that to gemv). Only the
-    last level is assembled into full maps.
+    reaches. The ring cells are recomputed layer by layer with the layers'
+    own arithmetic, the same im2col columns through Conv2d.affine and the
+    same max fold, each band once for its patch row or column and the
+    corners per patch (see _TrunkLevel). At each level one product (or one
+    fold) covers the ring cells of the whole grid, never a single row
+    (numpy sends that to gemv). Only the last level is assembled into full
+    maps, per batch.
 
     The copied cells equal the per-patch ones as long as BLAS computes each
     row of a product independently of the others. OpenBLAS does so within
     one kernel, but (measured with 0.3.31 on AVX-512 x86-64) takes a
     small-matrix kernel that rounds differently, for inner sizes of 32 and
-    up, when rows x outputs is at most about 1200; the per-patch path then
-    itself depends on the batch size. The shipped network's shared
-    products stay far above that size at any batch.
+    up, when rows x outputs is at most about 1200. The shipped network's
+    shared products stay above that size even for a one-patch grid (112 rows
+    at conv3, 240 at conv2), but its fc head (512 -> 2) does not, so a
+    patch's score can depend on its position in the batch. Every score
+    equals the per-patch path on the same patches in the same batches.
     """
 
     def __init__(self, net: Network, stride: int, crop: np.ndarray):
         ph, pw = net.input_hw
         self.depth = shared_depth(net.specs, stride)
+        grid = ((crop.shape[0] - ph) // stride + 1, (crop.shape[1] - pw) // stride + 1)
         x = crop.transpose(2, 0, 1)[None]
-        self.levels = [_TrunkLevel(None, (ph, pw), ((0, ph), (0, pw)), 1, x)]
+        self.levels = [_TrunkLevel(None, (ph, pw), ((0, ph), (0, pw)), stride, x, grid)]
         for layer, spec in zip(net.layers[: self.depth], net.specs[: self.depth]):
             src = self.levels[-1]
             kh, kw, step, pad = _window(spec)
             x = layer.forward(x)
             size = ((src.size[0] + 2 * pad - kh) // step + 1, (src.size[1] + 2 * pad - kw) // step + 1)
             clean = (_clean_span(*src.clean[0], kh, step, pad), _clean_span(*src.clean[1], kw, step, pad))
-            level = _TrunkLevel(layer, size, clean, src.down * step, x)
-            ry, rx = (r[:, None, None] * step - pad for r in level.ring)
-            level.ring_taps = src.taps(ry + np.arange(kh)[:, None], rx + np.arange(kw))
+            level = _TrunkLevel(layer, size, clean, src.q // step, x, grid)
+            level.ring_taps = level.taps(src, kh, kw, step, pad)
             self.levels.append(level)
         last = self.levels[-1]
-        self.out_taps = last.taps(*np.indices(last.size))
+        r, c = np.arange(last.size[0])[:, None], np.arange(last.size[1])
+        self.out_taps = last.rows(r, c, last.slots(r, 0), last.slots(c, 1))
+        self.table = last.table(self._ring_values())
 
-    def patch_maps(self, oy: np.ndarray, ox: np.ndarray) -> np.ndarray:
-        """(b, c, h, w) output of the shared layers on each patch whose
-        top-left pixel sits at crop pixel (oy, ox); oy and ox are multiples
-        of the stride the trunk was built for."""
-        b = len(oy)
+    def _ring_values(self) -> np.ndarray:
+        """The last level's ring cells as rows, in table order."""
         ring = self.levels[0].crop[:0]      # the input image has no ring
         for src, level in zip(self.levels, self.levels[1:]):
             if isinstance(level.layer, Relu):
                 ring = level.layer.forward(ring)
                 continue
-            win = src.gather(level.ring_taps, ring, oy, ox).transpose(0, 1, 4, 2, 3)   # (b, n, c, kh, kw)
+            win = np.take(src.table(ring), level.ring_taps, axis=0).transpose(0, 3, 1, 2)   # (n, c, kh, kw)
             if isinstance(level.layer, Conv2d):
-                cols = win.reshape(b * win.shape[1], -1)
+                cols = win.reshape(len(win), -1)
                 if len(cols) == 1:      # numpy hands a one-row product to gemv
                     cols = np.repeat(cols, 2, axis=0)
-                ring = level.layer.affine(cols)[: b * win.shape[1]]
+                ring = level.layer.affine(cols)[: len(win)]
             else:
-                ring = _max_fold(win).reshape(b * win.shape[1], -1)
-        last = self.levels[-1]
-        return last.gather(self.out_taps, ring, oy, ox).transpose(0, 3, 1, 2)
+                ring = _max_fold(win)
+        return ring
+
+    def patch_maps(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """(b, c, h, w) output of the shared layers on the patches in grid
+        rows i and columns j."""
+        base, di, dj = self.out_taps
+        rows = base + i[:, None, None] * di + j[:, None, None] * dj
+        return np.take(self.table, rows, axis=0).transpose(0, 3, 1, 2)
 
 
 def score_map(image: np.ndarray, net: Network, stride: int = 4, roi=None, batch: int = 128) -> ScoreMap:
@@ -801,10 +844,11 @@ def score_map(image: np.ndarray, net: Network, stride: int = 4, roi=None, batch:
     cover. Each patch's map after them is the crop's map at the patch's
     offset, except on a ring of cells whose receptive field reaches the
     patch's own zero padding; the ring is derived from the layer specs and
-    recomputed per patch (see _SharedTrunk). The remaining layers run per
-    patch in batches of `batch`. Every score is bit-identical to running
-    the whole network on the patch alone, as far as BLAS computes each row
-    of a product on its own (see _SharedTrunk for where OpenBLAS does not).
+    recomputed in bands shared by a patch row or column and corners per
+    patch (see _SharedTrunk). The remaining layers run per patch in batches
+    of `batch`. Every score is bit-identical to the per-patch path on the
+    same patches in the same batches, as far as BLAS computes each row of a
+    product on its own (see _SharedTrunk for where OpenBLAS does not).
     """
     if stride < 1:
         raise InvalidInput("stride must be >= 1")
@@ -830,7 +874,7 @@ def score_map(image: np.ndarray, net: Network, stride: int = 4, roi=None, batch:
     trunk = _SharedTrunk(net, stride, crop.astype(dtype) / dtype.type(255.0))
     for start in range(0, len(cy), batch):
         ry, rx = cy[start : start + batch], cx[start : start + batch]
-        x = trunk.patch_maps(ry - ys[0], rx - xs[0])
+        x = trunk.patch_maps((ry - ys[0]) // stride, (rx - xs[0]) // stride)
         for layer in net.layers[trunk.depth :]:
             x = layer.forward(x)
         out.scores[ry, rx] = softmax(x)[:, 1]

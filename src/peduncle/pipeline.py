@@ -417,7 +417,6 @@ class CnnDetector:
     name = "cnn"
 
     def __init__(self, net: mc.Network, stride: int = 4):
-        self.net = net
         self.stride = stride
         self._infer_net = net.cast(np.float32)
 

@@ -310,26 +310,33 @@ class TestScoreMap:
         np.testing.assert_array_equal(a.mask, b.mask)
 
     def test_translation_consistency(self):
+        """Rolling the image by one stride along either axis moves the score
+        of every patch that reads no wrapped pixels one grid step along it.
+
+        A moved patch also moves in its batch, and the fc head's product
+        (64 -> 2 here) is small enough for OpenBLAS's small-matrix kernel,
+        whose rounding depends on the row's position (see _SharedTrunk), so
+        the scores are held to a tolerance instead of to the byte."""
         spec = mc.parse_netspec(DEFAULT_SPEC_TEXT)
         net = mc.Network.from_netspec(spec, seed=13)
-        rng = np.random.default_rng(12)
-        stride = 4
-        img = rng.integers(0, 256, (32, 48, 3)).astype(np.uint8)
-        shifted = np.roll(img, stride, axis=1)
+        stride, h, w = 4, 32, 48
+        img = np.random.default_rng(12).integers(0, 256, (h, w, 3)).astype(np.uint8)
         a = mc.score_map(img, net, stride=stride)
-        b = mc.score_map(shifted, net, stride=stride)
-        ys, xs = mc.patch_centers(32, 48, 16, 16, stride)
-        # interior columns: score at (cy, cx) must reappear at (cy, cx + stride)
-        for cy in ys:
-            for cx in xs[:-1]:
-                if cx + stride > 48 - 16 + 16 // 2:
-                    continue
-                if img[:, : cx - 8 + 16].shape[1] - (cx - 8) < 16:
-                    continue
-                if cx - 8 >= stride:  # shifted patch fully inside the rolled image
-                    assert b.scores[cy, cx + stride] == pytest.approx(
-                        a.scores[cy, cx], abs=1e-9
-                    )
+        ys, xs = mc.patch_centers(h, w, 16, 16, stride)
+        for axis in (0, 1):
+            b = mc.score_map(np.roll(img, stride, axis=axis), net, stride=stride)
+            moved = 0
+            for cy in ys:
+                for cx in xs:
+                    to = (cy + stride, cx) if axis == 0 else (cy, cx + stride)
+                    # the moved patch reads [to - 8, to + 8) along the axis;
+                    # the rolled image's pixels [0, stride) are the wrapped ones
+                    if to[axis] + 8 > (h, w)[axis] or to[axis] - 8 < stride:
+                        continue
+                    assert b.mask[to]
+                    assert b.scores[to] == pytest.approx(a.scores[cy, cx], abs=1e-9)
+                    moved += 1
+            assert moved == (len(ys) - (axis == 0)) * (len(xs) - (axis == 1))
 
     def test_densify_nearest_fill(self):
         sm = mc.ScoreMap(np.zeros((20, 20)), np.zeros((20, 20), dtype=bool))
@@ -653,31 +660,44 @@ def assert_same_score_map(img, net, stride, roi, batch):
     return int(got.mask.sum())
 
 
+def c6_frame():
+    """C6 eval draw 40's image and the region of interest above its pepper."""
+    scene = sg.generate(sg.benchmark_params(41, 20240, sg.benchmark_base())[40])
+    h, w = scene.rgb.shape[:2]
+    return scene.rgb, pl.compute_roi(pl.pixel_bbox(np.argwhere(scene.labels_img == pc.LABEL_PEPPER)), w, h)
+
+
 def c6_frame_matches_per_patch():
     """dtypes at which score_map of the shipped spec on C6 eval draw 40's
     region of interest equals the per-patch path byte for byte."""
-    scene = sg.generate(sg.benchmark_params(41, 20240, sg.benchmark_base())[40])
-    h, w = scene.rgb.shape[:2]
-    roi = pl.compute_roi(pl.pixel_bbox(np.argwhere(scene.labels_img == pc.LABEL_PEPPER)), w, h)
+    rgb, roi = c6_frame()
     same = []
     for dtype in DTYPES:
         net = mc.Network.from_netspec(shipped_spec(), seed=17).cast(dtype)
-        got = mc.score_map(scene.rgb, net, 4, roi)
-        want = score_map_per_patch(scene.rgb, net, 4, roi)
+        got = mc.score_map(rgb, net, 4, roi)
+        want = score_map_per_patch(rgb, net, 4, roi)
         if got.scores.tobytes() == want.scores.tobytes() and (got.mask == want.mask).all():
             same.append(np.dtype(dtype).name)
     return same
+
+
+@st.composite
+def patch_grids(draw):
+    """(rows, columns) of a patch grid: one patch, one row, one column, more
+    than one batch of 128, or a few of each."""
+    n, m, big = draw(st.integers(2, 7)), draw(st.integers(2, 7)), draw(st.integers(11, 13))
+    return draw(st.sampled_from([(1, 1), (1, n), (n, 1), (big, 128 // big + 1), (n, m)]))
 
 
 class TestSharedTrunk:
     def test_shared_depth_rule(self):
         shipped = shipped_spec().layers
         # conv1 relu pool1 conv2 relu pool2 conv3 relu pool3 inception ...
-        assert [mc.shared_depth(shipped, s) for s in range(1, 9)] == [2, 3, 2, 6, 2, 3, 2, 9]
-        assert [mc.shared_depth(shipped, s) for s in (12, 16)] == [6, 9]
+        assert [mc.shared_depth(shipped, s) for s in range(1, 9)] == [2, 5, 2, 8, 2, 5, 2, 9]
+        assert [mc.shared_depth(shipped, s) for s in (12, 16)] == [8, 9]
         # two convs between the pools, then an inception module
         test_spec = mc.parse_netspec(DEFAULT_SPEC_TEXT).layers
-        assert [mc.shared_depth(test_spec, s) for s in (1, 2, 3, 4, 8)] == [2, 3, 2, 8, 8]
+        assert [mc.shared_depth(test_spec, s) for s in (1, 2, 3, 4, 8)] == [2, 7, 2, 8, 8]
         # a strided conv ahead of the first pool: nothing is shared at an odd stride
         strided = (mc.ConvSpec(3, 3, 3, 4, 2, 1), mc.ReluSpec(), mc.PoolSpec(2, 2), mc.FcSpec(4, 2))
         assert [mc.shared_depth(strided, s) for s in (1, 2, 4)] == [0, 2, 3]
@@ -686,7 +706,7 @@ class TestSharedTrunk:
         net = mc.Network.from_netspec(shipped_spec(), seed=1).cast(np.float32)
         crop = np.zeros((76, 80, 3), dtype=np.float32)
         trunk = mc._SharedTrunk(net, 4, crop)
-        assert trunk.depth == 6
+        assert trunk.depth == 8
         rings = [
             (type(lv.layer).__name__, lv.size, [(lo, n - hi) for (lo, hi), n in zip(lv.clean, lv.size)])
             for lv in trunk.levels[1:]
@@ -697,7 +717,24 @@ class TestSharedTrunk:
             ("MaxPool", (32, 32), [(1, 1), (1, 1)]),
             ("Conv2d", (32, 32), [(2, 2), (2, 2)]),
             ("MaxPool", (16, 16), [(1, 1), (1, 1)]),
+            ("Conv2d", (16, 16), [(2, 2), (2, 2)]),
         ]
+
+    def test_ring_cells_on_the_c6_frame(self):
+        """Each band is computed once per patch row or column and only the
+        corners per patch: on C6 eval draw 40's 13 x 12 grid, the ring cells
+        recomputed at conv1, pool1, conv2, pool2 and conv3 are about a fifth
+        of the per-patch rings' 156 x (252, 124, 240, 60, 112)."""
+        rgb, roi = c6_frame()
+        net = mc.Network.from_netspec(shipped_spec(), seed=17).cast(np.float32)
+        ys, xs = mc.patch_centers(*rgb.shape[:2], 64, 64, 4)
+        ys = ys[(roi.y_min <= ys) & (ys < roi.y_max)]
+        xs = xs[(roi.x_min <= xs) & (xs < roi.x_max)]
+        assert (len(ys), len(xs)) == (13, 12)
+        crop = rgb[ys[0] - 32 : ys[-1] + 32, xs[0] - 32 : xs[-1] + 32]
+        trunk = mc._SharedTrunk(net, 4, crop.astype(np.float32) / np.float32(255.0))
+        levels = [lv for lv in trunk.levels[1:] if not isinstance(lv.layer, mc.Relu)]
+        assert [len(lv.ring_taps) for lv in levels] == [6020, 3272, 7592, 1898, 4844]
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("stride", range(1, 9))
@@ -729,6 +766,29 @@ class TestSharedTrunk:
                 np.testing.assert_array_equal(got.mask, want.mask)
                 eps = np.finfo(dtype).eps
                 np.testing.assert_allclose(got.scores, want.scores, rtol=0, atol=16 * eps)
+
+    @settings(max_examples=40, deadline=None)
+    @given(grid=patch_grids(), stride=st.integers(1, 8), margins=st.tuples(*[st.integers(0, 2)] * 4),
+           slack=st.tuples(st.integers(0, 7), st.integers(0, 7)), levels=st.sampled_from([256, 3, 2]),
+           seed=st.integers(0, 2**16), batch=st.sampled_from([1, 128]), dtype=st.sampled_from(DTYPES))
+    def test_shipped_spec_matches_per_patch(self, grid, stride, margins, slack, levels, seed, batch, dtype):
+        """score_map of the shipped network equals the per-patch path byte
+        for byte, for regions of interest anywhere in the image (on its
+        edges too) whose patch grid is one patch, one row, one column or
+        more than one batch, on images with few grey levels and a saturated
+        block."""
+        (ny, nx), (top, bottom, left, right) = grid, margins
+        spec = shipped_spec()
+        rng = np.random.default_rng(seed)
+        h = spec.input_h + (top + ny + bottom - 1) * stride + slack[0] % stride
+        w = spec.input_w + (left + nx + right - 1) * stride + slack[1] % stride
+        img = (rng.integers(0, levels, (h, w, 3)) * 255 // (levels - 1)).astype(np.uint8)
+        y, x = rng.integers(0, h), rng.integers(0, w)
+        img[y : y + 24, x : x + 32] = rng.choice([0, 255])
+        ys, xs = mc.patch_centers(h, w, spec.input_h, spec.input_w, stride)
+        roi = pl.Roi2(int(xs[left]), int(ys[top]), int(xs[left + nx - 1]) + 1, int(ys[top + ny - 1]) + 1)
+        net = mc.Network.from_netspec(spec, seed=seed % 7).cast(dtype)
+        assert assert_same_score_map(img, net, stride, roi, batch) == ny * nx
 
     def test_tie_heavy_image(self):
         """Flat regions and saturated pixels give exact ties and zeros in
