@@ -653,6 +653,15 @@ def col2im_reference(dcols, x_shape, kh, kw, stride, pad, oh, ow):
     return dxp[:, :, pad : pad + h, pad : pad + w] if pad else dxp
 
 
+def conv_input_grad_reference(dyr, w, x_shape, stride, pad, oh, ow):
+    """minicnn's convolution input gradient as it was before the window
+    sums ran a block of samples at a time: the product with the weights in
+    (c, kh, kw) column order, then col2im_reference."""
+    c_out, _, kh, kw = w.shape
+    dcols = dyr @ w.reshape(c_out, -1)
+    return col2im_reference(dcols, x_shape, kh, kw, stride, pad, oh, ow)
+
+
 class MaxPoolReference:
     def __init__(self, spec, pad: int = 0):
         self.spec = spec
@@ -704,12 +713,12 @@ def max_pool_gather_reference(x, k, stride, pad):
 def reference_kernels():
     """Inside this block minicnn runs on the reference kernels: convolutions
     called and pooling layers built here use them in place of its own."""
-    saved = mc._im2col, mc._col2im, mc.MaxPool
-    mc._im2col, mc._col2im, mc.MaxPool = im2col_reference, col2im_reference, MaxPoolReference
+    saved = mc._im2col, mc._conv_input_grad, mc.MaxPool
+    mc._im2col, mc._conv_input_grad, mc.MaxPool = im2col_reference, conv_input_grad_reference, MaxPoolReference
     try:
         yield
     finally:
-        mc._im2col, mc._col2im, mc.MaxPool = saved
+        mc._im2col, mc._conv_input_grad, mc.MaxPool = saved
 
 
 def numerical_grad(loss_fn, array, eps=1e-6):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from oracles import (
     MaxPoolReference,
-    col2im_reference,
+    conv_input_grad_reference,
     conv_reference,
     im2col_reference,
     max_pool_gather_reference,
@@ -28,7 +28,7 @@ from peduncle import cloud as pc
 from peduncle import minicnn as mc
 from peduncle import pipeline as pl
 from peduncle import scenegen as sg
-from peduncle.errors import FormatError, InputTooSmall, ShapeError
+from peduncle.errors import FormatError, InputTooSmall, InvalidInput, ShapeError
 
 
 def tiny_net(seed=0):
@@ -556,16 +556,19 @@ class TestKernelsMatchReference:
         "kh,kw,stride,pad", [(3, 3, 1, 1), (3, 3, 2, 0), (1, 1, 1, 0), (3, 4, 2, 1), (5, 3, 1, 2)]
     )
     def test_im2col_col2im(self, dtype, kh, kw, stride, pad):
+        """_im2col, and its adjoint through the weights (the convolution's
+        input gradient), equal the reference kernels."""
         rng = np.random.default_rng(33)
         for x in (rng.normal(size=(2, 3, 9, 10)).astype(dtype), tie_heavy((2, 3, 9, 10), rng, dtype)):
             cols, oh, ow = mc._im2col(x, kh, kw, stride, pad)
             want, oh_ref, ow_ref = im2col_reference(x, kh, kw, stride, pad)
             assert (oh, ow) == (oh_ref, ow_ref)
             assert_same_bytes(cols, want)
-            dcols = signed_zeros(np.round(rng.normal(size=want.shape), 1), rng).astype(dtype)
+            dyr = signed_zeros(np.round(rng.normal(size=(len(want), 5)), 1), rng).astype(dtype)
+            w = rng.normal(size=(5, 3, kh, kw)).astype(dtype)
             assert_same_bytes(
-                mc._col2im(dcols, x.shape, kh, kw, stride, pad, oh, ow),
-                col2im_reference(dcols, x.shape, kh, kw, stride, pad, oh, ow),
+                mc._conv_input_grad(dyr, w, x.shape, stride, pad, oh, ow),
+                conv_input_grad_reference(dyr, w, x.shape, stride, pad, oh, ow),
             )
 
     @pytest.mark.parametrize("dtype", DTYPES)
@@ -641,6 +644,129 @@ class TestKernelsMatchReference:
         for (_, _, p, g), (_, _, rp, rg) in zip(net.parameters(), ref_net.parameters()):
             assert_same_bytes(p, rp)
             assert_same_bytes(g, rg)
+
+    @pytest.mark.parametrize("batch", [16, 14])
+    def test_shipped_step_matches_reference(self, batch):
+        """One float64 step of the shipped spec at the batch sizes the train
+        workload's 30 patches split into, on tie-heavy patches: the same
+        loss, gradient bytes and weight bytes as the reference kernels."""
+        rng = np.random.default_rng(39)
+        patches = tie_heavy((batch, 3, 64, 64), rng, np.float64)
+        labels = np.arange(batch) % 2
+
+        def step():
+            net = mc.Network.from_netspec(shipped_spec(), seed=38)
+            return net, mc.backward_and_step(net, patches, labels, lr=0.05)
+
+        net, loss = step()
+        with reference_kernels():
+            ref_net, ref_loss = step()
+        assert loss == ref_loss
+        for (_, _, p, g), (_, _, rp, rg) in zip(net.parameters(), ref_net.parameters()):
+            assert_same_bytes(g, rg)
+            assert_same_bytes(p, rp)
+
+
+# (layer specs, fc inputs, conv input gradients a step forms) of small nets
+# whose first layer is a strided padded conv, a pool, a relu or an
+# inception, on (3, 2, 8, 8) input: a step forms only the input gradients
+# that some parameter gradient reads (the inception's 3x3 branch's)
+FIRST_LAYER_CASES = [
+    ([mc.ConvSpec(3, 3, 2, 3, 2, 1), mc.ReluSpec()], 3 * 4 * 4, 0),
+    ([mc.PoolSpec(2, 2), mc.ConvSpec(3, 3, 2, 3, 1, 1)], 3 * 4 * 4, 0),
+    ([mc.ReluSpec(), mc.ConvSpec(3, 3, 2, 3, 1, 1)], 3 * 8 * 8, 0),
+    ([mc.InceptionSpec(2, 2, 3, 2), mc.ReluSpec()], 7 * 8 * 8, 1),
+]
+
+
+class TestTrainingStep:
+    @pytest.mark.parametrize("specs,fc_in,formed", FIRST_LAYER_CASES)
+    def test_step_stops_at_the_first_parameters(self, monkeypatch, specs, fc_in, formed):
+        """The step's parameter gradients equal those of the full backward
+        pass, and the full pass still returns the reference input gradient."""
+        rng = np.random.default_rng(40)
+        x = tie_heavy((3, 2, 8, 8), rng, np.float64)
+        labels = np.array([0, 1, 1])
+
+        def build():
+            net = mc.Network([*specs, mc.FcSpec(fc_in, 2)], input_c=2, input_hw=(8, 8))
+            net.init_weights(41)
+            return net
+
+        def backward(net):
+            _, dl = mc.cross_entropy(net.forward(x, train=True), labels)
+            return net.backward(dl)
+
+        calls = []
+        input_grad = mc._conv_input_grad
+        monkeypatch.setattr(mc, "_conv_input_grad", lambda *a: calls.append(a[2]) or input_grad(*a))
+        stepped = build()
+        mc.backward_and_step(stepped, x, labels, lr=0.0)
+        assert len(calls) == formed
+        full = build()
+        dx = backward(full)
+        for (_, _, _, g), (_, _, _, want) in zip(stepped.parameters(), full.parameters()):
+            assert_same_bytes(g, want)
+        with reference_kernels():
+            ref_dx = backward(build())
+        assert_same_bytes(dx, ref_dx)
+
+    def test_shipped_step_forms_no_patch_gradient(self, monkeypatch):
+        shapes = []
+        input_grad = mc._conv_input_grad
+        monkeypatch.setattr(mc, "_conv_input_grad", lambda *a: shapes.append(a[2]) or input_grad(*a))
+        net = mc.Network.from_netspec(shipped_spec(), seed=38)
+        patches = np.random.default_rng(42).uniform(size=(2, 3, 64, 64))
+        mc.backward_and_step(net, patches, np.array([0, 1]), lr=0.05)
+        assert shapes and (2, 3, 64, 64) not in shapes
+
+
+class TestTrainingInput:
+    """Bad training input raises InvalidInput before any weight moves."""
+
+    @staticmethod
+    def assert_rejected(train, patches, labels):
+        net = tiny_net(seed=9)
+        before = [p.copy() for _, _, p, _ in net.parameters()]
+        with pytest.raises(InvalidInput):
+            train(net, patches, labels)
+        for old, (_, _, p, _) in zip(before, net.parameters()):
+            assert_same_bytes(p, old)
+
+    TRAINERS = [
+        lambda net, x, y: mc.backward_and_step(net, x, y, lr=0.1),
+        lambda net, x, y: mc.train_network(net, x, y, epochs=1, batch=2),
+    ]
+
+    @pytest.mark.parametrize("train", TRAINERS, ids=["step", "train_network"])
+    @pytest.mark.parametrize(
+        "labels", [[0, 1, -1, 0], [0, 1, 0.5, 0], [0, 1, 2, 0], [0, 1, np.nan, 0]], ids=["-1", "0.5", "2", "nan"]
+    )
+    def test_label_outside_0_1(self, train, labels):
+        x = np.random.default_rng(43).uniform(size=(4, 2, 8, 8))
+        self.assert_rejected(train, x, np.array(labels))
+
+    @pytest.mark.parametrize("train", TRAINERS, ids=["step", "train_network"])
+    @pytest.mark.parametrize("n_labels", [3, 5])
+    def test_unequal_counts(self, train, n_labels):
+        x = np.random.default_rng(44).uniform(size=(4, 2, 8, 8))
+        self.assert_rejected(train, x, np.arange(n_labels) % 2)
+
+    @pytest.mark.parametrize("train", TRAINERS, ids=["step", "train_network"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_patch(self, train, bad):
+        """Also when train_network would reach the patch only in its last
+        batch (batch 2, seed 0)."""
+        x = np.random.default_rng(45).uniform(size=(4, 2, 8, 8))
+        x[np.random.default_rng(0).permutation(4)[-1], 1, 7, 7] = bad
+        self.assert_rejected(train, x, np.array([0, 1, 0, 1]))
+
+    @pytest.mark.parametrize("batch", [0, -1])
+    def test_batch_below_one(self, batch):
+        x = np.random.default_rng(46).uniform(size=(4, 2, 8, 8))
+        self.assert_rejected(
+            lambda net, x, y: mc.train_network(net, x, y, epochs=1, batch=batch), x, np.array([0, 1, 0, 1])
+        )
 
 
 # ---------------------------------------------------------------------------
