@@ -269,18 +269,34 @@ def nb_fit(pepper_hsv: np.ndarray, other_hsv: np.ndarray) -> NaiveBayesHsv:
 
 
 def nb_posterior(model: NaiveBayesHsv, hsv: np.ndarray) -> np.ndarray:
-    """P(pepper | hsv) for one [h_deg, s, v] triple or an (N, 3) batch."""
+    """P(pepper | hsv) for one [h_deg, s, v] triple or an (N, 3) batch.
+
+    Works on the four feature columns of hsv_nb_features. A class's
+    log-likelihood adds the terms of features 0, 1, 2, 3 in that order,
+    the order a sum over each row of them takes.
+    """
     single = np.asarray(hsv).ndim == 1
-    f = hsv_nb_features(hsv)
-    log_lik = np.empty((len(f), 2))
+    hsv = np.atleast_2d(np.asarray(hsv, dtype=np.float64))
+    h = np.deg2rad(hsv[:, 0])
+    columns = (np.cos(h), np.sin(h), hsv[:, 1], hsv[:, 2])
+    log_prior = np.log(model.priors)
+    log_post = []
     for cls in range(2):
-        z = (f - model.means[cls]) ** 2 / model.variances[cls]
-        log_lik[:, cls] = -0.5 * (z + np.log(2.0 * np.pi * model.variances[cls])).sum(axis=1)
-    log_post = log_lik + np.log(model.priors)
-    log_post -= log_post.max(axis=1, keepdims=True)
-    post = np.exp(log_post)
-    post /= post.sum(axis=1, keepdims=True)
-    return float(post[0, 0]) if single else post[:, 0]
+        log_norm = np.log(2.0 * np.pi * model.variances[cls])
+        total = np.zeros(len(hsv))
+        for j, col in enumerate(columns):
+            term = col - model.means[cls, j]
+            term *= term
+            term /= model.variances[cls, j]
+            term += log_norm[j]
+            total += term
+        total *= -0.5
+        total += log_prior[cls]
+        log_post.append(total)
+    top = np.maximum(log_post[0], log_post[1])
+    p0, p1 = (np.exp(lp - top) for lp in log_post)
+    post = p0 / (p0 + p1)
+    return float(post[0]) if single else post
 
 
 def save_nb(path, model: NaiveBayesHsv) -> None:

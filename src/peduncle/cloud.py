@@ -5,7 +5,11 @@ from any number of workers. radius_pairs and largest_cluster are exact:
 identical to a brute-force scan, ties broken by ascending point index.
 knn_batch orders its rows by exact squared distance, ties by index, but
 when several points tie at the k-th distance, which of them make a row is
-left to the kd-tree (deterministic for a given cloud, not by index).
+left to the kd-tree (deterministic for a given cloud, not by index). Rows
+the kd-tree returns with exact squared distances already nondecreasing
+(99.8% of a full C6 cloud's rows) take one sort of (run of equal
+distances, index) keys; the others a stable sort by index, then one by
+distance. Both give the same rows.
 """
 
 from __future__ import annotations
@@ -138,8 +142,14 @@ def knn_batch(index: SpatialIndex, queries: np.ndarray, k: int) -> np.ndarray:
     squared distance, ties broken by index. When several points tie at the
     k-th distance, which of them make the row is left to the kd-tree and is
     arbitrary.
+
+    Raises InvalidInput unless the queries are (M, 3) and finite.
     """
     queries = np.ascontiguousarray(queries, dtype=np.float64)
+    if queries.ndim != 2 or queries.shape[1] != 3:
+        raise InvalidInput(f"queries must be (M, 3), got {queries.shape}")
+    if not np.all(np.isfinite(queries)):
+        raise InvalidInput("query coordinates must be finite")
     if k < 1:
         raise InvalidInput("k must be >= 1")
     if k > index.size:
@@ -148,11 +158,22 @@ def knn_batch(index: SpatialIndex, queries: np.ndarray, k: int) -> np.ndarray:
     idx = idx.reshape(len(queries), k)
     diff = index._points[idx] - queries[:, None, :]
     d2 = np.einsum("mkj,mkj->mk", diff, diff)
-    o1 = np.argsort(idx, axis=1, kind="stable")
-    idx = np.take_along_axis(idx, o1, axis=1)
-    d2 = np.take_along_axis(d2, o1, axis=1)
-    o2 = np.argsort(d2, axis=1, kind="stable")
-    return np.take_along_axis(idx, o2, axis=1)
+    # Where the tree's order already leaves d2 nondecreasing, only the runs
+    # of equal d2 need index order: one sort by run * size + index.
+    key = np.zeros(idx.shape, dtype=np.int64)
+    np.cumsum(d2[:, 1:] > d2[:, :-1], axis=1, out=key[:, 1:])
+    key *= index.size
+    key += idx
+    out = np.take_along_axis(idx, np.argsort(key, axis=1), axis=1)
+    rest = np.flatnonzero(~np.all(d2[:, 1:] >= d2[:, :-1], axis=1))
+    if rest.size:
+        idx, d2 = idx[rest], d2[rest]
+        o1 = np.argsort(idx, axis=1, kind="stable")
+        idx = np.take_along_axis(idx, o1, axis=1)
+        d2 = np.take_along_axis(d2, o1, axis=1)
+        o2 = np.argsort(d2, axis=1, kind="stable")
+        out[rest] = np.take_along_axis(idx, o2, axis=1)
+    return out
 
 
 def knn_batch_prefix(
@@ -207,10 +228,29 @@ def estimate_normals(
         neighbors = knn_batch(build_index(cloud), cloud.points, k)
     elif neighbors.shape != (len(cloud), k):
         raise InvalidInput(f"neighbor table must be ({len(cloud)}, {k}), got {neighbors.shape}")
-    neigh = cloud.points[neighbors]                 # (N, k, 3), the point itself too
-    mean = neigh.mean(axis=1, keepdims=True)
-    d = neigh - mean
-    cov = np.einsum("nki,nkj->nij", d, d) / k
+    # (k, N) tables of the neighbors' x, y and z, the point itself too. Sums
+    # run over neighbor rows 0..k-1, the order of a mean and an
+    # einsum("nki,nkj->nij") over an (N, k, 3) gather.
+    n = len(cloud)
+    columns = np.ascontiguousarray(cloud.points.T)
+    rows = np.ascontiguousarray(neighbors.T)
+    tables = [col.take(rows) for col in columns]
+    for table in tables:
+        mean = np.zeros(n)
+        for row in table:
+            mean += row
+        mean /= k
+        table -= mean
+    cov = np.empty((n, 3, 3))
+    prod = np.empty(n)
+    for i in range(3):
+        for j in range(i, 3):
+            acc = np.zeros(n)
+            for a, b in zip(tables[i], tables[j]):
+                acc += np.multiply(a, b, out=prod)
+            acc /= k
+            cov[:, i, j] = acc
+            cov[:, j, i] = acc
     evals, evecs = np.linalg.eigh(cov)              # ascending eigenvalues
     normals = evecs[:, :, 0]
     # rank >= 2 requires genuine spread along the two larger eigendirections
@@ -243,7 +283,8 @@ def radius_pairs(points: np.ndarray, tol: float) -> np.ndarray:
         raise InvalidInput("cluster tolerance must be positive")
     points = np.ascontiguousarray(points, dtype=np.float64)
     pairs = cKDTree(points).query_pairs(tol * (1.0 + _SLACK), output_type="ndarray")
-    d = points[pairs[:, 0]] - points[pairs[:, 1]]
+    d = points.take(pairs[:, 0], axis=0)
+    d -= points.take(pairs[:, 1], axis=0)
     return pairs[np.einsum("ij,ij->i", d, d) <= tol * tol].astype(np.intp, copy=False)
 
 

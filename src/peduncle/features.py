@@ -26,21 +26,25 @@ _CROSS_EPS = 1e-9
 
 
 def rgb_to_hsv_array(rgb: np.ndarray) -> np.ndarray:
-    """(N, 3) uint8 RGB to (N, 3) float64 [h_deg, s, v]."""
-    rgbf = np.asarray(rgb, dtype=np.float64) / 255.0
-    v = rgbf.max(axis=1)
-    mn = rgbf.min(axis=1)
-    delta = v - mn
+    """(N, 3) uint8 RGB to (N, 3) float64 [h_deg, s, v].
+
+    Works on the three channel columns. Each hue formula is evaluated on
+    every row and each row picks the one for its largest channel (red,
+    then green, on ties), hue 0 for greys; the arithmetic per value is
+    elementwise, so this equals evaluating each formula on its own rows
+    only.
+    """
+    rgb = np.asarray(rgb)
+    if rgb.ndim != 2 or rgb.shape[1] != 3:
+        raise InvalidInput(f"colors must be (N, 3), got {rgb.shape}")
+    rn, gn, bn = rgb.T.astype(np.float64, order="C") / 255.0
+    v = np.maximum(np.maximum(rn, gn), bn)
+    delta = v - np.minimum(np.minimum(rn, gn), bn)
     s = np.where(v > 0, delta / np.where(v > 0, v, 1.0), 0.0)
-    h = np.zeros(len(rgbf))
-    rn, gn, bn = rgbf[:, 0], rgbf[:, 1], rgbf[:, 2]
     safe = np.where(delta > 0, delta, 1.0)
-    is_r = (v == rn) & (delta > 0)
-    is_g = (v == gn) & (delta > 0) & ~is_r
-    is_b = (delta > 0) & ~is_r & ~is_g
-    h[is_r] = 60.0 * (((gn - bn)[is_r] / safe[is_r]) % 6.0)
-    h[is_g] = 60.0 * ((bn - rn)[is_g] / safe[is_g] + 2.0)
-    h[is_b] = 60.0 * ((rn - gn)[is_b] / safe[is_b] + 4.0)
+    h = np.where(v == rn, 60.0 * (((gn - bn) / safe) % 6.0),
+        np.where(v == gn, 60.0 * ((bn - rn) / safe + 2.0), 60.0 * ((rn - gn) / safe + 4.0)))
+    h = np.where(delta > 0, h, 0.0)
     h[h >= 360.0] -= 360.0
     return np.column_stack([h, s, v])
 

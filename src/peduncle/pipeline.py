@@ -240,12 +240,14 @@ def detect_pepper(
     candidates = np.flatnonzero(post >= params.posterior_threshold)
     if candidates.size == 0:
         raise NoPeduncleFound("NoPepperFound", "no point above the pepper posterior threshold")
-    best = pc.largest_cluster(
-        len(candidates),
-        pc.radius_pairs(cloud.points[candidates], params.cluster_tol),
-        params.min_points,
-        len(cloud),
-    )
+    best = None
+    if candidates.size >= params.min_points:
+        best = pc.largest_cluster(
+            len(candidates),
+            pc.radius_pairs(cloud.points[candidates], params.cluster_tol),
+            params.min_points,
+            len(cloud),
+        )
     if best is None:
         raise NoPeduncleFound("NoPepperFound", "no pepper cluster above the minimum size")
     pepper = candidates[best]

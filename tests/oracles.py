@@ -9,14 +9,18 @@ scoring path, which reuses the library's score map, the per-patch
 score map, which runs the library's network on every patch, the previous
 max-pool training forward, which gathers windows with the library's window
 helpers, the previous pfh-svm scoring path, which reuses the library's pair
-angles, binning, normals and knn_batch, the previous SVM training sample,
-which draws rows of the library's point_features, the per-row file readers
-and writers, which build the library's own objects, knn, which takes its
-candidates from the library's kd-tree, spfh, which bins with the library's
-pair angles, and kkt_violations, which scores with the library's
-svm_score_batch.
+angles, binning and descriptor assembly (its normals, neighbor tables and
+colors come from the previous row forms below), the previous row forms of
+the per-point kernels, where knn_batch_rows and estimate_normals_rows query
+the library's kd-tree and nb_posterior_rows its hsv_nb_features, the
+previous SVM training sample, which draws rows of the library's
+point_features, the per-row file readers and writers, which build the
+library's own objects, knn, which takes its candidates from the library's
+kd-tree, spfh, which bins with the library's pair angles, and
+kkt_violations, which scores with the library's svm_score_batch.
 ranked_clusters is not an oracle: it lists every cluster the library's
 largest_cluster would pick in turn, for comparison with the oracles.
+Nor is same_bytes, the byte-equality check the pinned tests share.
 """
 
 import contextlib
@@ -26,6 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.spatial import cKDTree
 
 from peduncle import classifiers as cls
 from peduncle import cloud as pc
@@ -54,6 +59,11 @@ class DegeneratePair(Exception):
 
 class EmptyHistogram(Exception):
     """Every angle pair of a histogram neighborhood degenerated."""
+
+
+def same_bytes(a, b) -> bool:
+    """Equal dtype, shape and bytes."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def brute_knn(points, q, k):
@@ -434,7 +444,7 @@ def fpfh_reference(points, normals, k, valid_normals=None):
         raise InvalidInput("fpfh needs k >= 2")
     if valid_normals is None:
         valid_normals = np.ones(n, dtype=bool)
-    raw = pc.knn_batch(pc.build_index(points), points, min(k + 1, n))
+    raw = knn_batch_rows(pc.build_index(points), points, min(k + 1, n))
     nbrs = np.empty((n, min(k, n - 1)), dtype=np.intp)
     for row in range(n):
         r = raw[row][raw[row] != row]
@@ -459,22 +469,117 @@ def fpfh_reference(points, normals, k, valid_normals=None):
     return out, out_valid
 
 
+# The per-point kernels before they worked on columns: colour, posterior,
+# pair and normal kernels over (N, 3) and (N, k, 3) rows. The library's
+# column forms must equal them byte for byte.
+
+
+def rgb_to_hsv_rows(rgb):
+    """(N, 3) uint8 RGB to (N, 3) float64 [h_deg, s, v], each hue formula
+    on its own rows."""
+    rgbf = np.asarray(rgb, dtype=np.float64) / 255.0
+    v = rgbf.max(axis=1)
+    mn = rgbf.min(axis=1)
+    delta = v - mn
+    s = np.where(v > 0, delta / np.where(v > 0, v, 1.0), 0.0)
+    h = np.zeros(len(rgbf))
+    rn, gn, bn = rgbf[:, 0], rgbf[:, 1], rgbf[:, 2]
+    safe = np.where(delta > 0, delta, 1.0)
+    is_r = (v == rn) & (delta > 0)
+    is_g = (v == gn) & (delta > 0) & ~is_r
+    is_b = (delta > 0) & ~is_r & ~is_g
+    h[is_r] = 60.0 * (((gn - bn)[is_r] / safe[is_r]) % 6.0)
+    h[is_g] = 60.0 * ((bn - rn)[is_g] / safe[is_g] + 2.0)
+    h[is_b] = 60.0 * ((rn - gn)[is_b] / safe[is_b] + 4.0)
+    h[h >= 360.0] -= 360.0
+    return np.column_stack([h, s, v])
+
+
+def nb_posterior_rows(model: cls.NaiveBayesHsv, hsv):
+    """P(pepper | hsv) for one triple or an (N, 3) batch, from (N, 4)
+    feature rows and (N, 2) class rows."""
+    single = np.asarray(hsv).ndim == 1
+    f = cls.hsv_nb_features(hsv)
+    log_lik = np.empty((len(f), 2))
+    for c in range(2):
+        z = (f - model.means[c]) ** 2 / model.variances[c]
+        log_lik[:, c] = -0.5 * (z + np.log(2.0 * np.pi * model.variances[c])).sum(axis=1)
+    log_post = log_lik + np.log(model.priors)
+    log_post -= log_post.max(axis=1, keepdims=True)
+    post = np.exp(log_post)
+    post /= post.sum(axis=1, keepdims=True)
+    return float(post[0, 0]) if single else post[:, 0]
+
+
+def radius_pairs_rows(points, tol):
+    """radius_pairs with the pair endpoints gathered by fancy indexing."""
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    pairs = cKDTree(points).query_pairs(tol * (1.0 + _SLACK), output_type="ndarray")
+    d = points[pairs[:, 0]] - points[pairs[:, 1]]
+    return pairs[np.einsum("ij,ij->i", d, d) <= tol * tol].astype(np.intp, copy=False)
+
+
+def knn_batch_rows(index: pc.SpatialIndex, queries, k: int) -> np.ndarray:
+    """knn_batch with every row put in (d2, index) order by two stable
+    sorts: by index, then by exact squared distance."""
+    queries = np.ascontiguousarray(queries, dtype=np.float64)
+    if k < 1:
+        raise InvalidInput("k must be >= 1")
+    if k > index.size:
+        raise InsufficientPoints(f"k={k} exceeds cloud size {index.size}")
+    _, idx = index._tree.query(queries, k=k)
+    idx = idx.reshape(len(queries), k)
+    diff = index._points[idx] - queries[:, None, :]
+    d2 = np.einsum("mkj,mkj->mk", diff, diff)
+    o1 = np.argsort(idx, axis=1, kind="stable")
+    idx = np.take_along_axis(idx, o1, axis=1)
+    d2 = np.take_along_axis(d2, o1, axis=1)
+    o2 = np.argsort(d2, axis=1, kind="stable")
+    return np.take_along_axis(idx, o2, axis=1)
+
+
+def estimate_normals_rows(cloud: pc.PointCloud, k: int, viewpoint, neighbors=None):
+    """estimate_normals with the mean and covariance reduced over an
+    (N, k, 3) gather of the neighborhoods."""
+    if k < 3:
+        raise InvalidInput("normal estimation needs k >= 3")
+    if len(cloud) < k:
+        raise InsufficientPoints(f"cloud of {len(cloud)} points cannot supply k={k}")
+    viewpoint = np.asarray(viewpoint, dtype=np.float64).reshape(3)
+    if neighbors is None:
+        neighbors = knn_batch_rows(pc.build_index(cloud), cloud.points, k)
+    neigh = cloud.points[neighbors]
+    mean = neigh.mean(axis=1, keepdims=True)
+    d = neigh - mean
+    cov = np.einsum("nki,nkj->nij", d, d) / k
+    evals, evecs = np.linalg.eigh(cov)
+    normals = evecs[:, :, 0]
+    valid = evals[:, 1] > (1e-9 * np.maximum(evals[:, 2], 0.0) + 1e-18)
+    to_view = viewpoint[None, :] - cloud.points
+    flip = np.einsum("ni,ni->n", normals, to_view) < 0.0
+    normals[flip] = -normals[flip]
+    norms = np.linalg.norm(normals, axis=1)
+    normals = normals / np.where(norms > 0, norms, 1.0)[:, None]
+    normals[~valid] = 0.0
+    return normals, valid
+
+
 def neighbor_tables_reference(points, normal_k, fpfh_k):
     """The two separate queries: (knn_batch at normal_k, knn_batch at
     min(fpfh_k + 1, N)), each on a kd-tree of its own."""
     points = np.asarray(points, dtype=np.float64)
     n = len(points)
     return (
-        pc.knn_batch(pc.build_index(points), points, normal_k),
-        pc.knn_batch(pc.build_index(points), points, min(fpfh_k + 1, n)),
+        knn_batch_rows(pc.build_index(points), points, normal_k),
+        knn_batch_rows(pc.build_index(points), points, min(fpfh_k + 1, n)),
     )
 
 
 def point_features_reference(cloud, normal_k=30, fpfh_k=30):
     """Normals from their own query, then fpfh_reference."""
-    normals, n_valid = pc.estimate_normals(cloud, normal_k, (0.0, 0.0, 0.0))
+    normals, n_valid = estimate_normals_rows(cloud, normal_k, (0.0, 0.0, 0.0))
     hists, h_valid = fpfh_reference(cloud.points, normals, fpfh_k, n_valid)
-    return ft.assemble_features(ft.rgb_to_hsv_array(cloud.colors), hists), n_valid & h_valid
+    return ft.assemble_features(rgb_to_hsv_rows(cloud.colors), hists), n_valid & h_valid
 
 
 # The SVM training sample before it formed histograms only for the drawn

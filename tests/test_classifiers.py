@@ -7,7 +7,9 @@ constrained optimizer on small problems.
 
 import numpy as np
 import pytest
-from oracles import kernel_reference, kkt_violations, svm_score_batch_reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import kernel_reference, kkt_violations, nb_posterior_rows, svm_score_batch_reference
 from scipy.optimize import minimize
 
 from peduncle import classifiers as cls
@@ -320,6 +322,41 @@ class TestNaiveBayes:
         path.write_text(text)
         with pytest.raises(FormatError):
             cls.load_nb(path)
+
+
+@st.composite
+def nb_models(draw):
+    """Class means anywhere on the feature ranges, variances from the floor
+    (posteriors of 0 or 1) to wide (posteriors in between), priors from
+    lopsided to even."""
+    unit = st.floats(0.0, 1.0)
+    means = [[draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)), draw(unit), draw(unit)] for _ in range(2)]
+    variances = []
+    for _ in range(2):
+        level = draw(st.sampled_from([cls.VARIANCE_FLOOR, 1e-4, 0.01, 0.3, 4.0]))
+        variances.append([level * draw(st.sampled_from([1.0, 1.5, 3.0])) for _ in range(4)])
+    prior = draw(st.floats(1e-9, 1.0 - 1e-9))
+    return cls.NaiveBayesHsv(np.array(means), np.array(variances), np.array([prior, 1.0 - prior]))
+
+
+class TestPosteriorColumnsPinned:
+    """The column form equals the previous row form byte for byte."""
+
+    @settings(max_examples=150)
+    @given(
+        model=nb_models(),
+        rows=st.lists(
+            st.tuples(st.floats(-720.0, 720.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+            min_size=1,
+            max_size=30,
+        ),
+    )
+    def test_batch_and_single(self, model, rows):
+        hsv = np.array(rows)
+        got, want = cls.nb_posterior(model, hsv), nb_posterior_rows(model, hsv)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        got_one, want_one = cls.nb_posterior(model, hsv[0]), nb_posterior_rows(model, hsv[0])
+        assert type(got_one) is float and np.float64(got_one).tobytes() == np.float64(want_one).tobytes()
 
 
 class TestKernelBlocksPinned:

@@ -8,14 +8,19 @@ from oracles import (
     brute_knn,
     brute_radius_pairs,
     csgraph_clusters,
+    estimate_normals_rows,
     knn,
+    knn_batch_rows,
     load_cloud_per_row,
+    radius_pairs_rows,
     ranked_clusters,
+    same_bytes,
     union_find_clusters,
 )
 
 from peduncle import cloud as pc
 from peduncle import pipeline as pl
+from peduncle import scenegen as sg
 from peduncle.errors import EmptyInput, FormatError, InsufficientPoints, InvalidInput
 
 
@@ -92,6 +97,20 @@ class TestIndexQueries:
         with pytest.raises(EmptyInput):
             pc.build_index(pc.PointCloud(np.zeros((0, 3))))
 
+    @pytest.mark.parametrize(
+        "queries", [[0.0, 0.0, 0.0], [[0.0, 0.0]], [[[0.0, 0.0, 0.0]]]], ids=["one-point", "two-wide", "3d"]
+    )
+    def test_query_shape_checked(self, queries):
+        idx = pc.build_index(pc.PointCloud(np.eye(3)))
+        with pytest.raises(InvalidInput, match=r"\(M, 3\)"):
+            pc.knn_batch(idx, queries, 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected(self, bad):
+        idx = pc.build_index(pc.PointCloud(np.eye(3)))
+        with pytest.raises(InvalidInput, match="finite"):
+            pc.knn_batch(idx, [[0.0, 0.0, 0.0], [0.0, bad, 0.0]], 1)
+
 
 class TestNormals:
     def test_plane_normals_face_viewpoint(self):
@@ -131,6 +150,52 @@ class TestNormals:
         pts = np.column_stack([np.linspace(0, 1, 20), np.zeros(20), np.zeros(20)])
         _, valid = pc.estimate_normals(pc.PointCloud(pts), 5, [0, 0, 1.0])
         assert not valid.any()
+
+
+@st.composite
+def tied_clouds(draw):
+    """Points from a line, plane or cube lattice, with duplicates, in any
+    order: exact distance ties everywhere, and collinear or planar
+    neighborhoods."""
+    shape = draw(st.sampled_from([(8, 1, 1), (4, 4, 1), (3, 3, 3)]))
+    scale = draw(st.sampled_from([1.0, 0.25, 0.01, 0.003]))
+    grid = np.stack(np.meshgrid(*[np.arange(n) for n in shape], indexing="ij"), -1).reshape(-1, 3)
+    picks = draw(st.lists(st.integers(0, len(grid) - 1), min_size=3, max_size=60))
+    offset = draw(st.sampled_from([0.0, 0.5, -2.0]))
+    return pc.PointCloud(grid[picks] * scale + offset), scale
+
+
+class TestColumnFormsPinned:
+    """knn_batch, estimate_normals and radius_pairs equal their previous
+    row forms byte for byte."""
+
+    @settings(max_examples=120)
+    @given(case=tied_clouds(), k_is_n=st.booleans(), view=st.sampled_from([(0.0, 0.0, 0.0), (0.0, 0.0, 5.0)]))
+    def test_lattice_clouds(self, case, k_is_n, view):
+        cloud, scale = case
+        k = len(cloud) if k_is_n else 3
+        index = pc.build_index(cloud)
+        for queries in (cloud.points, cloud.points + scale / 2):
+            assert same_bytes(pc.knn_batch(index, queries, k), knn_batch_rows(index, queries, k))
+        got = pc.estimate_normals(cloud, k, view)
+        want = estimate_normals_rows(cloud, k, view)
+        assert same_bytes(got[0], want[0]) and same_bytes(got[1], want[1])
+        # lattice distances put pairs exactly at the tolerance
+        for tol in (scale, scale * np.sqrt(2.0), scale * 1.5, scale * np.sqrt(6.0)):
+            assert same_bytes(pc.radius_pairs(cloud.points, tol), radius_pairs_rows(cloud.points, tol))
+
+    @pytest.mark.parametrize("draw", [0, 40])
+    def test_c6_full_clouds(self, draw):
+        cloud = sg.generate(sg.benchmark_params(draw + 1, 20240, sg.benchmark_base())[draw]).frame.cloud
+        index = pc.build_index(cloud)
+        for k in (31, 30):
+            table = pc.knn_batch(index, cloud.points, k)
+            assert same_bytes(table, knn_batch_rows(index, cloud.points, k))
+        got = pc.estimate_normals(cloud, 30, (0.0, 0.0, 0.0), table)
+        want = estimate_normals_rows(cloud, 30, (0.0, 0.0, 0.0), table)
+        assert same_bytes(got[0], want[0]) and same_bytes(got[1], want[1])
+        pepper = cloud.points[cloud.labels == pc.LABEL_PEPPER]
+        assert same_bytes(pc.radius_pairs(pepper, 0.01), radius_pairs_rows(pepper, 0.01))
 
 
 class TestBoxCentroid:
@@ -247,7 +312,7 @@ def lattice_clouds(draw):
     return pts, np.asarray(subset, dtype=np.intp), tol, min_size, max_size
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(lattice_clouds())
 def test_clusters_equal_union_find_oracle(case):
     pts, subset, tol, min_size, max_size = case

@@ -20,6 +20,8 @@ from oracles import (
     naive_spfh,
     neighbor_tables_reference,
     point_features_reference,
+    rgb_to_hsv_rows,
+    same_bytes,
     spfh,
 )
 
@@ -58,6 +60,38 @@ class TestHsv:
         for row, c in zip(arr, rgb):
             h, s, v = colorsys.rgb_to_hsv(*(c / 255.0))
             np.testing.assert_allclose(row, [h * 360.0, s, v], atol=1e-12)
+
+
+class TestHsvColumnsPinned:
+    """The column form equals the previous row form byte for byte."""
+
+    def test_every_color(self):
+        # all 2**24 colors, greys, channel ties and black included
+        code = np.arange(1 << 24, dtype=np.uint32)
+        for start in range(0, 1 << 24, 1 << 18):
+            c = code[start : start + (1 << 18)]
+            rgb = np.stack([c >> 16, c >> 8, c], axis=1).astype(np.uint8)
+            assert same_bytes(ft.rgb_to_hsv_array(rgb), rgb_to_hsv_rows(rgb))
+
+    @settings(max_examples=100)
+    @given(
+        levels=st.lists(st.integers(0, 255), min_size=1, max_size=3),
+        picks=st.lists(st.tuples(*[st.integers(0, 2)] * 3), min_size=0, max_size=40),
+        layout=st.sampled_from(["C", "F", "strided"]),
+    )
+    def test_tied_channels_in_any_layout(self, levels, picks, layout):
+        # few distinct levels per color, so channels tie two or three ways
+        rgb = np.array([[levels[i % len(levels)] for i in p] for p in picks], dtype=np.uint8).reshape(-1, 3)
+        if layout == "F":
+            rgb = np.asfortranarray(rgb)
+        elif layout == "strided":
+            rgb = np.repeat(rgb, 2, axis=0)[::2]
+        assert same_bytes(ft.rgb_to_hsv_array(rgb), rgb_to_hsv_rows(rgb))
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 4), (2, 3, 3)])
+    def test_rejects_other_shapes(self, shape):
+        with pytest.raises(InvalidInput):
+            ft.rgb_to_hsv_array(np.zeros(shape, dtype=np.uint8))
 
 
 class TestDarboux:
@@ -218,10 +252,6 @@ class TestFpfh:
         assert np.isfinite(out).all()
 
 
-def same_bytes(a, b) -> bool:
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 @pytest.fixture(scope="module")
 def c6_frame():
     """C6 evaluation draw 40 and its ground-truth region of interest."""
@@ -251,7 +281,7 @@ class TestSharedNeighborTables:
     own knn_batch calls byte for byte, ties and duplicates included."""
 
     @pytest.mark.parametrize("relation", ["below", "equal", "above"])
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(cloud=lattice_clouds(), fpfh_k=st.integers(2, 40), delta=st.integers(1, 12))
     def test_lattice_tables_match_two_queries(self, relation, cloud, fpfh_k, delta):
         n = len(cloud)
@@ -359,7 +389,7 @@ class TestRowRestricted:
             got, got_ok = ft.fpfh(points, normals, k, valid, table, rows)
             assert same_bytes(got, full[rows]) and same_bytes(got_ok, full_ok[rows])
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(cloud=lattice_clouds(), k=st.integers(2, 40), normal_k=st.integers(3, 10), data=st.data())
     def test_lattice_clouds(self, cloud, k, normal_k, data):
         # duplicates give zero-distance neighbors and invalid normals

@@ -38,7 +38,7 @@ from peduncle.errors import FormatError, InvalidInput
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308, 1.7976931348623157e308, 0.1]
 FLOATS = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=False, allow_infinity=False))
 INT64 = st.integers(-(2**63), 2**63 - 1)
-SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+SETTINGS = settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
 def same(a, b) -> bool:
@@ -214,7 +214,7 @@ def mutated_file(draw, fmt, path) -> None:
 
 
 @pytest.mark.parametrize("fmt", sorted(FORMATS))
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_mutated_file_is_rejected_or_read_as_per_row(scratch, fmt, data):
     path = scratch / f"fuzz.{fmt}"

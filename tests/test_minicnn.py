@@ -522,7 +522,7 @@ class TestKernelsMatchReference:
                 dy = dy.astype(dtype)
                 assert_same_bytes(new.backward(dy), ref.backward(dy))
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(data=st.data(), k=st.integers(2, 3), stride=st.integers(1, 2), pad=st.integers(0, 1),
            dtype=st.sampled_from(DTYPES))
     def test_pool_matches_gather_path_on_ties(self, data, k, stride, pad, dtype):
@@ -893,7 +893,7 @@ class TestSharedTrunk:
                 eps = np.finfo(dtype).eps
                 np.testing.assert_allclose(got.scores, want.scores, rtol=0, atol=16 * eps)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(grid=patch_grids(), stride=st.integers(1, 8), margins=st.tuples(*[st.integers(0, 2)] * 4),
            slack=st.tuples(st.integers(0, 7), st.integers(0, 7)), levels=st.sampled_from([256, 3, 2]),
            seed=st.integers(0, 2**16), batch=st.sampled_from([1, 128]), dtype=st.sampled_from(DTYPES))

@@ -5,12 +5,16 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
     cnn_score_frame_reference,
     csgraph_clusters,
+    nb_posterior_rows,
     pfh_svm_score_frame_reference,
     point_features_reference,
     reproject_to_pixels,
+    rgb_to_hsv_rows,
 )
 
 from peduncle import classifiers as cls
@@ -358,6 +362,14 @@ class TestDetectPepper:
         idx, _ = pl.detect_pepper(cloud, red_green_nb(), pl.PepperDetectParams(min_points=24))
         assert idx.tolist() == list(range(24))
 
+    def test_fewer_points_than_min_points_is_a_miss(self):
+        rng = np.random.default_rng(3)
+        cloud = pc.PointCloud(rng.normal(0, 0.002, (3, 3)) + [0.0, 0.0, 0.4], red_colors(rng, 3))
+        with pytest.raises(NoPeduncleFound) as miss:
+            pl.detect_pepper(cloud, red_green_nb(), pl.PepperDetectParams(min_points=4))
+        assert miss.value.reason == "NoPepperFound"
+        assert str(miss.value) == "no pepper cluster above the minimum size"
+
     def test_largest_blob_wins(self):
         rng = np.random.default_rng(4)
         small = rng.normal(0, 0.004, (25, 3)) + [0.1, 0.0, 0.4]
@@ -367,6 +379,51 @@ class TestDetectPepper:
         idx, box = pl.detect_pepper(cloud, red_green_nb(), pl.PepperDetectParams())
         assert idx.min() >= 25  # all indices from the large blob
         assert box.contains(large).mean() > 0.9
+
+
+PEPPER_RED = (200, 30, 25)
+LEAF_GREEN = (40, 150, 40)
+
+
+@st.composite
+def blob_clouds(draw):
+    """Blobs of distinct sizes, each well inside the clustering tolerance
+    and 10 cm from the next, some pepper red and some green, plus green
+    scatter, rows in a random order. Distinct sizes leave the largest
+    cluster free of index tie-breaks."""
+    sizes = draw(st.lists(st.integers(1, 30), min_size=1, max_size=4, unique=True))
+    red = draw(st.lists(st.booleans(), min_size=len(sizes), max_size=len(sizes)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_scatter = draw(st.integers(0, 20))
+    pts = [rng.uniform(-0.002, 0.002, (n, 3)) + [0.1 * b, 0.0, 0.4] for b, n in enumerate(sizes)]
+    pts.append(rng.uniform(-0.3, 0.3, (n_scatter, 3)) + [0.0, 0.0, 0.8])
+    colors = [np.tile(PEPPER_RED if r else LEAF_GREEN, (n, 1)) for n, r in zip(sizes, red)]
+    colors.append(np.tile(LEAF_GREEN, (n_scatter, 1)))
+    rows = rng.permutation(sum(sizes) + n_scatter)
+    return pc.PointCloud(np.vstack(pts)[rows], np.vstack(colors).astype(np.uint8)[rows])
+
+
+class TestDetectPepperPointOrder:
+    def test_palette_separates(self):
+        post = cls.nb_posterior(red_green_nb(), ft.rgb_to_hsv_array(np.array([PEPPER_RED, LEAF_GREEN], np.uint8)))
+        assert post[0] > 0.99 and post[1] < 0.01
+
+    @settings(max_examples=80)
+    @given(cloud=blob_clouds(), min_points=st.integers(1, 5), data=st.data())
+    def test_permuted_rows_give_permuted_pepper(self, cloud, min_points, data):
+        perm = np.array(data.draw(st.permutations(range(len(cloud)))), dtype=np.intp)
+        nb, params = red_green_nb(), pl.PepperDetectParams(min_points=min_points)
+        moved = cloud.subset(perm)
+        try:
+            want, box = pl.detect_pepper(cloud, nb, params)
+        except NoPeduncleFound as miss:
+            with pytest.raises(NoPeduncleFound) as moved_miss:
+                pl.detect_pepper(moved, nb, params)
+            assert str(moved_miss.value) == str(miss)
+            return
+        got, moved_box = pl.detect_pepper(moved, nb, params)
+        assert got.tolist() == np.sort(np.argsort(perm)[want]).tolist()
+        assert moved_box.min.tobytes() == box.min.tobytes() and moved_box.max.tobytes() == box.max.tobytes()
 
 
 class TestDetectPepperOnC6:
@@ -380,7 +437,8 @@ class TestDetectPepperOnC6:
         for p in params[40:]:
             cloud = sg.generate(p).frame.cloud
             got, box = pl.detect_pepper(cloud, nb, pp)
-            post = cls.nb_posterior(nb, ft.rgb_to_hsv_array(cloud.colors))
+            post = nb_posterior_rows(nb, rgb_to_hsv_rows(cloud.colors))
+            assert cls.nb_posterior(nb, ft.rgb_to_hsv_array(cloud.colors)).tobytes() == post.tobytes()
             candidates = np.flatnonzero(post >= pp.posterior_threshold)
             want = csgraph_clusters(cloud.points, candidates, pp.cluster_tol, pp.min_points, len(cloud))[0]
             assert len(want) > 500

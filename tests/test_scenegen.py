@@ -199,7 +199,7 @@ class TestSceneFiles:
 
 
 class TestLabelImage:
-    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(labels=hnp.arrays(np.uint8, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=9),
                              elements=st.integers(0, 3)))
     def test_roundtrip(self, tmp_path, labels):
