@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._textio import open_text, read_rows, write_rows
-from .errors import DegenerateTraining, FormatError, InvalidInput
+from .errors import FormatError, InvalidInput
 
 VARIANCE_FLOOR = 1e-6
 
@@ -93,7 +93,7 @@ def svm_train(features: np.ndarray, labels: np.ndarray, params: SvmParams | None
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise InvalidInput("labels must be +1/-1")
     if np.all(y > 0) or np.all(y < 0):
-        raise DegenerateTraining("training needs both classes")
+        raise InvalidInput("training needs both classes")
 
     means = x.mean(axis=0)
     stds = x.std(axis=0)
@@ -261,7 +261,7 @@ def nb_fit(pepper_hsv: np.ndarray, other_hsv: np.ndarray) -> NaiveBayesHsv:
     blocks = [hsv_nb_features(pepper_hsv), hsv_nb_features(other_hsv)]
     for b in blocks:
         if len(b) < 2:
-            raise DegenerateTraining("each class needs at least 2 samples")
+            raise InvalidInput("each class needs at least 2 samples")
     means = np.stack([b.mean(axis=0) for b in blocks])
     variances = np.stack([np.maximum(b.var(axis=0), VARIANCE_FLOOR) for b in blocks])
     counts = np.array([len(b) for b in blocks], dtype=np.float64)

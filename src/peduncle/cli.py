@@ -4,13 +4,16 @@ Every command validates its flags, echoes the merged configuration into the
 output directory, writes machine-readable results to files only, and keeps
 human-readable progress on the error stream. Exit codes: 0 success, 1 usage
 error, 2 data error, 3 operational non-detection (no pepper, a region of
-interest off the image or without scored depth, no peduncle).
+interest off the image or without scored depth, no peduncle). A command
+that exits 2 removes the output directory, and any parent of it, that the
+call created, so a failed run leaves no partial results behind.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -443,6 +446,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
+    # --out, or its outermost parent not there yet: what a failed call removes if it made it
+    fresh = os.path.abspath(args.out)
+    while not os.path.exists(os.path.dirname(fresh)):
+        fresh = os.path.dirname(fresh)
+    out_existed = os.path.exists(fresh)
     try:
         return args.fn(args)
     except NoPeduncleFound as exc:
@@ -450,6 +458,8 @@ def main(argv=None) -> int:
         return 3
     except (PeduncleError, OSError) as exc:
         _log(f"error: {exc}")
+        if not out_existed:
+            shutil.rmtree(fresh, ignore_errors=True)
         return 2
 
 

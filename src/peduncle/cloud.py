@@ -22,7 +22,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from ._textio import write_rows
-from .errors import EmptyInput, InsufficientPoints, InvalidInput
+from .errors import InvalidInput
 
 LABEL_UNLABELED = 0
 LABEL_PEDUNCLE = 1
@@ -127,11 +127,11 @@ class SpatialIndex:
 def build_index(cloud: PointCloud | np.ndarray) -> SpatialIndex:
     """Index a cloud snapshot for knn_batch queries.
 
-    Raises EmptyInput for an empty cloud.
+    Raises InvalidInput for an empty cloud.
     """
     pts = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=np.float64)
     if pts.shape[0] == 0:
-        raise EmptyInput("cannot index an empty cloud")
+        raise InvalidInput("cannot index an empty cloud")
     return SpatialIndex(pts)
 
 
@@ -153,7 +153,7 @@ def knn_batch(index: SpatialIndex, queries: np.ndarray, k: int) -> np.ndarray:
     if k < 1:
         raise InvalidInput("k must be >= 1")
     if k > index.size:
-        raise InsufficientPoints(f"k={k} exceeds cloud size {index.size}")
+        raise InvalidInput(f"k={k} exceeds cloud size {index.size}")
     _, idx = index._tree.query(queries, k=k)
     idx = idx.reshape(len(queries), k)
     diff = index._points[idx] - queries[:, None, :]
@@ -222,7 +222,7 @@ def estimate_normals(
     if k < 3:
         raise InvalidInput("normal estimation needs k >= 3")
     if len(cloud) < k:
-        raise InsufficientPoints(f"cloud of {len(cloud)} points cannot supply k={k}")
+        raise InvalidInput(f"cloud of {len(cloud)} points cannot supply k={k}")
     viewpoint = np.asarray(viewpoint, dtype=np.float64).reshape(3)
     if neighbors is None:
         neighbors = knn_batch(build_index(cloud), cloud.points, k)
@@ -268,7 +268,7 @@ def compute_bbox(cloud: PointCloud, subset=None) -> BoundingBox3:
     """Componentwise min/max box over a subset (default: whole cloud)."""
     pts = cloud.points if subset is None else cloud.points[np.asarray(subset, dtype=np.intp)]
     if pts.shape[0] == 0:
-        raise EmptyInput("bounding box of an empty subset")
+        raise InvalidInput("bounding box of an empty subset")
     return BoundingBox3(pts.min(axis=0), pts.max(axis=0))
 
 

@@ -1,9 +1,15 @@
 """Exception types shared across the library.
 
-A frame with nothing to cut is one type, NoPeduncleFound, distinct from
-data or usage errors so callers such as a robot executive can react
-differently to "nothing there" versus "something is broken". Its `reason`
-names the stage that came up empty:
+Every error this package raises is one of three kinds: InvalidInput (an
+argument the operation cannot use, such as an empty cloud or batch, more
+neighbours than the cloud holds, training data without both classes,
+layers that do not chain, or an image smaller than the network patch; the
+message names which), FormatError (a malformed file) and NoPeduncleFound.
+
+A frame with nothing to cut is distinct from data or usage errors so
+callers such as a robot executive can react differently to "nothing
+there" versus "something is broken". Its `reason` names the stage that
+came up empty:
 
 - NoPepperFound: no pepper cluster in the frame;
 - RoiOutOfImage: the region of interest above the pepper lies off the image;
@@ -16,28 +22,12 @@ class PeduncleError(Exception):
     """Base class for every error raised by this package."""
 
 
-class EmptyInput(PeduncleError):
-    """An operation received an empty cloud, subset, cluster or batch."""
-
-
-class InsufficientPoints(PeduncleError):
-    """A query asked for more neighbors than the cloud contains."""
-
-
 class InvalidInput(PeduncleError):
-    """Non-finite or otherwise malformed numeric input."""
+    """Empty, non-finite, mis-shaped or otherwise unusable input."""
 
 
-class DegenerateTraining(PeduncleError):
-    """Training data does not contain enough samples of every class."""
-
-
-class ShapeError(PeduncleError):
-    """Tensor shapes are inconsistent with the layer specification."""
-
-
-class InputTooSmall(PeduncleError):
-    """Image smaller than the network input patch."""
+class FormatError(PeduncleError):
+    """A file did not match its declared on-disk format."""
 
 
 class NoPeduncleFound(PeduncleError):
@@ -55,11 +45,3 @@ class NoPeduncleFound(PeduncleError):
         super().__init__(message)
         self.reason = reason
         self.survivors = list(survivors)
-
-
-class EmptyEvaluation(PeduncleError):
-    """Evaluation requested on data without any labeled points."""
-
-
-class FormatError(PeduncleError):
-    """A file did not match its declared on-disk format."""

@@ -17,7 +17,7 @@ import numpy as np
 from . import classifiers as cls
 from . import cloud as pc
 from . import pipeline as pl
-from .errors import EmptyEvaluation
+from .errors import InvalidInput
 
 POSITIVE = 1
 NEGATIVE = 0
@@ -77,13 +77,13 @@ def default_thresholds(n: int = 101) -> np.ndarray:
 def confusion(scores, labels, threshold: float) -> tuple[int, int, int, int]:
     """(tp, fp, fn, tn) over labeled points; prediction is score >= threshold.
 
-    Raises EmptyEvaluation when every point is ignored.
+    Raises InvalidInput when every point is ignored.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     keep = labels != IGNORED
     if not keep.any():
-        raise EmptyEvaluation("no labeled points")
+        raise InvalidInput("no labeled points")
     s, l = scores[keep], labels[keep]
     pred = s >= threshold
     tp = int(np.sum(pred & (l == POSITIVE)))
@@ -101,7 +101,7 @@ def pr_curve(scores, labels, thresholds=None) -> PrCurve:
     pl.require_finite_scores(np.asarray(scores, dtype=np.float64))
     labels = np.asarray(labels)
     if not np.any(labels == POSITIVE) or not np.any(labels == NEGATIVE):
-        raise EmptyEvaluation("need at least one positive and one negative label")
+        raise InvalidInput("need at least one positive and one negative label")
     points = [PrPoint(float(t), *confusion(scores, labels, float(t))) for t in thresholds]
     return PrCurve(points)
 
@@ -182,7 +182,7 @@ def throughput(work_fn, units: int, repeats: int = 5) -> dict:
     hardware.
     """
     if units < 1:
-        raise EmptyEvaluation("workload must be positive")
+        raise InvalidInput("workload must be positive")
     rates = []
     for _ in range(max(repeats, 1)):
         start = time.perf_counter()

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import cloud as pc
 from ._textio import open_text, read_rows, write_rows
-from .errors import FormatError, InsufficientPoints, InvalidInput
+from .errors import FormatError, InvalidInput
 
 FPFH_BINS_PER_FEATURE = 11
 FPFH_DIM = 3 * FPFH_BINS_PER_FEATURE      # 33
@@ -260,7 +260,7 @@ class PointGeometry:
         if normal_k < 3:
             raise InvalidInput("normal estimation needs k >= 3")
         if len(cloud) < normal_k:
-            raise InsufficientPoints(f"cloud of {len(cloud)} points cannot supply k={normal_k}")
+            raise InvalidInput(f"cloud of {len(cloud)} points cannot supply k={normal_k}")
         if fpfh_k < 2:
             raise InvalidInput("fpfh needs k >= 2")
         normal_nbrs, fpfh_nbrs = neighbor_tables(cloud, normal_k, fpfh_k)

@@ -59,7 +59,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._textio import open_text
-from .errors import EmptyInput, FormatError, InputTooSmall, InvalidInput, ShapeError
+from .errors import FormatError, InvalidInput
 
 # Weight files start with this 16-byte magic block.
 WEIGHT_MAGIC = b"MINC0001" + b"\x00" * 8
@@ -127,22 +127,22 @@ class NetworkSpec:
         n_incep = sum(isinstance(s, InceptionSpec) for s in self.layers)
         n_fc = sum(isinstance(s, FcSpec) for s in self.layers)
         if n_conv != 8 or n_incep != 2 or n_fc != 1:
-            raise ShapeError(
+            raise InvalidInput(
                 f"network must have 8 conv layers (2 inception) and 1 fc, "
                 f"got {n_conv} conv / {n_incep} inception / {n_fc} fc"
             )
         c, h, w = trace_shapes(self.layers, self.input_c, self.input_h, self.input_w)[-1]
         if not isinstance(self.layers[-1], FcSpec):
-            raise ShapeError("final layer must be the fully connected head")
+            raise InvalidInput("final layer must be the fully connected head")
 
 
 def trace_shapes(specs, c: int, h: int, w: int) -> list[tuple[int, int, int]]:
-    """(c, h, w) after each layer; raises ShapeError on inconsistent chaining."""
+    """(c, h, w) after each layer; raises InvalidInput on inconsistent chaining."""
     shapes = []
     for spec in specs:
         if isinstance(spec, ConvSpec):
             if spec.c_in != c:
-                raise ShapeError(f"conv expects {spec.c_in} channels, chain gives {c}")
+                raise InvalidInput(f"conv expects {spec.c_in} channels, chain gives {c}")
             h = (h + 2 * spec.pad - spec.kh) // spec.stride + 1
             w = (w + 2 * spec.pad - spec.kw) // spec.stride + 1
             c = spec.c_out
@@ -153,10 +153,10 @@ def trace_shapes(specs, c: int, h: int, w: int) -> list[tuple[int, int, int]]:
             c = spec.c_out      # same-padded branches keep h, w
         elif isinstance(spec, FcSpec):
             if spec.n_in != c * h * w:
-                raise ShapeError(f"fc expects {spec.n_in} inputs, chain gives {c * h * w}")
+                raise InvalidInput(f"fc expects {spec.n_in} inputs, chain gives {c * h * w}")
             c, h, w = spec.n_out, 1, 1
         if h <= 0 or w <= 0:
-            raise ShapeError("spatial size collapsed to zero")
+            raise InvalidInput("spatial size collapsed to zero")
         shapes.append((c, h, w))
     return shapes
 
@@ -244,7 +244,7 @@ def _out_hw(h, w, kh, kw, stride, pad):
     oh = (h + 2 * pad - kh) // stride + 1
     ow = (w + 2 * pad - kw) // stride + 1
     if oh <= 0 or ow <= 0:
-        raise ShapeError(f"kernel {kh}x{kw} does not fit input {h}x{w} (pad {pad})")
+        raise InvalidInput(f"kernel {kh}x{kw} does not fit input {h}x{w} (pad {pad})")
     return oh, ow
 
 
@@ -347,7 +347,7 @@ class Conv2d:
     def forward(self, x, train=False):
         s = self.spec
         if x.ndim != 4 or x.shape[1] != s.c_in:
-            raise ShapeError(f"conv expected (B,{s.c_in},H,W), got {x.shape}")
+            raise InvalidInput(f"conv expected (B,{s.c_in},H,W), got {x.shape}")
         cols, oh, ow = _im2col(x, s.kh, s.kw, s.stride, s.pad)
         out = self.affine(cols).reshape(x.shape[0], oh, ow, s.c_out).transpose(0, 3, 1, 2)
         if train:
@@ -486,7 +486,7 @@ class Inception:
         y2 = self.conv3.forward(self.conv3r.forward(x, train), train)
         y3 = self.proj.forward(self.pool.forward(x, train), train)
         if not (y1.shape[2:] == y2.shape[2:] == y3.shape[2:]):
-            raise ShapeError("inception branch spatial sizes diverged")
+            raise InvalidInput("inception branch spatial sizes diverged")
         return np.concatenate([y1, y2, y3], axis=1)
 
     def _branch_grads(self, dy):
@@ -522,7 +522,7 @@ class Fc:
     def forward(self, x, train=False):
         flat = x.reshape(x.shape[0], -1)
         if flat.shape[1] != self.spec.n_in:
-            raise ShapeError(f"fc expected {self.spec.n_in} inputs, got {flat.shape[1]}")
+            raise InvalidInput(f"fc expected {self.spec.n_in} inputs, got {flat.shape[1]}")
         if train:
             self._cache = (flat, x.shape)
         return flat @ self.params["w"].T + self.params["b"]
@@ -882,7 +882,7 @@ def score_map(image: np.ndarray, net: Network, stride: int = 4, roi=None, batch:
 
     Pixels never scored (outside the grid, outside the valid patch region,
     or outside an optional region of interest) hold score 0 and are not in
-    the mask. Raises InputTooSmall when the image cannot fit one patch.
+    the mask. Raises InvalidInput when the image cannot fit one patch.
 
     The leading layers (shared_depth) run once over the crop the patches
     cover. Each patch's map after them is the crop's map at the patch's
@@ -902,7 +902,7 @@ def score_map(image: np.ndarray, net: Network, stride: int = 4, roi=None, batch:
     img = np.asarray(image)
     h, w = img.shape[:2]
     if h < ph or w < pw:
-        raise InputTooSmall(f"image {h}x{w} smaller than patch {ph}x{pw}")
+        raise InvalidInput(f"image {h}x{w} smaller than patch {ph}x{pw}")
     ys, xs = patch_centers(h, w, ph, pw, stride)
     if roi is not None:
         ys = ys[(roi.y_min <= ys) & (ys < roi.y_max)]
@@ -972,13 +972,13 @@ def _training_input(patches, labels) -> tuple[np.ndarray, np.ndarray]:
 def backward_and_step(net: Network, patches: np.ndarray, labels: np.ndarray, lr: float) -> float:
     """One SGD step on a batch of (B, C, H, W) patches with {0, 1} labels.
 
-    Raises EmptyInput on an empty batch, and InvalidInput unless there is
-    one label per patch, every label is 0 or 1 and every patch value is
-    finite; either before any weight moves.
+    Raises InvalidInput, before any weight moves, on an empty batch or
+    unless there is one label per patch, every label is 0 or 1 and every
+    patch value is finite.
     """
     patches, labels = _training_input(patches, labels)
     if len(patches) == 0:
-        raise EmptyInput("empty training batch")
+        raise InvalidInput("empty training batch")
     logits = net.forward(patches, train=True)
     loss, dlogits = cross_entropy(logits, labels)
     net.param_grads(dlogits)

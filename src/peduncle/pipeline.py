@@ -16,7 +16,7 @@ from . import classifiers as cls
 from . import cloud as pc
 from . import features as ft
 from . import minicnn as mc
-from .errors import EmptyInput, InvalidInput, NoPeduncleFound
+from .errors import InvalidInput, NoPeduncleFound
 
 
 @dataclass(frozen=True)
@@ -161,7 +161,7 @@ def pixel_bbox(pixels: np.ndarray) -> Roi2:
     """Tight half-open 2D box around (v, u) pixel coordinates."""
     px = np.asarray(pixels)
     if len(px) == 0:
-        raise EmptyInput("no pixels to bound")
+        raise InvalidInput("no pixels to bound")
     return Roi2(
         int(px[:, 1].min()),
         int(px[:, 0].min()),
@@ -234,7 +234,7 @@ def detect_pepper(
     threshold or no cluster survives.
     """
     if len(cloud) == 0:
-        raise EmptyInput("empty cloud")
+        raise InvalidInput("empty cloud")
     hsv = ft.rgb_to_hsv_array(cloud.colors)
     post = cls.nb_posterior(nb, hsv)
     candidates = np.flatnonzero(post >= params.posterior_threshold)
@@ -276,10 +276,10 @@ def color_box_masks(
     steps 3 and 4 over every scored point.
     """
     if len(scored) == 0:
-        raise EmptyInput("empty scored cloud")
+        raise InvalidInput("empty scored cloud")
     pepper_points = np.asarray(pepper_points, dtype=np.float64)
     if len(pepper_points) == 0:
-        raise EmptyInput("empty pepper point set")
+        raise InvalidInput("empty pepper point set")
     if posterior is None:
         posterior = cls.nb_posterior(nb, ft.rgb_to_hsv_array(scored.cloud.colors))
     box = peduncle_bbox3(pc.compute_bbox(pc.PointCloud(pepper_points)), box_params, up)
@@ -338,7 +338,7 @@ def cutting_pose(points: np.ndarray, up: tuple[int, int] = UP_DEFAULT) -> Cuttin
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or len(points) == 0:
-        raise EmptyInput("empty cluster")
+        raise InvalidInput("empty cluster")
     position = points.mean(axis=0)
     direction = position.copy()
     direction[up[0]] = 0.0

@@ -2,10 +2,9 @@
 
 RGB images are 8-bit P6 PPM; depth maps are 16-bit P5 PGM (maxval 65535,
 most significant byte first per the Netpbm convention) with the meters-per-
-unit scale kept in the run configuration. Annotation masks are 8-bit P5
-with 0 / 255 values. Label images are 8-bit P5 holding each pixel's
-cloud.LABEL_* value, with the largest label as maxval, so a viewer
-stretches them to visible greys.
+unit scale kept in the run configuration. Label images are 8-bit P5
+holding each pixel's cloud.LABEL_* value, with the largest label as maxval,
+so a viewer stretches them to visible greys.
 """
 
 from __future__ import annotations
@@ -93,38 +92,22 @@ def read_pgm16(path) -> np.ndarray:
     return np.frombuffer(data, dtype=">u2").reshape(h, w).astype(np.uint16)
 
 
-def _write_pgm8(path, img: np.ndarray, maxval: int) -> None:
-    h, w = img.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5 {w} {h} {maxval}\n".encode())
-        fh.write(np.ascontiguousarray(img, dtype=np.uint8).tobytes())
-
-
-def _read_pgm8(path, maxval: int) -> np.ndarray:
-    with open(path, "rb") as fh:
-        w, h, got = _read_header(fh, b"P5")
-        if got != maxval:
-            raise FormatError(f"{path}: expected 8-bit PGM with maxval {maxval}")
-        data = _read_pixels(fh, path, w * h)
-    return np.frombuffer(data, dtype=np.uint8).reshape(h, w)
-
-
-def write_mask(path, mask: np.ndarray) -> None:
-    _write_pgm8(path, np.where(np.asarray(mask, dtype=bool), 255, 0), 255)
-
-
-def read_mask(path) -> np.ndarray:
-    return _read_pgm8(path, 255) > 127
-
-
 def write_labels(path, labels: np.ndarray) -> None:
-    _write_pgm8(path, labels, _LABEL_MAX)
+    h, w = labels.shape
+    with open(path, "wb") as fh:
+        fh.write(f"P5 {w} {h} {_LABEL_MAX}\n".encode())
+        fh.write(np.ascontiguousarray(labels, dtype=np.uint8).tobytes())
 
 
 def read_labels(path) -> np.ndarray:
     """Per-pixel cloud.LABEL_* values; FormatError on a pixel above the
     largest label."""
-    labels = _read_pgm8(path, _LABEL_MAX)
+    with open(path, "rb") as fh:
+        w, h, maxval = _read_header(fh, b"P5")
+        if maxval != _LABEL_MAX:
+            raise FormatError(f"{path}: expected 8-bit PGM with maxval {_LABEL_MAX}")
+        data = _read_pixels(fh, path, w * h)
+    labels = np.frombuffer(data, dtype=np.uint8).reshape(h, w)
     if (labels > _LABEL_MAX).any():
         raise FormatError(f"{path}: label above {_LABEL_MAX}")
     return labels.copy()

@@ -79,19 +79,49 @@ class SceneParams:
             raise InvalidInput("noise sigma must be >= 0")
 
 
+def annotation_masks(labels_img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(positive, negative) annotation masks of a label image, (H, W) bool.
+
+    Positive is every peduncle pixel; negative is every pixel farther than
+    _MASK_GAP_PX (4-connected steps) from one, which leaves an unannotated
+    ring between the two.
+    """
+    pos = labels_img == pc.LABEL_PEDUNCLE
+    return pos, ~ndimage.binary_dilation(pos, iterations=_MASK_GAP_PX)
+
+
 @dataclass
 class LabeledScene:
-    params: SceneParams
-    rgb: np.ndarray            # (H, W, 3) uint8
-    depth_raw: np.ndarray      # (H, W) uint16
-    labels_img: np.ndarray     # (H, W) uint8 per-pixel truth
-    pos_mask: np.ndarray       # (H, W) bool: annotated peduncle region
-    neg_mask: np.ndarray       # (H, W) bool: annotated non-peduncle region
-    frame: pl.Frame            # unprojected cloud with labels
+    """A camera frame plus its per-pixel truth; everything else is derived."""
+
+    params: SceneParams | None  # None for a scene loaded from disk
+    frame: pl.Frame             # rasters and the unprojected, labelled cloud
+    labels_img: np.ndarray      # (H, W) uint8 per-pixel cloud.LABEL_* value
+
+    @classmethod
+    def from_rasters(cls, rgb, depth_raw, intr, labels_img, params=None) -> "LabeledScene":
+        frame = pl.Frame.from_rasters(rgb, depth_raw, intr, labels_img)
+        return cls(params, frame, labels_img)
+
+    @property
+    def rgb(self) -> np.ndarray:
+        return self.frame.rgb
+
+    @property
+    def depth_raw(self) -> np.ndarray:
+        return self.frame.depth_raw
 
     @property
     def cloud(self) -> pc.PointCloud:
         return self.frame.cloud
+
+    @property
+    def pos_mask(self) -> np.ndarray:
+        return annotation_masks(self.labels_img)[0]
+
+    @property
+    def neg_mask(self) -> np.ndarray:
+        return annotation_masks(self.labels_img)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +309,7 @@ def _leaf_samples(rng, p: SceneParams, high: bool):
 
 
 def generate(params: SceneParams) -> LabeledScene:
-    """Render one scene: z-buffered splatting, then rasters, masks and cloud."""
+    """Render one scene: z-buffered splatting, then rasters and cloud."""
     params.validate()
     rng = np.random.default_rng(params.seed)
     h, w = params.image_h, params.image_w
@@ -321,23 +351,18 @@ def generate(params: SceneParams) -> LabeledScene:
     rgb[vv, uu] = cols
     labels_img[vv, uu] = labs
 
-    pos_mask = labels_img == pc.LABEL_PEDUNCLE
-    ring = ndimage.binary_dilation(pos_mask, iterations=_MASK_GAP_PX) & ~pos_mask
-    neg_mask = ~pos_mask & ~ring
-
     if params.noise_sigma > 0:
         zbuf = zbuf + rng.normal(0.0, params.noise_sigma, zbuf.shape)
     depth_raw = np.clip(np.round(zbuf / params.depth_scale), 1, 65535).astype(np.uint16)
 
-    frame = pl.Frame.from_rasters(rgb, depth_raw, params.intrinsics(), labels_img)
-    return LabeledScene(params, rgb, depth_raw, labels_img, pos_mask, neg_mask, frame)
+    return LabeledScene.from_rasters(rgb, depth_raw, params.intrinsics(), labels_img, params)
 
 
 # ---------------------------------------------------------------------------
 # on-disk scenes and the benchmark set
 # ---------------------------------------------------------------------------
 
-_SUFFIXES = ("labels.pgm", "rgb.ppm", "depth.pgm", "pos.pgm", "neg.pgm")
+_SUFFIXES = ("labels.pgm", "rgb.ppm", "depth.pgm")
 
 
 def scene_files(scene_id: str) -> list[str]:
@@ -349,27 +374,22 @@ def save_scene(out_dir, scene_id: str, scene: LabeledScene) -> list[str]:
     rasters.write_labels(os.path.join(out_dir, files[0]), scene.labels_img)
     rasters.write_ppm(os.path.join(out_dir, files[1]), scene.rgb)
     rasters.write_pgm16(os.path.join(out_dir, files[2]), scene.depth_raw)
-    rasters.write_mask(os.path.join(out_dir, files[3]), scene.pos_mask)
-    rasters.write_mask(os.path.join(out_dir, files[4]), scene.neg_mask)
     return files
 
 
 def load_scene(scene_dir, scene_id: str, intr: pl.CameraIntrinsics) -> LabeledScene:
-    """Rebuild a LabeledScene from its five rasters (params are not recovered).
+    """Rebuild a LabeledScene from its three rasters (params are not recovered).
 
-    Raises FormatError unless all five have the same height and width.
+    Raises FormatError unless all three have the same height and width.
     """
     files = [os.path.join(scene_dir, f) for f in scene_files(scene_id)]
     labels_img = rasters.read_labels(files[0])
     rgb = rasters.read_ppm(files[1])
     depth_raw = rasters.read_pgm16(files[2])
-    pos_mask = rasters.read_mask(files[3])
-    neg_mask = rasters.read_mask(files[4])
-    shapes = {labels_img.shape, rgb.shape[:2], depth_raw.shape, pos_mask.shape, neg_mask.shape}
+    shapes = {labels_img.shape, rgb.shape[:2], depth_raw.shape}
     if len(shapes) > 1:
         raise FormatError(f"{scene_id}: scene rasters differ in size: {sorted(shapes)}")
-    frame = pl.Frame.from_rasters(rgb, depth_raw, intr, labels_img)
-    return LabeledScene(None, rgb, depth_raw, labels_img, pos_mask, neg_mask, frame)
+    return LabeledScene.from_rasters(rgb, depth_raw, intr, labels_img)
 
 
 def _draw_scene_params(rng, base: SceneParams, seed: int) -> SceneParams:
@@ -473,7 +493,8 @@ def make_benchmark(
 
 
 def load_manifest(path) -> list[dict]:
-    """Manifest rows as {id, seed, files, split} dicts.
+    """Manifest rows as {id, seed, split} dicts. The file names that follow
+    the seed on each line are for readers; load_scene derives them from the id.
 
     Raises FormatError on a line with fewer than three fields or a seed
     that is not an integer.
@@ -492,12 +513,7 @@ def load_manifest(path) -> list[dict]:
             except ValueError as exc:
                 raise FormatError(f"manifest line {raw!r}: seed is not an integer") from exc
             entries.append(
-                {
-                    "id": tok[0],
-                    "seed": seed,
-                    "files": tok[2:],
-                    "split": "train" if tok[0].startswith("train") else "eval",
-                }
+                {"id": tok[0], "seed": seed, "split": "train" if tok[0].startswith("train") else "eval"}
             )
     return entries
 

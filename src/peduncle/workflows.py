@@ -16,7 +16,7 @@ from . import features as ft
 from . import minicnn as mc
 from . import pipeline as pl
 from . import scenegen as sg
-from .errors import DegenerateTraining, NoPeduncleFound
+from .errors import InvalidInput, NoPeduncleFound
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +50,7 @@ def train_nb_from_scenes(scenes, seed: int = 0) -> cls.NaiveBayesHsv:
         other.append(hsv[_sample(rng, np.flatnonzero(saturated), 2000)])
         other.append(hsv[_sample(rng, np.flatnonzero(non & ~saturated), 2000)])
     if not pepper or not other:
-        raise DegenerateTraining("scenes supply no pepper/non-pepper samples")
+        raise InvalidInput("scenes supply no pepper/non-pepper samples")
     return cls.nb_fit(np.vstack(pepper), np.vstack(other))
 
 
@@ -92,7 +92,7 @@ def collect_svm_training(
         keep = np.sort(rng.choice(len(y), max_total, replace=False))
         feats, y = feats[keep], y[keep]
     if not (y > 0).any() or not (y < 0).any():
-        raise DegenerateTraining("training sample lost one of the classes")
+        raise InvalidInput("training sample lost one of the classes")
     return feats, y
 
 
@@ -110,7 +110,8 @@ def sample_training_patches(
     rng = np.random.default_rng(seed)
     patches, labels = [], []
     for scene in scenes:
-        h, w = scene.pos_mask.shape
+        pos_mask, neg_mask = sg.annotation_masks(scene.labels_img)
+        h, w = pos_mask.shape
         valid = np.zeros((h, w), dtype=bool)
         valid[ph // 2 : h - (ph - ph // 2) + 1, pw // 2 : w - (pw - pw // 2) + 1] = True
         imgf = scene.rgb.astype(np.float64) / 255.0
@@ -120,7 +121,7 @@ def sample_training_patches(
             patch = imgf[cy - ph // 2 : cy - ph // 2 + ph, cx - pw // 2 : cx - pw // 2 + pw]
             patches.append(patch.transpose(2, 0, 1))
 
-        vv, uu = np.nonzero(scene.pos_mask & valid)
+        vv, uu = np.nonzero(pos_mask & valid)
         take = min(half, vv.size)
         if take:
             sel = rng.choice(vv.size, take, replace=False)
@@ -130,8 +131,8 @@ def sample_training_patches(
 
         hsv = ft.rgb_to_hsv_array(scene.rgb.reshape(-1, 3)).reshape(h, w, 3)
         saturated = hsv[:, :, 1] >= 0.35
-        neg_hard = scene.neg_mask & valid & saturated
-        neg_easy = scene.neg_mask & valid & ~saturated
+        neg_hard = neg_mask & valid & saturated
+        neg_easy = neg_mask & valid & ~saturated
         budget = half
         for mask in (neg_hard, neg_easy):
             vv, uu = np.nonzero(mask)
@@ -146,7 +147,7 @@ def sample_training_patches(
             if budget <= 0:
                 break
     if not patches:
-        raise DegenerateTraining("no annotated patch centers available")
+        raise InvalidInput("no annotated patch centers available")
     return np.stack(patches), np.asarray(labels, dtype=np.intp)
 
 

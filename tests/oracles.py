@@ -38,15 +38,7 @@ from peduncle import evaluate as ev
 from peduncle import features as ft
 from peduncle import minicnn as mc
 from peduncle import pipeline as pl
-from peduncle.errors import (
-    DegenerateTraining,
-    FormatError,
-    InputTooSmall,
-    InsufficientPoints,
-    InvalidInput,
-    NoPeduncleFound,
-    ShapeError,
-)
+from peduncle.errors import FormatError, InvalidInput, NoPeduncleFound
 
 # knn widens its kd-tree lookup by this relative slack and then filters
 # with exact squared distances, as the library does.
@@ -75,13 +67,13 @@ def brute_knn(points, q, k):
 def knn(index: pc.SpatialIndex, q, k: int) -> np.ndarray:
     """Indices of the k nearest points, nondecreasing distance, ties by index.
 
-    Raises InsufficientPoints when k exceeds the cloud size.
+    Raises InvalidInput when k exceeds the cloud size.
     """
     q = np.asarray(q, dtype=np.float64).reshape(3)
     if k < 1:
         raise InvalidInput("k must be >= 1")
     if k > index.size:
-        raise InsufficientPoints(f"k={k} exceeds cloud size {index.size}")
+        raise InvalidInput(f"k={k} exceeds cloud size {index.size}")
     if k == index.size:
         cand = np.arange(index.size)
     else:
@@ -526,7 +518,7 @@ def knn_batch_rows(index: pc.SpatialIndex, queries, k: int) -> np.ndarray:
     if k < 1:
         raise InvalidInput("k must be >= 1")
     if k > index.size:
-        raise InsufficientPoints(f"k={k} exceeds cloud size {index.size}")
+        raise InvalidInput(f"k={k} exceeds cloud size {index.size}")
     _, idx = index._tree.query(queries, k=k)
     idx = idx.reshape(len(queries), k)
     diff = index._points[idx] - queries[:, None, :]
@@ -544,7 +536,7 @@ def estimate_normals_rows(cloud: pc.PointCloud, k: int, viewpoint, neighbors=Non
     if k < 3:
         raise InvalidInput("normal estimation needs k >= 3")
     if len(cloud) < k:
-        raise InsufficientPoints(f"cloud of {len(cloud)} points cannot supply k={k}")
+        raise InvalidInput(f"cloud of {len(cloud)} points cannot supply k={k}")
     viewpoint = np.asarray(viewpoint, dtype=np.float64).reshape(3)
     if neighbors is None:
         neighbors = knn_batch_rows(pc.build_index(cloud), cloud.points, k)
@@ -618,7 +610,7 @@ def collect_svm_training_reference(
         keep = np.sort(rng.choice(len(y), max_total, replace=False))
         feats, y = feats[keep], y[keep]
     if not (y > 0).any() or not (y < 0).any():
-        raise DegenerateTraining("training sample lost one of the classes")
+        raise InvalidInput("training sample lost one of the classes")
     return feats, y
 
 
@@ -694,7 +686,7 @@ def score_map_per_patch(image: np.ndarray, net: mc.Network, stride: int = 4, roi
 
     Pixels never scored (outside the grid, outside the valid patch region,
     or outside an optional region of interest) hold score 0 and are not in
-    the mask. Raises InputTooSmall when the image cannot fit one patch.
+    the mask. Raises InvalidInput when the image cannot fit one patch.
     """
     if stride < 1:
         raise InvalidInput("stride must be >= 1")
@@ -704,7 +696,7 @@ def score_map_per_patch(image: np.ndarray, net: mc.Network, stride: int = 4, roi
     img = np.asarray(image)
     h, w = img.shape[:2]
     if h < ph or w < pw:
-        raise InputTooSmall(f"image {h}x{w} smaller than patch {ph}x{pw}")
+        raise InvalidInput(f"image {h}x{w} smaller than patch {ph}x{pw}")
     ys, xs = mc.patch_centers(h, w, ph, pw, stride)
     if roi is not None:
         ys = ys[(roi.y_min <= ys) & (ys < roi.y_max)]
@@ -736,7 +728,7 @@ def im2col_reference(x, kh, kw, stride, pad, pad_value=0.0):
     oh = (h + 2 * pad - kh) // stride + 1
     ow = (w + 2 * pad - kw) // stride + 1
     if oh <= 0 or ow <= 0:
-        raise ShapeError(f"kernel {kh}x{kw} does not fit input {h}x{w} (pad {pad})")
+        raise InvalidInput(f"kernel {kh}x{kw} does not fit input {h}x{w} (pad {pad})")
     if pad:
         xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), constant_values=pad_value)
     else:

@@ -13,7 +13,7 @@ from oracles import kernel_reference, kkt_violations, nb_posterior_rows, svm_sco
 from scipy.optimize import minimize
 
 from peduncle import classifiers as cls
-from peduncle.errors import DegenerateTraining, FormatError, InvalidInput
+from peduncle.errors import FormatError, InvalidInput
 
 
 def make_blobs(rng, n_per, centers, spread):
@@ -122,7 +122,7 @@ class TestSvmTrain:
         assert abs(model.dual_coefs.sum()) <= 1e-8
 
     def test_single_class_rejected(self):
-        with pytest.raises(DegenerateTraining):
+        with pytest.raises(InvalidInput, match="both classes"):
             cls.svm_train(np.zeros((5, 2)), np.ones(5))
 
     def test_nonfinite_rejected(self):
@@ -288,7 +288,7 @@ class TestNaiveBayes:
         np.testing.assert_allclose(p + q, 1.0, atol=1e-12)
 
     def test_degenerate_training(self):
-        with pytest.raises(DegenerateTraining):
+        with pytest.raises(InvalidInput, match="at least 2 samples"):
             cls.nb_fit(np.array([[0.0, 1, 1]]), np.array([[120.0, 1, 1], [121.0, 1, 1]]))
 
     def test_roundtrip(self, tmp_path):

@@ -1,14 +1,15 @@
 """Command-line workflow tests: exit codes, determinism, CLI/API agreement."""
 
-import dataclasses
 import hashlib
 import inspect
 import os
+import shutil
 from importlib import resources
 
 import numpy as np
 import pytest
 from oracles import load_cloud_per_row
+from scipy import ndimage
 
 from peduncle import classifiers as cls
 from peduncle import cloud as pc
@@ -124,6 +125,57 @@ class TestGenScene:
         assert echoed["image_width"] == "160"
 
 
+class TestFiveRasterLayout:
+    """Scene directories written before the annotation masks were derived
+    hold two more rasters per scene, `<id>_pos.pgm` and `<id>_neg.pgm`
+    (8-bit P5, 0 / 255), and list all five on each manifest line."""
+
+    @staticmethod
+    def stored_masks(labels_img):
+        """The rule those mask files were written with."""
+        pos = labels_img == pc.LABEL_PEDUNCLE
+        ring = ndimage.binary_dilation(pos, iterations=2) & ~pos
+        return pos, ~pos & ~ring
+
+    def test_loads_the_same_scenes_and_trains_the_same_net(self, workdir, tmp_path):
+        scene_dir = tmp_path / "scenes"
+        shutil.copytree(os.path.dirname(workdir["manifest"]), scene_dir)
+        lines = []
+        for entry in sg.load_manifest(workdir["manifest"]):
+            files = sg.scene_files(entry["id"])
+            labels = rasters.read_labels(scene_dir / files[0])
+            for suffix, mask in zip(("pos", "neg"), self.stored_masks(labels)):
+                files.append(f"{entry['id']}_{suffix}.pgm")
+                h, w = mask.shape
+                (scene_dir / files[-1]).write_bytes(
+                    f"P5 {w} {h} 255\n".encode() + np.where(mask, 255, 0).astype(np.uint8).tobytes()
+                )
+            lines.append(f"{entry['id']} {entry['seed']} {' '.join(files)}\n")
+        manifest = scene_dir / "manifest.txt"
+        manifest.write_text("".join(lines))
+
+        base = cli._scene_params(cfgmod.merged_config(workdir["cfg"]))
+        draws = sg.benchmark_params(len(lines), 5, base)
+        for entry, params in zip(sg.load_manifest(manifest), draws):
+            loaded = sg.load_benchmark_scene(manifest, entry)
+            fresh = sg.generate(params)
+            for field in ("rgb", "depth_raw", "labels_img", "pos_mask", "neg_mask"):
+                a, b = getattr(loaded, field), getattr(fresh, field)
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), field
+            for field in ("points", "colors", "labels"):
+                a, b = getattr(loaded.cloud, field), getattr(fresh.cloud, field)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+            pos, neg = self.stored_masks(loaded.labels_img)
+            assert np.array_equal(loaded.pos_mask, pos) and np.array_equal(loaded.neg_mask, neg)
+
+        out = tmp_path / "models"
+        assert main(["train-cnn", "--config", workdir["cfg"], "--scenes", str(manifest),
+                     "--split", "train", "--netspec", str(workdir["root"] / "tiny.spec"),
+                     "--out", str(out)]) == 0
+        with open(os.path.join(workdir["models"], "net.weights"), "rb") as fh:
+            assert (out / "net.weights").read_bytes() == fh.read()
+
+
 class TestExitCodes:
     def test_usage_error_is_1(self):
         assert main(["score", "--bogus-flag"]) == 1
@@ -133,6 +185,18 @@ class TestExitCodes:
         rc = main(["train-svm", "--features", str(tmp_path / "missing.txt"),
                    "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    def test_data_error_keeps_an_existing_out(self, workdir, tmp_path):
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "keep.txt").write_text("earlier run")
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{SMALL_CFG}cnn_batch = 0\n")
+        assert main(["train-cnn", "--config", str(cfg), "--scenes", workdir["manifest"],
+                     "--split", "train", "--netspec", str(workdir["root"] / "tiny.spec"),
+                     "--out", str(out)]) == 2
+        assert sorted(os.listdir(out)) == ["config.cfg", "keep.txt"]
+        assert (out / "keep.txt").read_text() == "earlier run"
 
     def test_non_numeric_features_is_2(self, tmp_path):
         feats = tmp_path / "features.txt"
@@ -185,10 +249,8 @@ class TestExitCodes:
             ("labels.pgm", rasters.read_labels, rasters.write_labels),
             ("rgb.ppm", rasters.read_ppm, rasters.write_ppm),
             ("depth.pgm", rasters.read_pgm16, rasters.write_pgm16),
-            ("pos.pgm", rasters.read_mask, rasters.write_mask),
-            ("neg.pgm", rasters.read_mask, rasters.write_mask),
         ],
-        ids=["labels", "rgb", "depth", "pos", "neg"],
+        ids=["labels", "rgb", "depth"],
     )
     def test_scene_rasters_of_different_sizes_are_2(self, workdir, tmp_path, suffix, read, write):
         entry = [e for e in sg.load_manifest(workdir["manifest"]) if e["split"] == "train"][0]
@@ -238,6 +300,19 @@ class TestExitCodes:
             ("eval", "thresholds", "0"),
             ("filter", "box_vertical", "symetric"),
             ("eval", "box_vertical", "below"),
+            # found only after config.cfg is written
+            ("filter", "min_cluster", "0"),
+            ("filter", "max_cluster", "1"),
+            ("filter", "cluster_tol", "0"),
+            ("filter", "pepper_min_points", "0"),
+            ("filter", "pepper_cluster_tol", "-1"),
+            ("score", "cnn_stride", "0"),
+            ("filter", "cnn_stride", "0"),
+            ("eval", "cnn_stride", "0"),
+            ("extract-features", "normal_k", "2"),
+            ("extract-features", "fpfh_k", "1"),
+            ("train-cnn", "cnn_batch", "0"),
+            ("train-cnn", "cnn_patches_per_scene", "0"),
         ],
     )
     def test_bad_config_value_is_2(self, workdir, tmp_path, command, key, value):
@@ -245,16 +320,19 @@ class TestExitCodes:
         cfg.write_text(f"{SMALL_CFG}{key} = {value}\n")
         scores = tmp_path / "a.scores"
         scores.write_text("scores v1 2\n0.0 0.0 1.0 0.5 1\n0.0 0.0 1.0 0.25 0\n")
+        scenes = ["--scenes", workdir["manifest"], "--split", "eval"]
+        detector = "cnn" if key == "cnn_stride" else "pfh-svm"
         inputs = {
             "gen-scene": ["--count", "1"],
             "pr-curve": ["--scores", str(scores)],
-            "eval": ["--scenes", workdir["manifest"], "--split", "eval",
-                     "--models", workdir["models"], "--detector", "pfh-svm"],
+            "extract-features": scenes,
+            "train-cnn": [*scenes, "--netspec", str(workdir["root"] / "tiny.spec")],
         }
-        inputs["filter"] = inputs["eval"]
-        out = tmp_path / "o"
+        for name in ("score", "filter", "eval"):
+            inputs[name] = [*scenes, "--models", workdir["models"], "--detector", detector]
+        out = tmp_path / "o" / "run"
         assert main([command, "--config", str(cfg), "--out", str(out), *inputs[command]]) == 2
-        assert not out.exists()
+        assert not (tmp_path / "o").exists()
 
 
 def _write_scenes(scene_dir, cfg_path, scenes):
@@ -356,8 +434,7 @@ class TestFilterCommand:
         depth[0:10, 60:70] = 330
         labels = normal.labels_img.copy()
         labels[0:10, 60:70] = pc.LABEL_PEPPER
-        top = dataclasses.replace(normal, rgb=rgb, depth_raw=depth, labels_img=labels,
-                                  frame=pl.Frame.from_rasters(rgb, depth, normal.frame.intr, labels))
+        top = sg.LabeledScene.from_rasters(rgb, depth, normal.frame.intr, labels)
         scene_dir = _write_scenes(tmp_path / "scenes", workdir["cfg"], [top, normal])
         out = tmp_path / "filt"
         rc = main(["filter", "--config", workdir["cfg"], "--scenes",
@@ -419,8 +496,7 @@ class TestScoreAndCurves:
         normal = sg.load_benchmark_scene(workdir["manifest"], entry)
         rgb = np.zeros_like(normal.rgb)
         rgb[:] = (40, 140, 40)
-        green = dataclasses.replace(normal, rgb=rgb, frame=pl.Frame.from_rasters(
-            rgb, normal.depth_raw, normal.frame.intr, normal.labels_img))
+        green = sg.LabeledScene.from_rasters(rgb, normal.depth_raw, normal.frame.intr, normal.labels_img)
         scene_dir = _write_scenes(tmp_path / "scenes", workdir["cfg"], [normal, green])
         out = tmp_path / "scores"
         assert main(["score", "--config", workdir["cfg"], "--scenes",

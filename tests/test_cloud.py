@@ -21,7 +21,7 @@ from oracles import (
 from peduncle import cloud as pc
 from peduncle import pipeline as pl
 from peduncle import scenegen as sg
-from peduncle.errors import EmptyInput, FormatError, InsufficientPoints, InvalidInput
+from peduncle.errors import FormatError, InvalidInput
 
 
 class TestIndexQueries:
@@ -90,11 +90,11 @@ class TestIndexQueries:
 
     def test_errors(self):
         idx = pc.build_index(pc.PointCloud(np.zeros((3, 3))))
-        with pytest.raises(InsufficientPoints):
+        with pytest.raises(InvalidInput, match="exceeds cloud size"):
             pc.knn_batch(idx, [[0, 0, 0]], 4)
         with pytest.raises(InvalidInput):
             pc.radius_pairs(np.zeros((3, 3)), -1.0)
-        with pytest.raises(EmptyInput):
+        with pytest.raises(InvalidInput, match="empty cloud"):
             pc.build_index(pc.PointCloud(np.zeros((0, 3))))
 
     @pytest.mark.parametrize(
@@ -238,9 +238,9 @@ class TestBoxCentroid:
 
     def test_empty_subset_errors(self):
         cloud = pc.PointCloud(np.zeros((4, 3)))
-        with pytest.raises(EmptyInput):
+        with pytest.raises(InvalidInput, match="empty subset"):
             pc.compute_bbox(cloud, [])
-        with pytest.raises(EmptyInput):
+        with pytest.raises(InvalidInput, match="empty cluster"):
             pl.cutting_pose(cloud.points[[]])
 
 

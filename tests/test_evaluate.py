@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from peduncle import evaluate as ev
-from peduncle.errors import EmptyEvaluation, InvalidInput
+from peduncle.errors import InvalidInput
 
 
 def naive_confusion(scores, labels, t):
@@ -63,7 +63,7 @@ class TestConfusion:
             assert sum(ev.confusion(scores, labels, float(t))) == total
 
     def test_all_ignored_raises(self):
-        with pytest.raises(EmptyEvaluation):
+        with pytest.raises(InvalidInput, match="no labeled points"):
             ev.confusion(np.ones(3), np.full(3, ev.IGNORED), 0.5)
 
 
@@ -108,7 +108,7 @@ class TestPrCurve:
             ev.pr_curve(scores, np.array([1, 1, 0, 0]))
 
     def test_needs_both_classes(self):
-        with pytest.raises(EmptyEvaluation):
+        with pytest.raises(InvalidInput, match="one positive and one negative"):
             ev.pr_curve(np.ones(4), np.ones(4, dtype=int))
 
 
@@ -138,7 +138,7 @@ class TestThroughput:
         assert 0.2 < ratio < 5.0
 
     def test_zero_units_rejected(self):
-        with pytest.raises(EmptyEvaluation):
+        with pytest.raises(InvalidInput, match="workload must be positive"):
             ev.throughput(lambda: None, units=0)
 
 

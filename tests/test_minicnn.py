@@ -28,7 +28,7 @@ from peduncle import cloud as pc
 from peduncle import minicnn as mc
 from peduncle import pipeline as pl
 from peduncle import scenegen as sg
-from peduncle.errors import FormatError, InputTooSmall, InvalidInput, ShapeError
+from peduncle.errors import FormatError, InvalidInput
 
 
 def tiny_net(seed=0):
@@ -96,7 +96,7 @@ class TestConv:
 
     def test_shape_mismatch(self):
         cv = mc.Conv2d(mc.ConvSpec(3, 3, 2, 4))
-        with pytest.raises(ShapeError):
+        with pytest.raises(InvalidInput, match="conv expected"):
             cv.forward(np.zeros((1, 3, 8, 8)))
 
 
@@ -181,12 +181,12 @@ class TestNetworkSpecFile:
 
     def test_wrong_conv_count_rejected(self):
         bad = DEFAULT_SPEC_TEXT.replace("conv 1 1 4 4 1 0\nrelu\n", "")
-        with pytest.raises(ShapeError):
+        with pytest.raises(InvalidInput, match="8 conv layers"):
             mc.parse_netspec(bad.replace("fc 64 2", "fc 256 2"))
 
     def test_channel_chain_mismatch_rejected(self):
         bad = DEFAULT_SPEC_TEXT.replace("conv 3 3 4 4 1 1", "conv 3 3 5 4 1 1", 1)
-        with pytest.raises(ShapeError):
+        with pytest.raises(InvalidInput, match="conv expects 5 channels"):
             mc.parse_netspec(bad)
 
     def test_bad_line_rejected(self):
@@ -297,7 +297,7 @@ class TestScoreMap:
     def test_too_small_image(self):
         spec = mc.parse_netspec(DEFAULT_SPEC_TEXT)
         net = mc.Network.from_netspec(spec)
-        with pytest.raises(InputTooSmall):
+        with pytest.raises(InvalidInput, match="smaller than patch"):
             mc.score_map(np.zeros((8, 8, 3), dtype=np.uint8), net, stride=4)
 
     def test_batch_invariance(self):
@@ -423,10 +423,8 @@ class TestTraining:
         assert (preds == labels).mean() > 0.9
 
     def test_empty_batch_raises(self):
-        from peduncle.errors import EmptyInput
-
         net = tiny_net()
-        with pytest.raises(EmptyInput):
+        with pytest.raises(InvalidInput, match="empty training batch"):
             mc.backward_and_step(net, np.zeros((0, 2, 8, 8)), np.zeros(0, dtype=int), 0.1)
 
 

@@ -25,7 +25,7 @@ from peduncle import minicnn as mc
 from peduncle import pipeline as pl
 from peduncle import scenegen as sg
 from peduncle import workflows as wf
-from peduncle.errors import EmptyInput, InvalidInput, NoPeduncleFound
+from peduncle.errors import InvalidInput, NoPeduncleFound
 
 
 def red_green_nb():
@@ -602,7 +602,7 @@ class TestCuttingPose:
         )
 
     def test_empty_raises(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(InvalidInput, match="empty cluster"):
             pl.cutting_pose(np.zeros((0, 3)))
 
 

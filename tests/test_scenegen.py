@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from oracles import reproject_to_pixels
+from scipy import ndimage
 
 from peduncle import cloud as pc
 from peduncle import features as ft
@@ -117,6 +118,11 @@ class TestMasks:
         assert not (scene.pos_mask & scene.neg_mask).any()
         ring = ~scene.pos_mask & ~scene.neg_mask
         assert ring.sum() > 0  # the annotation gap exists
+        # negative is exactly the pixels more than two 4-connected steps
+        # from a peduncle pixel
+        steps = ndimage.distance_transform_cdt(~scene.pos_mask, metric="taxicab")
+        np.testing.assert_array_equal(scene.pos_mask, scene.labels_img == pc.LABEL_PEDUNCLE)
+        np.testing.assert_array_equal(scene.neg_mask, steps > 2)
 
     def test_green_on_green_hue_overlap(self):
         scene = sg.generate(small_params(19, leaf_count=4))
@@ -145,9 +151,9 @@ class TestSceneFiles:
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
         assert loaded.frame.pixels.tobytes() == scene.frame.pixels.tobytes()
 
-    def test_files_are_the_five_rasters(self, tmp_path):
+    def test_files_are_the_three_rasters(self, tmp_path):
         files = sg.save_scene(tmp_path, "s0", sg.generate(small_params(24)))
-        assert files == ["s0_labels.pgm", "s0_rgb.ppm", "s0_depth.pgm", "s0_pos.pgm", "s0_neg.pgm"]
+        assert files == ["s0_labels.pgm", "s0_rgb.ppm", "s0_depth.pgm"]
         assert sorted(os.listdir(tmp_path)) == sorted(files)
         with open(tmp_path / "s0_labels.pgm", "rb") as fh:
             assert fh.read(13) == b"P5 160 120 3\n"
@@ -156,13 +162,10 @@ class TestSceneFiles:
         rng = np.random.default_rng(23)
         rgb = rng.integers(0, 256, (12, 17, 3)).astype(np.uint8)
         depth = rng.integers(0, 65536, (12, 17)).astype(np.uint16)
-        mask = rng.uniform(size=(12, 17)) > 0.5
         rasters.write_ppm(tmp_path / "a.ppm", rgb)
         rasters.write_pgm16(tmp_path / "a.pgm", depth)
-        rasters.write_mask(tmp_path / "m.pgm", mask)
         np.testing.assert_array_equal(rasters.read_ppm(tmp_path / "a.ppm"), rgb)
         np.testing.assert_array_equal(rasters.read_pgm16(tmp_path / "a.pgm"), depth)
-        np.testing.assert_array_equal(rasters.read_mask(tmp_path / "m.pgm"), mask)
 
     @pytest.mark.parametrize(
         "header",
@@ -185,7 +188,6 @@ class TestSceneFiles:
         [
             (rasters.write_ppm, rasters.read_ppm, np.zeros((2, 3, 3), dtype=np.uint8)),
             (rasters.write_pgm16, rasters.read_pgm16, np.zeros((2, 3), dtype=np.uint16)),
-            (rasters.write_mask, rasters.read_mask, np.zeros((2, 3), dtype=bool)),
         ],
     )
     def test_trailing_bytes_are_format_error(self, tmp_path, write, read, image):

@@ -1,7 +1,5 @@
 """Training-data extraction and per-scene scoring workflow tests."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from oracles import collect_svm_training_reference, eval_filtered_per_threshold
@@ -46,8 +44,7 @@ def recolored_green(scene):
     """The same scene with every pixel one foliage green: no pepper is found."""
     rgb = np.zeros_like(scene.rgb)
     rgb[:] = (40, 140, 40)
-    frame = pl.Frame.from_rasters(rgb, scene.depth_raw, scene.frame.intr, scene.labels_img)
-    return dataclasses.replace(scene, rgb=rgb, frame=frame)
+    return sg.LabeledScene.from_rasters(rgb, scene.depth_raw, scene.frame.intr, scene.labels_img)
 
 
 class TestNbTraining:
