@@ -33,6 +33,16 @@ class SvmParams:
     max_passes: int = 100        # iteration budget = max_passes * n_samples
     seed: int = 0
 
+    def __post_init__(self):
+        if self.kernel not in ("rbf", "linear"):
+            raise InvalidInput(f"kernel must be rbf or linear, not {self.kernel!r}")
+        for name in ("c", "gamma", "tol"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise InvalidInput(f"{name} must be finite and positive, got {value!r}")
+        if self.max_passes < 1:
+            raise InvalidInput(f"max_passes must be at least 1, got {self.max_passes}")
+
 
 @dataclass
 class SvmModel:

@@ -43,7 +43,7 @@ def _echo_config(out_dir: str, cfg: dict) -> None:
 def _detection_params(cfg: dict, threshold: float | None = None) -> dict:
     """The configuration's detection parameters, as the fp, pepper_params,
     box_params and up keyword arguments of pipeline.run_detection and
-    workflows.evaluate_detector. `threshold` overrides score_threshold."""
+    workflows.evaluate_detectors. `threshold` overrides score_threshold."""
     box_vertical = cfgmod.cfg_str(cfg, "box_vertical")
     if box_vertical not in ("symmetric", "above"):
         raise FormatError(f"config key 'box_vertical' must be symmetric or above, not {box_vertical!r}")
@@ -101,6 +101,14 @@ def _load_detector(name: str, models_dir: str, cfg: dict):
     raise FormatError(f"unknown detector {name!r} (expected pfh-svm or cnn)")
 
 
+def _write_curves(out_dir: str, curves: list) -> None:
+    """pr.csv with the curves' points and summary.txt with one best-F1 line per curve."""
+    ev.write_pr_csv(os.path.join(out_dir, "pr.csv"), curves)
+    with open(os.path.join(out_dir, "summary.txt"), "w", newline="\n") as fh:
+        for curve in curves:
+            fh.write(f"{curve.mode} {ev.summary_line(curve)}\n")
+
+
 def save_scores(path, scored: pl.ScoredCloud, eval_labels: np.ndarray) -> None:
     """Score dump: `scores v1 <count>` then `x y z score label` per point."""
     floats = np.column_stack([scored.cloud.points, scored.scores])
@@ -111,18 +119,24 @@ def load_scores(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a score dump written by save_scores.
 
     Raises FormatError on a bad header or score line, a non-numeric or
-    non-finite value, a count the file cannot hold, or data after the last
-    line.
+    non-finite value, a score outside [0, 1] other than evaluate.MISS_SCORE,
+    a label other than -1, 0 or 1, a count the file cannot hold, or data
+    after the last line.
     """
     with open_text(path) as fh:
         header = fh.readline().split()
         if len(header) != 3 or header[:2] != ["scores", "v1"] or not header[2].isdecimal():
             raise FormatError(f"{path}: not a scores v1 file")
         values, labels = read_rows(fh, path, int(header[2]), 4, 1, "score")
-    bad = ~np.isfinite(values).all(axis=1)
-    if bad.any():
-        raise FormatError(f"{path}: non-finite value on score line {np.argmax(bad) + 1}")
-    return values[:, 3].copy(), labels[:, 0]
+    scores, labels = values[:, 3].copy(), labels[:, 0]
+    for bad, what in (
+        (~np.isfinite(values).all(axis=1), "non-finite value"),
+        (((scores < 0) | (scores > 1)) & (scores != ev.MISS_SCORE), "score outside [0, 1]"),
+        (~np.isin(labels, (ev.IGNORED, ev.NEGATIVE, ev.POSITIVE)), "label other than -1, 0 or 1"),
+    ):
+        if bad.any():
+            raise FormatError(f"{path}: {what} on score line {np.argmax(bad) + 1}")
+    return scores, labels
 
 
 def _scene_params(cfg: dict) -> sg.SceneParams:
@@ -180,9 +194,6 @@ def cmd_extract_features(args) -> int:
 def cmd_train_svm(args) -> int:
     cfg = cfgmod.merged_config(args.config)
     feats, labels = ft.load_features(args.features)
-    _echo_config(args.out, cfg)
-    keep = labels != pc.LABEL_UNLABELED
-    y = np.where(labels[keep] == pc.LABEL_PEDUNCLE, 1.0, -1.0)
     params = cls.SvmParams(
         kernel=cfgmod.cfg_str(cfg, "svm_kernel"),
         c=cfgmod.cfg_float(cfg, "svm_c"),
@@ -191,6 +202,9 @@ def cmd_train_svm(args) -> int:
         max_passes=cfgmod.cfg_int(cfg, "svm_max_passes"),
         seed=args.seed,
     )
+    _echo_config(args.out, cfg)
+    keep = labels != pc.LABEL_UNLABELED
+    y = np.where(labels[keep] == pc.LABEL_PEDUNCLE, 1.0, -1.0)
     _log(f"training svm on {keep.sum()} rows ({int((y > 0).sum())} positive)")
     model = cls.svm_train(feats[keep], y, params)
     out_path = os.path.join(args.out, "svm.model")
@@ -213,14 +227,7 @@ def cmd_train_nb(args) -> int:
 def cmd_train_cnn(args) -> int:
     cfg = cfgmod.merged_config(args.config)
     scenes, _ = _load_scenes(args.scenes, args.split)
-    if args.netspec:
-        spec = mc.load_netspec(args.netspec)
-    else:
-        from importlib import resources
-
-        spec = mc.parse_netspec(
-            resources.files("peduncle").joinpath("data/default_net.spec").read_text()
-        )
+    spec = mc.load_netspec(args.netspec) if args.netspec else mc.default_netspec()
     _echo_config(args.out, cfg)
     net = wf.train_cnn_from_scenes(
         scenes,
@@ -300,34 +307,22 @@ def cmd_eval(args) -> int:
     thresholds = _thresholds(cfg)
     params = _detection_params(cfg)
     _echo_config(args.out, cfg)
-    raw, filtered, notes = wf.evaluate_detector(
-        scenes, detector, nb, thresholds, log=_log, **params
-    )
+    raw, filtered, notes = wf.evaluate_detectors(
+        scenes, {args.detector: detector}, nb, thresholds, log=_log, **params
+    )[args.detector]
     for note in notes:
         _log(note)
-    curves = {"raw": [raw], "filtered": [filtered], "both": [raw, filtered]}[args.mode]
-    ev.write_pr_csv(os.path.join(args.out, "pr.csv"), curves)
-    with open(os.path.join(args.out, "summary.txt"), "w", newline="\n") as fh:
-        for curve in curves:
-            fh.write(f"{curve.mode} {ev.summary_line(curve)}\n")
+    _write_curves(args.out, {"raw": [raw], "filtered": [filtered], "both": [raw, filtered]}[args.mode])
     _log(f"wrote pr.csv + summary.txt ({args.mode})")
     return 0
 
 
 def cmd_pr_curve(args) -> int:
     cfg = cfgmod.merged_config(args.config)
-    scores = []
-    labels = []
-    for path in args.scores:
-        s, l = load_scores(path)
-        scores.append(s)
-        labels.append(l)
+    scores, labels = zip(*(load_scores(path) for path in args.scores))
     thresholds = _thresholds(cfg)
     _echo_config(args.out, cfg)
-    curve = ev.pr_curve(np.concatenate(scores), np.concatenate(labels), thresholds)
-    ev.write_pr_csv(os.path.join(args.out, "pr.csv"), [curve])
-    with open(os.path.join(args.out, "summary.txt"), "w", newline="\n") as fh:
-        fh.write(f"raw {ev.summary_line(curve)}\n")
+    _write_curves(args.out, [ev.pr_curve(np.concatenate(scores), np.concatenate(labels), thresholds)])
     return 0
 
 

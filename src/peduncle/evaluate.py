@@ -1,10 +1,10 @@
 """Precision / recall / F1 computation for raw scores and for the filtered
 pipeline, plus wall-clock throughput measurement.
 
-Counts are pooled (micro-averaged) over scenes: per-scene confusion counts
-are summed before precision and recall are formed, which is identical to
-evaluating one concatenated prediction set. Filtered-mode curves are
-reported exactly as measured; they are not forced monotone.
+Counts are pooled (micro-averaged) over scenes: a raw curve counts the
+concatenated scores of every scene, from one sort per class, and the
+filtered sweep sums per-scene counts, which is the same thing. Filtered-mode
+curves are reported exactly as measured; they are not forced monotone.
 """
 
 from __future__ import annotations
@@ -74,36 +74,22 @@ def default_thresholds(n: int = 101) -> np.ndarray:
     return np.linspace(0.0, 1.0, n)
 
 
-def confusion(scores, labels, threshold: float) -> tuple[int, int, int, int]:
-    """(tp, fp, fn, tn) over labeled points; prediction is score >= threshold.
-
-    Raises InvalidInput when every point is ignored.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    keep = labels != IGNORED
-    if not keep.any():
-        raise InvalidInput("no labeled points")
-    s, l = scores[keep], labels[keep]
-    pred = s >= threshold
-    tp = int(np.sum(pred & (l == POSITIVE)))
-    fp = int(np.sum(pred & (l == NEGATIVE)))
-    fn = int(np.sum(~pred & (l == POSITIVE)))
-    tn = int(np.sum(~pred & (l == NEGATIVE)))
-    return tp, fp, fn, tn
-
-
 def pr_curve(scores, labels, thresholds=None) -> PrCurve:
-    """PrPoint per threshold over one pooled score/label set; InvalidInput
-    on a non-finite score."""
-    if thresholds is None:
-        thresholds = default_thresholds()
-    pl.require_finite_scores(np.asarray(scores, dtype=np.float64))
-    labels = np.asarray(labels)
-    if not np.any(labels == POSITIVE) or not np.any(labels == NEGATIVE):
+    """PrPoint per threshold over one pooled score/label set. A POSITIVE or
+    NEGATIVE point is predicted when its score >= threshold, so a class's
+    misses at a threshold are its sorted scores below it. InvalidInput on a
+    non-finite score, a length mismatch, or a missing class."""
+    scores, labels = np.asarray(scores, dtype=np.float64), np.asarray(labels)
+    if scores.shape != labels.shape:
+        raise InvalidInput(f"scores of shape {scores.shape} for labels of shape {labels.shape}")
+    pl.require_finite_scores(scores)
+    pos, neg = np.sort(scores[labels == POSITIVE]), np.sort(scores[labels == NEGATIVE])
+    if not len(pos) or not len(neg):
         raise InvalidInput("need at least one positive and one negative label")
-    points = [PrPoint(float(t), *confusion(scores, labels, float(t))) for t in thresholds]
-    return PrCurve(points)
+    grid = np.asarray(default_thresholds() if thresholds is None else thresholds, dtype=np.float64)
+    fn = np.searchsorted(pos, grid, "left").tolist()
+    tn = np.searchsorted(neg, grid, "left").tolist()
+    return PrCurve([PrPoint(float(t), len(pos) - f, len(neg) - n, f, n) for t, f, n in zip(grid, fn, tn)])
 
 
 @dataclass

@@ -54,6 +54,7 @@ shape constraint) remain available for unit-level gradient checking.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from importlib import resources
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -228,6 +229,11 @@ def serialize_netspec(spec: NetworkSpec) -> str:
 def load_netspec(path) -> NetworkSpec:
     with open_text(path) as fh:
         return parse_netspec(fh.read())
+
+
+def default_netspec() -> NetworkSpec:
+    """The network shipped with the package, data/default_net.spec."""
+    return parse_netspec(resources.files("peduncle").joinpath("data/default_net.spec").read_text())
 
 
 def save_netspec(path, spec: NetworkSpec) -> None:
@@ -999,12 +1005,18 @@ def train_network(
 ) -> list[float]:
     """Shuffled mini-batch SGD with optional per-epoch learning-rate decay.
 
-    Returns the mean loss per epoch. Raises InvalidInput when batch < 1 and
-    on the input backward_and_step rejects; every patch and label is
-    checked before the first step, so bad input moves no weight.
+    Returns the mean loss per epoch. Raises InvalidInput when batch or
+    epochs is below 1, when lr or lr_decay is not finite and positive, and
+    on the input backward_and_step rejects; every setting, patch and label
+    is checked before the first step, so bad input moves no weight.
     """
     if batch < 1:
         raise InvalidInput("batch must be >= 1")
+    if epochs < 1:
+        raise InvalidInput(f"epochs must be >= 1, got {epochs}")
+    for name, value in (("lr", lr), ("lr_decay", lr_decay)):
+        if not (np.isfinite(value) and value > 0):
+            raise InvalidInput(f"{name} must be finite and positive, got {value!r}")
     patches, labels = _training_input(patches, labels)
     rng = np.random.default_rng(seed)
     n = len(labels)

@@ -8,7 +8,7 @@ concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -61,6 +61,7 @@ class PeduncleBoxParams:
     symmetric: bool = True    # False: span [top, top + h_offset] only
 
     def __post_init__(self):
+        _require_finite_fields(self)
         if self.h_offset <= 0:
             raise InvalidInput("h_offset must be positive")
 
@@ -73,6 +74,9 @@ class FilterParams:
     min_cluster: int = 5
     max_cluster: int = 25000
 
+    def __post_init__(self):
+        _require_finite_fields(self)
+
 
 @dataclass(frozen=True)
 class PepperDetectParams:
@@ -81,6 +85,18 @@ class PepperDetectParams:
     posterior_threshold: float = 0.5
     cluster_tol: float = 0.01
     min_points: int = 25
+
+    def __post_init__(self):
+        _require_finite_fields(self)
+
+
+def _require_finite_fields(params) -> None:
+    """InvalidInput unless every field of a parameter dataclass is finite
+    (a NaN limit fails every comparison, so it would pass as a silent miss)."""
+    for field in fields(params):
+        value = getattr(params, field.name)
+        if not np.isfinite(value):
+            raise InvalidInput(f"{field.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,9 @@
 
 These functions are the single implementation behind both the command-line
 interface and the end-to-end verification suite, so CLI results and
-library results are identical by construction.
+library results are identical by construction. Evaluation is one
+procedure, evaluate_detectors: `peduncle eval` calls it with one detector
+and the fixed-seed benchmark (run_benchmark) with three.
 """
 
 from __future__ import annotations
@@ -235,9 +237,9 @@ def pooled_raw_curve(scene_evals, thresholds=None) -> ev.PrCurve:
     return ev.pr_curve(scores, labels, thresholds)
 
 
-def evaluate_detector(
+def evaluate_detectors(
     scenes,
-    detector,
+    detectors: dict,
     nb: cls.NaiveBayesHsv,
     thresholds=None,
     fp: pl.FilterParams = pl.FilterParams(),
@@ -245,19 +247,22 @@ def evaluate_detector(
     up: tuple[int, int] = pl.UP_DEFAULT,
     pepper_params: pl.PepperDetectParams = pl.PepperDetectParams(),
     log=None,
-):
-    """Score every scene once, then form raw and filtered curves.
-
-    Returns (raw_curve, filtered_curve, notes).
-    """
-    scene_evals = []
+) -> dict:
+    """{name: (raw_curve, filtered_curve, notes)} for a {name: detector}
+    dict over any iterable of scenes, each scored once (score_scene_all).
+    Curves are formed in dict order; a detector's records are dropped once
+    its curves are done."""
+    evals = {name: [] for name in detectors}
     for i, scene in enumerate(scenes):
-        scene_evals.append(score_scene(scene, detector, nb, pepper_params))
+        for name, rec in zip(detectors, score_scene_all(scene, detectors.values(), nb, pepper_params)):
+            evals[name].append(rec)
         if log is not None and (i + 1) % 25 == 0:
             log(f"scored {i + 1} scenes")
-    raw = pooled_raw_curve(scene_evals, thresholds)
-    filtered, notes = ev.eval_filtered(scene_evals, nb, thresholds, fp, box_params, up)
-    return raw, filtered, notes
+    results = {}
+    for name in detectors:
+        raw = pooled_raw_curve(evals[name], thresholds)
+        results[name] = (raw, *ev.eval_filtered(evals.pop(name), nb, thresholds, fp, box_params, up))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -285,11 +290,9 @@ def run_benchmark(
     only the scored regions of interest are kept.
 
     Returns curves keyed by detector ('pfh-svm', 'cnn', 'cnn-half'), each a
-    {'raw': PrCurve, 'filtered': PrCurve} pair, plus the trained models.
+    {'raw': PrCurve, 'filtered': PrCurve, 'notes': list} dict, plus the
+    trained models.
     """
-    from importlib import resources
-
-    from . import minicnn as mc_mod
 
     def say(msg):
         if log is not None:
@@ -310,9 +313,7 @@ def run_benchmark(
     svm = cls.svm_train(feats, y, cls.SvmParams(seed=seed))
     say(f"svm trained on {len(y)} rows, {len(svm.dual_coefs)} support vectors")
 
-    spec = mc_mod.parse_netspec(
-        resources.files("peduncle").joinpath("data/default_net.spec").read_text()
-    )
+    spec = mc.default_netspec()
     say("training the patch scorer on the full training split")
     cnn_full = train_cnn_from_scenes(
         train_scenes, spec, epochs=cnn_epochs, lr=cnn_lr, lr_decay=cnn_lr_decay,
@@ -332,16 +333,9 @@ def run_benchmark(
     }
     results = {"models": {"nb": nb, "svm": svm, "cnn": cnn_full, "cnn-half": cnn_half}}
     say(f"scoring {len(eval_params)} scenes with {', '.join(detectors)}")
-    evals = {name: [] for name in detectors}
-    for i, p in enumerate(eval_params):
-        records = score_scene_all(sg.generate(p), list(detectors.values()), nb)
-        for name, rec in zip(detectors, records):
-            evals[name].append(rec)
-        if (i + 1) % 25 == 0:
-            say(f"scored {i + 1} scenes")
-    for name in detectors:
-        raw = pooled_raw_curve(evals[name], thresholds)
-        filtered, notes = ev.eval_filtered(evals.pop(name), nb, thresholds)
+    eval_scenes = (sg.generate(p) for p in eval_params)
+    curves = evaluate_detectors(eval_scenes, detectors, nb, thresholds, log=log)
+    for name, (raw, filtered, notes) in curves.items():
         results[name] = {"raw": raw, "filtered": filtered, "notes": notes}
         say(
             f"{name}: raw best F1 {raw.best.f1:.3f} @ {raw.best.threshold:.2f}, "

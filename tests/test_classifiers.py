@@ -140,6 +140,17 @@ def trained():
     return cls.svm_train(x, y, params), x, y, params
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [{"kernel": "poly"}, {"c": 0.0}, {"c": -1.0}, {"gamma": -5.0}, {"gamma": np.nan}, {"tol": np.nan},
+     {"tol": 0.0}, {"c": np.inf}, {"max_passes": 0}, {"max_passes": -3}],
+    ids=["kernel", "c0", "c-1", "gamma-5", "gamma-nan", "tol-nan", "tol0", "c-inf", "passes0", "passes-3"],
+)
+def test_svm_params_outside_their_range_rejected(bad):
+    with pytest.raises(InvalidInput, match=next(iter(bad))):
+        cls.SvmParams(**bad)
+
+
 class TestSvmScore:
 
     def test_interior_sv_sits_on_margin(self, trained):

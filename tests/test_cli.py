@@ -313,6 +313,26 @@ class TestExitCodes:
             ("extract-features", "fpfh_k", "1"),
             ("train-cnn", "cnn_batch", "0"),
             ("train-cnn", "cnn_patches_per_scene", "0"),
+            # settings that are not finite: a NaN limit fails every comparison
+            *((command, key, value) for command in ("filter", "eval") for key, value in (
+                ("score_threshold", "nan"),
+                ("pepper_posterior_threshold", "nan"),
+                ("h_offset", "nan"),
+                ("h_offset", "inf"),
+                ("cluster_tol", "inf"),
+            )),
+            # training settings that would write a useless model
+            ("train-svm", "svm_c", "0"),
+            ("train-svm", "svm_c", "-1"),
+            ("train-svm", "svm_gamma", "-5"),
+            ("train-svm", "svm_gamma", "nan"),
+            ("train-svm", "svm_tol", "nan"),
+            ("train-svm", "svm_max_passes", "-3"),
+            ("train-cnn", "cnn_epochs", "0"),
+            ("train-cnn", "cnn_epochs", "-2"),
+            ("train-cnn", "cnn_lr", "nan"),
+            ("train-cnn", "cnn_lr", "inf"),
+            ("train-cnn", "cnn_lr", "-0.5"),
         ],
     )
     def test_bad_config_value_is_2(self, workdir, tmp_path, command, key, value):
@@ -327,12 +347,21 @@ class TestExitCodes:
             "pr-curve": ["--scores", str(scores)],
             "extract-features": scenes,
             "train-cnn": [*scenes, "--netspec", str(workdir["root"] / "tiny.spec")],
+            "train-svm": ["--features", str(workdir["root"] / "feats" / "features.txt")],
         }
         for name in ("score", "filter", "eval"):
             inputs[name] = [*scenes, "--models", workdir["models"], "--detector", detector]
         out = tmp_path / "o" / "run"
         assert main([command, "--config", str(cfg), "--out", str(out), *inputs[command]]) == 2
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_threshold_flag_is_2(self, workdir, tmp_path, value):
+        out = tmp_path / "o"
+        assert main(["filter", "--config", workdir["cfg"], "--scenes", workdir["manifest"],
+                     "--split", "eval", "--models", workdir["models"], "--detector", "pfh-svm",
+                     "--threshold", value, "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 def _write_scenes(scene_dir, cfg_path, scenes):
@@ -530,6 +559,10 @@ class TestScoreAndCurves:
             "0.1 0.2 0.3 nan 1", "0.1 0.2 0.3 -inf 1", "inf 0.2 0.3 0.4 0",
             "0.1 0.2 0.3 0.4 1\n0.1 0.2 0.3 0.4 1", "0.1 0.2 0.3 0.4 1\ntrailing",
             "\n0.1 0.2 0.3 0.4 1",
+            # values no dump holds: labels are -1 / 0 / 1, scores lie in
+            # [0, 1] or are exactly the miss score -1
+            "0.1 0.2 0.3 0.4 7", "0.1 0.2 0.3 0.4 -2", "0.1 0.2 0.3 1.5 1",
+            "0.1 0.2 0.3 -0.5 0", "0.1 0.2 0.3 -1.0000001 1",
         ],
     )
     def test_malformed_score_line_is_data_error(self, workdir, tmp_path, line):
@@ -566,9 +599,9 @@ class TestEvalCommand:
         nb = cls.load_nb(os.path.join(workdir["models"], "nb.model"))
         svm = cls.load_svm(os.path.join(workdir["models"], "svm.model"))
         detector = pl.PfhSvmDetector(svm, int(cfg["normal_k"]), int(cfg["fpfh_k"]))
-        raw, filtered, _ = wf.evaluate_detector(
-            scenes, detector, nb, ev.default_thresholds(int(cfg["thresholds"]))
-        )
+        raw, filtered, _ = wf.evaluate_detectors(
+            scenes, {"pfh-svm": detector}, nb, ev.default_thresholds(int(cfg["thresholds"]))
+        )["pfh-svm"]
         expected = []
         for curve in (raw, filtered):
             for p in curve.points:
@@ -580,6 +613,29 @@ class TestEvalCommand:
         summary = (out / "summary.txt").read_text()
         assert f"raw {ev.summary_line(raw)}" in summary
         assert f"filtered {ev.summary_line(filtered)}" in summary
+
+    def test_pr_csv_is_the_multi_detector_entry(self, workdir, tmp_path, capsys):
+        """`eval` for one detector writes the bytes of that detector's entry
+        of one evaluate_detectors call over both, and logs its notes."""
+        entries = [e for e in sg.load_manifest(workdir["manifest"]) if e["split"] == "eval"]
+        scenes = [sg.load_benchmark_scene(workdir["manifest"], e) for e in entries]
+        cfg = cfgmod.merged_config(workdir["cfg"])
+        nb = cls.load_nb(os.path.join(workdir["models"], "nb.model"))
+        detectors = {name: cli._load_detector(name, workdir["models"], cfg) for name in ("pfh-svm", "cnn")}
+        curves = wf.evaluate_detectors(
+            scenes, detectors, nb, cli._thresholds(cfg), **cli._detection_params(cfg)
+        )
+        for name, (raw, filtered, notes) in curves.items():
+            out = tmp_path / name
+            assert main(["eval", "--config", workdir["cfg"], "--scenes", workdir["manifest"],
+                         "--split", "eval", "--models", workdir["models"],
+                         "--detector", name, "--out", str(out)]) == 0
+            logged = [*notes, "wrote pr.csv + summary.txt (both)"]
+            assert capsys.readouterr().err.splitlines() == logged
+            ev.write_pr_csv(tmp_path / f"{name}.csv", [raw, filtered])
+            assert (out / "pr.csv").read_bytes() == (tmp_path / f"{name}.csv").read_bytes()
+            summary = f"raw {ev.summary_line(raw)}\nfiltered {ev.summary_line(filtered)}\n"
+            assert (out / "summary.txt").read_text() == summary
 
     def test_cnn_eval_runs(self, workdir, tmp_path):
         out = tmp_path / "evalc"

@@ -2,39 +2,53 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peduncle import evaluate as ev
 from peduncle.errors import InvalidInput
 
 
 def naive_confusion(scores, labels, t):
+    """(tp, fp, fn, tn) by one comparison per point; only POSITIVE and
+    NEGATIVE labels count."""
     tp = fp = fn = tn = 0
     for s, l in zip(scores, labels):
-        if l == ev.IGNORED:
-            continue
         pred = s >= t
-        if pred and l == ev.POSITIVE:
-            tp += 1
-        elif pred and l == ev.NEGATIVE:
-            fp += 1
-        elif not pred and l == ev.POSITIVE:
-            fn += 1
-        else:
-            tn += 1
+        if l == ev.POSITIVE:
+            tp, fn = tp + pred, fn + (not pred)
+        elif l == ev.NEGATIVE:
+            fp, tn = fp + pred, tn + (not pred)
     return tp, fp, fn, tn
 
 
+def counts(curve):
+    return [(p.tp, p.fp, p.fn, p.tn) for p in curve.points]
+
+
+def confusion(scores, labels, t):
+    """(tp, fp, fn, tn) of pr_curve's point at the one threshold t."""
+    return counts(ev.pr_curve(scores, labels, [t]))[0]
+
+
+# ties at the class boundary: both signed zeros, the ends of [0, 1], the
+# smallest subnormal and the largest double below 1
+TIES = [0.0, -0.0, 5e-324, 0.25, 0.5, 1.0 - 2**-53, 1.0]
+
+
 class TestConfusion:
+    """pr_curve's counts at single thresholds."""
+
     def test_perfect_scorer(self):
         labels = np.array([1, 1, 0, 0, 1])
         scores = labels.astype(float)
-        tp, fp, fn, tn = ev.confusion(scores, labels, 0.5)
+        tp, fp, fn, tn = confusion(scores, labels, 0.5)
         assert (fp, fn) == (0, 0) and tp == 3 and tn == 2
 
     def test_threshold_zero_predicts_everything(self):
         labels = np.array([1, 0, 0, 1])
         scores = np.array([0.2, 0.9, 0.1, 0.8])
-        tp, fp, fn, tn = ev.confusion(scores, labels, 0.0)
+        tp, fp, fn, tn = confusion(scores, labels, 0.0)
         assert fn == 0 and fp == 2 and tp == 2 and tn == 0
 
     def test_matches_naive_recount(self):
@@ -43,15 +57,16 @@ class TestConfusion:
             n = int(rng.integers(5, 300))
             scores = rng.uniform(size=n)
             labels = rng.choice([ev.POSITIVE, ev.NEGATIVE, ev.IGNORED], n)
-            if not (labels != ev.IGNORED).any():
+            if not (labels == ev.POSITIVE).any() or not (labels == ev.NEGATIVE).any():
                 continue
-            t = float(rng.uniform())
-            assert ev.confusion(scores, labels, t) == naive_confusion(scores, labels, t)
+            thresholds = rng.uniform(size=5)
+            want = [naive_confusion(scores, labels, t) for t in thresholds]
+            assert counts(ev.pr_curve(scores, labels, thresholds)) == want
 
     def test_ignored_points_excluded(self):
         labels = np.array([1, -1, 0, -1])
         scores = np.array([1.0, 1.0, 1.0, 0.0])
-        tp, fp, fn, tn = ev.confusion(scores, labels, 0.5)
+        tp, fp, fn, tn = confusion(scores, labels, 0.5)
         assert tp + fp + fn + tn == 2
 
     def test_counts_sum_to_labeled_total(self):
@@ -59,12 +74,30 @@ class TestConfusion:
         scores = rng.uniform(size=50)
         labels = rng.choice([1, 0, -1], 50)
         total = int((labels != -1).sum())
-        for t in np.linspace(0, 1, 11):
-            assert sum(ev.confusion(scores, labels, float(t))) == total
+        assert all(sum(c) == total for c in counts(ev.pr_curve(scores, labels, np.linspace(0, 1, 11))))
 
     def test_all_ignored_raises(self):
-        with pytest.raises(InvalidInput, match="no labeled points"):
-            ev.confusion(np.ones(3), np.full(3, ev.IGNORED), 0.5)
+        with pytest.raises(InvalidInput, match="one positive and one negative"):
+            ev.pr_curve(np.ones(3), np.full(3, ev.IGNORED), [0.5])
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_sorted_counts_equal_naive_counts_on_ties(self, data):
+        n = data.draw(st.integers(0, 30))
+        score = st.sampled_from(TIES) | st.floats(0.0, 1.0)
+        scores = [data.draw(score), data.draw(score)] + data.draw(st.lists(score, min_size=n, max_size=n))
+        # one point of each class, then labels that include IGNORED and values outside the set
+        label = st.sampled_from([ev.POSITIVE, ev.NEGATIVE, ev.IGNORED, 2, -7])
+        labels = [ev.POSITIVE, ev.NEGATIVE] + data.draw(st.lists(label, min_size=n, max_size=n))
+        threshold = st.sampled_from(scores) | st.sampled_from(TIES)
+        thresholds = data.draw(st.lists(threshold, min_size=1, max_size=8))
+        curve = ev.pr_curve(scores, labels, thresholds)
+        assert counts(curve) == [naive_confusion(scores, labels, t) for t in thresholds]
+        assert [p.threshold for p in curve.points] == [float(t) for t in thresholds]
+
+    def test_length_mismatch_raises(self):
+        with pytest.raises(InvalidInput, match="shape"):
+            ev.pr_curve(np.array([0.9, 0.1, 0.5]), np.array([1, 0]))
 
 
 class TestPrCurve:
@@ -121,10 +154,12 @@ class TestPooling:
             chunks.append((rng.uniform(size=n), rng.choice([1, 0, -1], n)))
         all_scores = np.concatenate([c[0] for c in chunks])
         all_labels = np.concatenate([c[1] for c in chunks])
-        for t in np.linspace(0, 1, 7):
+        thresholds = np.linspace(0, 1, 7)
+        pooled = []
+        for t in thresholds:
             per_scene = [naive_confusion(s, l, t) for s, l in chunks]
-            pooled = tuple(sum(col) for col in zip(*per_scene))
-            assert pooled == ev.confusion(all_scores, all_labels, float(t))
+            pooled.append(tuple(sum(col) for col in zip(*per_scene)))
+        assert counts(ev.pr_curve(all_scores, all_labels, thresholds)) == pooled
 
 
 class TestThroughput:

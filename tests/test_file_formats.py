@@ -28,6 +28,7 @@ from peduncle import _textio
 from peduncle import classifiers as cls
 from peduncle import cloud as pc
 from peduncle import config as cfgmod
+from peduncle import evaluate as ev
 from peduncle import features as ft
 from peduncle import minicnn as mc
 from peduncle import pipeline as pl
@@ -74,13 +75,17 @@ def clouds(draw):
 
 @st.composite
 def score_dumps(draw):
+    """Dumps a detector can write: scores in [0, 1] or the miss score, labels
+    POSITIVE / NEGATIVE / IGNORED."""
     n = draw(st.integers(0, 5))
+    ends = st.sampled_from([0.0, -0.0, 5e-324, 1.0, ev.MISS_SCORE])
     if draw(st.booleans()):     # the float32 CNN's scores
-        scores = matrix(draw, n, 1, st.floats(allow_nan=False, allow_infinity=False, width=32))
+        scores = matrix(draw, n, 1, ends | st.floats(0.0, 1.0, width=32))
         scores = scores[:, 0].astype(np.float32)
     else:
-        scores = matrix(draw, n, 1)[:, 0]
-    labels = np.array(draw(st.lists(INT64, min_size=n, max_size=n)), dtype=np.int64)
+        scores = matrix(draw, n, 1, ends | st.floats(0.0, 1.0))[:, 0]
+    label = st.sampled_from([ev.POSITIVE, ev.NEGATIVE, ev.IGNORED])
+    labels = np.array(draw(st.lists(label, min_size=n, max_size=n)), dtype=np.int64)
     return pl.ScoredCloud(pc.PointCloud(matrix(draw, n, 3)), scores), labels
 
 

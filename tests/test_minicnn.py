@@ -766,6 +766,20 @@ class TestTrainingInput:
             lambda net, x, y: mc.train_network(net, x, y, epochs=1, batch=batch), x, np.array([0, 1, 0, 1])
         )
 
+    @pytest.mark.parametrize(
+        "schedule",
+        [{"epochs": 0}, {"epochs": -2}, {"lr": np.nan}, {"lr": np.inf}, {"lr": -0.5}, {"lr": 0.0},
+         {"lr_decay": 0.0}, {"lr_decay": np.nan}],
+        ids=["epochs0", "epochs-2", "lr-nan", "lr-inf", "lr-neg", "lr0", "decay0", "decay-nan"],
+    )
+    def test_schedule_outside_its_range(self, schedule):
+        """No epoch, a non-finite step or a step uphill trains nothing useful."""
+        x = np.random.default_rng(47).uniform(size=(4, 2, 8, 8))
+        self.assert_rejected(
+            lambda net, x, y: mc.train_network(net, x, y, **{"epochs": 1, "batch": 2, **schedule}),
+            x, np.array([0, 1, 0, 1]),
+        )
+
 
 # ---------------------------------------------------------------------------
 # shared-trunk score map against the per-patch path, bit for bit

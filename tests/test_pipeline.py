@@ -63,6 +63,23 @@ def green_colors(rng, n):
     )
 
 
+@pytest.mark.parametrize(
+    "make,field",
+    [
+        (pl.FilterParams, "score_threshold"),
+        (pl.FilterParams, "pepper_posterior_threshold"),
+        (pl.FilterParams, "cluster_tol"),
+        (pl.PepperDetectParams, "posterior_threshold"),
+        (pl.PepperDetectParams, "cluster_tol"),
+        (pl.PeduncleBoxParams, "h_offset"),
+    ],
+)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_detection_setting_rejected(make, field, bad):
+    with pytest.raises(InvalidInput, match=f"{field} must be finite"):
+        make(**{field: bad})
+
+
 class TestComputeRoi:
     def test_worked_example(self):
         box = pl.Roi2(100, 150, 200, 250)

@@ -210,12 +210,34 @@ class TestEvaluateDetector:
     def test_curves_and_micro_identity(self, scenes, nb, svm):
         det = pl.PfhSvmDetector(svm)
         thresholds = ev.default_thresholds(11)
-        raw, filtered, notes = wf.evaluate_detector(scenes[3:], det, nb, thresholds)
+        curves = wf.evaluate_detectors(scenes[3:], {"pfh-svm": det}, nb, thresholds)
+        assert list(curves) == ["pfh-svm"]
+        raw, filtered, notes = curves["pfh-svm"]
         assert len(raw.points) == len(filtered.points) == 11
         assert raw.mode == "raw" and filtered.mode == "filtered"
         # recall of the raw curve is nonincreasing
         recalls = [p.recall for p in raw.points]
         assert all(a >= b - 1e-12 for a, b in zip(recalls, recalls[1:]))
+
+    def test_generator_equals_list_and_separate_runs(self, scenes, nb, svm):
+        """Scenes may come from a generator; scoring several detectors in one
+        pass gives each the curves a run of its own gives."""
+        dets = {
+            "cnn": pl.CnnDetector(mc.Network.from_netspec(mc.parse_netspec(TINY_SPEC), seed=9)),
+            "pfh-svm": pl.PfhSvmDetector(svm),
+        }
+        chosen = [scenes[3], recolored_green(scenes[4]), scenes[5]]
+        thresholds = ev.default_thresholds(21)
+        from_list = wf.evaluate_detectors(chosen, dets, nb, thresholds)
+        from_gen = wf.evaluate_detectors((s for s in chosen), dets, nb, thresholds)
+        assert list(from_list) == list(from_gen) == ["cnn", "pfh-svm"]
+        for name, det in dets.items():
+            alone = wf.evaluate_detectors(iter(chosen), {name: det}, nb, thresholds)[name]
+            for got in (from_gen[name], alone):
+                raw, filtered, notes = got
+                assert raw.points == from_list[name][0].points and raw.mode == "raw"
+                assert filtered.points == from_list[name][1].points and filtered.mode == "filtered"
+                assert notes == from_list[name][2] == ["scene 1: no pepper detected"]
 
 
 class TestMissedScenes:
