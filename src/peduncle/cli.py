@@ -308,7 +308,7 @@ def cmd_eval(args) -> int:
     params = _detection_params(cfg)
     _echo_config(args.out, cfg)
     raw, filtered, notes = wf.evaluate_detectors(
-        scenes, {args.detector: detector}, nb, thresholds, log=_log, **params
+        scenes, {args.detector: detector}, nb, thresholds, log=_log, filtered=args.mode != "raw", **params
     )[args.detector]
     for note in notes:
         _log(note)

@@ -99,6 +99,12 @@ class SceneEval:
     scored: pl.ScoredCloud
     pepper_points: np.ndarray | None       # None when pepper detection failed
     eval_labels: np.ndarray                # aligned with scored rows
+    miss: str | None = None                # NoPeduncleFound reason of an all-miss record
+
+
+def miss_notes(scenes: list[SceneEval]) -> list[str]:
+    """A note for each scene in which no pepper was detected."""
+    return [f"scene {i}: no pepper detected" for i, s in enumerate(scenes) if s.pepper_points is None]
 
 
 def eval_filtered(
@@ -127,13 +133,10 @@ def eval_filtered(
         thresholds = default_thresholds()
     thresholds = np.asarray(thresholds, dtype=np.float64)
     counts = np.zeros((len(thresholds), 4), dtype=np.int64)   # tp, fp, fn, tn
-    notes: list[str] = []
-    for i, scene in enumerate(scenes):
+    for scene in scenes:
         pos = scene.eval_labels == POSITIVE
         neg = scene.eval_labels == NEGATIVE
         n_pos, n_neg = int(pos.sum()), int(neg.sum())
-        if scene.pepper_points is None:
-            notes.append(f"scene {i}: no pepper detected")
         if scene.pepper_points is None or len(scene.scored) == 0:
             counts += (0, 0, n_pos, n_neg)
             continue
@@ -158,7 +161,7 @@ def eval_filtered(
                 row = (tp, fp_count, n_pos - tp, n_neg - fp_count)
             counts[k] += row
     points = [PrPoint(float(t), *(int(v) for v in c)) for t, c in zip(thresholds, counts)]
-    return PrCurve(points, "filtered"), notes
+    return PrCurve(points, "filtered"), miss_notes(scenes)
 
 
 def throughput(work_fn, units: int, repeats: int = 5) -> dict:

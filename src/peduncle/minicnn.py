@@ -22,8 +22,11 @@ so the next layer reads them channels-last without a copy.
 Max pooling uses the same windows (padded with -inf). A tie goes to the
 first maximal element in row-major window order, -0.0 before +0.0 included:
 inference folds the window view with np.maximum(element, running max),
-which returns its second operand on a tie; training takes argmax over the
-copied-out windows and routes the gradient to that element.
+which returns its second operand on a tie; training also takes the first
+offset equal to the maximum and routes the gradient to that element. Where
+the windows are disjoint (k == stride) and a relu comes directly before the
+pool, training folds the pre-relu map and runs the relu on the pooled one
+(_ReluMaxPool): the same bytes, without a full-size relu map or mask.
 
 score_map evaluates the network on a stride grid of patches without
 running the leading layers once per patch. Patch offsets are multiples of
@@ -395,11 +398,25 @@ def _max_fold(win):
     return out
 
 
+def _first_argmax(win, out, dtype):
+    """Per window, the first row-major offset i * k + j whose element equals
+    out, counted as the offsets passed before it."""
+    k = win.shape[-1]
+    found = np.zeros(out.shape, dtype=bool)
+    arg = np.zeros(out.shape, dtype=dtype)
+    for off in range(k * k - 1):
+        found |= win[..., off // k, off % k] == out
+        arg += ~found
+    return arg
+
+
 class MaxPool:
     """Max over k x k windows, padded with -inf.
 
     A tie goes to the first maximal element in row-major window order, in
-    the forward value and in the backward routing alike.
+    the forward value and in the backward routing alike. In training, a pool
+    with disjoint windows (k == stride) directly after a relu runs fused
+    with it (_ReluMaxPool) and this layer is left out.
     """
 
     def __init__(self, spec: PoolSpec, pad: int = 0):
@@ -415,14 +432,7 @@ class MaxPool:
         win = _windows(_nhwc_padded(x, self.pad, -np.inf), k, k, stride, oh, ow)
         out = _max_fold(win)
         if train:
-            # argmax: the first window offset holding the maximum, counted as
-            # the offsets passed before it
-            found = np.zeros(out.shape, dtype=bool)
-            arg = np.zeros(out.shape, dtype=np.intp)
-            for off in range(k * k - 1):
-                found |= win[..., off // k, off % k] == out
-                arg += ~found
-            self._cache = (arg, x.shape, oh, ow)
+            self._cache = (_first_argmax(win, out, np.intp), x.shape, oh, ow)
         return out.transpose(0, 3, 1, 2)
 
     def backward(self, dy):
@@ -437,6 +447,11 @@ class MaxPool:
 
 
 class Relu:
+    """max(x, 0.0): +0.0 for every x <= 0, -0.0 included. Its gradient is
+    dy * (x > 0), so a negative dy at x <= 0 gives -0.0. In training, a
+    relu directly before a pool with disjoint windows runs after that pool,
+    fused with it (_ReluMaxPool)."""
+
     def __init__(self):
         self.params = {}
         self.grads = {}
@@ -450,6 +465,47 @@ class Relu:
 
     def backward(self, dy):
         return dy * self._cache
+
+
+class _ReluMaxPool:
+    """Training's step for a relu directly followed by a max pool whose
+    windows are disjoint (k == stride, no padding), bit for bit Relu then
+    MaxPool. relu(max(x)) equals max(relu(x)): relu is monotone and gives
+    +0.0 for every x <= 0, so the relu runs on the pooled map. Where a
+    window's maximum is above 0, the pool's argmax over relu(x) is the first
+    maximal x; elsewhere every relu output is +0.0 and the argmax is offset
+    0. The gradient at the argmax is (0.0 + dy) * (max > 0), as the pool's
+    add into zeros and the relu's mask give it, and +0.0 elsewhere.
+    """
+
+    def __init__(self, spec: PoolSpec):
+        self.spec, self.params, self._cache = spec, {}, None
+
+    def forward(self, x, train=True):
+        k = self.spec.k
+        oh, ow = _out_hw(*x.shape[2:], k, k, k, 0)
+        win = _windows(_nhwc_padded(x, 0), k, k, k, oh, ow)
+        top = _max_fold(win)
+        live = top > 0.0
+        arg = _first_argmax(win, top, np.uint8)
+        arg *= live
+        self._cache = (arg, live, x.shape)
+        return np.maximum(top, 0.0).transpose(0, 3, 1, 2)
+
+    def backward(self, dy):
+        arg, live, (b, c, h, w) = self._cache
+        k = self.spec.k
+        _, oh, ow, _ = arg.shape
+        g = np.asarray((0.0 + dy.transpose(0, 2, 3, 1)) * live, dtype=np.float64)
+        dx = np.zeros((b, h, w, c))
+        # g where the slot is the window's argmax, else +0.0: the float64 bit
+        # patterns times 1 or 0 keep every value's bits (-0.0 included), with
+        # no per-element branch (np.where's, on a random mask, is 2-3x slower)
+        g_bits, dx_bits = g.view(np.uint64), dx.view(np.uint64)
+        for i in range(k):
+            for j in range(k):
+                np.multiply(g_bits, arg == i * k + j, out=dx_bits[:, i : i + k * oh : k, j : j + k * ow : k])
+        return dx.transpose(0, 3, 1, 2)
 
 
 class Inception:
@@ -542,6 +598,19 @@ class Fc:
         return (dy @ self.params["w"]).reshape(self._cache[1])
 
 
+def _training_layers(specs, layers) -> list:
+    """The steps a training pass runs: layers, with each relu directly
+    followed by a max pool with disjoint windows (k == stride) replaced by
+    one _ReluMaxPool step for the pair."""
+    steps = []
+    for prev, spec, layer in zip((None, *specs), specs, layers):
+        if isinstance(prev, ReluSpec) and isinstance(spec, PoolSpec) and spec.k == spec.stride:
+            steps[-1] = _ReluMaxPool(spec)
+        else:
+            steps.append(layer)
+    return steps
+
+
 def build_layer(spec: LayerSpec, c_in: int):
     if isinstance(spec, ConvSpec):
         return Conv2d(spec)
@@ -582,6 +651,8 @@ class Network:
                 c = s.c_out
             elif isinstance(s, FcSpec):
                 c = s.n_out
+        # inference and score_map run self.layers, training these steps
+        self._train_layers = _training_layers(self.specs, self.layers)
 
     @classmethod
     def from_netspec(cls, spec: NetworkSpec, seed: int | None = None) -> "Network":
@@ -598,13 +669,13 @@ class Network:
                 layer.init_weights(rng)
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        for layer in self.layers:
+        for layer in self._train_layers if train else self.layers:
             x = layer.forward(x, train)
         return x
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         """Sets every parameter gradient; returns the input gradient."""
-        for layer in reversed(self.layers):
+        for layer in reversed(self._train_layers):
             dy = layer.backward(dy)
         return dy
 
@@ -612,12 +683,13 @@ class Network:
         """Sets every parameter gradient as backward does, but stops at the
         first layer with parameters: no gradient below it, the input
         gradient included, is formed."""
-        owners = [i for i, layer in enumerate(self.layers) if layer.params]
+        steps = self._train_layers
+        owners = [i for i, layer in enumerate(steps) if layer.params]
         if not owners:
             return
-        for layer in reversed(self.layers[owners[0] + 1 :]):
+        for layer in reversed(steps[owners[0] + 1 :]):
             dy = layer.backward(dy)
-        self.layers[owners[0]].param_grads(dy)
+        steps[owners[0]].param_grads(dy)
 
     def parameters(self):
         """(layer_index, name, param, grad) tuples in serialization order."""

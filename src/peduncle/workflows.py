@@ -207,27 +207,27 @@ def score_scene_all(
     try:
         pepper_idx, _ = pl.detect_pepper(frame.cloud, nb, pepper_params)
         roi = pl.compute_roi(pl.pixel_bbox(frame.pixels[pepper_idx]), *frame.depth_raw.shape[::-1])
-    except NoPeduncleFound:
-        return [_all_miss(frame) for _ in detectors]
+    except NoPeduncleFound as exc:
+        return [_all_miss(frame, exc.reason) for _ in detectors]
     records = []
     for detector in detectors:
         try:
             scored = detector.score_frame(frame, roi)
-        except NoPeduncleFound:
-            records.append(_all_miss(frame))
+        except NoPeduncleFound as exc:
+            records.append(_all_miss(frame, exc.reason))
             continue
         labels = ev.labels_to_eval(scored.cloud.labels)
         records.append(ev.SceneEval(scored, frame.cloud.points[pepper_idx], labels))
     return records
 
 
-def _all_miss(frame) -> ev.SceneEval:
+def _all_miss(frame, reason: str) -> ev.SceneEval:
     n_pos = int(np.sum(frame.cloud.labels == pc.LABEL_PEDUNCLE))
     empty = pl.ScoredCloud(
         pc.PointCloud(np.zeros((n_pos, 3)) + [0.0, 0.0, 1.0]),
         np.full(n_pos, ev.MISS_SCORE),
     )
-    return ev.SceneEval(empty, None, np.full(n_pos, ev.POSITIVE, dtype=np.int64))
+    return ev.SceneEval(empty, None, np.full(n_pos, ev.POSITIVE, dtype=np.int64), reason)
 
 
 def pooled_raw_curve(scene_evals, thresholds=None) -> ev.PrCurve:
@@ -247,11 +247,16 @@ def evaluate_detectors(
     up: tuple[int, int] = pl.UP_DEFAULT,
     pepper_params: pl.PepperDetectParams = pl.PepperDetectParams(),
     log=None,
+    filtered: bool = True,
 ) -> dict:
     """{name: (raw_curve, filtered_curve, notes)} for a {name: detector}
     dict over any iterable of scenes, each scored once (score_scene_all).
     Curves are formed in dict order; a detector's records are dropped once
-    its curves are done."""
+    its curves are done. Without `filtered` the threshold sweep through the
+    filter is skipped and the filtered curve is None.
+
+    Raises NoPeduncleFound, with the first scene's reason, when no scene
+    reached scoring: there is no curve without a scored point."""
     evals = {name: [] for name in detectors}
     for i, scene in enumerate(scenes):
         for name, rec in zip(detectors, score_scene_all(scene, detectors.values(), nb, pepper_params)):
@@ -260,8 +265,15 @@ def evaluate_detectors(
             log(f"scored {i + 1} scenes")
     results = {}
     for name in detectors:
-        raw = pooled_raw_curve(evals[name], thresholds)
-        results[name] = (raw, *ev.eval_filtered(evals.pop(name), nb, thresholds, fp, box_params, up))
+        records = evals.pop(name)
+        misses = [rec.miss for rec in records]
+        if misses and all(misses):
+            raise NoPeduncleFound(misses[0], f"all {len(misses)} scenes missed before scoring")
+        raw = pooled_raw_curve(records, thresholds)
+        if filtered:
+            results[name] = (raw, *ev.eval_filtered(records, nb, thresholds, fp, box_params, up))
+        else:
+            results[name] = (raw, None, ev.miss_notes(records))
     return results
 
 

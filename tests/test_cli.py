@@ -637,6 +637,36 @@ class TestEvalCommand:
             summary = f"raw {ev.summary_line(raw)}\nfiltered {ev.summary_line(filtered)}\n"
             assert (out / "summary.txt").read_text() == summary
 
+    def test_raw_mode_runs_no_filtered_sweep(self, workdir, tmp_path, monkeypatch, capsys):
+        sweeps = []
+        sweep = ev.eval_filtered
+        monkeypatch.setattr(ev, "eval_filtered", lambda *a, **kw: sweeps.append(a) or sweep(*a, **kw))
+        logs = {}
+        for mode in ("raw", "both"):
+            assert main(["eval", "--config", workdir["cfg"], "--scenes", workdir["manifest"],
+                         "--split", "eval", "--models", workdir["models"],
+                         "--detector", "pfh-svm", "--mode", mode, "--out", str(tmp_path / mode)]) == 0
+            logs[mode] = capsys.readouterr().err.splitlines()
+        assert len(sweeps) == 1
+        both = (tmp_path / "both" / "pr.csv").read_text().splitlines()
+        raw = (tmp_path / "raw" / "pr.csv").read_text().splitlines()
+        assert raw == [line for line in both if not line.startswith("filtered,")]
+        assert logs["raw"][:-1] == logs["both"][:-1]
+
+    def test_no_scene_with_a_pepper_is_3(self, workdir, tmp_path, capsys):
+        entry = [e for e in sg.load_manifest(workdir["manifest"]) if e["split"] == "eval"][0]
+        normal = sg.load_benchmark_scene(workdir["manifest"], entry)
+        rgb = np.zeros_like(normal.rgb)
+        rgb[:] = (40, 140, 40)
+        green = sg.LabeledScene.from_rasters(rgb, normal.depth_raw, normal.frame.intr, normal.labels_img)
+        scene_dir = _write_scenes(tmp_path / "scenes", workdir["cfg"], [green])
+        for mode in ("raw", "both"):
+            assert main(["eval", "--config", workdir["cfg"], "--scenes", str(scene_dir / "manifest.txt"),
+                         "--models", workdir["models"], "--detector", "pfh-svm", "--mode", mode,
+                         "--out", str(tmp_path / mode)]) == 3
+            assert capsys.readouterr().err.splitlines()[-1] == "NoPepperFound: all 1 scenes missed before scoring"
+            assert not (tmp_path / mode / "pr.csv").exists()
+
     def test_cnn_eval_runs(self, workdir, tmp_path):
         out = tmp_path / "evalc"
         rc = main(["eval", "--config", workdir["cfg"], "--scenes", workdir["manifest"],

@@ -21,6 +21,7 @@ from oracles import (
     numerical_grad,
     param_count,
     reference_kernels,
+    runs_layers_one_by_one,
     score_map_per_patch,
 )
 
@@ -240,6 +241,26 @@ class TestGradients:
         net = tiny_net(seed=1)
         x = rng.normal(size=(3, 2, 8, 8))
         labels = np.array([0, 1, 1])
+
+        def loss_fn():
+            return mc.cross_entropy(net.forward(x, train=True), labels)[0]
+
+        _, dl = mc.cross_entropy(net.forward(x, train=True), labels)
+        dx = net.backward(dl)
+        for _, name, p, g in net.parameters():
+            assert max_rel_error(numerical_grad(loss_fn, p), g) < 1e-3, name
+        assert max_rel_error(numerical_grad(loss_fn, x), dx) < 1e-3
+
+    def test_conv_relu_pool_conv_on_odd_map(self):
+        """Parameter and input gradients through training's fused relu +
+        pool step, on a map whose last row and column lie in no window."""
+        rng = np.random.default_rng(43)
+        specs = [mc.ConvSpec(3, 3, 2, 3, 1, 1), mc.ReluSpec(), mc.PoolSpec(2, 2), mc.ConvSpec(3, 3, 3, 2, 1, 1)]
+        net = mc.Network([*specs, mc.FcSpec(2 * 3 * 4, 2)], input_c=2, input_hw=(7, 9))
+        net.init_weights(44)
+        assert not runs_layers_one_by_one(net)
+        x = rng.normal(size=(2, 2, 7, 9))
+        labels = np.array([0, 1])
 
         def loss_fn():
             return mc.cross_entropy(net.forward(x, train=True), labels)[0]
@@ -541,6 +562,27 @@ class TestKernelsMatchReference:
         dy = data.draw(hnp.arrays(dtype, want.shape, elements=st.sampled_from([-1.0, -0.0, 0.0, 2.0])))
         assert_same_bytes(pool.backward(dy), ref.backward(dy))
 
+    @settings(max_examples=300)
+    @given(data=st.data(), k=st.integers(2, 3), dtype=st.sampled_from(DTYPES))
+    def test_fused_relu_pool_matches_reference(self, data, k, dtype):
+        """Training's relu + disjoint pool step equals Relu then the
+        reference pool byte for byte: the forward value, where each window's
+        gradient goes and the input gradient, on tie-heavy maps (windows
+        whose maximum is <= 0 included) whose last rows or columns may lie in
+        no window."""
+        dims = st.integers(k, 3 * k + 1)
+        shape = (data.draw(st.integers(1, 2)), data.draw(st.integers(1, 3)), data.draw(dims), data.draw(dims))
+        x = data.draw(hnp.arrays(dtype, shape, elements=st.sampled_from([-1.0, -0.0, 0.0, 0.5])))
+        relu, ref = mc.Relu(), MaxPoolReference(mc.PoolSpec(k, k))
+        want = ref.forward(relu.forward(x, train=True), train=True)
+        step = mc._ReluMaxPool(mc.PoolSpec(k, k))
+        assert_same_bytes(step.forward(x), want)
+        # the reference's argmax runs over (b, c, oh, ow) windows
+        ref_arg = ref._cache[0].reshape(want.shape).transpose(0, 2, 3, 1)
+        assert_same_bytes(step._cache[0], ref_arg.astype(np.uint8))
+        dy = data.draw(hnp.arrays(dtype, want.shape, elements=st.sampled_from([-1.0, -0.0, 0.0, 2.0])))
+        assert_same_bytes(step.backward(dy), relu.backward(ref.backward(dy)))
+
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_network_forward_same_bytes_in_training(self, dtype):
         net = mc.Network.from_netspec(mc.parse_netspec(DEFAULT_SPEC_TEXT), seed=36).cast(dtype)
@@ -638,6 +680,7 @@ class TestKernelsMatchReference:
         net, history = train()
         with reference_kernels():
             ref_net, ref_history = train()
+        assert not runs_layers_one_by_one(net) and runs_layers_one_by_one(ref_net)
         assert history == ref_history
         for (_, _, p, g), (_, _, rp, rg) in zip(net.parameters(), ref_net.parameters()):
             assert_same_bytes(p, rp)
@@ -659,6 +702,7 @@ class TestKernelsMatchReference:
         net, loss = step()
         with reference_kernels():
             ref_net, ref_loss = step()
+        assert not runs_layers_one_by_one(net) and runs_layers_one_by_one(ref_net)
         assert loss == ref_loss
         for (_, _, p, g), (_, _, rp, rg) in zip(net.parameters(), ref_net.parameters()):
             assert_same_bytes(g, rg)
@@ -666,13 +710,15 @@ class TestKernelsMatchReference:
 
 
 # (layer specs, fc inputs, conv input gradients a step forms) of small nets
-# whose first layer is a strided padded conv, a pool, a relu or an
-# inception, on (3, 2, 8, 8) input: a step forms only the input gradients
-# that some parameter gradient reads (the inception's 3x3 branch's)
+# whose first layer is a strided padded conv, a pool, a relu (alone or fused
+# with the pool after it) or an inception, on (3, 2, 8, 8) input: a step
+# forms only the input gradients that some parameter gradient reads (the
+# inception's 3x3 branch's)
 FIRST_LAYER_CASES = [
     ([mc.ConvSpec(3, 3, 2, 3, 2, 1), mc.ReluSpec()], 3 * 4 * 4, 0),
     ([mc.PoolSpec(2, 2), mc.ConvSpec(3, 3, 2, 3, 1, 1)], 3 * 4 * 4, 0),
     ([mc.ReluSpec(), mc.ConvSpec(3, 3, 2, 3, 1, 1)], 3 * 8 * 8, 0),
+    ([mc.ReluSpec(), mc.PoolSpec(2, 2), mc.ConvSpec(3, 3, 2, 3, 1, 1)], 3 * 4 * 4, 0),
     ([mc.InceptionSpec(2, 2, 3, 2), mc.ReluSpec()], 7 * 8 * 8, 1),
 ]
 
@@ -706,7 +752,9 @@ class TestTrainingStep:
         for (_, _, _, g), (_, _, _, want) in zip(stepped.parameters(), full.parameters()):
             assert_same_bytes(g, want)
         with reference_kernels():
-            ref_dx = backward(build())
+            ref_net = build()
+            ref_dx = backward(ref_net)
+        assert runs_layers_one_by_one(ref_net)
         assert_same_bytes(dx, ref_dx)
 
     def test_shipped_step_forms_no_patch_gradient(self, monkeypatch):

@@ -13,6 +13,7 @@ from peduncle import minicnn as mc
 from peduncle import pipeline as pl
 from peduncle import scenegen as sg
 from peduncle import workflows as wf
+from peduncle.errors import NoPeduncleFound
 
 
 @pytest.fixture(scope="module")
@@ -238,6 +239,19 @@ class TestEvaluateDetector:
                 assert raw.points == from_list[name][0].points and raw.mode == "raw"
                 assert filtered.points == from_list[name][1].points and filtered.mode == "filtered"
                 assert notes == from_list[name][2] == ["scene 1: no pepper detected"]
+            raw, filtered, notes = wf.evaluate_detectors(chosen, {name: det}, nb, thresholds, filtered=False)[name]
+            assert raw.points == from_list[name][0].points and filtered is None
+            assert notes == from_list[name][2]
+
+    def test_no_scene_scored_is_a_miss(self, scenes, nb, svm):
+        """Without a scored point there is no curve: the miss is raised with
+        the scenes' reason, in either mode."""
+        green = recolored_green(scenes[4])
+        assert wf.score_scene(green, pl.PfhSvmDetector(svm), nb).miss == "NoPepperFound"
+        for filtered in (True, False):
+            with pytest.raises(NoPeduncleFound, match="all 2 scenes missed") as exc:
+                wf.evaluate_detectors([green, green], {"pfh-svm": pl.PfhSvmDetector(svm)}, nb, filtered=filtered)
+            assert exc.value.reason == "NoPepperFound"
 
 
 class TestMissedScenes:
