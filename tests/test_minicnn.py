@@ -710,16 +710,16 @@ class TestKernelsMatchReference:
 
 
 # (layer specs, fc inputs, conv input gradients a step forms) of small nets
-# whose first layer is a strided padded conv, a pool, a relu (alone or fused
-# with the pool after it) or an inception, on (3, 2, 8, 8) input: a step
-# forms only the input gradients that some parameter gradient reads (the
+# whose first layer is a strided padded conv, a pool, a relu, an inception or
+# a relu fused with the pool after it, on (3, 2, 8, 8) input: a step forms
+# only the input gradients that some parameter gradient reads (the
 # inception's 3x3 branch's)
 FIRST_LAYER_CASES = [
     ([mc.ConvSpec(3, 3, 2, 3, 2, 1), mc.ReluSpec()], 3 * 4 * 4, 0),
     ([mc.PoolSpec(2, 2), mc.ConvSpec(3, 3, 2, 3, 1, 1)], 3 * 4 * 4, 0),
     ([mc.ReluSpec(), mc.ConvSpec(3, 3, 2, 3, 1, 1)], 3 * 8 * 8, 0),
-    ([mc.ReluSpec(), mc.PoolSpec(2, 2), mc.ConvSpec(3, 3, 2, 3, 1, 1)], 3 * 4 * 4, 0),
     ([mc.InceptionSpec(2, 2, 3, 2), mc.ReluSpec()], 7 * 8 * 8, 1),
+    ([mc.ReluSpec(), mc.PoolSpec(2, 2), mc.ConvSpec(3, 3, 2, 3, 1, 1)], 3 * 4 * 4, 0),
 ]
 
 
