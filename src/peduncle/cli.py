@@ -28,7 +28,7 @@ from . import pipeline as pl
 from . import scenegen as sg
 from . import workflows as wf
 from ._textio import open_text, read_rows, write_rows
-from .errors import FormatError, NoPeduncleFound, PeduncleError
+from .errors import FormatError, InvalidInput, NoPeduncleFound, PeduncleError
 
 
 def _log(msg: str) -> None:
@@ -327,6 +327,8 @@ def cmd_pr_curve(args) -> int:
 
 
 def cmd_throughput(args) -> int:
+    if args.repeats < 1:     # before the scoring pass that counts the points
+        raise InvalidInput(f"repeats must be positive, got {args.repeats}")
     cfg = cfgmod.merged_config(args.config)
     scenes, _ = _load_scenes(args.scenes, args.split)
     nb = cls.load_nb(os.path.join(args.models, "nb.model"))

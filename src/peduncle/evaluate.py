@@ -3,8 +3,9 @@ pipeline, plus wall-clock throughput measurement.
 
 Counts are pooled (micro-averaged) over scenes: a raw curve counts the
 concatenated scores of every scene, from one sort per class, and the
-filtered sweep sums per-scene counts, which is the same thing. Filtered-mode
-curves are reported exactly as measured; they are not forced monotone.
+filtered sweep sums per-scene counts, which is the same thing. The sweep
+clusters through the deployed filter's own steps 3-5 (threshold_clusters).
+Filtered-mode curves are reported exactly as measured, not forced monotone.
 """
 
 from __future__ import annotations
@@ -118,48 +119,28 @@ def eval_filtered(
     """Sweep the score threshold through the full filtering stage.
 
     Predictions at each threshold are membership of the cluster that
-    pipeline.filter_detections returns; scenes where no peduncle (or no
+    filter_detections returns there, from one pipeline.threshold_clusters
+    call per scene for the whole grid; scenes where no peduncle (or no
     pepper) is found contribute zero predictions, so their positives all
     count as misses. Per-scene failures are recorded, never raised; a
     non-finite score in a scene that reaches the filter raises InvalidInput.
-
-    Steps 3 and 4 of the filter and the <=tol graph over their survivors do
-    not depend on the threshold, so each scene builds them once; a threshold
-    then keeps the nodes scoring at least t and the edges between two kept
-    nodes. The kept sets are nested, so an unchanged count means an
-    unchanged set and the previous cluster is reused.
     """
     if thresholds is None:
         thresholds = default_thresholds()
     thresholds = np.asarray(thresholds, dtype=np.float64)
     counts = np.zeros((len(thresholds), 4), dtype=np.int64)   # tp, fp, fn, tn
     for scene in scenes:
-        pos = scene.eval_labels == POSITIVE
-        neg = scene.eval_labels == NEGATIVE
+        pos, neg = scene.eval_labels == POSITIVE, scene.eval_labels == NEGATIVE
         n_pos, n_neg = int(pos.sum()), int(neg.sum())
         if scene.pepper_points is None or len(scene.scored) == 0:
             counts += (0, 0, n_pos, n_neg)
             continue
-        pl.require_finite_scores(scene.scored.scores)
-        not_pepper, in_box = pl.color_box_masks(scene.scored, scene.pepper_points, nb, fp, box_params, up)
-        nodes = np.flatnonzero(not_pepper & in_box)
-        pairs = pc.radius_pairs(scene.scored.cloud.points[nodes], fp.cluster_tol)
-        node_scores = scene.scored.scores[nodes]
-        n_kept, row = -1, None
-        for k, t in enumerate(thresholds):
-            kept = node_scores >= t
-            count = int(kept.sum())
-            if count != n_kept:
-                n_kept = count
-                best = pc.largest_cluster(
-                    n_kept, pc.induced_pairs(pairs, kept), fp.min_cluster, fp.max_cluster
-                )
-                tp = fp_count = 0
-                if best is not None:
-                    cluster = nodes[kept][best]
-                    tp, fp_count = int(pos[cluster].sum()), int(neg[cluster].sum())
-                row = (tp, fp_count, n_pos - tp, n_neg - fp_count)
-            counts[k] += row
+        _, clusters, which = pl.threshold_clusters(
+            scene.scored, scene.pepper_points, nb, thresholds, fp, box_params, up
+        )
+        hits = [(0, 0) if c is None else (pos[c].sum(), neg[c].sum()) for c in clusters]
+        hits = np.array(hits, dtype=np.int64).reshape(-1, 2)[which]      # (tp, fp) per threshold
+        counts += np.column_stack([hits, (n_pos, n_neg) - hits])
     points = [PrPoint(float(t), *(int(v) for v in c)) for t, c in zip(thresholds, counts)]
     return PrCurve(points, "filtered"), miss_notes(scenes)
 
@@ -172,8 +153,10 @@ def throughput(work_fn, units: int, repeats: int = 5) -> dict:
     """
     if units < 1:
         raise InvalidInput("workload must be positive")
+    if repeats < 1:
+        raise InvalidInput(f"repeats must be positive, got {repeats}")
     rates = []
-    for _ in range(max(repeats, 1)):
+    for _ in range(repeats):
         start = time.perf_counter()
         work_fn()
         elapsed = time.perf_counter() - start

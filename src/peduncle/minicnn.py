@@ -438,10 +438,10 @@ class MaxPool:
     def backward(self, dy):
         arg, x_shape, oh, ow = self._cache
         k, stride = self.spec.k, self.spec.stride
-        dyn = dy.transpose(0, 2, 3, 1)
+        dy_bits = np.asarray(dy, dtype=np.float64).transpose(0, 2, 3, 1).view(np.uint64)
 
-        def routed(s, i, j):    # each window's gradient goes to its argmax
-            return np.where(arg[s] == i * k + j, dyn[s], 0.0)
+        def routed(s, i, j):    # each window's gradient goes to its argmax, as _ReluMaxPool routes it
+            return (dy_bits[s] * (arg[s] == i * k + j)).view(np.float64)
 
         return _sum_windows(routed, x_shape, k, k, stride, self.pad, oh, ow)
 

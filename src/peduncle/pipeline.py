@@ -277,29 +277,54 @@ def require_finite_scores(scores: np.ndarray) -> None:
         raise InvalidInput("non-finite detector score")
 
 
-def color_box_masks(
+def threshold_clusters(
     scored: ScoredCloud,
     pepper_points: np.ndarray,
     nb: cls.NaiveBayesHsv,
+    thresholds,
     fp: FilterParams = FilterParams(),
     box_params: PeduncleBoxParams = PeduncleBoxParams(),
     up: tuple[int, int] = UP_DEFAULT,
-    posterior: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The two filtering steps that do not depend on the score threshold.
+) -> tuple[tuple[np.ndarray, np.ndarray], list, list[int]]:
+    """Filtering steps 3-5 at every threshold in `thresholds`.
 
-    Returns (not pepper-colored, inside the 3D peduncle box), the masks of
-    steps 3 and 4 over every scored point.
+    Returns (masks, clusters, which). The masks, steps 3 and 4, do not
+    depend on the threshold: not pepper-colored and inside the 3D peduncle
+    box. The cluster at threshold t is the largest Euclidean cluster within
+    the size limits of the points passing both and scoring at least t
+    (ascending indices into the scored cloud), or None; `clusters` lists
+    the distinct ones in threshold order and which[k] is threshold k's.
+
+    The <=cluster_tol graph is built once, over the points passing both
+    masks and scoring at least the lowest threshold; t keeps the nodes
+    scoring at least t and the edges between them. Kept sets are nested,
+    so an unchanged kept count means an unchanged cluster. InvalidInput on
+    a non-finite score.
     """
+    require_finite_scores(scored.scores)
     if len(scored) == 0:
         raise InvalidInput("empty scored cloud")
     pepper_points = np.asarray(pepper_points, dtype=np.float64)
     if len(pepper_points) == 0:
         raise InvalidInput("empty pepper point set")
-    if posterior is None:
-        posterior = cls.nb_posterior(nb, ft.rgb_to_hsv_array(scored.cloud.colors))
+    posterior = cls.nb_posterior(nb, ft.rgb_to_hsv_array(scored.cloud.colors))
+    not_pepper = posterior < fp.pepper_posterior_threshold
     box = peduncle_bbox3(pc.compute_bbox(pc.PointCloud(pepper_points)), box_params, up)
-    return posterior < fp.pepper_posterior_threshold, box.contains(scored.cloud.points)
+    in_box = box.contains(scored.cloud.points)
+    thresholds = np.asarray(thresholds, dtype=np.float64)
+    nodes = np.flatnonzero(not_pepper & in_box & (scored.scores >= thresholds.min(initial=np.inf)))
+    pairs = pc.radius_pairs(scored.cloud.points[nodes], fp.cluster_tol)
+    node_scores = scored.scores[nodes]
+    clusters, which, n_kept = [], [], -1
+    for t in thresholds:
+        kept = node_scores >= t
+        count = int(kept.sum())
+        if count != n_kept:
+            n_kept = count
+            best = pc.largest_cluster(n_kept, pc.induced_pairs(pairs, kept), fp.min_cluster, fp.max_cluster)
+            clusters.append(None if best is None else nodes[kept][best])
+        which.append(len(clusters) - 1)
+    return (not_pepper, in_box), clusters, which
 
 
 def filter_detections(
@@ -309,38 +334,26 @@ def filter_detections(
     fp: FilterParams = FilterParams(),
     box_params: PeduncleBoxParams = PeduncleBoxParams(),
     up: tuple[int, int] = UP_DEFAULT,
-    posterior: np.ndarray | None = None,
 ) -> FilterResult:
     """Apply the five filtering steps to a scored cloud.
 
     1. drop scores below the threshold, 2. points are already in 3D
     (projection precedes this call), 3. drop pepper-colored points by
     posterior, 4. drop points outside the 3D peduncle box, 5. Euclidean
-    clustering, keeping the largest cluster. Raises NoPeduncleFound when no
+    clustering, keeping the largest cluster (steps 3-5 are
+    threshold_clusters at the one threshold). Raises NoPeduncleFound when no
     cluster survives the size limits, InvalidInput on a non-finite score.
     """
-    require_finite_scores(scored.scores)
-    not_pepper, in_box = color_box_masks(scored, pepper_points, nb, fp, box_params, up, posterior)
-    keep = scored.scores >= fp.score_threshold
-    survivors = [(1, "score_threshold", int(keep.sum()))]
-    survivors.append((2, "project_to_3d", int(keep.sum())))
-    keep &= not_pepper
-    survivors.append((3, "hsv_pepper_removal", int(keep.sum())))
-    keep &= in_box
-    survivors.append((4, "bbox3", int(keep.sum())))
-
-    candidates = np.flatnonzero(keep)
-    best = pc.largest_cluster(
-        len(candidates),
-        pc.radius_pairs(scored.cloud.points[candidates], fp.cluster_tol),
-        fp.min_cluster,
-        fp.max_cluster,
+    (not_pepper, in_box), (cluster,), _ = threshold_clusters(
+        scored, pepper_points, nb, [fp.score_threshold], fp, box_params, up
     )
-    if best is None:
-        survivors.append((5, "largest_cluster", 0))
+    scoring = scored.scores >= fp.score_threshold
+    survivors = [(1, "score_threshold", int(scoring.sum())), (2, "project_to_3d", int(scoring.sum())),
+                 (3, "hsv_pepper_removal", int((scoring & not_pepper).sum())),
+                 (4, "bbox3", int((scoring & not_pepper & in_box).sum())),
+                 (5, "largest_cluster", 0 if cluster is None else int(cluster.size))]
+    if cluster is None:
         raise NoPeduncleFound("NoPeduncleFound", "no cluster survived the size limits", survivors)
-    cluster = candidates[best]
-    survivors.append((5, "largest_cluster", int(cluster.size)))
     return FilterResult(cluster, survivors)
 
 

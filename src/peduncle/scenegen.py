@@ -115,6 +115,7 @@ class LabeledScene:
     def cloud(self) -> pc.PointCloud:
         return self.frame.cloud
 
+    # pos_mask / neg_mask: only perfbench/checks.py reads them; the rest calls annotation_masks
     @property
     def pos_mask(self) -> np.ndarray:
         return annotation_masks(self.labels_img)[0]

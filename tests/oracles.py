@@ -2,9 +2,9 @@
 
 Everything here is deliberately naive (loops, direct formulas, generic
 solvers) and shares no code with the paths it validates, except
-eval_filtered_per_threshold, which reruns the library's own filter at every
-threshold to check the one-pass sweep built on top of it, the previous
-CNN kernels, which plug into the library's layers, the previous CNN
+eval_filtered_per_threshold, which takes the colour posterior, the peduncle
+box and the clustering (through ranked_clusters) from the library, the
+previous CNN kernels, which plug into the library's layers, the previous CNN
 scoring path, which reuses the library's score map, the per-patch
 score map, which runs the library's network on every patch, the previous
 max-pool training forward, which gathers windows with the library's window
@@ -176,43 +176,31 @@ def eval_filtered_per_threshold(
     scenes, nb, thresholds, fp=pl.FilterParams(), box_params=pl.PeduncleBoxParams(),
     up=pl.UP_DEFAULT,
 ):
-    """Filtered PR curve that reruns the whole five-step filter for every
-    threshold and scene. It shares the clustering with the one-pass sweep
-    (the clustering has its own oracles), so it checks the sweep's
-    bookkeeping: threshold-free masks, the induced subgraph per threshold
-    and the reuse of unchanged kept sets."""
-    points = []
-    for t in np.asarray(thresholds, dtype=np.float64):
-        tp = fp_count = fn = tn = 0
-        for scene in scenes:
-            lab = scene.eval_labels
-            n_pos = int(np.sum(lab == ev.POSITIVE))
-            n_neg = int(np.sum(lab == ev.NEGATIVE))
-            if scene.pepper_points is None or len(scene.scored) == 0:
-                fn += n_pos
-                tn += n_neg
-                continue
-            post = cls.nb_posterior(nb, ft.rgb_to_hsv_array(scene.scored.cloud.colors))
-            params = pl.FilterParams(
-                score_threshold=float(t),
-                pepper_posterior_threshold=fp.pepper_posterior_threshold,
-                cluster_tol=fp.cluster_tol,
-                min_cluster=fp.min_cluster,
-                max_cluster=fp.max_cluster,
-            )
+    """Filtered PR curve from the five-step filter written out afresh for
+    every scene and threshold: the colour posterior, the peduncle box and
+    the first of ranked_clusters over the points passing all three tests,
+    each threshold clustered from scratch. Only the clustering routines
+    (which have their own oracles) are shared with the library's
+    threshold_clusters, so it checks the threshold-free masks, the node set
+    at the lowest threshold, the induced subgraph per threshold and the
+    reuse of unchanged kept sets."""
+    counts = np.zeros((len(thresholds), 4), dtype=np.int64)   # tp, fp, fn, tn
+    for scene in scenes:
+        pos, neg = scene.eval_labels == ev.POSITIVE, scene.eval_labels == ev.NEGATIVE
+        if scene.pepper_points is None or len(scene.scored) == 0:
+            counts += (0, 0, int(pos.sum()), int(neg.sum()))
+            continue
+        points = scene.scored.cloud.points
+        post = cls.nb_posterior(nb, ft.rgb_to_hsv_array(scene.scored.cloud.colors))
+        box = pl.peduncle_bbox3(pc.compute_bbox(pc.PointCloud(scene.pepper_points)), box_params, up)
+        passes = (post < fp.pepper_posterior_threshold) & box.contains(points)
+        for k, t in enumerate(thresholds):
+            rows = np.flatnonzero(passes & (scene.scored.scores >= t))
+            clusters = ranked_clusters(points, rows, fp.cluster_tol, fp.min_cluster, fp.max_cluster)
             pred = np.zeros(len(scene.scored), dtype=bool)
-            try:
-                result = pl.filter_detections(
-                    scene.scored, scene.pepper_points, nb, params, box_params, up, post
-                )
-                pred[result.cluster] = True
-            except NoPeduncleFound:
-                pass
-            tp += int(np.sum(pred & (lab == ev.POSITIVE)))
-            fp_count += int(np.sum(pred & (lab == ev.NEGATIVE)))
-            fn += int(np.sum(~pred & (lab == ev.POSITIVE)))
-            tn += int(np.sum(~pred & (lab == ev.NEGATIVE)))
-        points.append(ev.PrPoint(float(t), tp, fp_count, fn, tn))
+            pred[clusters[0] if clusters else []] = True
+            counts[k] += (np.sum(pred & pos), np.sum(pred & neg), np.sum(~pred & pos), np.sum(~pred & neg))
+    points = [ev.PrPoint(float(t), *(int(v) for v in c)) for t, c in zip(thresholds, counts)]
     return ev.PrCurve(points, "filtered")
 
 

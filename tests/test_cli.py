@@ -159,14 +159,15 @@ class TestFiveRasterLayout:
         for entry, params in zip(sg.load_manifest(manifest), draws):
             loaded = sg.load_benchmark_scene(manifest, entry)
             fresh = sg.generate(params)
-            for field in ("rgb", "depth_raw", "labels_img", "pos_mask", "neg_mask"):
+            for field in ("rgb", "depth_raw", "labels_img"):
                 a, b = getattr(loaded, field), getattr(fresh, field)
                 assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), field
             for field in ("points", "colors", "labels"):
                 a, b = getattr(loaded.cloud, field), getattr(fresh.cloud, field)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
             pos, neg = self.stored_masks(loaded.labels_img)
-            assert np.array_equal(loaded.pos_mask, pos) and np.array_equal(loaded.neg_mask, neg)
+            masks = sg.annotation_masks(loaded.labels_img)
+            assert np.array_equal(masks[0], pos) and np.array_equal(masks[1], neg)
 
         out = tmp_path / "models"
         assert main(["train-cnn", "--config", workdir["cfg"], "--scenes", str(manifest),
@@ -687,3 +688,14 @@ class TestThroughputCommand:
         assert "median_rate" in text
         rate = float([l for l in text.splitlines() if l.startswith("median_rate")][0].split()[1])
         assert rate > 0
+
+    @pytest.mark.parametrize("repeats", ["0", "-2"])
+    def test_no_repeat_is_invalid_before_scoring(self, workdir, tmp_path, monkeypatch, repeats):
+        scored = []
+        monkeypatch.setattr(wf, "score_scene", lambda *a, **kw: scored.append(a))
+        out = tmp_path / "tp"
+        rc = main(["throughput", "--config", workdir["cfg"], "--scenes", workdir["manifest"],
+                   "--split", "eval", "--models", workdir["models"],
+                   "--detector", "pfh-svm", "--repeats", repeats, "--out", str(out)])
+        assert rc == 2
+        assert scored == [] and not out.exists()

@@ -176,6 +176,13 @@ class TestThroughput:
         with pytest.raises(InvalidInput, match="workload must be positive"):
             ev.throughput(lambda: None, units=0)
 
+    @pytest.mark.parametrize("repeats", [0, -1])
+    def test_no_repeat_rejected(self, repeats):
+        runs = []
+        with pytest.raises(InvalidInput, match="repeats must be positive"):
+            ev.throughput(lambda: runs.append(1), units=1, repeats=repeats)
+        assert runs == []
+
 
 class TestCsv:
     def test_csv_layout(self, tmp_path):

@@ -443,6 +443,76 @@ class TestDetectPepperPointOrder:
         assert moved_box.min.tobytes() == box.min.tobytes() and moved_box.max.tobytes() == box.max.tobytes()
 
 
+# two opposite corners of a pepper: its peduncle box spans x in [-0.03, 0.03],
+# y in [-0.05, 0.05] (up is camera -y, the top is y = 0) and z in [0.37, 0.43]
+PEPPER_CORNERS = np.array([[-0.03, 0.0, 0.37], [0.03, 0.06, 0.43]])
+
+
+@st.composite
+def scored_blob_scenes(draw):
+    """A scored cloud around PEPPER_CORNERS: blobs of distinct sizes (2 to
+    30 points, each within a 1.6 mm cube, so connected at the 3 mm cluster
+    tolerance, and 1 cm from the next), each with one score and one colour
+    and either inside the peduncle box or 7 cm deeper, plus single points
+    1 cm apart inside the box with scores and colours of their own. Every
+    cluster at every threshold is a whole blob or a single point, so sizes
+    of 2 or more never tie. Returns (scored cloud, eval labels, blobs as
+    (rows, score, red, in box) tuples)."""
+    sizes = draw(st.lists(st.integers(2, 30), min_size=1, max_size=5, unique=True))
+    levels = st.sampled_from([0.2, 0.4, 0.6, 0.8])
+    scores = [draw(levels) for _ in sizes]
+    red = [draw(st.booleans()) for _ in sizes]
+    inside = [draw(st.booleans()) for _ in sizes]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lattice = rng.choice(36, draw(st.integers(0, 20)), replace=False)
+    pts = [rng.uniform(-0.0008, 0.0008, (n, 3)) + [-0.02 + 0.01 * b, -0.02, 0.4 if i else 0.47]
+           for b, (n, i) in enumerate(zip(sizes, inside))]
+    pts.append(np.column_stack([-0.025 + 0.01 * (lattice % 6), np.full(len(lattice), 0.03),
+                                0.375 + 0.01 * (lattice // 6)]))
+    scatter_red = rng.random(len(lattice)) < 0.3
+    colors = [np.tile(PEPPER_RED if r else LEAF_GREEN, (n, 1)) for n, r in zip(sizes, red)]
+    colors.append(np.where(scatter_red[:, None], PEPPER_RED, LEAF_GREEN))
+    starts = np.cumsum([0, *sizes])
+    blobs = [(np.arange(a, b), sc, r, i) for a, b, sc, r, i in zip(starts, starts[1:], scores, red, inside)]
+    scores = np.concatenate([np.repeat(scores, sizes), rng.random(len(lattice))])
+    cloud = pc.PointCloud(np.vstack(pts), np.vstack(colors).astype(np.uint8))
+    labels = rng.integers(-1, 2, len(cloud))
+    return pl.ScoredCloud(cloud, scores), labels, blobs
+
+
+class TestFilterPointOrder:
+    """Permuting the scored rows permutes the cluster and leaves the
+    survivor counts and the swept PR counts unchanged."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(scene=scored_blob_scenes(), min_cluster=st.integers(2, 6),
+           threshold=st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9]), data=st.data())
+    def test_permuted_rows_give_permuted_cluster(self, scene, min_cluster, threshold, data):
+        scored, labels, blobs = scene
+        perm = np.array(data.draw(st.permutations(range(len(scored)))), dtype=np.intp)
+        moved = pl.ScoredCloud(scored.cloud.subset(perm), scored.scores[perm])
+        nb, fp = red_green_nb(), pl.FilterParams(score_threshold=threshold, min_cluster=min_cluster)
+        fits = [rows for rows, score, red, inside in blobs
+                if score >= threshold and not red and inside and len(rows) >= min_cluster]
+        if not fits:
+            misses = []
+            for cloud in (scored, moved):
+                with pytest.raises(NoPeduncleFound) as miss:
+                    pl.filter_detections(cloud, PEPPER_CORNERS, nb, fp)
+                misses.append(miss.value.survivors)
+            assert misses[0] == misses[1] and misses[0][4][2] == 0
+        else:
+            want = pl.filter_detections(scored, PEPPER_CORNERS, nb, fp)
+            got = pl.filter_detections(moved, PEPPER_CORNERS, nb, fp)
+            assert want.cluster.tolist() == max(fits, key=len).tolist()
+            assert got.cluster.tolist() == np.sort(np.argsort(perm)[want.cluster]).tolist()
+            assert got.survivors == want.survivors
+        thresholds = [0.7, 0.1, 0.5, 0.9, 0.3, 0.0]
+        sweep = [ev.eval_filtered([ev.SceneEval(s, PEPPER_CORNERS, lab)], nb, thresholds, fp)[0].points
+                 for s, lab in ((scored, labels), (moved, labels[perm]))]
+        assert sweep[0] == sweep[1]
+
+
 class TestDetectPepperOnC6:
     def test_pinned_to_dense_cluster_oracle(self):
         """On C6 evaluation draws 40-45, with the pepper model fitted on the

@@ -105,24 +105,25 @@ class TestMasks:
         scene = sg.generate(small_params(13))
         ped = scene.cloud.labels == pc.LABEL_PEDUNCLE
         px = scene.frame.pixels[ped]
-        assert scene.pos_mask[px[:, 0], px[:, 1]].all()
+        assert sg.annotation_masks(scene.labels_img)[0][px[:, 0], px[:, 1]].all()
 
     def test_background_points_never_positive(self):
         scene = sg.generate(small_params(15))
         bg = scene.cloud.labels == pc.LABEL_BACKGROUND
         px = scene.frame.pixels[bg]
-        assert not scene.pos_mask[px[:, 0], px[:, 1]].any()
+        assert not sg.annotation_masks(scene.labels_img)[0][px[:, 0], px[:, 1]].any()
 
     def test_masks_disjoint_with_unannotated_ring(self):
         scene = sg.generate(small_params(17))
-        assert not (scene.pos_mask & scene.neg_mask).any()
-        ring = ~scene.pos_mask & ~scene.neg_mask
+        pos, neg = sg.annotation_masks(scene.labels_img)
+        assert not (pos & neg).any()
+        ring = ~pos & ~neg
         assert ring.sum() > 0  # the annotation gap exists
         # negative is exactly the pixels more than two 4-connected steps
         # from a peduncle pixel
-        steps = ndimage.distance_transform_cdt(~scene.pos_mask, metric="taxicab")
-        np.testing.assert_array_equal(scene.pos_mask, scene.labels_img == pc.LABEL_PEDUNCLE)
-        np.testing.assert_array_equal(scene.neg_mask, steps > 2)
+        steps = ndimage.distance_transform_cdt(~pos, metric="taxicab")
+        np.testing.assert_array_equal(pos, scene.labels_img == pc.LABEL_PEDUNCLE)
+        np.testing.assert_array_equal(neg, steps > 2)
 
     def test_green_on_green_hue_overlap(self):
         scene = sg.generate(small_params(19, leaf_count=4))
@@ -143,7 +144,7 @@ class TestSceneFiles:
         scene = sg.generate(small_params(21))
         sg.save_scene(tmp_path, "s0", scene)
         loaded = sg.load_scene(tmp_path, "s0", scene.frame.intr)
-        for field in ("rgb", "depth_raw", "labels_img", "pos_mask", "neg_mask"):
+        for field in ("rgb", "depth_raw", "labels_img"):
             a, b = getattr(loaded, field), getattr(scene, field)
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), field
         for field in ("points", "colors", "labels"):

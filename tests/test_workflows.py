@@ -88,7 +88,7 @@ class TestPatchSampling:
         # reconstruct: a positive patch's center pixel color must appear at a
         # positive-mask pixel with the same color
         imgf = scene.rgb.astype(np.float64) / 255.0
-        pos_centers = {tuple(np.round(imgf[v, u], 8)) for v, u in zip(*np.nonzero(scene.pos_mask))}
+        pos_centers = {tuple(np.round(imgf[v, u], 8)) for v, u in zip(*np.nonzero(sg.annotation_masks(scene.labels_img)[0]))}
         for patch, lab in zip(patches, labels):
             if lab == 1:
                 center = tuple(np.round(patch[:, 32, 32], 8))
@@ -289,11 +289,13 @@ class TestFilteredSweep:
             det = pl.CnnDetector(mc.Network.from_netspec(mc.parse_netspec(TINY_SPEC), seed=9))
         evals = [wf.score_scene(s, det, nb) for s in (scenes[3], scenes[4], scenes[5])]
         evals.append(wf.score_scene(recolored_green(scenes[5]), det, nb))
-        thresholds = ev.default_thresholds(101)
-        for fp in (pl.FilterParams(), pl.FilterParams(min_cluster=40, max_cluster=400)):
-            got, notes = ev.eval_filtered(evals, nb, thresholds, fp)
-            want = eval_filtered_per_threshold(evals, nb, thresholds, fp)
-            assert got.points == want.points
-            assert notes == ["scene 3: no pepper detected"]
+        # an unsorted grid not starting at 0, whose node set is the points
+        # scoring at least its lowest threshold, and the full grid
+        for thresholds in ([0.7, 0.3, 0.5], ev.default_thresholds(101)):
+            for fp in (pl.FilterParams(), pl.FilterParams(min_cluster=40, max_cluster=400)):
+                got, notes = ev.eval_filtered(evals, nb, thresholds, fp)
+                want = eval_filtered_per_threshold(evals, nb, thresholds, fp)
+                assert got.points == want.points
+                assert notes == ["scene 3: no pepper detected"]
         # the sweep reaches clusters at some thresholds and none at others
         assert len({p.tp for p in got.points}) > 1
