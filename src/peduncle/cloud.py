@@ -1,8 +1,10 @@
 """Point-cloud container, spatial queries, normal estimation and clustering.
 
 Clouds are immutable numpy snapshots: build an index once, then query it
-from any number of workers. radius_pairs and largest_cluster are exact:
-identical to a brute-force scan, ties broken by ascending point index.
+from any number of workers. radius_pairs and largest_clusters are exact:
+identical to a brute-force scan, ties broken by ascending point index;
+largest_clusters takes any number of kept sets over one edge list in one
+connected_components call.
 knn_batch orders its rows by exact squared distance, ties by index, but
 when several points tie at the k-th distance, which of them make a row is
 left to the kd-tree (deterministic for a given cloud, not by index). Rows
@@ -39,6 +41,11 @@ LABEL_NAMES = {
 # the same squared-distance arithmetic the brute-force oracle uses, so
 # boundary points can never be missed to kd-tree internal rounding.
 _SLACK = 1e-9
+
+# Row x edge entries one largest_clusters graph call covers: a long threshold
+# grid over a dense box is split into several calls rather than holding a
+# copy of a large edge list for every row at once.
+_BLOCK_EDGES = 1 << 18
 
 
 @dataclass
@@ -288,39 +295,62 @@ def radius_pairs(points: np.ndarray, tol: float) -> np.ndarray:
     return pairs[np.einsum("ij,ij->i", d, d) <= tol * tol].astype(np.intp, copy=False)
 
 
-def largest_cluster(n: int, pairs: np.ndarray, min_size: int, max_size: int) -> np.ndarray | None:
-    """Ascending nodes of the largest connected component with a size in
-    [min_size, max_size] of the graph of nodes 0..n-1 and edges `pairs`,
-    ties to the component with the smallest member node; None when no size
-    fits.
+def largest_clusters(
+    pairs: np.ndarray, kept: np.ndarray, min_size: int, max_size: int
+) -> list[np.ndarray | None]:
+    """For each row of the (K, n) bool matrix `kept`: the ascending nodes of
+    the largest connected component with a size in [min_size, max_size] of
+    the graph of the row's kept nodes and the edges `pairs` between two of
+    them, ties to the component with the smallest member node; None when no
+    size fits. Nodes the row does not keep are never members.
 
     Over points[rows] with pairs = radius_pairs(points[rows], tol) and
-    ascending rows, rows[result] is the largest Euclidean cluster of those
-    points, ties to the one holding the smallest point index.
+    ascending rows, rows[result[k]] is the largest Euclidean cluster of the
+    points row k keeps, ties to the one holding the smallest point index.
+
+    The rows are one block-diagonal graph, copy k of the n nodes holding the
+    edges with both ends kept in row k, labelled by one connected_components
+    call; rows split over several calls where rows x edges would exceed
+    _BLOCK_EDGES. A block that keeps every node takes `pairs` without a
+    gather.
     """
     if min_size < 1:
         raise InvalidInput("min_size must be >= 1")
     if min_size > max_size:
         raise InvalidInput("min_size must not exceed max_size")
-    graph = coo_matrix(
-        (np.ones(pairs.shape[0]), (pairs[:, 0], pairs[:, 1])), shape=(n, n)
-    )
-    _, labels = connected_components(graph, directed=False)
-    _, first = np.unique(labels, return_index=True)    # smallest member node per label
-    sizes = np.bincount(labels)
-    order = np.lexsort((first, -sizes))
-    fits = order[(sizes[order] >= min_size) & (sizes[order] <= max_size)]
-    if fits.size == 0:
-        return None
-    return np.flatnonzero(labels == fits[0])
-
-
-def induced_pairs(pairs: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Edges of the subgraph on the nodes where `keep` is true, renumbered to
-    those nodes' ranks (the order of np.flatnonzero(keep))."""
-    rank = np.cumsum(keep) - 1
-    both = keep[pairs[:, 0]] & keep[pairs[:, 1]]
-    return rank[pairs[both]]
+    kept = np.asarray(kept, dtype=bool)
+    if kept.ndim != 2:
+        raise InvalidInput(f"kept must be (K, n), got shape {kept.shape}")
+    n = kept.shape[1]
+    clusters = []
+    step = max(1, _BLOCK_EDGES // max(len(pairs), 1))
+    for start in range(0, len(kept), step):
+        block = kept[start : start + step]
+        k = len(block)
+        flat = np.flatnonzero(block)              # kept (row, node) pairs, ascending
+        if flat.size == 0:
+            clusters += [None] * k
+            continue
+        if flat.size == block.size:
+            ends = (pairs.T[:, None, :] + n * np.arange(k)[:, None]).reshape(2, -1)
+        else:
+            copy, edge = np.nonzero(block[:, pairs[:, 0]] & block[:, pairs[:, 1]])
+            ends = pairs[edge].T + n * copy
+        graph = coo_matrix((np.ones(ends.shape[1]), (ends[0], ends[1])), shape=(k * n, k * n))
+        labels = connected_components(graph, directed=False)[1][flat]
+        row, node = np.divmod(flat, n)
+        comps, first, sizes = np.unique(labels, return_index=True, return_counts=True)
+        comp_row, comp_node = row[first], node[first]    # node: the smallest member
+        fits = np.flatnonzero((sizes >= min_size) & (sizes <= max_size))
+        order = fits[np.lexsort((comp_node[fits], -sizes[fits], comp_row[fits]))]
+        lead = order[np.unique(comp_row[order], return_index=True)[1]]   # each row's best
+        best = np.full(k, -1)
+        best[comp_row[lead]] = comps[lead]
+        members = labels == best[row]
+        counts = np.bincount(row[members], minlength=k)
+        parts = np.split(node[members], np.cumsum(counts)[:-1])
+        clusters += [part if count else None for part, count in zip(parts, counts)]
+    return clusters
 
 
 def save_cloud(path, cloud: PointCloud) -> None:

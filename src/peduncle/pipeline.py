@@ -258,9 +258,9 @@ def detect_pepper(
         raise NoPeduncleFound("NoPepperFound", "no point above the pepper posterior threshold")
     best = None
     if candidates.size >= params.min_points:
-        best = pc.largest_cluster(
-            len(candidates),
+        (best,) = pc.largest_clusters(
             pc.radius_pairs(cloud.points[candidates], params.cluster_tol),
+            np.ones((1, candidates.size), dtype=bool),
             params.min_points,
             len(cloud),
         )
@@ -298,8 +298,10 @@ def threshold_clusters(
     The <=cluster_tol graph is built once, over the points passing both
     masks and scoring at least the lowest threshold; t keeps the nodes
     scoring at least t and the edges between them. Kept sets are nested,
-    so an unchanged kept count means an unchanged cluster. InvalidInput on
-    a non-finite score.
+    so an unchanged kept count means an unchanged cluster: each change of
+    the count, in threshold order, adds one kept set, and one
+    cloud.largest_clusters call clusters them all. InvalidInput on a
+    non-finite score.
     """
     require_finite_scores(scored.scores)
     if len(scored) == 0:
@@ -314,16 +316,11 @@ def threshold_clusters(
     thresholds = np.asarray(thresholds, dtype=np.float64)
     nodes = np.flatnonzero(not_pepper & in_box & (scored.scores >= thresholds.min(initial=np.inf)))
     pairs = pc.radius_pairs(scored.cloud.points[nodes], fp.cluster_tol)
-    node_scores = scored.scores[nodes]
-    clusters, which, n_kept = [], [], -1
-    for t in thresholds:
-        kept = node_scores >= t
-        count = int(kept.sum())
-        if count != n_kept:
-            n_kept = count
-            best = pc.largest_cluster(n_kept, pc.induced_pairs(pairs, kept), fp.min_cluster, fp.max_cluster)
-            clusters.append(None if best is None else nodes[kept][best])
-        which.append(len(clusters) - 1)
+    keep = scored.scores[nodes] >= thresholds[:, None]
+    changed = np.diff(keep.sum(axis=1), prepend=-1) != 0
+    found = pc.largest_clusters(pairs, keep[changed], fp.min_cluster, fp.max_cluster)
+    clusters = [None if best is None else nodes[best] for best in found]
+    which = (np.cumsum(changed) - 1).tolist()
     return (not_pepper, in_box), clusters, which
 
 

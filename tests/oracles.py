@@ -2,25 +2,24 @@
 
 Everything here is deliberately naive (loops, direct formulas, generic
 solvers) and shares no code with the paths it validates, except
-eval_filtered_per_threshold, which takes the colour posterior, the peduncle
-box and the clustering (through ranked_clusters) from the library, the
-previous CNN kernels, which plug into the library's layers, the previous CNN
-scoring path, which reuses the library's score map, the per-patch
-score map, which runs the library's network on every patch, the previous
-max-pool training forward, which gathers windows with the library's window
-helpers, the previous pfh-svm scoring path, which reuses the library's pair
-angles, binning and descriptor assembly (its normals, neighbor tables and
-colors come from the previous row forms below), the previous row forms of
-the per-point kernels, where knn_batch_rows and estimate_normals_rows query
-the library's kd-tree and nb_posterior_rows its hsv_nb_features, the
-previous SVM training sample, which draws rows of the library's
-point_features, the per-row file readers and writers, which build the
-library's own objects, knn, which takes its candidates from the library's
-kd-tree, spfh, which bins with the library's pair angles, and
-kkt_violations, which scores with the library's svm_score_batch.
-ranked_clusters is not an oracle: it lists every cluster the library's
-largest_cluster would pick in turn, for comparison with the oracles.
-Nor is same_bytes, the byte-equality check the pinned tests share.
+eval_filtered_per_threshold, which takes the colour posterior and the
+peduncle box from the library, the previous CNN kernels, which plug into
+the library's layers, the previous CNN scoring path, which reuses the
+library's score map, the per-patch score map, which runs the library's
+network on every patch, the previous max-pool training forward, which
+gathers windows with the library's window helpers, the previous pfh-svm
+scoring path, which reuses the library's pair angles, binning and
+descriptor assembly (its normals, neighbor tables and colors come from the
+previous row forms below), the previous row forms of the per-point kernels,
+where knn_batch_rows and estimate_normals_rows query the library's kd-tree
+and nb_posterior_rows its hsv_nb_features, the previous SVM training
+sample, which draws rows of the library's point_features, the per-row file
+readers and writers, which build the library's own objects, knn, which
+takes its candidates from the library's kd-tree, spfh, which bins with the
+library's pair angles, and kkt_violations, which scores with the library's
+svm_score_batch. ranked_clusters is not an oracle: it lists every cluster
+the library's largest_clusters would pick in turn, for comparison with the
+oracles. Nor is same_bytes, the byte-equality check the pinned tests share.
 """
 
 import contextlib
@@ -104,23 +103,22 @@ def brute_radius_pairs(points, r):
 
 
 def ranked_clusters(points, subset, tol, min_size, max_size):
-    """Every cluster the library ranks, in rank order: largest_cluster over
-    radius_pairs of the ascending subset, then again without the clusters
-    already taken. Removing whole components leaves the others unchanged,
-    so this lists the components with a size in [min_size, max_size],
-    largest first, ties by smallest member, as union_find_clusters and
-    csgraph_clusters list them."""
+    """Every cluster the library ranks, in rank order: largest_clusters over
+    radius_pairs of the ascending subset, then again with the clusters
+    already taken out of the kept mask. Removing whole components leaves
+    the others unchanged, so this lists the components with a size in
+    [min_size, max_size], largest first, ties by smallest member, as
+    union_find_clusters and csgraph_clusters list them."""
     rows = np.sort(np.asarray(subset, dtype=np.intp))
     pairs = pc.radius_pairs(points[rows], tol) if len(rows) else np.zeros((0, 2), dtype=np.intp)
+    keep = np.ones((1, len(rows)), dtype=bool)
     clusters = []
-    while len(rows):
-        best = pc.largest_cluster(len(rows), pairs, min_size, max_size)
+    while keep.any():
+        (best,) = pc.largest_clusters(pairs, keep, min_size, max_size)
         if best is None:
             break
         clusters.append(rows[best].tolist())
-        keep = np.ones(len(rows), dtype=bool)
-        keep[best] = False
-        rows, pairs = rows[keep], pc.induced_pairs(pairs, keep)
+        keep[0, best] = False
     return clusters
 
 
@@ -178,12 +176,12 @@ def eval_filtered_per_threshold(
 ):
     """Filtered PR curve from the five-step filter written out afresh for
     every scene and threshold: the colour posterior, the peduncle box and
-    the first of ranked_clusters over the points passing all three tests,
-    each threshold clustered from scratch. Only the clustering routines
-    (which have their own oracles) are shared with the library's
-    threshold_clusters, so it checks the threshold-free masks, the node set
-    at the lowest threshold, the induced subgraph per threshold and the
-    reuse of unchanged kept sets."""
+    the first of csgraph_clusters (dense distances) over the points passing
+    all three tests, each threshold clustered from scratch. No clustering
+    code is shared with the library's threshold_clusters, so it checks the
+    threshold-free masks, the node set at the lowest threshold, the
+    subgraph each threshold keeps, the one-call clustering of all kept sets
+    and the reuse of unchanged ones."""
     counts = np.zeros((len(thresholds), 4), dtype=np.int64)   # tp, fp, fn, tn
     for scene in scenes:
         pos, neg = scene.eval_labels == ev.POSITIVE, scene.eval_labels == ev.NEGATIVE
@@ -196,7 +194,7 @@ def eval_filtered_per_threshold(
         passes = (post < fp.pepper_posterior_threshold) & box.contains(points)
         for k, t in enumerate(thresholds):
             rows = np.flatnonzero(passes & (scene.scored.scores >= t))
-            clusters = ranked_clusters(points, rows, fp.cluster_tol, fp.min_cluster, fp.max_cluster)
+            clusters = csgraph_clusters(points, rows, fp.cluster_tol, fp.min_cluster, fp.max_cluster)
             pred = np.zeros(len(scene.scored), dtype=bool)
             pred[clusters[0] if clusters else []] = True
             counts[k] += (np.sum(pred & pos), np.sum(pred & neg), np.sum(~pred & pos), np.sum(~pred & neg))

@@ -17,6 +17,7 @@ from oracles import (
     same_bytes,
     union_find_clusters,
 )
+from scipy.sparse.csgraph import connected_components
 
 from peduncle import cloud as pc
 from peduncle import pipeline as pl
@@ -252,11 +253,12 @@ class TestClustering:
         pts = np.vstack([a, b])
         assert [len(c) for c in ranked_clusters(pts, np.arange(20), 0.01, 1, 100)] == [10, 10]
         # equal sizes: the group holding the smallest index wins
-        assert pc.largest_cluster(20, pc.radius_pairs(pts, 0.01), 1, 100).tolist() == list(range(10))
+        (best,) = pc.largest_clusters(pc.radius_pairs(pts, 0.01), np.ones((1, 20), dtype=bool), 1, 100)
+        assert best.tolist() == list(range(10))
 
     def test_chain_links_transitively(self):
         pts = np.column_stack([np.arange(6) * 0.9 * 0.003, np.zeros(6), np.zeros(6)])
-        best = pc.largest_cluster(6, pc.radius_pairs(pts, 0.003), 1, 100)
+        (best,) = pc.largest_clusters(pc.radius_pairs(pts, 0.003), np.ones((1, 6), dtype=bool), 1, 100)
         assert best.tolist() == list(range(6))
 
     def test_matches_union_find_oracle(self):
@@ -318,9 +320,10 @@ def test_clusters_equal_union_find_oracle(case):
     pts, subset, tol, min_size, max_size = case
     want = union_find_clusters(pts, subset, tol, min_size, max_size)
     assert ranked_clusters(pts, subset, tol, min_size, max_size) == want
-    # the one call the detector makes: ascending rows, the first cluster
+    # the one call the detector makes: ascending rows, every one kept
     rows = np.sort(subset)
-    best = pc.largest_cluster(len(rows), pc.radius_pairs(pts[rows], tol), min_size, max_size)
+    keep = np.ones((1, len(rows)), dtype=bool)
+    (best,) = pc.largest_clusters(pc.radius_pairs(pts[rows], tol), keep, min_size, max_size)
     assert (None if best is None else rows[best].tolist()) == (want[0] if want else None)
 
 
@@ -331,27 +334,107 @@ class TestGraphHelpers:
         pairs = pc.radius_pairs(pts, 0.004)
         for lo, hi in ((1, 150), (5, 20), (3, 3), (200, 300)):
             clusters = csgraph_clusters(pts, np.arange(150), 0.004, lo, hi)
-            best = pc.largest_cluster(150, pairs, lo, hi)
+            (best,) = pc.largest_clusters(pairs, np.ones((1, 150), dtype=bool), lo, hi)
             if clusters:
-                assert best.tolist() == clusters[0]
+                assert best.dtype == np.intp and best.tolist() == clusters[0]
             else:
                 assert best is None
 
     def test_induced_pairs_equal_pairs_of_the_kept_points(self):
+        """A row keeps the edges between two of its kept points: its
+        clusters are those of the kept points alone, not renumbered."""
         rng = np.random.default_rng(22)
         pts = rng.uniform(0, 0.02, (120, 3))
-        keep = rng.uniform(size=120) < 0.6
-        got = pc.induced_pairs(pc.radius_pairs(pts, 0.004), keep)
-        want = pc.radius_pairs(pts[keep], 0.004)
-        assert sorted(map(tuple, got.tolist())) == sorted(map(tuple, want.tolist()))
+        keep = rng.uniform(size=(3, 120)) < [[0.6], [0.3], [0.9]]
+        for lo, hi in ((1, 120), (4, 30)):
+            got = pc.largest_clusters(pc.radius_pairs(pts, 0.004), keep, lo, hi)
+            for row, best in zip(keep, got):
+                want = csgraph_clusters(pts, np.flatnonzero(row), 0.004, lo, hi)
+                assert (None if best is None else best.tolist()) == (want[0] if want else None)
 
     def test_size_window_validated(self):
+        none = np.zeros((0, 2), dtype=np.intp)
         with pytest.raises(InvalidInput):
-            pc.largest_cluster(3, np.zeros((0, 2), dtype=np.intp), 0, 3)
+            pc.largest_clusters(none, np.ones((1, 3), dtype=bool), 0, 3)
         with pytest.raises(InvalidInput):
-            pc.largest_cluster(3, np.zeros((0, 2), dtype=np.intp), 4, 3)
+            pc.largest_clusters(none, np.ones((1, 3), dtype=bool), 4, 3)
+        with pytest.raises(InvalidInput):
+            pc.largest_clusters(none, np.ones(3, dtype=bool), 1, 3)
         with pytest.raises(InvalidInput):
             pc.radius_pairs(np.zeros((2, 3)), 0.0)
+
+
+class TestLargestClusters:
+    """One components pass over many kept sets."""
+
+    def test_empty_inputs(self):
+        none = np.zeros((0, 2), dtype=np.intp)
+        assert pc.largest_clusters(none, np.zeros((0, 4), dtype=bool), 1, 4) == []
+        assert pc.largest_clusters(none, np.zeros((3, 0), dtype=bool), 1, 4) == [None] * 3
+        pairs = np.array([[0, 1], [1, 2]])
+        assert pc.largest_clusters(pairs, np.zeros((2, 3), dtype=bool), 1, 4) == [None, None]
+
+    def test_only_kept_nodes_are_members(self):
+        # nodes 0-1-2 chained, 3 and 4 isolated; a row keeping 2 and 4 has
+        # two singletons (2 wins the tie), and never the unkept 0 or 1
+        pairs = np.array([[0, 1], [1, 2]])
+        kept = np.array([[0, 0, 1, 0, 1], [1, 1, 1, 1, 1], [1, 0, 1, 1, 0], [0, 0, 0, 0, 0]], dtype=bool)
+        got = pc.largest_clusters(pairs, kept, 1, 5)
+        assert [None if c is None else c.tolist() for c in got] == [[2], [0, 1, 2], [0], None]
+        got = pc.largest_clusters(pairs, kept, 2, 5)
+        assert [None if c is None else c.tolist() for c in got] == [None, [0, 1, 2], None, None]
+
+    def test_tied_sizes_go_to_the_smallest_member(self):
+        # components {0, 3} and {1, 2}: equal sizes, the one holding 0 wins;
+        # without node 0 the row's largest is {1, 2}
+        pairs = np.array([[1, 2], [0, 3]])
+        kept = np.array([[1, 1, 1, 1], [0, 1, 1, 1]], dtype=bool)
+        got = pc.largest_clusters(pairs, kept, 1, 4)
+        assert [c.tolist() for c in got] == [[0, 3], [1, 2]]
+
+    def test_several_calls_equal_one(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        pts = rng.uniform(0, 0.03, (150, 3))
+        pairs = pc.radius_pairs(pts, 0.004)
+        kept = rng.uniform(size=(12, 150)) < rng.uniform(size=(12, 1))
+        kept[3], kept[7] = True, False
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return connected_components(*args, **kwargs)
+
+        monkeypatch.setattr(pc, "connected_components", counted)
+        want = pc.largest_clusters(pairs, kept, 2, 60)
+        assert len(calls) == 1
+        for cap, n_calls in ((1, 11), (len(pairs), 11), (5 * len(pairs), 3)):
+            monkeypatch.setattr(pc, "_BLOCK_EDGES", cap)
+            calls.clear()
+            got = pc.largest_clusters(pairs, kept, 2, 60)
+            assert len(calls) == n_calls
+            assert [None if c is None else c.tolist() for c in got] == \
+                   [None if c is None else c.tolist() for c in want]
+
+
+@st.composite
+def kept_rows(draw):
+    """A lattice cloud and K rows of kept masks, in no nesting order."""
+    pts, _, tol, min_size, max_size = draw(lattice_clouds())
+    k = draw(st.integers(0, 5))
+    kept = np.array(draw(st.lists(st.lists(st.booleans(), min_size=len(pts), max_size=len(pts)),
+                                  min_size=k, max_size=k)), dtype=bool).reshape(k, len(pts))
+    return pts, kept, tol, min_size, max_size
+
+
+@settings(max_examples=200)
+@given(kept_rows())
+def test_largest_clusters_equal_union_find_per_row(case):
+    pts, kept, tol, min_size, max_size = case
+    got = pc.largest_clusters(pc.radius_pairs(pts, tol), kept, min_size, max_size)
+    assert len(got) == len(kept)
+    for row, best in zip(kept, got):
+        want = union_find_clusters(pts, np.flatnonzero(row), tol, min_size, max_size)
+        assert (None if best is None else best.tolist()) == (want[0] if want else None)
 
 
 class TestCloudFile:

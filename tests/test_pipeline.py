@@ -513,6 +513,78 @@ class TestFilterPointOrder:
         assert sweep[0] == sweep[1]
 
 
+# a pepper on the 2**-12 m lattice, in lattice steps: its peduncle box (up is
+# camera -y, half-extent max(240, 200) / 2, h_offset 208 steps) spans x in
+# [-120, 120], y in [-208, 208] and z in [1520, 1760]
+LATTICE = 2.0**-12
+LATTICE_PEPPER = np.array([[-120, 0, 1540], [120, 240, 1740]])
+LATTICE_FACES = ((-120, 120), (-208, 208), (1520, 1760))
+
+
+@st.composite
+def lattice_scored_scenes(draw):
+    """A scored cloud in whole lattice steps around LATTICE_PEPPER: blobs
+    of 1 to 30 points within 6 steps of a centre, each with one score and
+    one colour. A centre coordinate is a box face, one step either side of
+    it, or anywhere from 12 steps outside the box to 12 inside, so points
+    sit on, just inside and just outside every face. Returns (integer
+    points, colours, scores, eval labels)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.lists(st.integers(1, 30), min_size=1, max_size=8))
+    centres = []
+    for _ in sizes:
+        centre = []
+        for lo, hi in LATTICE_FACES:
+            face = draw(st.sampled_from([lo, hi]))
+            centre.append(draw(st.one_of(st.sampled_from([face - 1, face, face + 1]),
+                                         st.integers(lo - 12, hi + 12))))
+        centres.append(centre)
+    pts = np.vstack([c + rng.integers(-6, 7, (n, 3)) for c, n in zip(centres, sizes)])
+    red = rng.random(len(sizes)) < 0.25
+    colors = np.repeat(np.where(red[:, None], PEPPER_RED, LEAF_GREEN), sizes, axis=0).astype(np.uint8)
+    scores = np.repeat(rng.choice([0.2, 0.4, 0.6, 0.8], len(sizes)), sizes)
+    return pts, colors, scores, rng.integers(-1, 2, len(pts))
+
+
+def quarter_turns(pts, turns):
+    """Integer points turned by `turns` quarter turns about the y (up) axis."""
+    x, y, z = pts.T
+    for _ in range(turns):
+        x, z = z, -x
+    return np.column_stack([x, y, z])
+
+
+class TestFilterRigidMotion:
+    """Quarter turns about the up axis and lattice translations of the
+    scored points and the pepper points together leave the filter's
+    cluster and survivors, and the swept PR counts, unchanged. On the
+    2**-12 lattice, with a dyadic tolerance and box offset, every box bound
+    and squared distance is exact, so the results must be identical."""
+
+    @settings(max_examples=150)
+    @given(scene=lattice_scored_scenes(), turns=st.integers(1, 3),
+           shift=st.tuples(*[st.integers(-4096, 4096)] * 3), min_cluster=st.integers(1, 6),
+           threshold=st.sampled_from([0.1, 0.3, 0.5, 0.7]))
+    def test_moved_scene_gives_the_same_cluster(self, scene, turns, shift, min_cluster, threshold):
+        pts, colors, scores, labels = scene
+        nb = red_green_nb()
+        fp = pl.FilterParams(score_threshold=threshold, cluster_tol=12 * LATTICE, min_cluster=min_cluster)
+        box_params = pl.PeduncleBoxParams(h_offset=208 * LATTICE)
+        results, sweeps = [], []
+        for move in (lambda p: p, lambda p: quarter_turns(p, turns) + shift):
+            scored = pl.ScoredCloud(pc.PointCloud(move(pts) * LATTICE, colors), scores)
+            pepper = move(LATTICE_PEPPER) * LATTICE
+            try:
+                result = pl.filter_detections(scored, pepper, nb, fp, box_params)
+                results.append((result.cluster.tolist(), result.survivors))
+            except NoPeduncleFound as miss:
+                results.append((None, miss.survivors))
+            scene_eval = ev.SceneEval(scored, pepper, labels)
+            sweeps.append(ev.eval_filtered([scene_eval], nb, [0.0, 0.3, 0.5, 0.7, 0.9], fp, box_params)[0].points)
+        assert results[0] == results[1]
+        assert sweeps[0] == sweeps[1]
+
+
 class TestDetectPepperOnC6:
     def test_pinned_to_dense_cluster_oracle(self):
         """On C6 evaluation draws 40-45, with the pepper model fitted on the
@@ -613,6 +685,29 @@ class TestFilterDetections:
         assert miss.value.reason == "NoPeduncleFound"
         assert [name for _, name, _ in miss.value.survivors][-1] == "largest_cluster"
         assert miss.value.survivors[0][2] == 0 and miss.value.survivors[4][2] == 0
+
+    @pytest.mark.parametrize("case", ["empty grid", "nothing in box", "thresholds above scores"])
+    def test_nothing_to_cluster(self, case):
+        """No threshold, no point passing the colour and box masks, or no
+        point scoring at the lowest threshold: no cluster, every positive a
+        false negative, and the filter at each threshold reports 0 survivors
+        at step 5."""
+        scored, pepper_pts = self.build_scene()
+        nb = red_green_nb()
+        thresholds = {"empty grid": [], "thresholds above scores": [1.0, 0.96, 0.99]}.get(case, [0.0, 0.5, 0.9])
+        if case == "nothing in box":
+            pepper_pts = pepper_pts + [0.0, 0.0, 1.0]
+        _, clusters, which = pl.threshold_clusters(scored, pepper_pts, nb, thresholds)
+        assert all(c is None for c in clusters) and len(which) == len(thresholds)
+        labels = np.zeros(len(scored), dtype=np.int64)
+        labels[:30] = ev.POSITIVE
+        curve, notes = ev.eval_filtered([ev.SceneEval(scored, pepper_pts, labels)], nb, thresholds)
+        assert [(p.threshold, p.tp, p.fp, p.fn, p.tn) for p in curve.points] == \
+               [(t, 0, 0, 30, len(scored) - 30) for t in thresholds] and notes == []
+        for t in thresholds:
+            with pytest.raises(NoPeduncleFound) as miss:
+                pl.filter_detections(scored, pepper_pts, nb, pl.FilterParams(score_threshold=t))
+            assert miss.value.survivors[4] == (5, "largest_cluster", 0)
 
     def test_survivors_nonincreasing(self):
         scored, pepper_pts = self.build_scene()
