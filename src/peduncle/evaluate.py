@@ -138,8 +138,12 @@ def eval_filtered(
         _, clusters, which = pl.threshold_clusters(
             scene.scored, scene.pepper_points, nb, thresholds, fp, box_params, up
         )
-        hits = [(0, 0) if c is None else (pos[c].sum(), neg[c].sum()) for c in clusters]
-        hits = np.array(hits, dtype=np.int64).reshape(-1, 2)[which]      # (tp, fp) per threshold
+        # one bincount per class over every distinct cluster's members
+        members = np.concatenate([np.empty(0, np.intp)] + [c for c in clusters if c is not None])
+        owner = np.repeat(np.arange(len(clusters)), [0 if c is None else len(c) for c in clusters])
+        hits = np.column_stack(
+            [np.bincount(owner[m[members]], minlength=len(clusters)) for m in (pos, neg)]
+        )[which]                                                         # (tp, fp) per threshold
         counts += np.column_stack([hits, (n_pos, n_neg) - hits])
     points = [PrPoint(float(t), *(int(v) for v in c)) for t, c in zip(thresholds, counts)]
     return PrCurve(points, "filtered"), miss_notes(scenes)

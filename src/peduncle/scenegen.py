@@ -7,7 +7,11 @@ and the distractors draw from overlapping hue distributions, so color
 alone cannot separate them; geometry and context have to do the work.
 
 Everything is a pure function of SceneParams: the seed fully determines
-every output byte.
+every output byte. Each pixel shows its nearest splat, the earliest drawn
+among splats at equal depth, or the wall where no splat lands. Colours are
+drawn as hsv and converted to rgb only for the splats that win a pixel and
+the wall pixels no splat covers; the conversion is elementwise, so this
+changes no byte.
 """
 
 from __future__ import annotations
@@ -140,30 +144,27 @@ def _hsv_to_rgb_array(h, s, v) -> np.ndarray:
     m = v - c
     sector = (h // 60.0).astype(np.intp) % 6
     zeros = np.zeros_like(c)
-    lut = np.stack(
+    rgb1 = np.stack(
         [
-            np.stack([c, x, zeros], axis=1),
-            np.stack([x, c, zeros], axis=1),
-            np.stack([zeros, c, x], axis=1),
-            np.stack([zeros, x, c], axis=1),
-            np.stack([x, zeros, c], axis=1),
-            np.stack([c, zeros, x], axis=1),
+            np.choose(sector, (c, x, zeros, zeros, x, c)),
+            np.choose(sector, (x, c, c, x, zeros, zeros)),
+            np.choose(sector, (zeros, zeros, x, c, c, x)),
         ],
-        axis=0,
+        axis=1,
     )
-    rgb1 = lut[sector, np.arange(len(h))]
     return np.round((rgb1 + m[:, None]) * 255.0).astype(np.uint8)
 
 
 def _colors(rng, n, h_mean, h_std, s_range, v_range, p: SceneParams, plant=False) -> np.ndarray:
-    """Jittered material colors; plant hues shift and all values scale per scene."""
+    """Jittered material colors, unconverted: a (3, n) array of rows h, s
+    and v. Plant hues shift and all values scale per scene."""
     if plant:
         h_mean = h_mean + p.green_hue_shift
     h = (rng.normal(h_mean, h_std, n)) % 360.0
     s = rng.uniform(*s_range, n)
     v = rng.uniform(*v_range, n)
     v = np.clip(v * p.light_scale, 0.02, 1.0)
-    return _hsv_to_rgb_array(h, s, v)
+    return np.stack([h, s, v])
 
 
 def _splat_count(area_m2: float, z: float, fx: float, oversample: float = 5.0) -> int:
@@ -244,7 +245,7 @@ def _pepper_samples(rng, p: SceneParams):
         rel_y = (pts[:, 1] - p.pepper_center[1]) / p.pepper_axes[1]
         green = rel_y < rng.normal(-0.3, 0.15, n)
         cols = _colors(rng, n, 5.0, 6.0, (0.7, 0.95), (0.45, 0.8), p)
-        cols[green] = _colors(rng, int(green.sum()), 115.0, 8.0, (0.55, 0.8), (0.3, 0.6), p, plant=True)
+        cols[:, green] = _colors(rng, int(green.sum()), 115.0, 8.0, (0.55, 0.8), (0.3, 0.6), p, plant=True)
     return pts, cols, pc.LABEL_PEPPER
 
 
@@ -309,8 +310,26 @@ def _leaf_samples(rng, p: SceneParams, high: bool):
     return pts, cols, pc.LABEL_BACKGROUND
 
 
+def _nearest_splats(flat, z, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The z-buffer rule: (pixels, winners). `pixels` are the distinct values
+    of `flat` (pixel indices below `size`) in ascending order; winners[i] is
+    the index of the splat that pixel i shows, the one with the least z and,
+    among those equally near, the first in `flat`'s order."""
+    zmin = np.full(size, np.inf)
+    np.minimum.at(zmin, flat, z)
+    near = np.flatnonzero(z == zmin[flat])
+    pixels, first = np.unique(flat[near], return_index=True)
+    return pixels, near[first]
+
+
 def generate(params: SceneParams) -> LabeledScene:
-    """Render one scene: z-buffered splatting, then rasters and cloud."""
+    """Render one scene: z-buffered splatting, then rasters and cloud.
+
+    The z-buffer keeps, for each pixel, the nearest splat in front of the
+    wall, and among splats at equal depth the earliest drawn. Only those
+    winners and the wall pixels no splat covers have their hsv colours
+    converted to rgb.
+    """
     params.validate()
     rng = np.random.default_rng(params.seed)
     h, w = params.image_h, params.image_w
@@ -323,40 +342,37 @@ def generate(params: SceneParams) -> LabeledScene:
         batches.append(_leaf_samples(rng, params, high=(i == 0)))
 
     pts = np.vstack([b[0] for b in batches])
-    cols = np.vstack([b[1] for b in batches])
+    hsv = np.hstack([b[1] for b in batches])
     labs = np.concatenate([np.full(len(b[0]), b[2], dtype=np.uint8) for b in batches])
-
-    # z-buffer: wall first, then nearest splat per pixel
-    zbuf = np.full((h, w), wall_z)
-    rgb = np.empty((h, w, 3), dtype=np.uint8)
-    wall_cols = _colors(rng, h * w, 95.0, 18.0, (0.1, 0.3), (0.12, 0.3), params, plant=True)
-    rgb[:] = wall_cols.reshape(h, w, 3)
-    labels_img = np.full((h, w), pc.LABEL_BACKGROUND, dtype=np.uint8)
+    wall_hsv = _colors(rng, h * w, 95.0, 18.0, (0.1, 0.3), (0.12, 0.3), params, plant=True)
 
     z = pts[:, 2]
     keep = z > _NEAR_PLANE
     u = np.round(pts[:, 0] * params.fx / z + params.cx).astype(np.int64)
     v = np.round(pts[:, 1] * params.fy / z + params.cy).astype(np.int64)
     keep &= (u >= 0) & (u < w) & (v >= 0) & (v < h) & (z < wall_z)
-    u, v, z = u[keep], v[keep], z[keep]
-    cols, labs = cols[keep], labs[keep]
-    flat = v * w + u
-    order = np.lexsort((z, flat))
-    flat, z = flat[order], z[order]
-    cols, labs = cols[order], labs[order]
-    first = np.concatenate([[True], flat[1:] != flat[:-1]])
-    flat, z = flat[first], z[first]
-    cols, labs = cols[first], labs[first]
-    vv, uu = flat // w, flat % w
-    zbuf[vv, uu] = z
-    rgb[vv, uu] = cols
-    labels_img[vv, uu] = labs
+    kept = np.flatnonzero(keep)
+    pix, win = _nearest_splats(v[kept] * w + u[kept], z[kept], h * w)
+    win = kept[win]
 
+    zbuf = np.full(h * w, wall_z)
+    zbuf[pix] = z[win]
+    rgb = np.empty((h * w, 3), dtype=np.uint8)
+    rgb[pix] = _hsv_to_rgb_array(*hsv[:, win])
+    wall = np.ones(h * w, dtype=bool)
+    wall[pix] = False
+    rgb[wall] = _hsv_to_rgb_array(*wall_hsv[:, wall])
+    labels_img = np.full(h * w, pc.LABEL_BACKGROUND, dtype=np.uint8)
+    labels_img[pix] = labs[win]
+
+    zbuf = zbuf.reshape(h, w)
     if params.noise_sigma > 0:
         zbuf = zbuf + rng.normal(0.0, params.noise_sigma, zbuf.shape)
     depth_raw = np.clip(np.round(zbuf / params.depth_scale), 1, 65535).astype(np.uint16)
 
-    return LabeledScene.from_rasters(rgb, depth_raw, params.intrinsics(), labels_img, params)
+    return LabeledScene.from_rasters(
+        rgb.reshape(h, w, 3), depth_raw, params.intrinsics(), labels_img.reshape(h, w), params
+    )
 
 
 # ---------------------------------------------------------------------------

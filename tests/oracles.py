@@ -16,10 +16,11 @@ and nb_posterior_rows its hsv_nb_features, the previous SVM training
 sample, which draws rows of the library's point_features, the per-row file
 readers and writers, which build the library's own objects, knn, which
 takes its candidates from the library's kd-tree, spfh, which bins with the
-library's pair angles, and kkt_violations, which scores with the library's
-svm_score_batch. ranked_clusters is not an oracle: it lists every cluster
-the library's largest_clusters would pick in turn, for comparison with the
-oracles. Nor is same_bytes, the byte-equality check the pinned tests share.
+library's pair angles, kkt_violations, which scores with the library's
+svm_score_batch, and generate_reference, which draws a scene with the
+library's samplers and colour draws. ranked_clusters is not an oracle: it
+lists every cluster the library's largest_clusters would pick in turn, for
+comparison with the oracles. Nor is same_bytes, the byte-equality check the pinned tests share.
 """
 
 import contextlib
@@ -37,6 +38,7 @@ from peduncle import evaluate as ev
 from peduncle import features as ft
 from peduncle import minicnn as mc
 from peduncle import pipeline as pl
+from peduncle import scenegen as sg
 from peduncle.errors import FormatError, InvalidInput, NoPeduncleFound
 
 # knn widens its kd-tree lookup by this relative slack and then filters
@@ -855,6 +857,85 @@ def param_count(spec) -> int:
         elif isinstance(s, mc.FcSpec):
             total += s.n_in * s.n_out + s.n_out
     return total
+
+
+# ---------------------------------------------------------------------------
+# scene rendering as it was before the z-buffer kept only its winners:
+# every colour converted, and one lexsort over all splats
+# ---------------------------------------------------------------------------
+
+
+def hsv_to_rgb_six_tables(h, s, v) -> np.ndarray:
+    """Hexcone HSV -> uint8 RGB through six stacked (n, 3) tables, one per
+    60-degree sector, indexed by each row's sector."""
+    h = np.asarray(h, dtype=np.float64) % 360.0
+    s = np.asarray(s, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    c = v * s
+    x = c * (1.0 - np.abs((h / 60.0) % 2.0 - 1.0))
+    m = v - c
+    sector = (h // 60.0).astype(np.intp) % 6
+    zeros = np.zeros_like(c)
+    lut = np.stack(
+        [
+            np.stack([c, x, zeros], axis=1),
+            np.stack([x, c, zeros], axis=1),
+            np.stack([zeros, c, x], axis=1),
+            np.stack([zeros, x, c], axis=1),
+            np.stack([x, zeros, c], axis=1),
+            np.stack([c, zeros, x], axis=1),
+        ],
+        axis=0,
+    )
+    rgb1 = lut[sector, np.arange(len(h))]
+    return np.round((rgb1 + m[:, None]) * 255.0).astype(np.uint8)
+
+
+def nearest_splats_lexsort(flat, z) -> tuple[np.ndarray, np.ndarray]:
+    """(pixels, winners) of a z-buffer: sort all splats by pixel, then
+    depth, stably, and keep the first of each pixel."""
+    order = np.lexsort((z, flat))
+    sorted_flat = flat[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = sorted_flat[1:] != sorted_flat[:-1]
+    return sorted_flat[first], order[first]
+
+
+def generate_reference(params) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rgb, depth_raw, labels_img) of a scene, drawn with the library's
+    samplers in the library's order, every colour converted with
+    hsv_to_rgb_six_tables and the pixels kept by nearest_splats_lexsort."""
+    params.validate()
+    rng = np.random.default_rng(params.seed)
+    h, w = params.image_h, params.image_w
+    wall_z = params.pepper_center[2] + params.wall_offset
+    batches = [sg._pepper_samples(rng, params), sg._peduncle_samples(rng, params)]
+    if params.stem:
+        batches.append(sg._stem_samples(rng, params))
+    for i in range(params.leaf_count):
+        batches.append(sg._leaf_samples(rng, params, high=(i == 0)))
+    pts = np.vstack([b[0] for b in batches])
+    cols = np.vstack([hsv_to_rgb_six_tables(*b[1]) for b in batches])
+    labs = np.concatenate([np.full(len(b[0]), b[2], dtype=np.uint8) for b in batches])
+
+    zbuf = np.full((h, w), wall_z)
+    wall = sg._colors(rng, h * w, 95.0, 18.0, (0.1, 0.3), (0.12, 0.3), params, plant=True)
+    rgb = hsv_to_rgb_six_tables(*wall).reshape(h, w, 3)
+    labels_img = np.full((h, w), pc.LABEL_BACKGROUND, dtype=np.uint8)
+    z = pts[:, 2]
+    keep = z > sg._NEAR_PLANE
+    u = np.round(pts[:, 0] * params.fx / z + params.cx).astype(np.int64)
+    v = np.round(pts[:, 1] * params.fy / z + params.cy).astype(np.int64)
+    keep &= (u >= 0) & (u < w) & (v >= 0) & (v < h) & (z < wall_z)
+    flat, win = nearest_splats_lexsort((v * w + u)[keep], z[keep])
+    vv, uu = flat // w, flat % w
+    zbuf[vv, uu] = z[keep][win]
+    rgb[vv, uu] = cols[keep][win]
+    labels_img[vv, uu] = labs[keep][win]
+    if params.noise_sigma > 0:
+        zbuf = zbuf + rng.normal(0.0, params.noise_sigma, zbuf.shape)
+    depth_raw = np.clip(np.round(zbuf / params.depth_scale), 1, 65535).astype(np.uint16)
+    return rgb, depth_raw, labels_img
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from oracles import reproject_to_pixels
+from oracles import (
+    generate_reference,
+    hsv_to_rgb_six_tables,
+    nearest_splats_lexsort,
+    reproject_to_pixels,
+    same_bytes,
+)
 from scipy import ndimage
 
 from peduncle import cloud as pc
@@ -91,6 +97,11 @@ class TestGenerate:
         assert green.sum() > 20
         assert (window[green] == pc.LABEL_PEDUNCLE).all()
 
+    def test_wall_in_front_of_every_splat_leaves_the_wall(self):
+        scene = sg.generate(small_params(25, wall_offset=-0.2, noise_sigma=0.0))
+        assert (scene.labels_img == pc.LABEL_BACKGROUND).all()
+        assert (scene.depth_raw == round(0.13 / scene.frame.intr.depth_scale)).all()
+
     def test_peduncle_above_pepper_top(self):
         scene = sg.generate(small_params(11, peduncle_flatten=0.0, noise_sigma=0.0))
         labs = scene.cloud.labels
@@ -98,6 +109,46 @@ class TestGenerate:
         pepper_y = scene.cloud.points[labs == pc.LABEL_PEPPER, 1]
         # camera y grows downward: the peduncle median sits above (smaller y)
         assert np.median(ped_y) < np.median(pepper_y)
+
+
+# hues on and beside every sector edge, at and just below 360, negative, and
+# the tiny negatives whose remainder rounds up to 360
+_EDGE_HUES = [60.0 * k for k in range(-2, 8)] + [
+    np.nextafter(60.0 * k, -np.inf) for k in range(1, 7)
+] + [-0.0, -1e-300, -5e-324, -45.0, -359.5]
+_hues = st.one_of(st.sampled_from(_EDGE_HUES), st.floats(-720.0, 720.0))
+_sats = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+_vals = st.one_of(st.sampled_from([0.02, 1.0]), st.floats(0.02, 1.0))
+
+
+class TestRenderingAgainstReference:
+    """The z-buffer and the colour conversion against the lexsort and
+    six-table forms they replaced, and whole C6 scenes against both."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), size=st.integers(1, 6), n=st.integers(0, 60))
+    def test_nearest_splats_equal_lexsort_first(self, data, size, n):
+        # few pixels and few depths: many splats per pixel and exact ties in z
+        flat = data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, size - 1)))
+        depths = st.sampled_from([0.1, 0.2, 0.3]) | st.floats(0.06, 1.0)
+        z = data.draw(hnp.arrays(np.float64, n, elements=depths))
+        pix, win = sg._nearest_splats(flat, z, size)
+        ref_pix, ref_win = nearest_splats_lexsort(flat, z)
+        np.testing.assert_array_equal(pix, ref_pix)
+        np.testing.assert_array_equal(win, ref_win)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.tuples(_hues, _sats, _vals), min_size=1, max_size=40))
+    def test_hsv_to_rgb_equals_six_tables(self, rows):
+        h, s, v = (np.array(c, dtype=np.float64) for c in zip(*rows))
+        assert same_bytes(sg._hsv_to_rgb_array(h, s, v), hsv_to_rgb_six_tables(h, s, v))
+
+    @pytest.mark.parametrize("draw", [0, 40, 199])
+    def test_c6_draw_equals_reference(self, draw):
+        params = sg.benchmark_params(200, 20240, sg.benchmark_base())[draw]
+        scene = sg.generate(params)
+        for field, ref in zip(("rgb", "depth_raw", "labels_img"), generate_reference(params)):
+            assert same_bytes(getattr(scene, field), ref), field
 
 
 class TestMasks:
