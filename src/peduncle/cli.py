@@ -255,7 +255,7 @@ def cmd_score(args) -> int:
     for scene, entry in zip(scenes, entries):
         rec = wf.score_scene(scene, detector, nb, pepper_params)
         save_scores(os.path.join(args.out, f"{entry['id']}.scores"), rec.scored, rec.eval_labels)
-        _log(f"{entry['id']}: {len(rec.scored)} scored points")
+        _log(f"{entry['id']}: {rec.miss or f'{len(rec.scored)} scored points'}")
     return 0
 
 
@@ -276,17 +276,16 @@ def cmd_filter(args) -> int:
     for scene, entry in pairs:
         try:
             result = pl.run_detection(scene.frame, nb, detector, **params)
+            survivors, error = result.filter_result.survivors, ""
         except NoPeduncleFound as exc:
             missed += 1
-            with open(os.path.join(args.out, f"{entry['id']}_diag.csv"), "w", newline="\n") as fh:
-                if exc.survivors:
-                    fh.write(pl.format_diagnostics(exc.survivors))
-                fh.write(f"error,{exc.reason},{exc}\n")
+            result, survivors, error = None, exc.survivors, f"error,{exc.reason},{exc}\n"
             _log(f"{entry['id']}: {exc.reason}: {exc}")
+        with open(os.path.join(args.out, f"{entry['id']}_diag.csv"), "w", newline="\n") as fh:
+            fh.write(pl.format_diagnostics(survivors) + error)
+        if result is None:
             continue
         fr = result.filter_result
-        with open(os.path.join(args.out, f"{entry['id']}_diag.csv"), "w", newline="\n") as fh:
-            fh.write(pl.format_diagnostics(fr.survivors))
         cluster_cloud = result.scored.cloud.subset(fr.cluster)
         pc.save_cloud(os.path.join(args.out, f"{entry['id']}_peduncle.cloud"), cluster_cloud)
         pose = result.pose
@@ -335,11 +334,9 @@ def cmd_throughput(args) -> int:
     detector = _load_detector(args.detector, args.models, cfg)
     pepper_params = _detection_params(cfg)["pepper_params"]
     _echo_config(args.out, cfg)
-    units = 0
-    for scene in scenes:
-        units += len(wf.score_scene(scene, detector, nb, pepper_params).scored)
-    if units == 0:
-        raise FormatError("workload scored no points")
+    records = [wf.score_scene(scene, detector, nb, pepper_params) for scene in scenes]
+    wf.require_a_scored_scene(records)
+    units = sum(len(rec.scored) for rec in records if rec.miss is None)
 
     def work():
         for scene in scenes:

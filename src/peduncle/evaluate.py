@@ -95,17 +95,19 @@ def pr_curve(scores, labels, thresholds=None) -> PrCurve:
 
 @dataclass
 class SceneEval:
-    """Per-scene inputs the filtered sweep needs (scoring already done)."""
+    """Per-scene inputs the filtered sweep needs: scored cloud, pepper box, labels."""
 
     scored: pl.ScoredCloud
-    pepper_points: np.ndarray | None       # None when pepper detection failed
+    pepper_box: pc.BoundingBox3 | None     # None on an all-miss record
     eval_labels: np.ndarray                # aligned with scored rows
     miss: str | None = None                # NoPeduncleFound reason of an all-miss record
 
 
 def miss_notes(scenes: list[SceneEval]) -> list[str]:
-    """A note for each scene in which no pepper was detected."""
-    return [f"scene {i}: no pepper detected" for i, s in enumerate(scenes) if s.pepper_points is None]
+    """A note for each scene missed before scoring, saying why."""
+    why = {"NoPepperFound": "no pepper detected"}
+    return [f"scene {i}: {why.get(s.miss, f'pepper found, then {s.miss}')}"
+            for i, s in enumerate(scenes) if s.miss is not None]
 
 
 def eval_filtered(
@@ -132,11 +134,11 @@ def eval_filtered(
     for scene in scenes:
         pos, neg = scene.eval_labels == POSITIVE, scene.eval_labels == NEGATIVE
         n_pos, n_neg = int(pos.sum()), int(neg.sum())
-        if scene.pepper_points is None or len(scene.scored) == 0:
+        if scene.pepper_box is None or len(scene.scored) == 0:
             counts += (0, 0, n_pos, n_neg)
             continue
         _, clusters, which = pl.threshold_clusters(
-            scene.scored, scene.pepper_points, nb, thresholds, fp, box_params, up
+            scene.scored, scene.pepper_box, nb, thresholds, fp, box_params, up
         )
         # one bincount per class over every distinct cluster's members
         members = np.concatenate([np.empty(0, np.intp)] + [c for c in clusters if c is not None])

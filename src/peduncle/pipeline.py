@@ -1,5 +1,5 @@
-"""Deployed detection flow: pepper localization, 2D region of interest,
-depth projection, five-step 3D filtering, and cutting-pose estimation.
+"""Deployed detection flow: one locate step (pepper, 3D box, region of
+interest), depth projection, five-step 3D filtering, cutting-pose estimation.
 
 A run is a pure function of (frame, models, parameters): identical inputs
 give bit-identical clusters, and independent frames may be processed
@@ -270,6 +270,15 @@ def detect_pepper(
     return pepper, pc.compute_bbox(cloud, pepper)
 
 
+def locate_pepper(
+    frame: Frame, nb: cls.NaiveBayesHsv, params: PepperDetectParams = PepperDetectParams()
+) -> tuple[np.ndarray, pc.BoundingBox3, Roi2]:
+    """(pepper rows of frame.cloud, their 3D box, the region of interest
+    above their pixel box). Raises NoPeduncleFound from either step."""
+    rows, box = detect_pepper(frame.cloud, nb, params)
+    return rows, box, compute_roi(pixel_bbox(frame.pixels[rows]), *frame.depth_raw.shape[::-1])
+
+
 def require_finite_scores(scores: np.ndarray) -> None:
     """Raise InvalidInput unless every score is finite (NaN fails every
     threshold comparison, so it would pass as a silent miss)."""
@@ -279,7 +288,7 @@ def require_finite_scores(scores: np.ndarray) -> None:
 
 def threshold_clusters(
     scored: ScoredCloud,
-    pepper_points: np.ndarray,
+    pepper_box: pc.BoundingBox3,
     nb: cls.NaiveBayesHsv,
     thresholds,
     fp: FilterParams = FilterParams(),
@@ -290,10 +299,11 @@ def threshold_clusters(
 
     Returns (masks, clusters, which). The masks, steps 3 and 4, do not
     depend on the threshold: not pepper-colored and inside the 3D peduncle
-    box. The cluster at threshold t is the largest Euclidean cluster within
-    the size limits of the points passing both and scoring at least t
-    (ascending indices into the scored cloud), or None; `clusters` lists
-    the distinct ones in threshold order and which[k] is threshold k's.
+    box above `pepper_box`. The cluster at threshold t is the largest
+    Euclidean cluster within the size limits of the points passing both
+    and scoring at least t (ascending indices into the scored cloud), or
+    None; `clusters` lists the distinct ones in threshold order and
+    which[k] is threshold k's.
 
     The <=cluster_tol graph is built once, over the points passing both
     masks and scoring at least the lowest threshold; t keeps the nodes
@@ -306,13 +316,9 @@ def threshold_clusters(
     require_finite_scores(scored.scores)
     if len(scored) == 0:
         raise InvalidInput("empty scored cloud")
-    pepper_points = np.asarray(pepper_points, dtype=np.float64)
-    if len(pepper_points) == 0:
-        raise InvalidInput("empty pepper point set")
     posterior = cls.nb_posterior(nb, ft.rgb_to_hsv_array(scored.cloud.colors))
     not_pepper = posterior < fp.pepper_posterior_threshold
-    box = peduncle_bbox3(pc.compute_bbox(pc.PointCloud(pepper_points)), box_params, up)
-    in_box = box.contains(scored.cloud.points)
+    in_box = peduncle_bbox3(pepper_box, box_params, up).contains(scored.cloud.points)
     thresholds = np.asarray(thresholds, dtype=np.float64)
     nodes = np.flatnonzero(not_pepper & in_box & (scored.scores >= thresholds.min(initial=np.inf)))
     pairs = pc.radius_pairs(scored.cloud.points[nodes], fp.cluster_tol)
@@ -326,7 +332,7 @@ def threshold_clusters(
 
 def filter_detections(
     scored: ScoredCloud,
-    pepper_points: np.ndarray,
+    pepper_box: pc.BoundingBox3,
     nb: cls.NaiveBayesHsv,
     fp: FilterParams = FilterParams(),
     box_params: PeduncleBoxParams = PeduncleBoxParams(),
@@ -336,13 +342,13 @@ def filter_detections(
 
     1. drop scores below the threshold, 2. points are already in 3D
     (projection precedes this call), 3. drop pepper-colored points by
-    posterior, 4. drop points outside the 3D peduncle box, 5. Euclidean
-    clustering, keeping the largest cluster (steps 3-5 are
-    threshold_clusters at the one threshold). Raises NoPeduncleFound when no
-    cluster survives the size limits, InvalidInput on a non-finite score.
+    posterior, 4. drop points outside the peduncle box above pepper_box,
+    5. Euclidean clustering, keeping the largest cluster (steps 3-5 are
+    threshold_clusters at the one threshold). Raises NoPeduncleFound when
+    no cluster survives the size limits, InvalidInput on a non-finite score.
     """
     (not_pepper, in_box), (cluster,), _ = threshold_clusters(
-        scored, pepper_points, nb, [fp.score_threshold], fp, box_params, up
+        scored, pepper_box, nb, [fp.score_threshold], fp, box_params, up
     )
     scoring = scored.scores >= fp.score_threshold
     survivors = [(1, "score_threshold", int(scoring.sum())), (2, "project_to_3d", int(scoring.sum())),
@@ -374,8 +380,8 @@ def cutting_pose(points: np.ndarray, up: tuple[int, int] = UP_DEFAULT) -> Cuttin
 
 
 def format_diagnostics(survivors) -> str:
-    """ASCII per-step report: `step,name,survivors` lines."""
-    return "\n".join(f"{step},{name},{count}" for step, name, count in survivors) + "\n"
+    """ASCII per-step report: one `step,name,survivors` line per step."""
+    return "".join(f"{step},{name},{count}\n" for step, name, count in survivors)
 
 
 # ---------------------------------------------------------------------------
@@ -478,12 +484,8 @@ def run_detection(
     up: tuple[int, int] = UP_DEFAULT,
 ) -> DetectionResult:
     """Full single-frame flow: pepper, ROI, scoring, filtering, pose."""
-    pepper_idx, pepper_box = detect_pepper(frame.cloud, nb, pepper_params)
-    h, w = frame.depth_raw.shape
-    roi = compute_roi(pixel_bbox(frame.pixels[pepper_idx]), w, h)
+    pepper_idx, pepper_box, roi = locate_pepper(frame, nb, pepper_params)
     scored = detector.score_frame(frame, roi)
-    result = filter_detections(
-        scored, frame.cloud.points[pepper_idx], nb, fp, box_params, up
-    )
+    result = filter_detections(scored, pepper_box, nb, fp, box_params, up)
     pose = cutting_pose(scored.cloud.points[result.cluster], up)
     return DetectionResult(pepper_idx, pepper_box, roi, scored, result, pose)

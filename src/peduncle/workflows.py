@@ -205,8 +205,7 @@ def score_scene_all(
     """score_scene for each detector in turn, locating the pepper once."""
     frame = scene.frame
     try:
-        pepper_idx, _ = pl.detect_pepper(frame.cloud, nb, pepper_params)
-        roi = pl.compute_roi(pl.pixel_bbox(frame.pixels[pepper_idx]), *frame.depth_raw.shape[::-1])
+        _, pepper_box, roi = pl.locate_pepper(frame, nb, pepper_params)
     except NoPeduncleFound as exc:
         return [_all_miss(frame, exc.reason) for _ in detectors]
     records = []
@@ -217,7 +216,7 @@ def score_scene_all(
             records.append(_all_miss(frame, exc.reason))
             continue
         labels = ev.labels_to_eval(scored.cloud.labels)
-        records.append(ev.SceneEval(scored, frame.cloud.points[pepper_idx], labels))
+        records.append(ev.SceneEval(scored, pepper_box, labels))
     return records
 
 
@@ -228,6 +227,14 @@ def _all_miss(frame, reason: str) -> ev.SceneEval:
         np.full(n_pos, ev.MISS_SCORE),
     )
     return ev.SceneEval(empty, None, np.full(n_pos, ev.POSITIVE, dtype=np.int64), reason)
+
+
+def require_a_scored_scene(records) -> None:
+    """Raise NoPeduncleFound, with the first scene's reason, when every one
+    of the score_scene records missed before scoring."""
+    misses = [rec.miss for rec in records]
+    if misses and all(misses):
+        raise NoPeduncleFound(misses[0], f"all {len(misses)} scenes missed before scoring")
 
 
 def pooled_raw_curve(scene_evals, thresholds=None) -> ev.PrCurve:
@@ -255,8 +262,8 @@ def evaluate_detectors(
     its curves are done. Without `filtered` the threshold sweep through the
     filter is skipped and the filtered curve is None.
 
-    Raises NoPeduncleFound, with the first scene's reason, when no scene
-    reached scoring: there is no curve without a scored point."""
+    Raises NoPeduncleFound (require_a_scored_scene) when no scene reached
+    scoring: there is no curve without a scored point."""
     evals = {name: [] for name in detectors}
     for i, scene in enumerate(scenes):
         for name, rec in zip(detectors, score_scene_all(scene, detectors.values(), nb, pepper_params)):
@@ -266,9 +273,7 @@ def evaluate_detectors(
     results = {}
     for name in detectors:
         records = evals.pop(name)
-        misses = [rec.miss for rec in records]
-        if misses and all(misses):
-            raise NoPeduncleFound(misses[0], f"all {len(misses)} scenes missed before scoring")
+        require_a_scored_scene(records)
         raw = pooled_raw_curve(records, thresholds)
         if filtered:
             results[name] = (raw, *ev.eval_filtered(records, nb, thresholds, fp, box_params, up))

@@ -187,12 +187,12 @@ def eval_filtered_per_threshold(
     counts = np.zeros((len(thresholds), 4), dtype=np.int64)   # tp, fp, fn, tn
     for scene in scenes:
         pos, neg = scene.eval_labels == ev.POSITIVE, scene.eval_labels == ev.NEGATIVE
-        if scene.pepper_points is None or len(scene.scored) == 0:
+        if scene.pepper_box is None or len(scene.scored) == 0:
             counts += (0, 0, int(pos.sum()), int(neg.sum()))
             continue
         points = scene.scored.cloud.points
         post = cls.nb_posterior(nb, ft.rgb_to_hsv_array(scene.scored.cloud.colors))
-        box = pl.peduncle_bbox3(pc.compute_bbox(pc.PointCloud(scene.pepper_points)), box_params, up)
+        box = pl.peduncle_bbox3(scene.pepper_box, box_params, up)
         passes = (post < fp.pepper_posterior_threshold) & box.contains(points)
         for k, t in enumerate(thresholds):
             rows = np.flatnonzero(passes & (scene.scored.scores >= t))

@@ -449,7 +449,7 @@ def test_c8_filter_steps_remove_planted_violators():
         )
         scored = pl.ScoredCloud(pc.PointCloud(pts, colors), scores)
         result = pl.filter_detections(
-            scored, pepper_pts, nb,
+            scored, pc.compute_bbox(pc.PointCloud(pepper_pts)), nb,
             pl.FilterParams(score_threshold=0.5, cluster_tol=0.003, min_cluster=5),
         )
         counts = [count for _, _, count in result.survivors]

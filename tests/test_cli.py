@@ -377,6 +377,33 @@ def _write_scenes(scene_dir, cfg_path, scenes):
     return scene_dir
 
 
+def _eval_scene(workdir):
+    entry = [e for e in sg.load_manifest(workdir["manifest"]) if e["split"] == "eval"][0]
+    return sg.load_benchmark_scene(workdir["manifest"], entry)
+
+
+def _green_scene(normal):
+    """normal with every pixel recoloured green: no pepper to find."""
+    rgb = np.zeros_like(normal.rgb)
+    rgb[:] = (40, 140, 40)
+    return sg.LabeledScene.from_rasters(rgb, normal.depth_raw, normal.frame.intr, normal.labels_img)
+
+
+def _top_row_blob_scene(normal):
+    """A small pepper-red blob in the top rows of an otherwise green scene:
+    its region of interest lies above the first row of patch centres, so
+    the patch scorer scores nothing there (EmptyProjection)."""
+    pepper = normal.labels_img == pc.LABEL_PEPPER
+    rgb = np.zeros_like(normal.rgb)
+    rgb[:] = (40, 140, 40)
+    rgb[0:10, 60:70] = normal.rgb[pepper][:100].reshape(10, 10, 3)
+    depth = normal.depth_raw.copy()
+    depth[0:10, 60:70] = 330
+    labels = normal.labels_img.copy()
+    labels[0:10, 60:70] = pc.LABEL_PEPPER
+    return sg.LabeledScene.from_rasters(rgb, depth, normal.frame.intr, labels)
+
+
 def signature_defaults(fn) -> dict:
     return {k: p.default for k, p in inspect.signature(fn).parameters.items()}
 
@@ -451,21 +478,8 @@ class TestExtractFeatures:
 
 class TestFilterCommand:
     def test_scene_without_projection_is_a_miss_in_the_batch(self, workdir, tmp_path):
-        entry = [e for e in sg.load_manifest(workdir["manifest"]) if e["split"] == "eval"][0]
-        normal = sg.load_benchmark_scene(workdir["manifest"], entry)
-        # a small pepper-red blob in the top rows of an otherwise green
-        # scene: its region of interest lies above the first row of patch
-        # centres, so the patch scorer scores nothing there
-        pepper = normal.labels_img == pc.LABEL_PEPPER
-        rgb = np.zeros_like(normal.rgb)
-        rgb[:] = (40, 140, 40)
-        rgb[0:10, 60:70] = normal.rgb[pepper][:100].reshape(10, 10, 3)
-        depth = normal.depth_raw.copy()
-        depth[0:10, 60:70] = 330
-        labels = normal.labels_img.copy()
-        labels[0:10, 60:70] = pc.LABEL_PEPPER
-        top = sg.LabeledScene.from_rasters(rgb, depth, normal.frame.intr, labels)
-        scene_dir = _write_scenes(tmp_path / "scenes", workdir["cfg"], [top, normal])
+        normal = _eval_scene(workdir)
+        scene_dir = _write_scenes(tmp_path / "scenes", workdir["cfg"], [_top_row_blob_scene(normal), normal])
         out = tmp_path / "filt"
         rc = main(["filter", "--config", workdir["cfg"], "--scenes",
                    str(scene_dir / "manifest.txt"), "--models", workdir["models"],
@@ -521,17 +535,16 @@ class TestScoreAndCurves:
         assert lines[0] == "mode,threshold,tp,fp,fn,precision,recall,f1"
         assert len(lines) == 12  # 11 thresholds
 
-    def test_missed_scene_dump_equals_library_curve(self, workdir, tmp_path):
-        entry = [e for e in sg.load_manifest(workdir["manifest"]) if e["split"] == "eval"][0]
-        normal = sg.load_benchmark_scene(workdir["manifest"], entry)
-        rgb = np.zeros_like(normal.rgb)
-        rgb[:] = (40, 140, 40)
-        green = sg.LabeledScene.from_rasters(rgb, normal.depth_raw, normal.frame.intr, normal.labels_img)
+    def test_missed_scene_dump_equals_library_curve(self, workdir, tmp_path, capsys):
+        normal = _eval_scene(workdir)
+        green = _green_scene(normal)
         scene_dir = _write_scenes(tmp_path / "scenes", workdir["cfg"], [normal, green])
         out = tmp_path / "scores"
         assert main(["score", "--config", workdir["cfg"], "--scenes",
                      str(scene_dir / "manifest.txt"), "--models", workdir["models"],
                      "--detector", "pfh-svm", "--out", str(out)]) == 0
+        # the missed scene's stand-in points were never scored: the log names the miss
+        assert capsys.readouterr().err.splitlines()[1] == "s0001: NoPepperFound"
         curve_dir = tmp_path / "curve"
         assert main(["pr-curve", "--config", workdir["cfg"], "--scores",
                      str(out / "s0000.scores"), str(out / "s0001.scores"),
@@ -655,11 +668,7 @@ class TestEvalCommand:
         assert logs["raw"][:-1] == logs["both"][:-1]
 
     def test_no_scene_with_a_pepper_is_3(self, workdir, tmp_path, capsys):
-        entry = [e for e in sg.load_manifest(workdir["manifest"]) if e["split"] == "eval"][0]
-        normal = sg.load_benchmark_scene(workdir["manifest"], entry)
-        rgb = np.zeros_like(normal.rgb)
-        rgb[:] = (40, 140, 40)
-        green = sg.LabeledScene.from_rasters(rgb, normal.depth_raw, normal.frame.intr, normal.labels_img)
+        green = _green_scene(_eval_scene(workdir))
         scene_dir = _write_scenes(tmp_path / "scenes", workdir["cfg"], [green])
         for mode in ("raw", "both"):
             assert main(["eval", "--config", workdir["cfg"], "--scenes", str(scene_dir / "manifest.txt"),
@@ -667,6 +676,16 @@ class TestEvalCommand:
                          "--out", str(tmp_path / mode)]) == 3
             assert capsys.readouterr().err.splitlines()[-1] == "NoPepperFound: all 1 scenes missed before scoring"
             assert not (tmp_path / mode / "pr.csv").exists()
+
+    def test_note_names_a_miss_after_the_pepper(self, workdir, tmp_path, capsys):
+        """A scene whose pepper was found but whose region of interest
+        scored nothing is noted as such, not as a scene without a pepper."""
+        normal = _eval_scene(workdir)
+        scene_dir = _write_scenes(tmp_path / "scenes", workdir["cfg"], [_top_row_blob_scene(normal), normal])
+        assert main(["eval", "--config", workdir["cfg"], "--scenes", str(scene_dir / "manifest.txt"),
+                     "--models", workdir["models"], "--detector", "cnn", "--mode", "raw",
+                     "--out", str(tmp_path / "e")]) == 0
+        assert capsys.readouterr().err.splitlines()[0] == "scene 0: pepper found, then EmptyProjection"
 
     def test_cnn_eval_runs(self, workdir, tmp_path):
         out = tmp_path / "evalc"
@@ -688,6 +707,30 @@ class TestThroughputCommand:
         assert "median_rate" in text
         rate = float([l for l in text.splitlines() if l.startswith("median_rate")][0].split()[1])
         assert rate > 0
+
+    def test_only_scored_points_count(self, workdir, tmp_path):
+        """A scene missed before scoring adds none of its stand-in points."""
+        normal = _eval_scene(workdir)
+        scene_dir = _write_scenes(tmp_path / "scenes", workdir["cfg"], [_green_scene(normal), normal])
+        out = tmp_path / "tp"
+        assert main(["throughput", "--config", workdir["cfg"], "--scenes", str(scene_dir / "manifest.txt"),
+                     "--models", workdir["models"], "--detector", "pfh-svm", "--repeats", "1",
+                     "--out", str(out)]) == 0
+        cfg = cfgmod.merged_config(workdir["cfg"])
+        nb = cls.load_nb(os.path.join(workdir["models"], "nb.model"))
+        det = cli._load_detector("pfh-svm", workdir["models"], cfg)
+        units = len(wf.score_scene(normal, det, nb).scored)
+        assert f"units {units}\n" in (out / "throughput.txt").read_text()
+
+    def test_no_scene_with_a_pepper_is_3(self, workdir, tmp_path, capsys):
+        green = _green_scene(_eval_scene(workdir))
+        scene_dir = _write_scenes(tmp_path / "scenes", workdir["cfg"], [green, green])
+        out = tmp_path / "tp"
+        assert main(["throughput", "--config", workdir["cfg"], "--scenes", str(scene_dir / "manifest.txt"),
+                     "--models", workdir["models"], "--detector", "pfh-svm", "--repeats", "1",
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err.splitlines()[-1] == "NoPepperFound: all 2 scenes missed before scoring"
+        assert not (out / "throughput.txt").exists()
 
     @pytest.mark.parametrize("repeats", ["0", "-2"])
     def test_no_repeat_is_invalid_before_scoring(self, workdir, tmp_path, monkeypatch, repeats):

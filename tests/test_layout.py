@@ -6,7 +6,8 @@ harness in perfbench/, through a reference that resolves to its module.
 Test-only helpers belong in tests/oracles.py. Every defaulted parameter
 of a library function must be passed by some call in src/ or in the
 perfbench/ harness, not by tests alone, with the few exceptions listed
-in TEST_ONLY_PARAMETERS.
+in TEST_ONLY_PARAMETERS. The rule that places the region of interest above
+the pepper is applied in one module, pipeline.
 """
 
 import ast
@@ -85,6 +86,15 @@ def unused_definitions(src: Path, bench: Path) -> list[str]:
 
 def test_every_public_definition_is_used_outside_tests():
     assert unused_definitions(SRC, ROOT / "perfbench") == []
+
+
+def test_the_roi_rule_is_applied_in_pipeline_alone():
+    """The pepper -> region of interest sequence is pipeline.locate_pepper:
+    no other module of the library refers to compute_roi or pixel_bbox."""
+    rule = {("pipeline", "compute_roi"), ("pipeline", "pixel_bbox")}
+    callers = [path.stem for path in sorted(SRC.glob("*.py"))
+               if module_references(ast.parse(path.read_text(), str(path))) & rule]
+    assert callers == []
 
 
 def call_sites(paths) -> dict[str, list[tuple[float, set[str], bool]]]:

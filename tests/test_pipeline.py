@@ -443,14 +443,14 @@ class TestDetectPepperPointOrder:
         assert moved_box.min.tobytes() == box.min.tobytes() and moved_box.max.tobytes() == box.max.tobytes()
 
 
-# two opposite corners of a pepper: its peduncle box spans x in [-0.03, 0.03],
-# y in [-0.05, 0.05] (up is camera -y, the top is y = 0) and z in [0.37, 0.43]
-PEPPER_CORNERS = np.array([[-0.03, 0.0, 0.37], [0.03, 0.06, 0.43]])
+# a pepper's box: its peduncle box spans x in [-0.03, 0.03], y in
+# [-0.05, 0.05] (up is camera -y, the top is y = 0) and z in [0.37, 0.43]
+PEPPER_BOX = pc.BoundingBox3([-0.03, 0.0, 0.37], [0.03, 0.06, 0.43])
 
 
 @st.composite
 def scored_blob_scenes(draw):
-    """A scored cloud around PEPPER_CORNERS: blobs of distinct sizes (2 to
+    """A scored cloud around PEPPER_BOX: blobs of distinct sizes (2 to
     30 points, each within a 1.6 mm cube, so connected at the 3 mm cluster
     tolerance, and 1 cm from the next), each with one score and one colour
     and either inside the peduncle box or 7 cm deeper, plus single points
@@ -498,17 +498,17 @@ class TestFilterPointOrder:
             misses = []
             for cloud in (scored, moved):
                 with pytest.raises(NoPeduncleFound) as miss:
-                    pl.filter_detections(cloud, PEPPER_CORNERS, nb, fp)
+                    pl.filter_detections(cloud, PEPPER_BOX, nb, fp)
                 misses.append(miss.value.survivors)
             assert misses[0] == misses[1] and misses[0][4][2] == 0
         else:
-            want = pl.filter_detections(scored, PEPPER_CORNERS, nb, fp)
-            got = pl.filter_detections(moved, PEPPER_CORNERS, nb, fp)
+            want = pl.filter_detections(scored, PEPPER_BOX, nb, fp)
+            got = pl.filter_detections(moved, PEPPER_BOX, nb, fp)
             assert want.cluster.tolist() == max(fits, key=len).tolist()
             assert got.cluster.tolist() == np.sort(np.argsort(perm)[want.cluster]).tolist()
             assert got.survivors == want.survivors
         thresholds = [0.7, 0.1, 0.5, 0.9, 0.3, 0.0]
-        sweep = [ev.eval_filtered([ev.SceneEval(s, PEPPER_CORNERS, lab)], nb, thresholds, fp)[0].points
+        sweep = [ev.eval_filtered([ev.SceneEval(s, PEPPER_BOX, lab)], nb, thresholds, fp)[0].points
                  for s, lab in ((scored, labels), (moved, labels[perm]))]
         assert sweep[0] == sweep[1]
 
@@ -556,7 +556,7 @@ def quarter_turns(pts, turns):
 
 class TestFilterRigidMotion:
     """Quarter turns about the up axis and lattice translations of the
-    scored points and the pepper points together leave the filter's
+    scored points and the pepper's box together leave the filter's
     cluster and survivors, and the swept PR counts, unchanged. On the
     2**-12 lattice, with a dyadic tolerance and box offset, every box bound
     and squared distance is exact, so the results must be identical."""
@@ -573,7 +573,7 @@ class TestFilterRigidMotion:
         results, sweeps = [], []
         for move in (lambda p: p, lambda p: quarter_turns(p, turns) + shift):
             scored = pl.ScoredCloud(pc.PointCloud(move(pts) * LATTICE, colors), scores)
-            pepper = move(LATTICE_PEPPER) * LATTICE
+            pepper = pc.compute_bbox(pc.PointCloud(move(LATTICE_PEPPER) * LATTICE))
             try:
                 result = pl.filter_detections(scored, pepper, nb, fp, box_params)
                 results.append((result.cluster.tolist(), result.survivors))
@@ -585,29 +585,89 @@ class TestFilterRigidMotion:
         assert sweeps[0] == sweeps[1]
 
 
+@st.composite
+def lattice_pepper_clouds(draw):
+    """Integer points (lattice steps) and colours: blobs of 1 to 30 points
+    within 6 steps of a centre in a 60-step cube, so that blobs sometimes
+    touch at a 12-step tolerance, each pepper red or green, plus green
+    scatter within 200 steps."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.lists(st.integers(1, 30), min_size=1, max_size=6))
+    red = draw(st.lists(st.booleans(), min_size=len(sizes), max_size=len(sizes)))
+    n_scatter = draw(st.integers(0, 20))
+    pts = [rng.integers(-30, 31, 3) + rng.integers(-6, 7, (n, 3)) for n in sizes]
+    pts.append(rng.integers(-200, 201, (n_scatter, 3)))
+    colors = [np.tile(PEPPER_RED if r else LEAF_GREEN, (n, 1)) for n, r in zip(sizes, red)]
+    colors.append(np.tile(LEAF_GREEN, (n_scatter, 1)))
+    return np.vstack(pts) + [0, 0, 1600], np.vstack(colors).astype(np.uint8)
+
+
+class TestDetectPepperRigidMotion:
+    """Quarter turns about the up axis and lattice translations of the cloud
+    leave the pepper rows unchanged and move the pepper box with the cloud.
+    On the 2**-12 lattice, with a dyadic tolerance, every squared distance
+    and box bound is exact, so both must be identical."""
+
+    @settings(max_examples=120)
+    @given(scene=lattice_pepper_clouds(), turns=st.integers(1, 3),
+           shift=st.tuples(*[st.integers(-4096, 4096)] * 3), min_points=st.integers(1, 5))
+    def test_moved_cloud_gives_the_same_pepper_and_the_moved_box(self, scene, turns, shift, min_points):
+        pts, colors = scene
+        nb, params = red_green_nb(), pl.PepperDetectParams(cluster_tol=12 * LATTICE, min_points=min_points)
+
+        def move(p):
+            return quarter_turns(p, turns) + shift
+
+        cloud, moved = (pc.PointCloud(p * LATTICE, colors) for p in (pts, move(pts)))
+        try:
+            want, box = pl.detect_pepper(cloud, nb, params)
+        except NoPeduncleFound as miss:
+            with pytest.raises(NoPeduncleFound) as moved_miss:
+                pl.detect_pepper(moved, nb, params)
+            assert str(moved_miss.value) == str(miss)
+            return
+        got, moved_box = pl.detect_pepper(moved, nb, params)
+        assert got.tolist() == want.tolist()
+        corners = np.array([box.min, box.max]) / LATTICE
+        assert np.array_equal(corners, np.rint(corners))
+        corners = move(corners.astype(np.int64))
+        assert moved_box.min.tobytes() == (corners.min(axis=0) * LATTICE).tobytes()
+        assert moved_box.max.tobytes() == (corners.max(axis=0) * LATTICE).tobytes()
+
+
 class TestDetectPepperOnC6:
     def test_pinned_to_dense_cluster_oracle(self):
         """On C6 evaluation draws 40-45, with the pepper model fitted on the
         40 training draws, the pepper points are byte for byte the first
-        cluster of the dense-distance oracle over the same candidates."""
+        cluster of the dense-distance oracle over the same candidates, the
+        box is their min / max, and the region of interest is their pixel
+        box shifted up by half its height and clipped to the image."""
         params = sg.benchmark_params(46, 20240, sg.benchmark_base())
         nb = wf.train_nb_from_scenes(sg.generate(p) for p in params[:40])
         pp = pl.PepperDetectParams()
         for p in params[40:]:
-            cloud = sg.generate(p).frame.cloud
-            got, box = pl.detect_pepper(cloud, nb, pp)
+            frame = sg.generate(p).frame
+            cloud = frame.cloud
+            got, box, roi = pl.locate_pepper(frame, nb, pp)
             post = nb_posterior_rows(nb, rgb_to_hsv_rows(cloud.colors))
             assert cls.nb_posterior(nb, ft.rgb_to_hsv_array(cloud.colors)).tobytes() == post.tobytes()
             candidates = np.flatnonzero(post >= pp.posterior_threshold)
             want = csgraph_clusters(cloud.points, candidates, pp.cluster_tol, pp.min_points, len(cloud))[0]
             assert len(want) > 500
             assert got.dtype == np.intp and got.tobytes() == np.asarray(want, dtype=np.intp).tobytes()
-            assert np.array_equal(box.min, cloud.points[got].min(axis=0))
+            assert box.min.tobytes() == cloud.points[got].min(axis=0).tobytes()
+            assert box.max.tobytes() == cloud.points[got].max(axis=0).tobytes()
+            v, u = frame.pixels[got, 0], frame.pixels[got, 1]
+            half = (v.max() + 1 - v.min()) // 2
+            h, w = frame.depth_raw.shape
+            want_roi = (max(u.min(), 0), max(v.min() - half, 0), min(u.max() + 1, w), min(v.max() + 1 - half, h))
+            assert (roi.x_min, roi.y_min, roi.x_max, roi.y_max) == want_roi
 
 
 class TestFilterDetections:
     def build_scene(self):
-        """Scored cloud with planted violators around a pepper at origin top 0.4m.
+        """Scored cloud with planted violators, and the box of a pepper at
+        origin top 0.4m.
 
         Camera coords (y down): pepper spans y in [-0.05, 0.05]; peduncle
         sits above (y < -0.05).
@@ -636,12 +696,12 @@ class TestFilterDetections:
         scores = np.concatenate([np.full(30, 0.9), np.full(20, 0.95), np.full(10, 0.9),
                                  np.full(3, 0.9), np.full(40, 0.1)])
         scored = pl.ScoredCloud(pc.PointCloud(pts, colors), scores)
-        return scored, pepper_pts
+        return scored, pc.compute_bbox(pc.PointCloud(pepper_pts))
 
     def test_steps_remove_planted_violators(self):
-        scored, pepper_pts = self.build_scene()
+        scored, pepper_box = self.build_scene()
         fp = pl.FilterParams(score_threshold=0.5, cluster_tol=0.003, min_cluster=5)
-        result = pl.filter_detections(scored, pepper_pts, red_green_nb(), fp)
+        result = pl.filter_detections(scored, pepper_box, red_green_nb(), fp)
         names = [name for _, name, _ in result.survivors]
         counts = [c for _, _, c in result.survivors]
         assert names == [
@@ -663,25 +723,25 @@ class TestFilterDetections:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_score_rejected(self, bad):
-        scored, pepper_pts = self.build_scene()
+        scored, pepper_box = self.build_scene()
         scored.scores[3] = bad
         with pytest.raises(InvalidInput):
-            pl.filter_detections(scored, pepper_pts, red_green_nb(), pl.FilterParams())
+            pl.filter_detections(scored, pepper_box, red_green_nb(), pl.FilterParams())
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_score_rejected_by_filtered_sweep(self, bad):
-        scored, pepper_pts = self.build_scene()
+        scored, pepper_box = self.build_scene()
         scored.scores[3] = bad
         labels = np.zeros(len(scored), dtype=np.int64)
         labels[:30] = ev.POSITIVE
         with pytest.raises(InvalidInput):
-            ev.eval_filtered([ev.SceneEval(scored, pepper_pts, labels)], red_green_nb())
+            ev.eval_filtered([ev.SceneEval(scored, pepper_box, labels)], red_green_nb())
 
     def test_threshold_above_everything(self):
-        scored, pepper_pts = self.build_scene()
+        scored, pepper_box = self.build_scene()
         fp = pl.FilterParams(score_threshold=0.99)
         with pytest.raises(NoPeduncleFound) as miss:
-            pl.filter_detections(scored, pepper_pts, red_green_nb(), fp)
+            pl.filter_detections(scored, pepper_box, red_green_nb(), fp)
         assert miss.value.reason == "NoPeduncleFound"
         assert [name for _, name, _ in miss.value.survivors][-1] == "largest_cluster"
         assert miss.value.survivors[0][2] == 0 and miss.value.survivors[4][2] == 0
@@ -692,37 +752,37 @@ class TestFilterDetections:
         point scoring at the lowest threshold: no cluster, every positive a
         false negative, and the filter at each threshold reports 0 survivors
         at step 5."""
-        scored, pepper_pts = self.build_scene()
+        scored, pepper_box = self.build_scene()
         nb = red_green_nb()
         thresholds = {"empty grid": [], "thresholds above scores": [1.0, 0.96, 0.99]}.get(case, [0.0, 0.5, 0.9])
         if case == "nothing in box":
-            pepper_pts = pepper_pts + [0.0, 0.0, 1.0]
-        _, clusters, which = pl.threshold_clusters(scored, pepper_pts, nb, thresholds)
+            pepper_box = pc.BoundingBox3(pepper_box.min + [0.0, 0.0, 1.0], pepper_box.max + [0.0, 0.0, 1.0])
+        _, clusters, which = pl.threshold_clusters(scored, pepper_box, nb, thresholds)
         assert all(c is None for c in clusters) and len(which) == len(thresholds)
         labels = np.zeros(len(scored), dtype=np.int64)
         labels[:30] = ev.POSITIVE
-        curve, notes = ev.eval_filtered([ev.SceneEval(scored, pepper_pts, labels)], nb, thresholds)
+        curve, notes = ev.eval_filtered([ev.SceneEval(scored, pepper_box, labels)], nb, thresholds)
         assert [(p.threshold, p.tp, p.fp, p.fn, p.tn) for p in curve.points] == \
                [(t, 0, 0, 30, len(scored) - 30) for t in thresholds] and notes == []
         for t in thresholds:
             with pytest.raises(NoPeduncleFound) as miss:
-                pl.filter_detections(scored, pepper_pts, nb, pl.FilterParams(score_threshold=t))
+                pl.filter_detections(scored, pepper_box, nb, pl.FilterParams(score_threshold=t))
             assert miss.value.survivors[4] == (5, "largest_cluster", 0)
 
     def test_survivors_nonincreasing(self):
-        scored, pepper_pts = self.build_scene()
-        result = pl.filter_detections(scored, pepper_pts, red_green_nb(), pl.FilterParams())
+        scored, pepper_box = self.build_scene()
+        result = pl.filter_detections(scored, pepper_box, red_green_nb(), pl.FilterParams())
         counts = [c for _, _, c in result.survivors[:4]]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
     def test_monotone_in_threshold_before_clustering(self):
-        scored, pepper_pts = self.build_scene()
+        scored, pepper_box = self.build_scene()
         nb = red_green_nb()
         prev = None
         for t in (0.05, 0.5, 0.92, 0.97):
             try:
                 res = pl.filter_detections(
-                    scored, pepper_pts, nb, pl.FilterParams(score_threshold=t, min_cluster=1)
+                    scored, pepper_box, nb, pl.FilterParams(score_threshold=t, min_cluster=1)
                 )
                 survivors = res.survivors
             except NoPeduncleFound as exc:
@@ -733,28 +793,28 @@ class TestFilterDetections:
             prev = step4
 
     def test_cluster_points_inside_box_and_not_pepper(self):
-        scored, pepper_pts = self.build_scene()
+        scored, pepper_box = self.build_scene()
         nb = red_green_nb()
-        result = pl.filter_detections(scored, pepper_pts, nb, pl.FilterParams())
+        result = pl.filter_detections(scored, pepper_box, nb, pl.FilterParams())
         from peduncle import features as ft
 
         pts = scored.cloud.points[result.cluster]
-        box = pl.peduncle_bbox3(pc.compute_bbox(pc.PointCloud(pepper_pts)))
+        box = pl.peduncle_bbox3(pepper_box)
         assert box.contains(pts).all()
         post = cls.nb_posterior(nb, ft.rgb_to_hsv_array(scored.cloud.colors[result.cluster]))
         assert (post < 0.5).all()
 
     def test_deterministic(self):
-        scored, pepper_pts = self.build_scene()
+        scored, pepper_box = self.build_scene()
         nb = red_green_nb()
-        a = pl.filter_detections(scored, pepper_pts, nb, pl.FilterParams())
-        b = pl.filter_detections(scored, pepper_pts, nb, pl.FilterParams())
+        a = pl.filter_detections(scored, pepper_box, nb, pl.FilterParams())
+        b = pl.filter_detections(scored, pepper_box, nb, pl.FilterParams())
         np.testing.assert_array_equal(a.cluster, b.cluster)
         assert a.survivors == b.survivors
 
     def test_diagnostics_format(self):
-        scored, pepper_pts = self.build_scene()
-        result = pl.filter_detections(scored, pepper_pts, red_green_nb(), pl.FilterParams())
+        scored, pepper_box = self.build_scene()
+        result = pl.filter_detections(scored, pepper_box, red_green_nb(), pl.FilterParams())
         text = pl.format_diagnostics(result.survivors)
         lines = text.strip().split("\n")
         assert len(lines) == 5

@@ -152,7 +152,7 @@ class TestSceneScoring:
         svm = cls.svm_train(feats, y, cls.SvmParams())
         det = pl.PfhSvmDetector(svm)
         rec = wf.score_scene(scenes[4], det, nb)
-        assert rec.pepper_points is not None
+        assert rec.pepper_box is not None
         assert len(rec.scored) > 100
         assert rec.scored.scores.min() >= 0.0 and rec.scored.scores.max() <= 1.0
         assert rec.eval_labels.shape == rec.scored.scores.shape
@@ -169,7 +169,7 @@ class TestSceneScoring:
                 raise AssertionError("should not be called")
 
         rec = wf.score_scene(green, NullDetector(), nb)
-        assert rec.pepper_points is None
+        assert rec.pepper_box is None
         n_pos = int((green.cloud.labels == pc.LABEL_PEDUNCLE).sum())
         assert (rec.eval_labels == ev.POSITIVE).sum() == n_pos
 
@@ -198,8 +198,7 @@ class TestSceneScoring:
         )
         net = mc.Network.from_netspec(spec, seed=10)
         frame = scenes[3].frame
-        pepper_idx, _ = pl.detect_pepper(frame.cloud, nb)
-        roi = pl.compute_roi(pl.pixel_bbox(frame.pixels[pepper_idx]), *frame.depth_raw.shape[::-1])
+        _, _, roi = pl.locate_pepper(frame, nb)
         scored = pl.CnnDetector(net).score_frame(frame, roi)
         sm64 = mc.densify_score_map(mc.score_map(frame.rgb, net, 4, roi), 16, 16, 4)
         v, u = scored.pixels[:, 0], scored.pixels[:, 1]
@@ -259,7 +258,7 @@ class TestMissedScenes:
         det = pl.PfhSvmDetector(svm)
         normal = wf.score_scene(scenes[4], det, nb)
         green = wf.score_scene(recolored_green(scenes[4]), det, nb)
-        assert green.pepper_points is None
+        assert green.pepper_box is None
         n_missed = int((scenes[4].cloud.labels == pc.LABEL_PEDUNCLE).sum())
         assert n_missed > 0
         thresholds = np.array([0.0, 0.5])
