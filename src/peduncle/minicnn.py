@@ -21,12 +21,13 @@ so the next layer reads them channels-last without a copy.
 
 Max pooling uses the same windows (padded with -inf). A tie goes to the
 first maximal element in row-major window order, -0.0 before +0.0 included:
-inference folds the window view with np.maximum(element, running max),
-which returns its second operand on a tie; training also takes the first
-offset equal to the maximum and routes the gradient to that element. Where
-the windows are disjoint (k == stride) and a relu comes directly before the
-pool, training folds the pre-relu map and runs the relu on the pooled one
-(_ReluMaxPool): the same bytes, without a full-size relu map or mask.
+the forward pass folds the window view with np.maximum(element, running
+max), which returns its second operand on a tie; training also takes the
+first offset equal to the maximum and routes the gradient to that element.
+Where the windows are disjoint (k == stride) and a relu comes directly
+before the pool, the pair is one step (_ReluMaxPool) in training and
+inference: it folds the pre-relu map and runs the relu on the pooled one,
+the same bytes without a full-size relu map or mask.
 
 score_map evaluates the network on a stride grid of patches without
 running the leading layers once per patch. Patch offsets are multiples of
@@ -34,11 +35,11 @@ the stride, so wherever a layer's cumulative downsampling divides the
 stride, a patch's map is a window of the same layer's map over the whole
 crop the patches cover (OverFeat's dense evaluation; fast scanning with
 max-pooling nets), except where the patch's own zero padding reaches. The
-shared trunk is the leading conv / relu / pool run up to the first layer
-whose downsampling does not divide the stride; at the shipped stride 4 that
-is conv1 ... conv3 and its relu. It runs once over the crop. What is left
-is the ring: the cells whose input window, one axis at a time, leaves the
-patch or covers a ring cell one layer down (for the shipped spec 1 cell
+shared trunk is the leading conv / pool run up to the first step whose
+downsampling does not divide the stride; at the shipped stride 4 that is
+conv1 ... conv3. It runs once over the crop. What is left is the ring: the
+cells whose input window, one axis at a time, leaves the patch or covers a
+ring cell one step down (for the shipped spec 1 cell
 wide at conv1, 1 at pool1, 2 at conv2, 1 at pool2 and 2 at conv3). A ring
 row's cells in clean columns (a band) depend only on the patch row, so
 they are computed once per patch row across the crop; likewise the ring
@@ -135,9 +136,11 @@ class NetworkSpec:
                 f"network must have 8 conv layers (2 inception) and 1 fc, "
                 f"got {n_conv} conv / {n_incep} inception / {n_fc} fc"
             )
-        c, h, w = trace_shapes(self.layers, self.input_c, self.input_h, self.input_w)[-1]
+        trace_shapes(self.layers, self.input_c, self.input_h, self.input_w)
         if not isinstance(self.layers[-1], FcSpec):
             raise InvalidInput("final layer must be the fully connected head")
+        if self.layers[-1].n_out != 2:
+            raise InvalidInput(f"the head must have 2 outputs, got {self.layers[-1].n_out}")
 
 
 def trace_shapes(specs, c: int, h: int, w: int) -> list[tuple[int, int, int]]:
@@ -398,12 +401,13 @@ def _max_fold(win):
     return out
 
 
-def _first_argmax(win, out, dtype):
+def _first_argmax(win, out):
     """Per window, the first row-major offset i * k + j whose element equals
-    out, counted as the offsets passed before it."""
+    out, counted as the offsets passed before it, in the smallest unsigned
+    type that holds k * k - 1."""
     k = win.shape[-1]
     found = np.zeros(out.shape, dtype=bool)
-    arg = np.zeros(out.shape, dtype=dtype)
+    arg = np.zeros(out.shape, dtype=np.min_scalar_type(k * k - 1))
     for off in range(k * k - 1):
         found |= win[..., off // k, off % k] == out
         arg += ~found
@@ -414,9 +418,8 @@ class MaxPool:
     """Max over k x k windows, padded with -inf.
 
     A tie goes to the first maximal element in row-major window order, in
-    the forward value and in the backward routing alike. In training, a pool
-    with disjoint windows (k == stride) directly after a relu runs fused
-    with it (_ReluMaxPool) and this layer is left out.
+    the forward value and in the backward routing alike. A disjoint pool
+    (k == stride) directly after a relu is one _ReluMaxPool step with it.
     """
 
     def __init__(self, spec: PoolSpec, pad: int = 0):
@@ -432,7 +435,7 @@ class MaxPool:
         win = _windows(_nhwc_padded(x, self.pad, -np.inf), k, k, stride, oh, ow)
         out = _max_fold(win)
         if train:
-            self._cache = (_first_argmax(win, out, np.intp), x.shape, oh, ow)
+            self._cache = (_first_argmax(win, out), x.shape, oh, ow)
         return out.transpose(0, 3, 1, 2)
 
     def backward(self, dy):
@@ -448,9 +451,8 @@ class MaxPool:
 
 class Relu:
     """max(x, 0.0): +0.0 for every x <= 0, -0.0 included. Its gradient is
-    dy * (x > 0), so a negative dy at x <= 0 gives -0.0. In training, a
-    relu directly before a pool with disjoint windows runs after that pool,
-    fused with it (_ReluMaxPool)."""
+    dy * (x > 0), so a negative dy at x <= 0 gives -0.0. A relu directly
+    before a disjoint pool runs after it instead, in one _ReluMaxPool step."""
 
     def __init__(self):
         self.params = {}
@@ -468,28 +470,29 @@ class Relu:
 
 
 class _ReluMaxPool:
-    """Training's step for a relu directly followed by a max pool whose
-    windows are disjoint (k == stride, no padding), bit for bit Relu then
-    MaxPool. relu(max(x)) equals max(relu(x)): relu is monotone and gives
-    +0.0 for every x <= 0, so the relu runs on the pooled map. Where a
-    window's maximum is above 0, the pool's argmax over relu(x) is the first
-    maximal x; elsewhere every relu output is +0.0 and the argmax is offset
-    0. The gradient at the argmax is (0.0 + dy) * (max > 0), as the pool's
-    add into zeros and the relu's mask give it, and +0.0 elsewhere.
+    """A relu directly followed by a max pool whose windows are disjoint
+    (k == stride, no padding), as one step: bit for bit Relu then MaxPool.
+    relu(max(x)) equals max(relu(x)): relu is monotone and gives +0.0 for
+    every x <= 0, so the relu runs on the pooled map. Where a window's
+    maximum is above 0, the pool's argmax over relu(x) is the first maximal
+    x; elsewhere every relu output is +0.0 and the argmax is offset 0. The
+    gradient at the argmax is (0.0 + dy) * (max > 0), as the pool's add into
+    zeros and the relu's mask give it, and +0.0 elsewhere.
     """
 
     def __init__(self, spec: PoolSpec):
-        self.spec, self.params, self._cache = spec, {}, None
+        self.spec, self.params, self.grads, self._cache = spec, {}, {}, None
 
-    def forward(self, x, train=True):
+    def forward(self, x, train=False):
         k = self.spec.k
         oh, ow = _out_hw(*x.shape[2:], k, k, k, 0)
         win = _windows(_nhwc_padded(x, 0), k, k, k, oh, ow)
         top = _max_fold(win)
-        live = top > 0.0
-        arg = _first_argmax(win, top, np.uint8)
-        arg *= live
-        self._cache = (arg, live, x.shape)
+        if train:
+            live = top > 0.0
+            arg = _first_argmax(win, top)
+            arg *= live
+            self._cache = (arg, live, x.shape)
         return np.maximum(top, 0.0).transpose(0, 3, 1, 2)
 
     def backward(self, dy):
@@ -598,17 +601,10 @@ class Fc:
         return (dy @ self.params["w"]).reshape(self._cache[1])
 
 
-def _training_layers(specs, layers) -> list:
-    """The steps a training pass runs: layers, with each relu directly
-    followed by a max pool with disjoint windows (k == stride) replaced by
-    one _ReluMaxPool step for the pair."""
-    steps = []
-    for prev, spec, layer in zip((None, *specs), specs, layers):
-        if isinstance(prev, ReluSpec) and isinstance(spec, PoolSpec) and spec.k == spec.stride:
-            steps[-1] = _ReluMaxPool(spec)
-        else:
-            steps.append(layer)
-    return steps
+def _fuses(prev, spec) -> bool:
+    """Whether a relu (prev) and the max pool after it run as one
+    _ReluMaxPool step: the pool's windows are disjoint (k == stride)."""
+    return isinstance(prev, ReluSpec) and isinstance(spec, PoolSpec) and spec.k == spec.stride
 
 
 def build_layer(spec: LayerSpec, c_in: int):
@@ -637,7 +633,8 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 class Network:
-    """An ordered layer stack with shared forward/backward plumbing."""
+    """One list of steps, the layers of the specs with each relu + pool pair
+    that _fuses as one _ReluMaxPool step, run by training and inference."""
 
     def __init__(self, specs, input_c: int, input_hw: tuple[int, int] | None = None):
         self.specs = tuple(specs)
@@ -645,14 +642,15 @@ class Network:
         self.input_hw = input_hw
         self.layers = []
         c = input_c
-        for s in self.specs:
-            self.layers.append(build_layer(s, c))
+        for prev, s in zip((None, *self.specs), self.specs):
+            if _fuses(prev, s):
+                self.layers[-1] = _ReluMaxPool(s)
+            else:
+                self.layers.append(build_layer(s, c))
             if isinstance(s, (ConvSpec, InceptionSpec)):
                 c = s.c_out
             elif isinstance(s, FcSpec):
                 c = s.n_out
-        # inference and score_map run self.layers, training these steps
-        self._train_layers = _training_layers(self.specs, self.layers)
 
     @classmethod
     def from_netspec(cls, spec: NetworkSpec, seed: int | None = None) -> "Network":
@@ -669,21 +667,21 @@ class Network:
                 layer.init_weights(rng)
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        for layer in self._train_layers if train else self.layers:
+        for layer in self.layers:
             x = layer.forward(x, train)
         return x
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         """Sets every parameter gradient; returns the input gradient."""
-        for layer in reversed(self._train_layers):
+        for layer in reversed(self.layers):
             dy = layer.backward(dy)
         return dy
 
     def param_grads(self, dy: np.ndarray) -> None:
         """Sets every parameter gradient as backward does, but stops at the
-        first layer with parameters: no gradient below it, the input
+        first step with parameters: no gradient below it, the input
         gradient included, is formed."""
-        steps = self._train_layers
+        steps = self.layers
         owners = [i for i, layer in enumerate(steps) if layer.params]
         if not owners:
             return
@@ -692,7 +690,8 @@ class Network:
         steps[owners[0]].param_grads(dy)
 
     def parameters(self):
-        """(layer_index, name, param, grad) tuples in serialization order."""
+        """(step_index, name, param, grad) tuples in serialization order;
+        nothing reads the step index."""
         out = []
         for i, layer in enumerate(self.layers):
             p, g = layer.params, layer.grads
@@ -764,32 +763,32 @@ def patch_centers(image_h: int, image_w: int, patch_h: int, patch_w: int, stride
     return ys, xs
 
 
-def shared_depth(specs, stride: int) -> int:
-    """How many leading layers score_map runs once over the crop at this stride.
+def shared_depth(layers, stride: int) -> int:
+    """How many leading steps of net.layers score_map runs once over the
+    crop at this stride.
 
-    That is the leading run of conv / relu / pool layers, which ends at the
-    first inception or fc layer, cut before the first layer whose cumulative
-    downsampling (the product of the strides up to it) does not divide the
-    patch stride, so each patch's map at the shared depth starts on a whole
-    cell of the crop's map.
+    That is the leading run of conv, pool and fused relu + pool steps (a
+    relu on its own, an inception module or the fc head ends it), cut before
+    the first step whose cumulative downsampling (the product of the strides
+    up to it) does not divide the patch stride, so each patch's map at the
+    shared depth starts on a whole cell of the crop's map.
     """
     down = 1
-    for i, spec in enumerate(specs):
-        if not isinstance(spec, (ConvSpec, ReluSpec, PoolSpec)):
+    for i, layer in enumerate(layers):
+        if not isinstance(layer, (Conv2d, MaxPool, _ReluMaxPool)):
             return i
-        down *= getattr(spec, "stride", 1)
+        down *= layer.spec.stride
         if stride % down:
             return i
-    return len(specs)
+    return len(layers)
 
 
-def _window(spec):
-    """(kh, kw, stride, pad) of a shared layer; a relu reads one cell."""
-    if isinstance(spec, ConvSpec):
-        return spec.kh, spec.kw, spec.stride, spec.pad
-    if isinstance(spec, PoolSpec):
-        return spec.k, spec.k, spec.stride, 0
-    return 1, 1, 1, 0
+def _window(layer):
+    """(kh, kw, stride, pad) of a shared step."""
+    s = layer.spec
+    if isinstance(s, ConvSpec):
+        return s.kh, s.kw, s.stride, s.pad
+    return s.k, s.k, s.stride, 0
 
 
 def _clean_span(lo, hi, k, stride, pad):
@@ -800,7 +799,7 @@ def _clean_span(lo, hi, k, stride, pad):
 
 
 class _TrunkLevel:
-    """One shared layer's output over a grid of patches, as one table of rows.
+    """One shared step's output over a grid of patches, as one table of rows.
 
     size and clean are a patch's map size and its clean box, ((y0, y1),
     (x0, x1)): the cells that equal the crop's map at the patch's offset, q
@@ -885,19 +884,19 @@ class _TrunkLevel:
 
 
 class _SharedTrunk:
-    """The first shared_depth(net.specs, stride) layers of a network, run
+    """The first shared_depth(net.layers, stride) steps of a network, run
     once over the crop that a grid of patches covers, with each patch's own
     maps rebuilt from it.
 
-    A patch's map at every shared layer equals the crop's map at the
+    A patch's map at every shared step equals the crop's map at the
     patch's offset except on a ring where the patch's own zero padding
-    reaches. The ring cells are recomputed layer by layer with the layers'
+    reaches. The ring cells are recomputed step by step with the steps'
     own arithmetic, the same im2col columns through Conv2d.affine and the
-    same max fold, each band once for its patch row or column and the
-    corners per patch (see _TrunkLevel). At each level one product (or one
-    fold) covers the ring cells of the whole grid, never a single row
-    (numpy sends that to gemv). Only the last level is assembled into full
-    maps, per batch.
+    same max fold (then the relu, for a fused relu + pool step), each band
+    once for its patch row or column and the corners per patch (see
+    _TrunkLevel). At each level one product (or one fold) covers the ring
+    cells of the whole grid, never a single row (numpy sends that to gemv).
+    Only the last level is assembled into full maps, per batch.
 
     The copied cells equal the per-patch ones as long as BLAS computes each
     row of a product independently of the others. OpenBLAS does so within
@@ -912,13 +911,13 @@ class _SharedTrunk:
 
     def __init__(self, net: Network, stride: int, crop: np.ndarray):
         ph, pw = net.input_hw
-        self.depth = shared_depth(net.specs, stride)
+        self.depth = shared_depth(net.layers, stride)
         grid = ((crop.shape[0] - ph) // stride + 1, (crop.shape[1] - pw) // stride + 1)
         x = crop.transpose(2, 0, 1)[None]
         self.levels = [_TrunkLevel(None, (ph, pw), ((0, ph), (0, pw)), stride, x, grid)]
-        for layer, spec in zip(net.layers[: self.depth], net.specs[: self.depth]):
+        for layer in net.layers[: self.depth]:
             src = self.levels[-1]
-            kh, kw, step, pad = _window(spec)
+            kh, kw, step, pad = _window(layer)
             x = layer.forward(x)
             size = ((src.size[0] + 2 * pad - kh) // step + 1, (src.size[1] + 2 * pad - kw) // step + 1)
             clean = (_clean_span(*src.clean[0], kh, step, pad), _clean_span(*src.clean[1], kw, step, pad))
@@ -934,21 +933,20 @@ class _SharedTrunk:
         """The last level's ring cells as rows, in table order."""
         ring = self.levels[0].crop[:0]      # the input image has no ring
         for src, level in zip(self.levels, self.levels[1:]):
-            if isinstance(level.layer, Relu):
-                ring = level.layer.forward(ring)
-                continue
             win = np.take(src.table(ring), level.ring_taps, axis=0).transpose(0, 3, 1, 2)   # (n, c, kh, kw)
             if isinstance(level.layer, Conv2d):
                 cols = win.reshape(len(win), -1)
                 if len(cols) == 1:      # numpy hands a one-row product to gemv
                     cols = np.repeat(cols, 2, axis=0)
                 ring = level.layer.affine(cols)[: len(win)]
+            elif isinstance(level.layer, _ReluMaxPool):
+                ring = np.maximum(_max_fold(win), 0.0)
             else:
                 ring = _max_fold(win)
         return ring
 
     def patch_maps(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """(b, c, h, w) output of the shared layers on the patches in grid
+        """(b, c, h, w) output of the shared steps on the patches in grid
         rows i and columns j."""
         base, di, dj = self.out_taps
         rows = base + i[:, None, None] * di + j[:, None, None] * dj
@@ -962,15 +960,16 @@ def score_map(image: np.ndarray, net: Network, stride: int = 4, roi=None, batch:
     or outside an optional region of interest) hold score 0 and are not in
     the mask. Raises InvalidInput when the image cannot fit one patch.
 
-    The leading layers (shared_depth) run once over the crop the patches
-    cover. Each patch's map after them is the crop's map at the patch's
-    offset, except on a ring of cells whose receptive field reaches the
-    patch's own zero padding; the ring is derived from the layer specs and
-    recomputed in bands shared by a patch row or column and corners per
-    patch (see _SharedTrunk). The remaining layers run per patch in batches
-    of `batch`. Every score is bit-identical to the per-patch path on the
-    same patches in the same batches, as far as BLAS computes each row of a
-    product on its own (see _SharedTrunk for where OpenBLAS does not).
+    The leading steps of net.layers (shared_depth) run once over the crop
+    the patches cover. Each patch's map after them is the crop's map at the
+    patch's offset, except on a ring of cells whose receptive field reaches
+    the patch's own zero padding; the ring is derived from the steps'
+    windows and recomputed in bands shared by a patch row or column and
+    corners per patch (see _SharedTrunk). The remaining steps run per patch
+    in batches of `batch`. Every score is bit-identical to the per-patch
+    path on the same patches in the same batches, as far as BLAS computes
+    each row of a product on its own (see _SharedTrunk for where OpenBLAS
+    does not).
     """
     if stride < 1:
         raise InvalidInput("stride must be >= 1")

@@ -246,11 +246,12 @@ def detect_pepper(
 ) -> tuple[np.ndarray, pc.BoundingBox3]:
     """Pepper points: posterior threshold, then the largest Euclidean cluster.
 
-    Raises NoPeduncleFound (reason NoPepperFound) when no point clears the
-    threshold or no cluster survives.
+    Raises NoPeduncleFound (reason NoPepperFound) when the cloud is empty
+    (a frame with no valid depth), no point clears the threshold or no
+    cluster survives.
     """
     if len(cloud) == 0:
-        raise InvalidInput("empty cloud")
+        raise NoPeduncleFound("NoPepperFound", "empty cloud")
     hsv = ft.rgb_to_hsv_array(cloud.colors)
     post = cls.nb_posterior(nb, hsv)
     candidates = np.flatnonzero(post >= params.posterior_threshold)

@@ -798,21 +798,20 @@ def max_pool_gather_reference(x, k, stride, pad):
 def reference_kernels():
     """Inside this block minicnn runs on the reference kernels: convolutions
     called and pooling layers built here use them in place of its own, and
-    networks built here train on their layers one by one, with no fused
-    relu + pool step (see runs_layers_one_by_one)."""
-    saved = mc._im2col, mc._conv_input_grad, mc.MaxPool, mc._training_layers
+    networks built here run their layers one by one, with no fused relu +
+    pool step (see runs_layers_one_by_one)."""
+    saved = mc._im2col, mc._conv_input_grad, mc.MaxPool, mc._fuses
     mc._im2col, mc._conv_input_grad, mc.MaxPool = im2col_reference, conv_input_grad_reference, MaxPoolReference
-    mc._training_layers = lambda specs, layers: list(layers)
+    mc._fuses = lambda prev, spec: False
     try:
         yield
     finally:
-        mc._im2col, mc._conv_input_grad, mc.MaxPool, mc._training_layers = saved
+        mc._im2col, mc._conv_input_grad, mc.MaxPool, mc._fuses = saved
 
 
 def runs_layers_one_by_one(net: mc.Network) -> bool:
-    """Whether training runs exactly net.layers, with no fused step."""
-    steps = net._train_layers
-    return len(steps) == len(net.layers) and all(s is layer for s, layer in zip(steps, net.layers))
+    """Whether the network runs its layers one by one, with no fused step."""
+    return not any(isinstance(step, mc._ReluMaxPool) for step in net.layers)
 
 
 def numerical_grad(loss_fn, array, eps=1e-6):

@@ -5,10 +5,9 @@ fixed-seed benchmark (criterion 6) runs once per session and its results
 are shared across the tests that need them.
 """
 
-import hashlib
-import os
 import time
 
+import contract
 import numpy as np
 import pytest
 from oracles import (
@@ -28,12 +27,6 @@ from peduncle import features as ft
 from peduncle import minicnn as mc
 from peduncle import pipeline as pl
 from peduncle import scenegen as sg
-from peduncle import workflows as wf
-from peduncle.cli import main as cli_main
-
-BENCHMARK_SEED = 20240
-BENCHMARK_SCENES = 200
-BENCHMARK_TRAIN = 40
 
 
 class criterion:
@@ -312,12 +305,7 @@ def test_c5_geometry_rules():
 @pytest.fixture(scope="session")
 def benchmark_results():
     start = time.perf_counter()
-    results = wf.run_benchmark(
-        master_seed=BENCHMARK_SEED,
-        n_scenes=BENCHMARK_SCENES,
-        n_train=BENCHMARK_TRAIN,
-        n_thresholds=26,
-    )
+    results = contract.run_c6()
     results["elapsed"] = time.perf_counter() - start
     return results
 
@@ -347,56 +335,28 @@ def test_c6b_more_training_scenes_do_not_hurt(benchmark_results):
         assert full >= half - 0.02
 
 
+def test_c6c_counts_match_the_committed_contract(benchmark_results):
+    with criterion("C6c per-threshold counts as committed") as c:
+        contract.assert_matches(contract.C6_COUNTS, contract.c6_counts(benchmark_results))
+        c.note("tp/fp/fn/tn of six curves at 26 thresholds")
+
+
 # ---------------------------------------------------------------------------
 # 7. determinism: CLI runs are bit-reproducible
 # ---------------------------------------------------------------------------
 
 
-def _tree_hashes(directory):
-    out = {}
-    for root, _, names in os.walk(directory):
-        for name in sorted(names):
-            path = os.path.join(root, name)
-            with open(path, "rb") as fh:
-                out[os.path.relpath(path, directory)] = hashlib.sha256(fh.read()).hexdigest()
-    return out
-
-
 def test_c7_cli_bit_reproducible(tmp_path):
     with criterion("C7 CLI determinism") as c:
         cfg = tmp_path / "c.cfg"
-        cfg.write_text(
-            "image_width = 160\nimage_height = 120\nfx = 140.0\nfy = 140.0\n"
-            "cx = 79.5\ncy = 59.5\npepper_center = 0.0 0.01 0.33\n"
-            "svm_max_train = 300\nthresholds = 11\n"
-        )
+        cfg.write_text(contract.C7_CONFIG)
         hashes = []
         for run in ("a", "b"):
-            scenes = tmp_path / run / "scenes"
-            models = tmp_path / run / "models"
-            feats = tmp_path / run / "feats"
-            filt = tmp_path / run / "filt"
-            ev_dir = tmp_path / run / "eval"
-            assert cli_main(["gen-scene", "--config", str(cfg), "--out", str(scenes),
-                             "--count", "3", "--train", "1", "--seed", "29"]) == 0
-            manifest = str(scenes / "manifest.txt")
-            assert cli_main(["train-nb", "--config", str(cfg), "--scenes", manifest,
-                             "--split", "train", "--out", str(models)]) == 0
-            assert cli_main(["extract-features", "--config", str(cfg), "--scenes", manifest,
-                             "--split", "train", "--out", str(feats)]) == 0
-            assert cli_main(["train-svm", "--config", str(cfg),
-                             "--features", str(feats / "features.txt"),
-                             "--out", str(models)]) == 0
-            assert cli_main(["filter", "--config", str(cfg), "--scenes", manifest,
-                             "--split", "eval", "--models", str(models),
-                             "--detector", "pfh-svm", "--out", str(filt)]) in (0, 3)
-            assert cli_main(["eval", "--config", str(cfg), "--scenes", manifest,
-                             "--split", "eval", "--models", str(models),
-                             "--detector", "pfh-svm", "--mode", "both",
-                             "--out", str(ev_dir)]) == 0
-            hashes.append(_tree_hashes(tmp_path / run))
+            contract.run_c7(tmp_path / run, cfg)
+            hashes.append(contract.tree_hashes(tmp_path / run))
         assert hashes[0] == hashes[1]
-        c.note(f"{len(hashes[0])} files hash-identical across runs")
+        contract.assert_matches(contract.C7_DIGESTS, hashes[0])
+        c.note(f"{len(hashes[0])} files hash-identical across runs and with the committed digests")
 
 
 # ---------------------------------------------------------------------------

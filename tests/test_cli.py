@@ -199,6 +199,16 @@ class TestExitCodes:
         assert sorted(os.listdir(out)) == ["config.cfg", "keep.txt"]
         assert (out / "keep.txt").read_text() == "earlier run"
 
+    @pytest.mark.parametrize("n_out", [1, 3])
+    def test_head_without_two_classes_is_2(self, workdir, tmp_path, n_out):
+        shipped = resources.files("peduncle").joinpath("data/default_net.spec").read_text()
+        spec = tmp_path / "net.spec"
+        spec.write_text(shipped.replace("fc 512 2", f"fc 512 {n_out}"))
+        out = tmp_path / "models"
+        assert main(["train-cnn", "--config", workdir["cfg"], "--scenes", workdir["manifest"],
+                     "--split", "train", "--netspec", str(spec), "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_non_numeric_features_is_2(self, tmp_path):
         feats = tmp_path / "features.txt"
         feats.write_text("features v1 1 36\n" + "x " * 36 + "1\n")
@@ -694,6 +704,41 @@ class TestEvalCommand:
                    "--detector", "cnn", "--mode", "raw", "--out", str(out)])
         assert rc == 0
         assert (out / "pr.csv").exists()
+
+
+class TestSceneWithoutDepth:
+    """A scene whose depth raster holds no valid pixel has an empty cloud:
+    it is a NoPepperFound miss, and the batch goes on with the other scene."""
+
+    @pytest.fixture
+    def scene_dir(self, workdir, tmp_path):
+        normal = _eval_scene(workdir)
+        no_depth = sg.LabeledScene.from_rasters(
+            normal.rgb, np.zeros_like(normal.depth_raw), normal.frame.intr, normal.labels_img
+        )
+        return _write_scenes(tmp_path / "scenes", workdir["cfg"], [normal, no_depth])
+
+    def run(self, workdir, scene_dir, command, out, *extra):
+        return main([command, "--config", workdir["cfg"], "--scenes", str(scene_dir / "manifest.txt"),
+                     "--models", workdir["models"], "--detector", "pfh-svm", *extra, "--out", str(out)])
+
+    def test_score_writes_an_empty_dump(self, workdir, scene_dir, tmp_path):
+        out = tmp_path / "scores"
+        assert self.run(workdir, scene_dir, "score", out) == 0
+        assert (out / "s0001.scores").read_text() == "scores v1 0\n"
+        assert len(load_scores(out / "s0000.scores")[0]) > 0
+
+    def test_filter_notes_the_miss_and_goes_on(self, workdir, scene_dir, tmp_path):
+        out = tmp_path / "filt"
+        assert self.run(workdir, scene_dir, "filter", out) == 3
+        assert (out / "s0001_diag.csv").read_text().startswith("error,NoPepperFound,")
+        first = (out / "s0000_diag.csv").read_text()
+        assert first.startswith("1,score_threshold,") or "NoPeduncleFound" in first
+
+    def test_eval_notes_the_miss(self, workdir, scene_dir, tmp_path, capsys):
+        assert self.run(workdir, scene_dir, "eval", tmp_path / "e", "--mode", "both") == 0
+        assert "scene 1: no pepper detected" in capsys.readouterr().err.splitlines()
+        assert (tmp_path / "e" / "pr.csv").exists()
 
 
 class TestThroughputCommand:

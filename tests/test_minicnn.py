@@ -185,6 +185,12 @@ class TestNetworkSpecFile:
         with pytest.raises(InvalidInput, match="8 conv layers"):
             mc.parse_netspec(bad.replace("fc 64 2", "fc 256 2"))
 
+    @pytest.mark.parametrize("n_out", [1, 3])
+    def test_head_without_two_classes_rejected(self, n_out):
+        text = resources.files("peduncle").joinpath("data/default_net.spec").read_text()
+        with pytest.raises(InvalidInput, match="2 outputs"):
+            mc.parse_netspec(text.replace("fc 512 2", f"fc 512 {n_out}"))
+
     def test_channel_chain_mismatch_rejected(self):
         bad = DEFAULT_SPEC_TEXT.replace("conv 3 3 4 4 1 1", "conv 3 3 5 4 1 1", 1)
         with pytest.raises(InvalidInput, match="conv expects 5 channels"):
@@ -472,6 +478,22 @@ def assert_same_bytes(got, want):
     assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
+def assert_fused_step_matches_reference(x, k, draw_dy):
+    """The fused relu + k x k disjoint pool step on x equals Relu then the
+    reference pool byte for byte: the forward value, where each window's
+    gradient goes and the input gradient for the dy that draw_dy(shape)
+    gives."""
+    relu, ref = mc.Relu(), MaxPoolReference(mc.PoolSpec(k, k))
+    want = ref.forward(relu.forward(x, train=True), train=True)
+    step = mc._ReluMaxPool(mc.PoolSpec(k, k))
+    assert_same_bytes(step.forward(x, train=True), want)
+    # the reference's argmax runs over (b, c, oh, ow) windows
+    ref_arg = ref._cache[0].reshape(want.shape).transpose(0, 2, 3, 1)
+    assert_same_bytes(step._cache[0], ref_arg.astype(np.min_scalar_type(k * k - 1)))
+    dy = draw_dy(want.shape)
+    assert_same_bytes(step.backward(dy), relu.backward(ref.backward(dy)))
+
+
 def signed_zeros(x, rng):
     """x with each exact zero given a random sign."""
     zero = x == 0
@@ -556,7 +578,7 @@ class TestKernelsMatchReference:
         pool = mc.MaxPool(mc.PoolSpec(k, stride), pad=pad)
         assert_same_bytes(pool.forward(x), want)
         assert_same_bytes(pool.forward(x, train=True), want)
-        assert_same_bytes(pool._cache[0], want_arg)
+        assert_same_bytes(pool._cache[0], want_arg.astype(np.min_scalar_type(k * k - 1)))
         ref = MaxPoolReference(mc.PoolSpec(k, stride), pad=pad)
         ref.forward(x, train=True)
         dy = data.draw(hnp.arrays(dtype, want.shape, elements=st.sampled_from([-1.0, -0.0, 0.0, 2.0])))
@@ -573,15 +595,19 @@ class TestKernelsMatchReference:
         dims = st.integers(k, 3 * k + 1)
         shape = (data.draw(st.integers(1, 2)), data.draw(st.integers(1, 3)), data.draw(dims), data.draw(dims))
         x = data.draw(hnp.arrays(dtype, shape, elements=st.sampled_from([-1.0, -0.0, 0.0, 0.5])))
-        relu, ref = mc.Relu(), MaxPoolReference(mc.PoolSpec(k, k))
-        want = ref.forward(relu.forward(x, train=True), train=True)
-        step = mc._ReluMaxPool(mc.PoolSpec(k, k))
-        assert_same_bytes(step.forward(x), want)
-        # the reference's argmax runs over (b, c, oh, ow) windows
-        ref_arg = ref._cache[0].reshape(want.shape).transpose(0, 2, 3, 1)
-        assert_same_bytes(step._cache[0], ref_arg.astype(np.uint8))
-        dy = data.draw(hnp.arrays(dtype, want.shape, elements=st.sampled_from([-1.0, -0.0, 0.0, 2.0])))
-        assert_same_bytes(step.backward(dy), relu.backward(ref.backward(dy)))
+
+        def dy(shape):
+            return data.draw(hnp.arrays(dtype, shape, elements=st.sampled_from([-1.0, -0.0, 0.0, 2.0])))
+
+        assert_fused_step_matches_reference(x, k, dy)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_fused_relu_pool_matches_reference_at_k17(self, dtype):
+        """A 17 x 17 window has offsets past 255: the maximum at (16, 16) of
+        a -1 map is offset 288, and its gradient goes there."""
+        x = np.full((1, 1, 17, 17), -1.0, dtype=dtype)
+        x[0, 0, 16, 16] = 5.0
+        assert_fused_step_matches_reference(x, 17, lambda shape: np.full(shape, 2.0, dtype=dtype))
 
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_network_forward_same_bytes_in_training(self, dtype):
@@ -877,22 +903,22 @@ def patch_grids(draw):
 
 class TestSharedTrunk:
     def test_shared_depth_rule(self):
-        shipped = shipped_spec().layers
-        # conv1 relu pool1 conv2 relu pool2 conv3 relu pool3 inception ...
-        assert [mc.shared_depth(shipped, s) for s in range(1, 9)] == [2, 5, 2, 8, 2, 5, 2, 9]
-        assert [mc.shared_depth(shipped, s) for s in (12, 16)] == [8, 9]
-        # two convs between the pools, then an inception module
-        test_spec = mc.parse_netspec(DEFAULT_SPEC_TEXT).layers
-        assert [mc.shared_depth(test_spec, s) for s in (1, 2, 3, 4, 8)] == [2, 7, 2, 8, 8]
+        shipped = mc.Network.from_netspec(shipped_spec()).layers
+        # conv1 relu+pool1 conv2 relu+pool2 conv3 relu+pool3 inception ...
+        assert [mc.shared_depth(shipped, s) for s in range(1, 9)] == [1, 3, 1, 5, 1, 3, 1, 6]
+        assert [mc.shared_depth(shipped, s) for s in (12, 16)] == [5, 6]
+        # conv relu+pool conv, then a relu on its own, which ends the run
+        test_spec = mc.Network.from_netspec(mc.parse_netspec(DEFAULT_SPEC_TEXT)).layers
+        assert [mc.shared_depth(test_spec, s) for s in (1, 2, 3, 4, 8)] == [1, 3, 1, 3, 3]
         # a strided conv ahead of the first pool: nothing is shared at an odd stride
         strided = (mc.ConvSpec(3, 3, 3, 4, 2, 1), mc.ReluSpec(), mc.PoolSpec(2, 2), mc.FcSpec(4, 2))
-        assert [mc.shared_depth(strided, s) for s in (1, 2, 4)] == [0, 2, 3]
+        assert [mc.shared_depth(mc.Network(strided, 3).layers, s) for s in (1, 2, 4)] == [0, 1, 2]
 
     def test_ring_widths_of_the_shipped_spec(self):
         net = mc.Network.from_netspec(shipped_spec(), seed=1).cast(np.float32)
         crop = np.zeros((76, 80, 3), dtype=np.float32)
         trunk = mc._SharedTrunk(net, 4, crop)
-        assert trunk.depth == 8
+        assert trunk.depth == 5
         rings = [
             (type(lv.layer).__name__, lv.size, [(lo, n - hi) for (lo, hi), n in zip(lv.clean, lv.size)])
             for lv in trunk.levels[1:]
@@ -900,9 +926,9 @@ class TestSharedTrunk:
         ]
         assert rings == [
             ("Conv2d", (64, 64), [(1, 1), (1, 1)]),
-            ("MaxPool", (32, 32), [(1, 1), (1, 1)]),
+            ("_ReluMaxPool", (32, 32), [(1, 1), (1, 1)]),
             ("Conv2d", (32, 32), [(2, 2), (2, 2)]),
-            ("MaxPool", (16, 16), [(1, 1), (1, 1)]),
+            ("_ReluMaxPool", (16, 16), [(1, 1), (1, 1)]),
             ("Conv2d", (16, 16), [(2, 2), (2, 2)]),
         ]
 

@@ -721,6 +721,15 @@ class TestFilterDetections:
         assert counts[4] == 30
         assert np.array_equal(result.cluster, np.arange(30))
 
+    def test_score_at_the_threshold_passes(self):
+        """Step 1 keeps the points scoring at least the threshold: at a
+        threshold of exactly the peduncle's 0.9 the peduncle survives."""
+        scored, pepper_box = self.build_scene()
+        fp = pl.FilterParams(score_threshold=0.9, cluster_tol=0.003, min_cluster=5)
+        result = pl.filter_detections(scored, pepper_box, red_green_nb(), fp)
+        assert [c for _, _, c in result.survivors] == [63, 63, 53, 33, 30]
+        assert np.array_equal(result.cluster, np.arange(30))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_score_rejected(self, bad):
         scored, pepper_box = self.build_scene()
