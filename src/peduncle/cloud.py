@@ -12,6 +12,9 @@ the kd-tree returns with exact squared distances already nondecreasing
 (99.8% of a full C6 cloud's rows) take one sort of (run of equal
 distances, index) keys; the others a stable sort by index, then one by
 distance. Both give the same rows.
+Point geometry works on (3, M) coordinate columns (take_columns,
+column_dot, column_norm) with the floating-point operations, in the order,
+of numpy's row reductions over (M, 3), so every value keeps its bytes.
 """
 
 from __future__ import annotations
@@ -124,11 +127,39 @@ class SpatialIndex:
 
     def __init__(self, points: np.ndarray):
         self._points = np.ascontiguousarray(points, dtype=np.float64)
+        self._columns = np.ascontiguousarray(self._points.T)
         self._tree = cKDTree(self._points)
 
     @property
     def size(self) -> int:
         return self._points.shape[0]
+
+
+def take_columns(columns: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """(3, *idx.shape) coordinates of the points idx, from (3, N)
+    coordinate columns, one contiguous take per coordinate."""
+    out = np.empty((len(columns),) + np.shape(idx))
+    for column, dst in zip(columns, out):
+        column.take(idx, out=dst)
+    return out
+
+
+def column_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of (3, ...) coordinate columns, the same bytes as
+    np.einsum("ij,ij->i") (and "mkj,mkj->mk") over the rows.
+
+    numpy 2.4's einsum adds a three-term row as ((0 + x0 y0) + x2 y2) +
+    x1 y1, from its SIMD lane layout; the leading 0.0 turns a sum of three
+    -0.0 products into +0.0. A numpy that changes that order fails
+    tests/test_cloud.py::TestColumnKernels before any digest moves.
+    """
+    return ((0.0 + a[0] * b[0]) + a[2] * b[2]) + a[1] * b[1]
+
+
+def column_norm(a: np.ndarray) -> np.ndarray:
+    """Euclidean lengths of (3, ...) coordinate columns, the same bytes as
+    np.linalg.norm(axis=-1) over the rows: sqrt((x^2 + y^2) + z^2)."""
+    return np.sqrt((a[0] * a[0] + a[1] * a[1]) + a[2] * a[2])
 
 
 def build_index(cloud: PointCloud | np.ndarray) -> SpatialIndex:
@@ -163,8 +194,9 @@ def knn_batch(index: SpatialIndex, queries: np.ndarray, k: int) -> np.ndarray:
         raise InvalidInput(f"k={k} exceeds cloud size {index.size}")
     _, idx = index._tree.query(queries, k=k)
     idx = idx.reshape(len(queries), k)
-    diff = index._points[idx] - queries[:, None, :]
-    d2 = np.einsum("mkj,mkj->mk", diff, diff)
+    diff = take_columns(index._columns, idx)
+    diff -= queries.T[:, :, None]
+    d2 = column_dot(diff, diff)
     # Where the tree's order already leaves d2 nondecreasing, only the runs
     # of equal d2 need index order: one sort by run * size + index.
     key = np.zeros(idx.shape, dtype=np.int64)
@@ -196,16 +228,18 @@ def knn_batch_prefix(
     including which tied point the kd-tree keeps, equals the direct call.
     """
     queries = np.ascontiguousarray(queries, dtype=np.float64)
+    if table.ndim != 2 or table.shape[0] != len(queries):
+        raise InvalidInput(f"table must have one row per query ({len(queries)}), got shape {table.shape}")
     if k < 1:
         raise InvalidInput("k must be >= 1")
     if k > table.shape[1]:
         raise InvalidInput(f"k={k} exceeds the table's {table.shape[1]} columns")
     if k == table.shape[1]:
         return table
-    inner = index._points[table[:, k - 1]] - queries
-    outer = index._points[table[:, k]] - queries
-    d2_in = np.einsum("ij,ij->i", inner, inner)
-    d2_out = np.einsum("ij,ij->i", outer, outer)
+    boundary = take_columns(index._columns, table[:, k - 1 : k + 1])    # (3, M, 2)
+    boundary -= queries.T[:, :, None]
+    d2 = column_dot(boundary, boundary)
+    d2_in, d2_out = d2[:, 0], d2[:, 1]
     near = np.flatnonzero(d2_out <= d2_in * (1.0 + _SLACK) ** 2)
     out = table[:, :k].copy()
     if near.size:

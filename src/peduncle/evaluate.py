@@ -10,6 +10,7 @@ Filtered-mode curves are reported exactly as measured, not forced monotone.
 
 from __future__ import annotations
 
+import statistics
 import time
 from dataclasses import dataclass
 
@@ -152,7 +153,8 @@ def eval_filtered(
 
 
 def throughput(work_fn, units: int, repeats: int = 5) -> dict:
-    """Median wall-clock rate (units per second) over repeated runs.
+    """Median wall-clock rate (units per second) over repeated runs; an
+    even number of runs reports the mean of the two middle rates.
 
     Reported, never asserted: desk-scale rates are not comparable across
     hardware.
@@ -171,7 +173,7 @@ def throughput(work_fn, units: int, repeats: int = 5) -> dict:
     return {
         "units": units,
         "repeats": len(rates),
-        "median_rate": rates[len(rates) // 2],
+        "median_rate": statistics.median(rates),
         "min_rate": rates[0],
         "max_rate": rates[-1],
     }

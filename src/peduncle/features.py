@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from . import cloud as pc
 from ._textio import open_text, read_rows, write_rows
@@ -49,30 +50,40 @@ def rgb_to_hsv_array(rgb: np.ndarray) -> np.ndarray:
     return np.column_stack([h, s, v])
 
 
+def _cross(a, b):
+    """Cross products of (3, ...) coordinate columns, np.cross's operations
+    and order over (M, 3) rows."""
+    return np.stack([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]])
+
+
 def _pair_angles(ps, ns, pt, nt):
     """Vectorized Darboux angles with the source-selection convention applied.
 
-    For each row the source is the endpoint whose normal has the smaller
-    angle to the separation vector (ties keep the given order). Returns
-    (alpha, phi, theta, valid) where invalid rows are degenerate pairs.
+    Points and normals are (3, ...) coordinate columns, broadcast against
+    each other. For each pair the source is the endpoint whose normal has
+    the smaller angle to the separation vector (ties keep the given
+    order). Returns (alpha, phi, theta, valid) where invalid pairs are
+    degenerate; each value has the bytes of the same formulas over (M, 3)
+    rows with np.einsum, np.cross and np.linalg.norm (see cloud.column_dot).
     """
     d = pt - ps
-    dist = np.linalg.norm(d, axis=1)
+    dist = pc.column_norm(d)
     ok = dist > 0.0
-    dhat = np.where(ok[:, None], d / np.where(ok, dist, 1.0)[:, None], 0.0)
-    swap = np.einsum("ij,ij->i", ns, dhat) < np.einsum("ij,ij->i", nt, -dhat)
-    src_n = np.where(swap[:, None], nt, ns)
-    tgt_n = np.where(swap[:, None], ns, nt)
-    d = np.where(swap[:, None], -d, d)
-    cx = np.cross(d, src_n)
-    cx_norm = np.linalg.norm(cx, axis=1)
+    safe_dist = np.where(ok, dist, 1.0)
+    dhat = np.where(ok, d / safe_dist, 0.0)
+    # -(x·y) and x·(-y) differ at most in the sign of a zero, which < ignores
+    swap = pc.column_dot(ns, dhat) < -pc.column_dot(nt, dhat)
+    src_n = np.where(swap, nt, ns)
+    tgt_n = np.where(swap, ns, nt)
+    d = d * np.where(swap, -1.0, 1.0)       # -d where swapped, exactly
+    cx = _cross(d, src_n)
+    cx_norm = pc.column_norm(cx)
     valid = ok & (cx_norm >= _CROSS_EPS)
-    safe = np.where(valid, cx_norm, 1.0)
-    v = cx / safe[:, None]
-    w = np.cross(src_n, v)
-    alpha = np.einsum("ij,ij->i", v, tgt_n)
-    phi = np.einsum("ij,ij->i", src_n, d) / np.where(ok, dist, 1.0)
-    theta = np.arctan2(np.einsum("ij,ij->i", w, tgt_n), np.einsum("ij,ij->i", src_n, tgt_n))
+    v = cx / np.where(valid, cx_norm, 1.0)
+    w = _cross(src_n, v)
+    alpha = pc.column_dot(v, tgt_n)
+    phi = pc.column_dot(src_n, d) / safe_dist
+    theta = np.arctan2(pc.column_dot(w, tgt_n), pc.column_dot(src_n, tgt_n))
     return alpha, phi, theta, valid
 
 
@@ -143,14 +154,21 @@ def fpfh(
     n = points.shape[0]
     if k < 2:
         raise InvalidInput("fpfh needs k >= 2")
+    normals = np.asarray(normals, dtype=np.float64)
+    if normals.shape != (n, 3):
+        raise InvalidInput(f"normals must be ({n}, 3), got {normals.shape}")
     if valid_normals is None:
         valid_normals = np.ones(n, dtype=bool)
+    elif np.shape(valid_normals) != (n,):
+        raise InvalidInput(f"valid_normals must be ({n},), got {np.shape(valid_normals)}")
     if neighbors is None:
         neighbors = pc.knn_batch(pc.build_index(points), points, min(k + 1, n))
     elif neighbors.shape != (n, min(k + 1, n)):
         raise InvalidInput(f"neighbor table must be ({n}, {min(k + 1, n)}), got {neighbors.shape}")
     rows = np.arange(n) if rows is None else np.arange(n)[rows]
     kk = min(k, n - 1)
+    columns = np.ascontiguousarray(points.T)
+    normal_columns = np.ascontiguousarray(normals.T)
 
     # simplified histograms of the rows and every point in their tables (a
     # row is missing from its own table when duplicates crowd it out)
@@ -162,26 +180,38 @@ def fpfh(
     src = np.repeat(spfh_rows, kk)
     tgt = spfh_nbrs.ravel()
     pair_ok = valid_normals[src] & valid_normals[tgt]
-    alpha, phi, theta, valid = _pair_angles(points[src], normals[src], points[tgt], normals[tgt])
+    alpha, phi, theta, valid = _pair_angles(
+        pc.take_columns(columns, src), pc.take_columns(normal_columns, src),
+        pc.take_columns(columns, tgt), pc.take_columns(normal_columns, tgt),
+    )
     valid &= pair_ok
     own, own_ok = _histogram_pairs(src, alpha, phi, theta, valid, n)
 
     nbrs = spfh_nbrs[np.searchsorted(spfh_rows, rows)]       # (R, kk)
-    diff = points[nbrs] - points[rows][:, None, :]
-    omega = np.linalg.norm(diff, axis=2)
+    diff = pc.take_columns(columns, nbrs)
+    diff -= pc.take_columns(columns, rows)[:, :, None]
+    omega = pc.column_norm(diff)
     row_ok = own_ok[rows] & valid_normals[rows]
     contrib = own_ok[nbrs] & (omega > 0.0) & row_ok[:, None]
     weights = np.where(contrib, 1.0 / np.where(omega > 0, omega, 1.0), 0.0)
     counts = contrib.sum(axis=1)
-    # one neighbor column at a time: the same sum, in the same order, as a
-    # reduction over an (R, kk, 33) gather, without that gather
-    weighted = np.zeros((len(rows), FPFH_DIM))
-    for j in range(kk):
-        weighted += weights[:, j, None] * own[nbrs[:, j]]
     scale = np.where(counts > 0, counts, 1.0)
-    out = own[rows] + weighted / scale[:, None]
+    out = own[rows] + _neighbor_sum(weights, nbrs, own) / scale[:, None]
     out[~row_ok] = 0.0
     return out, row_ok
+
+
+def _neighbor_sum(weights: np.ndarray, nbrs: np.ndarray, own: np.ndarray) -> np.ndarray:
+    """sum_j weights[r, j] * own[nbrs[r, j]] for each row r, as one sparse
+    product.
+
+    scipy adds each row's stored entries in order onto zero, so every row is
+    the sum 0 + w0 x0 + w1 x1 + ... in neighbor order, zero weights included:
+    the bytes of a reduction over the (R, kk, 33) gather, without it.
+    """
+    r, kk = nbrs.shape
+    matrix = csr_matrix((weights.ravel(), nbrs.ravel(), np.arange(r + 1) * kk), shape=(r, len(own)))
+    return matrix @ own
 
 
 def _fpfh_valid(
@@ -195,6 +225,8 @@ def _fpfh_valid(
     yet settled; for nearly every point the first neighbor settles it.
     """
     n = points.shape[0]
+    columns = np.ascontiguousarray(points.T)
+    normal_columns = np.ascontiguousarray(normals.T)
     valid = np.zeros(n, dtype=bool)
     past_self = np.zeros(n, dtype=bool)
     todo = np.flatnonzero(valid_normals)
@@ -204,7 +236,10 @@ def _fpfh_valid(
         # column j of _without_self, for the points still open
         past_self[todo] |= neighbors[todo, j] == todo
         t = neighbors[todo, j + past_self[todo]]
-        ok = _pair_angles(points[todo], normals[todo], points[t], normals[t])[3] & valid_normals[t]
+        ok = _pair_angles(
+            pc.take_columns(columns, todo), pc.take_columns(normal_columns, todo),
+            pc.take_columns(columns, t), pc.take_columns(normal_columns, t),
+        )[3] & valid_normals[t]
         valid[todo[ok]] = True
         todo = todo[~ok]
     return valid

@@ -8,15 +8,15 @@ the library's layers, the previous CNN scoring path, which reuses the
 library's score map, the per-patch score map, which runs the library's
 network on every patch, the previous max-pool training forward, which
 gathers windows with the library's window helpers, the previous pfh-svm
-scoring path, which reuses the library's pair angles, binning and
-descriptor assembly (its normals, neighbor tables and colors come from the
+scoring path, which reuses the library's binning and descriptor assembly
+(its pair angles, normals, neighbor tables and colors come from the
 previous row forms below), the previous row forms of the per-point kernels,
 where knn_batch_rows and estimate_normals_rows query the library's kd-tree
 and nb_posterior_rows its hsv_nb_features, the previous SVM training
 sample, which draws rows of the library's point_features, the per-row file
 readers and writers, which build the library's own objects, knn, which
-takes its candidates from the library's kd-tree, spfh, which bins with the
-library's pair angles, kkt_violations, which scores with the library's
+takes its candidates from the library's kd-tree, spfh, which takes the
+library's histogram binning, kkt_violations, which scores with the library's
 svm_score_batch, and generate_reference, which draws a scene with the
 library's samplers and colour draws. ranked_clusters is not an oracle: it
 lists every cluster the library's largest_clusters would pick in turn, for
@@ -305,7 +305,7 @@ def spfh(points, normals, i: int, neighbors) -> np.ndarray:
     normals = np.asarray(normals, dtype=np.float64)
     ps = np.broadcast_to(points[i], (len(neighbors), 3))
     ns = np.broadcast_to(normals[i], (len(neighbors), 3))
-    alpha, phi, theta, valid = ft._pair_angles(ps, ns, points[neighbors], normals[neighbors])
+    alpha, phi, theta, valid = pair_angles_rows(ps, ns, points[neighbors], normals[neighbors])
     if not np.any(valid):
         raise EmptyHistogram(f"all pairs of point {i} degenerate")
     hist, _ = ft._histogram_pairs(np.zeros(len(neighbors), dtype=np.intp), alpha, phi, theta, valid, 1)
@@ -433,7 +433,7 @@ def fpfh_reference(points, normals, k, valid_normals=None):
     src = np.repeat(np.arange(n, dtype=np.intp), kk)
     tgt = nbrs.ravel()
     pair_ok = valid_normals[src] & valid_normals[tgt]
-    alpha, phi, theta, valid = ft._pair_angles(points[src], normals[src], points[tgt], normals[tgt])
+    alpha, phi, theta, valid = pair_angles_rows(points[src], normals[src], points[tgt], normals[tgt])
     valid &= pair_ok
     own, own_ok = _histogram_pairs_reference(src, alpha, phi, theta, valid, n)
     diff = points[nbrs] - points[:, None, :]
@@ -450,8 +450,43 @@ def fpfh_reference(points, normals, k, valid_normals=None):
 
 
 # The per-point kernels before they worked on columns: colour, posterior,
-# pair and normal kernels over (N, 3) and (N, k, 3) rows. The library's
-# column forms must equal them byte for byte.
+# pair, Darboux-angle, neighbor-distance, neighbor-average and normal
+# kernels over (N, 3) and (N, k, 3) rows. The library's column forms must
+# equal them byte for byte; fpfh_reference's (N, k, 3) omega norm and
+# (N, k, 33) average are the row forms of fpfh's distances and sparse
+# product.
+
+
+def pair_angles_rows(ps, ns, pt, nt):
+    """features._pair_angles over (M, 3) rows, each three-term dot an
+    np.einsum("ij,ij->i") call and the frame built with np.cross and
+    np.linalg.norm."""
+    d = pt - ps
+    dist = np.linalg.norm(d, axis=1)
+    ok = dist > 0.0
+    dhat = np.where(ok[:, None], d / np.where(ok, dist, 1.0)[:, None], 0.0)
+    swap = np.einsum("ij,ij->i", ns, dhat) < np.einsum("ij,ij->i", nt, -dhat)
+    src_n = np.where(swap[:, None], nt, ns)
+    tgt_n = np.where(swap[:, None], ns, nt)
+    d = np.where(swap[:, None], -d, d)
+    cx = np.cross(d, src_n)
+    cx_norm = np.linalg.norm(cx, axis=1)
+    valid = ok & (cx_norm >= ft._CROSS_EPS)
+    safe = np.where(valid, cx_norm, 1.0)
+    v = cx / safe[:, None]
+    w = np.cross(src_n, v)
+    alpha = np.einsum("ij,ij->i", v, tgt_n)
+    phi = np.einsum("ij,ij->i", src_n, d) / np.where(ok, dist, 1.0)
+    theta = np.arctan2(np.einsum("ij,ij->i", w, tgt_n), np.einsum("ij,ij->i", src_n, tgt_n))
+    return alpha, phi, theta, valid
+
+
+def neighbor_sum_rows(weights, nbrs, own):
+    """features._neighbor_sum one neighbor column at a time, onto zeros."""
+    out = np.zeros((len(nbrs), own.shape[1]))
+    for j in range(nbrs.shape[1]):
+        out += weights[:, j, None] * own[nbrs[:, j]]
+    return out
 
 
 def rgb_to_hsv_rows(rgb):

@@ -1,5 +1,7 @@
 """Spatial container and query tests, with brute-force reference checks."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -197,6 +199,50 @@ class TestColumnFormsPinned:
         assert same_bytes(got[0], want[0]) and same_bytes(got[1], want[1])
         pepper = cloud.points[cloud.labels == pc.LABEL_PEPPER]
         assert same_bytes(pc.radius_pairs(pepper, 0.01), radius_pairs_rows(pepper, 0.01))
+
+
+def awkward_rows(seed, n):
+    """(n, 3) random rows with every magnitude from subnormal to 1e150, and
+    rows of signed zeros: the values where the order of a sum shows."""
+    rng = np.random.default_rng(seed)
+    scale = rng.choice([5e-324, 1e-310, 1e-300, 1e-8, 1.0, 1e8, 1e150], size=(n, 3))
+    rows = rng.normal(size=(n, 3)) * scale
+    zeros = np.array(list(itertools.product([0.0, -0.0], repeat=3)))
+    ones = np.array(list(itertools.product([1.0, -1.0], repeat=3)))
+    return np.concatenate([rows, zeros, zeros, ones * 5e-324]), np.concatenate([rows, zeros[::-1], ones, zeros])
+
+
+class TestColumnKernels:
+    """The column kernels reproduce numpy's row reductions on this numpy.
+
+    column_dot is written in the order numpy 2.4's einsum adds a three-term
+    row. A numpy that adds in another order fails here, with its version
+    named, rather than as an unexplained C6 count or C7 digest change.
+    """
+
+    def test_column_dot_is_einsum(self):
+        a, b = awkward_rows(11, 100_000)
+        got = pc.column_dot(a.T, b.T)
+        for subscripts, x, y in (("ij,ij->i", a, b), ("mkj,mkj->mk", a.reshape(-1, 4, 3), b.reshape(-1, 4, 3))):
+            want = np.einsum(subscripts, x, y).ravel()
+            differ = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+            assert differ.size == 0, (
+                f"numpy {np.__version__}: np.einsum({subscripts!r}) no longer adds a row as "
+                f"((0 + x0 y0) + x2 y2) + x1 y1; {differ.size} of {len(got)} rows differ, first "
+                f"{a[differ[0]].tolist()} . {b[differ[0]].tolist()} = {want[differ[0]]!r}, "
+                f"column_dot {got[differ[0]]!r}"
+            )
+
+    def test_column_norm_is_linalg_norm(self):
+        a, _ = awkward_rows(12, 100_000)
+        want = np.linalg.norm(a, axis=1)
+        got = pc.column_norm(a.T)
+        assert same_bytes(got, want), f"numpy {np.__version__}: np.linalg.norm(axis=1) changed its order"
+
+    def test_take_columns_is_a_row_gather(self):
+        a, _ = awkward_rows(13, 1000)
+        idx = np.random.default_rng(14).integers(0, len(a), (37, 5))
+        assert same_bytes(pc.take_columns(np.ascontiguousarray(a.T), idx), np.moveaxis(a[idx], -1, 0).copy())
 
 
 class TestBoxCentroid:

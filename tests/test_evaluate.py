@@ -172,6 +172,17 @@ class TestThroughput:
         ratio = double["median_rate"] / report["median_rate"]
         assert 0.2 < ratio < 5.0
 
+    @pytest.mark.parametrize("seconds,median", [([4.0, 1.0, 2.0, 8.0], 3.0), ([2.0, 8.0, 1.0], 4.0), ([5.0], 1.6)])
+    def test_median_of_even_and_odd_counts(self, monkeypatch, seconds, median):
+        # each run takes the next duration: 8 units over 1, 2, 4, 8 s is
+        # 8, 4, 2 and 1 units/s, whose median is 3, not the upper middle 4
+        ticks = iter(np.cumsum([0.0] + [x for s in seconds for x in (s, 0.0)]))
+        monkeypatch.setattr(ev.time, "perf_counter", lambda: float(next(ticks)))
+        report = ev.throughput(lambda: None, units=8, repeats=len(seconds))
+        assert report["median_rate"] == median
+        assert report["min_rate"] == 8 / max(seconds) and report["max_rate"] == 8 / min(seconds)
+        assert report["repeats"] == len(seconds) and report["units"] == 8
+
     def test_zero_units_rejected(self):
         with pytest.raises(InvalidInput, match="workload must be positive"):
             ev.throughput(lambda: None, units=0)

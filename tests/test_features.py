@@ -18,7 +18,9 @@ from oracles import (
     fpfh_reference,
     naive_fpfh,
     naive_spfh,
+    neighbor_sum_rows,
     neighbor_tables_reference,
+    pair_angles_rows,
     point_features_reference,
     rgb_to_hsv_rows,
     same_bytes,
@@ -137,6 +139,89 @@ class TestDarboux:
             )
 
 
+_S2, _S3 = 1 / np.sqrt(2.0), 1 / np.sqrt(3.0)
+_BASE_NORMALS = np.array([
+    [1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], [_S2, _S2, 0], [_S2, 0, -_S2], [0, -_S2, _S2],
+    [_S3, _S3, _S3], [_S3, -_S3, _S3], [0.6, 0.8, 0], [0, 0.6, -0.8], [0, 0, 0],
+])
+# negation puts -0.0 into the zero components, and the zero normal twice
+LATTICE_NORMALS = np.concatenate([_BASE_NORMALS, -_BASE_NORMALS])
+
+
+@st.composite
+def lattice_pairs(draw):
+    """(ps, ns, pt, nt) rows of point pairs on a {-1, 0, 1}^3 lattice.
+
+    Separations have zero components or zero length; normals come from a
+    set with axis, diagonal and zero normals and -0.0 components. A
+    target normal is drawn on its own, equal to the source's, antiparallel
+    to it (an exact swap tie: ns.d == nt.(-d)) or zero.
+    """
+    n = draw(st.integers(1, 30))
+    scale = draw(st.sampled_from([1.0, 0.01, 0.003]))
+    corner = st.tuples(st.integers(-1, 1), st.integers(-1, 1), st.integers(-1, 1))
+    pair = st.tuples(corner, corner, st.integers(0, len(LATTICE_NORMALS) - 1),
+                     st.sampled_from(["own", "same", "antiparallel", "zero"]),
+                     st.integers(0, len(LATTICE_NORMALS) - 1))
+    rows = draw(st.lists(pair, min_size=n, max_size=n))
+    ps = np.array([r[0] for r in rows], dtype=np.float64) * scale
+    pt = np.array([r[1] for r in rows], dtype=np.float64) * scale
+    ns = LATTICE_NORMALS[[r[2] for r in rows]]
+    nt = np.array([
+        {"own": LATTICE_NORMALS[j], "same": ns[i], "antiparallel": -ns[i], "zero": np.zeros(3)}[rel]
+        for i, (_, _, _, rel, j) in enumerate(rows)
+    ])
+    return ps, ns, pt, nt
+
+
+class TestPairAnglesColumns:
+    """_pair_angles on (3, M) columns equals its (M, 3) row form byte for
+    byte in all four outputs, on the pairs where signs and ties decide."""
+
+    @staticmethod
+    def check(ps, ns, pt, nt):
+        got = ft._pair_angles(ps.T, ns.T, pt.T, nt.T)
+        want = pair_angles_rows(ps, ns, pt, nt)
+        for name, g, w in zip(("alpha", "phi", "theta", "valid"), got, want):
+            assert same_bytes(g, w), name
+
+    @settings(max_examples=300)
+    @given(lattice_pairs())
+    def test_lattice_pairs(self, pairs):
+        self.check(*pairs)
+
+    def test_zero_target_normal_gives_positive_zeros(self):
+        # both of theta's dots add three -0.0 products; einsum's sum is +0.0,
+        # so theta is arctan2(+0.0, +0.0) = 0, not the pi that -0.0 would give
+        ps = np.zeros((1, 3))
+        pt = np.array([[-1.0, -1.0, -1.0]])
+        ns = np.array([[-1.0, -0.0, -0.0]])
+        self.check(ps, ns, pt, np.zeros((1, 3)))
+
+    def test_random_pairs(self):
+        rng = np.random.default_rng(21)
+        ps, pt = rng.normal(size=(2, 5000, 3)) * 0.01
+        ns, nt = rng.normal(size=(2, 5000, 3))
+        ns /= np.linalg.norm(ns, axis=1, keepdims=True)
+        nt /= np.linalg.norm(nt, axis=1, keepdims=True)
+        self.check(ps, ns, pt, nt)
+
+
+class TestNeighborSum:
+    """The one-product neighbor average adds each row in neighbor order
+    onto zero, like the column-by-column loop, zero weights and empty
+    shapes included."""
+
+    @settings(max_examples=100)
+    @given(r=st.integers(0, 12), kk=st.integers(0, 8), n=st.integers(1, 15), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_loop(self, r, kk, n, seed):
+        rng = np.random.default_rng(seed)
+        weights = np.where(rng.uniform(size=(r, kk)) < 0.3, 0.0, rng.uniform(1.0, 400.0, (r, kk)))
+        nbrs = rng.integers(0, n, (r, kk))
+        own = rng.uniform(0.0, 100.0, (n, ft.FPFH_DIM)) * (rng.uniform(size=(n, 1)) < 0.8)
+        assert same_bytes(ft._neighbor_sum(weights, nbrs, own), neighbor_sum_rows(weights, nbrs, own))
+
+
 class TestSpfh:
     def test_plane_grid_single_bins(self):
         g = np.stack(np.meshgrid(np.arange(5) * 0.01, np.arange(5) * 0.01), -1).reshape(-1, 2)
@@ -245,6 +330,20 @@ class TestFpfh:
             assert np.array_equal(base_ok, got_ok)
             assert np.abs(got[got_ok] - base[base_ok]).max() <= 1e-6
 
+    @pytest.mark.parametrize("shape", [(40, 3), (20, 3), (30, 2), (30,), (30, 3, 1)])
+    def test_rejects_normals_of_another_shape(self, shape):
+        pts = lattice(4)[:30]
+        normals = np.resize([0.0, 0.0, 1.0], shape)
+        with pytest.raises(InvalidInput, match="normals must be"):
+            ft.fpfh(pts, normals, 4)
+
+    @pytest.mark.parametrize("shape", [(40,), (20,), (30, 1)])
+    def test_rejects_valid_flags_of_another_shape(self, shape):
+        pts = lattice(4)[:30]
+        normals = np.tile([0.0, 0.0, 1.0], (30, 1))
+        with pytest.raises(InvalidInput, match="valid_normals must be"):
+            ft.fpfh(pts, normals, 4, np.ones(shape, dtype=bool))
+
     def test_duplicate_neighbors_skipped(self):
         pts = np.array([[0.0, 0, 0], [0.0, 0, 0], [0.01, 0, 0], [0.0, 0.01, 0]])
         normals = np.tile([0.0, 0.0, 1.0], (4, 1))
@@ -308,6 +407,14 @@ class TestSharedNeighborTables:
         got = ft.neighbor_tables(cloud, normal_k, fpfh_k)
         want = neighbor_tables_reference(cloud.points, normal_k, fpfh_k)
         assert same_bytes(got[0], want[0]) and same_bytes(got[1], want[1])
+
+    @pytest.mark.parametrize("copies", [0.25, 2])
+    def test_prefix_rejects_a_table_of_other_queries(self, copies):
+        pts = lattice(3)
+        index = pc.build_index(pts)
+        table = pc.knn_batch(index, np.tile(pts, (2, 1))[: int(copies * len(pts))], 5)
+        with pytest.raises(InvalidInput, match="one row per query"):
+            pc.knn_batch_prefix(index, pts, table, 3)
 
     def test_prefix_rejects_a_wider_k(self):
         pts = lattice(3)
