@@ -194,8 +194,14 @@ def svm_train(features: np.ndarray, labels: np.ndarray, params: SvmParams | None
 
 
 def svm_score_batch(model: SvmModel, feats: np.ndarray) -> np.ndarray:
-    """Signed margins for (N, dim) feature rows."""
+    """Signed margins for (N, dim) feature rows, dim the model's.
+
+    Raises InvalidInput for rows of another width or a non-finite value.
+    """
     feats = np.asarray(feats, dtype=np.float64)
+    dim = len(model.feature_means)
+    if feats.ndim != 2 or feats.shape[1] != dim:
+        raise InvalidInput(f"features must be (N, {dim}) for this model, got {feats.shape}")
     if not np.all(np.isfinite(feats)):
         raise InvalidInput("non-finite feature value")
     xs = (feats - model.feature_means) / model.feature_scales

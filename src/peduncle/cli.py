@@ -203,8 +203,9 @@ def cmd_train_svm(args) -> int:
         seed=args.seed,
     )
     _echo_config(args.out, cfg)
-    keep = labels != pc.LABEL_UNLABELED
-    y = np.where(labels[keep] == pc.LABEL_PEDUNCLE, 1.0, -1.0)
+    labels = ev.labels_to_eval(labels)
+    keep = labels != ev.IGNORED
+    y = np.where(labels[keep] == ev.POSITIVE, 1.0, -1.0)
     _log(f"training svm on {keep.sum()} rows ({int((y > 0).sum())} positive)")
     model = cls.svm_train(feats[keep], y, params)
     out_path = os.path.join(args.out, "svm.model")

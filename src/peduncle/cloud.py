@@ -5,13 +5,14 @@ from any number of workers. radius_pairs and largest_clusters are exact:
 identical to a brute-force scan, ties broken by ascending point index;
 largest_clusters takes any number of kept sets over one edge list in one
 connected_components call.
-knn_batch orders its rows by exact squared distance, ties by index, but
-when several points tie at the k-th distance, which of them make a row is
-left to the kd-tree (deterministic for a given cloud, not by index). Rows
-the kd-tree returns with exact squared distances already nondecreasing
-(99.8% of a full C6 cloud's rows) take one sort of (run of equal
-distances, index) keys; the others a stable sort by index, then one by
-distance. Both give the same rows.
+knn_batch is exact as well: each row holds the k points with the smallest
+(exact squared distance, index), in that order, so a table is the prefix
+of any wider one. The kd-tree is queried at k + 1 + k // 4; a row is kept
+once its last squared distance clears the k-th by more than _SLACK, so no
+point the tree left out can tie into it, and the other rows are queried
+again at twice the width. Rows the kd-tree returns with exact squared
+distances already nondecreasing (99.8% of a full C6 cloud's rows) take one
+sort of (run of equal distances, index) keys; the others one lexsort.
 Point geometry works on (3, M) coordinate columns (take_columns,
 column_dot, column_norm) with the floating-point operations, in the order,
 of numpy's row reductions over (M, 3), so every value keeps its bytes.
@@ -176,10 +177,9 @@ def build_index(cloud: PointCloud | np.ndarray) -> SpatialIndex:
 def knn_batch(index: SpatialIndex, queries: np.ndarray, k: int) -> np.ndarray:
     """(M, k) nearest-neighbor indices for M query points at once.
 
-    Each row holds k points nearest to its query in nondecreasing exact
-    squared distance, ties broken by index. When several points tie at the
-    k-th distance, which of them make the row is left to the kd-tree and is
-    arbitrary.
+    Each row holds the k points with the smallest (exact squared distance,
+    index), in that order, so knn_batch(k) is the first k columns of
+    knn_batch(k') for every k' >= k.
 
     Raises InvalidInput unless the queries are (M, 3) and finite.
     """
@@ -192,59 +192,43 @@ def knn_batch(index: SpatialIndex, queries: np.ndarray, k: int) -> np.ndarray:
         raise InvalidInput("k must be >= 1")
     if k > index.size:
         raise InvalidInput(f"k={k} exceeds cloud size {index.size}")
-    _, idx = index._tree.query(queries, k=k)
-    idx = idx.reshape(len(queries), k)
-    diff = take_columns(index._columns, idx)
-    diff -= queries.T[:, :, None]
-    d2 = column_dot(diff, diff)
+    out = np.empty((len(queries), k), dtype=np.intp)
+    rows = np.arange(len(queries))
+    width = min(k + 1 + k // 4, index.size)
+    while rows.size:
+        idx, d2 = _sorted_query(index, queries[rows], width)
+        # every point the tree left out is at least as far as the row's last
+        settled = (width == index.size) | (d2[:, -1] > d2[:, k - 1] * (1.0 + _SLACK) ** 2)
+        out[rows[settled]] = idx[settled, :k]
+        rows = rows[~settled]
+        width = min(2 * width, index.size)
+    return out
+
+
+def _sorted_query(index: SpatialIndex, queries: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The kd-tree's width nearest points of each query and their exact
+    squared distances, each row sorted by (squared distance, index)."""
+    idx = index._tree.query(queries, k=width)[1].reshape(len(queries), width)
+    # column_dot(diff, diff) one coordinate at a time, in its order, without
+    # holding a (3, M, width) gather
+    d2 = np.zeros(idx.shape)
+    term = np.empty(idx.shape)
+    for c in (0, 2, 1):
+        index._columns[c].take(idx, out=term)
+        term -= queries[:, c, None]
+        term *= term
+        d2 += term
     # Where the tree's order already leaves d2 nondecreasing, only the runs
     # of equal d2 need index order: one sort by run * size + index.
     key = np.zeros(idx.shape, dtype=np.int64)
     np.cumsum(d2[:, 1:] > d2[:, :-1], axis=1, out=key[:, 1:])
     key *= index.size
     key += idx
-    out = np.take_along_axis(idx, np.argsort(key, axis=1), axis=1)
+    order = np.argsort(key, axis=1)
     rest = np.flatnonzero(~np.all(d2[:, 1:] >= d2[:, :-1], axis=1))
-    if rest.size:
-        idx, d2 = idx[rest], d2[rest]
-        o1 = np.argsort(idx, axis=1, kind="stable")
-        idx = np.take_along_axis(idx, o1, axis=1)
-        d2 = np.take_along_axis(d2, o1, axis=1)
-        o2 = np.argsort(d2, axis=1, kind="stable")
-        out[rest] = np.take_along_axis(idx, o2, axis=1)
-    return out
-
-
-def knn_batch_prefix(
-    index: SpatialIndex, queries: np.ndarray, table: np.ndarray, k: int
-) -> np.ndarray:
-    """knn_batch(index, queries, k), read off a wider table.
-
-    `table` is knn_batch(index, queries, K) for some K >= k. Where the
-    k-th and (k+1)-th squared distances of a row are more than `_SLACK`
-    apart, the k nearest are unique and the row's first k entries are
-    exactly what knn_batch(k) returns. Only the rows where they tie or
-    come that close are queried again with knn_batch at k, so every row,
-    including which tied point the kd-tree keeps, equals the direct call.
-    """
-    queries = np.ascontiguousarray(queries, dtype=np.float64)
-    if table.ndim != 2 or table.shape[0] != len(queries):
-        raise InvalidInput(f"table must have one row per query ({len(queries)}), got shape {table.shape}")
-    if k < 1:
-        raise InvalidInput("k must be >= 1")
-    if k > table.shape[1]:
-        raise InvalidInput(f"k={k} exceeds the table's {table.shape[1]} columns")
-    if k == table.shape[1]:
-        return table
-    boundary = take_columns(index._columns, table[:, k - 1 : k + 1])    # (3, M, 2)
-    boundary -= queries.T[:, :, None]
-    d2 = column_dot(boundary, boundary)
-    d2_in, d2_out = d2[:, 0], d2[:, 1]
-    near = np.flatnonzero(d2_out <= d2_in * (1.0 + _SLACK) ** 2)
-    out = table[:, :k].copy()
-    if near.size:
-        out[near] = knn_batch(index, queries[near], k)
-    return out
+    order[rest] = np.lexsort((idx[rest], d2[rest]), axis=1)
+    d2[rest] = np.take_along_axis(d2[rest], order[rest], axis=1)    # the others are in order
+    return np.take_along_axis(idx, order, axis=1), d2
 
 
 def estimate_normals(

@@ -143,10 +143,12 @@ def fpfh(
     skipped from both the histograms and the average. Points whose own
     histogram has no valid pair are flagged invalid. `neighbors` is the
     (N, min(k + 1, N)) table knn_batch(build_index(points), points,
-    min(k + 1, N)), each row holding the point itself; it is queried here
-    when not given. Simplified histograms are formed only for the rows and
-    their neighbors, and each output row is the same bytes as that row of
-    the every-point call.
+    min(k + 1, N)), the first columns of any wider knn_batch table; it is
+    queried here when not given. A row holds the point itself unless k + 1
+    duplicates of lower index crowd it out, and its first min(k, N - 1)
+    other points are the neighbors. Simplified histograms are formed only
+    for the rows and their neighbors, and each output row is the same
+    bytes as that row of the every-point call.
 
     Returns (descriptors (R, 33), valid (R,) bool), R = len(rows) or N.
     """
@@ -257,19 +259,16 @@ def assemble_features(hsv_arr: np.ndarray, fpfh_arr: np.ndarray) -> np.ndarray:
 
 def neighbor_tables(cloud: pc.PointCloud, normal_k: int, fpfh_k: int) -> tuple[np.ndarray, np.ndarray]:
     """(normal table, fpfh table) for point_features from one kd-tree and
-    one full query.
+    one query.
 
-    They equal knn_batch(index, points, normal_k) and knn_batch(index,
-    points, min(fpfh_k + 1, N)) byte for byte: the query runs at the larger
-    width and cloud.knn_batch_prefix reads the smaller table off it.
+    They are knn_batch(index, points, normal_k) and knn_batch(index,
+    points, min(fpfh_k + 1, N)): both are prefixes of the query at the
+    larger width, since knn_batch keeps the (squared distance, index)
+    order.
     """
-    index = pc.build_index(cloud)
     fpfh_width = min(fpfh_k + 1, len(cloud))
-    table = pc.knn_batch(index, cloud.points, max(normal_k, fpfh_width))
-    return (
-        pc.knn_batch_prefix(index, cloud.points, table, normal_k),
-        pc.knn_batch_prefix(index, cloud.points, table, fpfh_width),
-    )
+    table = pc.knn_batch(pc.build_index(cloud), cloud.points, max(normal_k, fpfh_width))
+    return table[:, :normal_k], table[:, :fpfh_width]
 
 
 @dataclass(frozen=True)

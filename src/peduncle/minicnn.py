@@ -57,7 +57,7 @@ shape constraint) remain available for unit-level gradient checking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 
 import numpy as np
@@ -128,6 +128,17 @@ class NetworkSpec:
     layers: tuple
 
     def validate(self) -> None:
+        """Raises InvalidInput unless every size is >= 1 (paddings >= 0),
+        the layers chain, and the network is 8 conv layers (2 of them
+        inception) ending in a 2-output fc head."""
+        if min(self.input_h, self.input_w, self.input_c) < 1:
+            raise InvalidInput(f"input dimensions must be >= 1, got {self.input_h} {self.input_w} {self.input_c}")
+        for spec in self.layers:
+            for field in fields(spec):
+                value, least = getattr(spec, field.name), 0 if field.name == "pad" else 1
+                if value < least:
+                    kind = type(spec).__name__.removesuffix("Spec").lower()
+                    raise InvalidInput(f"{kind} {field.name} must be >= {least}, got {value}")
         n_conv = sum(isinstance(s, (ConvSpec, InceptionSpec)) for s in self.layers)
         n_incep = sum(isinstance(s, InceptionSpec) for s in self.layers)
         n_fc = sum(isinstance(s, FcSpec) for s in self.layers)

@@ -66,21 +66,22 @@ def collect_svm_training(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Class-balanced (features, +-1 labels) sample across training scenes.
 
-    Each scene gives up to per_scene // 2 peduncle and as many other
-    labelled points, drawn among the points whose features are valid; the
-    pooled sample is then cut to max_total rows. Normals and valid flags
-    cover every point, but histograms only the drawn rows and their
-    neighbors (features.PointGeometry), with the same output as drawing
-    rows of point_features.
+    Each scene gives up to per_scene // 2 positive and as many negative
+    points (evaluate.labels_to_eval; ignored points never), drawn among the
+    points whose features are valid; the pooled sample is then cut to
+    max_total rows. Normals and valid flags cover every point, but
+    histograms only the drawn rows and their neighbors
+    (features.PointGeometry), with the same output as drawing rows of
+    point_features.
     """
     rng = np.random.default_rng(seed)
     feats_all, y_all = [], []
     for scene in scenes:
         geometry = ft.PointGeometry.of(scene.cloud, normal_k, fpfh_k)
         valid = geometry.valid()
-        labels = scene.cloud.labels
-        pos = np.flatnonzero((labels == pc.LABEL_PEDUNCLE) & valid)
-        neg = np.flatnonzero((labels != pc.LABEL_PEDUNCLE) & (labels != pc.LABEL_UNLABELED) & valid)
+        labels = ev.labels_to_eval(scene.cloud.labels)
+        pos = np.flatnonzero((labels == ev.POSITIVE) & valid)
+        neg = np.flatnonzero((labels == ev.NEGATIVE) & valid)
         half = per_scene // 2
         if pos.size > half:
             pos = np.sort(rng.choice(pos, half, replace=False))

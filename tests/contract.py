@@ -11,6 +11,9 @@ A change that moves a count or a digest on purpose regenerates both files
 in the same commit, from the repository root:
 
     PYTHONPATH=src python tests/contract.py
+
+which prints each C7 file whose digest moved and each C6 curve point whose
+counts moved, with the stored and the new values.
 """
 
 import hashlib
@@ -130,6 +133,40 @@ def _first_difference(want, got, at="") -> str:
     return f"{at or 'values'} stored {want!r}, got {got!r}"
 
 
+def c7_moves(stored: dict, digests: dict) -> list[str]:
+    """One line per file of C7's run whose digest moved, appeared or went:
+    its path and the first 12 hex digits of the stored and new digests."""
+    return [
+        f"{name}: {stored.get(name, 'absent')[:12]} -> {digests.get(name, 'absent')[:12]}"
+        for name in sorted(set(stored) | set(digests)) if stored.get(name) != digests.get(name)
+    ]
+
+
+def c6_moves(stored: dict, results) -> list[str]:
+    """One line per C6 curve point whose counts moved: the detector, the
+    mode and the threshold, and the stored and new [tp, fp, fn, tn]."""
+    lines = []
+    for det, modes in c6_counts(results).items():
+        for mode, rows in modes.items():
+            old = stored.get(det, {}).get(mode, [])
+            for i, (point, row) in enumerate(zip(results[det][mode].points, rows)):
+                was = old[i] if i < len(old) else None
+                if was != row:
+                    lines.append(f"{det} {mode} threshold {point.threshold:.6g}: {was} -> {row}")
+    return lines
+
+
+def stored_values(path: Path):
+    """The values stored in path, or {} when there is no such file."""
+    return json.loads(path.read_text())["values"] if path.exists() else {}
+
+
+def report(path: Path, lines: list[str]) -> None:
+    print(f"{path.name}: {len(lines)} moved")
+    for line in lines:
+        print(f"  {line}")
+
+
 def write(path: Path, values) -> None:
     """Stores values and this platform's fingerprint in path, one count row
     per line."""
@@ -144,8 +181,12 @@ def main() -> int:
         cfg = Path(tmp) / "c.cfg"
         cfg.write_text(C7_CONFIG)
         run_c7(Path(tmp) / "a", cfg)
-        write(C7_DIGESTS, tree_hashes(Path(tmp) / "a"))
-    write(C6_COUNTS, c6_counts(run_c6()))
+        digests = tree_hashes(Path(tmp) / "a")
+    report(C7_DIGESTS, c7_moves(stored_values(C7_DIGESTS), digests))
+    write(C7_DIGESTS, digests)
+    results = run_c6()
+    report(C6_COUNTS, c6_moves(stored_values(C6_COUNTS), results))
+    write(C6_COUNTS, c6_counts(results))
     return 0
 
 

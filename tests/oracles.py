@@ -11,16 +11,16 @@ gathers windows with the library's window helpers, the previous pfh-svm
 scoring path, which reuses the library's binning and descriptor assembly
 (its pair angles, normals, neighbor tables and colors come from the
 previous row forms below), the previous row forms of the per-point kernels,
-where knn_batch_rows and estimate_normals_rows query the library's kd-tree
-and nb_posterior_rows its hsv_nb_features, the previous SVM training
-sample, which draws rows of the library's point_features, the per-row file
-readers and writers, which build the library's own objects, knn, which
-takes its candidates from the library's kd-tree, spfh, which takes the
-library's histogram binning, kkt_violations, which scores with the library's
-svm_score_batch, and generate_reference, which draws a scene with the
-library's samplers and colour draws. ranked_clusters is not an oracle: it
-lists every cluster the library's largest_clusters would pick in turn, for
-comparison with the oracles. Nor is same_bytes, the byte-equality check the pinned tests share.
+where nb_posterior_rows takes the library's hsv_nb_features, the previous
+SVM training sample, which draws rows of the library's point_features, the
+per-row file readers and writers, which build the library's own objects,
+knn, which takes its candidates from the library's kd-tree, spfh, which
+takes the library's histogram binning, kkt_violations, which scores with
+the library's svm_score_batch, and generate_reference, which draws a scene
+with the library's samplers and colour draws. ranked_clusters is not an
+oracle: it lists every cluster the library's largest_clusters would pick in
+turn, for comparison with the oracles. Nor is same_bytes, the
+byte-equality check the pinned tests share.
 """
 
 import contextlib
@@ -424,7 +424,7 @@ def fpfh_reference(points, normals, k, valid_normals=None):
         raise InvalidInput("fpfh needs k >= 2")
     if valid_normals is None:
         valid_normals = np.ones(n, dtype=bool)
-    raw = knn_batch_rows(pc.build_index(points), points, min(k + 1, n))
+    raw = knn_batch_rows(points, points, min(k + 1, n))
     nbrs = np.empty((n, min(k, n - 1)), dtype=np.intp)
     for row in range(n):
         r = raw[row][raw[row] != row]
@@ -534,23 +534,56 @@ def radius_pairs_rows(points, tol):
     return pairs[np.einsum("ij,ij->i", d, d) <= tol * tol].astype(np.intp, copy=False)
 
 
-def knn_batch_rows(index: pc.SpatialIndex, queries, k: int) -> np.ndarray:
-    """knn_batch with every row put in (d2, index) order by two stable
-    sorts: by index, then by exact squared distance."""
+def knn_batch_rows(points, queries, k: int) -> np.ndarray:
+    """(M, k) table of the k points with the smallest (d2, index) for each
+    query, in that order, by brute force without the kd-tree: d2 is the
+    row-form np.einsum("mnj,mnj->mn") and ties go by np.lexsort.
+
+    Queries go in blocks of 64 in x order, each over the slab of points
+    whose x lies within `reach` of the block's. Rounding is monotone, so a
+    point's d2 is at least the square of its x difference; once reach
+    exceeds the square root of every query's k-th d2 by a relative 1e-6
+    plus a margin far above the rounding of x, each point outside the slab
+    is strictly farther than the k-th and the slab's answer is the whole
+    cloud's.
+    """
+    points = np.ascontiguousarray(points, dtype=np.float64)
     queries = np.ascontiguousarray(queries, dtype=np.float64)
+    n = len(points)
     if k < 1:
         raise InvalidInput("k must be >= 1")
-    if k > index.size:
-        raise InvalidInput(f"k={k} exceeds cloud size {index.size}")
-    _, idx = index._tree.query(queries, k=k)
-    idx = idx.reshape(len(queries), k)
-    diff = index._points[idx] - queries[:, None, :]
-    d2 = np.einsum("mkj,mkj->mk", diff, diff)
-    o1 = np.argsort(idx, axis=1, kind="stable")
-    idx = np.take_along_axis(idx, o1, axis=1)
-    d2 = np.take_along_axis(d2, o1, axis=1)
-    o2 = np.argsort(d2, axis=1, kind="stable")
-    return np.take_along_axis(idx, o2, axis=1)
+    if k > n:
+        raise InvalidInput(f"k={k} exceeds cloud size {n}")
+    by_x = np.argsort(points[:, 0], kind="stable")
+    xs = points[by_x, 0]
+    out = np.empty((len(queries), k), dtype=np.intp)
+    margin = 1e-12 * (1.0 + np.abs(xs).max())
+    reach = 0.0
+    q_by_x = np.argsort(queries[:, 0], kind="stable")
+    for block in np.array_split(q_by_x, max(1, -(-len(queries) // 64))):
+        q = queries[block]
+        lo = np.searchsorted(xs, q[:, 0].min() - reach, side="left")
+        hi = np.searchsorted(xs, q[:, 0].max() + reach, side="right")
+        # at least k points, so that the first k-th d2 bounds the true one
+        lo = max(0, min(lo, hi - k))
+        hi = max(hi, lo + k)
+        while True:
+            cand = by_x[lo:hi]
+            diff = points[cand][None, :, :] - q[:, None, :]
+            d2 = np.einsum("mnj,mnj->mn", diff, diff)
+            kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
+            need = math.sqrt(kth.max()) * (1.0 + 1e-6) + margin
+            if need <= reach or hi - lo == n:
+                break
+            reach = need
+            lo = np.searchsorted(xs, q[:, 0].min() - reach, side="left")
+            hi = np.searchsorted(xs, q[:, 0].max() + reach, side="right")
+        reach = need
+        row, col = np.nonzero(d2 <= kth[:, None])
+        order = np.lexsort((cand[col], d2[row, col], row))
+        start = np.searchsorted(row[order], np.arange(len(q)))
+        out[block] = cand[col[order][start[:, None] + np.arange(k)]]
+    return out
 
 
 def estimate_normals_rows(cloud: pc.PointCloud, k: int, viewpoint, neighbors=None):
@@ -562,7 +595,7 @@ def estimate_normals_rows(cloud: pc.PointCloud, k: int, viewpoint, neighbors=Non
         raise InvalidInput(f"cloud of {len(cloud)} points cannot supply k={k}")
     viewpoint = np.asarray(viewpoint, dtype=np.float64).reshape(3)
     if neighbors is None:
-        neighbors = knn_batch_rows(pc.build_index(cloud), cloud.points, k)
+        neighbors = knn_batch_rows(cloud.points, cloud.points, k)
     neigh = cloud.points[neighbors]
     mean = neigh.mean(axis=1, keepdims=True)
     d = neigh - mean
@@ -580,13 +613,13 @@ def estimate_normals_rows(cloud: pc.PointCloud, k: int, viewpoint, neighbors=Non
 
 
 def neighbor_tables_reference(points, normal_k, fpfh_k):
-    """The two separate queries: (knn_batch at normal_k, knn_batch at
-    min(fpfh_k + 1, N)), each on a kd-tree of its own."""
+    """The two exact tables, each computed on its own: (knn_batch_rows at
+    normal_k, knn_batch_rows at min(fpfh_k + 1, N))."""
     points = np.asarray(points, dtype=np.float64)
     n = len(points)
     return (
-        knn_batch_rows(pc.build_index(points), points, normal_k),
-        knn_batch_rows(pc.build_index(points), points, min(fpfh_k + 1, n)),
+        knn_batch_rows(points, points, normal_k),
+        knn_batch_rows(points, points, min(fpfh_k + 1, n)),
     )
 
 

@@ -1,5 +1,6 @@
 """Command-line workflow tests: exit codes, determinism, CLI/API agreement."""
 
+import dataclasses
 import hashlib
 import inspect
 import os
@@ -207,6 +208,34 @@ class TestExitCodes:
         out = tmp_path / "models"
         assert main(["train-cnn", "--config", workdir["cfg"], "--scenes", workdir["manifest"],
                      "--split", "train", "--netspec", str(spec), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_netspec_with_a_zero_stride_is_2(self, workdir, tmp_path):
+        spec = tmp_path / "net.spec"
+        spec.write_text(TINY_NET.replace("pool 2 2", "pool 2 0", 1))
+        out = tmp_path / "models"
+        assert main(["train-cnn", "--config", workdir["cfg"], "--scenes", workdir["manifest"],
+                     "--split", "train", "--netspec", str(spec), "--out", str(out)]) == 2
+        assert not out.exists()
+        models = tmp_path / "zero"
+        shutil.copytree(workdir["models"], models)
+        (models / "net.spec").write_text(spec.read_text())
+        out = tmp_path / "scores"
+        assert main(["score", "--config", workdir["cfg"], "--scenes", workdir["manifest"],
+                     "--models", str(models), "--detector", "cnn", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_svm_model_of_another_width_is_2(self, workdir, tmp_path):
+        models = tmp_path / "models"
+        shutil.copytree(workdir["models"], models)
+        model = cls.load_svm(models / "svm.model")
+        cls.save_svm(models / "svm.model", dataclasses.replace(
+            model, support_vectors=model.support_vectors[:, :35],
+            feature_means=model.feature_means[:35], feature_scales=model.feature_scales[:35],
+        ))
+        out = tmp_path / "scores"
+        assert main(["score", "--config", workdir["cfg"], "--scenes", workdir["manifest"],
+                     "--models", str(models), "--detector", "pfh-svm", "--out", str(out)]) == 2
         assert not out.exists()
 
     def test_non_numeric_features_is_2(self, tmp_path):

@@ -169,17 +169,14 @@ def tied_clouds(draw):
 
 
 class TestColumnFormsPinned:
-    """knn_batch, estimate_normals and radius_pairs equal their previous
-    row forms byte for byte."""
+    """estimate_normals and radius_pairs equal their previous row forms
+    byte for byte, and knn_batch the brute-force table on C6's clouds."""
 
     @settings(max_examples=120)
     @given(case=tied_clouds(), k_is_n=st.booleans(), view=st.sampled_from([(0.0, 0.0, 0.0), (0.0, 0.0, 5.0)]))
     def test_lattice_clouds(self, case, k_is_n, view):
         cloud, scale = case
         k = len(cloud) if k_is_n else 3
-        index = pc.build_index(cloud)
-        for queries in (cloud.points, cloud.points + scale / 2):
-            assert same_bytes(pc.knn_batch(index, queries, k), knn_batch_rows(index, queries, k))
         got = pc.estimate_normals(cloud, k, view)
         want = estimate_normals_rows(cloud, k, view)
         assert same_bytes(got[0], want[0]) and same_bytes(got[1], want[1])
@@ -193,12 +190,43 @@ class TestColumnFormsPinned:
         index = pc.build_index(cloud)
         for k in (31, 30):
             table = pc.knn_batch(index, cloud.points, k)
-            assert same_bytes(table, knn_batch_rows(index, cloud.points, k))
+            assert same_bytes(table, knn_batch_rows(cloud.points, cloud.points, k))
         got = pc.estimate_normals(cloud, 30, (0.0, 0.0, 0.0), table)
         want = estimate_normals_rows(cloud, 30, (0.0, 0.0, 0.0), table)
         assert same_bytes(got[0], want[0]) and same_bytes(got[1], want[1])
         pepper = cloud.points[cloud.labels == pc.LABEL_PEPPER]
         assert same_bytes(pc.radius_pairs(pepper, 0.01), radius_pairs_rows(pepper, 0.01))
+
+
+class TestTieExactKnn:
+    """knn_batch keeps the k smallest (d2, index), whichever points tie at
+    the k-th distance, so a narrower table is a prefix of a wider one."""
+
+    @settings(max_examples=80)
+    @given(case=tied_clouds())
+    def test_lattice_clouds_every_k(self, case):
+        cloud, scale = case
+        index = pc.build_index(cloud)
+        for queries in (cloud.points, cloud.points + scale / 2):
+            for k in range(1, len(cloud) + 1):
+                assert same_bytes(pc.knn_batch(index, queries, k), knn_batch_rows(cloud.points, queries, k))
+
+    @settings(max_examples=60)
+    @given(case=tied_clouds(), data=st.data())
+    def test_narrower_table_is_a_prefix(self, case, data):
+        cloud, _ = case
+        index = pc.build_index(cloud)
+        k = data.draw(st.integers(1, len(cloud)))
+        table = pc.knn_batch(index, cloud.points, k)
+        for j in range(1, k + 1):
+            assert same_bytes(table[:, :j], pc.knn_batch(index, cloud.points, j))
+
+    def test_every_point_tied(self):
+        # one stack of copies: no row settles before the query covers the cloud
+        index = pc.build_index(np.tile([0.1, 0.2, 0.3], (20, 1)))
+        for k in (1, 7, 20):
+            table = pc.knn_batch(index, [[0.1, 0.2, 0.3], [0.0, 0.0, 0.0]], k)
+            assert table.tolist() == [list(range(k))] * 2
 
 
 def awkward_rows(seed, n):

@@ -376,8 +376,8 @@ def lattice_clouds(draw):
 
 
 class TestSharedNeighborTables:
-    """One query serves normals and histograms; both tables equal their
-    own knn_batch calls byte for byte, ties and duplicates included."""
+    """One query serves normals and histograms; both tables equal the exact
+    (d2, index) tables at their own widths, ties and duplicates included."""
 
     @pytest.mark.parametrize("relation", ["below", "equal", "above"])
     @settings(max_examples=60)
@@ -407,22 +407,6 @@ class TestSharedNeighborTables:
         got = ft.neighbor_tables(cloud, normal_k, fpfh_k)
         want = neighbor_tables_reference(cloud.points, normal_k, fpfh_k)
         assert same_bytes(got[0], want[0]) and same_bytes(got[1], want[1])
-
-    @pytest.mark.parametrize("copies", [0.25, 2])
-    def test_prefix_rejects_a_table_of_other_queries(self, copies):
-        pts = lattice(3)
-        index = pc.build_index(pts)
-        table = pc.knn_batch(index, np.tile(pts, (2, 1))[: int(copies * len(pts))], 5)
-        with pytest.raises(InvalidInput, match="one row per query"):
-            pc.knn_batch_prefix(index, pts, table, 3)
-
-    def test_prefix_rejects_a_wider_k(self):
-        pts = lattice(3)
-        index = pc.build_index(pts)
-        table = pc.knn_batch(index, pts, 5)
-        assert same_bytes(pc.knn_batch_prefix(index, pts, table, 5), table)
-        with pytest.raises(InvalidInput):
-            pc.knn_batch_prefix(index, pts, table, 6)
 
 
 class TestPinnedToReference:

@@ -191,6 +191,26 @@ class TestNetworkSpecFile:
         with pytest.raises(InvalidInput, match="2 outputs"):
             mc.parse_netspec(text.replace("fc 512 2", f"fc 512 {n_out}"))
 
+    @pytest.mark.parametrize(
+        "line,bad,message",
+        [
+            ("pool 2 2", "pool 2 0", "pool stride must be >= 1"),
+            ("pool 2 2", "pool 0 2", "pool k must be >= 1"),
+            ("conv 3 3 3 4 1 1", "conv 3 3 3 4 0 1", "conv stride must be >= 1"),
+            ("conv 3 3 3 4 1 1", "conv 0 3 3 4 1 1", "conv kh must be >= 1"),
+            ("conv 3 3 3 4 1 1", "conv 3 0 3 4 1 1", "conv kw must be >= 1"),
+            ("conv 3 3 3 4 1 1", "conv 3 3 3 4 1 -1", "conv pad must be >= 0"),
+            ("conv 3 3 3 4 1 1", "conv 3 3 0 4 1 1", "conv c_in must be >= 1"),
+            ("inception 2 2 2 2", "inception 0 2 2 4", "inception b1 must be >= 1"),
+            ("inception 2 2 2 2", "inception 2 0 2 2", "inception b3r must be >= 1"),
+            ("fc 64 2", "fc 0 2", "fc n_in must be >= 1"),
+            ("input 16 16 3", "input 0 16 3", "input dimensions must be >= 1"),
+        ],
+    )
+    def test_sizes_below_one_rejected(self, line, bad, message):
+        with pytest.raises(InvalidInput, match=message):
+            mc.parse_netspec(DEFAULT_SPEC_TEXT.replace(line, bad, 1))
+
     def test_channel_chain_mismatch_rejected(self):
         bad = DEFAULT_SPEC_TEXT.replace("conv 3 3 4 4 1 1", "conv 3 3 5 4 1 1", 1)
         with pytest.raises(InvalidInput, match="conv expects 5 channels"):
