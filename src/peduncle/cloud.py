@@ -1,16 +1,16 @@
 """Point-cloud container, spatial queries, normal estimation and clustering.
 
-Clouds are immutable numpy snapshots: build an index once, then query it
-from any number of workers. radius_pairs and largest_clusters are exact:
-identical to a brute-force scan, ties broken by ascending point index;
-largest_clusters takes any number of kept sets over one edge list in one
-connected_components call.
-knn_batch is exact as well: each row holds the k points with the smallest
-(exact squared distance, index), in that order, so a table is the prefix
-of any wider one. The kd-tree is queried at k + 1 + k // 4; a row is kept
-once its last squared distance clears the k-th by more than _SLACK, so no
-point the tree left out can tie into it, and the other rows are queried
-again at twice the width. Rows the kd-tree returns with exact squared
+Clouds are immutable numpy snapshots. radius_pairs and largest_clusters
+are exact: identical to a brute-force scan, ties broken by ascending point
+index; largest_clusters takes any number of kept sets over one edge list
+in one connected_components call.
+knn_batch(points, queries, k) is exact as well: each row holds the k
+points with the smallest (exact squared distance, index), in that order,
+so a table is the prefix of any wider one. Each call builds one kd-tree
+over the points and queries it at k + 1 + k // 4; a row is kept once its
+last squared distance clears the k-th by more than _SLACK, so no point the
+tree left out can tie into it, and the other rows are queried again at
+twice the width. Rows the kd-tree returns with exact squared
 distances already nondecreasing (99.8% of a full C6 cloud's rows) take one
 sort of (run of equal distances, index) keys; the others one lexsort.
 Point geometry works on (3, M) coordinate columns (take_columns,
@@ -118,24 +118,6 @@ class BoundingBox3:
         return np.all((p >= self.min) & (p <= self.max), axis=1)
 
 
-class SpatialIndex:
-    """kd-tree over a fixed cloud snapshot.
-
-    Read-only after construction and safe for concurrent queries. The tree
-    only produces candidate sets; final selection is redone with plain
-    numpy squared distances so results match a brute-force scan exactly.
-    """
-
-    def __init__(self, points: np.ndarray):
-        self._points = np.ascontiguousarray(points, dtype=np.float64)
-        self._columns = np.ascontiguousarray(self._points.T)
-        self._tree = cKDTree(self._points)
-
-    @property
-    def size(self) -> int:
-        return self._points.shape[0]
-
-
 def take_columns(columns: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """(3, *idx.shape) coordinates of the points idx, from (3, N)
     coordinate columns, one contiguous take per coordinate."""
@@ -163,26 +145,21 @@ def column_norm(a: np.ndarray) -> np.ndarray:
     return np.sqrt((a[0] * a[0] + a[1] * a[1]) + a[2] * a[2])
 
 
-def build_index(cloud: PointCloud | np.ndarray) -> SpatialIndex:
-    """Index a cloud snapshot for knn_batch queries.
-
-    Raises InvalidInput for an empty cloud.
-    """
-    pts = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=np.float64)
-    if pts.shape[0] == 0:
-        raise InvalidInput("cannot index an empty cloud")
-    return SpatialIndex(pts)
-
-
-def knn_batch(index: SpatialIndex, queries: np.ndarray, k: int) -> np.ndarray:
-    """(M, k) nearest-neighbor indices for M query points at once.
+def knn_batch(points: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
+    """(M, k) indices into the (N, 3) points of the nearest neighbors of M
+    query points at once.
 
     Each row holds the k points with the smallest (exact squared distance,
     index), in that order, so knn_batch(k) is the first k columns of
     knn_batch(k') for every k' >= k.
 
-    Raises InvalidInput unless the queries are (M, 3) and finite.
+    Raises InvalidInput for an empty cloud and unless the queries are
+    (M, 3) and finite.
     """
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    n = len(points)
+    if n == 0:
+        raise InvalidInput("cannot index an empty cloud")
     queries = np.ascontiguousarray(queries, dtype=np.float64)
     if queries.ndim != 2 or queries.shape[1] != 3:
         raise InvalidInput(f"queries must be (M, 3), got {queries.shape}")
@@ -190,31 +167,34 @@ def knn_batch(index: SpatialIndex, queries: np.ndarray, k: int) -> np.ndarray:
         raise InvalidInput("query coordinates must be finite")
     if k < 1:
         raise InvalidInput("k must be >= 1")
-    if k > index.size:
-        raise InvalidInput(f"k={k} exceeds cloud size {index.size}")
+    if k > n:
+        raise InvalidInput(f"k={k} exceeds cloud size {n}")
+    tree = cKDTree(points)
+    columns = np.ascontiguousarray(points.T)
     out = np.empty((len(queries), k), dtype=np.intp)
     rows = np.arange(len(queries))
-    width = min(k + 1 + k // 4, index.size)
+    width = min(k + 1 + k // 4, n)
     while rows.size:
-        idx, d2 = _sorted_query(index, queries[rows], width)
+        idx, d2 = _sorted_query(tree, columns, queries[rows], width)
         # every point the tree left out is at least as far as the row's last
-        settled = (width == index.size) | (d2[:, -1] > d2[:, k - 1] * (1.0 + _SLACK) ** 2)
+        settled = (width == n) | (d2[:, -1] > d2[:, k - 1] * (1.0 + _SLACK) ** 2)
         out[rows[settled]] = idx[settled, :k]
         rows = rows[~settled]
-        width = min(2 * width, index.size)
+        width = min(2 * width, n)
     return out
 
 
-def _sorted_query(index: SpatialIndex, queries: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+def _sorted_query(tree: cKDTree, columns: np.ndarray, queries: np.ndarray, width: int):
     """The kd-tree's width nearest points of each query and their exact
-    squared distances, each row sorted by (squared distance, index)."""
-    idx = index._tree.query(queries, k=width)[1].reshape(len(queries), width)
+    squared distances from the (3, N) coordinate columns, each row sorted
+    by (squared distance, index)."""
+    idx = tree.query(queries, k=width)[1].reshape(len(queries), width)
     # column_dot(diff, diff) one coordinate at a time, in its order, without
     # holding a (3, M, width) gather
     d2 = np.zeros(idx.shape)
     term = np.empty(idx.shape)
     for c in (0, 2, 1):
-        index._columns[c].take(idx, out=term)
+        columns[c].take(idx, out=term)
         term -= queries[:, c, None]
         term *= term
         d2 += term
@@ -222,7 +202,7 @@ def _sorted_query(index: SpatialIndex, queries: np.ndarray, width: int) -> tuple
     # of equal d2 need index order: one sort by run * size + index.
     key = np.zeros(idx.shape, dtype=np.int64)
     np.cumsum(d2[:, 1:] > d2[:, :-1], axis=1, out=key[:, 1:])
-    key *= index.size
+    key *= columns.shape[1]
     key += idx
     order = np.argsort(key, axis=1)
     rest = np.flatnonzero(~np.all(d2[:, 1:] >= d2[:, :-1], axis=1))
@@ -232,15 +212,14 @@ def _sorted_query(index: SpatialIndex, queries: np.ndarray, width: int) -> tuple
 
 
 def estimate_normals(
-    cloud: PointCloud, k: int, viewpoint, neighbors: np.ndarray | None = None
+    cloud: PointCloud, k: int, viewpoint, neighbors: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-point unit surface normals from k-neighborhood covariance.
 
     The normal is the eigenvector with the smallest eigenvalue, sign-flipped
     to face the viewpoint. Neighborhoods with rank < 2 covariance are
     flagged invalid (normal row zeroed) instead of fabricating a direction.
-    `neighbors` is the (N, k) table knn_batch(build_index(cloud),
-    cloud.points, k); it is queried here when not given.
+    `neighbors` is the (N, k) table knn_batch(cloud.points, cloud.points, k).
 
     Returns (normals (N, 3), valid (N,) bool).
     """
@@ -249,9 +228,7 @@ def estimate_normals(
     if len(cloud) < k:
         raise InvalidInput(f"cloud of {len(cloud)} points cannot supply k={k}")
     viewpoint = np.asarray(viewpoint, dtype=np.float64).reshape(3)
-    if neighbors is None:
-        neighbors = knn_batch(build_index(cloud), cloud.points, k)
-    elif neighbors.shape != (len(cloud), k):
+    if neighbors.shape != (len(cloud), k):
         raise InvalidInput(f"neighbor table must be ({len(cloud)}, {k}), got {neighbors.shape}")
     # (k, N) tables of the neighbors' x, y and z, the point itself too. Sums
     # run over neighbor rows 0..k-1, the order of a mean and an

@@ -124,14 +124,14 @@ def _without_self(neighbors: np.ndarray, rows: np.ndarray, kk: int) -> np.ndarra
 
 
 def fpfh(
-    cloud_or_points,
+    points: np.ndarray,
     normals: np.ndarray,
     k: int,
-    valid_normals: np.ndarray | None = None,
-    neighbors: np.ndarray | None = None,
+    valid_normals: np.ndarray,
+    neighbors: np.ndarray,
     rows: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Fast point-feature histograms for the points `rows` of a cloud
+    """Fast point-feature histograms for the points `rows` of (N, 3) points
     (every point when None).
 
     Each point's own simplified histogram is combined with the
@@ -141,10 +141,10 @@ def fpfh(
 
     Neighbors at zero distance (duplicates) or with invalid normals are
     skipped from both the histograms and the average. Points whose own
-    histogram has no valid pair are flagged invalid. `neighbors` is the
-    (N, min(k + 1, N)) table knn_batch(build_index(points), points,
-    min(k + 1, N)), the first columns of any wider knn_batch table; it is
-    queried here when not given. A row holds the point itself unless k + 1
+    histogram has no valid pair are flagged invalid; `valid_normals` flags
+    the usable normals. `neighbors` is the (N, min(k + 1, N)) table
+    knn_batch(points, points, min(k + 1, N)), the first columns of any
+    wider knn_batch table. A row holds the point itself unless k + 1
     duplicates of lower index crowd it out, and its first min(k, N - 1)
     other points are the neighbors. Simplified histograms are formed only
     for the rows and their neighbors, and each output row is the same
@@ -152,20 +152,16 @@ def fpfh(
 
     Returns (descriptors (R, 33), valid (R,) bool), R = len(rows) or N.
     """
-    points = cloud_or_points.points if isinstance(cloud_or_points, pc.PointCloud) else np.asarray(cloud_or_points, dtype=np.float64)
+    points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
     if k < 2:
         raise InvalidInput("fpfh needs k >= 2")
     normals = np.asarray(normals, dtype=np.float64)
     if normals.shape != (n, 3):
         raise InvalidInput(f"normals must be ({n}, 3), got {normals.shape}")
-    if valid_normals is None:
-        valid_normals = np.ones(n, dtype=bool)
-    elif np.shape(valid_normals) != (n,):
+    if np.shape(valid_normals) != (n,):
         raise InvalidInput(f"valid_normals must be ({n},), got {np.shape(valid_normals)}")
-    if neighbors is None:
-        neighbors = pc.knn_batch(pc.build_index(points), points, min(k + 1, n))
-    elif neighbors.shape != (n, min(k + 1, n)):
+    if neighbors.shape != (n, min(k + 1, n)):
         raise InvalidInput(f"neighbor table must be ({n}, {min(k + 1, n)}), got {neighbors.shape}")
     rows = np.arange(n) if rows is None else np.arange(n)[rows]
     kk = min(k, n - 1)
@@ -261,13 +257,13 @@ def neighbor_tables(cloud: pc.PointCloud, normal_k: int, fpfh_k: int) -> tuple[n
     """(normal table, fpfh table) for point_features from one kd-tree and
     one query.
 
-    They are knn_batch(index, points, normal_k) and knn_batch(index,
+    They are knn_batch(points, points, normal_k) and knn_batch(points,
     points, min(fpfh_k + 1, N)): both are prefixes of the query at the
     larger width, since knn_batch keeps the (squared distance, index)
     order.
     """
     fpfh_width = min(fpfh_k + 1, len(cloud))
-    table = pc.knn_batch(pc.build_index(cloud), cloud.points, max(normal_k, fpfh_width))
+    table = pc.knn_batch(cloud.points, cloud.points, max(normal_k, fpfh_width))
     return table[:, :normal_k], table[:, :fpfh_width]
 
 
@@ -308,7 +304,7 @@ class PointGeometry:
     def features(self, rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """(features (R, 36), valid (R,)) of the points `rows` (every point
         when None): those rows of point_features, byte for byte."""
-        hists, valid = fpfh(self.cloud, self.normals, self.fpfh_k, self.normals_ok, self.neighbors, rows)
+        hists, valid = fpfh(self.cloud.points, self.normals, self.fpfh_k, self.normals_ok, self.neighbors, rows)
         colors = self.cloud.colors if rows is None else self.cloud.colors[rows]
         return assemble_features(rgb_to_hsv_array(colors), hists), valid
 

@@ -184,8 +184,9 @@ def trace_shapes(specs, c: int, h: int, w: int) -> list[tuple[int, int, int]]:
 # ---------------------------------------------------------------------------
 
 
-# tokens on each kind of spec line, the keyword included
-_SPEC_TOKENS = {"input": 4, "conv": 7, "pool": 3, "relu": 1, "inception": 5, "fc": 3}
+# each layer keyword and its spec class: a spec line is the keyword, then
+# the class's fields in declaration order
+_LAYER_KINDS = {"conv": ConvSpec, "pool": PoolSpec, "relu": ReluSpec, "inception": InceptionSpec, "fc": FcSpec}
 
 
 def parse_netspec(text: str) -> NetworkSpec:
@@ -200,46 +201,32 @@ def parse_netspec(text: str) -> NetworkSpec:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        tok = line.split()
-        if tok[0] in _SPEC_TOKENS and len(tok) != _SPEC_TOKENS[tok[0]]:
+        keyword, *values = line.split()
+        kind = _LAYER_KINDS.get(keyword)
+        if kind is None and keyword != "input":
+            raise FormatError(f"unknown layer {keyword!r}")
+        if len(values) != (3 if kind is None else len(fields(kind))):
             raise FormatError(f"bad spec line {line!r}")
         try:
-            if tok[0] == "input":
-                input_hwc = (int(tok[1]), int(tok[2]), int(tok[3]))
-            elif tok[0] == "conv":
-                layers.append(ConvSpec(*(int(v) for v in tok[1:])))
-            elif tok[0] == "pool":
-                layers.append(PoolSpec(int(tok[1]), int(tok[2])))
-            elif tok[0] == "relu":
-                layers.append(ReluSpec())
-            elif tok[0] == "inception":
-                layers.append(InceptionSpec(*(int(v) for v in tok[1:])))
-            elif tok[0] == "fc":
-                layers.append(FcSpec(int(tok[1]), int(tok[2])))
-            else:
-                raise FormatError(f"unknown layer {tok[0]!r}")
+            values = [int(v) for v in values]
         except ValueError as exc:
             raise FormatError(f"bad spec line {line!r}") from exc
+        if kind is None:
+            input_hwc = values
+        else:
+            layers.append(kind(*values))
     if input_hwc is None:
         raise FormatError("spec is missing the `input H W C` line")
-    spec = NetworkSpec(input_hwc[0], input_hwc[1], input_hwc[2], tuple(layers))
+    spec = NetworkSpec(*input_hwc, tuple(layers))
     spec.validate()
     return spec
 
 
 def serialize_netspec(spec: NetworkSpec) -> str:
+    keywords = {kind: keyword for keyword, kind in _LAYER_KINDS.items()}
     lines = [f"input {spec.input_h} {spec.input_w} {spec.input_c}"]
     for s in spec.layers:
-        if isinstance(s, ConvSpec):
-            lines.append(f"conv {s.kh} {s.kw} {s.c_in} {s.c_out} {s.stride} {s.pad}")
-        elif isinstance(s, PoolSpec):
-            lines.append(f"pool {s.k} {s.stride}")
-        elif isinstance(s, ReluSpec):
-            lines.append("relu")
-        elif isinstance(s, InceptionSpec):
-            lines.append(f"inception {s.b1} {s.b3r} {s.b3} {s.bp}")
-        elif isinstance(s, FcSpec):
-            lines.append(f"fc {s.n_in} {s.n_out}")
+        lines.append(" ".join([keywords[type(s)], *(str(getattr(s, f.name)) for f in fields(s))]))
     return "\n".join(lines) + "\n"
 
 
@@ -537,24 +524,24 @@ class Inception:
         self.conv3 = Conv2d(ConvSpec(3, 3, spec.b3r, spec.b3, 1, 1))
         self.pool = MaxPool(PoolSpec(3, 1), pad=1)
         self.proj = Conv2d(ConvSpec(1, 1, c_in, spec.bp))
-        self._convs = [self.conv1, self.conv3r, self.conv3, self.proj]
+        self.convs = [self.conv1, self.conv3r, self.conv3, self.proj]
 
     @property
     def params(self):
         names = ["b1", "b3r", "b3", "bp"]
         return {
-            f"{n}_{k}": v for n, cv in zip(names, self._convs) for k, v in cv.params.items()
+            f"{n}_{k}": v for n, cv in zip(names, self.convs) for k, v in cv.params.items()
         }
 
     @property
     def grads(self):
         names = ["b1", "b3r", "b3", "bp"]
         return {
-            f"{n}_{k}": v for n, cv in zip(names, self._convs) for k, v in cv.grads.items()
+            f"{n}_{k}": v for n, cv in zip(names, self.convs) for k, v in cv.grads.items()
         }
 
     def init_weights(self, rng):
-        for cv in self._convs:
+        for cv in self.convs:
             cv.init_weights(rng)
 
     def forward(self, x, train=False):
@@ -722,7 +709,7 @@ class Network:
         permitted; training and gradient checks stay in float64)."""
 
         def owners(layer):
-            return layer._convs if isinstance(layer, Inception) else [layer]
+            return layer.convs if isinstance(layer, Inception) else [layer]
 
         other = Network(self.specs, self.input_c, self.input_hw)
         for src_layer, dst_layer in zip(self.layers, other.layers):

@@ -30,6 +30,7 @@ class CameraIntrinsics:
     depth_scale: float = 0.001
 
     def __post_init__(self):
+        _require_finite_fields(self)
         if self.fx <= 0 or self.fy <= 0 or self.depth_scale <= 0:
             raise InvalidInput("fx, fy and depth_scale must be positive")
 
@@ -135,6 +136,13 @@ class Frame:
 
     @classmethod
     def from_rasters(cls, rgb, depth_raw, intr, labels=None) -> "Frame":
+        """Raises InvalidInput unless rgb is (H, W, 3) and labels, when
+        given, (H, W) for the (H, W) depth raster."""
+        rgb, depth_raw = np.asarray(rgb), np.asarray(depth_raw)
+        if rgb.shape != depth_raw.shape + (3,):
+            raise InvalidInput(f"rgb must be {depth_raw.shape + (3,)} to match depth, got {rgb.shape}")
+        if labels is not None and np.shape(labels) != depth_raw.shape:
+            raise InvalidInput(f"labels must be {depth_raw.shape} to match depth, got {np.shape(labels)}")
         cloud, pixels = unproject_depth(depth_raw, intr, rgb, labels)
         return cls(rgb, depth_raw, intr, cloud, pixels)
 

@@ -14,13 +14,15 @@ previous row forms below), the previous row forms of the per-point kernels,
 where nb_posterior_rows takes the library's hsv_nb_features, the previous
 SVM training sample, which draws rows of the library's point_features, the
 per-row file readers and writers, which build the library's own objects,
-knn, which takes its candidates from the library's kd-tree, spfh, which
+knn, which takes its candidates from a kd-tree, spfh, which
 takes the library's histogram binning, kkt_violations, which scores with
 the library's svm_score_batch, and generate_reference, which draws a scene
 with the library's samplers and colour draws. ranked_clusters is not an
 oracle: it lists every cluster the library's largest_clusters would pick in
-turn, for comparison with the oracles. Nor is same_bytes, the
-byte-equality check the pinned tests share.
+turn, for comparison with the oracles. Nor are same_bytes, the
+byte-equality check the pinned tests share, and normals_with_knn and
+fpfh_with_knn, which call the library with the neighbor table knn_batch
+gives for a cloud's own points.
 """
 
 import contextlib
@@ -65,30 +67,48 @@ def brute_knn(points, q, k):
     return order[:k]
 
 
-def knn(index: pc.SpatialIndex, q, k: int) -> np.ndarray:
-    """Indices of the k nearest points, nondecreasing distance, ties by index.
+def knn(points, q, k: int) -> np.ndarray:
+    """Indices of the k nearest of the (N, 3) points to the point q,
+    nondecreasing distance, ties by index: the k-th distance from a kd-tree,
+    then every point within it, ordered on exact squared distances.
 
     Raises InvalidInput when k exceeds the cloud size.
     """
+    points = np.asarray(points, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64).reshape(3)
+    n = len(points)
     if k < 1:
         raise InvalidInput("k must be >= 1")
-    if k > index.size:
-        raise InvalidInput(f"k={k} exceeds cloud size {index.size}")
-    if k == index.size:
-        cand = np.arange(index.size)
+    if k > n:
+        raise InvalidInput(f"k={k} exceeds cloud size {n}")
+    if k == n:
+        cand = np.arange(n)
     else:
-        dk, _ = index._tree.query(q, k=k)
+        tree = cKDTree(points)
+        dk, _ = tree.query(q, k=k)
         dk = float(np.max(np.atleast_1d(dk)))
-        cand = np.asarray(
-            index._tree.query_ball_point(q, dk * (1.0 + _SLACK) + 1e-300), dtype=np.intp
-        )
+        cand = np.asarray(tree.query_ball_point(q, dk * (1.0 + _SLACK) + 1e-300), dtype=np.intp)
         if cand.shape[0] < k:   # paranoia fallback, never expected
-            cand = np.arange(index.size)
-    d = index._points[cand] - q
+            cand = np.arange(n)
+    d = points[cand] - q
     d2 = np.einsum("ij,ij->i", d, d)
     order = np.lexsort((cand, d2))
     return cand[order[:k]]
+
+
+def normals_with_knn(cloud: pc.PointCloud, k: int, viewpoint):
+    """The library's estimate_normals over the table knn_batch gives for
+    the cloud's own points."""
+    return pc.estimate_normals(cloud, k, viewpoint, pc.knn_batch(cloud.points, cloud.points, k))
+
+
+def fpfh_with_knn(points, normals, k: int, valid=None):
+    """The library's fpfh over the table knn_batch gives for the points
+    themselves; every normal counts as valid when valid is None."""
+    points = np.asarray(points, dtype=np.float64)
+    n = len(points)
+    valid = np.ones(n, dtype=bool) if valid is None else valid
+    return ft.fpfh(points, normals, k, valid, pc.knn_batch(points, points, min(k + 1, n)))
 
 
 def brute_radius_pairs(points, r):
@@ -346,11 +366,10 @@ def naive_spfh(points, normals, i, neighbors):
 
 def naive_fpfh(points, normals, k):
     """Direct-formula descriptor over the whole cloud, one pair at a time."""
-    index = pc.build_index(points)
     n = len(points)
     nbrs = []
     for i in range(n):
-        row = knn(index, points[i], min(k + 1, n))
+        row = knn(points, points[i], min(k + 1, n))
         nbrs.append([j for j in row if j != i][:k])
     own = np.zeros((n, 33))
     ok = np.zeros(n, dtype=bool)

@@ -14,16 +14,17 @@ from oracles import (
     brute_knn,
     brute_radius_pairs,
     csgraph_clusters,
+    fpfh_with_knn,
     kkt_violations,
     max_rel_error,
     naive_fpfh,
+    normals_with_knn,
     numerical_grad,
     ranked_clusters,
 )
 
 from peduncle import classifiers as cls
 from peduncle import cloud as pc
-from peduncle import features as ft
 from peduncle import minicnn as mc
 from peduncle import pipeline as pl
 from peduncle import scenegen as sg
@@ -61,11 +62,10 @@ def test_c1_spatial_query_oracle_equivalence():
         for _ in range(100):
             n = int(rng.integers(10, 5001))
             pts = rng.uniform(-0.3, 0.3, (n, 3))
-            index = pc.build_index(pc.PointCloud(pts))
             for _ in range(5):
                 q = rng.uniform(-0.35, 0.35, 3)
                 k = int(rng.integers(1, min(n, 60) + 1))
-                assert np.array_equal(pc.knn_batch(index, q[None, :], k)[0], brute_knn(pts, q, k))
+                assert np.array_equal(pc.knn_batch(pts, q[None, :], k)[0], brute_knn(pts, q, k))
             r = float(rng.uniform(0.005, 0.05))  # cluster-tolerance scale
             pairs = pc.radius_pairs(pts, r)
             pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
@@ -102,8 +102,8 @@ def test_c2_fpfh_direct_formula_and_invariance():
         for n, k in ((120, 6), (300, 10), (500, 12)):
             pts = rng.uniform(0, 0.07, (n, 3))
             cloud = pc.PointCloud(pts)
-            normals, valid = pc.estimate_normals(cloud, min(10, n), (0.0, 0.0, 1.0))
-            got, got_ok = ft.fpfh(cloud, normals, k, valid)
+            normals, valid = normals_with_knn(cloud, min(10, n), (0.0, 0.0, 1.0))
+            got, got_ok = fpfh_with_knn(pts, normals, k, valid)
             want, want_ok = naive_fpfh(pts, normals, k)
             assert np.array_equal(got_ok, want_ok & valid)
             worst = max(worst, float(np.abs(got[got_ok] - want[got_ok]).max()))
@@ -112,15 +112,15 @@ def test_c2_fpfh_direct_formula_and_invariance():
         pts = rng.uniform(0, 0.08, (250, 3))
         vp = np.array([0.0, 0.0, -0.4])
         cloud = pc.PointCloud(pts)
-        normals, valid = pc.estimate_normals(cloud, 10, vp)
-        base, base_ok = ft.fpfh(cloud, normals, 10, valid)
+        normals, valid = normals_with_knn(cloud, 10, vp)
+        base, base_ok = fpfh_with_knn(pts, normals, 10, valid)
         inv_worst = 0.0
         for trial in range(20):
             rot = Rotation.random(random_state=1000 + trial).as_matrix()
             shift = rng.normal(scale=0.4, size=3)
             moved = pc.PointCloud(pts @ rot.T + shift)
-            m_norm, m_valid = pc.estimate_normals(moved, 10, rot @ vp + shift)
-            got, got_ok = ft.fpfh(moved, m_norm, 10, m_valid)
+            m_norm, m_valid = normals_with_knn(moved, 10, rot @ vp + shift)
+            got, got_ok = fpfh_with_knn(moved.points, m_norm, 10, m_valid)
             assert np.array_equal(base_ok, got_ok)
             inv_worst = max(inv_worst, float(np.abs(got[got_ok] - base[base_ok]).max()))
         assert inv_worst <= 1e-6

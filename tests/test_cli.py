@@ -283,6 +283,17 @@ class TestExitCodes:
                    "--detector", "pfh-svm", "--out", str(tmp_path / "s")])
         assert rc == 2
 
+    @pytest.mark.parametrize("key,value", [("fx", "inf"), ("fy", "-inf"), ("cy", "nan")])
+    def test_non_finite_camera_intrinsic_is_2(self, workdir, tmp_path, key, value):
+        scene_dir = _write_scenes(tmp_path / "scenes", workdir["cfg"], [_eval_scene(workdir)])
+        cfg = cfgmod.load_config(scene_dir / "config.cfg")
+        cfgmod.write_config(scene_dir / "config.cfg", {**cfg, key: value})
+        out = tmp_path / "s"
+        rc = main(["score", "--config", workdir["cfg"], "--scenes", str(scene_dir / "manifest.txt"),
+                   "--models", workdir["models"], "--detector", "pfh-svm", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "suffix,read,write",
         [

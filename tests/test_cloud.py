@@ -14,6 +14,7 @@ from oracles import (
     knn,
     knn_batch_rows,
     load_cloud_per_row,
+    normals_with_knn,
     radius_pairs_rows,
     ranked_clusters,
     same_bytes,
@@ -30,40 +31,35 @@ from peduncle.errors import FormatError, InvalidInput
 class TestIndexQueries:
     def test_single_point_identity(self):
         cloud = pc.PointCloud(np.array([[0.1, 0.2, 0.3]]))
-        idx = pc.build_index(cloud)
-        assert pc.knn_batch(idx, [[0.1, 0.2, 0.3]], 1).tolist() == [[0]]
+        assert pc.knn_batch(cloud.points, [[0.1, 0.2, 0.3]], 1).tolist() == [[0]]
 
     def test_collinear_ordering(self):
         cloud = pc.PointCloud(np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]]))
-        idx = pc.build_index(cloud)
-        assert pc.knn_batch(idx, [[0, 0, 0]], 2).tolist() == [[0, 1]]
+        assert pc.knn_batch(cloud.points, [[0, 0, 0]], 2).tolist() == [[0, 1]]
 
     def test_unit_square_corner(self):
         corners = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float)
-        idx = pc.build_index(pc.PointCloud(corners))
-        assert pc.knn_batch(idx, [[0, 0, 0]], 1).tolist() == [[0]]
+        assert pc.knn_batch(corners, [[0, 0, 0]], 1).tolist() == [[0]]
 
     def test_tie_break_lowest_index(self):
         # both points tie, so both make the row, ordered by index
         cloud = pc.PointCloud(np.array([[1.0, 0, 0], [-1.0, 0, 0]]))
-        idx = pc.build_index(cloud)
-        assert pc.knn_batch(idx, [[0, 0, 0]], 2).tolist() == [[0, 1]]
+        assert pc.knn_batch(cloud.points, [[0, 0, 0]], 2).tolist() == [[0, 1]]
         # same cloud, swapped storage order
         cloud2 = pc.PointCloud(np.array([[-1.0, 0, 0], [1.0, 0, 0]]))
-        assert pc.knn_batch(pc.build_index(cloud2), [[0, 0, 0]], 2).tolist() == [[0, 1]]
+        assert pc.knn_batch(cloud2.points, [[0, 0, 0]], 2).tolist() == [[0, 1]]
         # the oracle picks the lowest index among points tied at the k-th distance
-        assert knn(idx, [0, 0, 0], 1).tolist() == [0]
+        assert knn(cloud.points, [0, 0, 0], 1).tolist() == [0]
 
     def test_knn_matches_brute_force(self):
         rng = np.random.default_rng(12)
         for _ in range(20):
             n = int(rng.integers(5, 1200))
             pts = rng.uniform(-0.2, 0.2, (n, 3))
-            idx = pc.build_index(pc.PointCloud(pts))
             for _ in range(10):
                 q = rng.uniform(-0.25, 0.25, 3)
                 k = int(rng.integers(1, min(n, 40) + 1))
-                assert np.array_equal(pc.knn_batch(idx, q[None, :], k)[0], brute_knn(pts, q, k))
+                assert np.array_equal(pc.knn_batch(pts, q[None, :], k)[0], brute_knn(pts, q, k))
 
     def test_radius_matches_brute_force(self):
         rng = np.random.default_rng(13)
@@ -85,34 +81,30 @@ class TestIndexQueries:
     def test_knn_batch_matches_single(self):
         rng = np.random.default_rng(14)
         pts = rng.uniform(0, 0.3, (400, 3))
-        idx = pc.build_index(pc.PointCloud(pts))
         queries = rng.uniform(0, 0.3, (25, 3))
-        batch = pc.knn_batch(idx, queries, 9)
+        batch = pc.knn_batch(pts, queries, 9)
         for row, q in zip(batch, queries):
-            assert np.array_equal(row, knn(idx, q, 9))
+            assert np.array_equal(row, knn(pts, q, 9))
 
     def test_errors(self):
-        idx = pc.build_index(pc.PointCloud(np.zeros((3, 3))))
         with pytest.raises(InvalidInput, match="exceeds cloud size"):
-            pc.knn_batch(idx, [[0, 0, 0]], 4)
+            pc.knn_batch(np.zeros((3, 3)), [[0, 0, 0]], 4)
         with pytest.raises(InvalidInput):
             pc.radius_pairs(np.zeros((3, 3)), -1.0)
         with pytest.raises(InvalidInput, match="empty cloud"):
-            pc.build_index(pc.PointCloud(np.zeros((0, 3))))
+            pc.knn_batch(np.zeros((0, 3)), [[0, 0, 0]], 1)
 
     @pytest.mark.parametrize(
         "queries", [[0.0, 0.0, 0.0], [[0.0, 0.0]], [[[0.0, 0.0, 0.0]]]], ids=["one-point", "two-wide", "3d"]
     )
     def test_query_shape_checked(self, queries):
-        idx = pc.build_index(pc.PointCloud(np.eye(3)))
         with pytest.raises(InvalidInput, match=r"\(M, 3\)"):
-            pc.knn_batch(idx, queries, 1)
+            pc.knn_batch(np.eye(3), queries, 1)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_query_rejected(self, bad):
-        idx = pc.build_index(pc.PointCloud(np.eye(3)))
         with pytest.raises(InvalidInput, match="finite"):
-            pc.knn_batch(idx, [[0.0, 0.0, 0.0], [0.0, bad, 0.0]], 1)
+            pc.knn_batch(np.eye(3), [[0.0, 0.0, 0.0], [0.0, bad, 0.0]], 1)
 
 
 class TestNormals:
@@ -120,10 +112,10 @@ class TestNormals:
         g = np.stack(np.meshgrid(np.linspace(0, 0.1, 10), np.linspace(0, 0.1, 10)), -1)
         pts = np.column_stack([g.reshape(-1, 2), np.zeros(100)])
         cloud = pc.PointCloud(pts)
-        up, valid = pc.estimate_normals(cloud, 6, [0, 0, 1.0])
+        up, valid = normals_with_knn(cloud, 6, [0, 0, 1.0])
         assert valid.all()
         np.testing.assert_allclose(up, np.tile([0, 0, 1.0], (100, 1)), atol=1e-6)
-        down, _ = pc.estimate_normals(cloud, 6, [0, 0, -1.0])
+        down, _ = normals_with_knn(cloud, 6, [0, 0, -1.0])
         np.testing.assert_allclose(down, np.tile([0, 0, -1.0], (100, 1)), atol=1e-6)
 
     def test_sphere_normals_radial(self):
@@ -132,7 +124,7 @@ class TestNormals:
         d /= np.linalg.norm(d, axis=1, keepdims=True)
         center = np.array([0.0, 0.0, 0.5])
         cloud = pc.PointCloud(center + 0.05 * d)
-        normals, valid = pc.estimate_normals(cloud, 12, center)
+        normals, valid = normals_with_knn(cloud, 12, center)
         assert valid.all()
         # oriented toward the center, so compare against -d
         cos = np.einsum("ij,ij->i", normals, -d)
@@ -143,7 +135,7 @@ class TestNormals:
         pts = rng.uniform(0, 0.2, (300, 3))
         cloud = pc.PointCloud(pts)
         vp = np.array([0.0, 0.0, 1.0])
-        normals, valid = pc.estimate_normals(cloud, 10, vp)
+        normals, valid = normals_with_knn(cloud, 10, vp)
         norms = np.linalg.norm(normals[valid], axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-9)
         dots = np.einsum("ij,ij->i", normals[valid], vp - pts[valid])
@@ -151,7 +143,7 @@ class TestNormals:
 
     def test_degenerate_line_flagged(self):
         pts = np.column_stack([np.linspace(0, 1, 20), np.zeros(20), np.zeros(20)])
-        _, valid = pc.estimate_normals(pc.PointCloud(pts), 5, [0, 0, 1.0])
+        _, valid = normals_with_knn(pc.PointCloud(pts), 5, [0, 0, 1.0])
         assert not valid.any()
 
 
@@ -177,7 +169,7 @@ class TestColumnFormsPinned:
     def test_lattice_clouds(self, case, k_is_n, view):
         cloud, scale = case
         k = len(cloud) if k_is_n else 3
-        got = pc.estimate_normals(cloud, k, view)
+        got = normals_with_knn(cloud, k, view)
         want = estimate_normals_rows(cloud, k, view)
         assert same_bytes(got[0], want[0]) and same_bytes(got[1], want[1])
         # lattice distances put pairs exactly at the tolerance
@@ -187,9 +179,8 @@ class TestColumnFormsPinned:
     @pytest.mark.parametrize("draw", [0, 40])
     def test_c6_full_clouds(self, draw):
         cloud = sg.generate(sg.benchmark_params(draw + 1, 20240, sg.benchmark_base())[draw]).frame.cloud
-        index = pc.build_index(cloud)
         for k in (31, 30):
-            table = pc.knn_batch(index, cloud.points, k)
+            table = pc.knn_batch(cloud.points, cloud.points, k)
             assert same_bytes(table, knn_batch_rows(cloud.points, cloud.points, k))
         got = pc.estimate_normals(cloud, 30, (0.0, 0.0, 0.0), table)
         want = estimate_normals_rows(cloud, 30, (0.0, 0.0, 0.0), table)
@@ -206,26 +197,24 @@ class TestTieExactKnn:
     @given(case=tied_clouds())
     def test_lattice_clouds_every_k(self, case):
         cloud, scale = case
-        index = pc.build_index(cloud)
         for queries in (cloud.points, cloud.points + scale / 2):
             for k in range(1, len(cloud) + 1):
-                assert same_bytes(pc.knn_batch(index, queries, k), knn_batch_rows(cloud.points, queries, k))
+                assert same_bytes(pc.knn_batch(cloud.points, queries, k), knn_batch_rows(cloud.points, queries, k))
 
     @settings(max_examples=60)
     @given(case=tied_clouds(), data=st.data())
     def test_narrower_table_is_a_prefix(self, case, data):
         cloud, _ = case
-        index = pc.build_index(cloud)
         k = data.draw(st.integers(1, len(cloud)))
-        table = pc.knn_batch(index, cloud.points, k)
+        table = pc.knn_batch(cloud.points, cloud.points, k)
         for j in range(1, k + 1):
-            assert same_bytes(table[:, :j], pc.knn_batch(index, cloud.points, j))
+            assert same_bytes(table[:, :j], pc.knn_batch(cloud.points, cloud.points, j))
 
     def test_every_point_tied(self):
         # one stack of copies: no row settles before the query covers the cloud
-        index = pc.build_index(np.tile([0.1, 0.2, 0.3], (20, 1)))
+        points = np.tile([0.1, 0.2, 0.3], (20, 1))
         for k in (1, 7, 20):
-            table = pc.knn_batch(index, [[0.1, 0.2, 0.3], [0.0, 0.0, 0.0]], k)
+            table = pc.knn_batch(points, [[0.1, 0.2, 0.3], [0.0, 0.0, 0.0]], k)
             assert table.tolist() == [list(range(k))] * 2
 
 

@@ -16,10 +16,12 @@ from oracles import (
     EmptyHistogram,
     darboux_angles,
     fpfh_reference,
+    fpfh_with_knn,
     naive_fpfh,
     naive_spfh,
     neighbor_sum_rows,
     neighbor_tables_reference,
+    normals_with_knn,
     pair_angles_rows,
     point_features_reference,
     rgb_to_hsv_rows,
@@ -283,8 +285,8 @@ class TestFpfh:
         rng = np.random.default_rng(5)
         pts = rng.uniform(0, 0.05, (120, 3))
         cloud = pc.PointCloud(pts)
-        normals, valid = pc.estimate_normals(cloud, 8, [0, 0, 1.0])
-        got, got_ok = ft.fpfh(cloud, normals, 8, valid)
+        normals, valid = normals_with_knn(cloud, 8, [0, 0, 1.0])
+        got, got_ok = fpfh_with_knn(pts, normals, 8, valid)
         want, want_ok = naive_fpfh(pts, normals, 8)
         np.testing.assert_array_equal(got_ok, want_ok & valid)
         np.testing.assert_allclose(got[got_ok], want[got_ok], atol=1e-6)
@@ -292,7 +294,7 @@ class TestFpfh:
     def test_hand_expanded_three_points(self):
         points = np.array([[0.0, 0.0, 0.0], [0.02, 0.0, 0.0], [0.0, 0.03, 0.0]])
         normals = np.array([[0.0, 0, 1], [0.0, 1, 0], [1.0, 0, 0]]) / 1.0
-        got, ok = ft.fpfh(points, normals, 2)
+        got, ok = fpfh_with_knn(points, normals, 2)
         assert ok.all()
         own = [naive_spfh(points, normals, i, [j for j in range(3) if j != i]) for i in range(3)]
         w01 = np.linalg.norm(points[0] - points[1])
@@ -304,7 +306,7 @@ class TestFpfh:
         g = np.stack(np.meshgrid(np.arange(8) * 0.01, np.arange(8) * 0.01), -1).reshape(-1, 2)
         pts = np.column_stack([g, np.zeros(len(g))])
         normals = np.tile([0.0, 0.0, 1.0], (len(pts), 1))
-        out, ok = ft.fpfh(pts, normals, 6)
+        out, ok = fpfh_with_knn(pts, normals, 6)
         assert ok.all()
         # constant angles: the weighted sum keeps exactly the single-bin pattern
         for row in out:
@@ -319,14 +321,14 @@ class TestFpfh:
         pts = rng.uniform(0, 0.08, (250, 3))
         cloud = pc.PointCloud(pts)
         vp = np.array([0.0, 0.0, -0.5])
-        normals, valid = pc.estimate_normals(cloud, 10, vp)
-        base, base_ok = ft.fpfh(cloud, normals, 10, valid)
+        normals, valid = normals_with_knn(cloud, 10, vp)
+        base, base_ok = fpfh_with_knn(pts, normals, 10, valid)
         for trial in range(20):
             rot = Rotation.random(random_state=trial).as_matrix()
             shift = rng.normal(scale=0.5, size=3)
             moved = pc.PointCloud(pts @ rot.T + shift)
-            m_normals, m_valid = pc.estimate_normals(moved, 10, rot @ vp + shift)
-            got, got_ok = ft.fpfh(moved, m_normals, 10, m_valid)
+            m_normals, m_valid = normals_with_knn(moved, 10, rot @ vp + shift)
+            got, got_ok = fpfh_with_knn(moved.points, m_normals, 10, m_valid)
             assert np.array_equal(base_ok, got_ok)
             assert np.abs(got[got_ok] - base[base_ok]).max() <= 1e-6
 
@@ -335,19 +337,19 @@ class TestFpfh:
         pts = lattice(4)[:30]
         normals = np.resize([0.0, 0.0, 1.0], shape)
         with pytest.raises(InvalidInput, match="normals must be"):
-            ft.fpfh(pts, normals, 4)
+            fpfh_with_knn(pts, normals, 4)
 
     @pytest.mark.parametrize("shape", [(40,), (20,), (30, 1)])
     def test_rejects_valid_flags_of_another_shape(self, shape):
         pts = lattice(4)[:30]
         normals = np.tile([0.0, 0.0, 1.0], (30, 1))
         with pytest.raises(InvalidInput, match="valid_normals must be"):
-            ft.fpfh(pts, normals, 4, np.ones(shape, dtype=bool))
+            fpfh_with_knn(pts, normals, 4, np.ones(shape, dtype=bool))
 
     def test_duplicate_neighbors_skipped(self):
         pts = np.array([[0.0, 0, 0], [0.0, 0, 0], [0.01, 0, 0], [0.0, 0.01, 0]])
         normals = np.tile([0.0, 0.0, 1.0], (4, 1))
-        out, ok = ft.fpfh(pts, normals, 3)
+        out, ok = fpfh_with_knn(pts, normals, 3)
         assert np.isfinite(out).all()
 
 
@@ -416,25 +418,25 @@ class TestPinnedToReference:
 
     @staticmethod
     def check(points, normals, k, valid=None):
-        got = ft.fpfh(points, normals, k, valid)
+        got = fpfh_with_knn(points, normals, k, valid)
         want = fpfh_reference(points, normals, k, valid)
         assert same_bytes(got[0], want[0]) and same_bytes(got[1], want[1])
 
     def test_c6_roi(self, c6_frame):
         frame, rows = c6_frame
         cloud = frame.cloud.subset(rows)
-        normals, valid = pc.estimate_normals(cloud, 30, (0.0, 0.0, 0.0))
+        normals, valid = normals_with_knn(cloud, 30, (0.0, 0.0, 0.0))
         self.check(cloud.points, normals, 30, valid)
 
     def test_c6_full_cloud(self, c6_frame):
         frame, _ = c6_frame
-        normals, valid = pc.estimate_normals(frame.cloud, 30, (0.0, 0.0, 0.0))
+        normals, valid = normals_with_knn(frame.cloud, 30, (0.0, 0.0, 0.0))
         self.check(frame.cloud.points, normals, 30, valid)
 
     @pytest.mark.parametrize("k", [2, 6, 26, 40])
     def test_tie_heavy_lattice(self, k):
         pts = lattice(4, 0.01)
-        normals, valid = pc.estimate_normals(pc.PointCloud(pts), 7, (0.0, 0.0, -1.0))
+        normals, valid = normals_with_knn(pc.PointCloud(pts), 7, (0.0, 0.0, -1.0))
         self.check(pts, normals, k, valid)
 
     def test_invalid_normals_and_duplicates(self):
@@ -472,7 +474,7 @@ class TestRowRestricted:
 
     @staticmethod
     def check(points, normals, k, valid, row_sets):
-        table = pc.knn_batch(pc.build_index(points), points, min(k + 1, len(points)))
+        table = pc.knn_batch(points, points, min(k + 1, len(points)))
         full, full_ok = ft.fpfh(points, normals, k, valid, table)
         assert same_bytes(ft._fpfh_valid(points, normals, k, valid, table), full_ok)
         for rows in row_sets:
@@ -485,7 +487,7 @@ class TestRowRestricted:
     def test_lattice_clouds(self, cloud, k, normal_k, data):
         # duplicates give zero-distance neighbors and invalid normals
         n = len(cloud)
-        normals, valid = pc.estimate_normals(cloud, min(normal_k, n), (0.0, 0.0, -1.0))
+        normals, valid = normals_with_knn(cloud, min(normal_k, n), (0.0, 0.0, -1.0))
         valid &= ~np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
         some = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
         one = [data.draw(st.integers(0, n - 1))]
@@ -494,7 +496,7 @@ class TestRowRestricted:
     def test_c6_roi(self, c6_frame):
         frame, rows = c6_frame
         cloud = frame.cloud.subset(rows)
-        normals, valid = pc.estimate_normals(cloud, 30, (0.0, 0.0, 0.0))
+        normals, valid = normals_with_knn(cloud, 30, (0.0, 0.0, 0.0))
         n = len(cloud)
         rng = np.random.default_rng(3)
         subsets = [[], [n // 2], np.arange(n), np.sort(rng.choice(n, 300, replace=False)), rng.integers(-n, n, 500)]

@@ -184,3 +184,25 @@ def test_every_defaulted_parameter_is_passed_outside_tests():
     """A knob that only tests turn belongs in tests/oracles.py or nowhere."""
     paths = [*SRC.glob("*.py"), *(p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_"))]
     assert set(never_passed(paths)) == TEST_ONLY_PARAMETERS
+
+
+def private_reads(path: Path) -> list[str]:
+    """`<expr>._name` reads in a file, as `line: expr._name`, where <expr>
+    is anything but `self` or `cls`; dunder names are not private."""
+    reads = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)):
+            continue
+        name = node.attr
+        if not name.startswith("_") or (name.startswith("__") and name.endswith("__")):
+            continue
+        if isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"):
+            continue
+        reads.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    return reads
+
+
+def test_no_module_reads_another_objects_private_attributes():
+    """A private attribute is read only by its own object's methods: a
+    caller that needs it gets it through the public interface."""
+    assert [read for path in sorted(SRC.glob("*.py")) for read in private_reads(path)] == []

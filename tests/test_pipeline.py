@@ -5,7 +5,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     cnn_score_frame_reference,
@@ -63,6 +63,11 @@ def green_colors(rng, n):
     )
 
 
+def camera(**fields):
+    """Camera intrinsics with the given fields replaced."""
+    return pl.CameraIntrinsics(**{"fx": 100.0, "fy": 100.0, "cx": 50.0, "cy": 40.0, "depth_scale": 0.001, **fields})
+
+
 @pytest.mark.parametrize(
     "make,field",
     [
@@ -72,6 +77,8 @@ def green_colors(rng, n):
         (pl.PepperDetectParams, "posterior_threshold"),
         (pl.PepperDetectParams, "cluster_tol"),
         (pl.PeduncleBoxParams, "h_offset"),
+        # fx = fy = inf would put every pixel at x = y = 0
+        *((camera, field) for field in ("fx", "fy", "cx", "cy", "depth_scale")),
     ],
 )
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -221,6 +228,19 @@ class TestProjection:
         np.testing.assert_allclose(uv[:, 0], pixels[:, 1], atol=1e-6)
         np.testing.assert_allclose(uv[:, 1], pixels[:, 0], atol=1e-6)
 
+    @pytest.mark.parametrize(
+        "rgb_shape,labels_shape",
+        [((6, 7, 3), None), ((3, 3, 3), None), ((4, 5), None), ((4, 5, 3), (2, 2)), ((4, 5, 3), (5, 4))],
+        ids=["larger-rgb", "smaller-rgb", "grey-rgb", "smaller-labels", "transposed-labels"],
+    )
+    def test_raster_sizes_checked(self, rgb_shape, labels_shape):
+        depth = np.full((4, 5), 500, dtype=np.uint16)
+        labels = None if labels_shape is None else np.zeros(labels_shape, dtype=np.uint8)
+        with pytest.raises(InvalidInput, match="to match depth"):
+            pl.Frame.from_rasters(np.zeros(rgb_shape, dtype=np.uint8), depth, self.INTR, labels)
+        frame = pl.Frame.from_rasters(np.zeros((4, 5, 3), dtype=np.uint8), depth, self.INTR, np.ones((4, 5)))
+        assert len(frame.cloud) == 20 and frame.cloud.labels.tolist() == [1] * 20
+
     def test_invalid_depth_dropped(self):
         depth = np.zeros((10, 10), dtype=np.uint16)
         depth[5, 5] = 700
@@ -253,6 +273,34 @@ class TestProjection:
         assert scored.pixels.tolist() == [[9, 11], [14, 6]]
         assert scored.scores.tolist() == [dense.scores[9, 11], dense.scores[14, 6]]
         assert len(set(scored.scores.tolist())) == 2
+
+
+class TestDepthHoles:
+    """A C6 frame with any share of its depth pixels dropped, up to 99.5%,
+    is detected or missed, never an error: sparse regions of interest reach
+    the neighbor queries with few points and scattered neighborhoods."""
+
+    @pytest.fixture(scope="class")
+    def frame(self):
+        return sg.generate(sg.benchmark_params(41, 20240, sg.benchmark_base())[40]).frame
+
+    @pytest.mark.parametrize("make", [lambda: pl.PfhSvmDetector(linear_svm(np.random.default_rng(2))),
+                                      tiny_cnn_detector], ids=["pfh-svm", "cnn"])
+    @settings(max_examples=12, deadline=None)
+    @given(share=st.floats(0.0, 0.995), seed=st.integers(0, 2**32 - 1))
+    # the pepper still found, with a region of interest of 25 points (fewer
+    # than the 30 normals need) and of 31 (every point a neighbor)
+    @example(share=0.97, seed=0)
+    @example(share=0.97, seed=3)
+    def test_detected_or_missed(self, frame, make, share, seed):
+        depth = frame.depth_raw.copy()
+        depth[np.random.default_rng(seed).random(depth.shape) < share] = 0
+        holed = pl.Frame.from_rasters(frame.rgb, depth, frame.intr)
+        try:
+            result = pl.run_detection(holed, red_green_nb(), make())
+        except NoPeduncleFound:
+            return
+        assert len(result.filter_result.cluster) > 0 and np.isfinite(result.pose.position).all()
 
 
 class TestOneScoringPath:
