@@ -230,7 +230,8 @@ def load_svm(path) -> SvmModel:
     Raises FormatError on a bad header or unknown kernel, a non-numeric or
     non-finite value, means and scales of different or zero length, a
     support-vector count that is negative or larger than the file can hold,
-    a malformed support-vector line, or data after the last one.
+    a malformed support-vector line, data after the last one, or a gamma, C
+    or feature scale that is not positive.
     """
     with open_text(path) as fh:
         header = fh.readline().split()
@@ -248,6 +249,8 @@ def load_svm(path) -> SvmModel:
         rows, _ = read_rows(fh, path, n_sv, len(means) + 1, 0, "support vector")
     if not np.isfinite(np.concatenate([[gamma, c, bias], means, scales, rows.ravel()])).all():
         raise FormatError(f"{path}: non-finite value")
+    if min(gamma, c, scales.min()) <= 0:
+        raise FormatError(f"{path}: gamma, C and the feature scales must be positive")
     return SvmModel(header[2], gamma, c, bias, rows[:, 0].copy(), rows[:, 1:].copy(), means, scales)
 
 
@@ -331,7 +334,8 @@ def load_nb(path) -> NaiveBayesHsv:
 
     Raises FormatError on a bad magic line, a truncated file, a non-numeric
     or non-finite value, a prior line that is not one number or a means or
-    variances line that is not 4, or data after the second class block.
+    variances line that is not 4, data after the second class block, a
+    variance that is not positive, or a prior outside (0, 1].
     """
     with open_text(path) as fh:
         if fh.readline().strip() != "nbhsv v1":
@@ -349,4 +353,7 @@ def load_nb(path) -> NaiveBayesHsv:
         raise FormatError(f"{path}: a class block is a prior, 4 means and 4 variances")
     if not np.isfinite(np.concatenate(rows)).all():
         raise FormatError(f"{path}: non-finite value")
-    return NaiveBayesHsv(np.array(rows[1::3]), np.array(rows[2::3]), np.array([r[0] for r in rows[::3]]))
+    means, variances, priors = np.array(rows[1::3]), np.array(rows[2::3]), np.array([r[0] for r in rows[::3]])
+    if variances.min() <= 0 or priors.min() <= 0 or priors.max() > 1:
+        raise FormatError(f"{path}: variances must be positive and priors in (0, 1]")
+    return NaiveBayesHsv(means, variances, priors)

@@ -37,16 +37,16 @@ crop the patches cover (OverFeat's dense evaluation; fast scanning with
 max-pooling nets), except where the patch's own zero padding reaches. The
 shared trunk is the leading conv / pool run up to the first step whose
 downsampling does not divide the stride; at the shipped stride 4 that is
-conv1 ... conv3. It runs once over the crop. What is left is the ring: the
-cells whose input window, one axis at a time, leaves the patch or covers a
-ring cell one step down (for the shipped spec 1 cell
-wide at conv1, 1 at pool1, 2 at conv2, 1 at pool2 and 2 at conv3). A ring
-row's cells in clean columns (a band) depend only on the patch row, so
-they are computed once per patch row across the crop; likewise the ring
-columns' bands once per patch column; only the corners, in a ring row and
-a ring column, are computed per patch. All of them go through the same
-im2col columns, matmul and max fold as the per-patch path, so each score
-equals that path's on the same patches in the same batches.
+conv1 ... conv3, computed once for the whole grid. What differs per patch
+is the ring: the cells whose input window, one axis at a time, leaves the
+patch or covers a ring cell one step down (for the shipped spec 1 cell
+wide at conv1, 1 at pool1, 2 at conv2, 1 at pool2 and 2 at conv3). Along
+each axis a ring cell depends on its patch and a clean cell only on its
+absolute position, so a shared level is one array whose rows (and
+columns) are the crop's clean strip followed by each patch's ring cells.
+Each step gathers its windows once, by row taps x column taps, through
+the same im2col columns, matmul and max fold as the per-patch path, so
+each score equals that path's on the same patches in the same batches.
 
 The full detector network is described by a NetworkSpec: a text file of
 layer lines validated to hold exactly 8 convolutional layers (an inception
@@ -796,159 +796,114 @@ def _clean_span(lo, hi, k, stride, pad):
     return first, max(first, (hi + pad - k) // stride + 1)
 
 
-class _TrunkLevel:
-    """One shared step's output over a grid of patches, as one table of rows.
+class _Axis:
+    """One axis of a shared level over a line of g patches, q cells apart.
 
-    size and clean are a patch's map size and its clean box, ((y0, y1),
-    (x0, x1)): the cells that equal the crop's map at the patch's offset, q
-    cells per patch step. The other cells form the ring, in three families.
-    A ring row's clean cells (its row band) depend only on the patch row and
-    their absolute column, a ring column's clean cells (column band) only on
-    the patch column and their absolute row, and the corners (ring row and
-    ring column) on the patch. The table holds the crop's map as (cells, c)
-    rows, one zero row (the padding), then per patch row its row band across
-    the crop, per patch column its column band, and per patch its corners.
+    Along the axis a patch's map has n cells; those in [lo, hi) are clean
+    (they equal the crop's map at the patch's offset), the others are its
+    ring. The level's positions are first the crop map's clean strip,
+    cells lo ... (g - 1) * q + hi - 1, then each patch's ring cells, patch
+    by patch; position `length` is the zero padding.
     """
 
-    def __init__(self, layer, size, clean, q, crop_map, grid):
-        self.layer, self.size, self.clean, self.q, self.grid = layer, size, clean, q, grid
-        self.ring_taps = None   # where the ring cells' windows read the level below
-        _, c, _, self.crop_w = crop_map.shape
-        self.crop = crop_map[0].transpose(1, 2, 0).reshape(-1, c)
-        (y0, y1), (x0, x1) = clean
-        self.ring_rows = np.flatnonzero(self.slots(np.arange(size[0]), 0) >= 0)
-        self.ring_cols = np.flatnonzero(self.slots(np.arange(size[1]), 1) >= 0)
-        ny, nx = grid
-        # a band runs over every absolute position some patch has clean
-        self.band_w = (nx - 1) * q + x1 - x0 if x1 > x0 else 0
-        self.band_h = (ny - 1) * q + y1 - y0 if y1 > y0 else 0
-        self.row_band0 = len(self.crop) + 1
-        self.col_band0 = self.row_band0 + ny * len(self.ring_rows) * self.band_w
-        self.corner0 = self.col_band0 + nx * len(self.ring_cols) * self.band_h
+    def __init__(self, n, lo, hi, q, g):
+        self.n, self.lo, self.hi, self.q, self.g = n, lo, hi, q, g
+        self.strip = (g - 1) * q + hi - lo if hi > lo else 0
+        self.ring = n - (hi - lo)
+        self.length = self.strip + g * self.ring
 
-    def slots(self, pos, axis):
-        """Per position along one axis of a patch's map: -2 outside the map,
-        -1 clean, else its rank among the ring cells of that axis."""
-        lo, hi = self.clean[axis]
-        outside = (pos < 0) | (pos >= self.size[axis])
-        return np.where(outside, -2, np.where(pos < lo, pos, np.where(pos < hi, -1, pos - (hi - lo))))
+    def after(self, k, step, pad):
+        """The axis of the level that k-wide windows (starting at cell *
+        step - pad) make of this one."""
+        return _Axis((self.n + 2 * pad - k) // step + 1, *_clean_span(self.lo, self.hi, k, step, pad),
+                     self.q // step, self.g)
 
-    def rows(self, r, c, slot_r, slot_c):
-        """Table rows of cell (r, c) of the map of the patch in grid row 0 and
-        column 0, given the cell's slots(r, 0) and slots(c, 1), and their
-        steps di and dj: the patch in grid row i and column j reads row
-        rows + i * di + j * dj. A band cell moves with the patch row or
-        column only, so a row band's absolute column can be given as c and
-        a column band's absolute row as r."""
-        n_rr, n_rc = len(self.ring_rows), len(self.ring_cols)
-        (y0, _), (x0, _) = self.clean
-        q, nx, cw = self.q, self.grid[1], self.crop_w
-        # crop, row band, column band, corner, padding
-        kind = np.where((slot_r == -2) | (slot_c == -2), 4, (slot_r >= 0) + 2 * (slot_c >= 0))
-        base = np.choose(kind, [
-            r * cw + c,
-            self.row_band0 + slot_r * self.band_w + c - x0,
-            self.col_band0 + slot_c * self.band_h + r - y0,
-            self.corner0 + slot_r * n_rc + slot_c,
-            len(self.crop),
-        ])
-        di = np.array([q * cw, n_rr * self.band_w, q, nx * n_rr * n_rc, 0])[kind]
-        dj = np.array([q, q, n_rc * self.band_h, n_rr * n_rc, 0])[kind]
-        return base, di, dj
+    def index(self, patch, pos):
+        """Level position of cell pos of the patch's map (broadcast), the
+        padding outside the map."""
+        clean = pos - self.lo + patch * self.q
+        ring = self.strip + patch * self.ring + np.where(pos < self.lo, pos, pos - (self.hi - self.lo))
+        return np.where((pos < 0) | (pos >= self.n), self.length,
+                        np.where((self.lo <= pos) & (pos < self.hi), clean, ring))
 
-    def table(self, ring_values):
-        """The level's table, given its ring cells' values in table order."""
-        zero = np.zeros((1, self.crop.shape[1]), self.crop.dtype)
-        return np.concatenate([self.crop, zero, ring_values])
+    def taps(self, src, k, step, pad):
+        """(length, k) positions of the level src that the windows of this
+        level's positions read. A strip cell's window lies in src's strip
+        (absolute cells); a ring cell's reads its own patch's cells."""
+        t = np.arange(k)
+        strip = (self.lo + np.arange(self.strip))[:, None] * step - pad + t - src.lo
+        pos = np.arange(self.n)
+        ring = pos[(pos < self.lo) | (pos >= self.hi)]
+        patch = np.arange(self.g)[:, None, None]
+        return np.concatenate([strip, src.index(patch, ring[:, None] * step - pad + t).reshape(-1, k)])
 
-    def taps(self, src, kh, kw, step, pad):
-        """(ring cells, kh, kw) rows of src's table read by the windows of
-        this level's ring cells, in table order."""
-        ny, nx = self.grid
-        (y0, _), (x0, _) = self.clean
-        r = self.ring_rows[:, None, None, None] * step - pad + np.arange(kh)[:, None]    # (rr, 1, kh, 1)
-        c = self.ring_cols[:, None, None] * step - pad + np.arange(kw)                    # (rc, 1, kw)
-        ys = (y0 + np.arange(self.band_h))[:, None, None] * step - pad + np.arange(kh)[:, None]  # (h, kh, 1)
-        xs = (x0 + np.arange(self.band_w))[:, None, None] * step - pad + np.arange(kw)   # (w, 1, kw)
-        i, j = np.arange(ny).reshape(-1, 1, 1, 1, 1), np.arange(nx).reshape(-1, 1, 1, 1, 1)
-        # a band's windows stay in the clean span of the other axis
-        base, di, _ = src.rows(r, xs, src.slots(r, 0), -1)
-        row_bands = base + i * di                                           # (ny, rr, w, kh, kw)
-        base, _, dj = src.rows(ys, c[:, None], -1, src.slots(c, 1)[:, None])
-        col_bands = base + j * dj                                           # (nx, rc, h, kh, kw)
-        base, di, dj = src.rows(r, c[None], src.slots(r, 0), src.slots(c[None], 1))
-        corners = base + i[:, None] * di + j[None] * dj                     # (ny, nx, rr, rc, kh, kw)
-        return np.concatenate([t.reshape(-1, kh, kw) for t in (row_bands, col_bands, corners)])
+
+def _take_cells(level, rows, cols):
+    """level[rows, cols] of a (rows, columns, c) level, for broadcasting
+    position arrays, as one np.take of its cells."""
+    return np.take(level.reshape(-1, level.shape[2]), rows * level.shape[1] + cols, axis=0)
 
 
 class _SharedTrunk:
     """The first shared_depth(net.layers, stride) steps of a network, run
     once over the crop that a grid of patches covers, with each patch's own
-    maps rebuilt from it.
+    maps read from it.
 
     A patch's map at every shared step equals the crop's map at the
     patch's offset except on a ring where the patch's own zero padding
-    reaches. The ring cells are recomputed step by step with the steps'
-    own arithmetic, the same im2col columns through Conv2d.affine and the
-    same max fold (then the relu, for a fused relu + pool step), each band
-    once for its patch row or column and the corners per patch (see
-    _TrunkLevel). At each level one product (or one fold) covers the ring
-    cells of the whole grid, never a single row (numpy sends that to gemv).
-    Only the last level is assembled into full maps, per batch.
+    reaches. Along each axis the ring cells depend on the patch and the
+    clean ones on the absolute position only, so each level is one
+    (rows, columns, c) array whose row and column positions are both laid
+    out by an _Axis: the crop's clean strip, then every patch's ring. Its
+    cells are the crop's clean map, each ring row's clean cells once per
+    patch row, each ring column's once per patch column, and the corners
+    per patch. A step gathers the windows of the whole level below, padded
+    with one zero row and column, once by row taps x column taps, and
+    applies the step's own arithmetic: the same (c, kh, kw) im2col columns
+    through Conv2d.affine, or the same max fold (then the relu, for a fused
+    relu + pool step).
 
-    The copied cells equal the per-patch ones as long as BLAS computes each
-    row of a product independently of the others. OpenBLAS does so within
-    one kernel, but (measured with 0.3.31 on AVX-512 x86-64) takes a
+    The cells equal the per-patch ones as long as BLAS computes each row of
+    a product independently of the others. OpenBLAS does so within one
+    kernel, but (measured with 0.3.31 on AVX-512 x86-64) takes a
     small-matrix kernel that rounds differently, for inner sizes of 32 and
     up, when rows x outputs is at most about 1200. The shipped network's
-    shared products stay above that size even for a one-patch grid (112 rows
-    at conv3, 240 at conv2), but its fc head (512 -> 2) does not, so a
-    patch's score can depend on its position in the batch. Every score
-    equals the per-patch path on the same patches in the same batches.
+    shared products stay above that size even for a one-patch grid (4096
+    rows at conv1, 1024 at conv2, 256 at conv3), but its fc head (512 -> 2)
+    does not, so a patch's score can depend on its position in the batch.
+    Every score equals the per-patch path on the same patches in the same
+    batches.
     """
 
     def __init__(self, net: Network, stride: int, crop: np.ndarray):
         ph, pw = net.input_hw
         self.depth = shared_depth(net.layers, stride)
-        grid = ((crop.shape[0] - ph) // stride + 1, (crop.shape[1] - pw) // stride + 1)
-        x = crop.transpose(2, 0, 1)[None]
-        self.levels = [_TrunkLevel(None, (ph, pw), ((0, ph), (0, pw)), stride, x, grid)]
+        ny, nx = (crop.shape[0] - ph) // stride + 1, (crop.shape[1] - pw) // stride + 1
+        self.axes = [(_Axis(ph, 0, ph, stride, ny), _Axis(pw, 0, pw, stride, nx))]
+        level = crop
         for layer in net.layers[: self.depth]:
-            src = self.levels[-1]
             kh, kw, step, pad = _window(layer)
-            x = layer.forward(x)
-            size = ((src.size[0] + 2 * pad - kh) // step + 1, (src.size[1] + 2 * pad - kw) // step + 1)
-            clean = (_clean_span(*src.clean[0], kh, step, pad), _clean_span(*src.clean[1], kw, step, pad))
-            level = _TrunkLevel(layer, size, clean, src.q // step, x, grid)
-            level.ring_taps = level.taps(src, kh, kw, step, pad)
-            self.levels.append(level)
-        last = self.levels[-1]
-        r, c = np.arange(last.size[0])[:, None], np.arange(last.size[1])
-        self.out_taps = last.rows(r, c, last.slots(r, 0), last.slots(c, 1))
-        self.table = last.table(self._ring_values())
-
-    def _ring_values(self) -> np.ndarray:
-        """The last level's ring cells as rows, in table order."""
-        ring = self.levels[0].crop[:0]      # the input image has no ring
-        for src, level in zip(self.levels, self.levels[1:]):
-            win = np.take(src.table(ring), level.ring_taps, axis=0).transpose(0, 3, 1, 2)   # (n, c, kh, kw)
-            if isinstance(level.layer, Conv2d):
-                cols = win.reshape(len(win), -1)
-                if len(cols) == 1:      # numpy hands a one-row product to gemv
-                    cols = np.repeat(cols, 2, axis=0)
-                ring = level.layer.affine(cols)[: len(win)]
-            elif isinstance(level.layer, _ReluMaxPool):
-                ring = np.maximum(_max_fold(win), 0.0)
+            ay, ax = self.axes[-1]
+            by, bx = ay.after(kh, step, pad), ax.after(kw, step, pad)
+            rows, cols = by.taps(ay, kh, step, pad), bx.taps(ax, kw, step, pad)
+            padded = np.pad(level, ((0, 1), (0, 1), (0, 0)))
+            win = _take_cells(padded, rows[:, None, :, None], cols[None, :, None, :]).transpose(0, 1, 4, 2, 3)
+            if isinstance(layer, Conv2d):
+                level = layer.affine(win.reshape(by.length * bx.length, -1)).reshape(by.length, bx.length, -1)
             else:
-                ring = _max_fold(win)
-        return ring
+                level = _max_fold(win)
+                if isinstance(layer, _ReluMaxPool):
+                    level = np.maximum(level, 0.0)
+            self.axes.append((by, bx))
+        self.level = level
 
     def patch_maps(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """(b, c, h, w) output of the shared steps on the patches in grid
         rows i and columns j."""
-        base, di, dj = self.out_taps
-        rows = base + i[:, None, None] * di + j[:, None, None] * dj
-        return np.take(self.table, rows, axis=0).transpose(0, 3, 1, 2)
+        ay, ax = self.axes[-1]
+        rows = ay.index(i[:, None, None], np.arange(ay.n)[:, None])
+        cols = ax.index(j[:, None, None], np.arange(ax.n))
+        return _take_cells(self.level, rows, cols).transpose(0, 3, 1, 2)
 
 
 def score_map(image: np.ndarray, net: Network, stride: int = 4, roi=None, batch: int = 128) -> ScoreMap:
@@ -962,8 +917,8 @@ def score_map(image: np.ndarray, net: Network, stride: int = 4, roi=None, batch:
     the patches cover. Each patch's map after them is the crop's map at the
     patch's offset, except on a ring of cells whose receptive field reaches
     the patch's own zero padding; the ring is derived from the steps'
-    windows and recomputed in bands shared by a patch row or column and
-    corners per patch (see _SharedTrunk). The remaining steps run per patch
+    windows and recomputed once per patch row, patch column or patch, as
+    it depends (see _SharedTrunk). The remaining steps run per patch
     in batches of `batch`. Every score is bit-identical to the per-patch
     path on the same patches in the same batches, as far as BLAS computes
     each row of a product on its own (see _SharedTrunk for where OpenBLAS

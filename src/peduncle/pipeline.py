@@ -402,9 +402,11 @@ def margin_to_score(margin: np.ndarray) -> np.ndarray:
     """Squash SVM margins through a fixed logistic map onto (0, 1).
 
     Purely monotone rescaling so both detectors share the [0, 1] threshold
-    grid; no calibration is fitted.
+    grid; no calibration is fitted. Below a margin of about -709 the
+    exponential overflows to inf and the score is +0.0.
     """
-    return 1.0 / (1.0 + np.exp(-np.asarray(margin, dtype=np.float64)))
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-np.asarray(margin, dtype=np.float64)))
 
 
 def roi_rows(frame: Frame, roi: Roi2) -> np.ndarray:

@@ -10,6 +10,7 @@ and the fixed-seed benchmark (run_benchmark) with three.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import classifiers as cls
 from . import cloud as pc
@@ -26,6 +27,14 @@ from .errors import InvalidInput, NoPeduncleFound
 # ---------------------------------------------------------------------------
 
 
+def _at_most(rng, rows, cap):
+    """rows when there are at most cap of them, else cap of them drawn
+    without replacement, in ascending order."""
+    if rows.size > cap:
+        return np.sort(rng.choice(rows, cap, replace=False))
+    return rows
+
+
 def train_nb_from_scenes(scenes, seed: int = 0) -> cls.NaiveBayesHsv:
     """Fit the pepper HSV model from labeled scene clouds.
 
@@ -35,22 +44,16 @@ def train_nb_from_scenes(scenes, seed: int = 0) -> cls.NaiveBayesHsv:
     background pixels would dominate the class and leave green plant matter
     closer to the pepper model than to its own.
     """
-
-    def _sample(rng, rows, cap):
-        if rows.size > cap:
-            return np.sort(rng.choice(rows, cap, replace=False))
-        return rows
-
     rng = np.random.default_rng(seed)
     pepper, other = [], []
     for scene in scenes:
         labs = scene.cloud.labels
         hsv = ft.rgb_to_hsv_array(scene.cloud.colors)
-        pepper.append(hsv[_sample(rng, np.flatnonzero(labs == pc.LABEL_PEPPER), 4000)])
+        pepper.append(hsv[_at_most(rng, np.flatnonzero(labs == pc.LABEL_PEPPER), 4000)])
         non = labs != pc.LABEL_PEPPER
         saturated = non & (hsv[:, 1] >= 0.35)
-        other.append(hsv[_sample(rng, np.flatnonzero(saturated), 2000)])
-        other.append(hsv[_sample(rng, np.flatnonzero(non & ~saturated), 2000)])
+        other.append(hsv[_at_most(rng, np.flatnonzero(saturated), 2000)])
+        other.append(hsv[_at_most(rng, np.flatnonzero(non & ~saturated), 2000)])
     if not pepper or not other:
         raise InvalidInput("scenes supply no pepper/non-pepper samples")
     return cls.nb_fit(np.vstack(pepper), np.vstack(other))
@@ -80,20 +83,12 @@ def collect_svm_training(
         geometry = ft.PointGeometry.of(scene.cloud, normal_k, fpfh_k)
         valid = geometry.valid()
         labels = ev.labels_to_eval(scene.cloud.labels)
-        pos = np.flatnonzero((labels == ev.POSITIVE) & valid)
-        neg = np.flatnonzero((labels == ev.NEGATIVE) & valid)
-        half = per_scene // 2
-        if pos.size > half:
-            pos = np.sort(rng.choice(pos, half, replace=False))
-        if neg.size > half:
-            neg = np.sort(rng.choice(neg, half, replace=False))
+        pos = _at_most(rng, np.flatnonzero((labels == ev.POSITIVE) & valid), per_scene // 2)
+        neg = _at_most(rng, np.flatnonzero((labels == ev.NEGATIVE) & valid), per_scene // 2)
         feats_all.append(geometry.features(np.concatenate([pos, neg]))[0])
         y_all += [np.ones(pos.size), -np.ones(neg.size)]
-    feats = np.vstack(feats_all)
-    y = np.concatenate(y_all)
-    if len(y) > max_total:
-        keep = np.sort(rng.choice(len(y), max_total, replace=False))
-        feats, y = feats[keep], y[keep]
+    keep = _at_most(rng, np.arange(sum(map(len, y_all))), max_total)
+    feats, y = np.vstack(feats_all)[keep], np.concatenate(y_all)[keep]
     if not (y > 0).any() or not (y < 0).any():
         raise InvalidInput("training sample lost one of the classes")
     return feats, y
@@ -117,41 +112,26 @@ def sample_training_patches(
         h, w = pos_mask.shape
         valid = np.zeros((h, w), dtype=bool)
         valid[ph // 2 : h - (ph - ph // 2) + 1, pw // 2 : w - (pw - pw // 2) + 1] = True
-        imgf = scene.rgb.astype(np.float64) / 255.0
         half = per_scene // 2
 
-        def crop(cy, cx):
-            patch = imgf[cy - ph // 2 : cy - ph // 2 + ph, cx - pw // 2 : cx - pw // 2 + pw]
-            patches.append(patch.transpose(2, 0, 1))
+        def draw(mask, most):
+            """Up to `most` centers drawn from mask's valid pixels, in draw
+            order (an empty draw leaves rng as it was)."""
+            vv, uu = np.nonzero(mask & valid)
+            sel = rng.choice(vv.size, min(most, vv.size), replace=False)
+            return vv[sel], uu[sel]
 
-        vv, uu = np.nonzero(pos_mask & valid)
-        take = min(half, vv.size)
-        if take:
-            sel = rng.choice(vv.size, take, replace=False)
-            for cy, cx in zip(vv[sel], uu[sel]):
-                crop(cy, cx)
-                labels.append(1)
-
-        hsv = ft.rgb_to_hsv_array(scene.rgb.reshape(-1, 3)).reshape(h, w, 3)
-        saturated = hsv[:, :, 1] >= 0.35
-        neg_hard = neg_mask & valid & saturated
-        neg_easy = neg_mask & valid & ~saturated
-        budget = half
-        for mask in (neg_hard, neg_easy):
-            vv, uu = np.nonzero(mask)
-            take = min(budget if mask is neg_easy else (half + 1) // 2, vv.size)
-            if take == 0:
-                continue
-            sel = rng.choice(vv.size, take, replace=False)
-            for cy, cx in zip(vv[sel], uu[sel]):
-                crop(cy, cx)
-                labels.append(0)
-            budget -= take
-            if budget <= 0:
-                break
-    if not patches:
+        pos = draw(pos_mask, half)
+        saturated = ft.rgb_to_hsv_array(scene.rgb.reshape(-1, 3))[:, 1].reshape(h, w) >= 0.35
+        hard = draw(neg_mask & saturated, (half + 1) // 2)
+        easy = draw(neg_mask & ~saturated, half - len(hard[0]))
+        cy, cx = (np.concatenate(axis) for axis in zip(pos, hard, easy))
+        windows = sliding_window_view(scene.rgb.astype(np.float64) / 255.0, (ph, pw), axis=(0, 1))
+        patches.append(windows[cy - ph // 2, cx - pw // 2])
+        labels.append(np.repeat([1, 0], [len(pos[0]), len(cy) - len(pos[0])]))
+    if not sum(map(len, labels)):
         raise InvalidInput("no annotated patch centers available")
-    return np.stack(patches), np.asarray(labels, dtype=np.intp)
+    return np.concatenate(patches), np.concatenate(labels).astype(np.intp)
 
 
 def train_cnn_from_scenes(

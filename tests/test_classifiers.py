@@ -240,6 +240,20 @@ class TestSvmFile:
         with pytest.raises(FormatError):
             cls.load_svm(path)
 
+    @pytest.mark.parametrize(
+        "header, scales",
+        [("-0.5 1.0", "1.0 1.0"), ("0.0 1.0", "1.0 1.0"), ("0.5 -1.0", "1.0 1.0"), ("0.5 0.0", "1.0 1.0"),
+         ("0.5 1.0", "1.0 -1.0"), ("0.5 1.0", "0.0 1.0")],
+        ids=["gamma-negative", "gamma-zero", "c-negative", "c-zero", "scale-negative", "scale-zero"],
+    )
+    def test_parameter_outside_its_domain_is_format_error(self, tmp_path, header, scales):
+        """Training never writes a gamma, C or feature scale <= 0; a negated
+        gamma would score every point 1.0."""
+        path = tmp_path / "svm.model"
+        path.write_text(f"svm v1 rbf {header} 0.25 1\n0.0 0.0\n{scales}\n0.5 1.0 2.0\n")
+        with pytest.raises(FormatError, match="positive"):
+            cls.load_svm(path)
+
 
 class TestNaiveBayes:
     def test_zero_overlap_classes(self):
@@ -332,6 +346,20 @@ class TestNaiveBayes:
         path = tmp_path / "nb.model"
         path.write_text(text)
         with pytest.raises(FormatError):
+            cls.load_nb(path)
+
+    @pytest.mark.parametrize(
+        "prior0, variances0",
+        [("0.5", "0.1 -0.1 0.1 0.1"), ("0.5", "0.1 0.1 0.0 0.1"), ("-0.5", "0.1 0.1 0.1 0.1"),
+         ("0.0", "0.1 0.1 0.1 0.1"), ("1.5", "0.1 0.1 0.1 0.1")],
+        ids=["variance-negative", "variance-zero", "prior-negative", "prior-zero", "prior-above-one"],
+    )
+    def test_parameter_outside_its_domain_is_format_error(self, tmp_path, prior0, variances0):
+        """Training floors every variance above 0 and gives each class a
+        prior in (0, 1); a negated variance would find no pepper anywhere."""
+        path = tmp_path / "nb.model"
+        path.write_text(f"nbhsv v1\n{prior0}\n1 0 0.5 0.5\n{variances0}\n0.5\n-1 0 0.5 0.5\n0.1 0.1 0.1 0.1\n")
+        with pytest.raises(FormatError, match="positive"):
             cls.load_nb(path)
 
 

@@ -238,6 +238,24 @@ class TestExitCodes:
                      "--models", str(models), "--detector", "pfh-svm", "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("model", ["nb", "svm"])
+    def test_model_parameter_outside_its_domain_is_2(self, workdir, tmp_path, model):
+        """A negated NB variance (read, no pepper would be found) or SVM
+        gamma (read, every point would score 1.0)."""
+        models = tmp_path / "models"
+        shutil.copytree(workdir["models"], models)
+        if model == "nb":
+            nb = cls.load_nb(models / "nb.model")
+            nb.variances[0, 0] = -nb.variances[0, 0]
+            cls.save_nb(models / "nb.model", nb)
+        else:
+            svm = cls.load_svm(models / "svm.model")
+            cls.save_svm(models / "svm.model", dataclasses.replace(svm, gamma=-svm.gamma))
+        out = tmp_path / "scores"
+        assert main(["score", "--config", workdir["cfg"], "--scenes", workdir["manifest"],
+                     "--models", str(models), "--detector", "pfh-svm", "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_non_numeric_features_is_2(self, tmp_path):
         feats = tmp_path / "features.txt"
         feats.write_text("features v1 1 36\n" + "x " * 36 + "1\n")

@@ -96,19 +96,24 @@ def feature_dumps(draw):
     return matrix(draw, n, ft.FEATURE_DIM), labels
 
 
+# the loaders reject a gamma, C, feature scale or variance <= 0 and a prior
+# outside (0, 1]; the models drawn here stay inside, as training's do
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+PRIOR = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+
+
 @st.composite
 def svm_models(draw):
     n, d = draw(st.integers(0, 3)), draw(st.integers(1, 3))
-    gamma, c, bias = draw(st.lists(FLOATS, min_size=3, max_size=3))
     return cls.SvmModel(
-        draw(st.sampled_from(["linear", "rbf"])), gamma, c, bias,
-        matrix(draw, n, 1)[:, 0], matrix(draw, n, d), matrix(draw, 1, d)[0], matrix(draw, 1, d)[0],
+        draw(st.sampled_from(["linear", "rbf"])), draw(POSITIVE), draw(POSITIVE), draw(FLOATS),
+        matrix(draw, n, 1)[:, 0], matrix(draw, n, d), matrix(draw, 1, d)[0], matrix(draw, 1, d, POSITIVE)[0],
     )
 
 
 @st.composite
 def nb_models(draw):
-    return cls.NaiveBayesHsv(matrix(draw, 2, 4), matrix(draw, 2, 4), matrix(draw, 1, 2)[0])
+    return cls.NaiveBayesHsv(matrix(draw, 2, 4), matrix(draw, 2, 4, POSITIVE), matrix(draw, 1, 2, PRIOR)[0])
 
 
 @pytest.fixture(autouse=True, scope="module")

@@ -940,9 +940,8 @@ class TestSharedTrunk:
         trunk = mc._SharedTrunk(net, 4, crop)
         assert trunk.depth == 5
         rings = [
-            (type(lv.layer).__name__, lv.size, [(lo, n - hi) for (lo, hi), n in zip(lv.clean, lv.size)])
-            for lv in trunk.levels[1:]
-            if not isinstance(lv.layer, mc.Relu)
+            (type(layer).__name__, (ay.n, ax.n), [(a.lo, a.n - a.hi) for a in (ay, ax)])
+            for layer, (ay, ax) in zip(net.layers, trunk.axes[1:])
         ]
         assert rings == [
             ("Conv2d", (64, 64), [(1, 1), (1, 1)]),
@@ -951,12 +950,14 @@ class TestSharedTrunk:
             ("_ReluMaxPool", (16, 16), [(1, 1), (1, 1)]),
             ("Conv2d", (16, 16), [(2, 2), (2, 2)]),
         ]
+        assert trunk.level.shape == (trunk.axes[-1][0].length, trunk.axes[-1][1].length, 32)
 
     def test_ring_cells_on_the_c6_frame(self):
-        """Each band is computed once per patch row or column and only the
-        corners per patch: on C6 eval draw 40's 13 x 12 grid, the ring cells
-        recomputed at conv1, pool1, conv2, pool2 and conv3 are about a fifth
-        of the per-patch rings' 156 x (252, 124, 240, 60, 112)."""
+        """Each ring row's clean cells are computed once per patch row, each
+        ring column's once per patch column and only the corners per patch:
+        on C6 eval draw 40's 13 x 12 grid, the cells outside the crop's
+        clean strips at conv1, pool1, conv2, pool2 and conv3 are about a
+        fifth of the per-patch rings' 156 x (252, 124, 240, 60, 112)."""
         rgb, roi = c6_frame()
         net = mc.Network.from_netspec(shipped_spec(), seed=17).cast(np.float32)
         ys, xs = mc.patch_centers(*rgb.shape[:2], 64, 64, 4)
@@ -965,8 +966,33 @@ class TestSharedTrunk:
         assert (len(ys), len(xs)) == (13, 12)
         crop = rgb[ys[0] - 32 : ys[-1] + 32, xs[0] - 32 : xs[-1] + 32]
         trunk = mc._SharedTrunk(net, 4, crop.astype(np.float32) / np.float32(255.0))
-        levels = [lv for lv in trunk.levels[1:] if not isinstance(lv.layer, mc.Relu)]
-        assert [len(lv.ring_taps) for lv in levels] == [6020, 3272, 7592, 1898, 4844]
+        rings = [ay.length * ax.length - ay.strip * ax.strip for ay, ax in trunk.axes[1:]]
+        assert rings == [6020, 3272, 7592, 1898, 4844]
+
+    @settings(max_examples=25)
+    @given(grid=st.tuples(st.integers(1, 4), st.integers(1, 4)), stride=st.integers(1, 8),
+           margins=st.tuples(*[st.integers(0, 1)] * 4), seed=st.integers(0, 2**16),
+           dtype=st.sampled_from(DTYPES))
+    def test_patch_maps_equal_the_shared_layers_per_patch(self, grid, stride, margins, seed, dtype):
+        """Each patch's map out of the trunk equals net.layers[:depth] run
+        on that patch alone, byte for byte, for patch grids on the image's
+        edges (a margin of 0) or one patch step inside them."""
+        (ny, nx), (top, bottom, left, right) = grid, margins
+        spec = shipped_spec()
+        ph, pw = spec.input_h, spec.input_w
+        rng = np.random.default_rng(seed)
+        img = rng.integers(0, 256, (ph + (top + ny + bottom - 1) * stride, pw + (left + nx + right - 1) * stride, 3))
+        net = mc.Network.from_netspec(spec, seed=seed % 7).cast(dtype)
+        crop = img[top * stride : (top + ny - 1) * stride + ph, left * stride : (left + nx - 1) * stride + pw]
+        crop = crop.astype(dtype) / dtype(255.0)
+        trunk = mc._SharedTrunk(net, stride, crop)
+        i, j = np.repeat(np.arange(ny), nx), np.tile(np.arange(nx), ny)
+        maps = trunk.patch_maps(i, j)
+        for k in range(ny * nx):
+            x = crop[i[k] * stride : i[k] * stride + ph, j[k] * stride : j[k] * stride + pw].transpose(2, 0, 1)[None]
+            for layer in net.layers[: trunk.depth]:
+                x = layer.forward(x)
+            assert_same_bytes(maps[k], x[0])
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("stride", range(1, 9))

@@ -1,6 +1,7 @@
 """Detection-flow tests: ROI rule, 3D box derivation, projection, the five
 filtering steps and cutting-pose estimation."""
 
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -111,6 +112,15 @@ class TestComputeRoi:
         with pytest.raises(NoPeduncleFound) as miss:
             pl.compute_roi(box, 640, 480)
         assert miss.value.reason == "RoiOutOfImage" and miss.value.survivors == []
+
+
+class TestMarginToScore:
+    def test_margin_past_the_exponent_range(self):
+        """exp(1000) overflows to inf, silently: the score is +0.0."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            score = pl.margin_to_score(np.array([-1000.0, 0.0, 1000.0]))
+        assert score.tolist() == [0.0, 0.5, 1.0] and not np.signbit(score[0])
 
 
 class TestMissType:
