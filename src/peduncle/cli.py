@@ -40,34 +40,26 @@ def _echo_config(out_dir: str, cfg: dict) -> None:
     cfgmod.write_config(os.path.join(out_dir, "config.cfg"), cfg)
 
 
-def _detection_params(cfg: dict, threshold: float | None = None) -> dict:
-    """The configuration's detection parameters, as the fp, pepper_params,
-    box_params and up keyword arguments of pipeline.run_detection and
+def _detection_params(cfg: dict, threshold: float | None = None) -> pl.FilterParams:
+    """The configuration's detection parameters, as the FilterParams of
+    pipeline.run_detection, workflows.score_scene and
     workflows.evaluate_detectors. `threshold` overrides score_threshold."""
     box_vertical = cfgmod.cfg_str(cfg, "box_vertical")
     if box_vertical not in ("symmetric", "above"):
         raise FormatError(f"config key 'box_vertical' must be symmetric or above, not {box_vertical!r}")
-    return {
-        "fp": pl.FilterParams(
-            score_threshold=(
-                threshold if threshold is not None else cfgmod.cfg_float(cfg, "score_threshold")
-            ),
-            pepper_posterior_threshold=cfgmod.cfg_float(cfg, "pepper_posterior_threshold"),
-            cluster_tol=cfgmod.cfg_float(cfg, "cluster_tol"),
-            min_cluster=cfgmod.cfg_int(cfg, "min_cluster"),
-            max_cluster=cfgmod.cfg_int(cfg, "max_cluster"),
+    return pl.FilterParams(
+        score_threshold=threshold if threshold is not None else cfgmod.cfg_float(cfg, "score_threshold"),
+        pepper_posterior_threshold=cfgmod.cfg_float(cfg, "pepper_posterior_threshold"),
+        cluster_tol=cfgmod.cfg_float(cfg, "cluster_tol"),
+        min_cluster=cfgmod.cfg_int(cfg, "min_cluster"),
+        max_cluster=cfgmod.cfg_int(cfg, "max_cluster"),
+        pepper_cluster_tol=cfgmod.cfg_float(cfg, "pepper_cluster_tol"),
+        pepper_min_points=cfgmod.cfg_int(cfg, "pepper_min_points"),
+        box=pl.PeduncleBoxParams(
+            h_offset=cfgmod.cfg_float(cfg, "h_offset"), symmetric=box_vertical == "symmetric"
         ),
-        "pepper_params": pl.PepperDetectParams(
-            posterior_threshold=cfgmod.cfg_float(cfg, "pepper_posterior_threshold"),
-            cluster_tol=cfgmod.cfg_float(cfg, "pepper_cluster_tol"),
-            min_points=cfgmod.cfg_int(cfg, "pepper_min_points"),
-        ),
-        "box_params": pl.PeduncleBoxParams(
-            h_offset=cfgmod.cfg_float(cfg, "h_offset"),
-            symmetric=box_vertical == "symmetric",
-        ),
-        "up": pl.parse_up_axis(cfgmod.cfg_str(cfg, "up_axis")),
-    }
+        up=pl.parse_up_axis(cfgmod.cfg_str(cfg, "up_axis")),
+    )
 
 
 def _thresholds(cfg: dict) -> np.ndarray:
@@ -78,12 +70,18 @@ def _thresholds(cfg: dict) -> np.ndarray:
     return ev.default_thresholds(n)
 
 
-def _load_scenes(manifest: str, split: str | None):
+def _load_scenes(manifest: str, split: str | None, scene: str | None = None):
+    """(scenes, manifest entries) of the split, or of the one scene id
+    `scene` in it; only the selected scenes are read."""
     entries = sg.load_manifest(manifest)
     if split:
         entries = [e for e in entries if e["split"] == split]
     if not entries:
         raise FormatError(f"manifest has no scenes for split {split!r}")
+    if scene:
+        entries = [e for e in entries if e["id"] == scene]
+        if not entries:
+            raise FormatError(f"scene {scene!r} not in manifest")
     return [sg.load_benchmark_scene(manifest, e) for e in entries], entries
 
 
@@ -251,10 +249,10 @@ def cmd_score(args) -> int:
     scenes, entries = _load_scenes(args.scenes, args.split)
     nb = cls.load_nb(os.path.join(args.models, "nb.model"))
     detector = _load_detector(args.detector, args.models, cfg)
-    pepper_params = _detection_params(cfg)["pepper_params"]
+    fp = _detection_params(cfg)
     _echo_config(args.out, cfg)
     for scene, entry in zip(scenes, entries):
-        rec = wf.score_scene(scene, detector, nb, pepper_params)
+        rec = wf.score_scene(scene, detector, nb, fp)
         save_scores(os.path.join(args.out, f"{entry['id']}.scores"), rec.scored, rec.eval_labels)
         _log(f"{entry['id']}: {rec.miss or f'{len(rec.scored)} scored points'}")
     return 0
@@ -262,21 +260,15 @@ def cmd_score(args) -> int:
 
 def cmd_filter(args) -> int:
     cfg = cfgmod.merged_config(args.config)
-    scenes, entries = _load_scenes(args.scenes, args.split)
-    if args.scene:
-        pairs = [(s, e) for s, e in zip(scenes, entries) if e["id"] == args.scene]
-        if not pairs:
-            raise FormatError(f"scene {args.scene!r} not in manifest")
-    else:
-        pairs = list(zip(scenes, entries))
+    scenes, entries = _load_scenes(args.scenes, args.split, args.scene)
     nb = cls.load_nb(os.path.join(args.models, "nb.model"))
     detector = _load_detector(args.detector, args.models, cfg)
-    params = _detection_params(cfg, args.threshold)
+    fp = _detection_params(cfg, args.threshold)
     _echo_config(args.out, cfg)
     missed = 0
-    for scene, entry in pairs:
+    for scene, entry in zip(scenes, entries):
         try:
-            result = pl.run_detection(scene.frame, nb, detector, **params)
+            result = pl.run_detection(scene.frame, nb, detector, fp)
             survivors, error = result.filter_result.survivors, ""
         except NoPeduncleFound as exc:
             missed += 1
@@ -305,10 +297,10 @@ def cmd_eval(args) -> int:
     nb = cls.load_nb(os.path.join(args.models, "nb.model"))
     detector = _load_detector(args.detector, args.models, cfg)
     thresholds = _thresholds(cfg)
-    params = _detection_params(cfg)
+    fp = _detection_params(cfg)
     _echo_config(args.out, cfg)
     raw, filtered, notes = wf.evaluate_detectors(
-        scenes, {args.detector: detector}, nb, thresholds, log=_log, filtered=args.mode != "raw", **params
+        scenes, {args.detector: detector}, nb, thresholds, fp, log=_log, filtered=args.mode != "raw"
     )[args.detector]
     for note in notes:
         _log(note)
@@ -333,15 +325,15 @@ def cmd_throughput(args) -> int:
     scenes, _ = _load_scenes(args.scenes, args.split)
     nb = cls.load_nb(os.path.join(args.models, "nb.model"))
     detector = _load_detector(args.detector, args.models, cfg)
-    pepper_params = _detection_params(cfg)["pepper_params"]
+    fp = _detection_params(cfg)
     _echo_config(args.out, cfg)
-    records = [wf.score_scene(scene, detector, nb, pepper_params) for scene in scenes]
+    records = [wf.score_scene(scene, detector, nb, fp) for scene in scenes]
     wf.require_a_scored_scene(records)
     units = sum(len(rec.scored) for rec in records if rec.miss is None)
 
     def work():
         for scene in scenes:
-            wf.score_scene(scene, detector, nb, pepper_params)
+            wf.score_scene(scene, detector, nb, fp)
 
     report = ev.throughput(work, units, repeats=args.repeats)
     with open(os.path.join(args.out, "throughput.txt"), "w", newline="\n") as fh:

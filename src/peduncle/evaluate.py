@@ -112,12 +112,7 @@ def miss_notes(scenes: list[SceneEval]) -> list[str]:
 
 
 def eval_filtered(
-    scenes: list[SceneEval],
-    nb: cls.NaiveBayesHsv,
-    thresholds=None,
-    fp: pl.FilterParams = pl.FilterParams(),
-    box_params: pl.PeduncleBoxParams = pl.PeduncleBoxParams(),
-    up: tuple[int, int] = pl.UP_DEFAULT,
+    scenes: list[SceneEval], nb: cls.NaiveBayesHsv, thresholds=None, fp: pl.FilterParams = pl.FilterParams()
 ) -> tuple[PrCurve, list[str]]:
     """Sweep the score threshold through the full filtering stage.
 
@@ -138,9 +133,7 @@ def eval_filtered(
         if scene.pepper_box is None or len(scene.scored) == 0:
             counts += (0, 0, n_pos, n_neg)
             continue
-        _, clusters, which = pl.threshold_clusters(
-            scene.scored, scene.pepper_box, nb, thresholds, fp, box_params, up
-        )
+        _, clusters, which = pl.threshold_clusters(scene.scored, scene.pepper_box, nb, thresholds, fp)
         # one bincount per class over every distinct cluster's members
         members = np.concatenate([np.empty(0, np.intp)] + [c for c in clusters if c is not None])
         owner = np.repeat(np.arange(len(clusters)), [0 if c is None else len(c) for c in clusters])

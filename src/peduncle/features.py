@@ -173,17 +173,16 @@ def fpfh(
     need = np.zeros(n, dtype=bool)
     need[neighbors[rows]] = True
     need[rows] = True
+    # each source's (3, S, 1) columns broadcast against its (3, S, kk) targets
     spfh_rows = np.flatnonzero(need)
     spfh_nbrs = _without_self(neighbors, spfh_rows, kk)
-    src = np.repeat(spfh_rows, kk)
-    tgt = spfh_nbrs.ravel()
-    pair_ok = valid_normals[src] & valid_normals[tgt]
+    src = spfh_rows[:, None]
     alpha, phi, theta, valid = _pair_angles(
         pc.take_columns(columns, src), pc.take_columns(normal_columns, src),
-        pc.take_columns(columns, tgt), pc.take_columns(normal_columns, tgt),
+        pc.take_columns(columns, spfh_nbrs), pc.take_columns(normal_columns, spfh_nbrs),
     )
-    valid &= pair_ok
-    own, own_ok = _histogram_pairs(src, alpha, phi, theta, valid, n)
+    valid &= valid_normals[src] & valid_normals[spfh_nbrs]
+    own, own_ok = _histogram_pairs(np.broadcast_to(src, valid.shape), alpha, phi, theta, valid, n)
 
     nbrs = spfh_nbrs[np.searchsorted(spfh_rows, rows)]       # (R, kk)
     diff = pc.take_columns(columns, nbrs)

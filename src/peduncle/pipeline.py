@@ -1,13 +1,16 @@
 """Deployed detection flow: one locate step (pepper, 3D box, region of
 interest), depth projection, five-step 3D filtering, cutting-pose estimation.
 
-A run is a pure function of (frame, models, parameters): identical inputs
-give bit-identical clusters, and independent frames may be processed
-concurrently.
+One FilterParams carries every setting of the flow: the pepper's colour
+threshold and cluster, the 3D box above it, the world-up axis and the
+peduncle's score threshold and cluster. A run is a pure function of
+(frame, models, FilterParams): identical inputs give bit-identical
+clusters, and independent frames may be processed concurrently.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -17,6 +20,16 @@ from . import cloud as pc
 from . import features as ft
 from . import minicnn as mc
 from .errors import InvalidInput, NoPeduncleFound
+
+
+def _require_finite_fields(params) -> None:
+    """InvalidInput unless every number field of a parameter dataclass is
+    finite (a NaN limit fails every comparison, so it would pass as a
+    silent miss)."""
+    for field in fields(params):
+        value = getattr(params, field.name)
+        if isinstance(value, numbers.Real) and not np.isfinite(value):
+            raise InvalidInput(f"{field.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -67,37 +80,34 @@ class PeduncleBoxParams:
             raise InvalidInput("h_offset must be positive")
 
 
+UP_DEFAULT = (1, -1)        # camera -y: image-up for an upright eye-in-hand camera
+_UP_AXES = [(axis, sign) for axis in range(3) for sign in (1, -1)]
+
+
 @dataclass(frozen=True)
 class FilterParams:
+    """The detection flow's settings. The pepper is the largest cluster,
+    at pepper_cluster_tol and of at least pepper_min_points (a real fruit
+    is thousands of points; the limit rejects colour speckle), of the
+    points whose pepper posterior reaches pepper_posterior_threshold; filter
+    step 3 drops those points too. `box` and `up` (axis, sign) place the
+    3D box above it (step 4); the rest are the peduncle's score threshold
+    (step 1) and cluster (step 5)."""
+
     score_threshold: float = 0.5
     pepper_posterior_threshold: float = 0.5
     cluster_tol: float = 0.003
     min_cluster: int = 5
     max_cluster: int = 25000
+    pepper_cluster_tol: float = 0.01
+    pepper_min_points: int = 25
+    box: PeduncleBoxParams = PeduncleBoxParams()
+    up: tuple[int, int] = UP_DEFAULT
 
     def __post_init__(self):
         _require_finite_fields(self)
-
-
-@dataclass(frozen=True)
-class PepperDetectParams:
-    """A real fruit is thousands of points; min_points rejects color speckle."""
-
-    posterior_threshold: float = 0.5
-    cluster_tol: float = 0.01
-    min_points: int = 25
-
-    def __post_init__(self):
-        _require_finite_fields(self)
-
-
-def _require_finite_fields(params) -> None:
-    """InvalidInput unless every field of a parameter dataclass is finite
-    (a NaN limit fails every comparison, so it would pass as a silent miss)."""
-    for field in fields(params):
-        value = getattr(params, field.name)
-        if not np.isfinite(value):
-            raise InvalidInput(f"{field.name} must be finite, got {value!r}")
+        if self.up not in _UP_AXES:
+            raise InvalidInput(f"up must be (axis 0-2, sign +-1), got {self.up!r}")
 
 
 @dataclass(frozen=True)
@@ -155,9 +165,6 @@ def parse_up_axis(text: str) -> tuple[int, int]:
     if name not in ("x", "y", "z"):
         raise InvalidInput(f"bad up axis {text!r}")
     return "xyz".index(name), sign
-
-
-UP_DEFAULT = (1, -1)        # camera -y: image-up for an upright eye-in-hand camera
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +255,10 @@ def peduncle_bbox3(
 
 
 def detect_pepper(
-    cloud: pc.PointCloud,
-    nb: cls.NaiveBayesHsv,
-    params: PepperDetectParams = PepperDetectParams(),
+    cloud: pc.PointCloud, nb: cls.NaiveBayesHsv, fp: FilterParams = FilterParams()
 ) -> tuple[np.ndarray, pc.BoundingBox3]:
-    """Pepper points: posterior threshold, then the largest Euclidean cluster.
+    """Pepper points: fp's posterior threshold, then the largest Euclidean
+    cluster at fp.pepper_cluster_tol of at least fp.pepper_min_points.
 
     Raises NoPeduncleFound (reason NoPepperFound) when the cloud is empty
     (a frame with no valid depth), no point clears the threshold or no
@@ -262,15 +268,15 @@ def detect_pepper(
         raise NoPeduncleFound("NoPepperFound", "empty cloud")
     hsv = ft.rgb_to_hsv_array(cloud.colors)
     post = cls.nb_posterior(nb, hsv)
-    candidates = np.flatnonzero(post >= params.posterior_threshold)
+    candidates = np.flatnonzero(post >= fp.pepper_posterior_threshold)
     if candidates.size == 0:
         raise NoPeduncleFound("NoPepperFound", "no point above the pepper posterior threshold")
     best = None
-    if candidates.size >= params.min_points:
+    if candidates.size >= fp.pepper_min_points:
         (best,) = pc.largest_clusters(
-            pc.radius_pairs(cloud.points[candidates], params.cluster_tol),
+            pc.radius_pairs(cloud.points[candidates], fp.pepper_cluster_tol),
             np.ones((1, candidates.size), dtype=bool),
-            params.min_points,
+            fp.pepper_min_points,
             len(cloud),
         )
     if best is None:
@@ -280,11 +286,11 @@ def detect_pepper(
 
 
 def locate_pepper(
-    frame: Frame, nb: cls.NaiveBayesHsv, params: PepperDetectParams = PepperDetectParams()
+    frame: Frame, nb: cls.NaiveBayesHsv, fp: FilterParams = FilterParams()
 ) -> tuple[np.ndarray, pc.BoundingBox3, Roi2]:
     """(pepper rows of frame.cloud, their 3D box, the region of interest
     above their pixel box). Raises NoPeduncleFound from either step."""
-    rows, box = detect_pepper(frame.cloud, nb, params)
+    rows, box = detect_pepper(frame.cloud, nb, fp)
     return rows, box, compute_roi(pixel_bbox(frame.pixels[rows]), *frame.depth_raw.shape[::-1])
 
 
@@ -296,20 +302,16 @@ def require_finite_scores(scores: np.ndarray) -> None:
 
 
 def threshold_clusters(
-    scored: ScoredCloud,
-    pepper_box: pc.BoundingBox3,
-    nb: cls.NaiveBayesHsv,
-    thresholds,
+    scored: ScoredCloud, pepper_box: pc.BoundingBox3, nb: cls.NaiveBayesHsv, thresholds,
     fp: FilterParams = FilterParams(),
-    box_params: PeduncleBoxParams = PeduncleBoxParams(),
-    up: tuple[int, int] = UP_DEFAULT,
 ) -> tuple[tuple[np.ndarray, np.ndarray], list, list[int]]:
     """Filtering steps 3-5 at every threshold in `thresholds`.
 
     Returns (masks, clusters, which). The masks, steps 3 and 4, do not
-    depend on the threshold: not pepper-colored and inside the 3D peduncle
-    box above `pepper_box`. The cluster at threshold t is the largest
-    Euclidean cluster within the size limits of the points passing both
+    depend on the threshold: not pepper-colored (posterior below
+    fp.pepper_posterior_threshold, the locate step's cut) and inside the 3D
+    peduncle box above `pepper_box`. The cluster at threshold t is the
+    largest Euclidean cluster within the size limits of the points passing both
     and scoring at least t (ascending indices into the scored cloud), or
     None; `clusters` lists the distinct ones in threshold order and
     which[k] is threshold k's.
@@ -327,7 +329,7 @@ def threshold_clusters(
         raise InvalidInput("empty scored cloud")
     posterior = cls.nb_posterior(nb, ft.rgb_to_hsv_array(scored.cloud.colors))
     not_pepper = posterior < fp.pepper_posterior_threshold
-    in_box = peduncle_bbox3(pepper_box, box_params, up).contains(scored.cloud.points)
+    in_box = peduncle_bbox3(pepper_box, fp.box, fp.up).contains(scored.cloud.points)
     thresholds = np.asarray(thresholds, dtype=np.float64)
     nodes = np.flatnonzero(not_pepper & in_box & (scored.scores >= thresholds.min(initial=np.inf)))
     pairs = pc.radius_pairs(scored.cloud.points[nodes], fp.cluster_tol)
@@ -340,12 +342,7 @@ def threshold_clusters(
 
 
 def filter_detections(
-    scored: ScoredCloud,
-    pepper_box: pc.BoundingBox3,
-    nb: cls.NaiveBayesHsv,
-    fp: FilterParams = FilterParams(),
-    box_params: PeduncleBoxParams = PeduncleBoxParams(),
-    up: tuple[int, int] = UP_DEFAULT,
+    scored: ScoredCloud, pepper_box: pc.BoundingBox3, nb: cls.NaiveBayesHsv, fp: FilterParams = FilterParams()
 ) -> FilterResult:
     """Apply the five filtering steps to a scored cloud.
 
@@ -356,9 +353,7 @@ def filter_detections(
     threshold_clusters at the one threshold). Raises NoPeduncleFound when
     no cluster survives the size limits, InvalidInput on a non-finite score.
     """
-    (not_pepper, in_box), (cluster,), _ = threshold_clusters(
-        scored, pepper_box, nb, [fp.score_threshold], fp, box_params, up
-    )
+    (not_pepper, in_box), (cluster,), _ = threshold_clusters(scored, pepper_box, nb, [fp.score_threshold], fp)
     scoring = scored.scores >= fp.score_threshold
     survivors = [(1, "score_threshold", int(scoring.sum())), (2, "project_to_3d", int(scoring.sum())),
                  (3, "hsv_pepper_removal", int((scoring & not_pepper).sum())),
@@ -486,17 +481,11 @@ class DetectionResult:
 
 
 def run_detection(
-    frame: Frame,
-    nb: cls.NaiveBayesHsv,
-    detector,
-    fp: FilterParams = FilterParams(),
-    pepper_params: PepperDetectParams = PepperDetectParams(),
-    box_params: PeduncleBoxParams = PeduncleBoxParams(),
-    up: tuple[int, int] = UP_DEFAULT,
+    frame: Frame, nb: cls.NaiveBayesHsv, detector, fp: FilterParams = FilterParams()
 ) -> DetectionResult:
     """Full single-frame flow: pepper, ROI, scoring, filtering, pose."""
-    pepper_idx, pepper_box, roi = locate_pepper(frame, nb, pepper_params)
+    pepper_idx, pepper_box, roi = locate_pepper(frame, nb, fp)
     scored = detector.score_frame(frame, roi)
-    result = filter_detections(scored, pepper_box, nb, fp, box_params, up)
-    pose = cutting_pose(scored.cloud.points[result.cluster], up)
+    result = filter_detections(scored, pepper_box, nb, fp)
+    pose = cutting_pose(scored.cloud.points[result.cluster], fp.up)
     return DetectionResult(pepper_idx, pepper_box, roi, scored, result, pose)

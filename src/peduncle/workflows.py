@@ -161,12 +161,7 @@ def train_cnn_from_scenes(
 # ---------------------------------------------------------------------------
 
 
-def score_scene(
-    scene,
-    detector,
-    nb: cls.NaiveBayesHsv,
-    pepper_params: pl.PepperDetectParams = pl.PepperDetectParams(),
-) -> ev.SceneEval:
+def score_scene(scene, detector, nb: cls.NaiveBayesHsv, fp: pl.FilterParams = pl.FilterParams()) -> ev.SceneEval:
     """Detect the pepper, score the region of interest, attach truth labels.
 
     Scenes where no pepper is found (or the ROI leaves the image, or nothing
@@ -174,19 +169,16 @@ def score_scene(
     points carry ev.MISS_SCORE, so they count as false negatives at every
     threshold.
     """
-    return score_scene_all(scene, [detector], nb, pepper_params)[0]
+    return score_scene_all(scene, [detector], nb, fp)[0]
 
 
 def score_scene_all(
-    scene,
-    detectors,
-    nb: cls.NaiveBayesHsv,
-    pepper_params: pl.PepperDetectParams = pl.PepperDetectParams(),
+    scene, detectors, nb: cls.NaiveBayesHsv, fp: pl.FilterParams = pl.FilterParams()
 ) -> list[ev.SceneEval]:
     """score_scene for each detector in turn, locating the pepper once."""
     frame = scene.frame
     try:
-        _, pepper_box, roi = pl.locate_pepper(frame, nb, pepper_params)
+        _, pepper_box, roi = pl.locate_pepper(frame, nb, fp)
     except NoPeduncleFound as exc:
         return [_all_miss(frame, exc.reason) for _ in detectors]
     records = []
@@ -231,23 +223,21 @@ def evaluate_detectors(
     nb: cls.NaiveBayesHsv,
     thresholds=None,
     fp: pl.FilterParams = pl.FilterParams(),
-    box_params: pl.PeduncleBoxParams = pl.PeduncleBoxParams(),
-    up: tuple[int, int] = pl.UP_DEFAULT,
-    pepper_params: pl.PepperDetectParams = pl.PepperDetectParams(),
     log=None,
     filtered: bool = True,
 ) -> dict:
     """{name: (raw_curve, filtered_curve, notes)} for a {name: detector}
     dict over any iterable of scenes, each scored once (score_scene_all).
-    Curves are formed in dict order; a detector's records are dropped once
-    its curves are done. Without `filtered` the threshold sweep through the
-    filter is skipped and the filtered curve is None.
+    One `fp` drives both the pepper search and the sweep through the
+    filter. Curves are formed in dict order; a detector's records are
+    dropped once its curves are done. Without `filtered` the sweep is
+    skipped and the filtered curve is None.
 
     Raises NoPeduncleFound (require_a_scored_scene) when no scene reached
     scoring: there is no curve without a scored point."""
     evals = {name: [] for name in detectors}
     for i, scene in enumerate(scenes):
-        for name, rec in zip(detectors, score_scene_all(scene, detectors.values(), nb, pepper_params)):
+        for name, rec in zip(detectors, score_scene_all(scene, detectors.values(), nb, fp)):
             evals[name].append(rec)
         if log is not None and (i + 1) % 25 == 0:
             log(f"scored {i + 1} scenes")
@@ -257,7 +247,7 @@ def evaluate_detectors(
         require_a_scored_scene(records)
         raw = pooled_raw_curve(records, thresholds)
         if filtered:
-            results[name] = (raw, *ev.eval_filtered(records, nb, thresholds, fp, box_params, up))
+            results[name] = (raw, *ev.eval_filtered(records, nb, thresholds, fp))
         else:
             results[name] = (raw, None, ev.miss_notes(records))
     return results

@@ -192,10 +192,7 @@ def csgraph_clusters(points, subset, tol, min_size, max_size):
     return clusters
 
 
-def eval_filtered_per_threshold(
-    scenes, nb, thresholds, fp=pl.FilterParams(), box_params=pl.PeduncleBoxParams(),
-    up=pl.UP_DEFAULT,
-):
+def eval_filtered_per_threshold(scenes, nb, thresholds, fp=pl.FilterParams()):
     """Filtered PR curve from the five-step filter written out afresh for
     every scene and threshold: the colour posterior, the peduncle box and
     the first of csgraph_clusters (dense distances) over the points passing
@@ -212,7 +209,7 @@ def eval_filtered_per_threshold(
             continue
         points = scene.scored.cloud.points
         post = cls.nb_posterior(nb, ft.rgb_to_hsv_array(scene.scored.cloud.colors))
-        box = pl.peduncle_bbox3(scene.pepper_box, box_params, up)
+        box = pl.peduncle_bbox3(scene.pepper_box, fp.box, fp.up)
         passes = (post < fp.pepper_posterior_threshold) & box.contains(points)
         for k, t in enumerate(thresholds):
             rows = np.flatnonzero(passes & (scene.scored.scores >= t))

@@ -481,12 +481,7 @@ class TestShippedConfig:
     run with them computes what the library's defaulted calls compute."""
 
     def test_detection_keys_are_the_library_defaults(self):
-        assert cli._detection_params(cfgmod.default_config()) == {
-            "fp": pl.FilterParams(),
-            "pepper_params": pl.PepperDetectParams(),
-            "box_params": pl.PeduncleBoxParams(),
-            "up": pl.UP_DEFAULT,
-        }
+        assert cli._detection_params(cfgmod.default_config()) == pl.FilterParams()
 
     def test_feature_training_and_sweep_keys_are_the_signature_defaults(self):
         cfg = cfgmod.default_config()
@@ -576,6 +571,27 @@ class TestFilterCommand:
             assert text.startswith("position ") and "approach " in text
         text = (out / diags[0]).read_text()
         assert text.splitlines()[0].startswith(("1,score_threshold", "error"))
+
+    def test_one_scene_reads_that_scene_alone(self, workdir, tmp_path):
+        """`--scene` reads only the chosen scene's rasters: another scene's
+        corrupt raster does not stop it."""
+        normal = _eval_scene(workdir)
+        scene_dir = _write_scenes(tmp_path / "scenes", workdir["cfg"], [normal, normal])
+        (scene_dir / "s0000_rgb.ppm").write_bytes(b"P6 garbage")
+        out = tmp_path / "filt"
+        rc = main(["filter", "--config", workdir["cfg"], "--scenes", str(scene_dir / "manifest.txt"),
+                   "--models", workdir["models"], "--detector", "pfh-svm", "--scene", "s0001",
+                   "--out", str(out)])
+        assert rc in (0, 3)
+        assert (out / "s0001_diag.csv").exists() and not (out / "s0000_diag.csv").exists()
+
+    def test_scene_not_in_the_manifest_is_2(self, workdir, tmp_path, capsys):
+        out = tmp_path / "filt"
+        rc = main(["filter", "--config", workdir["cfg"], "--scenes", workdir["manifest"],
+                   "--models", workdir["models"], "--detector", "pfh-svm", "--scene", "nope",
+                   "--out", str(out)])
+        assert rc == 2 and not out.exists()
+        assert capsys.readouterr().err == "error: scene 'nope' not in manifest\n"
 
     def test_deterministic_across_runs(self, workdir, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -705,7 +721,7 @@ class TestEvalCommand:
         nb = cls.load_nb(os.path.join(workdir["models"], "nb.model"))
         detectors = {name: cli._load_detector(name, workdir["models"], cfg) for name in ("pfh-svm", "cnn")}
         curves = wf.evaluate_detectors(
-            scenes, detectors, nb, cli._thresholds(cfg), **cli._detection_params(cfg)
+            scenes, detectors, nb, cli._thresholds(cfg), cli._detection_params(cfg)
         )
         for name, (raw, filtered, notes) in curves.items():
             out = tmp_path / name

@@ -7,11 +7,14 @@ Test-only helpers belong in tests/oracles.py. Every defaulted parameter
 of a library function must be passed by some call in src/ or in the
 perfbench/ harness, not by tests alone, with the few exceptions listed
 in TEST_ONLY_PARAMETERS. The rule that places the region of interest above
-the pepper is applied in one module, pipeline.
+the pepper is applied in one module, pipeline. Every key of the shipped
+config files is read by the library, and every key it reads is shipped.
 """
 
 import ast
 from pathlib import Path
+
+from peduncle.config import parse_config
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "peduncle"
@@ -206,3 +209,32 @@ def test_no_module_reads_another_objects_private_attributes():
     """A private attribute is read only by its own object's methods: a
     caller that needs it gets it through the public interface."""
     assert [read for path in sorted(SRC.glob("*.py")) for read in private_reads(path)] == []
+
+
+CONFIG_READERS = {"cfg_int", "cfg_float", "cfg_str"}
+
+
+def config_keys_read(paths) -> set[str]:
+    """Keys that cfg_int / cfg_float / cfg_str calls in the files read, each
+    a string literal; a key computed at run time is reported as '<expr>'."""
+    keys = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) not in CONFIG_READERS:
+                continue
+            key = node.args[1] if len(node.args) > 1 else None
+            literal = isinstance(key, ast.Constant) and isinstance(key.value, str)
+            keys.add(key.value if literal else f"<{ast.unparse(node)}>")
+    return keys
+
+
+def test_every_config_key_is_read_and_every_read_key_shipped():
+    """A shipped config key no command reads is a setting that does
+    nothing; a key read but not in default.cfg fails every run without it."""
+    read = config_keys_read(sorted(SRC.glob("*.py")))
+    shipped = {name: set(parse_config((SRC / "data" / name).read_text())) for name in ("default.cfg", "benchmark.cfg")}
+    assert {name: keys - read for name, keys in shipped.items()} == {"default.cfg": set(), "benchmark.cfg": set()}
+    assert read - shipped["default.cfg"] == set()

@@ -75,8 +75,7 @@ def camera(**fields):
         (pl.FilterParams, "score_threshold"),
         (pl.FilterParams, "pepper_posterior_threshold"),
         (pl.FilterParams, "cluster_tol"),
-        (pl.PepperDetectParams, "posterior_threshold"),
-        (pl.PepperDetectParams, "cluster_tol"),
+        (pl.FilterParams, "pepper_cluster_tol"),
         (pl.PeduncleBoxParams, "h_offset"),
         # fx = fy = inf would put every pixel at x = y = 0
         *((camera, field) for field in ("fx", "fy", "cx", "cy", "depth_scale")),
@@ -86,6 +85,34 @@ def camera(**fields):
 def test_non_finite_detection_setting_rejected(make, field, bad):
     with pytest.raises(InvalidInput, match=f"{field} must be finite"):
         make(**{field: bad})
+
+
+@pytest.mark.parametrize("up", [(3, 1), (-1, 1), (1, 0), (1, 2), (1,), (1, -1, 0)])
+def test_up_outside_the_axes_rejected(up):
+    with pytest.raises(InvalidInput, match="up must be"):
+        pl.FilterParams(up=up)
+
+
+def test_every_parsed_up_is_accepted():
+    for text in ("x", "-x", "y", "-y", "z", "-z"):
+        assert pl.FilterParams(up=pl.parse_up_axis(text)).up == pl.parse_up_axis(text)
+
+
+@pytest.mark.parametrize("threshold", [0.01, 0.5, 0.99])
+def test_one_posterior_threshold_drives_pepper_and_step_3(threshold):
+    """FilterParams.pepper_posterior_threshold is the locate step's pepper
+    cut and filter step 3's: the pepper points (one cluster at a wide
+    tolerance) are exactly the points step 3 drops."""
+    rng = np.random.default_rng(11)
+    colors = rng.integers(0, 256, (300, 3)).astype(np.uint8)
+    cloud = pc.PointCloud(rng.uniform(-0.01, 0.01, (300, 3)) + [0.0, 0.0, 0.4], colors)
+    nb = red_green_nb()
+    fp = pl.FilterParams(pepper_posterior_threshold=threshold, pepper_cluster_tol=1.0, pepper_min_points=1)
+    pepper, box = pl.detect_pepper(cloud, nb, fp)
+    (not_pepper, _), _, _ = pl.threshold_clusters(pl.ScoredCloud(cloud, np.ones(300)), box, nb, [0.0], fp)
+    post = cls.nb_posterior(nb, ft.rgb_to_hsv_array(colors))
+    assert pepper.tolist() == np.flatnonzero(post >= threshold).tolist() and 0 < len(pepper) < 300
+    assert pepper.tolist() == np.flatnonzero(~not_pepper).tolist()
 
 
 class TestComputeRoi:
@@ -411,7 +438,7 @@ class TestDetectPepper:
             [np.full(600, pc.LABEL_PEPPER, np.uint8), np.full(400, pc.LABEL_BACKGROUND, np.uint8)]
         )
         cloud = pc.PointCloud(pts, colors, labels)
-        idx, box = pl.detect_pepper(cloud, red_green_nb(), pl.PepperDetectParams())
+        idx, box = pl.detect_pepper(cloud, red_green_nb())
         frac = (labels[idx] == pc.LABEL_PEPPER).mean()
         assert frac >= 0.95
         assert box.contains(pepper_pts).mean() > 0.95
@@ -422,7 +449,7 @@ class TestDetectPepper:
             rng.uniform(0, 0.1, (50, 3)), green_colors(rng, 50)
         )
         with pytest.raises(NoPeduncleFound) as miss:
-            pl.detect_pepper(cloud, red_green_nb(), pl.PepperDetectParams(posterior_threshold=1.0))
+            pl.detect_pepper(cloud, red_green_nb(), pl.FilterParams(pepper_posterior_threshold=1.0))
         assert miss.value.reason == "NoPepperFound" and miss.value.survivors == []
         assert str(miss.value) == "no point above the pepper posterior threshold"
 
@@ -431,17 +458,17 @@ class TestDetectPepper:
         pts = np.vstack([rng.normal(0, 0.002, (24, 3)) + [0.0, 0.0, 0.4], rng.uniform(0, 0.1, (20, 3))])
         cloud = pc.PointCloud(pts, np.vstack([red_colors(rng, 24), green_colors(rng, 20)]))
         with pytest.raises(NoPeduncleFound) as miss:
-            pl.detect_pepper(cloud, red_green_nb(), pl.PepperDetectParams(min_points=25))
+            pl.detect_pepper(cloud, red_green_nb(), pl.FilterParams(pepper_min_points=25))
         assert miss.value.reason == "NoPepperFound" and miss.value.survivors == []
         assert str(miss.value) == "no pepper cluster above the minimum size"
-        idx, _ = pl.detect_pepper(cloud, red_green_nb(), pl.PepperDetectParams(min_points=24))
+        idx, _ = pl.detect_pepper(cloud, red_green_nb(), pl.FilterParams(pepper_min_points=24))
         assert idx.tolist() == list(range(24))
 
     def test_fewer_points_than_min_points_is_a_miss(self):
         rng = np.random.default_rng(3)
         cloud = pc.PointCloud(rng.normal(0, 0.002, (3, 3)) + [0.0, 0.0, 0.4], red_colors(rng, 3))
         with pytest.raises(NoPeduncleFound) as miss:
-            pl.detect_pepper(cloud, red_green_nb(), pl.PepperDetectParams(min_points=4))
+            pl.detect_pepper(cloud, red_green_nb(), pl.FilterParams(pepper_min_points=4))
         assert miss.value.reason == "NoPepperFound"
         assert str(miss.value) == "no pepper cluster above the minimum size"
 
@@ -451,7 +478,7 @@ class TestDetectPepper:
         large = rng.normal(0, 0.008, (80, 3)) + [-0.1, 0.0, 0.4]
         pts = np.vstack([small, large])
         cloud = pc.PointCloud(pts, red_colors(rng, 105))
-        idx, box = pl.detect_pepper(cloud, red_green_nb(), pl.PepperDetectParams())
+        idx, box = pl.detect_pepper(cloud, red_green_nb())
         assert idx.min() >= 25  # all indices from the large blob
         assert box.contains(large).mean() > 0.9
 
@@ -487,7 +514,7 @@ class TestDetectPepperPointOrder:
     @given(cloud=blob_clouds(), min_points=st.integers(1, 5), data=st.data())
     def test_permuted_rows_give_permuted_pepper(self, cloud, min_points, data):
         perm = np.array(data.draw(st.permutations(range(len(cloud)))), dtype=np.intp)
-        nb, params = red_green_nb(), pl.PepperDetectParams(min_points=min_points)
+        nb, params = red_green_nb(), pl.FilterParams(pepper_min_points=min_points)
         moved = cloud.subset(perm)
         try:
             want, box = pl.detect_pepper(cloud, nb, params)
@@ -626,19 +653,19 @@ class TestFilterRigidMotion:
     def test_moved_scene_gives_the_same_cluster(self, scene, turns, shift, min_cluster, threshold):
         pts, colors, scores, labels = scene
         nb = red_green_nb()
-        fp = pl.FilterParams(score_threshold=threshold, cluster_tol=12 * LATTICE, min_cluster=min_cluster)
-        box_params = pl.PeduncleBoxParams(h_offset=208 * LATTICE)
+        fp = pl.FilterParams(score_threshold=threshold, cluster_tol=12 * LATTICE, min_cluster=min_cluster,
+                             box=pl.PeduncleBoxParams(h_offset=208 * LATTICE))
         results, sweeps = [], []
         for move in (lambda p: p, lambda p: quarter_turns(p, turns) + shift):
             scored = pl.ScoredCloud(pc.PointCloud(move(pts) * LATTICE, colors), scores)
             pepper = pc.compute_bbox(pc.PointCloud(move(LATTICE_PEPPER) * LATTICE))
             try:
-                result = pl.filter_detections(scored, pepper, nb, fp, box_params)
+                result = pl.filter_detections(scored, pepper, nb, fp)
                 results.append((result.cluster.tolist(), result.survivors))
             except NoPeduncleFound as miss:
                 results.append((None, miss.survivors))
             scene_eval = ev.SceneEval(scored, pepper, labels)
-            sweeps.append(ev.eval_filtered([scene_eval], nb, [0.0, 0.3, 0.5, 0.7, 0.9], fp, box_params)[0].points)
+            sweeps.append(ev.eval_filtered([scene_eval], nb, [0.0, 0.3, 0.5, 0.7, 0.9], fp)[0].points)
         assert results[0] == results[1]
         assert sweeps[0] == sweeps[1]
 
@@ -671,7 +698,7 @@ class TestDetectPepperRigidMotion:
            shift=st.tuples(*[st.integers(-4096, 4096)] * 3), min_points=st.integers(1, 5))
     def test_moved_cloud_gives_the_same_pepper_and_the_moved_box(self, scene, turns, shift, min_points):
         pts, colors = scene
-        nb, params = red_green_nb(), pl.PepperDetectParams(cluster_tol=12 * LATTICE, min_points=min_points)
+        nb, params = red_green_nb(), pl.FilterParams(pepper_cluster_tol=12 * LATTICE, pepper_min_points=min_points)
 
         def move(p):
             return quarter_turns(p, turns) + shift
@@ -702,15 +729,15 @@ class TestDetectPepperOnC6:
         box shifted up by half its height and clipped to the image."""
         params = sg.benchmark_params(46, 20240, sg.benchmark_base())
         nb = wf.train_nb_from_scenes(sg.generate(p) for p in params[:40])
-        pp = pl.PepperDetectParams()
+        fp = pl.FilterParams()
         for p in params[40:]:
             frame = sg.generate(p).frame
             cloud = frame.cloud
-            got, box, roi = pl.locate_pepper(frame, nb, pp)
+            got, box, roi = pl.locate_pepper(frame, nb, fp)
             post = nb_posterior_rows(nb, rgb_to_hsv_rows(cloud.colors))
             assert cls.nb_posterior(nb, ft.rgb_to_hsv_array(cloud.colors)).tobytes() == post.tobytes()
-            candidates = np.flatnonzero(post >= pp.posterior_threshold)
-            want = csgraph_clusters(cloud.points, candidates, pp.cluster_tol, pp.min_points, len(cloud))[0]
+            candidates = np.flatnonzero(post >= fp.pepper_posterior_threshold)
+            want = csgraph_clusters(cloud.points, candidates, fp.pepper_cluster_tol, fp.pepper_min_points, len(cloud))[0]
             assert len(want) > 500
             assert got.dtype == np.intp and got.tobytes() == np.asarray(want, dtype=np.intp).tobytes()
             assert box.min.tobytes() == cloud.points[got].min(axis=0).tobytes()

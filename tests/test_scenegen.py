@@ -236,6 +236,42 @@ class TestSceneFiles:
             rasters.read_pgm16(path)
 
     @pytest.mark.parametrize(
+        "read,magic,maxval",
+        [(rasters.read_ppm, b"P6", 255), (rasters.read_pgm16, b"P5", 65535), (rasters.read_labels, b"P5", 3)],
+        ids=["ppm", "pgm16", "labels"],
+    )
+    @pytest.mark.parametrize(
+        "header,message",
+        [
+            (b"P3 3 2 255\n", "not a {magic} raster"),
+            (b"", "not a {magic} raster"),
+            (b"{magic} 3 2", "truncated raster header"),
+            (b"{magic} 3 # comment", "truncated raster header"),
+            (b"{magic} garbage", "raster header field b'garbage' is not a non-negative integer"),
+            (b"{magic} 3 -2 255\n", "raster header field b'-2' is not a non-negative integer"),
+            (b"{magic} 3 2 7\n", "expected a {magic} raster with maxval {maxval}, got 7"),
+        ],
+        ids=["magic", "empty", "truncated", "truncated-comment", "field", "negative", "maxval"],
+    )
+    def test_header_fault_names_the_file(self, tmp_path, read, magic, maxval, header, message):
+        path = tmp_path / "r.pnm"
+        path.write_bytes(header.replace(b"{magic}", magic))
+        with pytest.raises(FormatError) as fault:
+            read(path)
+        assert str(fault.value) == f"{path}: " + message.format(magic=magic.decode(), maxval=maxval)
+
+    @pytest.mark.parametrize(
+        "write,image",
+        [(rasters.write_ppm, np.zeros((2, 3))), (rasters.write_ppm, np.zeros((2, 3, 4))),
+         (rasters.write_pgm16, np.zeros((2, 3, 3))), (rasters.write_labels, np.zeros((2, 3, 1)))],
+        ids=["ppm-grey", "ppm-rgba", "pgm16-rgb", "labels-3d"],
+    )
+    def test_pixels_of_another_shape_are_not_written(self, tmp_path, write, image):
+        with pytest.raises(InvalidInput, match="pixels of shape"):
+            write(tmp_path / "r.pnm", image)
+        assert not (tmp_path / "r.pnm").exists()
+
+    @pytest.mark.parametrize(
         "write,read,image",
         [
             (rasters.write_ppm, rasters.read_ppm, np.zeros((2, 3, 3), dtype=np.uint8)),
