@@ -70,9 +70,9 @@ def _thresholds(cfg: dict) -> np.ndarray:
     return ev.default_thresholds(n)
 
 
-def _load_scenes(manifest: str, split: str | None, scene: str | None = None):
-    """(scenes, manifest entries) of the split, or of the one scene id
-    `scene` in it; only the selected scenes are read."""
+def _scene_entries(manifest: str, split: str | None, scene: str | None = None) -> list[dict]:
+    """The manifest entries of the split, or of the one scene id `scene` in
+    it; FormatError when none is selected."""
     entries = sg.load_manifest(manifest)
     if split:
         entries = [e for e in entries if e["split"] == split]
@@ -82,6 +82,13 @@ def _load_scenes(manifest: str, split: str | None, scene: str | None = None):
         entries = [e for e in entries if e["id"] == scene]
         if not entries:
             raise FormatError(f"scene {scene!r} not in manifest")
+    return entries
+
+
+def _load_scenes(manifest: str, split: str | None, scene: str | None = None):
+    """(scenes, manifest entries) of _scene_entries, every selected scene
+    read before the call returns."""
+    entries = _scene_entries(manifest, split, scene)
     return [sg.load_benchmark_scene(manifest, e) for e in entries], entries
 
 
@@ -292,13 +299,16 @@ def cmd_filter(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    """Curves over the split's scenes, read one at a time as they are scored:
+    a bad scene file exits 2 part-way, and main removes the fresh --out."""
     cfg = cfgmod.merged_config(args.config)
-    scenes, _ = _load_scenes(args.scenes, args.split)
+    entries = _scene_entries(args.scenes, args.split)
     nb = cls.load_nb(os.path.join(args.models, "nb.model"))
     detector = _load_detector(args.detector, args.models, cfg)
     thresholds = _thresholds(cfg)
     fp = _detection_params(cfg)
     _echo_config(args.out, cfg)
+    scenes = (sg.load_benchmark_scene(args.scenes, e) for e in entries)
     raw, filtered, notes = wf.evaluate_detectors(
         scenes, {args.detector: detector}, nb, thresholds, fp, log=_log, filtered=args.mode != "raw"
     )[args.detector]

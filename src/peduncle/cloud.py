@@ -3,7 +3,9 @@
 Clouds are immutable numpy snapshots. radius_pairs and largest_clusters
 are exact: identical to a brute-force scan, ties broken by ascending point
 index; largest_clusters takes any number of kept sets over one edge list
-in one connected_components call.
+in one connected_components call. connecting_pairs is a sparse edge list
+with the connected components of radius_pairs': enough for a kept set that
+keeps every node, not for one that drops nodes.
 knn_batch(points, queries, k) is exact as well: each row holds the k
 points with the smallest (exact squared distance, index), in that order,
 so a table is the prefix of any wider one. Each call builds one kd-tree
@@ -45,6 +47,11 @@ LABEL_NAMES = {
 # the same squared-distance arithmetic the brute-force oracle uses, so
 # boundary points can never be missed to kd-tree internal rounding.
 _SLACK = 1e-9
+
+# Nearest neighbours each point links to in connecting_pairs before the
+# range search: enough that a C6 pepper cloud's graph falls into a few
+# large components, few enough to leave it sparse.
+_LINK_NEIGHBORS = 3
 
 # Row x edge entries one largest_clusters graph call covers: a long threshold
 # grid over a dense box is split into several calls rather than holding a
@@ -274,6 +281,15 @@ def compute_bbox(cloud: PointCloud, subset=None) -> BoundingBox3:
     return BoundingBox3(pts.min(axis=0), pts.max(axis=0))
 
 
+def _within(points: np.ndarray, pairs: np.ndarray, tol: float) -> np.ndarray:
+    """The (E, 2) row pairs whose squared distance is at most tol**2: the
+    exact test that decides every pair a kd-tree proposes at the inflated
+    radius tol * (1 + _SLACK)."""
+    d = points.take(pairs[:, 0], axis=0)
+    d -= points.take(pairs[:, 1], axis=0)
+    return pairs[np.einsum("ij,ij->i", d, d) <= tol * tol].astype(np.intp, copy=False)
+
+
 def radius_pairs(points: np.ndarray, tol: float) -> np.ndarray:
     """(E, 2) row pairs i < j whose squared distance is at most tol**2.
 
@@ -284,10 +300,41 @@ def radius_pairs(points: np.ndarray, tol: float) -> np.ndarray:
     if not tol > 0:
         raise InvalidInput("cluster tolerance must be positive")
     points = np.ascontiguousarray(points, dtype=np.float64)
-    pairs = cKDTree(points).query_pairs(tol * (1.0 + _SLACK), output_type="ndarray")
-    d = points.take(pairs[:, 0], axis=0)
-    d -= points.take(pairs[:, 1], axis=0)
-    return pairs[np.einsum("ij,ij->i", d, d) <= tol * tol].astype(np.intp, copy=False)
+    return _within(points, cKDTree(points).query_pairs(tol * (1.0 + _SLACK), output_type="ndarray"), tol)
+
+
+def connecting_pairs(points: np.ndarray, tol: float) -> np.ndarray:
+    """(E, 2) row pairs i != j, each within tol (radius_pairs' exact test),
+    whose graph has the connected components of radius_pairs(points, tol).
+
+    A sparse edge list for a graph whose every node is kept: each point's
+    _LINK_NEIGHBORS nearest neighbours within tol give a graph H, and every
+    point outside H's largest component is range-searched against the whole
+    cloud. A <=tol pair joining two components of H has an end outside the
+    largest one, so the search finds it. Pairs may repeat, in either order.
+    """
+    if not tol > 0:
+        raise InvalidInput("cluster tolerance must be positive")
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    n = len(points)
+    if n < 2:
+        return np.zeros((0, 2), dtype=np.intp)
+    reach = tol * (1.0 + _SLACK)
+    tree = cKDTree(points)
+    k = min(_LINK_NEIGHBORS + 1, n)
+    near = tree.query(points, k=k, distance_upper_bound=reach)[1]
+    rows = np.broadcast_to(np.arange(n)[:, None], (n, k))
+    linked = (near < n) & (near != rows)           # misses come back as n
+    h = _within(points, np.column_stack([rows[linked], near[linked]]), tol)
+    labels = connected_components(
+        coo_matrix((np.ones(len(h)), (h[:, 0], h[:, 1])), shape=(n, n)), directed=False
+    )[1]
+    outside = np.flatnonzero(labels != np.argmax(np.bincount(labels)))
+    if outside.size == 0:
+        return h
+    found = cKDTree(points[outside]).sparse_distance_matrix(tree, reach, output_type="ndarray")
+    reached = np.column_stack([outside[found["i"]], found["j"]])
+    return np.concatenate([h, _within(points, reached[reached[:, 0] != reached[:, 1]], tol)])
 
 
 def largest_clusters(
@@ -302,6 +349,8 @@ def largest_clusters(
     Over points[rows] with pairs = radius_pairs(points[rows], tol) and
     ascending rows, rows[result[k]] is the largest Euclidean cluster of the
     points row k keeps, ties to the one holding the smallest point index.
+    A row that keeps every node depends only on the components of `pairs`,
+    so connecting_pairs(points[rows], tol) gives it the same cluster.
 
     The rows are one block-diagonal graph, copy k of the n nodes holding the
     edges with both ends kept in row k, labelled by one connected_components

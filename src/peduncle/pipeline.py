@@ -259,6 +259,8 @@ def detect_pepper(
 ) -> tuple[np.ndarray, pc.BoundingBox3]:
     """Pepper points: fp's posterior threshold, then the largest Euclidean
     cluster at fp.pepper_cluster_tol of at least fp.pepper_min_points.
+    Every candidate is kept, so the graph is cloud.connecting_pairs, which
+    has the components of every pair within the tolerance.
 
     Raises NoPeduncleFound (reason NoPepperFound) when the cloud is empty
     (a frame with no valid depth), no point clears the threshold or no
@@ -274,7 +276,7 @@ def detect_pepper(
     best = None
     if candidates.size >= fp.pepper_min_points:
         (best,) = pc.largest_clusters(
-            pc.radius_pairs(cloud.points[candidates], fp.pepper_cluster_tol),
+            pc.connecting_pairs(cloud.points[candidates], fp.pepper_cluster_tol),
             np.ones((1, candidates.size), dtype=bool),
             fp.pepper_min_points,
             len(cloud),

@@ -144,10 +144,9 @@ def ranked_clusters(points, subset, tol, min_size, max_size):
     return clusters
 
 
-def union_find_clusters(points, subset, tol, min_size, max_size):
-    """Pure-python union-find over the <=tol adjacency graph (small inputs)."""
-    pts = points[subset]
-    n = len(pts)
+def union_find_partition(pairs, n: int) -> np.ndarray:
+    """Each of the n nodes' smallest fellow member in the graph of the
+    (E, 2) pairs, by pure-python union-find."""
     parent = list(range(n))
 
     def find(a):
@@ -156,16 +155,28 @@ def union_find_clusters(points, subset, tol, min_size, max_size):
             a = parent[a]
         return a
 
-    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if d2[i, j] <= tol * tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
+    for i, j in np.asarray(pairs).tolist():
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
+    return np.array([find(i) for i in range(n)], dtype=np.intp)
+
+
+def union_find_clusters(points, subset, tol, min_size, max_size):
+    """Pure-python union-find over the <=tol adjacency graph, its pairs
+    from dense row blocks of squared distances."""
+    pts = points[subset]
+    n = len(pts)
+    pairs = []
+    for start in range(0, n, 256):
+        d2 = ((pts[start : start + 256, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+        i, j = np.nonzero(d2 <= tol * tol)
+        i += start
+        pairs.append(np.column_stack([i, j])[i < j])
+    root = union_find_partition(np.concatenate(pairs) if pairs else np.zeros((0, 2), dtype=np.intp), n)
     groups = {}
     for i in range(n):
-        groups.setdefault(find(i), []).append(subset[i])
+        groups.setdefault(root[i], []).append(subset[i])
     clusters = [sorted(g) for g in groups.values() if min_size <= len(g) <= max_size]
     clusters.sort(key=lambda g: (-len(g), g[0]))
     return clusters

@@ -21,6 +21,7 @@ from oracles import (
     normals_with_knn,
     numerical_grad,
     ranked_clusters,
+    union_find_partition,
 )
 
 from peduncle import classifiers as cls
@@ -69,7 +70,13 @@ def test_c1_spatial_query_oracle_equivalence():
             r = float(rng.uniform(0.005, 0.05))  # cluster-tolerance scale
             pairs = pc.radius_pairs(pts, r)
             pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
-            assert np.array_equal(pairs, brute_radius_pairs(pts, r))
+            brute = brute_radius_pairs(pts, r)
+            assert np.array_equal(pairs, brute)
+            # the detector's sparse edge list: the same components, and on
+            # these mostly isolated points nearly every point range-searched
+            assert np.array_equal(
+                union_find_partition(pc.connecting_pairs(pts, r), n), union_find_partition(brute, n)
+            )
         for trial in range(50):
             blobs = [
                 rng.normal(rng.uniform(0, 0.04, 3), 0.0011, (int(rng.integers(4, 60)), 3))

@@ -771,6 +771,24 @@ class TestEvalCommand:
                      "--out", str(tmp_path / "e")]) == 0
         assert capsys.readouterr().err.splitlines()[0] == "scene 0: pepper found, then EmptyProjection"
 
+    def test_scenes_are_read_as_they_are_scored(self, workdir, tmp_path, monkeypatch, capsys):
+        """`eval` reads each scene when it is scored: a corrupt last scene
+        stops it after the first is scored, with exit 2 and no fresh --out.
+        A split the manifest lacks stops it before any scene is scored."""
+        normal = _eval_scene(workdir)
+        scene_dir = _write_scenes(tmp_path / "scenes", workdir["cfg"], [normal, normal])
+        (scene_dir / "s0001_rgb.ppm").write_bytes(b"P6 garbage")
+        scored = []
+        score = wf.score_scene_all
+        monkeypatch.setattr(wf, "score_scene_all", lambda scene, *a: scored.append(scene) or score(scene, *a))
+        for split, count in (("train", 0), ("eval", 1)):
+            out = tmp_path / split / "e"
+            assert main(["eval", "--config", workdir["cfg"], "--scenes", str(scene_dir / "manifest.txt"),
+                         "--split", split, "--models", workdir["models"], "--detector", "pfh-svm",
+                         "--out", str(out)]) == 2
+            assert len(scored) == count and not (tmp_path / split).exists()
+            assert capsys.readouterr().err.startswith("error: ")
+
     def test_cnn_eval_runs(self, workdir, tmp_path):
         out = tmp_path / "evalc"
         rc = main(["eval", "--config", workdir["cfg"], "--scenes", workdir["manifest"],

@@ -19,6 +19,7 @@ from oracles import (
     ranked_clusters,
     same_bytes,
     union_find_clusters,
+    union_find_partition,
 )
 from scipy.sparse.csgraph import connected_components
 
@@ -388,6 +389,74 @@ def test_clusters_equal_union_find_oracle(case):
     keep = np.ones((1, len(rows)), dtype=bool)
     (best,) = pc.largest_clusters(pc.radius_pairs(pts[rows], tol), keep, min_size, max_size)
     assert (None if best is None else rows[best].tolist()) == (want[0] if want else None)
+
+
+@st.composite
+def pair_clouds(draw):
+    """Clouds of 0-60 points for connecting_pairs: lattice cells scaled by
+    the tolerance (duplicate points, pairs exactly tol apart), a collinear
+    run whose step sits below, at or just past the tolerance, and uniform
+    scatter, in shuffled rows."""
+    tol = draw(st.sampled_from([0.003, 1.0 / 256, 0.01]))
+    cells = np.array(draw(st.lists(st.tuples(*[st.integers(0, 4)] * 3), max_size=30)), dtype=float)
+    step = draw(st.sampled_from([0.5, 0.9, 1.0, 1.0 + 1e-12, 1.5]))
+    run = np.arange(draw(st.integers(0, 15)))[:, None] * step * np.array([[1.0, 0.0, 0.0]])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scatter = rng.uniform(0, 4, (draw(st.integers(0, 15)), 3))
+    pts = np.vstack([cells.reshape(-1, 3), run + [0.0, 2.0, 1.0], scatter]) * tol
+    return pts[rng.permutation(len(pts))], tol
+
+
+def assert_connects(pts, tol):
+    """connecting_pairs lists only pairs brute_radius_pairs lists, and its
+    graph has the partition of radius_pairs'."""
+    got = pc.connecting_pairs(pts, tol)
+    assert got.dtype == np.intp and got.shape[1:] == (2,)
+    assert not np.any(got[:, 0] == got[:, 1])
+    brute = {tuple(pair) for pair in brute_radius_pairs(pts, tol).tolist()}
+    assert {tuple(pair) for pair in np.sort(got, axis=1).tolist()} <= brute
+    want = union_find_partition(pc.radius_pairs(pts, tol), len(pts))
+    assert union_find_partition(got, len(pts)).tolist() == want.tolist()
+    return got
+
+
+@settings(max_examples=200)
+@given(pair_clouds())
+def test_connecting_pairs_keep_the_components(case):
+    assert_connects(*case)
+
+
+class TestConnectingPairs:
+    @staticmethod
+    def clumps():
+        """Clumps A (rows 0-5) and B (rows 6-11), each a center with five
+        points 0.25-0.36 tol behind it, joined only by the centers' pair at
+        0.9 tol; then c, d exactly tol apart and e tol * (1 + 1e-12) past d."""
+        back = np.array([[-0.25, 0, 0], [-0.25, 0.25, 0], [-0.25, -0.25, 0], [-0.25, 0, 0.25], [-0.25, 0, -0.25]])
+        a = np.vstack([[0.0, 0, 0], back])
+        b = np.vstack([[0.9, 0, 0], back * [-1, 1, 1] + [0.9, 0, 0]])
+        line = np.array([[0.0, 5, 0], [0, 6, 0], [0, 7 + 1e-12, 0]])
+        return np.vstack([a, b, line])
+
+    def test_worked_example(self):
+        pts = self.clumps()
+        # neither center has the other among its three nearest neighbours
+        near = pc.knn_batch(pts, pts, 4)
+        assert 6 not in near[0] and 0 not in near[6]
+        got = assert_connects(pts, 1.0)
+        assert union_find_partition(got, len(pts)).tolist() == [0] * 12 + [12, 12, 14]
+        assert [0, 6] in np.sort(got, axis=1).tolist()
+        assert [12, 13] in np.sort(got, axis=1).tolist()
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_tiny_clouds(self, n):
+        pts = np.array([[0.0, 0, 0], [0.5, 0, 0], [2.0, 0, 0]])[:n]
+        got = assert_connects(pts, 1.0)
+        assert {tuple(pair) for pair in np.sort(got, axis=1).tolist()} == ({(0, 1)} if n >= 2 else set())
+
+    def test_errors(self):
+        with pytest.raises(InvalidInput):
+            pc.connecting_pairs(np.zeros((3, 3)), 0.0)
 
 
 class TestGraphHelpers:

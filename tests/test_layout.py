@@ -7,7 +7,8 @@ Test-only helpers belong in tests/oracles.py. Every defaulted parameter
 of a library function must be passed by some call in src/ or in the
 perfbench/ harness, not by tests alone, with the few exceptions listed
 in TEST_ONLY_PARAMETERS. The rule that places the region of interest above
-the pepper is applied in one module, pipeline. Every key of the shipped
+the pepper is applied in one module, pipeline, and kd-trees and graph
+components are used in one module, cloud. Every key of the shipped
 config files is read by the library, and every key it reads is shipped.
 """
 
@@ -98,6 +99,33 @@ def test_the_roi_rule_is_applied_in_pipeline_alone():
     callers = [path.stem for path in sorted(SRC.glob("*.py"))
                if module_references(ast.parse(path.read_text(), str(path))) & rule]
     assert callers == []
+
+
+SPATIAL = ("scipy.spatial", "scipy.sparse.csgraph")
+
+
+def spatial_imports(path: Path) -> list[str]:
+    """Imports of scipy.spatial or scipy.sparse.csgraph (or of a name
+    inside either) in a file, as `line: module`."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        found += [f"{path.name}:{node.lineno}: {m}" for m in modules
+                  if any(m == prefix or m.startswith(prefix + ".") for prefix in SPATIAL)]
+    return found
+
+
+def test_spatial_queries_and_graphs_live_in_cloud_alone():
+    """kd-trees and connected components are cloud.py's: every other module
+    of the library asks it for neighbours, pairs and clusters."""
+    assert [hit for path in sorted(SRC.glob("*.py")) if path.name != "cloud.py"
+            for hit in spatial_imports(path)] == []
+    assert spatial_imports(SRC / "cloud.py") != []
 
 
 def call_sites(paths) -> dict[str, list[tuple[float, set[str], bool]]]:

@@ -16,6 +16,7 @@ from oracles import (
     point_features_reference,
     reproject_to_pixels,
     rgb_to_hsv_rows,
+    union_find_clusters,
 )
 
 from peduncle import classifiers as cls
@@ -724,9 +725,11 @@ class TestDetectPepperOnC6:
     def test_pinned_to_dense_cluster_oracle(self):
         """On C6 evaluation draws 40-45, with the pepper model fitted on the
         40 training draws, the pepper points are byte for byte the first
-        cluster of the dense-distance oracle over the same candidates, the
-        box is their min / max, and the region of interest is their pixel
-        box shifted up by half its height and clipped to the image."""
+        cluster of the dense-distance and the union-find oracles over the
+        same candidates, which see every pair within the tolerance where
+        the library sees connecting_pairs' sparse edge list. The box is
+        their min / max, and the region of interest is their pixel box
+        shifted up by half its height and clipped to the image."""
         params = sg.benchmark_params(46, 20240, sg.benchmark_base())
         nb = wf.train_nb_from_scenes(sg.generate(p) for p in params[:40])
         fp = pl.FilterParams()
@@ -739,6 +742,9 @@ class TestDetectPepperOnC6:
             candidates = np.flatnonzero(post >= fp.pepper_posterior_threshold)
             want = csgraph_clusters(cloud.points, candidates, fp.pepper_cluster_tol, fp.pepper_min_points, len(cloud))[0]
             assert len(want) > 500
+            assert want == union_find_clusters(
+                cloud.points, candidates, fp.pepper_cluster_tol, fp.pepper_min_points, len(cloud)
+            )[0]
             assert got.dtype == np.intp and got.tobytes() == np.asarray(want, dtype=np.intp).tobytes()
             assert box.min.tobytes() == cloud.points[got].min(axis=0).tobytes()
             assert box.max.tobytes() == cloud.points[got].max(axis=0).tobytes()
