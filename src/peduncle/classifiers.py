@@ -114,7 +114,6 @@ def svm_train(features: np.ndarray, labels: np.ndarray, params: SvmParams | None
     c = float(params.c)
     tol = float(params.tol)
     k = _kernel(params.kernel, params.gamma, xs, xs)
-    q = k * np.outer(y, y)
 
     alpha = np.zeros(n)
     grad = -np.ones(n)              # gradient of 1/2 a'Qa - sum(a)
@@ -171,7 +170,8 @@ def svm_train(features: np.ndarray, labels: np.ndarray, params: SvmParams | None
         if abs(dai) < 1e-15 and abs(daj) < 1e-15:
             break
         alpha[i], alpha[j] = ai, aj
-        grad += q[:, i] * dai + q[:, j] * daj
+        # column i of Q = K * outer(y, y), exactly, with no n x n Q: y is +-1
+        grad += y * (k[:, i] * (y[i] * dai) + k[:, j] * (y[j] * daj))
 
     yg, up_idx, low_idx = _working_sets()
     if up_idx.size and low_idx.size:
@@ -268,11 +268,17 @@ class NaiveBayesHsv:
     priors: np.ndarray       # (2,), sums to 1
 
 
-def hsv_nb_features(hsv: np.ndarray) -> np.ndarray:
-    """(N, 3) [h_deg, s, v] -> (N, 4) [cos h, sin h, s, v]."""
+def _nb_columns(hsv) -> tuple[np.ndarray, ...]:
+    """The model's four features (cos h, sin h, s, v) of [h_deg, s, v] rows,
+    one array each: cos h and sin h contiguous, s and v views of hsv."""
     hsv = np.atleast_2d(np.asarray(hsv, dtype=np.float64))
     h = np.deg2rad(hsv[:, 0])
-    return np.column_stack([np.cos(h), np.sin(h), hsv[:, 1], hsv[:, 2]])
+    return np.cos(h), np.sin(h), hsv[:, 1], hsv[:, 2]
+
+
+def hsv_nb_features(hsv: np.ndarray) -> np.ndarray:
+    """(N, 3) [h_deg, s, v] -> (N, 4) [cos h, sin h, s, v]: _nb_columns stacked."""
+    return np.column_stack(_nb_columns(hsv))
 
 
 def nb_fit(pepper_hsv: np.ndarray, other_hsv: np.ndarray) -> NaiveBayesHsv:
@@ -290,19 +296,17 @@ def nb_fit(pepper_hsv: np.ndarray, other_hsv: np.ndarray) -> NaiveBayesHsv:
 def nb_posterior(model: NaiveBayesHsv, hsv: np.ndarray) -> np.ndarray:
     """P(pepper | hsv) for one [h_deg, s, v] triple or an (N, 3) batch.
 
-    Works on the four feature columns of hsv_nb_features. A class's
+    Works on the four feature arrays of _nb_columns. A class's
     log-likelihood adds the terms of features 0, 1, 2, 3 in that order,
     the order a sum over each row of them takes.
     """
     single = np.asarray(hsv).ndim == 1
-    hsv = np.atleast_2d(np.asarray(hsv, dtype=np.float64))
-    h = np.deg2rad(hsv[:, 0])
-    columns = (np.cos(h), np.sin(h), hsv[:, 1], hsv[:, 2])
+    columns = _nb_columns(hsv)
     log_prior = np.log(model.priors)
     log_post = []
     for cls in range(2):
         log_norm = np.log(2.0 * np.pi * model.variances[cls])
-        total = np.zeros(len(hsv))
+        total = np.zeros(len(columns[0]))
         for j, col in enumerate(columns):
             term = col - model.means[cls, j]
             term *= term

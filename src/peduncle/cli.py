@@ -4,9 +4,10 @@ Every command validates its flags, echoes the merged configuration into the
 output directory, writes machine-readable results to files only, and keeps
 human-readable progress on the error stream. Exit codes: 0 success, 1 usage
 error, 2 data error, 3 operational non-detection (no pepper, a region of
-interest off the image or without scored depth, no peduncle). A command
-that exits 2 removes the output directory, and any parent of it, that the
-call created, so a failed run leaves no partial results behind.
+interest without scored depth, no peduncle). main merges the configuration
+once for the command. A command that exits 2 removes the output directory,
+and any parent of it, that the call created, so a failed run leaves no
+partial results behind.
 """
 
 from __future__ import annotations
@@ -92,6 +93,13 @@ def _load_scenes(manifest: str, split: str | None, scene: str | None = None):
     return [sg.load_benchmark_scene(manifest, e) for e in entries], entries
 
 
+def _detection(args, cfg: dict, threshold: float | None = None):
+    """(pepper model, detector, FilterParams) of a detection command, from
+    --models and the configuration (`threshold` as in _detection_params)."""
+    nb = cls.load_nb(os.path.join(args.models, "nb.model"))
+    return nb, _load_detector(args.detector, args.models, cfg), _detection_params(cfg, threshold)
+
+
 def _load_detector(name: str, models_dir: str, cfg: dict):
     if name == "pfh-svm":
         model = cls.load_svm(os.path.join(models_dir, "svm.model"))
@@ -144,43 +152,21 @@ def load_scores(path) -> tuple[np.ndarray, np.ndarray]:
     return scores, labels
 
 
-def _scene_params(cfg: dict) -> sg.SceneParams:
-    """The configuration's camera and pepper centre as SceneParams."""
-    text = cfgmod.cfg_str(cfg, "pepper_center")
-    try:
-        center = tuple(float(v) for v in text.split())
-    except ValueError:
-        center = ()
-    if len(center) != 3 or not np.isfinite(center).all():
-        raise FormatError(f"config key 'pepper_center' must be three finite numbers, got {text!r}")
-    return sg.SceneParams(
-        image_w=cfgmod.cfg_int(cfg, "image_width"),
-        image_h=cfgmod.cfg_int(cfg, "image_height"),
-        fx=cfgmod.cfg_float(cfg, "fx"),
-        fy=cfgmod.cfg_float(cfg, "fy"),
-        cx=cfgmod.cfg_float(cfg, "cx"),
-        cy=cfgmod.cfg_float(cfg, "cy"),
-        depth_scale=cfgmod.cfg_float(cfg, "depth_scale"),
-        pepper_center=center,
-    )
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
 
-def cmd_gen_scene(args) -> int:
-    base = _scene_params(cfgmod.merged_config(args.config))
+def cmd_gen_scene(args, cfg: dict) -> int:
+    base = sg.scene_params(cfg)
     manifest = sg.make_benchmark(args.out, args.count, args.seed, args.train, base)
     _log(f"wrote {args.count} scene(s), manifest {manifest}")
     return 0
 
 
-def cmd_extract_features(args) -> int:
+def cmd_extract_features(args, cfg: dict) -> int:
     """Dump the SVM training sample that workflows.collect_svm_training
     draws; negatives are written with the background label."""
-    cfg = cfgmod.merged_config(args.config)
     scenes, _ = _load_scenes(args.scenes, args.split)
     _echo_config(args.out, cfg)
     feats, y = wf.collect_svm_training(
@@ -196,8 +182,7 @@ def cmd_extract_features(args) -> int:
     return 0
 
 
-def cmd_train_svm(args) -> int:
-    cfg = cfgmod.merged_config(args.config)
+def cmd_train_svm(args, cfg: dict) -> int:
     feats, labels = ft.load_features(args.features)
     params = cls.SvmParams(
         kernel=cfgmod.cfg_str(cfg, "svm_kernel"),
@@ -219,8 +204,7 @@ def cmd_train_svm(args) -> int:
     return 0
 
 
-def cmd_train_nb(args) -> int:
-    cfg = cfgmod.merged_config(args.config)
+def cmd_train_nb(args, cfg: dict) -> int:
     scenes, _ = _load_scenes(args.scenes, args.split)
     _echo_config(args.out, cfg)
     model = wf.train_nb_from_scenes(scenes, seed=args.seed)
@@ -230,8 +214,7 @@ def cmd_train_nb(args) -> int:
     return 0
 
 
-def cmd_train_cnn(args) -> int:
-    cfg = cfgmod.merged_config(args.config)
+def cmd_train_cnn(args, cfg: dict) -> int:
     scenes, _ = _load_scenes(args.scenes, args.split)
     spec = mc.load_netspec(args.netspec) if args.netspec else mc.default_netspec()
     _echo_config(args.out, cfg)
@@ -251,12 +234,9 @@ def cmd_train_cnn(args) -> int:
     return 0
 
 
-def cmd_score(args) -> int:
-    cfg = cfgmod.merged_config(args.config)
+def cmd_score(args, cfg: dict) -> int:
     scenes, entries = _load_scenes(args.scenes, args.split)
-    nb = cls.load_nb(os.path.join(args.models, "nb.model"))
-    detector = _load_detector(args.detector, args.models, cfg)
-    fp = _detection_params(cfg)
+    nb, detector, fp = _detection(args, cfg)
     _echo_config(args.out, cfg)
     for scene, entry in zip(scenes, entries):
         rec = wf.score_scene(scene, detector, nb, fp)
@@ -265,12 +245,9 @@ def cmd_score(args) -> int:
     return 0
 
 
-def cmd_filter(args) -> int:
-    cfg = cfgmod.merged_config(args.config)
+def cmd_filter(args, cfg: dict) -> int:
     scenes, entries = _load_scenes(args.scenes, args.split, args.scene)
-    nb = cls.load_nb(os.path.join(args.models, "nb.model"))
-    detector = _load_detector(args.detector, args.models, cfg)
-    fp = _detection_params(cfg, args.threshold)
+    nb, detector, fp = _detection(args, cfg, args.threshold)
     _echo_config(args.out, cfg)
     missed = 0
     for scene, entry in zip(scenes, entries):
@@ -298,15 +275,12 @@ def cmd_filter(args) -> int:
     return 3 if missed else 0
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args, cfg: dict) -> int:
     """Curves over the split's scenes, read one at a time as they are scored:
     a bad scene file exits 2 part-way, and main removes the fresh --out."""
-    cfg = cfgmod.merged_config(args.config)
     entries = _scene_entries(args.scenes, args.split)
-    nb = cls.load_nb(os.path.join(args.models, "nb.model"))
-    detector = _load_detector(args.detector, args.models, cfg)
+    nb, detector, fp = _detection(args, cfg)
     thresholds = _thresholds(cfg)
-    fp = _detection_params(cfg)
     _echo_config(args.out, cfg)
     scenes = (sg.load_benchmark_scene(args.scenes, e) for e in entries)
     raw, filtered, notes = wf.evaluate_detectors(
@@ -319,8 +293,7 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_pr_curve(args) -> int:
-    cfg = cfgmod.merged_config(args.config)
+def cmd_pr_curve(args, cfg: dict) -> int:
     scores, labels = zip(*(load_scores(path) for path in args.scores))
     thresholds = _thresholds(cfg)
     _echo_config(args.out, cfg)
@@ -328,14 +301,11 @@ def cmd_pr_curve(args) -> int:
     return 0
 
 
-def cmd_throughput(args) -> int:
+def cmd_throughput(args, cfg: dict) -> int:
     if args.repeats < 1:     # before the scoring pass that counts the points
         raise InvalidInput(f"repeats must be positive, got {args.repeats}")
-    cfg = cfgmod.merged_config(args.config)
     scenes, _ = _load_scenes(args.scenes, args.split)
-    nb = cls.load_nb(os.path.join(args.models, "nb.model"))
-    detector = _load_detector(args.detector, args.models, cfg)
-    fp = _detection_params(cfg)
+    nb, detector, fp = _detection(args, cfg)
     _echo_config(args.out, cfg)
     records = [wf.score_scene(scene, detector, nb, fp) for scene in scenes]
     wf.require_a_scored_scene(records)
@@ -449,7 +419,7 @@ def main(argv=None) -> int:
         fresh = os.path.dirname(fresh)
     out_existed = os.path.exists(fresh)
     try:
-        return args.fn(args)
+        return args.fn(args, cfgmod.merged_config(args.config))
     except NoPeduncleFound as exc:
         _log(f"{exc.reason}: {exc}")
         return 3

@@ -12,7 +12,9 @@ there" versus "something is broken". Its `reason` names the stage that
 came up empty:
 
 - NoPepperFound: no pepper cluster in the frame;
-- RoiOutOfImage: the region of interest above the pepper lies off the image;
+- RoiOutOfImage: pipeline.compute_roi was given a pepper box off the
+  image. A pepper located in a frame has its box inside the image, so
+  run_detection never raises it;
 - EmptyProjection: no point inside the region of interest was scored;
 - NoPeduncleFound: no cluster survived the filtering stage.
 """

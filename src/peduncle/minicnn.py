@@ -155,26 +155,23 @@ class NetworkSpec:
 
 
 def trace_shapes(specs, c: int, h: int, w: int) -> list[tuple[int, int, int]]:
-    """(c, h, w) after each layer; raises InvalidInput on inconsistent chaining."""
+    """(c, h, w) after each layer, sized by the layers' _out_hw; raises
+    InvalidInput on inconsistent chaining or a kernel that does not fit."""
     shapes = []
     for spec in specs:
         if isinstance(spec, ConvSpec):
             if spec.c_in != c:
                 raise InvalidInput(f"conv expects {spec.c_in} channels, chain gives {c}")
-            h = (h + 2 * spec.pad - spec.kh) // spec.stride + 1
-            w = (w + 2 * spec.pad - spec.kw) // spec.stride + 1
+            h, w = _out_hw(h, w, spec.kh, spec.kw, spec.stride, spec.pad)
             c = spec.c_out
         elif isinstance(spec, PoolSpec):
-            h = (h - spec.k) // spec.stride + 1
-            w = (w - spec.k) // spec.stride + 1
+            h, w = _out_hw(h, w, spec.k, spec.k, spec.stride, 0)
         elif isinstance(spec, InceptionSpec):
             c = spec.c_out      # same-padded branches keep h, w
         elif isinstance(spec, FcSpec):
             if spec.n_in != c * h * w:
                 raise InvalidInput(f"fc expects {spec.n_in} inputs, chain gives {c * h * w}")
             c, h, w = spec.n_out, 1, 1
-        if h <= 0 or w <= 0:
-            raise InvalidInput("spatial size collapsed to zero")
         shapes.append((c, h, w))
     return shapes
 
@@ -251,6 +248,7 @@ def save_netspec(path, spec: NetworkSpec) -> None:
 
 
 def _out_hw(h, w, kh, kw, stride, pad):
+    """Output (h, w) of a kernel over an input; InvalidInput when it does not fit."""
     oh = (h + 2 * pad - kh) // stride + 1
     ow = (w + 2 * pad - kw) // stride + 1
     if oh <= 0 or ow <= 0:

@@ -90,9 +90,9 @@ class FilterParams:
     at pepper_cluster_tol and of at least pepper_min_points (a real fruit
     is thousands of points; the limit rejects colour speckle), of the
     points whose pepper posterior reaches pepper_posterior_threshold; filter
-    step 3 drops those points too. `box` and `up` (axis, sign) place the
-    3D box above it (step 4); the rest are the peduncle's score threshold
-    (step 1) and cluster (step 5)."""
+    step 3 drops the points of that one cut (_pepper_colored). `box` and
+    `up` (axis, sign) place the 3D box above it (step 4); the rest are the
+    peduncle's score threshold (step 1) and cluster (step 5)."""
 
     score_threshold: float = 0.5
     pepper_posterior_threshold: float = 0.5
@@ -254,10 +254,16 @@ def peduncle_bbox3(
 # ---------------------------------------------------------------------------
 
 
+def _pepper_colored(nb: cls.NaiveBayesHsv, colors: np.ndarray, fp: FilterParams) -> np.ndarray:
+    """Whether each colour's pepper posterior reaches the threshold: the
+    locate step keeps these points and filter step 3 drops them."""
+    return cls.nb_posterior(nb, ft.rgb_to_hsv_array(colors)) >= fp.pepper_posterior_threshold
+
+
 def detect_pepper(
     cloud: pc.PointCloud, nb: cls.NaiveBayesHsv, fp: FilterParams = FilterParams()
 ) -> tuple[np.ndarray, pc.BoundingBox3]:
-    """Pepper points: fp's posterior threshold, then the largest Euclidean
+    """Pepper points: _pepper_colored's cut, then the largest Euclidean
     cluster at fp.pepper_cluster_tol of at least fp.pepper_min_points.
     Every candidate is kept, so the graph is cloud.connecting_pairs, which
     has the components of every pair within the tolerance.
@@ -268,9 +274,7 @@ def detect_pepper(
     """
     if len(cloud) == 0:
         raise NoPeduncleFound("NoPepperFound", "empty cloud")
-    hsv = ft.rgb_to_hsv_array(cloud.colors)
-    post = cls.nb_posterior(nb, hsv)
-    candidates = np.flatnonzero(post >= fp.pepper_posterior_threshold)
+    candidates = np.flatnonzero(_pepper_colored(nb, cloud.colors, fp))
     if candidates.size == 0:
         raise NoPeduncleFound("NoPepperFound", "no point above the pepper posterior threshold")
     best = None
@@ -310,8 +314,8 @@ def threshold_clusters(
     """Filtering steps 3-5 at every threshold in `thresholds`.
 
     Returns (masks, clusters, which). The masks, steps 3 and 4, do not
-    depend on the threshold: not pepper-colored (posterior below
-    fp.pepper_posterior_threshold, the locate step's cut) and inside the 3D
+    depend on the threshold: not pepper-colored (outside _pepper_colored,
+    the locate step's cut) and inside the 3D
     peduncle box above `pepper_box`. The cluster at threshold t is the
     largest Euclidean cluster within the size limits of the points passing both
     and scoring at least t (ascending indices into the scored cloud), or
@@ -329,8 +333,7 @@ def threshold_clusters(
     require_finite_scores(scored.scores)
     if len(scored) == 0:
         raise InvalidInput("empty scored cloud")
-    posterior = cls.nb_posterior(nb, ft.rgb_to_hsv_array(scored.cloud.colors))
-    not_pepper = posterior < fp.pepper_posterior_threshold
+    not_pepper = ~_pepper_colored(nb, scored.cloud.colors, fp)
     in_box = peduncle_bbox3(pepper_box, fp.box, fp.up).contains(scored.cloud.points)
     thresholds = np.asarray(thresholds, dtype=np.float64)
     nodes = np.flatnonzero(not_pepper & in_box & (scored.scores >= thresholds.min(initial=np.inf)))
@@ -437,14 +440,14 @@ class PfhSvmDetector:
     def score_frame(self, frame: Frame, roi: Roi2) -> ScoredCloud:
         """Score every ROI point; invalid-feature points score 0."""
         rows = roi_rows(frame, roi)
-        scores = np.zeros(len(rows))
+        scored = scored_cloud(frame, rows, np.zeros(len(rows)))
         if len(rows) > self.normal_k:
-            feats, valid = ft.point_features(frame.cloud.subset(rows), self.normal_k, self.fpfh_k)
+            feats, valid = ft.point_features(scored.cloud, self.normal_k, self.fpfh_k)
             if valid.any():
-                scores[valid] = margin_to_score(
+                scored.scores[valid] = margin_to_score(
                     cls.svm_score_batch(self.model, feats[valid])
                 )
-        return scored_cloud(frame, rows, scores)
+        return scored
 
 
 class CnnDetector:

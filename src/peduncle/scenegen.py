@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
+from importlib import resources
 
 import numpy as np
 from scipy import ndimage
@@ -436,17 +437,34 @@ def _draw_scene_params(rng, base: SceneParams, seed: int) -> SceneParams:
     )
 
 
-def benchmark_base() -> SceneParams:
-    """Close-up desk-scale camera used by the standard synthetic benchmark."""
+def scene_params(cfg: dict) -> SceneParams:
+    """The configuration's camera and pepper centre as SceneParams, the one
+    reader of the camera keys make_benchmark writes; FormatError on a bad key."""
+    text = cfgmod.cfg_str(cfg, "pepper_center")
+    try:
+        center = tuple(float(v) for v in text.split())
+    except ValueError:
+        center = ()
+    if len(center) != 3 or not np.isfinite(center).all():
+        raise FormatError(f"config key 'pepper_center' must be three finite numbers, got {text!r}")
     return SceneParams(
-        image_w=224,
-        image_h=168,
-        fx=194.0,
-        fy=194.0,
-        cx=111.5,
-        cy=83.5,
-        pepper_center=(0.0, 0.01, 0.32),
+        image_w=cfgmod.cfg_int(cfg, "image_width"),
+        image_h=cfgmod.cfg_int(cfg, "image_height"),
+        fx=cfgmod.cfg_float(cfg, "fx"),
+        fy=cfgmod.cfg_float(cfg, "fy"),
+        cx=cfgmod.cfg_float(cfg, "cx"),
+        cy=cfgmod.cfg_float(cfg, "cy"),
+        depth_scale=cfgmod.cfg_float(cfg, "depth_scale"),
+        pepper_center=center,
     )
+
+
+def benchmark_base() -> SceneParams:
+    """Close-up desk-scale camera of the standard synthetic benchmark, as
+    data/benchmark.cfg (the one copy of its values) sets it."""
+    cfg = cfgmod.default_config()
+    cfg.update(cfgmod.parse_config(resources.files("peduncle").joinpath("data/benchmark.cfg").read_text()))
+    return scene_params(cfg)
 
 
 def benchmark_params(
@@ -536,13 +554,7 @@ def load_manifest(path) -> list[dict]:
 
 
 def load_benchmark_scene(manifest_path, entry: dict) -> LabeledScene:
+    """The entry's scene, with the camera of the config.cfg beside the manifest."""
     scene_dir = os.path.dirname(os.path.abspath(manifest_path))
     cfg = cfgmod.load_config(os.path.join(scene_dir, "config.cfg"))
-    intr = pl.CameraIntrinsics(
-        cfgmod.cfg_float(cfg, "fx"),
-        cfgmod.cfg_float(cfg, "fy"),
-        cfgmod.cfg_float(cfg, "cx"),
-        cfgmod.cfg_float(cfg, "cy"),
-        cfgmod.cfg_float(cfg, "depth_scale"),
-    )
-    return load_scene(scene_dir, entry["id"], intr)
+    return load_scene(scene_dir, entry["id"], scene_params(cfg).intrinsics())

@@ -26,6 +26,10 @@ from .errors import InvalidInput, NoPeduncleFound
 # model training
 # ---------------------------------------------------------------------------
 
+# HSV saturation from which a pixel is plant material (foliage, peduncles),
+# not dull background: the hard negatives of the colour model and the CNN
+_SATURATED = 0.35
+
 
 def _at_most(rng, rows, cap):
     """rows when there are at most cap of them, else cap of them drawn
@@ -51,7 +55,7 @@ def train_nb_from_scenes(scenes, seed: int = 0) -> cls.NaiveBayesHsv:
         hsv = ft.rgb_to_hsv_array(scene.cloud.colors)
         pepper.append(hsv[_at_most(rng, np.flatnonzero(labs == pc.LABEL_PEPPER), 4000)])
         non = labs != pc.LABEL_PEPPER
-        saturated = non & (hsv[:, 1] >= 0.35)
+        saturated = non & (hsv[:, 1] >= _SATURATED)
         other.append(hsv[_at_most(rng, np.flatnonzero(saturated), 2000)])
         other.append(hsv[_at_most(rng, np.flatnonzero(non & ~saturated), 2000)])
     if not pepper or not other:
@@ -99,6 +103,7 @@ def sample_training_patches(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Balanced (patches (N, 3, ph, pw) in [0, 1], labels {0, 1}) from the
     annotated positive / negative masks; unannotated pixels are never used.
+    Centers are drawn where minicnn.patch_centers puts one at stride 1.
 
     Half of each scene's negatives are drawn from saturated (plant-like)
     material when available, so the scorer sees the hard green-on-green
@@ -111,7 +116,7 @@ def sample_training_patches(
         pos_mask, neg_mask = sg.annotation_masks(scene.labels_img)
         h, w = pos_mask.shape
         valid = np.zeros((h, w), dtype=bool)
-        valid[ph // 2 : h - (ph - ph // 2) + 1, pw // 2 : w - (pw - pw // 2) + 1] = True
+        valid[np.ix_(*mc.patch_centers(h, w, ph, pw, 1))] = True
         half = per_scene // 2
 
         def draw(mask, most):
@@ -122,7 +127,7 @@ def sample_training_patches(
             return vv[sel], uu[sel]
 
         pos = draw(pos_mask, half)
-        saturated = ft.rgb_to_hsv_array(scene.rgb.reshape(-1, 3))[:, 1].reshape(h, w) >= 0.35
+        saturated = ft.rgb_to_hsv_array(scene.rgb.reshape(-1, 3))[:, 1].reshape(h, w) >= _SATURATED
         hard = draw(neg_mask & saturated, (half + 1) // 2)
         easy = draw(neg_mask & ~saturated, half - len(hard[0]))
         cy, cx = (np.concatenate(axis) for axis in zip(pos, hard, easy))
@@ -164,8 +169,8 @@ def train_cnn_from_scenes(
 def score_scene(scene, detector, nb: cls.NaiveBayesHsv, fp: pl.FilterParams = pl.FilterParams()) -> ev.SceneEval:
     """Detect the pepper, score the region of interest, attach truth labels.
 
-    Scenes where no pepper is found (or the ROI leaves the image, or nothing
-    in it is scored) yield an all-miss record: their ground-truth peduncle
+    Scenes where no pepper is found (or nothing in the region of interest
+    is scored) yield an all-miss record: their ground-truth peduncle
     points carry ev.MISS_SCORE, so they count as false negatives at every
     threshold.
     """

@@ -20,9 +20,10 @@ the library's svm_score_batch, and generate_reference, which draws a scene
 with the library's samplers and colour draws. ranked_clusters is not an
 oracle: it lists every cluster the library's largest_clusters would pick in
 turn, for comparison with the oracles. Nor are same_bytes, the
-byte-equality check the pinned tests share, and normals_with_knn and
+byte-equality check the pinned tests share, normals_with_knn and
 fpfh_with_knn, which call the library with the neighbor table knn_batch
-gives for a cloud's own points.
+gives for a cloud's own points, and degraded_captures, the broken
+captures of a scene that the detection and CLI tests share.
 """
 
 import contextlib
@@ -59,6 +60,36 @@ class EmptyHistogram(Exception):
 def same_bytes(a, b) -> bool:
     """Equal dtype, shape and bytes."""
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# a saturated pepper red: hue 1.7 degrees, saturation 0.875, value 0.78
+PEPPER_RED = (200, 30, 25)
+
+
+def degraded_captures(scene) -> list:
+    """(name, LabeledScene) for five broken captures of a scene with a
+    pepper: its RGB all black, all white or all pepper red; the top half of
+    its depth lost; and every raster shifted up until the pepper touches
+    row 0, the rows shifted in from below black, without depth and
+    unlabelled."""
+    rgb, depth, labels, intr = scene.rgb, scene.depth_raw, scene.labels_img, scene.frame.intr
+
+    def capture(rgb=rgb, depth=depth, labels=labels):
+        return sg.LabeledScene.from_rasters(rgb, depth, intr, labels)
+
+    top_lost = depth.copy()
+    top_lost[: len(depth) // 2] = 0
+    shift = int(np.flatnonzero((labels == pc.LABEL_PEPPER).any(axis=1))[0])
+    shifted = [np.zeros_like(a) for a in (rgb, depth, labels)]
+    for moved, a in zip(shifted, (rgb, depth, labels)):
+        moved[: len(a) - shift] = a[shift:]
+    return [
+        ("black", capture(np.zeros_like(rgb))),
+        ("white", capture(np.full_like(rgb, 255))),
+        ("pepper-red", capture(np.broadcast_to(np.array(PEPPER_RED, dtype=rgb.dtype), rgb.shape).copy())),
+        ("top-half-depth-lost", capture(depth=top_lost)),
+        ("pepper-at-row-0", capture(*shifted)),
+    ]
 
 
 def brute_knn(points, q, k):

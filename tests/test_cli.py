@@ -9,7 +9,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from oracles import load_cloud_per_row
+from oracles import degraded_captures, load_cloud_per_row
 from scipy import ndimage
 
 from peduncle import classifiers as cls
@@ -155,7 +155,7 @@ class TestFiveRasterLayout:
         manifest = scene_dir / "manifest.txt"
         manifest.write_text("".join(lines))
 
-        base = cli._scene_params(cfgmod.merged_config(workdir["cfg"]))
+        base = sg.scene_params(cfgmod.merged_config(workdir["cfg"]))
         draws = sg.benchmark_params(len(lines), 5, base)
         for entry, params in zip(sg.load_manifest(manifest), draws):
             loaded = sg.load_benchmark_scene(manifest, entry)
@@ -283,7 +283,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("reason", NoPeduncleFound.REASONS)
     def test_every_miss_reason_is_3(self, monkeypatch, capsys, tmp_path, reason):
-        def miss(args):
+        def miss(args, cfg):
             raise NoPeduncleFound(reason, "nothing here")
 
         monkeypatch.setattr(cli, "cmd_pr_curve", miss)
@@ -509,12 +509,12 @@ class TestShippedConfig:
         assert got == expected
 
     def test_camera_keys_are_the_scene_defaults(self):
-        assert cli._scene_params(cfgmod.default_config()) == sg.SceneParams()
+        assert sg.scene_params(cfgmod.default_config()) == sg.SceneParams()
 
     def test_benchmark_config_is_the_benchmark_camera_and_sweep(self):
         cfg = cfgmod.default_config()
         cfg.update(cfgmod.parse_config(resources.files("peduncle").joinpath("data/benchmark.cfg").read_text()))
-        assert cli._scene_params(cfg) == sg.benchmark_base()
+        assert sg.scene_params(cfg) == sg.benchmark_base()
         assert int(cfg["thresholds"]) == signature_defaults(wf.run_benchmark)["n_thresholds"]
 
 
@@ -831,6 +831,27 @@ class TestSceneWithoutDepth:
         assert self.run(workdir, scene_dir, "eval", tmp_path / "e", "--mode", "both") == 0
         assert "scene 1: no pepper detected" in capsys.readouterr().err.splitlines()
         assert (tmp_path / "e" / "pr.csv").exists()
+
+
+class TestDegradedCaptures:
+    """filter and eval over a manifest of broken captures
+    (oracles.degraded_captures) exit 0 or 3 with either detector: every
+    capture is detected or missed, and filter reports each one."""
+
+    @pytest.fixture(scope="class")
+    def manifest(self, workdir, tmp_path_factory):
+        captures = [scene for _, scene in degraded_captures(_eval_scene(workdir))]
+        scene_dir = _write_scenes(tmp_path_factory.mktemp("degraded") / "scenes", workdir["cfg"], captures)
+        return scene_dir / "manifest.txt"
+
+    @pytest.mark.parametrize("detector", ["pfh-svm", "cnn"])
+    def test_detected_or_missed(self, workdir, manifest, tmp_path, detector):
+        for command in ("filter", "eval"):
+            out = tmp_path / command
+            assert main([command, "--config", workdir["cfg"], "--scenes", str(manifest), "--models",
+                         workdir["models"], "--detector", detector, "--out", str(out)]) in (0, 3)
+        reports = sorted(p.name for p in (tmp_path / "filter").glob("*_diag.csv"))
+        assert reports == [f"s{i:04d}_diag.csv" for i in range(5)]
 
 
 class TestThroughputCommand:

@@ -9,7 +9,11 @@ perfbench/ harness, not by tests alone, with the few exceptions listed
 in TEST_ONLY_PARAMETERS. The rule that places the region of interest above
 the pepper is applied in one module, pipeline, and kd-trees and graph
 components are used in one module, cloud. Every key of the shipped
-config files is read by the library, and every key it reads is shipped.
+config files is read by the library, and every key it reads is shipped;
+the camera keys are read in one module, scenegen, so the benchmark camera
+is written in data/benchmark.cfg alone. The pepper colour posterior is
+computed at one call site, the one cut that the locate step and filter
+step 3 share.
 """
 
 import ast
@@ -266,3 +270,27 @@ def test_every_config_key_is_read_and_every_read_key_shipped():
     shipped = {name: set(parse_config((SRC / "data" / name).read_text())) for name in ("default.cfg", "benchmark.cfg")}
     assert {name: keys - read for name, keys in shipped.items()} == {"default.cfg": set(), "benchmark.cfg": set()}
     assert read - shipped["default.cfg"] == set()
+
+
+CAMERA_KEYS = {"image_width", "image_height", "fx", "fy", "cx", "cy", "depth_scale", "pepper_center"}
+
+
+def test_the_camera_keys_are_read_in_scenegen_alone():
+    """scenegen.scene_params reads the camera keys, next to make_benchmark,
+    which writes them; no other module reads one."""
+    readers = [path.stem for path in sorted(SRC.glob("*.py")) if config_keys_read([path]) & CAMERA_KEYS]
+    assert readers == ["scenegen"]
+
+
+def test_the_pepper_posterior_has_one_call_site():
+    """The locate step and filter step 3 share one colour cut, so
+    classifiers.nb_posterior is called in one place in the library."""
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "nb_posterior":
+                calls.append(f"{path.name}:{node.lineno}")
+    assert len(calls) == 1, calls

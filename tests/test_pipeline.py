@@ -9,8 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    PEPPER_RED,
     cnn_score_frame_reference,
     csgraph_clusters,
+    degraded_captures,
     nb_posterior_rows,
     pfh_svm_score_frame_reference,
     point_features_reference,
@@ -133,6 +135,23 @@ class TestComputeRoi:
         roi = pl.compute_roi(box, 640, 480)
         assert roi.y_min == 0 and roi.y_max == 35
         assert roi.x_min == 10 and roi.x_max == 60
+
+    @settings(max_examples=200)
+    @given(data=st.data(), w=st.integers(1, 700), h=st.integers(1, 500))
+    def test_a_box_inside_the_image_keeps_a_region(self, data, w, h):
+        """Whatever pixel box inside the image a pepper has, its region of
+        interest is non-empty and inside the image: its last row,
+        y_max - height // 2, is at least y_min + 1. So RoiOutOfImage comes
+        only from a box off the image."""
+        x_min = data.draw(st.integers(0, w - 1))
+        x_max = data.draw(st.integers(x_min + 1, w))
+        y_min = data.draw(st.integers(0, h - 1))
+        y_max = data.draw(st.integers(y_min + 1, h))
+        box = pl.Roi2(x_min, y_min, x_max, y_max)
+        roi = pl.compute_roi(box, w, h)
+        assert (roi.x_min, roi.x_max) == (x_min, x_max)
+        assert (roi.y_min, roi.y_max) == (max(y_min - box.height // 2, 0), y_max - box.height // 2)
+        assert 0 <= roi.y_min < roi.y_max <= h
 
     def test_fully_clipped_raises(self):
         # box outside the image horizontally (violating its own pre-condition)
@@ -341,6 +360,31 @@ class TestDepthHoles:
         assert len(result.filter_result.cluster) > 0 and np.isfinite(result.pose.position).all()
 
 
+class TestDegradedCaptures:
+    """A C6 capture that went wrong (oracles.degraded_captures: black,
+    white or pepper-red RGB, the top half of the depth lost, the pepper
+    moved to row 0) is detected or missed, never an error, with either
+    detector; a pepper found in the frame never has its region of
+    interest off the image."""
+
+    @pytest.fixture(scope="class")
+    def captures(self):
+        params = sg.benchmark_params(46, 20240, sg.benchmark_base())[40:]
+        return [capture for p in params for capture in degraded_captures(sg.generate(p))]
+
+    @pytest.mark.parametrize("make", [lambda: pl.PfhSvmDetector(linear_svm(np.random.default_rng(2))),
+                                      tiny_cnn_detector], ids=["pfh-svm", "cnn"])
+    def test_detected_or_missed(self, captures, make):
+        detector, nb = make(), red_green_nb()
+        for name, scene in captures:
+            try:
+                result = pl.run_detection(scene.frame, nb, detector)
+            except NoPeduncleFound as exc:
+                assert exc.reason != "RoiOutOfImage", name
+                continue
+            assert len(result.filter_result.cluster) > 0 and np.isfinite(result.pose.position).all(), name
+
+
 class TestOneScoringPath:
     """Both detectors hand the filter rows of frame.cloud; the CNN's scored
     cloud equals its previous depth re-projection byte for byte."""
@@ -484,7 +528,6 @@ class TestDetectPepper:
         assert box.contains(large).mean() > 0.9
 
 
-PEPPER_RED = (200, 30, 25)
 LEAF_GREEN = (40, 150, 40)
 
 
