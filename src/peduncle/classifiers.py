@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._rows import for_row_chunks
 from ._textio import open_text, read_rows, write_rows
 from .errors import FormatError, InvalidInput
 
@@ -20,7 +21,7 @@ VARIANCE_FLOOR = 1e-6
 
 # Elements of the (rows, m, d) difference block _kernel works on at once:
 # 512 KiB of float64, small enough to stay in cache between the subtract
-# and the reduction that reads it back.
+# and the reduction that reads it back. Each row chunk has its own buffer.
 _KERNEL_BLOCK = 1 << 16
 
 
@@ -62,9 +63,11 @@ def _kernel(kind: str, gamma: float, a: np.ndarray, b: np.ndarray) -> np.ndarray
 
     Each entry is computed with per-pair reductions (no batched matmul), so
     a row's values are bit-identical whether scored alone or in a batch,
-    and whatever the block size. The rbf kernel processes rows of `a` in
-    blocks of max(1, _KERNEL_BLOCK // (m * d)), so its (rows, m, d)
-    difference block fits in cache; one buffer serves every block.
+    and whatever the block size or the chunk. The rbf kernel splits the
+    rows of `a` into chunks that run on the process's CPUs at once
+    (_rows.for_row_chunks); each chunk processes its rows in blocks of
+    max(1, _KERNEL_BLOCK // (m * d)), so its (rows, m, d) difference block
+    fits in cache, and one buffer per chunk serves every block.
     """
     if kind not in ("linear", "rbf"):
         raise InvalidInput(f"unknown kernel {kind!r}")
@@ -73,15 +76,19 @@ def _kernel(kind: str, gamma: float, a: np.ndarray, b: np.ndarray) -> np.ndarray
     n, m = a.shape[0], b.shape[0]
     out = np.empty((n, m))
     rows = max(1, _KERNEL_BLOCK // max(m * a.shape[1], 1))
-    buf = np.empty((min(rows, n), m, a.shape[1]))
-    for start in range(0, n, rows):
-        ac = a[start : start + rows]
-        d = buf[: len(ac)]
-        np.subtract(ac[:, None, :], b[None, :, :], out=d)
-        block = out[start : start + rows]
-        np.einsum("ijk,ijk->ij", d, d, out=block)
-        np.multiply(-gamma, block, out=block)
-        np.exp(block, out=block)
+
+    def fill(lo: int, hi: int) -> None:
+        buf = np.empty((min(rows, hi - lo), m, a.shape[1]))
+        for start in range(lo, hi, rows):
+            ac = a[start : min(start + rows, hi)]
+            d = buf[: len(ac)]
+            np.subtract(ac[:, None, :], b[None, :, :], out=d)
+            block = out[start : start + len(ac)]
+            np.einsum("ijk,ijk->ij", d, d, out=block)
+            np.multiply(-gamma, block, out=block)
+            np.exp(block, out=block)
+
+    for_row_chunks(fill, n)
     return out
 
 

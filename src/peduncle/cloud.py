@@ -12,9 +12,12 @@ so a table is the prefix of any wider one. Each call builds one kd-tree
 over the points and queries it at k + 1 + k // 4; a row is kept once its
 last squared distance clears the k-th by more than _SLACK, so no point the
 tree left out can tie into it, and the other rows are queried again at
-twice the width. Rows the kd-tree returns with exact squared
-distances already nondecreasing (99.8% of a full C6 cloud's rows) take one
-sort of (run of equal distances, index) keys; the others one lexsort.
+twice the width. The rows are answered in chunks that share the tree and
+run on the process's CPUs at once (_rows.for_row_chunks); a row's widths
+and settle test are its own, so the chunks change no byte. Rows the
+kd-tree returns with exact squared distances already nondecreasing (99.8%
+of a full C6 cloud's rows) take one sort of (run of equal distances,
+index) keys; the others one lexsort.
 Point geometry works on (3, M) coordinate columns (take_columns,
 column_dot, column_norm) with the floating-point operations, in the order,
 of numpy's row reductions over (M, 3), so every value keeps its bytes.
@@ -29,6 +32,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
+from ._rows import for_row_chunks
 from ._textio import write_rows
 from .errors import InvalidInput
 
@@ -158,7 +162,10 @@ def knn_batch(points: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
 
     Each row holds the k points with the smallest (exact squared distance,
     index), in that order, so knn_batch(k) is the first k columns of
-    knn_batch(k') for every k' >= k.
+    knn_batch(k') for every k' >= k. Rows are answered in chunks, each
+    with its own query and requery loop over one shared kd-tree, on every
+    CPU of the process's affinity mask; a row's result depends on that row
+    alone.
 
     Raises InvalidInput for an empty cloud and unless the queries are
     (M, 3) and finite.
@@ -179,15 +186,19 @@ def knn_batch(points: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
     tree = cKDTree(points)
     columns = np.ascontiguousarray(points.T)
     out = np.empty((len(queries), k), dtype=np.intp)
-    rows = np.arange(len(queries))
-    width = min(k + 1 + k // 4, n)
-    while rows.size:
-        idx, d2 = _sorted_query(tree, columns, queries[rows], width)
-        # every point the tree left out is at least as far as the row's last
-        settled = (width == n) | (d2[:, -1] > d2[:, k - 1] * (1.0 + _SLACK) ** 2)
-        out[rows[settled]] = idx[settled, :k]
-        rows = rows[~settled]
-        width = min(2 * width, n)
+
+    def settle(lo: int, hi: int) -> None:
+        rows = np.arange(lo, hi)
+        width = min(k + 1 + k // 4, n)
+        while rows.size:
+            idx, d2 = _sorted_query(tree, columns, queries[rows], width)
+            # every point the tree left out is at least as far as the row's last
+            settled = (width == n) | (d2[:, -1] > d2[:, k - 1] * (1.0 + _SLACK) ** 2)
+            out[rows[settled]] = idx[settled, :k]
+            rows = rows[~settled]
+            width = min(2 * width, n)
+
+    for_row_chunks(settle, len(queries))
     return out
 
 

@@ -5,7 +5,10 @@ One FilterParams carries every setting of the flow: the pepper's colour
 threshold and cluster, the 3D box above it, the world-up axis and the
 peduncle's score threshold and cluster. A run is a pure function of
 (frame, models, FilterParams): identical inputs give bit-identical
-clusters, and independent frames may be processed concurrently.
+clusters, and independent frames may be processed concurrently. The
+pfh-svm kNN query and SVM kernel already split their rows over the
+process's CPUs; callers may still score frames from several threads at
+once, with the same results.
 """
 
 from __future__ import annotations

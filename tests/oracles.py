@@ -22,8 +22,9 @@ oracle: it lists every cluster the library's largest_clusters would pick in
 turn, for comparison with the oracles. Nor are same_bytes, the
 byte-equality check the pinned tests share, normals_with_knn and
 fpfh_with_knn, which call the library with the neighbor table knn_batch
-gives for a cloud's own points, and degraded_captures, the broken
-captures of a scene that the detection and CLI tests share.
+gives for a cloud's own points, degraded_captures, the broken
+captures of a scene that the detection and CLI tests share, and
+row_chunks, which sets the library's thread count and chunk sizes.
 """
 
 import contextlib
@@ -35,6 +36,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.spatial import cKDTree
 
+from peduncle import _rows
 from peduncle import classifiers as cls
 from peduncle import cloud as pc
 from peduncle import evaluate as ev
@@ -933,6 +935,25 @@ def reference_kernels():
         yield
     finally:
         mc._im2col, mc._conv_input_grad, mc.MaxPool, mc._fuses = saved
+
+
+@contextlib.contextmanager
+def row_chunks(workers: int, chunk_rows: int | None = None, min_rows: int | None = None):
+    """Inside this block the library's row-parallel calls (peduncle._rows)
+    run on `workers` threads, the calling thread included, with chunks of
+    at most chunk_rows and at least min_rows rows where given. The block
+    starts its own thread pool and shuts it down on the way out."""
+    saved = _rows._WORKERS, _rows._CHUNK_ROWS, _rows._MIN_ROWS, _rows._pool
+    _rows._WORKERS, _rows._pool = workers, None
+    _rows._CHUNK_ROWS = saved[1] if chunk_rows is None else chunk_rows
+    _rows._MIN_ROWS = saved[2] if min_rows is None else min_rows
+    try:
+        yield
+    finally:
+        pool = _rows._pool
+        _rows._WORKERS, _rows._CHUNK_ROWS, _rows._MIN_ROWS, _rows._pool = saved
+        if pool is not None:
+            pool.shutdown()
 
 
 def runs_layers_one_by_one(net: mc.Network) -> bool:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import kernel_reference, kkt_violations, nb_posterior_rows, svm_score_batch_reference
+from oracles import kernel_reference, kkt_violations, nb_posterior_rows, row_chunks, svm_score_batch_reference
 from scipy.optimize import minimize
 
 from peduncle import classifiers as cls
@@ -432,3 +432,23 @@ class TestKernelBlocksPinned:
         probe = rng.normal(0.3, 1.0, (900, 36))
         got = cls.svm_score_batch(model, probe)
         assert got.tobytes() == svm_score_batch_reference(model, probe).tobytes()
+
+
+class TestKernelRowChunks:
+    """_kernel and svm_score_batch split their rows into chunks on 1 to 3
+    threads: the same bytes as the reference whatever the chunk size, with
+    row counts below, at and above it, and chunks shorter than a block."""
+
+    @settings(max_examples=40)
+    @given(workers=st.integers(1, 3), cap=st.integers(1, 40), n_sv=st.integers(1, 300),
+           kind=st.sampled_from(["rbf", "linear"]), data=st.data())
+    def test_matches_reference(self, workers, cap, n_sv, kind, data):
+        n_rows = data.draw(st.sampled_from([max(cap - 1, 1), cap, cap + 1, 3 * cap + 2]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        a, b = rng.normal(size=(n_rows, 36)), rng.normal(size=(n_sv, 36))
+        want = kernel_reference(kind, 1.0 / 36.0, a, b)
+        model = cls.SvmModel(kind, 1.0 / 36.0, 10.0, -0.2, rng.normal(size=n_sv), b,
+                             rng.normal(size=36), rng.uniform(0.5, 2.0, 36))
+        with row_chunks(workers, chunk_rows=cap, min_rows=1):
+            assert cls._kernel(kind, 1.0 / 36.0, a, b).tobytes() == want.tobytes()
+            assert cls.svm_score_batch(model, a).tobytes() == svm_score_batch_reference(model, a).tobytes()

@@ -17,6 +17,7 @@ from oracles import (
     normals_with_knn,
     radius_pairs_rows,
     ranked_clusters,
+    row_chunks,
     same_bytes,
     union_find_clusters,
     union_find_partition,
@@ -217,6 +218,46 @@ class TestTieExactKnn:
         for k in (1, 7, 20):
             table = pc.knn_batch(points, [[0.1, 0.2, 0.3], [0.0, 0.0, 0.0]], k)
             assert table.tolist() == [list(range(k))] * 2
+
+
+class TestKnnRowChunks:
+    """knn_batch answers its rows in chunks over one kd-tree, on 1 to 3
+    threads: the same bytes as the brute-force table whatever the chunk
+    size, with row counts below, at and above it and tied rows on both
+    sides of a chunk boundary."""
+
+    @settings(max_examples=60)
+    @given(case=tied_clouds(), workers=st.integers(1, 3), cap=st.integers(1, 9), data=st.data())
+    def test_lattice_clouds(self, case, workers, cap, data):
+        cloud, scale = case
+        n = len(cloud)
+        k = data.draw(st.integers(1, n))
+        # row counts below, at and above the chunk cap; a run of one repeated
+        # query straddles chunk boundaries
+        m = data.draw(st.sampled_from([max(cap - 1, 1), cap, cap + 1, 3 * cap + 2]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        queries = np.concatenate([cloud.points, cloud.points + scale / 2])[rng.integers(0, 2 * n, m)]
+        queries[m // 2 : m // 2 + cap + 1] = queries[m // 2]
+        want = knn_batch_rows(cloud.points, queries, k)
+        with row_chunks(workers, chunk_rows=cap, min_rows=1):
+            assert same_bytes(pc.knn_batch(cloud.points, queries, k), want)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_ties_the_first_query_misses_in_every_chunk(self, workers):
+        # cell centres of a shuffled cube lattice with duplicates: eight
+        # corners tie, and the kd-tree's first answer keeps the wrong ones
+        # in many rows of every chunk
+        grid = np.stack(np.meshgrid(*[np.arange(3)] * 3, indexing="ij"), -1).reshape(-1, 3) * 0.01
+        points = grid[np.random.default_rng(1).integers(0, 27, 40)]
+        queries = np.concatenate([points, points + 0.005])
+        with row_chunks(workers, chunk_rows=5, min_rows=1):
+            for k in (1, 3, 8, 40):
+                assert same_bytes(pc.knn_batch(points, queries, k), knn_batch_rows(points, queries, k))
+        # no row settles before the query covers the cloud, in any chunk
+        stack = np.tile([0.1, 0.2, 0.3], (40, 1))
+        with row_chunks(workers, chunk_rows=4, min_rows=1):
+            for k in (1, 7, 40):
+                assert pc.knn_batch(stack, stack[:18], k).tolist() == [list(range(k))] * 18
 
 
 def awkward_rows(seed, n):

@@ -25,6 +25,7 @@ from oracles import (
     pair_angles_rows,
     point_features_reference,
     rgb_to_hsv_rows,
+    row_chunks,
     same_bytes,
     spfh,
 )
@@ -459,12 +460,17 @@ class TestPinnedToReference:
         self.check(pts, normals, 8)
 
     def test_point_features_on_c6_roi(self, c6_frame):
+        # and with its kNN rows in chunks of 300 on 1 to 3 threads
         frame, rows = c6_frame
         cloud = frame.cloud.subset(rows)
         for normal_k, fpfh_k in ((30, 30), (12, 20), (40, 10)):
-            got = ft.point_features(cloud, normal_k, fpfh_k)
             want = point_features_reference(cloud, normal_k, fpfh_k)
-            assert same_bytes(got[0], want[0]) and same_bytes(got[1], want[1])
+            runs = [ft.point_features(cloud, normal_k, fpfh_k)]
+            for workers in (1, 2, 3):
+                with row_chunks(workers, chunk_rows=300):
+                    runs.append(ft.point_features(cloud, normal_k, fpfh_k))
+            for got in runs:
+                assert same_bytes(got[0], want[0]) and same_bytes(got[1], want[1])
 
 
 class TestRowRestricted:

@@ -13,7 +13,8 @@ config files is read by the library, and every key it reads is shipped;
 the camera keys are read in one module, scenegen, so the benchmark camera
 is written in data/benchmark.cfg alone. The pepper colour posterior is
 computed at one call site, the one cut that the locate step and filter
-step 3 share.
+step 3 share. Threads are started in one module, _rows, and no library
+function takes a worker count.
 """
 
 import ast
@@ -241,6 +242,41 @@ def test_no_module_reads_another_objects_private_attributes():
     """A private attribute is read only by its own object's methods: a
     caller that needs it gets it through the public interface."""
     assert [read for path in sorted(SRC.glob("*.py")) for read in private_reads(path)] == []
+
+
+THREAD_MODULES = ("threading", "concurrent.futures")
+WORKER_KNOBS = {"workers", "threads", "n_jobs"}
+
+
+def thread_uses(path: Path) -> list[str]:
+    """Imports of threading or concurrent.futures (or of a name inside
+    either), reads of sched_getaffinity and parameters named like a worker
+    count in a file, as `line: what`."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+        elif isinstance(node, (ast.Attribute, ast.Name)):
+            names = [getattr(node, "attr", getattr(node, "id", None))]
+        elif isinstance(node, ast.arg) and node.arg in WORKER_KNOBS:
+            names = [f"parameter {node.arg}"]
+        else:
+            continue
+        found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                  if name == "sched_getaffinity" or name.startswith("parameter ")
+                  or any(name == m or name.startswith(m + ".") for m in THREAD_MODULES)]
+    return found
+
+
+def test_threads_are_started_in_one_module_with_no_knob():
+    """_rows alone starts threads and reads the CPU affinity mask, and no
+    library function takes a worker or thread count: the library uses the
+    CPUs it may run on, and nothing sets how many."""
+    uses = [hit for path in sorted(SRC.glob("*.py")) for hit in thread_uses(path)]
+    assert [hit for hit in uses if not hit.startswith("_rows.py:") or "parameter" in hit] == []
+    assert uses != []
 
 
 CONFIG_READERS = {"cfg_int", "cfg_float", "cfg_str"}

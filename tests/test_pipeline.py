@@ -1,6 +1,10 @@
 """Detection-flow tests: ROI rule, 3D box derivation, projection, the five
 filtering steps and cutting-pose estimation."""
 
+import os
+import signal
+import threading
+import time
 import warnings
 from importlib import resources
 
@@ -18,9 +22,12 @@ from oracles import (
     point_features_reference,
     reproject_to_pixels,
     rgb_to_hsv_rows,
+    row_chunks,
+    same_bytes,
     union_find_clusters,
 )
 
+from peduncle import _rows
 from peduncle import classifiers as cls
 from peduncle import cloud as pc
 from peduncle import evaluate as ev
@@ -1002,3 +1009,112 @@ class TestUpAxis:
 
         with pytest.raises(InvalidInput):
             pl.parse_up_axis("w")
+
+
+class TestRowParallelDetection:
+    """The pfh-svm rows run on a thread pool (peduncle._rows): the bytes do
+    not depend on the thread count, callers may detect from several threads
+    at once, one thread starts no pool, and a chunk's error reaches its
+    caller."""
+
+    @pytest.fixture(scope="class")
+    def frames(self):
+        return [sg.generate(p).frame for p in sg.benchmark_params(46, 20240, sg.benchmark_base())[40:]]
+
+    @pytest.fixture(scope="class")
+    def svm(self, frames):
+        # an rbf model over draw 40's ROI features, with enough support
+        # vectors for many kernel blocks
+        rng = np.random.default_rng(5)
+        feats, valid = ft.point_features(frames[0].cloud.subset(pl.roi_rows(frames[0], TestOneScoringPath.truth_roi(frames[0]))))
+        feats = feats[valid]
+        means, scales = feats.mean(axis=0), np.where(feats.std(axis=0) > 0, feats.std(axis=0), 1.0)
+        svs = (feats[rng.choice(len(feats), 400, replace=False)] - means) / scales
+        return cls.SvmModel(
+            kernel="rbf", gamma=1.0 / 36.0, c=10.0, bias=-0.2, dual_coefs=rng.normal(size=400),
+            support_vectors=svs + rng.normal(0, 0.1, svs.shape), feature_means=means, feature_scales=scales,
+        )
+
+    @staticmethod
+    def score_rois(frames, svm):
+        out = []
+        for frame in frames:
+            feats, valid = ft.point_features(frame.cloud.subset(pl.roi_rows(frame, TestOneScoringPath.truth_roi(frame))))
+            out.append((feats, valid, cls.svm_score_batch(svm, feats[valid])))
+        return out
+
+    def test_draws_40_to_45_one_thread_and_default_same_bytes(self, frames, svm):
+        default = self.score_rois(frames, svm)
+        with row_chunks(1):
+            alone = self.score_rois(frames, svm)
+        for got, want in zip(default, alone):
+            assert all(same_bytes(a, b) for a, b in zip(got, want))
+
+    @staticmethod
+    def outcome(frame, detector):
+        try:
+            result = pl.run_detection(frame, red_green_nb(), detector, pl.FilterParams(score_threshold=0.4))
+        except NoPeduncleFound as exc:
+            return repr(exc)
+        return result.scored.scores.tobytes(), result.filter_result.cluster.tobytes(), result.pose.position.tobytes()
+
+    def test_three_callers_at_once_match_a_sequential_run(self, frames, svm):
+        detectors = [pl.PfhSvmDetector(svm), tiny_cnn_detector()]
+        jobs = [(frame, det) for frame in frames[:2] for det in detectors]
+        with row_chunks(1):
+            want = [self.outcome(*job) for job in jobs]
+        got = [[None] * len(jobs) for _ in range(3)]
+
+        def call(slot):
+            for i, job in enumerate(jobs):
+                got[slot][i] = self.outcome(*job)
+
+        callers = [threading.Thread(target=call, args=(slot,)) for slot in range(3)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=300)
+        assert not any(t.is_alive() for t in callers), "a caller did not finish: deadlock"
+        assert got == [want] * 3
+        assert all(isinstance(o, tuple) for o in want)     # every frame detected
+
+    def test_one_thread_starts_none(self, frames, svm):
+        before = threading.active_count()
+        with row_chunks(1):
+            pl.run_detection(frames[0], red_green_nb(), pl.PfhSvmDetector(svm), pl.FilterParams(score_threshold=0.4))
+            assert threading.active_count() == before and _rows._pool is None
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_an_error_in_a_pool_thread_reaches_the_caller(self, workers):
+        caller, raised = threading.current_thread(), threading.Event()
+
+        def fn(lo, hi):
+            # the caller holds its chunk until a pool thread has raised
+            if threading.current_thread() is caller:
+                raised.wait(timeout=30)
+            else:
+                raised.set()
+                raise ValueError(f"rows {lo}:{hi}")
+
+        with row_chunks(workers, chunk_rows=10, min_rows=1), pytest.raises(ValueError, match="rows"):
+            _rows.for_row_chunks(fn, 40)
+        assert raised.is_set()
+
+    def test_a_forked_child_runs_its_own_pool(self):
+        with row_chunks(2, chunk_rows=10, min_rows=1):
+            _rows.for_row_chunks(lambda lo, hi: None, 40)       # the parent's pool is running
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    _rows.for_row_chunks(lambda lo, hi: None, 40)
+                    code = 0
+                finally:
+                    os._exit(code)
+            deadline = time.monotonic() + 60
+            while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+                time.sleep(0.05)
+            if done[0] == 0:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0, "the child hung or failed"
