@@ -249,6 +249,19 @@ def linear_svm(rng):
     )
 
 
+def rbf_model(feats):
+    """An rbf SVM over real (valid) ROI features, with enough support
+    vectors for many kernel blocks."""
+    rng = np.random.default_rng(5)
+    means, scales = feats.mean(axis=0), np.where(feats.std(axis=0) > 0, feats.std(axis=0), 1.0)
+    svs = (feats[rng.choice(len(feats), 400, replace=False)] - means) / scales
+    return cls.SvmModel(
+        kernel="rbf", gamma=1.0 / 36.0, c=10.0, bias=-0.2,
+        dual_coefs=rng.normal(size=400), support_vectors=svs + rng.normal(0, 0.1, svs.shape),
+        feature_means=means, feature_scales=scales,
+    )
+
+
 def blank_frame(depth, intr):
     rgb = np.zeros(depth.shape + (3,), dtype=np.uint8)
     return pl.Frame.from_rasters(rgb, depth, intr)
@@ -437,20 +450,9 @@ class TestOneScoringPath:
                 assert scored.scores.shape == (len(rows),)
 
     def test_pfh_svm_matches_previous_path(self, frames):
-        # an rbf model over real ROI features, with enough support vectors
-        # for many kernel blocks
-        rng = np.random.default_rng(5)
         rows = pl.roi_rows(frames[0], self.truth_roi(frames[0]))
         feats, valid = point_features_reference(frames[0].cloud.subset(rows))
-        feats = feats[valid]
-        means, scales = feats.mean(axis=0), np.where(feats.std(axis=0) > 0, feats.std(axis=0), 1.0)
-        svs = (feats[rng.choice(len(feats), 400, replace=False)] - means) / scales
-        model = cls.SvmModel(
-            kernel="rbf", gamma=1.0 / 36.0, c=10.0, bias=-0.2,
-            dual_coefs=rng.normal(size=400), support_vectors=svs + rng.normal(0, 0.1, svs.shape),
-            feature_means=means, feature_scales=scales,
-        )
-        det = pl.PfhSvmDetector(model)
+        det = pl.PfhSvmDetector(rbf_model(feats[valid]))
         for frame in frames:
             roi = self.truth_roi(frame)
             got = det.score_frame(frame, roi)
@@ -1023,17 +1025,8 @@ class TestRowParallelDetection:
 
     @pytest.fixture(scope="class")
     def svm(self, frames):
-        # an rbf model over draw 40's ROI features, with enough support
-        # vectors for many kernel blocks
-        rng = np.random.default_rng(5)
         feats, valid = ft.point_features(frames[0].cloud.subset(pl.roi_rows(frames[0], TestOneScoringPath.truth_roi(frames[0]))))
-        feats = feats[valid]
-        means, scales = feats.mean(axis=0), np.where(feats.std(axis=0) > 0, feats.std(axis=0), 1.0)
-        svs = (feats[rng.choice(len(feats), 400, replace=False)] - means) / scales
-        return cls.SvmModel(
-            kernel="rbf", gamma=1.0 / 36.0, c=10.0, bias=-0.2, dual_coefs=rng.normal(size=400),
-            support_vectors=svs + rng.normal(0, 0.1, svs.shape), feature_means=means, feature_scales=scales,
-        )
+        return rbf_model(feats[valid])
 
     @staticmethod
     def score_rois(frames, svm):
