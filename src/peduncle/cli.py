@@ -122,17 +122,24 @@ def _write_curves(out_dir: str, curves: list) -> None:
             fh.write(f"{curve.mode} {ev.summary_line(curve)}\n")
 
 
-def save_scores(path, scored: pl.ScoredCloud, eval_labels: np.ndarray) -> None:
-    """Score dump: `scores v1 <count>` then `x y z score label` per point."""
-    floats = np.column_stack([scored.cloud.points, scored.scores])
-    write_rows(path, f"scores v1 {len(scored)}", floats, np.asarray(eval_labels)[:, None])
+# Dump score of an unscored positive: the CLI's thresholds lie in [0, 1].
+MISS_SCORE = -1.0
+
+
+def save_scores(path, rec: ev.SceneEval) -> None:
+    """Score dump of a scene record: `scores v1 <count>`, `x y z score label`
+    per scored point, then `0.0 0.0 1.0 -1.0 1` per unscored positive."""
+    misses = np.tile([0.0, 0.0, 1.0, MISS_SCORE], (rec.unscored_positives, 1))
+    floats = np.vstack([np.column_stack([rec.scored.cloud.points, rec.scored.scores]), misses])
+    labels = np.concatenate([rec.eval_labels, np.full(rec.unscored_positives, ev.POSITIVE)])
+    write_rows(path, f"scores v1 {len(floats)}", floats, labels[:, None])
 
 
 def load_scores(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a score dump written by save_scores.
 
     Raises FormatError on a bad header or score line, a non-numeric or
-    non-finite value, a score outside [0, 1] other than evaluate.MISS_SCORE,
+    non-finite value, a score outside [0, 1] other than MISS_SCORE,
     a label other than -1, 0 or 1, a count the file cannot hold, or data
     after the last line.
     """
@@ -144,7 +151,7 @@ def load_scores(path) -> tuple[np.ndarray, np.ndarray]:
     scores, labels = values[:, 3].copy(), labels[:, 0]
     for bad, what in (
         (~np.isfinite(values).all(axis=1), "non-finite value"),
-        (((scores < 0) | (scores > 1)) & (scores != ev.MISS_SCORE), "score outside [0, 1]"),
+        (((scores < 0) | (scores > 1)) & (scores != MISS_SCORE), "score outside [0, 1]"),
         (~np.isin(labels, (ev.IGNORED, ev.NEGATIVE, ev.POSITIVE)), "label other than -1, 0 or 1"),
     ):
         if bad.any():
@@ -240,7 +247,7 @@ def cmd_score(args, cfg: dict) -> int:
     _echo_config(args.out, cfg)
     for scene, entry in zip(scenes, entries):
         rec = wf.score_scene(scene, detector, nb, fp)
-        save_scores(os.path.join(args.out, f"{entry['id']}.scores"), rec.scored, rec.eval_labels)
+        save_scores(os.path.join(args.out, f"{entry['id']}.scores"), rec)
         _log(f"{entry['id']}: {rec.miss or f'{len(rec.scored)} scored points'}")
     return 0
 
@@ -309,7 +316,7 @@ def cmd_throughput(args, cfg: dict) -> int:
     _echo_config(args.out, cfg)
     records = [wf.score_scene(scene, detector, nb, fp) for scene in scenes]
     wf.require_a_scored_scene(records)
-    units = sum(len(rec.scored) for rec in records if rec.miss is None)
+    units = sum(len(rec.scored) for rec in records)
 
     def work():
         for scene in scenes:

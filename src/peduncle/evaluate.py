@@ -25,10 +25,6 @@ POSITIVE = 1
 NEGATIVE = 0
 IGNORED = -1
 
-# Score of a point no detector scored (its scene was missed before scoring):
-# detector scores and thresholds lie in [0, 1], so it clears no threshold.
-MISS_SCORE = -1.0
-
 
 def labels_to_eval(labels: np.ndarray) -> np.ndarray:
     """Cloud labels -> {POSITIVE, NEGATIVE, IGNORED} evaluation labels."""
@@ -76,32 +72,34 @@ def default_thresholds(n: int = 101) -> np.ndarray:
     return np.linspace(0.0, 1.0, n)
 
 
-def pr_curve(scores, labels, thresholds=None) -> PrCurve:
-    """PrPoint per threshold over one pooled score/label set. A POSITIVE or
-    NEGATIVE point is predicted when its score >= threshold, so a class's
-    misses at a threshold are its sorted scores below it. InvalidInput on a
-    non-finite score, a length mismatch, or a missing class."""
+def pr_curve(scores, labels, thresholds=None, unscored_positives: int = 0) -> PrCurve:
+    """PrPoint per threshold over one pooled score/label set plus
+    unscored_positives, which miss at every threshold. A point is predicted
+    when its score >= threshold. InvalidInput on a non-finite score, a
+    length mismatch, or a missing class."""
     scores, labels = np.asarray(scores, dtype=np.float64), np.asarray(labels)
     if scores.shape != labels.shape:
         raise InvalidInput(f"scores of shape {scores.shape} for labels of shape {labels.shape}")
     pl.require_finite_scores(scores)
     pos, neg = np.sort(scores[labels == POSITIVE]), np.sort(scores[labels == NEGATIVE])
-    if not len(pos) or not len(neg):
+    n_pos = len(pos) + unscored_positives
+    if not n_pos or not len(neg):
         raise InvalidInput("need at least one positive and one negative label")
     grid = np.asarray(default_thresholds() if thresholds is None else thresholds, dtype=np.float64)
-    fn = np.searchsorted(pos, grid, "left").tolist()
+    fn = (np.searchsorted(pos, grid, "left") + unscored_positives).tolist()
     tn = np.searchsorted(neg, grid, "left").tolist()
-    return PrCurve([PrPoint(float(t), len(pos) - f, len(neg) - n, f, n) for t, f, n in zip(grid, fn, tn)])
+    return PrCurve([PrPoint(float(t), n_pos - f, len(neg) - n, f, n) for t, f, n in zip(grid, fn, tn)])
 
 
 @dataclass
 class SceneEval:
-    """Per-scene inputs the filtered sweep needs: scored cloud, pepper box, labels."""
+    """One scene as both curves count it; a missed scene has no scored rows."""
 
     scored: pl.ScoredCloud
-    pepper_box: pc.BoundingBox3 | None     # None on an all-miss record
+    pepper_box: pc.BoundingBox3 | None     # None on a missed scene
     eval_labels: np.ndarray                # aligned with scored rows
-    miss: str | None = None                # NoPeduncleFound reason of an all-miss record
+    miss: str | None = None                # NoPeduncleFound reason of a missed scene
+    unscored_positives: int = 0            # false negatives at every threshold
 
 
 def miss_notes(scenes: list[SceneEval]) -> list[str]:
@@ -118,9 +116,9 @@ def eval_filtered(
 
     Predictions at each threshold are membership of the cluster that
     filter_detections returns there, from one pipeline.threshold_clusters
-    call per scene for the whole grid; scenes where no peduncle (or no
-    pepper) is found contribute zero predictions, so their positives all
-    count as misses. Per-scene failures are recorded, never raised; a
+    call per scene for the whole grid. Each scene's unscored_positives
+    count as misses at every threshold; a scene missed before scoring
+    reaches no filter. Per-scene failures are recorded, never raised; a
     non-finite score in a scene that reaches the filter raises InvalidInput.
     """
     if thresholds is None:
@@ -128,11 +126,10 @@ def eval_filtered(
     thresholds = np.asarray(thresholds, dtype=np.float64)
     counts = np.zeros((len(thresholds), 4), dtype=np.int64)   # tp, fp, fn, tn
     for scene in scenes:
-        pos, neg = scene.eval_labels == POSITIVE, scene.eval_labels == NEGATIVE
-        n_pos, n_neg = int(pos.sum()), int(neg.sum())
-        if scene.pepper_box is None or len(scene.scored) == 0:
-            counts += (0, 0, n_pos, n_neg)
+        counts[:, 2] += scene.unscored_positives
+        if scene.miss is not None:
             continue
+        pos, neg = scene.eval_labels == POSITIVE, scene.eval_labels == NEGATIVE
         _, clusters, which = pl.threshold_clusters(scene.scored, scene.pepper_box, nb, thresholds, fp)
         # one bincount per class over every distinct cluster's members
         members = np.concatenate([np.empty(0, np.intp)] + [c for c in clusters if c is not None])
@@ -140,7 +137,7 @@ def eval_filtered(
         hits = np.column_stack(
             [np.bincount(owner[m[members]], minlength=len(clusters)) for m in (pos, neg)]
         )[which]                                                         # (tp, fp) per threshold
-        counts += np.column_stack([hits, (n_pos, n_neg) - hits])
+        counts += np.column_stack([hits, (pos.sum(), neg.sum()) - hits])
     points = [PrPoint(float(t), *(int(v) for v in c)) for t, c in zip(thresholds, counts)]
     return PrCurve(points, "filtered"), miss_notes(scenes)
 

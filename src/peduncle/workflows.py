@@ -169,10 +169,9 @@ def train_cnn_from_scenes(
 def score_scene(scene, detector, nb: cls.NaiveBayesHsv, fp: pl.FilterParams = pl.FilterParams()) -> ev.SceneEval:
     """Detect the pepper, score the region of interest, attach truth labels.
 
-    Scenes where no pepper is found (or nothing in the region of interest
-    is scored) yield an all-miss record: their ground-truth peduncle
-    points carry ev.MISS_SCORE, so they count as false negatives at every
-    threshold.
+    A scene where no pepper is found (or nothing in the region of interest
+    is scored) yields a record with no scored rows whose unscored_positives
+    count every ground-truth peduncle point of the frame.
     """
     return score_scene_all(scene, [detector], nb, fp)[0]
 
@@ -185,26 +184,22 @@ def score_scene_all(
     try:
         _, pepper_box, roi = pl.locate_pepper(frame, nb, fp)
     except NoPeduncleFound as exc:
-        return [_all_miss(frame, exc.reason) for _ in detectors]
+        return [_missed(frame, exc.reason) for _ in detectors]
     records = []
     for detector in detectors:
         try:
             scored = detector.score_frame(frame, roi)
         except NoPeduncleFound as exc:
-            records.append(_all_miss(frame, exc.reason))
-            continue
-        labels = ev.labels_to_eval(scored.cloud.labels)
-        records.append(ev.SceneEval(scored, pepper_box, labels))
+            records.append(_missed(frame, exc.reason))
+        else:
+            records.append(ev.SceneEval(scored, pepper_box, ev.labels_to_eval(scored.cloud.labels)))
     return records
 
 
-def _all_miss(frame, reason: str) -> ev.SceneEval:
+def _missed(frame, reason: str) -> ev.SceneEval:
     n_pos = int(np.sum(frame.cloud.labels == pc.LABEL_PEDUNCLE))
-    empty = pl.ScoredCloud(
-        pc.PointCloud(np.zeros((n_pos, 3)) + [0.0, 0.0, 1.0]),
-        np.full(n_pos, ev.MISS_SCORE),
-    )
-    return ev.SceneEval(empty, None, np.full(n_pos, ev.POSITIVE, dtype=np.int64), reason)
+    nothing = pl.ScoredCloud(pc.PointCloud(np.empty((0, 3))), np.empty(0))
+    return ev.SceneEval(nothing, None, np.empty(0, dtype=np.int64), reason, n_pos)
 
 
 def require_a_scored_scene(records) -> None:
@@ -216,10 +211,10 @@ def require_a_scored_scene(records) -> None:
 
 
 def pooled_raw_curve(scene_evals, thresholds=None) -> ev.PrCurve:
-    """Raw (pre-filter) curve over the pooled scored points of all scenes."""
+    """Raw (pre-filter) curve over the scored points and unscored positives of all scenes."""
     scores = np.concatenate([s.scored.scores for s in scene_evals])
     labels = np.concatenate([s.eval_labels for s in scene_evals])
-    return ev.pr_curve(scores, labels, thresholds)
+    return ev.pr_curve(scores, labels, thresholds, sum(s.unscored_positives for s in scene_evals))
 
 
 def evaluate_detectors(

@@ -247,10 +247,10 @@ def eval_filtered_per_threshold(scenes, nb, thresholds, fp=pl.FilterParams()):
     and the reuse of unchanged ones."""
     counts = np.zeros((len(thresholds), 4), dtype=np.int64)   # tp, fp, fn, tn
     for scene in scenes:
-        pos, neg = scene.eval_labels == ev.POSITIVE, scene.eval_labels == ev.NEGATIVE
-        if scene.pepper_box is None or len(scene.scored) == 0:
-            counts += (0, 0, int(pos.sum()), int(neg.sum()))
+        counts[:, 2] += scene.unscored_positives
+        if scene.miss is not None:
             continue
+        pos, neg = scene.eval_labels == ev.POSITIVE, scene.eval_labels == ev.NEGATIVE
         points = scene.scored.cloud.points
         post = cls.nb_posterior(nb, ft.rgb_to_hsv_array(scene.scored.cloud.colors))
         box = pl.peduncle_bbox3(scene.pepper_box, fp.box, fp.up)
@@ -1135,12 +1135,13 @@ def load_cloud_per_row(path) -> pc.PointCloud:
     return pc.PointCloud(pts, ints[:, :3], ints[:, 3] if has_labels else None)
 
 
-def save_scores_per_row(path, scored: pl.ScoredCloud, eval_labels: np.ndarray) -> None:
-    lines = [f"scores v1 {len(scored)}"]
-    for p, s, lab in zip(scored.cloud.points, scored.scores, eval_labels):
+def save_scores_per_row(path, rec: ev.SceneEval) -> None:
+    lines = [f"scores v1 {len(rec.scored) + rec.unscored_positives}"]
+    for p, s, lab in zip(rec.scored.cloud.points, rec.scored.scores, rec.eval_labels):
         lines.append(
             f"{float(p[0])!r} {float(p[1])!r} {float(p[2])!r} {float(s)!r} {int(lab)}"
         )
+    lines += ["0.0 0.0 1.0 -1.0 1"] * rec.unscored_positives
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -627,8 +627,12 @@ class TestScoreAndCurves:
         assert main(["score", "--config", workdir["cfg"], "--scenes",
                      str(scene_dir / "manifest.txt"), "--models", workdir["models"],
                      "--detector", "pfh-svm", "--out", str(out)]) == 0
-        # the missed scene's stand-in points were never scored: the log names the miss
+        # the missed scene was never scored: the log names the miss, and the
+        # dump holds one miss row per ground-truth peduncle point
         assert capsys.readouterr().err.splitlines()[1] == "s0001: NoPepperFound"
+        n_missed = int((green.cloud.labels == pc.LABEL_PEDUNCLE).sum())
+        assert n_missed > 0
+        assert (out / "s0001.scores").read_text() == f"scores v1 {n_missed}\n" + "0.0 0.0 1.0 -1.0 1\n" * n_missed
         curve_dir = tmp_path / "curve"
         assert main(["pr-curve", "--config", workdir["cfg"], "--scores",
                      str(out / "s0000.scores"), str(out / "s0001.scores"),
@@ -645,9 +649,7 @@ class TestScoreAndCurves:
         ev.write_pr_csv(expected_path, [curve])
         assert (curve_dir / "pr.csv").read_text() == expected_path.read_text()
         # the green scene's positives are misses at every threshold, 0.0 included
-        n_missed = int((green.cloud.labels == pc.LABEL_PEDUNCLE).sum())
         alone = wf.pooled_raw_curve(evals[:1], thresholds)
-        assert n_missed > 0
         assert all(p.fn - a.fn == n_missed for a, p in zip(alone.points, curve.points))
 
     @pytest.mark.parametrize(
@@ -867,7 +869,7 @@ class TestThroughputCommand:
         assert rate > 0
 
     def test_only_scored_points_count(self, workdir, tmp_path):
-        """A scene missed before scoring adds none of its stand-in points."""
+        """A scene missed before scoring adds none of its unscored positives."""
         normal = _eval_scene(workdir)
         scene_dir = _write_scenes(tmp_path / "scenes", workdir["cfg"], [_green_scene(normal), normal])
         out = tmp_path / "tp"

@@ -33,7 +33,7 @@ from peduncle import features as ft
 from peduncle import minicnn as mc
 from peduncle import pipeline as pl
 from peduncle import scenegen as sg
-from peduncle.cli import load_scores, main, save_scores
+from peduncle.cli import MISS_SCORE, load_scores, main, save_scores
 from peduncle.errors import FormatError, InvalidInput
 
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308, 1.7976931348623157e308, 0.1]
@@ -75,10 +75,10 @@ def clouds(draw):
 
 @st.composite
 def score_dumps(draw):
-    """Dumps a detector can write: scores in [0, 1] or the miss score, labels
-    POSITIVE / NEGATIVE / IGNORED."""
+    """Scene records a detector can dump: scores in [0, 1] or the miss score,
+    labels POSITIVE / NEGATIVE / IGNORED, and a few unscored positives."""
     n = draw(st.integers(0, 5))
-    ends = st.sampled_from([0.0, -0.0, 5e-324, 1.0, ev.MISS_SCORE])
+    ends = st.sampled_from([0.0, -0.0, 5e-324, 1.0, MISS_SCORE])
     if draw(st.booleans()):     # the float32 CNN's scores
         scores = matrix(draw, n, 1, ends | st.floats(0.0, 1.0, width=32))
         scores = scores[:, 0].astype(np.float32)
@@ -86,7 +86,8 @@ def score_dumps(draw):
         scores = matrix(draw, n, 1, ends | st.floats(0.0, 1.0))[:, 0]
     label = st.sampled_from([ev.POSITIVE, ev.NEGATIVE, ev.IGNORED])
     labels = np.array(draw(st.lists(label, min_size=n, max_size=n)), dtype=np.int64)
-    return pl.ScoredCloud(pc.PointCloud(matrix(draw, n, 3)), scores), labels
+    scored = pl.ScoredCloud(pc.PointCloud(matrix(draw, n, 3)), scores)
+    return ev.SceneEval(scored, None, labels, None, draw(st.integers(0, 3)))
 
 
 @st.composite
@@ -152,8 +153,8 @@ def test_cloud_file_pinned_to_per_row_oracle(scratch, cloud):
 @SETTINGS
 @given(dump=score_dumps())
 def test_scores_file_pinned_to_per_row_oracle(scratch, dump):
-    save_scores(scratch / "new.scores", *dump)
-    save_scores_per_row(scratch / "old.scores", *dump)
+    save_scores(scratch / "new.scores", dump)
+    save_scores_per_row(scratch / "old.scores", dump)
     assert file_bytes(scratch / "new.scores") == file_bytes(scratch / "old.scores")
     assert same(load_scores(scratch / "new.scores"), load_scores_per_row(scratch / "new.scores"))
 
@@ -208,7 +209,7 @@ def mutations(draw, data: bytes) -> bytes:
 
 
 FORMATS = {
-    "scores": (score_dumps(), lambda p, d: save_scores_per_row(p, *d), load_scores, load_scores_per_row),
+    "scores": (score_dumps(), save_scores_per_row, load_scores, load_scores_per_row),
     "features": (feature_dumps(), lambda p, d: save_features_per_row(p, *d), ft.load_features, load_features_per_row),
     "svm": (svm_models(), save_svm_per_row, cls.load_svm, load_svm_per_row),
     "nb": (nb_models(), cls.save_nb, cls.load_nb, load_nb_per_line),
@@ -307,5 +308,5 @@ def test_scores_with_mismatched_labels_rejected(tmp_path, n_labels):
     scored = pl.ScoredCloud(cloud, np.array([0.25, 0.75]), np.zeros((2, 2), dtype=np.intp))
     path = tmp_path / "s.scores"
     with pytest.raises(InvalidInput):
-        save_scores(path, scored, np.ones(n_labels, dtype=np.int64))
+        save_scores(path, ev.SceneEval(scored, None, np.ones(n_labels, dtype=np.int64)))
     assert not path.exists()

@@ -14,7 +14,9 @@ the camera keys are read in one module, scenegen, so the benchmark camera
 is written in data/benchmark.cfg alone. The pepper colour posterior is
 computed at one call site, the one cut that the locate step and filter
 step 3 share. Threads are started in one module, _rows, and no library
-function takes a worker count.
+function takes a worker count. A missed scene's positives are a count, and
+the score they stand for in a score dump, MISS_SCORE, is named in one
+module, cli, next to the dump's writer and reader.
 """
 
 import ast
@@ -330,3 +332,16 @@ def test_the_pepper_posterior_has_one_call_site():
             if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "nb_posterior":
                 calls.append(f"{path.name}:{node.lineno}")
     assert len(calls) == 1, calls
+
+
+def test_the_miss_score_is_named_in_cli_alone():
+    """A missed scene's positives reach the curves as a count
+    (SceneEval.unscored_positives); MISS_SCORE is only how a score dump
+    writes them, so no module but cli refers to it."""
+    names = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            for field in ("id", "attr", "name"):     # Name, Attribute, an imported alias
+                if getattr(node, field, None) == "MISS_SCORE":
+                    names.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
+    assert names and {name.partition(":")[0] for name in names} == {"cli.py"}, names

@@ -169,9 +169,10 @@ class TestSceneScoring:
                 raise AssertionError("should not be called")
 
         rec = wf.score_scene(green, NullDetector(), nb)
-        assert rec.pepper_box is None
+        assert rec.pepper_box is None and rec.miss == "NoPepperFound"
+        assert len(rec.scored) == len(rec.eval_labels) == 0
         n_pos = int((green.cloud.labels == pc.LABEL_PEDUNCLE).sum())
-        assert (rec.eval_labels == ev.POSITIVE).sum() == n_pos
+        assert rec.unscored_positives == n_pos > 0
 
     def test_cnn_detector_roundtrip(self, scenes, nb):
         spec = mc.parse_netspec(
@@ -261,11 +262,29 @@ class TestMissedScenes:
         assert green.pepper_box is None
         n_missed = int((scenes[4].cloud.labels == pc.LABEL_PEDUNCLE).sum())
         assert n_missed > 0
-        thresholds = np.array([0.0, 0.5])
-        alone = wf.pooled_raw_curve([normal], thresholds)
-        pooled = wf.pooled_raw_curve([normal, green], thresholds)
-        for a, p in zip(alone.points, pooled.points):
-            assert (p.tp, p.fp, p.fn, p.tn) == (a.tp, a.fp, a.fn + n_missed, a.tn)
+        # thresholds at or below every score, as well as inside [0, 1]
+        thresholds = np.array([-2.0, -1.0, 0.0, 0.5])
+        for curve in (wf.pooled_raw_curve, lambda evals, t: ev.eval_filtered(evals, nb, t)[0]):
+            alone = curve([normal], thresholds)
+            pooled = curve([normal, green], thresholds)
+            for a, p in zip(alone.points, pooled.points):
+                assert (p.tp, p.fp, p.fn, p.tn) == (a.tp, a.fp, a.fn + n_missed, a.tn)
+
+    def test_positives_all_in_missed_scenes_still_give_a_curve(self):
+        """A pool whose scored rows are all negatives has a raw curve when a
+        missed scene holds positives: none found, all missed."""
+        n = 5
+        scored = ev.SceneEval(
+            pl.ScoredCloud(pc.PointCloud(np.zeros((3, 3))), np.array([0.0, 0.4, 1.0])),
+            None, np.full(3, ev.NEGATIVE),
+        )
+        missed = ev.SceneEval(
+            pl.ScoredCloud(pc.PointCloud(np.empty((0, 3))), np.empty(0)),
+            None, np.empty(0, dtype=np.int64), "NoPepperFound", n,
+        )
+        curve = wf.pooled_raw_curve([scored, missed], np.array([-2.0, -1.0, 0.0, 0.5, 1.0]))
+        assert [(p.tp, p.fn) for p in curve.points] == [(0, n)] * 5
+        assert [p.fp for p in curve.points] == [3, 3, 3, 1, 1]
 
     def test_scoring_all_detectors_equals_one_at_a_time(self, scenes, nb, svm):
         dets = [pl.PfhSvmDetector(svm), pl.CnnDetector(mc.Network.from_netspec(
@@ -277,6 +296,7 @@ class TestMissedScenes:
                 assert np.array_equal(rec.scored.scores, one.scored.scores)
                 assert np.array_equal(rec.scored.cloud.points, one.scored.cloud.points)
                 assert np.array_equal(rec.eval_labels, one.eval_labels)
+                assert rec.unscored_positives == one.unscored_positives
 
 
 class TestFilteredSweep:
