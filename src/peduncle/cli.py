@@ -5,9 +5,10 @@ output directory, writes machine-readable results to files only, and keeps
 human-readable progress on the error stream. Exit codes: 0 success, 1 usage
 error, 2 data error, 3 operational non-detection (no pepper, a region of
 interest without scored depth, no peduncle). main merges the configuration
-once for the command. A command that exits 2 removes the output directory,
-and any parent of it, that the call created, so a failed run leaves no
-partial results behind.
+once for the command, and refuses with exit 2, before anything is written,
+an output directory that is the directory of the --scenes manifest. A
+command that exits 2 removes the output directory, and any parent of it,
+that the call created, so a failed run leaves no partial results behind.
 """
 
 from __future__ import annotations
@@ -165,8 +166,7 @@ def load_scores(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cmd_gen_scene(args, cfg: dict) -> int:
-    base = sg.scene_params(cfg)
-    manifest = sg.make_benchmark(args.out, args.count, args.seed, args.train, base)
+    manifest = sg.make_benchmark(args.out, args.count, args.seed, args.train, cfg)
     _log(f"wrote {args.count} scene(s), manifest {manifest}")
     return 0
 
@@ -420,6 +420,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
+    scenes = getattr(args, "scenes", None)
+    if scenes and os.path.realpath(args.out) == os.path.realpath(os.path.dirname(os.path.abspath(scenes))):
+        # its config.cfg would replace the camera the scenes are read with
+        _log(f"error: --out {args.out} is the directory of the scene manifest {scenes}")
+        return 2
     # --out, or its outermost parent not there yet: what a failed call removes if it made it
     fresh = os.path.abspath(args.out)
     while not os.path.exists(os.path.dirname(fresh)):

@@ -2,7 +2,8 @@
 
 All numeric defaults ship in one packaged file (data/default.cfg) which the
 CLI echoes into every output directory so results stay reproducible from
-the artifacts alone.
+the artifacts alone. data/benchmark.cfg overlays the fixed-seed
+benchmark's camera and threshold sweep on them.
 """
 
 from __future__ import annotations
@@ -31,9 +32,18 @@ def load_config(path) -> dict[str, str]:
         return parse_config(fh.read())
 
 
+def _shipped(name: str) -> dict[str, str]:
+    return parse_config(resources.files("peduncle").joinpath(f"data/{name}").read_text())
+
+
 def default_config() -> dict[str, str]:
-    text = resources.files("peduncle").joinpath("data/default.cfg").read_text()
-    return parse_config(text)
+    return _shipped("default.cfg")
+
+
+def benchmark_config() -> dict[str, str]:
+    """Defaults, overlaid with data/benchmark.cfg: the camera and threshold
+    sweep of the fixed-seed benchmark."""
+    return {**default_config(), **_shipped("benchmark.cfg")}
 
 
 def merged_config(path) -> dict[str, str]:

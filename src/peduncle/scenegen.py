@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from importlib import resources
 
 import numpy as np
 from scipy import ndimage
@@ -439,7 +438,7 @@ def _draw_scene_params(rng, base: SceneParams, seed: int) -> SceneParams:
 
 def scene_params(cfg: dict) -> SceneParams:
     """The configuration's camera and pepper centre as SceneParams, the one
-    reader of the camera keys make_benchmark writes; FormatError on a bad key."""
+    reader of the camera keys; FormatError on a bad key."""
     text = cfgmod.cfg_str(cfg, "pepper_center")
     try:
         center = tuple(float(v) for v in text.split())
@@ -462,9 +461,7 @@ def scene_params(cfg: dict) -> SceneParams:
 def benchmark_base() -> SceneParams:
     """Close-up desk-scale camera of the standard synthetic benchmark, as
     data/benchmark.cfg (the one copy of its values) sets it."""
-    cfg = cfgmod.default_config()
-    cfg.update(cfgmod.parse_config(resources.files("peduncle").joinpath("data/benchmark.cfg").read_text()))
-    return scene_params(cfg)
+    return scene_params(cfgmod.benchmark_config())
 
 
 def benchmark_params(
@@ -482,24 +479,21 @@ def benchmark_params(
     return out
 
 
-def make_benchmark(
-    out_dir,
-    n_scenes: int,
-    master_seed: int,
-    n_train: int | None = None,
-    base: SceneParams | None = None,
-) -> str:
+def make_benchmark(out_dir, n_scenes: int, master_seed: int, n_train: int | None, cfg: dict) -> str:
     """Generate a seeded scene set plus manifest; returns the manifest path.
 
-    Scene ids carry the split (`train####` / `eval####`); the camera
-    configuration is echoed to config.cfg next to the manifest so scenes
-    can be reloaded without the generating code. Raises InvalidInput,
-    before it creates out_dir, when any draw's parameters are invalid.
+    The draws start from scene_params(cfg), and cfg is written verbatim as
+    the set's config.cfg: the file is the configuration that made the set,
+    so load_benchmark_scene reads the camera from it, and a rerun with it
+    and the same seed writes the same bytes. Scene ids carry the split
+    (`train####` / `eval####`); n_train None marks a fifth of the scenes,
+    at least one, as training. Raises FormatError on a bad camera key and
+    InvalidInput when any draw's parameters are invalid, both before it
+    creates out_dir.
     """
-    base = base if base is not None else SceneParams()
     if n_train is None:
         n_train = max(1, n_scenes // 5)
-    draws = benchmark_params(n_scenes, master_seed, base)
+    draws = benchmark_params(n_scenes, master_seed, scene_params(cfg))
     for params in draws:
         params.validate()  # before anything is written
     os.makedirs(out_dir, exist_ok=True)
@@ -511,18 +505,6 @@ def make_benchmark(
     manifest = os.path.join(out_dir, "manifest.txt")
     with open(manifest, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-    cfg = cfgmod.default_config()
-    cfg.update(
-        {
-            "image_width": str(base.image_w),
-            "image_height": str(base.image_h),
-            "fx": repr(float(base.fx)),
-            "fy": repr(float(base.fy)),
-            "cx": repr(float(base.cx)),
-            "cy": repr(float(base.cy)),
-            "depth_scale": repr(float(base.depth_scale)),
-        }
-    )
     cfgmod.write_config(os.path.join(out_dir, "config.cfg"), cfg)
     return manifest
 

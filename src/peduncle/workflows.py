@@ -14,6 +14,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import classifiers as cls
 from . import cloud as pc
+from . import config as cfgmod
 from . import evaluate as ev
 from . import features as ft
 from . import minicnn as mc
@@ -258,18 +259,13 @@ def evaluate_detectors(
 # ---------------------------------------------------------------------------
 
 
-def run_benchmark(
-    master_seed: int = 20240,
-    n_scenes: int = 200,
-    n_train: int = 40,
-    n_thresholds: int = 26,
-    cnn_epochs: int = 8,
-    cnn_lr: float = 0.03,
-    cnn_lr_decay: float = 0.85,
-    cnn_patches_per_scene: int = 24,
-    seed: int = 0,
-    log=None,
-) -> dict:
+# The fixed-seed benchmark's scene draws, training split, training seed and
+# CNN schedule; its camera and threshold sweep are data/benchmark.cfg's.
+BENCHMARK_SEED, BENCHMARK_SCENES, BENCHMARK_TRAIN, BENCHMARK_TRAIN_SEED = 20240, 200, 40, 0
+BENCHMARK_CNN = dict(epochs=8, lr=0.03, lr_decay=0.85, per_scene=24)
+
+
+def run_benchmark(log=None) -> dict:
     """Train and evaluate both detectors on the fixed-seed synthetic set.
 
     The CNN is trained twice: on the full training split and on its first
@@ -286,31 +282,28 @@ def run_benchmark(
         if log is not None:
             log(msg)
 
-    params = sg.benchmark_params(n_scenes, master_seed, sg.benchmark_base())
-    train_params, eval_params = params[:n_train], params[n_train:]
-    thresholds = ev.default_thresholds(n_thresholds)
+    cfg = cfgmod.benchmark_config()
+    params = sg.benchmark_params(BENCHMARK_SCENES, BENCHMARK_SEED, sg.scene_params(cfg))
+    train_params, eval_params = params[:BENCHMARK_TRAIN], params[BENCHMARK_TRAIN:]
+    thresholds = ev.default_thresholds(cfgmod.cfg_int(cfg, "thresholds"))
 
-    say(f"generating {n_train} training scenes")
+    say(f"generating {BENCHMARK_TRAIN} training scenes")
     train_scenes = [sg.generate(p) for p in train_params]
 
     say("fitting the pepper color model")
-    nb = train_nb_from_scenes(train_scenes, seed=seed)
+    nb = train_nb_from_scenes(train_scenes, seed=BENCHMARK_TRAIN_SEED)
 
     say("extracting geometry features for the margin classifier")
-    feats, y = collect_svm_training(train_scenes, per_scene=300, max_total=2000, seed=seed)
-    svm = cls.svm_train(feats, y, cls.SvmParams(seed=seed))
+    feats, y = collect_svm_training(train_scenes, per_scene=300, max_total=2000, seed=BENCHMARK_TRAIN_SEED)
+    svm = cls.svm_train(feats, y, cls.SvmParams(seed=BENCHMARK_TRAIN_SEED))
     say(f"svm trained on {len(y)} rows, {len(svm.dual_coefs)} support vectors")
 
     spec = mc.default_netspec()
     say("training the patch scorer on the full training split")
-    cnn_full = train_cnn_from_scenes(
-        train_scenes, spec, epochs=cnn_epochs, lr=cnn_lr, lr_decay=cnn_lr_decay,
-        per_scene=cnn_patches_per_scene, seed=seed, log=log,
-    )
+    cnn_full = train_cnn_from_scenes(train_scenes, spec, seed=BENCHMARK_TRAIN_SEED, log=log, **BENCHMARK_CNN)
     say("training the patch scorer on half the training split")
     cnn_half = train_cnn_from_scenes(
-        train_scenes[: n_train // 2], spec, epochs=cnn_epochs, lr=cnn_lr, lr_decay=cnn_lr_decay,
-        per_scene=cnn_patches_per_scene, seed=seed, log=log,
+        train_scenes[: BENCHMARK_TRAIN // 2], spec, seed=BENCHMARK_TRAIN_SEED, log=log, **BENCHMARK_CNN
     )
     del train_scenes
 

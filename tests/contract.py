@@ -35,8 +35,6 @@ DATA = Path(__file__).resolve().parent / "data"
 C6_COUNTS = DATA / "c6_counts.json"
 C7_DIGESTS = DATA / "c7_sha256.json"
 
-C6_SEED, C6_SCENES, C6_TRAIN, C6_THRESHOLDS = 20240, 200, 40, 26
-
 C7_CONFIG = (
     "image_width = 160\nimage_height = 120\nfx = 140.0\nfy = 140.0\n"
     "cx = 79.5\ncy = 59.5\npepper_center = 0.0 0.01 0.33\n"
@@ -63,9 +61,7 @@ def fingerprint() -> dict:
 
 def run_c6():
     """The fixed-seed 200-scene benchmark the acceptance suite runs."""
-    return wf.run_benchmark(
-        master_seed=C6_SEED, n_scenes=C6_SCENES, n_train=C6_TRAIN, n_thresholds=C6_THRESHOLDS,
-    )
+    return wf.run_benchmark()
 
 
 def c6_counts(results) -> dict:

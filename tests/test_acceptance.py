@@ -6,6 +6,7 @@ are shared across the tests that need them.
 """
 
 import time
+from importlib import resources
 
 import contract
 import numpy as np
@@ -29,6 +30,7 @@ from peduncle import cloud as pc
 from peduncle import minicnn as mc
 from peduncle import pipeline as pl
 from peduncle import scenegen as sg
+from peduncle.config import parse_config
 
 
 class criterion:
@@ -345,7 +347,17 @@ def test_c6b_more_training_scenes_do_not_hurt(benchmark_results):
 def test_c6c_counts_match_the_committed_contract(benchmark_results):
     with criterion("C6c per-threshold counts as committed") as c:
         contract.assert_matches(contract.C6_COUNTS, contract.c6_counts(benchmark_results))
-        c.note("tp/fp/fn/tn of six curves at 26 thresholds")
+        c.note("tp/fp/fn/tn of six curves at each threshold")
+
+
+def test_c6d_curves_sweep_the_benchmark_config_thresholds(benchmark_results):
+    """C6's threshold count is data/benchmark.cfg's `thresholds`."""
+    with criterion("C6d sweep of data/benchmark.cfg") as c:
+        shipped = parse_config(resources.files("peduncle").joinpath("data/benchmark.cfg").read_text())
+        n = int(shipped["thresholds"])
+        assert {len(benchmark_results[det][mode].points) for det in ("pfh-svm", "cnn", "cnn-half")
+                for mode in ("raw", "filtered")} == {n}
+        c.note(f"six curves of {n} points")
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,14 @@ import hashlib
 import inspect
 import os
 import shutil
+import tempfile
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import degraded_captures, load_cloud_per_row
 from scipy import ndimage
 
@@ -122,8 +126,66 @@ class TestGenScene:
         cfg.write_text(SMALL_CFG)
         out = tmp_path / "x"
         main(["gen-scene", "--config", str(cfg), "--out", str(out), "--count", "1", "--seed", "1"])
-        echoed = cfgmod.load_config(out / "config.cfg")
-        assert echoed["image_width"] == "160"
+        merged = tmp_path / "merged.cfg"
+        cfgmod.write_config(merged, cfgmod.merged_config(cfg))
+        assert (out / "config.cfg").read_bytes() == merged.read_bytes()
+
+
+class TestRerunFromConfig:
+    @settings(max_examples=5)
+    @given(
+        center=st.tuples(st.floats(-0.04, 0.04), st.floats(-0.02, 0.03), st.floats(0.3, 0.4)),
+        thresholds=st.integers(1, 60),
+        svm_max_train=st.integers(60, 400),
+    )
+    def test_every_output_directory_reruns_its_command(self, center, thresholds, svm_max_train):
+        """Each command of a C7-style chain, rerun with the config.cfg of its
+        output directory and the same other inputs, writes the same bytes."""
+        with tempfile.TemporaryDirectory() as tmp:
+            first, again = Path(tmp) / "first", Path(tmp) / "again"
+            cfg = Path(tmp) / "c.cfg"
+            cfg.write_text(
+                f"{SMALL_CFG}pepper_center = {' '.join(map(repr, center))}\n"
+                f"thresholds = {thresholds}\nsvm_max_train = {svm_max_train}\n"
+            )
+            manifest = str(first / "scenes" / "manifest.txt")
+            chain = [
+                ("scenes", ["gen-scene", "--count", "2", "--train", "1", "--seed", "3"]),
+                ("models", ["train-nb", "--scenes", manifest, "--split", "train"]),
+                ("feats", ["extract-features", "--scenes", manifest, "--split", "train"]),
+                ("models", ["train-svm", "--features", str(first / "feats" / "features.txt")]),
+                ("scores", ["score", "--scenes", manifest, "--split", "eval",
+                            "--models", str(first / "models"), "--detector", "pfh-svm"]),
+            ]
+            for out, argv in chain:
+                assert main([*argv, "--config", str(cfg), "--out", str(first / out)]) == 0
+            for out, argv in chain:
+                assert main([*argv, "--config", str(first / out / "config.cfg"), "--out", str(again / out)]) == 0
+            for out in ("scenes", "models", "feats", "scores"):
+                assert tree_hashes(again / out) == tree_hashes(first / out), out
+
+
+class TestOutIsNotTheSceneDirectory:
+    """A scene directory's config.cfg holds the camera its scenes are read
+    with, so no command may echo its own configuration there."""
+
+    @pytest.mark.parametrize("command", ["train-nb", "eval"])
+    @pytest.mark.parametrize("spelling", ["same", "symlink"])
+    def test_out_in_the_scene_directory_is_2(self, workdir, tmp_path, command, spelling):
+        scene_dir = tmp_path / "scenes"
+        shutil.copytree(os.path.dirname(workdir["manifest"]), scene_dir)
+        before = tree_hashes(scene_dir)
+        out = scene_dir
+        if spelling == "symlink":
+            out = tmp_path / "link"
+            out.symlink_to(scene_dir, target_is_directory=True)
+        inputs = {
+            "train-nb": ["--split", "train"],
+            "eval": ["--split", "eval", "--models", workdir["models"], "--detector", "pfh-svm"],
+        }
+        assert main([command, "--scenes", str(scene_dir / "manifest.txt"), "--out", str(out),
+                     *inputs[command]]) == 2
+        assert tree_hashes(scene_dir) == before
 
 
 class TestFiveRasterLayout:
@@ -512,10 +574,12 @@ class TestShippedConfig:
         assert sg.scene_params(cfgmod.default_config()) == sg.SceneParams()
 
     def test_benchmark_config_is_the_benchmark_camera_and_sweep(self):
+        """run_benchmark reads its camera and sweep from benchmark_config;
+        test_acceptance checks that C6's curves have its thresholds."""
         cfg = cfgmod.default_config()
         cfg.update(cfgmod.parse_config(resources.files("peduncle").joinpath("data/benchmark.cfg").read_text()))
+        assert cfgmod.benchmark_config() == cfg
         assert sg.scene_params(cfg) == sg.benchmark_base()
-        assert int(cfg["thresholds"]) == signature_defaults(wf.run_benchmark)["n_thresholds"]
 
 
 class TestExtractFeatures:

@@ -10,8 +10,9 @@ in TEST_ONLY_PARAMETERS. The rule that places the region of interest above
 the pepper is applied in one module, pipeline, and kd-trees and graph
 components are used in one module, cloud. Every key of the shipped
 config files is read by the library, and every key it reads is shipped;
-the camera keys are read in one module, scenegen, so the benchmark camera
-is written in data/benchmark.cfg alone. The pepper colour posterior is
+the camera keys are spelled in one function, scenegen.scene_params, so the
+benchmark camera is written in data/benchmark.cfg alone and a scene set's
+camera in the config.cfg that made it. The pepper colour posterior is
 computed at one call site, the one cut that the locate step and filter
 step 3 share. Threads are started in one module, _rows, and no library
 function takes a worker count. A missed scene's positives are a count, and
@@ -314,10 +315,20 @@ CAMERA_KEYS = {"image_width", "image_height", "fx", "fy", "cx", "cy", "depth_sca
 
 
 def test_the_camera_keys_are_read_in_scenegen_alone():
-    """scenegen.scene_params reads the camera keys, next to make_benchmark,
-    which writes them; no other module reads one."""
+    """scenegen.scene_params reads the camera keys; no other module reads
+    one, and no code outside scene_params spells one as a string literal."""
     readers = [path.stem for path in sorted(SRC.glob("*.py")) if config_keys_read([path]) & CAMERA_KEYS]
     assert readers == ["scenegen"]
+    spelled = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = set()
+        if path.stem == "scenegen":
+            reader = next(node for node in tree.body if getattr(node, "name", None) == "scene_params")
+            allowed = {id(node) for node in ast.walk(reader)}
+        spelled += [f"{path.name}:{node.lineno}: {node.value}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Constant) and node.value in CAMERA_KEYS and id(node) not in allowed]
+    assert spelled == []
 
 
 def test_the_pepper_posterior_has_one_call_site():

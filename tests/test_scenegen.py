@@ -19,6 +19,7 @@ from oracles import (
 from scipy import ndimage
 
 from peduncle import cloud as pc
+from peduncle import config as cfgmod
 from peduncle import features as ft
 from peduncle import pipeline as pl
 from peduncle import rasters
@@ -39,6 +40,15 @@ def small_params(seed=0, **kw):
     )
     base.update(kw)
     return sg.SceneParams(**base)
+
+
+def small_cfg(**kw):
+    """The shipped defaults with small_params()'s camera and pepper centre."""
+    camera = dict(
+        image_width="160", image_height="120", fx="140.0", fy="140.0", cx="79.5", cy="59.5",
+        pepper_center="0.0 0.01 0.33",
+    )
+    return {**cfgmod.default_config(), **camera, **kw}
 
 
 def file_hashes(directory):
@@ -326,7 +336,7 @@ class TestLabelImage:
 
 class TestBenchmark:
     def test_manifest_of_one(self, tmp_path):
-        manifest = sg.make_benchmark(tmp_path, 1, master_seed=5, base=small_params())
+        manifest = sg.make_benchmark(tmp_path, 1, 5, None, small_cfg())
         entries = sg.load_manifest(manifest)
         assert len(entries) == 1
         assert entries[0]["split"] == "train"
@@ -341,32 +351,32 @@ class TestBenchmark:
     def test_draw_off_the_image_is_rejected_before_writing(self, tmp_path):
         # the base pepper projects one pixel inside the right edge; a later
         # draw's jitter moves it off the image
-        base = small_params(pepper_center=(0.187, 0.01, 0.33))
-        base.validate()
+        cfg = small_cfg(pepper_center="0.187 0.01 0.33")
+        sg.scene_params(cfg).validate()
         with pytest.raises(InvalidInput, match="pepper centre"):
-            sg.make_benchmark(tmp_path / "out", 4, master_seed=3, base=base)
+            sg.make_benchmark(tmp_path / "out", 4, 3, None, cfg)
         assert not (tmp_path / "out").exists()
 
     def test_split_ids(self, tmp_path):
-        manifest = sg.make_benchmark(tmp_path, 5, master_seed=6, n_train=2, base=small_params())
+        manifest = sg.make_benchmark(tmp_path, 5, 6, 2, small_cfg())
         entries = sg.load_manifest(manifest)
         assert [e["split"] for e in entries] == ["train", "train", "eval", "eval", "eval"]
 
     def test_different_master_seeds_differ(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
-        sg.make_benchmark(d1, 2, master_seed=1, base=small_params())
-        sg.make_benchmark(d2, 2, master_seed=2, base=small_params())
+        sg.make_benchmark(d1, 2, 1, None, small_cfg())
+        sg.make_benchmark(d2, 2, 2, None, small_cfg())
         assert file_hashes(d1) != file_hashes(d2)
 
     def test_regeneration_bit_exact(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
-        sg.make_benchmark(d1, 3, master_seed=9, base=small_params())
-        sg.make_benchmark(d2, 3, master_seed=9, base=small_params())
+        sg.make_benchmark(d1, 3, 9, None, small_cfg())
+        sg.make_benchmark(d2, 3, 9, None, small_cfg())
         h1, h2 = file_hashes(d1), file_hashes(d2)
         assert h1 == h2
 
     def test_loaded_scene_matches_generated(self, tmp_path):
-        manifest = sg.make_benchmark(tmp_path, 2, master_seed=11, base=small_params())
+        manifest = sg.make_benchmark(tmp_path, 2, 11, None, small_cfg())
         entries = sg.load_manifest(manifest)
         params = sg.benchmark_params(2, 11, small_params())
         fresh = sg.generate(params[1])
